@@ -30,8 +30,10 @@
 //!
 //! Verify mode (`--verify`) runs the static SDFG verifier and the affine
 //! dependence analyzer over every selected kernel instead of executing
-//! anything, printing a per-kernel table of diagnostics and per-map
-//! parallelism verdicts.  The process exits non-zero if any kernel produces
+//! anything, printing a per-kernel table of diagnostics, per-map
+//! parallelism verdicts and the share of maps (forward and gradient program)
+//! lowering put on the N-D affine map kernel, with the typed reason for every
+//! map left on the VM.  The process exits non-zero if any kernel produces
 //! an error-severity diagnostic or a proven `Race` verdict — the CI verify
 //! step asserts the whole suite is clean:
 //!
@@ -423,11 +425,41 @@ fn map_verdicts(
     }
 }
 
+/// `attached/total` maps on the N-D affine map kernel, and one line per map
+/// lowering left on the VM with the typed reason.
+fn strategy_column(label: &str, program: &dace_runtime::CompiledProgram) -> (String, Vec<String>) {
+    let maps = program.map_strategies();
+    let declined: Vec<String> = maps
+        .iter()
+        .filter(|m| m.strategy != dace_runtime::MapStrategy::Kernel)
+        .map(|m| {
+            let points = m.points.map_or("?".to_string(), |p| p.to_string());
+            format!(
+                "{label} map in state {} ({points} points): {}",
+                m.state, m.strategy
+            )
+        })
+        .collect();
+    (
+        format!("{}/{}", maps.len() - declined.len(), maps.len()),
+        declined,
+    )
+}
+
 fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String> {
     use dace_sdfg::{ParVerdict, Severity};
     println!(
-        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8}",
-        "kernel", "errors", "warnings", "maps", "safe", "reduction", "race", "unknown"
+        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12}",
+        "kernel",
+        "errors",
+        "warnings",
+        "maps",
+        "safe",
+        "reduction",
+        "race",
+        "unknown",
+        "kernel",
+        "grad kernel"
     );
     let mut dirty = 0usize;
     for kernel in kernels {
@@ -445,8 +477,29 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         }
         let count = |v: fn(&ParVerdict) -> bool| verdicts.iter().filter(|x| v(x)).count();
         let races = count(|v| matches!(v, ParVerdict::Race(_)));
+        // The execution strategy lowering chose per map, for the forward
+        // program and for the gradient program built from it.
+        let (fwd, mut declined) = match dace_runtime::compile(&sdfg, &bindings) {
+            Ok(program) => strategy_column("forward", &program),
+            Err(_) => ("-".to_string(), Vec::new()),
+        };
+        let engine = dace_ad::GradientEngine::new(
+            &sdfg,
+            "OUT",
+            &kernel.wrt(),
+            &bindings,
+            &dace_ad::AdOptions::default(),
+        );
+        let grad = match &engine {
+            Ok(engine) => {
+                let (column, lines) = strategy_column("gradient", engine.gradient_program());
+                declined.extend(lines);
+                column
+            }
+            Err(_) => "-".to_string(),
+        };
         println!(
-            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8}",
+            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12}",
             kernel.name(),
             errors,
             diags.len() - errors,
@@ -455,9 +508,14 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             count(|v| *v == ParVerdict::Reduction),
             races,
             count(|v| *v == ParVerdict::Unknown),
+            fwd,
+            grad,
         );
         for d in &diags {
             println!("             {d}");
+        }
+        for line in &declined {
+            println!("             {line}");
         }
         for v in &verdicts {
             if let ParVerdict::Race(c) = v {

@@ -1,8 +1,9 @@
 //! The SDFG interpreter, driven by a compiled execution plan.
 //!
-//! This module holds the plan *walker*: the hot loops (sequential maps, the
-//! element-wise fast path, and the snapshot-based parallel path) touch no
-//! string keys and perform no per-iteration clones or allocations.  The
+//! This module holds the plan *walker*: the hot loops (sequential maps and
+//! the snapshot-based parallel path; the native map kernel lives in the
+//! `spec` module) touch no string keys and perform no per-iteration clones
+//! or allocations.  The
 //! parallel path fans out over a persistent rayon worker pool with one
 //! register file per chunk.
 //!
@@ -29,8 +30,8 @@ use dace_tensor::Tensor;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::memory::MemoryTracker;
 use crate::plan::{
-    CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanElementwise, PlanGraph, PlanLibrary,
-    PlanMap, PlanNode, PlanOperand, PlanTasklet, SymFile,
+    CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap,
+    PlanNode, PlanOperand, PlanTasklet, SymFile,
 };
 use crate::program::Session;
 use crate::spec::SpecMode;
@@ -58,8 +59,9 @@ pub struct ExecutionReport {
     /// Number of library-node expansions executed.
     pub library_calls: u64,
     /// Number of specialized-kernel dispatches: each covers one whole
-    /// innermost-loop or map execution handled by the specialization tier
-    /// instead of the register VM (see [`crate::SpecMode`]).
+    /// innermost-loop execution (a [`crate::SpecMode`]-gated loop kernel) or
+    /// one whole map execution (the N-D affine map kernel) handled natively
+    /// instead of by the register VM.
     pub specialized_dispatches: u64,
     /// Plan-cache hits recorded for this program's cache entry (snapshot at
     /// the end of the run; see [`crate::PlanCacheStats`]).
@@ -74,13 +76,14 @@ pub struct ExecutionReport {
 const PARALLEL_MAP_THRESHOLD: usize = 8192;
 
 /// Map execution path selection.  `Auto` (the default) picks the fastest
-/// applicable path; the forced variants exist so tests and instrumentation
-/// can compare the element-wise, sequential and parallel paths on the same
-/// map and assert identical results and counters.
+/// applicable path; the forced variants pin the register VM so tests and
+/// instrumentation can compare the native kernel, the sequential and the
+/// parallel path on the same map and assert identical results and counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MapPath {
-    /// Element-wise fast path if eligible, then parallel above the point
-    /// threshold, otherwise sequential.
+    /// The N-D affine map kernel when lowering attached one (and
+    /// [`crate::SpecMode`] is not `ForceOff`), then the VM: parallel above
+    /// the point threshold, otherwise sequential.
     #[default]
     Auto,
     /// Always the general sequential loop.
@@ -516,24 +519,12 @@ impl RunState {
             self.ensure_allocated(plan, a)?;
         }
 
-        // Fast path: a pure element-wise map (every memlet indexes exactly by
-        // the map parameters, in order) evaluates as a flat vectorized loop.
-        // This models the vectorized code DaCe generates for such maps and is
-        // what keeps whole-array statements competitive with the baseline's
-        // whole-array kernels.
-        if self.path == MapPath::Auto {
-            if let Some(ew) = &m.elementwise {
-                if lows.iter().all(|&l| l == 0) && self.exec_map_elementwise(ew, &sizes, total)? {
-                    return Ok(());
-                }
-            }
-            // Specialized 1-D strided-loop dispatch: covers offset and
-            // strided memlets the identity-indexed element-wise path cannot
-            // express (e.g. 1-D stencils).
-            if let Some(spec_id) = m.spec {
-                if self.spec_should_dispatch(spec_id)
-                    && self.exec_spec(plan, spec_id, lows[0], lows[0] + sizes[0] as i64)?
-                {
+        // The N-D affine map kernel, attached at lowering.  It validates
+        // before mutating, so a declined dispatch falls through to the VM
+        // with nothing but the (path-independent) allocations above done.
+        if self.path == MapPath::Auto && self.spec_mode != SpecMode::ForceOff {
+            if let Ok(kernel) = &m.kernel {
+                if self.exec_map_kernel(plan, kernel, &lows, &sizes)? {
                     self.report.tasklet_invocations += total as u64;
                     self.report.specialized_dispatches += 1;
                     return Ok(());
@@ -558,107 +549,6 @@ impl RunState {
         } else {
             self.exec_map_sequential(plan, m, &lows, &sizes, total)
         }
-    }
-
-    /// The element-wise flat-loop fast path.  Returns `Ok(false)` when a
-    /// runtime condition (array shapes, iterator availability) rules it out
-    /// and the caller should fall back to the general path.
-    ///
-    /// Every identity-indexed array must have exactly the iteration domain as
-    /// its shape — a length match alone is not enough, because an array whose
-    /// dimensions are a permutation of the map sizes would be traversed with
-    /// the wrong strides by the flat loop.
-    fn exec_map_elementwise(
-        &mut self,
-        ew: &PlanElementwise,
-        sizes: &[usize],
-        total: usize,
-    ) -> RuntimeResult<bool> {
-        let shape_matches = |t: Option<&Tensor>| -> bool {
-            match t {
-                Some(t) => t.len() == total && t.shape() == sizes,
-                None => false,
-            }
-        };
-        if !shape_matches(self.slab[ew.out_array as usize].as_ref()) {
-            return Ok(false);
-        }
-        for &(_, a) in &ew.reads {
-            if !shape_matches(self.slab[a as usize].as_ref()) {
-                return Ok(false);
-            }
-        }
-        for &(_, sym) in &ew.iter_loads {
-            if !self.syms.defined[sym as usize] {
-                return Ok(false);
-            }
-        }
-        let RunState {
-            slab,
-            syms,
-            scratch,
-            report,
-            ..
-        } = self;
-        scratch.slots.clear();
-        scratch.slots.resize(ew.n_slots, 0.0);
-        // Outer iterators are loop-invariant: promote them once.
-        for &(slot, sym) in &ew.iter_loads {
-            scratch.slots[slot as usize] = syms.vals[sym as usize] as f64;
-        }
-        // Snapshot inputs that alias the output, then take the output tensor
-        // out of the slab so the remaining inputs can be borrowed directly.
-        let aliased: Vec<Option<Vec<f64>>> = ew
-            .reads
-            .iter()
-            .map(|&(_, a)| {
-                if a == ew.out_array {
-                    Some(
-                        slab[a as usize]
-                            .as_ref()
-                            .expect("checked above")
-                            .data()
-                            .to_vec(),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut out_t = slab[ew.out_array as usize].take().expect("checked above");
-        {
-            let srcs: Vec<(u32, &[f64])> = ew
-                .reads
-                .iter()
-                .zip(&aliased)
-                .map(|(&(slot, a), owned)| match owned {
-                    Some(v) => (slot, v.as_slice()),
-                    None => (
-                        slot,
-                        slab[a as usize].as_ref().expect("checked above").data(),
-                    ),
-                })
-                .collect();
-            let out_data = out_t.data_mut();
-            if ew.accumulate {
-                for (flat, out) in out_data.iter_mut().enumerate().take(total) {
-                    for &(slot, data) in &srcs {
-                        scratch.slots[slot as usize] = data[flat];
-                    }
-                    *out += ew.expr.eval(&scratch.slots, &mut scratch.f_regs);
-                }
-            } else {
-                for (flat, out) in out_data.iter_mut().enumerate().take(total) {
-                    for &(slot, data) in &srcs {
-                        scratch.slots[slot as usize] = data[flat];
-                    }
-                    *out = ew.expr.eval(&scratch.slots, &mut scratch.f_regs);
-                }
-            }
-        }
-        slab[ew.out_array as usize] = Some(out_t);
-        report.tasklet_invocations += total as u64;
-        Ok(true)
     }
 
     fn exec_map_sequential(
@@ -786,9 +676,9 @@ impl RunState {
         for &(_, a) in l.inputs.iter() {
             self.ensure_allocated(plan, a)?;
         }
-        // Compute outputs by connector against immutable slab borrows (the
-        // old interpreter cloned every input tensor first).
-        let outputs: Vec<(&'static str, Tensor)> = {
+        // Compute the output against immutable slab borrows (the old
+        // interpreter cloned every input tensor first).
+        let (out_conn, mut value) = {
             let slab = &self.slab;
             let get = |conn: &str| -> RuntimeResult<&Tensor> {
                 for (c, a) in &l.inputs {
@@ -802,40 +692,42 @@ impl RunState {
                     "library node missing input `{conn}`"
                 )))
             };
-            match &l.op {
-                LibraryOp::MatMul => vec![("C", get("A")?.matmul(get("B")?)?)],
-                LibraryOp::MatVec => vec![("y", get("A")?.matvec(get("x")?)?)],
-                LibraryOp::Transpose => vec![("B", get("A")?.transpose()?)],
+            let (conn, value) = match &l.op {
+                LibraryOp::MatMul => ("C", get("A")?.matmul(get("B")?)?),
+                LibraryOp::MatVec => ("y", get("A")?.matvec(get("x")?)?),
+                LibraryOp::Transpose => ("B", get("A")?.transpose()?),
                 LibraryOp::SumReduce { .. } => {
-                    let s = get("IN")?.sum();
-                    vec![("OUT", Tensor::from_vec(vec![s], &[1])?)]
+                    ("OUT", Tensor::from_vec(vec![get("IN")?.sum()], &[1])?)
                 }
-                LibraryOp::Copy => vec![("B", get("A")?.clone())],
-            }
+                LibraryOp::Copy => ("B", get("A")?.clone()),
+            };
+            (conn, Some(value))
         };
-        // Write outputs.
-        for (conn, array, wcr) in &l.outputs {
-            let value = outputs
-                .iter()
-                .find(|(c, _)| c == conn)
-                .map(|(_, t)| t)
-                .ok_or_else(|| {
-                    RuntimeError::Malformed(format!("library node has no output `{conn}`"))
-                })?;
+        // Write it out: earlier out-edges clone the tensor, the last one
+        // moves it into the slab (unless it accumulates).
+        for (k, (conn, array, wcr)) in l.outputs.iter().enumerate() {
+            if conn != out_conn {
+                return Err(RuntimeError::Malformed(format!(
+                    "library node has no output `{conn}`"
+                )));
+            }
+            let tensor = value.as_ref().expect("moved out by the last edge only");
             self.ensure_allocated(plan, *array)?;
             let accumulate = *wcr || matches!(l.op, LibraryOp::SumReduce { accumulate: true });
             let dst = self.slab[*array as usize].as_mut().expect("just allocated");
-            if dst.shape() != value.shape() {
+            if dst.shape() != tensor.shape() {
                 return Err(RuntimeError::ShapeMismatch {
                     array: plan.arrays.names[*array as usize].clone(),
                     expected: dst.shape().to_vec(),
-                    got: value.shape().to_vec(),
+                    got: tensor.shape().to_vec(),
                 });
             }
             if accumulate {
-                dst.add_assign(value)?;
+                dst.add_assign(tensor)?;
+            } else if k + 1 < l.outputs.len() {
+                *dst = tensor.clone();
             } else {
-                *dst = value.clone();
+                *dst = value.take().expect("present: borrowed above");
             }
         }
         Ok(())
@@ -1257,8 +1149,8 @@ mod tests {
         );
     }
 
-    /// The same elementwise-eligible map must produce identical results and
-    /// identical counters on all three execution paths.
+    /// The same kernel-eligible map must produce identical results and
+    /// identical counters on the native kernel (`Auto`) and both VM paths.
     #[test]
     fn all_paths_report_identical_counters() {
         let x = dace_tensor::random::uniform(&[64], 9);

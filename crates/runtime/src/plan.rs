@@ -17,9 +17,10 @@
 //! * every tasklet's [`dace_sdfg::ScalarExpr`] assignments are compiled to
 //!   register-based [`CompiledExpr`] instruction sequences with connector
 //!   and iteration-symbol references resolved to slot indices;
-//! * per-graph topological orders, map element-wise fast-path eligibility
-//!   and the affine dependence verdict ([`dace_sdfg::analyze_map`]) that
-//!   gates the parallel path are all decided once.
+//! * per-graph topological orders, the affine dependence verdict
+//!   ([`dace_sdfg::analyze_map`]) of every map and, from it, the map's
+//!   execution strategy ([`MapStrategy`]: the N-D affine [`MapKernel`], or
+//!   the VM with a typed reason) are all decided once.
 //!
 //! Lowering never fails eagerly: constructs that the old interpreter would
 //! only reject *when executed* (missing connectors, unknown arrays, cyclic
@@ -30,9 +31,9 @@
 use std::collections::HashMap;
 
 use dace_sdfg::{
-    CmpOp, CompiledExpr, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode, IndexRange,
-    LeafRef, LibraryOp, MapScope, MicroPattern, Sdfg, Subset, SubsetClass, SymError, SymExpr,
-    Tasklet, Wcr,
+    CmpOp, CompiledExpr, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode, ExprOp,
+    LeafRef, LibraryOp, MapScope, MicroPattern, ParVerdict, Sdfg, Subset, SubsetClass, SymError,
+    SymExpr, Tasklet, Wcr,
 };
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -296,38 +297,24 @@ pub(crate) struct PlanTasklet {
     pub writes: Vec<PlanWrite>,
 }
 
-/// Precomputed element-wise fast path of a map: a single one-assignment
-/// tasklet whose memlets all index identically by the map parameters, so the
-/// whole map evaluates as one flat loop over the arrays' backing storage.
-#[derive(Clone, Debug)]
-pub(crate) struct PlanElementwise {
-    /// `(slot, array)` input loads, in edge order.
-    pub reads: Vec<(u32, u32)>,
-    /// Loop-invariant symbol promotions (outer iterators referenced by the
-    /// expression), filled once per map execution.
-    pub iter_loads: Vec<(u32, u32)>,
-    pub n_slots: usize,
-    pub expr: CompiledExpr,
-    pub out_array: u32,
-    pub accumulate: bool,
-}
-
 /// One array access of a specialized kernel, decomposed as an affine
-/// function of the specialized iteration variable: dimension `d` indexes at
-/// `rest[d] + coeff[d] * i`.  The `rest` parts are loop-invariant and
-/// evaluated once per dispatch; the flat row-major offset then advances by a
-/// precomputed constant stride per iteration.
+/// function of the specialized iteration variables (the loop iterator of a
+/// [`SpecKernel`], the map parameters of a [`MapKernel`]): dimension `d`
+/// indexes at `rest[d] + Σ_p coeff[d][p] * var_p`.  The `rest` parts are
+/// loop-invariant and evaluated once per dispatch; the flat row-major offset
+/// then advances by a precomputed constant step per variable.  An empty
+/// `rest` is a whole-array subset used as a scalar (a length-1 container).
 #[derive(Clone, Debug)]
 pub(crate) struct SpecAccess {
     pub array: u32,
     /// Loop-invariant index component per dimension.
     pub rest: Vec<CIdx>,
-    /// Coefficient of the iteration variable per dimension.
-    pub coeff: Vec<i64>,
+    /// Coefficient of each iteration variable, per dimension.
+    pub coeff: Vec<Vec<i64>>,
 }
 
-/// A specialized innermost-loop kernel: a control-flow loop (or 1-D map)
-/// whose body is a single affine-memlet tasklet, compiled down to a flat
+/// A specialized innermost-loop kernel: a control-flow loop whose body is a
+/// single affine-memlet tasklet, compiled down to a flat
 /// native loop with per-access constant strides.  The register VM remains
 /// the universal fallback — dispatch re-validates every precondition and
 /// bails out (`Ok(false)`) before mutating anything, so the VM reproduces
@@ -358,6 +345,88 @@ pub(crate) struct SpecKernel {
     pub state: Option<usize>,
 }
 
+/// The N-D affine map kernel: a map whose dependence verdict allows
+/// parallel execution and whose body is a single tasklet with affine
+/// memlets, compiled down to a native loop nest over the rectangular domain
+/// with one constant flat step per access and parameter.  Dispatch
+/// ([`crate::executor::RunState::exec_map_kernel`]) validates every
+/// precondition before mutating anything and otherwise leaves the map to the
+/// VM, exactly as a [`SpecKernel`] does.
+#[derive(Clone, Debug)]
+pub(crate) struct MapKernel {
+    /// Reads, `(slot, access)`, in tasklet edge order.
+    pub reads: Vec<(u32, SpecAccess)>,
+    /// Loop-invariant iteration-symbol promotions, loaded once per dispatch.
+    pub iter_loads: Vec<(u32, u32)>,
+    /// `(slot, parameter index)`: map parameters the assignments read as
+    /// values.
+    pub param_slots: Vec<(u32, usize)>,
+    pub n_slots: usize,
+    /// The tasklet's assignments.
+    pub exprs: Vec<MapExpr>,
+    /// Writes, `(assignment, access, accumulate)`, in tasklet edge order.
+    pub writes: Vec<(u32, SpecAccess, bool)>,
+}
+
+/// One assignment of a [`MapKernel`].
+#[derive(Clone, Debug)]
+pub(crate) struct MapExpr {
+    pub expr: CompiledExpr,
+    /// Micro-kernel shape of `expr`, when recognized (bit-identical eval).
+    pub micro: Option<MicroPattern>,
+    /// `expr` reads no slot (a gradient clear, a zero fill): its value is
+    /// computed once per dispatch instead of once per point.
+    pub constant: bool,
+}
+
+/// Why the N-D affine map kernel did not attach to a map, which therefore
+/// runs on the register VM.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KernelMiss {
+    /// The body is not access nodes plus exactly one tasklet.
+    MultiTasklet,
+    /// A memlet index is not `Σ coeff·param + loop-invariant rest` of the
+    /// array's rank.
+    NonAffineIndex,
+    /// The dependence analyzer proved a cross-iteration race.
+    VerdictRace,
+    /// The dependence analyzer could not prove the map safe.
+    VerdictUnknown,
+    /// The tasklet reads an array it also writes, at a different index.
+    AliasedReadAtOtherIndex,
+    /// The concrete layout of an accessed array is unknown at lowering.
+    UnknownLayout,
+}
+
+/// The execution strategy lowering chose for a map.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MapStrategy {
+    /// The N-D affine map kernel (the VM stays the per-dispatch fallback).
+    Kernel,
+    /// The register VM, sequential or snapshot-parallel by verdict and size.
+    Vm(KernelMiss),
+}
+
+impl std::fmt::Display for MapStrategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MapStrategy::Kernel => write!(f, "kernel"),
+            MapStrategy::Vm(why) => write!(f, "vm({why:?})"),
+        }
+    }
+}
+
+/// One map of a compiled program with the strategy chosen for it (see
+/// [`crate::CompiledProgram::map_strategies`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MapInfo {
+    /// Id of the state holding the map.
+    pub state: usize,
+    /// Index points of one execution, when the ranges are loop-invariant.
+    pub points: Option<u64>,
+    pub strategy: MapStrategy,
+}
+
 /// A lowered map scope.
 #[derive(Clone, Debug)]
 pub(crate) struct PlanMap {
@@ -368,13 +437,16 @@ pub(crate) struct PlanMap {
     /// Arrays referenced by the body (pre-allocated before iteration).
     pub referenced: Vec<u32>,
     pub parallel: bool,
-    /// Affine dependence verdict gating the snapshot-based parallel path.
-    pub verdict: dace_sdfg::ParVerdict,
+    /// Affine dependence verdict gating the kernel and the snapshot-based
+    /// parallel path.
+    pub verdict: ParVerdict,
     /// Tasklet count of one body execution (for invocation accounting).
     pub body_tasklets: u64,
-    pub elementwise: Option<PlanElementwise>,
-    /// Specialized-kernel id of a recognized 1-D affine map body.
-    pub spec: Option<u32>,
+    /// The attached N-D affine kernel, or why the map stays on the VM.
+    pub kernel: Result<MapKernel, KernelMiss>,
+    /// Index points of one execution under the plan's symbol values (`None`
+    /// when a range depends on an outer iterator).
+    pub points: Option<u64>,
 }
 
 /// A lowered library node.
@@ -832,20 +904,11 @@ impl Lowerer {
             .iter()
             .filter(|n| matches!(n, DfNode::Tasklet(_)))
             .count() as u64;
-        let elementwise = self.lower_elementwise(map);
-        // Specialization: a single-parameter map whose body is one affine
-        // tasklet compiles to a flat strided loop (maps are rectangular, so
-        // only the innermost/only dimension is specialized).
-        let spec = if map.params.len() == 1 {
-            self.recognize_spec(&map.body, &body, &map.params[0])
-                .map(|k| {
-                    let id = self.specs.len() as u32;
-                    self.specs.push(k);
-                    id
-                })
-        } else {
-            None
-        };
+        let kernel = self.recognize_map_kernel(map, &params, &body, &verdict);
+        let points = map.ranges.iter().try_fold(1u64, |acc, (s, e)| {
+            let (lo, hi) = (s.eval(&self.bindings).ok()?, e.eval(&self.bindings).ok()?);
+            acc.checked_mul(hi.checked_sub(lo)?.max(0) as u64)
+        });
         Ok(PlanMap {
             params,
             ranges,
@@ -854,124 +917,116 @@ impl Lowerer {
             parallel: map.parallel,
             verdict,
             body_tasklets,
-            elementwise,
-            spec,
+            kernel,
+            points,
         })
     }
 
-    /// Structural eligibility of the element-wise flat-loop fast path; the
-    /// remaining (size-dependent) conditions are checked per execution.
-    fn lower_elementwise(&mut self, map: &MapScope) -> Option<PlanElementwise> {
-        let mut tasklet_id = None;
-        for (i, n) in map.body.nodes.iter().enumerate() {
-            match n {
-                DfNode::Tasklet(_) => {
-                    if tasklet_id.is_some() {
-                        return None;
-                    }
-                    tasklet_id = Some(i);
-                }
-                DfNode::Access(_) => {}
-                _ => return None,
+    /// Recognize the N-D affine map kernel: a verdict that allows parallel
+    /// execution (no iteration reads what another writes, so the kernel's
+    /// sequential nest, the sequential VM and the snapshot-parallel VM all
+    /// agree), a body of access nodes plus one tasklet, every memlet affine
+    /// in the map parameters, and reads of a written array only at the index
+    /// it is written at.  `params` are the parameters' symbol slots and
+    /// `lowered` the lowered form of `map.body`; the two graphs correspond
+    /// node-for-node and edge-for-edge by construction.
+    fn recognize_map_kernel(
+        &mut self,
+        map: &MapScope,
+        params: &[u32],
+        lowered: &PlanGraph,
+        verdict: &ParVerdict,
+    ) -> Result<MapKernel, KernelMiss> {
+        match verdict {
+            ParVerdict::Safe | ParVerdict::Reduction => {}
+            ParVerdict::Race(_) => return Err(KernelMiss::VerdictRace),
+            ParVerdict::Unknown => return Err(KernelMiss::VerdictUnknown),
+        }
+        let mut tasklets = lowered
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, n)| match n {
+                PlanNode::Access(_) => None,
+                PlanNode::Tasklet(t) => Some(Ok((id, t))),
+                _ => Some(Err(KernelMiss::MultiTasklet)),
+            });
+        let (Some(first), None) = (tasklets.next(), tasklets.next()) else {
+            return Err(KernelMiss::MultiTasklet);
+        };
+        let (tnode, t) = first?;
+        let (in_edges, out_edges) = (map.body.in_edges(tnode), map.body.out_edges(tnode));
+        let mut writes = Vec::with_capacity(t.writes.len());
+        for (w, e) in t.writes.iter().zip(&out_edges) {
+            let access = self.lower_affine_subset(&e.memlet.subset, &map.params, w.array)?;
+            writes.push((w.expr, access, w.accumulate));
+        }
+        let mut reads = Vec::with_capacity(t.reads.len());
+        for (r, e) in t.reads.iter().zip(&in_edges) {
+            let aliased_elsewhere = t
+                .writes
+                .iter()
+                .zip(&out_edges)
+                .any(|(w, we)| w.array == r.array && we.memlet.subset != e.memlet.subset);
+            if aliased_elsewhere {
+                return Err(KernelMiss::AliasedReadAtOtherIndex);
+            }
+            let access = self.lower_affine_subset(&e.memlet.subset, &map.params, r.array)?;
+            reads.push((r.slot, access));
+        }
+        let mut iter_loads = Vec::new();
+        let mut param_slots = Vec::new();
+        for &(slot, sym) in &t.iter_loads {
+            match params.iter().position(|&p| p == sym) {
+                Some(p) => param_slots.push((slot, p)),
+                None => iter_loads.push((slot, sym)),
             }
         }
-        let tnode = tasklet_id?;
-        let DfNode::Tasklet(tasklet) = &map.body.nodes[tnode] else {
-            unreachable!()
-        };
-        if tasklet.code.len() != 1 {
-            return None;
-        }
-        let in_edges = map.body.in_edges(tnode);
-        let out_edges = map.body.out_edges(tnode);
-        if out_edges.len() != 1 || !out_edges[0].memlet.subset.is_identity_of(&map.params) {
-            return None;
-        }
-        if !in_edges
-            .iter()
-            .all(|e| e.memlet.subset.is_identity_of(&map.params))
-        {
-            return None;
-        }
-        let mut slot_of: HashMap<String, u32> = HashMap::new();
-        let mut reads = Vec::new();
-        for e in &in_edges {
-            let conn = e.dst_conn.as_deref()?;
-            let next = slot_of.len() as u32;
-            let slot = *slot_of.entry(conn.to_string()).or_insert(next);
-            let array = self.array(&e.memlet.data).ok()?;
-            reads.push((slot, array));
-        }
-        let out_array = self.array(&out_edges[0].memlet.data).ok()?;
-        let accumulate = matches!(out_edges[0].memlet.wcr, Some(Wcr::Sum));
-        // Compile the expression.  Map parameters may not appear as values
-        // (the flat loop does not materialise per-point indices); any other
-        // iteration symbol is loop-invariant and loaded once per execution.
-        let mut n_slots = slot_of.len();
-        let mut iter_loads: Vec<(u32, u32)> = Vec::new();
-        let mut iter_slot_of: HashMap<String, u32> = HashMap::new();
-        let (_, expr) = &tasklet.code[0];
-        let compiled = {
-            let params = &map.params;
-            let syms = &mut self.syms;
-            let init_syms = &mut self.init_syms;
-            let mut resolve = |leaf: LeafRef<'_>| -> Option<u32> {
-                match leaf {
-                    LeafRef::Input(name) => slot_of.get(name).copied(),
-                    LeafRef::Iter(name) => {
-                        if params.iter().any(|p| p == name) {
-                            return None;
-                        }
-                        if let Some(&slot) = iter_slot_of.get(name) {
-                            return Some(slot);
-                        }
-                        let slot = n_slots as u32;
-                        n_slots += 1;
-                        iter_slot_of.insert(name.to_string(), slot);
-                        iter_loads.push((slot, syms.intern(name, init_syms)));
-                        Some(slot)
-                    }
-                }
-            };
-            expr.compile(&mut resolve).ok()?
-        };
-        Some(PlanElementwise {
+        Ok(MapKernel {
             reads,
             iter_loads,
-            n_slots,
-            expr: compiled,
-            out_array,
-            accumulate,
+            param_slots,
+            n_slots: t.n_slots,
+            exprs: t
+                .exprs
+                .iter()
+                .map(|e| MapExpr {
+                    expr: e.clone(),
+                    micro: e.micro_pattern(),
+                    constant: !e.ops().iter().any(|op| matches!(op, ExprOp::Slot { .. })),
+                })
+                .collect(),
+            writes,
         })
     }
 
-    /// Lower a memlet subset into an affine access of `var`: every dimension
-    /// must be a plain index decomposable as `coeff * var + rest`, against an
-    /// array whose concrete layout is known and of matching rank.
+    /// Lower a memlet subset into an affine access of `vars`: every
+    /// dimension must decompose as `Σ coeff * var + rest` (range dimensions
+    /// at their start index, as the VM reads them), against an array whose
+    /// concrete layout is known and of matching rank.  A whole-array subset
+    /// lowers to the rank-free scalar access.
     fn lower_affine_subset(
         &mut self,
         subset: &Subset,
-        var: &str,
+        vars: &[String],
         array: u32,
-    ) -> Option<SpecAccess> {
-        if !subset.is_element() {
-            return None;
-        }
-        {
-            let layout = self.arrays.layouts[array as usize].as_ref().ok()?;
-            if subset.0.len() != layout.dims.len() {
-                return None;
-            }
-        }
-        let mut rest = Vec::with_capacity(subset.0.len());
-        let mut coeff = Vec::with_capacity(subset.0.len());
-        for r in &subset.0 {
-            let IndexRange::Index(e) = r else { return None };
-            let (k, rem) = e.affine_in(var)?;
-            coeff.push(k);
-            rest.push(self.lower_sym_expr(&rem));
-        }
-        Some(SpecAccess { array, rest, coeff })
+    ) -> Result<SpecAccess, KernelMiss> {
+        let Ok(layout) = &self.arrays.layouts[array as usize] else {
+            return Err(KernelMiss::UnknownLayout);
+        };
+        let rank = layout.dims.len();
+        let affine = dace_sdfg::deps::affine_subset(subset, vars)
+            .filter(|a| subset.is_all() || a.rests.len() == rank)
+            .ok_or(KernelMiss::NonAffineIndex)?;
+        Ok(SpecAccess {
+            array,
+            rest: affine
+                .rests
+                .iter()
+                .map(|e| self.lower_sym_expr(e))
+                .collect(),
+            coeff: affine.coeffs,
+        })
     }
 
     /// Recognize a specializable loop body: a dataflow graph of access nodes
@@ -1017,7 +1072,13 @@ impl Lowerer {
             return None;
         }
         let out_array = t.writes[0].array;
-        let write = self.lower_affine_subset(&out_edges[0].memlet.subset, var, out_array)?;
+        let vars = [var.to_string()];
+        // Loop kernels take plain element subsets only (no range starts).
+        let affine = |lo: &mut Self, subset: &Subset, array: u32| {
+            let access = lo.lower_affine_subset(subset, &vars, array).ok()?;
+            subset.is_element().then_some(access)
+        };
+        let write = affine(self, &out_edges[0].memlet.subset, out_array)?;
         let mut reads = Vec::new();
         let mut scalar_reads = Vec::new();
         let mut seen_slots = Vec::new();
@@ -1043,10 +1104,7 @@ impl Lowerer {
                     {
                         return None;
                     }
-                    reads.push((
-                        r.slot,
-                        self.lower_affine_subset(&e.memlet.subset, var, r.array)?,
-                    ));
+                    reads.push((r.slot, affine(self, &e.memlet.subset, r.array)?));
                 }
                 PlanAccess::All => {
                     // A scalar read of the written array would have to track

@@ -35,7 +35,7 @@ use dace_tensor::Tensor;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::executor::{ExecutionReport, MapPath, RunState};
 use crate::memory::MemoryTracker;
-use crate::plan::{compile_plan, ExecPlan};
+use crate::plan::{compile_plan, ExecPlan, MapInfo, MapStrategy, PlanGraph, PlanNode};
 
 // ---------------------------------------------------------------------------
 // Plan cache.
@@ -464,6 +464,32 @@ impl CompiledProgram {
     /// number of times this (SDFG, symbols) pair was actually lowered.
     pub fn cache_stats(&self) -> PlanCacheStats {
         self.stats.snapshot()
+    }
+
+    /// Every map of the program — nested maps after their parent — with the
+    /// execution strategy lowering chose for it and, for the VM, why the
+    /// native kernel did not attach.
+    pub fn map_strategies(&self) -> Vec<MapInfo> {
+        fn walk(state: usize, graph: &PlanGraph, out: &mut Vec<MapInfo>) {
+            for node in &graph.nodes {
+                if let PlanNode::Map(m) = node {
+                    out.push(MapInfo {
+                        state,
+                        points: m.points,
+                        strategy: match &m.kernel {
+                            Ok(_) => MapStrategy::Kernel,
+                            Err(why) => MapStrategy::Vm(*why),
+                        },
+                    });
+                    walk(state, &m.body, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (state, graph) in self.plan.states.iter().enumerate() {
+            walk(state, graph, &mut out);
+        }
+        out
     }
 
     pub(crate) fn plan(&self) -> &ExecPlan {

@@ -1,45 +1,55 @@
 //! The specialized-kernel execution tier.
 //!
-//! Plan compilation ([`crate::plan`]) recognizes dominant kernel shapes —
-//! affine-memlet elementwise bodies, fixed-radius stencils, and
-//! reduction/contraction bodies — in unit-step innermost control-flow loops
-//! and single-parameter maps, and records them as
-//! [`crate::plan::SpecKernel`]s.  This module is the dispatcher: it turns a
-//! recognized kernel into one flat native loop where every array access
-//! advances by a precomputed constant stride, instead of re-walking the plan
-//! graph and re-evaluating compiled index expressions per point.
+//! Plan compilation ([`crate::plan`]) attaches two kinds of native kernel;
+//! this module dispatches both.  In either, every array access advances by
+//! a precomputed constant step instead of re-walking the plan graph and
+//! re-evaluating compiled index expressions per point.
+//!
+//! * **Control-flow-loop kernels** ([`crate::plan::SpecKernel`]): a
+//!   unit-step innermost control-flow loop whose body state is one
+//!   single-assignment affine tasklet — elementwise bodies, fixed-radius
+//!   stencils, reduction/contraction bodies — runs as one flat loop.
+//! * **The N-D affine map kernel** ([`crate::plan::MapKernel`]): a map whose
+//!   dependence verdict allows parallel execution and whose body is one
+//!   tasklet (any number of assignments) with affine memlets — identity,
+//!   permuted, partial, constant and offset indices alike — runs as a
+//!   native nest over its rectangular domain, in the VM's odometer order.
 //!
 //! Exactness is the design invariant:
 //!
 //! * **Validate first, mutate second.**  Every precondition — runtime trip
 //!   count, bound iteration symbols, in-range accesses across the whole
 //!   iteration space, scalar-read container sizes — is checked before any
-//!   allocation or write.  Any failure returns `Ok(false)` and the caller
-//!   falls back to the register VM, which reproduces the exact semantics of
-//!   the failing case, including partial execution followed by an error.
+//!   write.  Any failure returns `Ok(false)` and the caller falls back to
+//!   the register VM, which reproduces the exact semantics of the failing
+//!   case, including partial execution followed by an error.
 //! * **Bit-identical arithmetic.**  The specialized loop evaluates the very
 //!   same [`dace_sdfg::CompiledExpr`] the VM would (or its recognized
 //!   [`dace_sdfg::MicroPattern`], whose evaluation applies the same
 //!   operations in the same order), with reads loaded into the same slots in
-//!   the same order —
-//!   so results match the VM bit for bit, a property the proptests in
-//!   `tests/spec.rs` pin down.
-//! * **Aliasing-aware.**  Reads of the written array go through the output
-//!   buffer being mutated, preserving Gauss–Seidel-style read-after-write
-//!   order within the loop.  Recognition only admits such aliased reads
-//!   when [`dace_sdfg::deps::alias_decidable`] proves the write/read
-//!   offset relation is statically understood (see
-//!   `docs/verification.md`); anything else stays on the VM.
+//!   the same order, all reads of a point before its writes and the writes
+//!   in edge order — so results match the VM bit for bit, a property the
+//!   proptests in `tests/spec.rs` pin down.
+//! * **Aliasing-aware.**  Reads of a written array go through the buffer
+//!   being mutated.  Loop kernels thereby preserve Gauss–Seidel-style
+//!   read-after-write order, admitted only when
+//!   [`dace_sdfg::deps::alias_decidable`] understands the write/read offset
+//!   (see `docs/verification.md`); the map kernel admits such reads only at
+//!   the very index that is written.  Anything else stays on the VM.
 //!
-//! Dispatch is profile-guided ([`SpecMode::Auto`]): a site runs on the VM
-//! for its first [`SPEC_UPGRADE_THRESHOLD`] dispatch opportunities, then
-//! self-upgrades to the specialized loop.  [`SpecMode::ForceOn`] /
-//! [`SpecMode::ForceOff`] (or the `DACE_SPEC=on|off` environment variable)
-//! pin the choice for A/B testing, mirroring [`crate::MapPath`].
+//! Loop-kernel dispatch is profile-guided ([`SpecMode::Auto`]): a site runs
+//! on the VM for its first [`SPEC_UPGRADE_THRESHOLD`] dispatch
+//! opportunities, then self-upgrades.  The map kernel has no warm-up to buy
+//! (its validation is a few corner checks per access) and dispatches on
+//! every map execution.  [`SpecMode::ForceOn`] / [`SpecMode::ForceOff`] (or
+//! `DACE_SPEC=on|off`) pin the choice for A/B testing, mirroring
+//! [`crate::MapPath`]; `ForceOff` is pure register-VM execution.
+
+use dace_tensor::Tensor;
 
 use crate::error::RuntimeResult;
-use crate::executor::RunState;
-use crate::plan::{ExecPlan, SpecAccess};
+use crate::executor::{RunState, Scratch};
+use crate::plan::{ExecPlan, MapExpr, MapKernel, SpecAccess};
 
 /// Number of dispatch opportunities a specialization site spends on the VM
 /// before [`SpecMode::Auto`] upgrades it to the specialized loop.  Cold
@@ -82,18 +92,28 @@ struct Flat {
 
 /// Where a specialized read loads from.
 enum SrcBuf<'a> {
-    /// A slab tensor distinct from the written array.
+    /// A slab tensor the kernel does not write.
     Slab(&'a [f64]),
-    /// The written array itself (reads observe in-loop writes).
-    Out,
+    /// The `n`-th written tensor, taken out of the slab for the dispatch
+    /// (reads observe in-loop writes; a loop kernel has exactly one).
+    Out(usize),
 }
 
-/// A specialized read with its running flat offset.
+/// A specialized read with its running flat offset and innermost step.
 struct SpecSrc<'a> {
     slot: usize,
     off: i64,
     step: i64,
     buf: SrcBuf<'a>,
+}
+
+/// A map-kernel write with its running flat offset and innermost step.
+struct MapDst {
+    expr: usize,
+    off: i64,
+    step: i64,
+    out: usize,
+    accumulate: bool,
 }
 
 impl RunState {
@@ -115,40 +135,48 @@ impl RunState {
         }
     }
 
-    /// Flatten one access over `i in [start, start + trip)`: evaluate the
-    /// loop-invariant index parts, bounds-check the extreme iterations per
-    /// dimension (which covers every iteration, indices being monotone in
-    /// `i`), and fold the per-dimension strides into a flat base and step.
-    /// `None` means the VM must handle this dispatch.
+    /// Flatten one access over the box `lows[p] ..= lasts[p]` of its
+    /// iteration variables: evaluate the loop-invariant index parts,
+    /// bounds-check the extreme corners per dimension (which covers every
+    /// point, indices being monotone in each variable), and fold the
+    /// per-dimension strides into the flat offset at `lows` (returned) and
+    /// one flat step per variable (written to `steps`).  `None` means the VM
+    /// must handle this dispatch.
     fn flatten_spec_access(
         &mut self,
         plan: &ExecPlan,
         acc: &SpecAccess,
-        start: i64,
-        last: i64,
-    ) -> Option<Flat> {
+        lows: &[i64],
+        lasts: &[i64],
+        steps: &mut [i64],
+    ) -> Option<i64> {
         let layout = plan.arrays.layout(acc.array).ok()?;
+        steps.fill(0);
+        if acc.rest.is_empty() {
+            // Whole-array scalar access: one fixed element of a length-1
+            // container (the VM rejects any other length).
+            return (layout.dims.iter().product::<usize>() == 1).then_some(0);
+        }
         let mut base = 0i64;
-        let mut step = 0i64;
-        for d in 0..acc.coeff.len() {
+        for d in 0..acc.rest.len() {
             let rest = acc.rest[d]
                 .eval(&self.syms, &plan.syms.names, &mut self.scratch.i_regs)
                 .ok()?;
-            let c = acc.coeff[d];
-            let at_start = c.checked_mul(start).and_then(|v| v.checked_add(rest))?;
-            let at_last = c.checked_mul(last).and_then(|v| v.checked_add(rest))?;
-            let (lo, hi) = if c >= 0 {
-                (at_start, at_last)
-            } else {
-                (at_last, at_start)
-            };
+            let stride = layout.strides[d] as i64;
+            let (mut at_lows, mut lo, mut hi) = (rest, rest, rest);
+            for (p, &c) in acc.coeff[d].iter().enumerate() {
+                let (at_low, at_last) = (c.checked_mul(lows[p])?, c.checked_mul(lasts[p])?);
+                at_lows = at_lows.checked_add(at_low)?;
+                lo = lo.checked_add(at_low.min(at_last))?;
+                hi = hi.checked_add(at_low.max(at_last))?;
+                steps[p] = steps[p].checked_add(c.checked_mul(stride)?)?;
+            }
             if lo < 0 || hi >= layout.dims[d] as i64 {
                 return None;
             }
-            base = base.checked_add(at_start.checked_mul(layout.strides[d] as i64)?)?;
-            step = step.checked_add(c.checked_mul(layout.strides[d] as i64)?)?;
+            base = base.checked_add(at_lows.checked_mul(stride)?)?;
         }
-        Some(Flat { base, step })
+        Some(base)
     }
 
     /// Execute specialized kernel `spec_id` over `i in [start, end)` with
@@ -190,16 +218,25 @@ impl RunState {
                 return Ok(false);
             }
         }
-        let last = end - 1;
+        let (lows, lasts) = ([start], [end - 1]);
+        let mut step = [0i64];
         let mut read_flats = Vec::with_capacity(spec.reads.len());
         for (_, acc) in &spec.reads {
-            match self.flatten_spec_access(plan, acc, start, last) {
-                Some(f) => read_flats.push(f),
+            match self.flatten_spec_access(plan, acc, &lows, &lasts, &mut step) {
+                Some(base) => read_flats.push(Flat {
+                    base,
+                    step: step[0],
+                }),
                 None => return Ok(false),
             }
         }
-        let Some(write) = self.flatten_spec_access(plan, &spec.write, start, last) else {
+        let Some(base) = self.flatten_spec_access(plan, &spec.write, &lows, &lasts, &mut step)
+        else {
             return Ok(false);
+        };
+        let write = Flat {
+            base,
+            step: step[0],
         };
 
         // -- Execution --
@@ -233,7 +270,7 @@ impl RunState {
                     off: flat.base,
                     step: flat.step,
                     buf: if acc.array as usize == out_array {
-                        SrcBuf::Out
+                        SrcBuf::Out(0)
                     } else {
                         SrcBuf::Slab(slab[acc.array as usize].as_ref().expect("allocated").data())
                     },
@@ -273,6 +310,202 @@ impl RunState {
         slab[out_array] = Some(out_t);
         Ok(true)
     }
+
+    /// Execute the N-D affine kernel `k` of a map over the rectangular
+    /// domain `lows[p] .. lows[p] + sizes[p]` (non-empty; the caller has
+    /// allocated every referenced container).  Each access is flattened
+    /// once against its layout; the nest then walks the domain in the VM's
+    /// odometer order with the innermost parameter on a flat loop.  Returns
+    /// `Ok(false)` — having mutated nothing — when any precondition fails
+    /// and the VM must run instead.
+    pub(crate) fn exec_map_kernel(
+        &mut self,
+        plan: &ExecPlan,
+        k: &MapKernel,
+        lows: &[i64],
+        sizes: &[usize],
+    ) -> RuntimeResult<bool> {
+        // A parameterless map is a single VM tasklet evaluation.
+        let Some((&trip, outer)) = sizes.split_last() else {
+            return Ok(false);
+        };
+        let np = sizes.len();
+        let inner = np - 1;
+
+        // -- Validation (no mutation past this comment until it all holds) --
+        if k.iter_loads
+            .iter()
+            .any(|&(_, sym)| !self.syms.defined[sym as usize])
+        {
+            return Ok(false);
+        }
+        let lasts: Vec<i64> = lows
+            .iter()
+            .zip(sizes)
+            .map(|(&lo, &n)| lo + n as i64 - 1)
+            .collect();
+        let accesses = k
+            .reads
+            .iter()
+            .map(|(_, acc)| acc)
+            .chain(k.writes.iter().map(|(_, acc, _)| acc));
+        let mut steps = vec![0i64; (k.reads.len() + k.writes.len()) * np];
+        let mut bases = Vec::with_capacity(k.reads.len() + k.writes.len());
+        for (acc, steps) in accesses.zip(steps.chunks_mut(np)) {
+            // A memlet of an array the body has no access node for surfaces
+            // as the VM's error.
+            if self.slab[acc.array as usize].is_none() {
+                return Ok(false);
+            }
+            match self.flatten_spec_access(plan, acc, lows, &lasts, steps) {
+                Some(base) => bases.push(base),
+                None => return Ok(false),
+            }
+        }
+
+        // -- Execution --
+        let RunState {
+            slab,
+            syms,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            slots,
+            f_regs,
+            outs: vals,
+            ..
+        } = scratch;
+        slots.clear();
+        slots.resize(k.n_slots, 0.0);
+        for &(slot, sym) in &k.iter_loads {
+            slots[slot as usize] = syms.vals[sym as usize] as f64;
+        }
+        // Slot-free assignments evaluate here, once; the rest per point.
+        vals.clear();
+        vals.extend(k.exprs.iter().map(|e| e.expr.eval(slots, f_regs)));
+        // Take the written tensors out of the slab so that every other read
+        // borrows it directly; reads of a written array go through `outs`.
+        let mut out_ids: Vec<u32> = k.writes.iter().map(|(_, acc, _)| acc.array).collect();
+        out_ids.sort_unstable();
+        out_ids.dedup();
+        let mut out_ts: Vec<Tensor> = out_ids
+            .iter()
+            .map(|&a| slab[a as usize].take().expect("checked above"))
+            .collect();
+        {
+            let mut outs: Vec<&mut [f64]> = out_ts.iter_mut().map(|t| t.data_mut()).collect();
+            let out_of = |a: u32| out_ids.iter().position(|&o| o == a);
+            let mut srcs: Vec<SpecSrc<'_>> = k
+                .reads
+                .iter()
+                .enumerate()
+                .map(|(i, &(slot, ref acc))| SpecSrc {
+                    slot: slot as usize,
+                    off: 0,
+                    step: steps[i * np + inner],
+                    buf: match out_of(acc.array) {
+                        Some(o) => SrcBuf::Out(o),
+                        None => SrcBuf::Slab(
+                            slab[acc.array as usize]
+                                .as_ref()
+                                .expect("checked above")
+                                .data(),
+                        ),
+                    },
+                })
+                .collect();
+            let mut dsts: Vec<MapDst> = k
+                .writes
+                .iter()
+                .enumerate()
+                .map(|(j, &(expr, ref acc, accumulate))| MapDst {
+                    expr: expr as usize,
+                    off: 0,
+                    step: steps[(k.reads.len() + j) * np + inner],
+                    out: out_of(acc.array).expect("collected above"),
+                    accumulate,
+                })
+                .collect();
+            let inner_slots: Vec<u32> = k
+                .param_slots
+                .iter()
+                .filter(|&&(_, p)| p == inner)
+                .map(|&(slot, _)| slot)
+                .collect();
+            let mut counters = vec![0usize; inner];
+            for row in 0..outer.iter().product::<usize>() {
+                // The outer parameters of this row, last fastest.
+                let mut rest = row;
+                for (c, &n) in counters.iter_mut().zip(outer).rev() {
+                    (*c, rest) = (rest % n, rest / n);
+                }
+                // Row start: every access's offset at this outer point, and
+                // the outer parameters the assignments read as values.
+                let offs = srcs
+                    .iter_mut()
+                    .map(|s| &mut s.off)
+                    .chain(dsts.iter_mut().map(|d| &mut d.off));
+                for (i, off) in offs.enumerate() {
+                    *off = bases[i]
+                        + counters
+                            .iter()
+                            .zip(&steps[i * np..])
+                            .map(|(&c, &step)| c as i64 * step)
+                            .sum::<i64>();
+                }
+                for &(slot, p) in &k.param_slots {
+                    if p < inner {
+                        slots[slot as usize] = (lows[p] + counters[p] as i64) as f64;
+                    }
+                }
+                if let ([e], [d]) = (&k.exprs[..], &dsts[..]) {
+                    // One assignment, one write: the loop kernels' flat
+                    // loop, monomorphized over the evaluator.
+                    macro_rules! row {
+                        ($eval:expr) => {
+                            run_spec_loop(
+                                trip,
+                                lows[inner],
+                                &mut srcs,
+                                &inner_slots,
+                                slots,
+                                outs[0],
+                                Flat {
+                                    base: d.off,
+                                    step: d.step,
+                                },
+                                d.accumulate,
+                                $eval,
+                            )
+                        };
+                    }
+                    match (&e.micro, e.constant) {
+                        (_, true) => row!(|_| vals[0]),
+                        (Some(m), _) => row!(|slots| m.eval(slots)),
+                        (None, _) => row!(|slots| e.expr.eval(slots, f_regs)),
+                    }
+                } else {
+                    run_map_row(
+                        trip,
+                        lows[inner],
+                        &mut srcs,
+                        &mut dsts,
+                        &inner_slots,
+                        slots,
+                        vals,
+                        &mut outs,
+                        &k.exprs,
+                        f_regs,
+                    );
+                }
+            }
+        }
+        for (&a, t) in out_ids.iter().zip(out_ts) {
+            slab[a as usize] = Some(t);
+        }
+        Ok(true)
+    }
 }
 
 /// The flat inner loop, monomorphized over the expression evaluator: load
@@ -296,7 +529,7 @@ fn run_spec_loop(
         for s in srcs.iter_mut() {
             slots[s.slot] = match s.buf {
                 SrcBuf::Slab(d) => d[s.off as usize],
-                SrcBuf::Out => out[s.off as usize],
+                SrcBuf::Out(_) => out[s.off as usize],
             };
             s.off += s.step;
         }
@@ -313,5 +546,57 @@ fn run_spec_loop(
             out[woff as usize] = v;
         }
         woff += write.step;
+    }
+}
+
+/// One row of a multi-assignment map kernel: per point, load each read at
+/// its running offset (in edge order, so duplicate-slot semantics match the VM), refresh
+/// the innermost-parameter slots, evaluate every slot-reading assignment,
+/// then apply the writes in edge order.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn run_map_row(
+    trip: usize,
+    inner_low: i64,
+    srcs: &mut [SpecSrc<'_>],
+    dsts: &mut [MapDst],
+    inner_slots: &[u32],
+    slots: &mut [f64],
+    vals: &mut [f64],
+    outs: &mut [&mut [f64]],
+    exprs: &[MapExpr],
+    f_regs: &mut Vec<f64>,
+) {
+    for i in 0..trip {
+        for s in srcs.iter_mut() {
+            slots[s.slot] = match s.buf {
+                SrcBuf::Slab(d) => d[s.off as usize],
+                SrcBuf::Out(o) => outs[o][s.off as usize],
+            };
+            s.off += s.step;
+        }
+        if !inner_slots.is_empty() {
+            let iv = (inner_low + i as i64) as f64;
+            for &sl in inner_slots {
+                slots[sl as usize] = iv;
+            }
+        }
+        for (e, v) in exprs.iter().zip(vals.iter_mut()) {
+            if !e.constant {
+                *v = match &e.micro {
+                    Some(m) => m.eval(slots),
+                    None => e.expr.eval(slots, f_regs),
+                };
+            }
+        }
+        for d in dsts.iter_mut() {
+            let target = &mut outs[d.out][d.off as usize];
+            if d.accumulate {
+                *target += vals[d.expr];
+            } else {
+                *target = vals[d.expr];
+            }
+            d.off += d.step;
+        }
     }
 }

@@ -114,8 +114,7 @@ impl Subset {
     }
 
     /// True if the subset indexes exactly by the given parameters, in order
-    /// (`A[i, j]` for params `[i, j]`).  This is the precondition for the
-    /// executor's element-wise flat-loop fast path.
+    /// (`A[i, j]` for params `[i, j]`).
     pub fn is_identity_of(&self, params: &[String]) -> bool {
         self.0.len() == params.len()
             && self.0.iter().zip(params.iter()).all(

@@ -15,6 +15,14 @@ const PAR_THRESHOLD: usize = 64 * 64;
 /// Block size for the k-dimension of the blocked matmul.
 const BLOCK_K: usize = 64;
 
+/// Whether a kernel over `work` elements fans out over the pool.  A pool one
+/// thread wide has nothing to fan out to: handing the whole kernel to its
+/// worker costs a wake-up each way and runs it against another core's cold
+/// cache, so it stays on the calling thread.
+fn fans_out(work: usize) -> bool {
+    work >= PAR_THRESHOLD && rayon::current_num_threads() > 1
+}
+
 fn expect_rank(t: &Tensor, rank: usize, op: &'static str) -> TensorResult<()> {
     if t.rank() != rank {
         return Err(TensorError::RankMismatch {
@@ -63,7 +71,7 @@ impl Tensor {
             }
         };
 
-        if m * n >= PAR_THRESHOLD {
+        if fans_out(m * n) {
             out.par_chunks_mut(n)
                 .enumerate()
                 .for_each(|(i, row)| row_kernel(i, row));
@@ -89,7 +97,7 @@ impl Tensor {
         }
         let a = self.data();
         let x = v.data();
-        let out: Vec<f64> = if m * k >= PAR_THRESHOLD {
+        let out: Vec<f64> = if fans_out(m * k) {
             (0..m)
                 .into_par_iter()
                 .map(|i| {
@@ -216,6 +224,27 @@ mod tests {
         let fast = a.matmul(&b).unwrap();
         let slow = naive_matmul(&a, &b);
         assert!(crate::allclose(&fast, &slow, 1e-10, 1e-12));
+    }
+
+    /// A one-wide pool keeps large kernels on the caller, a wider one fans
+    /// them out, and both compute the same bits.
+    #[test]
+    fn one_wide_pool_keeps_kernels_on_the_caller() {
+        let pool = |n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        assert!(!pool(1).install(|| fans_out(PAR_THRESHOLD)));
+        assert!(pool(2).install(|| fans_out(PAR_THRESHOLD)));
+        assert!(!pool(2).install(|| fans_out(PAR_THRESHOLD - 1)));
+
+        let a = Tensor::from_fn(&[80, 64], |i| (i[0] * 64 + i[1]) as f64 * 0.01);
+        let b = Tensor::from_fn(&[64, 80], |i| (i[0] as f64 - i[1] as f64) * 0.3);
+        let x = Tensor::from_fn(&[64], |i| i[0] as f64 * 0.7);
+        let run = || (a.matmul(&b).unwrap(), a.matvec(&x).unwrap());
+        assert_eq!(pool(1).install(run), pool(2).install(run));
     }
 
     #[test]

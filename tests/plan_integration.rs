@@ -149,3 +149,53 @@ fn forced_sequential_path_matches_auto_on_golden_forward_passes() {
         );
     }
 }
+
+/// A library node's output tensor moves into the slab at its last plain
+/// use: fanning one connector out to two arrays (and a `Wcr::Sum` edge)
+/// still fills every destination, and a wrongly-shaped one is rejected.
+#[test]
+fn library_output_fans_out_to_every_destination() {
+    use dace_ad_repro::runtime::RuntimeError;
+    use dace_ad_repro::sdfg::{ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, Memlet, State};
+    let build = |b2_len: i64| {
+        let mut sdfg = Sdfg::new("fanout");
+        for (name, len) in [("A", 4), ("B1", 4), ("B2", b2_len), ("ACC", 4)] {
+            sdfg.add_array(name, ArrayDesc::input(vec![SymExpr::int(len)]))
+                .unwrap();
+        }
+        let mut g = DataflowGraph::new();
+        let a = g.add_access("A");
+        let copy = g.add_library(LibraryOp::Copy);
+        g.add_edge(a, None, copy, Some("A"), Memlet::all("A"));
+        for (name, wcr) in [("B1", false), ("ACC", true), ("B2", false)] {
+            let node = g.add_access(name);
+            let memlet = if wcr {
+                Memlet::all(name).with_wcr_sum()
+            } else {
+                Memlet::all(name)
+            };
+            g.add_edge(copy, Some("B"), node, None, memlet);
+        }
+        let sid = sdfg.add_state(State {
+            name: "s".into(),
+            graph: g,
+        });
+        sdfg.cfg = ControlFlow::State(sid);
+        sdfg
+    };
+    let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
+    let mut session = compile(&build(4), &Default::default()).unwrap().session();
+    session.set_input("A", a.clone()).unwrap();
+    session.set_input("ACC", Tensor::ones(&[4])).unwrap();
+    session.run().unwrap();
+    assert_eq!(session.array("B1").unwrap().data(), a.data());
+    assert_eq!(session.array("B2").unwrap().data(), a.data());
+    assert_eq!(session.array("ACC").unwrap().data(), &[2.0, 3.0, 4.0, 5.0]);
+
+    let mut session = compile(&build(5), &Default::default()).unwrap().session();
+    session.set_input("A", a).unwrap();
+    assert!(matches!(
+        session.run(),
+        Err(RuntimeError::ShapeMismatch { .. })
+    ));
+}
