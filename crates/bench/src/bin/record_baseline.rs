@@ -8,8 +8,9 @@
 //! serving of atax + jacobi2d through `BatchDriver`, guarding the per-item
 //! cost of the batched path; the row also records items/sec for both the
 //! serial loop and the batched driver) and `serve_latency` (open-loop
-//! dynamic-admission serving of the same kernels through `ServeDriver`,
-//! guarding the per-request cost of the serve path; the row also records
+//! dynamic-admission serving of the same kernels through
+//! `GradientEngine::serve`, a one-tenant `Gateway`, guarding the
+//! per-request cost of the gateway path; the row also records
 //! p50/p95 latency and the observed coalescing) — and writes one JSON
 //! object per row to the output file.  A fourth synthetic row,
 //! `specialized_kernels`, times the forward loop kernels through the plan
@@ -81,9 +82,9 @@ at a fixed 12x10 atax size), the `batch_throughput` row (batched serving
 of atax + jacobi2d via BatchDriver; its `dace_ms` is the batched
 milliseconds per item, and the row also records serial/batched items-per-sec
 and the fan-out width) and the `serve_latency` row (open-loop
-dynamic-admission serving of the same kernels via ServeDriver; its `dace_ms`
-is wall-clock per request, with p50/p95 latency and the largest coalesced
-batch as extra keys) and the `specialized_kernels` row (forward loop kernels
+dynamic-admission serving of the same kernels via GradientEngine::serve, a
+one-tenant Gateway; its `dace_ms` is wall-clock per request, with p50/p95
+latency and the largest coalesced batch as extra keys) and the `specialized_kernels` row (forward loop kernels
 through the plan specialization tier vs the VM on identical compiled plans,
 cross-checked bit for bit; its `dace_ms` is the specialized-path total, with
 the VM total and geomean speedup as extra keys), then writes one JSON object
@@ -180,8 +181,8 @@ struct BatchRow {
 }
 
 /// The `serve_latency` row: open-loop serving of [`SERVE_KERNELS`] through
-/// the dynamic-admission `ServeDriver` (unpaced submissions, default
-/// admission options), aggregated over both kernels.
+/// `GradientEngine::serve`'s one-tenant `Gateway` (unpaced submissions,
+/// default admission options), aggregated over both kernels.
 struct ServeRow {
     /// Wall-clock per request (first submit to last completion) — the
     /// regression-guarded figure.
@@ -330,7 +331,7 @@ fn measure_serve(preset: Preset, reps: usize) -> Result<ServeRow, String> {
         requests += t.requests;
         total_secs += t.elapsed.as_secs_f64();
         latencies.extend(t.latencies_ms);
-        largest_batch = largest_batch.max(t.largest_batch);
+        largest_batch = largest_batch.max(t.stats.largest_batch);
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     Ok(ServeRow {
@@ -422,8 +423,9 @@ fn measure(
         }
     };
     // Dynamic-admission serving latency (atax + jacobi2d through
-    // `ServeDriver`).  Guards the per-request cost of the serve path —
-    // admission queue, handle completion and batching overhead included.
+    // `GradientEngine::serve`).  Guards the per-request cost of the gateway
+    // path — admission queue, handle completion and batching overhead
+    // included.
     let serve = match measure_serve(preset, reps) {
         Ok(s) => {
             out.insert("serve_latency".to_string(), s.dace_ms);

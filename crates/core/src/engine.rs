@@ -15,12 +15,12 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dace_runtime::{
-    compile, BatchDriver, BatchReport, CompiledProgram, ExecutionReport, Gateway, GatewayError,
-    GatewayHandle, RequestHandle, RuntimeError, ServeDriver, ServeError, ServeOptions,
-    ServeResponse, ServeStats, Session, SubmitOptions, TenantConfig, TenantStats,
+    compile, BatchDriver, BatchError, BatchReport, CompiledProgram, ExecutionReport, Gateway,
+    GatewayError, GatewayHandle, GatewayOptions, RuntimeError, ServeError, ServeResponse, Session,
+    SubmitOptions, TenantConfig, TenantStats,
 };
 use dace_sdfg::Sdfg;
 use dace_tensor::Tensor;
@@ -139,15 +139,20 @@ pub struct GradientEngine {
     forward_sdfg: Sdfg,
     gradient: Session,
     forward: Option<Session>,
-    /// Dynamic-admission gradient server over the gradient program, built
-    /// lazily by [`GradientEngine::serve`] / [`GradientEngine::run_batch`].
-    /// Its session pool persists across requests, so steady-state serving
-    /// runs entirely warm.
-    server: Option<GradientServer>,
-    /// Admission-queue options for the server ([`ServeOptions::workers`]
-    /// doubles as the batch fan-out cap).
-    serve_options: ServeOptions,
+    /// Session-pool driver behind [`GradientEngine::run_batch`], built
+    /// lazily.  The pool persists across calls, so steady-state batches run
+    /// entirely warm.
+    batch: Option<BatchDriver>,
+    /// Client of the engine-private one-tenant [`Gateway`], built lazily by
+    /// [`GradientEngine::serve`].
+    server: Option<GatewayGradientClient>,
+    /// Options of that gateway ([`GatewayOptions::workers`] doubles as the
+    /// `run_batch` fan-out cap).
+    serve_options: GatewayOptions,
 }
+
+/// Tenant name of the engine's gradient program on its private gateway.
+const SERVE_TENANT: &str = "gradient";
 
 /// Result of one batched gradient computation: per-item results in input
 /// order plus the aggregate batch statistics.
@@ -182,8 +187,17 @@ impl GradientEngine {
             forward_sdfg: forward.clone(),
             plan,
             symbols: symbols.clone(),
+            batch: None,
             server: None,
-            serve_options: ServeOptions::default(),
+            // One program served alone: nothing to shed load for and no
+            // neighbour to protect, so the queue is unbounded, failures
+            // resolve at once and the breaker never trips.
+            serve_options: GatewayOptions {
+                queue_capacity: usize::MAX,
+                retry_budget: 0,
+                breaker_threshold: u32::MAX,
+                ..GatewayOptions::default()
+            },
         })
     }
 
@@ -213,36 +227,18 @@ impl GradientEngine {
     /// [`EngineError::NonScalarOutput`] is raised instead of the old
     /// silent-`NaN` behaviour.
     pub fn run(&mut self, inputs: &HashMap<String, Tensor>) -> Result<GradientResult, EngineError> {
-        bind_inputs(&self.plan.sdfg, &mut self.gradient, inputs, None)?;
-        let report = self.gradient.run()?;
-        let output_value = read_scalar_output(&self.gradient, &self.plan.output)?;
-        let mut gradients = BTreeMap::new();
-        for input in &self.plan.inputs {
-            if let Some(gname) = self.plan.gradients.get(input) {
-                if let Some(g) = self.gradient.array(gname) {
-                    gradients.insert(input.clone(), g.clone());
-                }
-            }
-        }
-        Ok(GradientResult {
-            gradients,
-            output_value,
-            report,
-        })
+        run_gradient(&self.plan, &mut self.gradient, inputs)
     }
 
     /// Run the gradient program on a batch of independent input sets
     /// concurrently, returning one [`GradientResult`] per set (in
     /// submission order) plus the aggregate [`BatchReport`].
     ///
-    /// Implemented as **submit-all-then-wait-all over the dynamic serving
-    /// layer** ([`GradientEngine::serve`]): every input set becomes one
-    /// individually admitted request, the admission queue coalesces them
-    /// back into dispatches, and the call blocks until every handle
-    /// resolves.  The static batch API is thereby a special case of the
-    /// dynamic one — same sessions, same plan, zero additional lowerings —
-    /// and results stay bit-identical to looping [`GradientEngine::run`]
-    /// over the same inputs.
+    /// Every item is one [`GradientEngine::run`] on a pooled session of a
+    /// [`BatchDriver`] over the *same* cached gradient program (a static
+    /// batch has no admission decision to make, so it bypasses the serving
+    /// front door): zero additional lowerings, and results bit-identical
+    /// to looping `run` over the same inputs.
     ///
     /// Input validation matches [`GradientEngine::run`] per item; the first
     /// failing item aborts the call with its typed error (other items may
@@ -253,118 +249,80 @@ impl GradientEngine {
         &mut self,
         batches: &[HashMap<String, Tensor>],
     ) -> Result<BatchGradientResult, EngineError> {
-        let start = Instant::now();
-        let server = self.serve();
-        // The whole batch should ride one dispatch at full fan-out, not be
-        // split into `max_batch`-sized sequential waves.
-        server.serve_driver().raise_max_batch(batches.len());
-        // Submit all: each input set is admitted individually.  A
-        // validation failure cancels the requests already queued (ones
-        // already dispatched run to completion and are discarded).
-        let mut handles = Vec::with_capacity(batches.len());
-        for inputs in batches {
-            match server.submit(inputs) {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    for handle in &handles {
-                        handle.cancel();
-                    }
-                    return Err(e);
+        if self.batch.is_none() {
+            let driver = self.build_batch_driver();
+            driver.set_workers(self.serve_options.workers);
+            self.batch = Some(driver);
+        }
+        let driver = self.batch.as_ref().expect("driver was just built");
+        let plan = &self.plan;
+        let out = driver.run_batch_with(batches.len(), |i, session| {
+            run_gradient(plan, session, &batches[i])
+        });
+        let mut items = Vec::with_capacity(batches.len());
+        for (index, item) in out.items.into_iter().enumerate() {
+            match item {
+                Ok(result) => items.push(result),
+                Err(BatchError::Item(e)) => return Err(e),
+                Err(BatchError::Panicked(message)) => {
+                    return Err(EngineError::BatchItemPanicked { index, message })
                 }
             }
         }
-        // Wait all, preserving submission order.  The first failure aborts
-        // the call; still-queued peers are cancelled rather than computed
-        // into the void (already-dispatched ones complete and are
-        // discarded).
-        let mut items = Vec::with_capacity(handles.len());
-        let mut totals = (0u64, 0u64); // (tasklets, map points)
-        let mut first_error: Option<EngineError> = None;
-        for (index, handle) in handles.into_iter().enumerate() {
-            if first_error.is_some() {
-                handle.cancel();
-                continue;
-            }
-            match handle.wait() {
-                Ok(served) => {
-                    totals.0 += served.result.report.tasklet_invocations;
-                    totals.1 += served.result.report.map_points;
-                    items.push(served.result);
-                }
-                Err(EngineError::Serve(ServeError::Panicked(message))) => {
-                    first_error = Some(EngineError::BatchItemPanicked { index, message });
-                }
-                Err(e) => first_error = Some(e),
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let elapsed = start.elapsed();
-        let n = items.len();
-        let driver = server.driver.batch_driver();
-        let batch = BatchReport {
-            items: n,
-            succeeded: n,
-            failed: 0,
-            workers: driver.fanout_width(n),
-            elapsed,
-            items_per_sec: dace_runtime::throughput(n, elapsed),
-            total_tasklet_invocations: totals.0,
-            total_map_points: totals.1,
-            plan_cache: driver.program().cache_stats(),
-            sessions_created: driver.sessions_created(),
-            sessions_reused: driver.sessions_reused(),
-            pooled_sessions: driver.pooled_sessions(),
-            sessions_discarded: driver.sessions_discarded(),
-        };
-        Ok(BatchGradientResult { items, batch })
+        Ok(BatchGradientResult {
+            items,
+            batch: out.report,
+        })
     }
 
-    /// The session-pool driver behind the engine's server, if
-    /// [`GradientEngine::serve`] or [`GradientEngine::run_batch`] has been
-    /// called (exposes session-pool statistics).
+    /// The session-pool driver behind [`GradientEngine::run_batch`], once it
+    /// has been called (exposes session-pool statistics).
     pub fn batch_driver(&self) -> Option<&BatchDriver> {
-        self.server.as_ref().map(|s| s.driver.batch_driver())
+        self.batch.as_ref()
     }
 
-    /// Cap the fan-out of [`GradientEngine::run_batch`] and served requests
-    /// at `workers` concurrent items (0 = the worker pool's full width).
-    /// Takes effect from the next dispatch, including on an already-built
-    /// server.
+    /// Cap the fan-out of [`GradientEngine::run_batch`] at `workers`
+    /// concurrent items (0 = the worker pool's full width), from the next
+    /// batch on.  A server started by a later [`GradientEngine::serve`]
+    /// inherits the cap as its [`GatewayOptions::workers`].
     pub fn set_batch_workers(&mut self, workers: usize) {
         self.serve_options.workers = workers;
-        if let Some(server) = &self.server {
-            server.driver.batch_driver().set_workers(workers);
+        if let Some(driver) = &self.batch {
+            driver.set_workers(workers);
         }
     }
 
-    /// Start (or return) the engine's dynamic-admission gradient server: a
-    /// cloneable handle through which requests are submitted individually
-    /// — [`GradientServer::submit`] /
-    /// [`GradientServer::submit_with_deadline`] — and coalesced into
-    /// batches over the *same* cached gradient program the blocking
+    /// Start (or return) the engine's dynamic-admission gradient server: an
+    /// engine-private [`Gateway`] whose only tenant is this engine's
+    /// gradient program, returned as a cloneable [`GatewayGradientClient`].
+    /// Requests are submitted individually —
+    /// [`GatewayGradientClient::submit`] /
+    /// [`GatewayGradientClient::submit_with`] — and coalesced into batches
+    /// over the *same* cached gradient program the blocking
     /// [`GradientEngine::run`] uses.  Served results are bit-identical to
     /// `run` with the same inputs.
     ///
-    /// The server (its admission queue, dispatcher and session pool)
-    /// persists on the engine; repeated calls return handles to the same
-    /// instance.  Clones can be moved to other threads and submit
-    /// concurrently.
-    pub fn serve(&mut self) -> GradientServer {
+    /// Unless [`GradientEngine::serve_with_options`] said otherwise the
+    /// gateway is configured for a program served alone: an unbounded
+    /// queue, no retries, no circuit breaker.  The server (its admission
+    /// queue, dispatcher and session pool) persists on the engine;
+    /// repeated calls return clients of the same instance.  Clones can be
+    /// moved to other threads and submit concurrently.
+    pub fn serve(&mut self) -> GatewayGradientClient {
         if self.server.is_none() {
-            let serve = ServeDriver::over(self.build_batch_driver(), self.serve_options.clone());
-            self.server = Some(GradientServer {
-                driver: Arc::new(serve),
-                meta: Arc::new(self.build_serve_meta()),
-            });
+            let gateway = Arc::new(Gateway::new(self.serve_options.clone()));
+            let client = self
+                .register_with(&gateway, SERVE_TENANT, TenantConfig::default())
+                .expect("a fresh gateway accepts its first tenant");
+            self.server = Some(client);
         }
         self.server.clone().expect("server was just built")
     }
 
     /// A fresh [`BatchDriver`] over the cached gradient program, carrying
-    /// the plan's recomputation free hints — the execution substrate shared
-    /// by [`GradientEngine::serve`] and [`GradientEngine::register_with`].
+    /// the plan's recomputation free hints — the execution substrate of
+    /// [`GradientEngine::run_batch`] and of every gateway tenant
+    /// ([`GradientEngine::serve`], [`GradientEngine::register_with`]).
     fn build_batch_driver(&self) -> BatchDriver {
         let mut driver = BatchDriver::new(self.gradient.program().clone());
         driver.set_free_hints(&self.plan.free_hints);
@@ -412,10 +370,10 @@ impl GradientEngine {
     /// [`GatewayGradientClient`] for submitting gradient requests through
     /// it.
     ///
-    /// Unlike the engine-private [`GradientEngine::serve`] server, the
-    /// gateway is shared across engines/programs and adds bounded
-    /// admission, weighted fair scheduling, retries, circuit breaking and
-    /// graceful reload (see [`dace_runtime::gateway`]).  The registered
+    /// Unlike the engine-private [`GradientEngine::serve`] gateway, this
+    /// one is shared across engines/programs, so bounded admission,
+    /// weighted fair scheduling, retries, circuit breaking and graceful
+    /// reload come into play (see [`dace_runtime::gateway`]).  The registered
     /// driver carries the plan's recomputation free hints, so served
     /// results stay bit-identical to [`GradientEngine::run`].
     pub fn register_with(
@@ -443,10 +401,12 @@ impl GradientEngine {
         Ok(())
     }
 
-    /// [`GradientEngine::serve`] with explicit admission-queue options.
-    /// Rebuilds the server if one already exists (outstanding handles of
-    /// the old server stay valid until they resolve).
-    pub fn serve_with_options(&mut self, options: ServeOptions) -> GradientServer {
+    /// [`GradientEngine::serve`] with explicit gateway options, taken as
+    /// given — `GatewayOptions::default()` bounds the queue and enables
+    /// retries and the breaker.  Rebuilds the server if one already exists
+    /// (outstanding handles of the old server stay valid until they
+    /// resolve).
+    pub fn serve_with_options(&mut self, options: GatewayOptions) -> GatewayGradientClient {
         self.serve_options = options;
         self.server = None;
         self.serve()
@@ -492,8 +452,8 @@ impl GradientEngine {
     }
 }
 
-/// Name-resolution metadata shared by every [`GradientHandle`] of one
-/// server: which program arrays are transient (for submit-time input
+/// Name-resolution metadata shared by every [`GatewayGradientHandle`] of
+/// one client: which program arrays are transient (for submit-time input
 /// validation), the dependent output, and the input→gradient-array mapping
 /// used to assemble [`GradientResult`]s from fetched tensors.
 #[derive(Debug)]
@@ -502,91 +462,6 @@ struct GradientServeMeta {
     output: String,
     gradients: Vec<(String, String)>,
     fetch: Vec<String>,
-}
-
-/// Cloneable handle to a [`GradientEngine`]'s dynamic-admission server
-/// (obtained from [`GradientEngine::serve`]).
-///
-/// Requests are submitted individually and return a [`GradientHandle`]
-/// immediately; the serving layer ([`dace_runtime::ServeDriver`]) coalesces
-/// them into batches over the engine's single cached gradient program.
-/// Clones share the same admission queue, dispatcher and session pool, so
-/// any number of threads can submit concurrently.
-#[derive(Clone)]
-pub struct GradientServer {
-    driver: Arc<ServeDriver>,
-    meta: Arc<GradientServeMeta>,
-}
-
-impl std::fmt::Debug for GradientServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GradientServer")
-            .field("driver", &*self.driver)
-            .finish()
-    }
-}
-
-impl GradientServer {
-    /// Submit one gradient request.  Input names are validated immediately
-    /// (exactly like [`GradientEngine::run`]: unknown names are
-    /// [`EngineError::UnknownInput`], transients are skipped); execution
-    /// happens asynchronously once the admission queue dispatches the
-    /// request.
-    pub fn submit(&self, inputs: &HashMap<String, Tensor>) -> Result<GradientHandle, EngineError> {
-        self.submit_inner(inputs, None)
-    }
-
-    /// [`GradientServer::submit`] with a latency budget: a request still
-    /// queued `deadline` after submission is rejected with
-    /// [`dace_runtime::ServeError::DeadlineExceeded`] (surfaced as
-    /// [`EngineError::Serve`] by [`GradientHandle::wait`]) without ever
-    /// occupying a worker.
-    pub fn submit_with_deadline(
-        &self,
-        inputs: &HashMap<String, Tensor>,
-        deadline: Duration,
-    ) -> Result<GradientHandle, EngineError> {
-        self.submit_inner(inputs, Some(deadline))
-    }
-
-    fn submit_inner(
-        &self,
-        inputs: &HashMap<String, Tensor>,
-        deadline: Option<Duration>,
-    ) -> Result<GradientHandle, EngineError> {
-        // Same validation surface as `bind_inputs`, performed synchronously
-        // so typos fail at the submit call, not inside the dispatcher.
-        let mut bound = HashMap::with_capacity(inputs.len());
-        for (name, tensor) in inputs {
-            match self.meta.transient.get(name) {
-                None => return Err(EngineError::UnknownInput(name.clone())),
-                Some(true) => {} // recomputed by the program itself
-                Some(false) => {
-                    bound.insert(name.clone(), tensor.clone());
-                }
-            }
-        }
-        let fetch: Vec<&str> = self.meta.fetch.iter().map(String::as_str).collect();
-        let inner = match deadline {
-            Some(d) => self.driver.submit_with_deadline(bound, &fetch, d),
-            None => self.driver.submit(bound, &fetch),
-        };
-        Ok(GradientHandle {
-            inner,
-            meta: Arc::clone(&self.meta),
-        })
-    }
-
-    /// Queue/latency/counter snapshot of the serving layer.
-    pub fn stats(&self) -> ServeStats {
-        self.driver.stats()
-    }
-
-    /// The underlying serving driver (admission-queue options, warm-up,
-    /// session-pool access).
-    pub fn serve_driver(&self) -> &ServeDriver {
-        &self.driver
-    }
 }
 
 /// A completed served gradient request: the [`GradientResult`] plus the
@@ -603,62 +478,18 @@ pub struct ServedGradient {
     pub batched_with: usize,
 }
 
-/// Handle to one submitted gradient request (see [`GradientServer`]).
-#[derive(Debug)]
-pub struct GradientHandle {
-    inner: RequestHandle,
-    meta: Arc<GradientServeMeta>,
-}
-
-impl GradientHandle {
-    /// Monotonic id of this request (unique per server).
-    pub fn id(&self) -> u64 {
-        self.inner.id()
-    }
-
-    /// Whether a result (or rejection) is available.
-    pub fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-
-    /// Block until the request completes and take its result.
-    ///
-    /// Runtime failures surface as [`EngineError::Runtime`]; serving-layer
-    /// rejections (deadline expiry, cancellation, shutdown, panic) as
-    /// [`EngineError::Serve`].
-    pub fn wait(self) -> Result<ServedGradient, EngineError> {
-        let meta = Arc::clone(&self.meta);
-        match self.inner.wait() {
-            Ok(response) => gradient_result_from_response(&meta, response),
-            Err(e) => Err(engine_error_from_serve(e)),
-        }
-    }
-
-    /// Non-blocking poll: `Some(result)` once the request completed
-    /// (repeatable — the stored result is cloned), `None` while it is
-    /// queued or running.
-    pub fn try_wait(&self) -> Option<Result<ServedGradient, EngineError>> {
-        self.inner.try_wait().map(|polled| match polled {
-            Ok(response) => gradient_result_from_response(&self.meta, response),
-            Err(e) => Err(engine_error_from_serve(e)),
-        })
-    }
-
-    /// Best-effort cancellation: succeeds only while the request is still
-    /// queued (see [`dace_runtime::RequestHandle::cancel`]).
-    pub fn cancel(&self) -> bool {
-        self.inner.cancel()
-    }
-}
-
-/// Cloneable client for one tenant of a shared multi-tenant
-/// [`Gateway`] (obtained from [`GradientEngine::register_with`]).
+/// Cloneable client for one gradient-program tenant of a [`Gateway`]: the
+/// engine-private one behind [`GradientEngine::serve`], or a shared
+/// multi-tenant one joined through [`GradientEngine::register_with`].
 ///
-/// The gateway equivalent of [`GradientServer`]: submissions validate
-/// input names synchronously, execution is asynchronous, and handles
-/// deliver [`ServedGradient`]s bit-identical to [`GradientEngine::run`].
-/// On top, the gateway's robustness semantics apply — a submission may
-/// resolve with [`dace_runtime::ServeError::Overloaded`] or
+/// Submissions validate input names synchronously, execution is
+/// asynchronous (the gateway coalesces requests into batches over the
+/// engine's single cached gradient program), and handles deliver
+/// [`ServedGradient`]s bit-identical to [`GradientEngine::run`].  Clones
+/// share the same admission queue, dispatcher and session pool, so any
+/// number of threads can submit concurrently.  The gateway's robustness
+/// semantics apply as configured — a submission may resolve with
+/// [`dace_runtime::ServeError::Overloaded`] or
 /// [`dace_runtime::ServeError::Degraded`] (as [`EngineError::Serve`]), and
 /// idempotent requests are retried across injected or real panics.
 #[derive(Clone)]
@@ -682,7 +513,7 @@ impl GatewayGradientClient {
         &self.tenant
     }
 
-    /// The shared gateway behind this client.
+    /// The gateway behind this client.
     pub fn gateway(&self) -> &Arc<Gateway> {
         &self.gateway
     }
@@ -699,7 +530,12 @@ impl GatewayGradientClient {
 
     /// [`GatewayGradientClient::submit`] with an explicit deadline /
     /// idempotence policy.  Input names are validated immediately, exactly
-    /// like [`GradientServer::submit`].
+    /// like [`GradientEngine::run`] (unknown names are
+    /// [`EngineError::UnknownInput`], transients are skipped), so typos
+    /// fail at the submit call, not inside the dispatcher.  A request still
+    /// queued when its deadline passes resolves with
+    /// [`dace_runtime::ServeError::DeadlineExceeded`] (as
+    /// [`EngineError::Serve`]) without ever occupying a worker.
     pub fn submit_with(
         &self,
         inputs: &HashMap<String, Tensor>,
@@ -732,8 +568,7 @@ impl GatewayGradientClient {
 }
 
 /// Handle to one gradient request submitted through a gateway (see
-/// [`GatewayGradientClient`]).  Mirrors [`GradientHandle`], plus a bounded
-/// [`GatewayGradientHandle::wait_timeout`].
+/// [`GatewayGradientClient`]).
 #[derive(Debug)]
 pub struct GatewayGradientHandle {
     inner: GatewayHandle,
@@ -751,33 +586,30 @@ impl GatewayGradientHandle {
         self.inner.is_done()
     }
 
-    /// Block until the request completes and take its result.  Error
-    /// mapping matches [`GradientHandle::wait`].
+    /// Block until the request completes and take its result.
+    ///
+    /// Runtime failures surface as [`EngineError::Runtime`]; serving-layer
+    /// rejections (deadline expiry, cancellation, shutdown, overload,
+    /// panic) as [`EngineError::Serve`].
     pub fn wait(self) -> Result<ServedGradient, EngineError> {
-        let meta = Arc::clone(&self.meta);
-        match self.inner.wait() {
-            Ok(response) => gradient_result_from_response(&meta, response),
-            Err(e) => Err(engine_error_from_serve(e)),
-        }
+        served_gradient(&self.meta, self.inner.wait())
     }
 
     /// Non-blocking poll: `Some(result)` once completed (repeatable),
     /// `None` while pending.
     pub fn try_wait(&self) -> Option<Result<ServedGradient, EngineError>> {
-        self.inner.try_wait().map(|polled| match polled {
-            Ok(response) => gradient_result_from_response(&self.meta, response),
-            Err(e) => Err(engine_error_from_serve(e)),
-        })
+        self.inner
+            .try_wait()
+            .map(|polled| served_gradient(&self.meta, polled))
     }
 
     /// Bounded blocking wait (see
     /// [`dace_runtime::GatewayHandle::wait_timeout`]): `None` on timeout
     /// with the handle fully usable, `Some(result)` once completed.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServedGradient, EngineError>> {
-        self.inner.wait_timeout(timeout).map(|polled| match polled {
-            Ok(response) => gradient_result_from_response(&self.meta, response),
-            Err(e) => Err(engine_error_from_serve(e)),
-        })
+        self.inner
+            .wait_timeout(timeout)
+            .map(|polled| served_gradient(&self.meta, polled))
     }
 
     /// Best-effort cancellation: succeeds only while queued — including a
@@ -787,26 +619,24 @@ impl GatewayGradientHandle {
     }
 }
 
-fn engine_error_from_serve(e: ServeError) -> EngineError {
-    match e {
-        ServeError::Execution(e) => EngineError::Runtime(e),
-        other => EngineError::Serve(other),
-    }
-}
-
-/// Assemble a [`ServedGradient`] from the fetched arrays of a served
-/// request, applying the same output-scalar validation as
-/// [`GradientEngine::run`].
-fn gradient_result_from_response(
+/// Turn a resolved request into a [`ServedGradient`]: assemble it from the
+/// fetched arrays with the same output-scalar validation as
+/// [`GradientEngine::run`], or map the serving-layer error (execution
+/// errors surface as [`EngineError::Runtime`], like a blocking run's).
+fn served_gradient(
     meta: &GradientServeMeta,
-    response: ServeResponse,
+    outcome: Result<ServeResponse, ServeError>,
 ) -> Result<ServedGradient, EngineError> {
     let ServeResponse {
         mut outputs,
         report,
         latency,
         batched_with,
-    } = response;
+    } = match outcome {
+        Ok(response) => response,
+        Err(ServeError::Execution(e)) => return Err(EngineError::Runtime(e)),
+        Err(other) => return Err(EngineError::Serve(other)),
+    };
     let out = outputs
         .get(&meta.output)
         .ok_or_else(|| EngineError::MissingOutput(meta.output.clone()))?;
@@ -859,6 +689,32 @@ fn bind_inputs(
         }
     }
     Ok(())
+}
+
+/// One blocking gradient evaluation on `session`: bind, run, read the
+/// output and the gradients — the body of [`GradientEngine::run`] and of
+/// every [`GradientEngine::run_batch`] item.
+fn run_gradient(
+    plan: &BackwardPlan,
+    session: &mut Session,
+    inputs: &HashMap<String, Tensor>,
+) -> Result<GradientResult, EngineError> {
+    bind_inputs(&plan.sdfg, session, inputs, None)?;
+    let report = session.run()?;
+    let output_value = read_scalar_output(session, &plan.output)?;
+    let mut gradients = BTreeMap::new();
+    for input in &plan.inputs {
+        if let Some(gname) = plan.gradients.get(input) {
+            if let Some(g) = session.array(gname) {
+                gradients.insert(input.clone(), g.clone());
+            }
+        }
+    }
+    Ok(GradientResult {
+        gradients,
+        output_value,
+        report,
+    })
 }
 
 /// Read the scalar value of the dependent output from a finished session.

@@ -39,7 +39,12 @@
 //! `finite_difference` all execute cached programs on persistent sessions.
 //! Batched serving ([`GradientEngine::run_batch`]) fans independent input
 //! sets across the worker pool over the *same* compiled gradient program,
-//! with results bit-identical to a serial loop of `run` calls.
+//! with results bit-identical to a serial loop of `run` calls.  Dynamic
+//! serving goes through the runtime's one serving core, the [`Gateway`]:
+//! [`GradientEngine::serve`] starts an engine-private gateway whose only
+//! tenant is the gradient program, [`GradientEngine::register_with`] joins
+//! a shared multi-tenant one, and either way requests are submitted
+//! individually through a [`GatewayGradientClient`].
 //!
 //! ```
 //! use std::collections::HashMap;
@@ -83,14 +88,14 @@ pub mod reverse;
 pub use checkpoint::{CheckpointReport, RecomputeCandidate};
 pub use engine::{
     BatchGradientResult, EngineError, GatewayGradientClient, GatewayGradientHandle, GradientEngine,
-    GradientHandle, GradientResult, GradientServer, ServedGradient,
+    GradientResult, ServedGradient,
 };
 // The serving-layer vocabulary of `GradientEngine::serve` /
 // `GradientEngine::register_with`, re-exported so AD-level callers need no
 // direct `dace-runtime` dependency.
 pub use dace_runtime::{
     BreakerState, FaultPlan, Gateway, GatewayError, GatewayOptions, GatewayStats, ServeError,
-    ServeOptions, ServeStats, SubmitOptions, TenantConfig, TenantStats,
+    SubmitOptions, TenantConfig, TenantStats,
 };
 pub use reverse::{generate_backward, AdError, BackwardPlan};
 

@@ -21,7 +21,8 @@
 //! paced at `RPS` submissions per second (`0` = as fast as possible),
 //! reporting completion counters and p50/p95 latency.  The process exits
 //! non-zero if any request is lost, fails, or expires without a deadline
-//! having been set — which is what the CI serve-smoke step asserts:
+//! having been set, or if the server's quiescent stats snapshot does not
+//! conserve — which is what the CI serve-smoke step asserts:
 //!
 //! ```text
 //! npbench --serve 200 --requests 32 [--deadline-ms D] [--max-batch B]
@@ -102,6 +103,7 @@ Options:
                            kernel at RPS submissions/sec (0 = unpaced)
                            through GradientEngine::serve; exits non-zero
                            on any lost/failed/unexpectedly expired request
+                           or a final stats snapshot that does not conserve
   --requests N             requests per kernel (serve mode) or per client
                            (gateway mode) (default: 64)
   --deadline-ms D          serve mode: per-request deadline in milliseconds
@@ -388,23 +390,31 @@ fn run_serve(
             kernel.name(),
             t.completed,
             t.expired,
-            t.rejected,
+            t.stats.rejected,
             t.lost,
             t.achieved_rps,
             t.per_request_ms,
             t.p50_ms,
             t.p95_ms,
-            t.largest_batch,
+            t.stats.largest_batch,
         );
-        // The smoke contract: nothing may be lost or fail, and without a
-        // deadline nothing may expire.
-        if t.lost > 0 || t.failed > 0 || (deadline.is_none() && t.expired > 0) {
+        // The smoke contract: nothing may be lost or fail, without a
+        // deadline nothing may expire, and — the invariant `--gateway`
+        // enforces too — the quiescent snapshot conserves with nothing
+        // left queued or in flight.
+        let residue = t.stats.queue_depth + t.stats.in_flight as usize;
+        if t.lost > 0
+            || t.failed > 0
+            || (deadline.is_none() && t.expired > 0)
+            || !t.stats.conserves()
+            || residue > 0
+        {
             bad += 1;
         }
     }
     if bad > 0 {
         return Err(format!(
-            "{bad} kernel(s) lost, failed or unexpectedly expired requests"
+            "{bad} kernel(s) lost, failed, unexpectedly expired or mis-accounted requests"
         ));
     }
     Ok(())

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use dace_ad::{
     AdOptions, EngineError, FaultPlan, Gateway, GatewayOptions, GatewayStats, GradientEngine,
-    ServeError, ServeOptions, SubmitOptions, TenantConfig,
+    ServeError, SubmitOptions, TenantConfig, TenantStats,
 };
 use dace_tensor::Tensor;
 
@@ -220,25 +220,30 @@ pub struct ServeTiming {
     pub p95_ms: f64,
     /// Worst submit-to-completion latency (ms).
     pub max_ms: f64,
-    /// Largest number of requests one dispatch coalesced (server lifetime).
-    pub largest_batch: usize,
-    /// Requests refused at admission over the server lifetime (today only
-    /// post-shutdown submissions) — surfaced so overload shedding is
-    /// visible in `npbench --serve` output.
-    pub rejected: u64,
+    /// The server's tenant snapshot once every handle of the reported
+    /// repetition had resolved (lifetime counters: `largest_batch`,
+    /// `rejected`, ...).  Quiescent, so it must conserve with nothing
+    /// queued or in flight — the `npbench --serve` smoke gate checks it.
+    pub stats: TenantStats,
     /// Raw per-request latencies (ms) of the best repetition, for callers
     /// that aggregate percentiles across kernels (`record_baseline`).
     pub latencies_ms: Vec<f64>,
 }
 
-/// Build [`ServeOptions`] from CLI-style knobs (shared by the `npbench
-/// --serve` mode and the `serve_latency` baseline row, so both measure the
-/// same configuration).
-pub fn serve_options(max_batch: usize, max_wait_ms: f64, workers: usize) -> ServeOptions {
-    ServeOptions {
+/// Build the single-program [`GatewayOptions`] of [`time_serve`] from
+/// CLI-style knobs (shared by the `npbench --serve` mode and the
+/// `serve_latency` baseline row, so both measure the same configuration):
+/// like `GradientEngine::serve()`'s defaults, the queue is unbounded and
+/// retries and the circuit breaker are off.
+pub fn serve_options(max_batch: usize, max_wait_ms: f64, workers: usize) -> GatewayOptions {
+    GatewayOptions {
         max_batch,
         max_wait: Duration::from_secs_f64(max_wait_ms.max(0.0) / 1e3),
         workers,
+        queue_capacity: usize::MAX,
+        retry_budget: 0,
+        breaker_threshold: u32::MAX,
+        ..GatewayOptions::default()
     }
 }
 
@@ -269,7 +274,7 @@ pub fn time_serve(
     requests: usize,
     rps: f64,
     deadline: Option<Duration>,
-    options: ServeOptions,
+    options: GatewayOptions,
     repetitions: usize,
 ) -> Result<ServeTiming, String> {
     if requests == 0 {
@@ -280,17 +285,19 @@ pub fn time_serve(
     let wrt = kernel.wrt();
     let mut engine = GradientEngine::new(&sdfg, "OUT", &wrt, &symbols, &AdOptions::default())
         .map_err(|e| e.to_string())?;
-    let server = engine.serve_with_options(options.clone());
+    let server = engine.serve_with_options(options);
     let items = batch_inputs(kernel, sizes, requests);
 
-    // Warm-up round (unmeasured): fills the session pool and the slab
-    // recycling pools, mirroring the paper's warm-measurement methodology.
-    server.serve_driver().warm(options.max_batch.min(requests));
-    for result in items.iter().map(|i| server.submit(i)) {
-        result
-            .map_err(|e| e.to_string())?
-            .wait()
-            .map_err(|e| e.to_string())?;
+    // Warm-up round (unmeasured, submit-all-then-wait-all so dispatches run
+    // full): fills the session pool and the slab recycling pools, mirroring
+    // the paper's warm-measurement methodology.
+    let warmup = items
+        .iter()
+        .map(|i| server.submit(i))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    for handle in warmup {
+        handle.wait().map_err(|e| e.to_string())?;
     }
 
     let mut best: Option<ServeTiming> = None;
@@ -305,11 +312,15 @@ pub fn time_serve(
                     std::thread::sleep(target - now);
                 }
             }
-            let handle = match deadline {
-                Some(d) => server.submit_with_deadline(inputs, d),
-                None => server.submit(inputs),
+            let opts = SubmitOptions {
+                deadline,
+                ..SubmitOptions::default()
             };
-            handles.push(handle.map_err(|e| e.to_string())?);
+            handles.push(
+                server
+                    .submit_with(inputs, opts)
+                    .map_err(|e| e.to_string())?,
+            );
         }
         let mut latencies_ms = Vec::with_capacity(requests);
         let (mut completed, mut expired, mut failed) = (0usize, 0usize, 0usize);
@@ -319,9 +330,7 @@ pub fn time_serve(
                     completed += 1;
                     latencies_ms.push(served.latency.as_secs_f64() * 1e3);
                 }
-                Err(dace_ad::EngineError::Serve(dace_ad::ServeError::DeadlineExceeded {
-                    ..
-                })) => expired += 1,
+                Err(EngineError::Serve(ServeError::DeadlineExceeded { .. })) => expired += 1,
                 Err(_) => failed += 1,
             }
         }
@@ -339,8 +348,7 @@ pub fn time_serve(
             p50_ms: percentile_ms(&latencies_ms, 0.50),
             p95_ms: percentile_ms(&latencies_ms, 0.95),
             max_ms: latencies_ms.last().copied().unwrap_or(0.0),
-            largest_batch: server.stats().largest_batch,
-            rejected: server.stats().rejected,
+            stats: server.stats().expect("the engine's tenant is registered"),
             latencies_ms,
         };
         let better = best
@@ -697,7 +705,7 @@ mod tests {
             6,
             0.0,
             None,
-            ServeOptions::default(),
+            serve_options(8, 2.0, 0),
             1,
         )
         .unwrap();
@@ -706,7 +714,8 @@ mod tests {
         assert_eq!(t.expired + t.failed + t.lost, 0);
         assert_eq!(t.latencies_ms.len(), 6);
         assert!(t.per_request_ms > 0.0 && t.p50_ms > 0.0 && t.p95_ms >= t.p50_ms);
-        assert!(t.largest_batch >= 1);
+        assert!(t.stats.largest_batch >= 1);
+        assert!(t.stats.conserves());
     }
 
     #[test]

@@ -185,8 +185,8 @@ pub struct BatchOutput<T, E> {
 pub struct BatchDriver {
     program: CompiledProgram,
     /// Fan-out cap; 0 = the worker pool's full width.  Atomic so a driver
-    /// shared behind an `Arc` (e.g. by [`crate::ServeDriver`]) can be
-    /// re-tuned while serving.
+    /// that is already serving (e.g. registered on a [`crate::Gateway`])
+    /// can be re-tuned through a shared reference.
     workers: AtomicUsize,
     /// Free hints applied to every session the driver creates (the AD
     /// engine's recomputation-block releases).
@@ -320,16 +320,6 @@ impl BatchDriver {
         self.sessions_discarded.load(Ordering::Relaxed)
     }
 
-    /// Drop idle sessions until the pool holds at most `keep`, releasing
-    /// their slabs.  The complement of [`BatchDriver::warm`]: a serving
-    /// layer that lowers its dispatch bound calls this so pool memory
-    /// follows the bound *down*, not only up (sessions currently checked
-    /// out are unaffected and re-enter the pool on checkin).
-    pub fn trim_pool(&self, keep: usize) {
-        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-        idle.truncate(keep);
-    }
-
     fn new_session(&self) -> Session {
         self.sessions_created.fetch_add(1, Ordering::Relaxed);
         let mut session = self.program.session();
@@ -386,19 +376,7 @@ impl BatchDriver {
         fetch: &[&str],
     ) -> BatchOutput<BatchItemResult, RuntimeError> {
         self.run_batch_with(items.len(), |i, session| {
-            session.clear_bindings();
-            for (name, tensor) in &items[i] {
-                session.set_input(name, tensor.clone())?;
-            }
-            let report = session.run()?;
-            let mut outputs = HashMap::with_capacity(fetch.len());
-            for &name in fetch {
-                let tensor = session
-                    .array(name)
-                    .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
-                outputs.insert(name.to_string(), tensor.clone());
-            }
-            Ok(BatchItemResult { outputs, report })
+            run_item(session, items[i].clone(), fetch)
         })
     }
 
@@ -484,6 +462,32 @@ impl BatchDriver {
                 .install(f)
         }
     }
+}
+
+/// The body of every served item, static batch or gateway dispatch alike:
+/// bind the request's (owned) inputs into a checked-out session, run the
+/// shared plan, clone the `fetch` arrays out of the slab.
+pub(crate) fn run_item<S: AsRef<str>>(
+    session: &mut Session,
+    inputs: HashMap<String, Tensor>,
+    fetch: &[S],
+) -> Result<BatchItemResult, RuntimeError> {
+    session.clear_bindings();
+    // The request owns its tensors, so binding *moves* them into the
+    // session — no copy on the serving hot path.
+    for (name, tensor) in inputs {
+        session.set_input(&name, tensor)?;
+    }
+    let report = session.run()?;
+    let mut outputs = HashMap::with_capacity(fetch.len());
+    for name in fetch {
+        let name = name.as_ref();
+        let tensor = session
+            .array(name)
+            .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
+        outputs.insert(name.to_string(), tensor.clone());
+    }
+    Ok(BatchItemResult { outputs, report })
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -10,8 +10,7 @@
 //! The public entry point is the compile-once API at the crate root:
 //! [`crate::compile`] lowers the SDFG into a [`crate::CompiledProgram`]
 //! (with plan caching) and [`crate::Session`] drives the walker defined
-//! here.  The [`Executor`] type in this module is a deprecated shim kept
-//! for source compatibility; it simply wraps a `Session`.
+//! here.
 //!
 //! Memory is tracked with [`crate::memory::MemoryTracker`]: non-transient
 //! inputs are counted at start, transients are allocated lazily at first
@@ -24,7 +23,7 @@ use std::time::Duration;
 
 use rayon::prelude::*;
 
-use dace_sdfg::{CondExpr, LibraryOp, Sdfg, Subset};
+use dace_sdfg::{LibraryOp, Subset};
 use dace_tensor::Tensor;
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -33,7 +32,6 @@ use crate::plan::{
     CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap,
     PlanNode, PlanOperand, PlanTasklet, SymFile,
 };
-use crate::program::Session;
 use crate::spec::SpecMode;
 
 /// Execution statistics and instrumentation results.
@@ -132,88 +130,6 @@ pub(crate) struct RunState {
     /// Per-specialization-site dispatch counters (profile-guided upgrade;
     /// deliberately *not* reset across runs — warmth persists per session).
     pub(crate) spec_exec_counts: Vec<u64>,
-}
-
-/// The legacy coupled compile-and-run interface: a thin wrapper over
-/// [`crate::compile`] + [`Session`] kept for source compatibility.
-///
-/// New code should call [`crate::compile`] once and open [`Session`]s from
-/// the resulting [`crate::CompiledProgram`]; that shape shares lowered plans
-/// through the plan cache and reuses the tensor slab across runs.
-pub struct Executor {
-    session: Session,
-}
-
-impl Executor {
-    /// Create an executor for an SDFG with concrete symbol values.
-    ///
-    /// Deprecated: this shim wraps the compile-once API and exists only for
-    /// source compatibility.  The "Migrating from `Executor::new`" section of
-    /// the repository README (under "Execution pipeline: build → compile
-    /// once → run many") maps every `Executor` method to its
-    /// `compile`/[`Session`] replacement, and `ARCHITECTURE.md` documents
-    /// where the compile-once pipeline sits in the overall system.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `dace_runtime::compile(sdfg, symbols)?.session()` — see the \"Migrating \
-                from `Executor::new`\" section of README.md for the method-by-method mapping"
-    )]
-    pub fn new(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<Self> {
-        Ok(Executor {
-            session: crate::program::compile(sdfg, symbols)?.session(),
-        })
-    }
-
-    /// Attach per-state free hints (see [`Session::set_free_hints`]).
-    pub fn with_free_hints(mut self, hints: HashMap<usize, Vec<String>>) -> Self {
-        self.session.set_free_hints(&hints);
-        self
-    }
-
-    /// Force a map execution path (testing/instrumentation knob).
-    pub fn force_map_path(&mut self, path: MapPath) {
-        self.session.force_map_path(path);
-    }
-
-    /// Provide an input (non-transient) array.
-    pub fn set_input(&mut self, name: &str, tensor: Tensor) -> RuntimeResult<()> {
-        self.session.set_input(name, tensor)
-    }
-
-    /// Access an array after (or before) execution.
-    pub fn array(&self, name: &str) -> Option<&Tensor> {
-        self.session.array(name)
-    }
-
-    /// Take ownership of all arrays (inputs, outputs and surviving transients).
-    pub fn into_arrays(mut self) -> HashMap<String, Tensor> {
-        self.session.take_arrays()
-    }
-
-    /// The memory tracker (for inspection in tests and benchmarks).
-    pub fn tracker(&self) -> &MemoryTracker {
-        self.session.tracker()
-    }
-
-    /// Concrete symbol bindings used by this executor.
-    pub fn symbols(&self) -> &HashMap<String, i64> {
-        self.session.symbols()
-    }
-
-    /// Execute the SDFG.
-    pub fn run(&mut self) -> RuntimeResult<ExecutionReport> {
-        self.session.run()
-    }
-
-    /// Evaluate a control-flow condition against explicit string bindings
-    /// (see [`Session::eval_cond`]).
-    pub fn eval_cond(
-        &mut self,
-        cond: &CondExpr,
-        bindings: &HashMap<String, i64>,
-    ) -> RuntimeResult<bool> {
-        self.session.eval_cond(cond, bindings)
-    }
 }
 
 impl RunState {
@@ -996,9 +912,10 @@ pub fn subset_indices(subset: &Subset, bindings: &HashMap<String, i64>) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Session;
     use dace_sdfg::{
         ArrayDesc, BranchRegion, CmpOp, CondExpr, CondOperand, ControlFlow, DataflowGraph,
-        IndexRange, LoopRegion, MapScope, Memlet, ParVerdict, ScalarExpr as E, State, Subset,
+        IndexRange, LoopRegion, MapScope, Memlet, ParVerdict, ScalarExpr as E, Sdfg, State, Subset,
         SymExpr, Tasklet, Wcr,
     };
 
@@ -2100,33 +2017,5 @@ mod tests {
         let mut ex = mk_session(&sdfg, &HashMap::new()).unwrap();
         ex.run().unwrap();
         assert_eq!(ex.array("Y").unwrap().data()[0], 2.0);
-    }
-
-    /// The deprecated `Executor::new` shim must behave exactly like
-    /// `compile(...).session()` (it wraps one).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_executor_shim_matches_session() {
-        let sdfg = scale_sdfg(3.0);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[5]).unwrap();
-
-        let mut ex = Executor::new(&sdfg, &symbols(&[("N", 5)])).unwrap();
-        ex.set_input("X", x.clone()).unwrap();
-        let shim_report = ex.run().unwrap();
-        let shim_y = ex.array("Y").unwrap().data().to_vec();
-        assert_eq!(ex.symbols().get("N"), Some(&5));
-        let arrays = ex.into_arrays();
-        assert_eq!(arrays["Y"].data(), shim_y.as_slice());
-
-        let mut session = mk_session(&sdfg, &symbols(&[("N", 5)])).unwrap();
-        session.set_input("X", x).unwrap();
-        let report = session.run().unwrap();
-        assert_eq!(session.array("Y").unwrap().data(), shim_y.as_slice());
-        assert_eq!(report.tasklet_invocations, shim_report.tasklet_invocations);
-        assert_eq!(report.peak_bytes, shim_report.peak_bytes);
-        assert!(matches!(
-            Executor::new(&sdfg, &HashMap::new()),
-            Err(RuntimeError::MissingSymbol(_))
-        ));
     }
 }

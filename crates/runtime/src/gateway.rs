@@ -1,11 +1,22 @@
-//! Multi-tenant gateway: admission, backpressure and fault tolerance over
-//! many compiled programs.
+//! The dynamic-admission front door: admission, backpressure and fault
+//! tolerance over one or many compiled programs.
 //!
-//! [`crate::ServeDriver`] serves one program with an *unbounded* queue and
-//! no failure policy beyond per-item panic isolation.  A front door shared
-//! by many programs — the ROADMAP's "multi-tenant serving" layer — needs
-//! more, and [`Gateway`] provides it:
+//! [`crate::BatchDriver`] serves batches the caller has already assembled.
+//! A real server gets requests one by one, from many clients, for many
+//! programs, each with its own latency budget; [`Gateway`] is the one
+//! serving core for all of that (`GradientEngine::serve()` is a gateway
+//! with a single tenant, an unbounded queue, no retries and no breaker):
 //!
+//! * **Dynamic admission** — requests are submitted individually
+//!   ([`Gateway::submit`], [`Gateway::submit_with`]) and return a
+//!   [`GatewayHandle`] immediately; a tenant's queued requests coalesce
+//!   into one dispatch as soon as [`GatewayOptions::max_batch`] are ready
+//!   or the oldest has lingered for [`GatewayOptions::max_wait`].  A
+//!   deadline bounds *admission*, not execution: a request still queued
+//!   when its budget runs out resolves [`ServeError::DeadlineExceeded`]
+//!   on time and never occupies a worker; one already dispatched runs to
+//!   completion.  Served results are bit-identical to a standalone
+//!   [`Session::run`](crate::Session::run) however they were coalesced.
 //! * **Backpressure** — each tenant owns a *bounded* admission queue; a
 //!   submission that would overflow it is rejected immediately with
 //!   [`ServeError::Overloaded`] carrying a `retry_after_hint`, instead of
@@ -80,7 +91,7 @@ use std::time::{Duration, Instant};
 
 use dace_tensor::Tensor;
 
-use crate::batch::{BatchDriver, BatchError};
+use crate::batch::{run_item, BatchDriver, BatchError, BatchItemResult};
 use crate::error::RuntimeError;
 use crate::program::CompiledProgram;
 use crate::serve::{LatencyWindow, ServeError, ServeResponse};
@@ -96,10 +107,11 @@ const MAX_BACKOFF_SHIFT: u32 = 10;
 
 /// Gateway-wide tuning knobs.
 ///
-/// `max_batch`/`max_wait`/`workers` mean what they mean on
-/// [`crate::ServeOptions`], applied per formed batch.  The rest govern the
-/// robustness machinery: queue bounds, the retry budget and the circuit
-/// breaker.  See `docs/serving.md` for a tuning table.
+/// `max_batch`/`max_wait`/`workers` shape each formed batch: larger batches
+/// amortise scheduling overhead and exploit the worker pool, a shorter
+/// linger bounds the latency a lone request pays on an idle tenant.  The
+/// rest govern the robustness machinery: queue bounds, the retry budget and
+/// the circuit breaker.  See `docs/serving.md` for a tuning table.
 #[derive(Clone, Debug)]
 pub struct GatewayOptions {
     /// Maximum requests one dispatch may coalesce (clamped to >= 1).  Also
@@ -521,11 +533,11 @@ impl GwRequest {
 
 /// Handle to one request submitted through a [`Gateway`].
 ///
-/// Mirrors [`crate::RequestHandle`]: the result is retrieved exactly once
-/// with [`GatewayHandle::wait`]; [`GatewayHandle::try_wait`] and
-/// [`GatewayHandle::wait_timeout`] poll without consuming it;
-/// [`GatewayHandle::cancel`] is best-effort.  Dropping a handle does not
-/// cancel the request.
+/// The result is retrieved exactly once with [`GatewayHandle::wait`];
+/// [`GatewayHandle::try_wait`] and [`GatewayHandle::wait_timeout`] poll
+/// without consuming it; [`GatewayHandle::cancel`] is best-effort.
+/// Dropping a handle does not cancel the request — it simply discards the
+/// result when it arrives.
 pub struct GatewayHandle {
     req: Arc<GwRequest>,
     shared: Arc<GwShared>,
@@ -588,10 +600,14 @@ impl GatewayHandle {
         }
     }
 
-    /// Bounded blocking wait, with the same semantics (and the same benign
-    /// expired-then-completed race) as
-    /// [`crate::RequestHandle::wait_timeout`]: `None` on timeout with the
-    /// handle fully usable, `Some(result)` once completed.
+    /// Bounded blocking wait, so callers can bound their own wait instead
+    /// of relying solely on server-side deadlines: `None` on timeout — the
+    /// request keeps running and the handle stays fully usable —
+    /// `Some(result)` once completed (cloned, like
+    /// [`GatewayHandle::try_wait`]).  A timeout that races the dispatcher's
+    /// completion loses nothing: the result is stored on the request, the
+    /// next poll observes it, and [`GatewayHandle::wait`] delivers it
+    /// exactly once however many bounded waits timed out before.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServeResponse, ServeError>> {
         let deadline = Instant::now() + timeout;
         let mut phase = self.req.lock_phase();
@@ -630,7 +646,11 @@ impl GatewayHandle {
             tenant.counters.queued -= 1;
             tenant.counters.cancelled += 1;
             // The queue entry is left in place; the dispatcher's sweep
-            // drops entries whose phase is no longer Queued.
+            // drops entries whose phase is no longer Queued.  Wake it so
+            // cancelled entries do not pile up behind a long linger.
+            drop(phase);
+            drop(state);
+            self.shared.work_cv.notify_one();
             true
         } else {
             false
@@ -956,7 +976,9 @@ impl Gateway {
             }));
             return Ok(handle);
         }
-        if t.queue.len() >= t.capacity {
+        // `queued`, not `queue.len()`: entries cancelled since the last
+        // sweep are still physically in the queue but hold no capacity.
+        if t.counters.queued >= t.capacity as u64 {
             t.counters.overloaded += 1;
             // Best-effort hint: roughly one median service time (or one
             // linger window before any latency samples exist).
@@ -1424,21 +1446,7 @@ fn serve_batch(shared: &GwShared, batch: GwBatch) {
             }
         }
         .expect("a claimed request carries its payload");
-        session.clear_bindings();
-        for (name, tensor) in inputs {
-            session
-                .set_input(&name, tensor)
-                .map_err(GwItemError::Exec)?;
-        }
-        session.run().map_err(GwItemError::Exec)?;
-        let mut outputs = HashMap::with_capacity(fetch.len());
-        for name in fetch {
-            let tensor = session
-                .array(&name)
-                .ok_or_else(|| GwItemError::Exec(RuntimeError::UnknownArray(name.clone())))?;
-            outputs.insert(name, tensor.clone());
-        }
-        Ok((outputs, session.last_report().clone()))
+        run_item(session, inputs, &fetch).map_err(GwItemError::Exec)
     });
     // Resolve every item under ONE state critical section so a stats
     // snapshot never observes a batch half-completed relative to its
@@ -1455,7 +1463,7 @@ fn serve_batch(shared: &GwShared, batch: GwBatch) {
     for (item, outcome) in batch.claimed.into_iter().zip(out.items) {
         t.counters.in_flight -= 1;
         match outcome {
-            Ok((outputs, report)) => {
+            Ok(BatchItemResult { outputs, report }) => {
                 t.breaker.on_success();
                 t.counters.completed += 1;
                 let latency = item.req.submitted.elapsed();

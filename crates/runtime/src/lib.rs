@@ -20,22 +20,21 @@
 //!   allocations on the hot paths) and **reuses its tensor slab across
 //!   runs** — transients are recycled and zero-filled in place rather than
 //!   reallocated.
-//! * [`batch::BatchDriver`] is the concurrent serving layer: one shared
+//! * [`batch::BatchDriver`] is the static-batch serving layer: one shared
 //!   program, a pool of warm sessions, and batch fan-out over the persistent
 //!   worker pool with per-item panic isolation.
-//! * [`serve::ServeDriver`] adds dynamic admission on top: requests are
-//!   submitted individually (with optional per-request deadlines and
-//!   cancellation), an admission queue coalesces them into batches, and
-//!   handles deliver results with p50/p95 latency accounting.
-//! * [`gateway::Gateway`] is the multi-tenant front door above all of
-//!   that: bounded per-tenant admission with typed overload rejection,
-//!   weighted deficit round-robin across tenants, retries with exponential
-//!   backoff, per-tenant circuit breakers, graceful program reload and a
-//!   deterministic fault-injection harness.
-//! * [`executor::Executor`] is the deprecated coupled compile-and-run shim
-//!   kept for migration; [`memory::MemoryTracker`] provides the allocation
-//!   tracking and peak-memory measurement used by the checkpointing
-//!   experiments (Fig. 13).
+//! * [`gateway::Gateway`] is the dynamic front door above it, for one
+//!   tenant or many: requests are submitted individually (with optional
+//!   deadlines and cancellation) and coalesced into batches; per-tenant
+//!   queues are bounded with typed overload rejection and scheduled by
+//!   weighted deficit round-robin; retries with exponential backoff,
+//!   per-tenant circuit breakers, graceful program reload and a
+//!   deterministic fault-injection harness complete it.  Every handle
+//!   resolves exactly once with a [`serve::ServeResponse`] or a typed
+//!   [`serve::ServeError`].
+//! * [`memory::MemoryTracker`] provides the allocation tracking and
+//!   peak-memory measurement used by the checkpointing experiments
+//!   (Fig. 13).
 //!
 //! # Invariants
 //!
@@ -94,7 +93,7 @@ mod spec;
 
 pub use batch::{throughput, BatchDriver, BatchError, BatchItemResult, BatchOutput, BatchReport};
 pub use error::{RuntimeError, RuntimeResult};
-pub use executor::{ExecutionReport, Executor, MapPath};
+pub use executor::{ExecutionReport, MapPath};
 pub use gateway::{
     BreakerState, FaultPlan, Gateway, GatewayError, GatewayHandle, GatewayOptions, GatewayStats,
     SubmitOptions, TenantConfig, TenantStats,
@@ -106,5 +105,5 @@ pub use program::{
     plan_cache_capacity, plan_cache_len, plan_cache_stats, set_plan_cache_capacity,
     CompiledProgram, PlanCacheStats, Session, DEFAULT_PLAN_CACHE_CAPACITY,
 };
-pub use serve::{RequestHandle, ServeDriver, ServeError, ServeOptions, ServeResponse, ServeStats};
+pub use serve::{ServeError, ServeResponse};
 pub use spec::SpecMode;

@@ -3,8 +3,7 @@
 //! The executor used to interpret the SDFG structure directly — re-resolving
 //! string-keyed arrays, symbols and tasklet connectors on every loop
 //! iteration and cloning state graphs per execution.  Plan compilation does
-//! all of that resolution **once**, up front, when the [`crate::Executor`]
-//! is constructed:
+//! all of that resolution **once**, up front, in [`crate::compile`]:
 //!
 //! * array names are interned to dense `u32` ids; tensors live in a flat
 //!   slab (`Vec<Option<Tensor>>`) indexed by id, with concrete shapes,

@@ -558,8 +558,7 @@ impl Session {
 
     /// Bind an input array by name.  The binding persists across runs until
     /// overwritten or cleared.  Binding a *transient* array provides its
-    /// initial contents (instead of the usual lazy zero-fill), matching the
-    /// behaviour of the legacy `Executor`.
+    /// initial contents (instead of the usual lazy zero-fill).
     ///
     /// # Errors
     /// [`RuntimeError::UnknownArray`] for names the program does not declare

@@ -1,119 +1,48 @@
-//! Dynamic-admission serving over one shared compiled plan.
+//! Request outcomes of the serving front door.
 //!
-//! [`crate::BatchDriver`] serves *static* batches: the caller assembles N
-//! requests and hands them over together.  A real server does not get that
-//! luxury — requests arrive one by one, from many clients, each with its own
-//! latency budget.  [`ServeDriver`] closes that gap:
-//!
-//! * requests are submitted **individually** ([`ServeDriver::submit`],
-//!   [`ServeDriver::submit_with_deadline`]) and return a [`RequestHandle`]
-//!   immediately;
-//! * an **admission queue** coalesces queued requests into batches — a
-//!   dispatch fires as soon as [`ServeOptions::max_batch`] requests are
-//!   waiting, or when the oldest queued request has lingered for
-//!   [`ServeOptions::max_wait`], whichever comes first;
-//! * each formed batch fans out over the pooled sessions and the persistent
-//!   worker pool exactly like a static batch (the dispatch path *is*
-//!   [`BatchDriver::run_batch_with`] — this layer adds admission, not
-//!   execution);
-//! * handles support blocking [`RequestHandle::wait`], non-blocking
-//!   [`RequestHandle::try_wait`] and best-effort [`RequestHandle::cancel`];
-//! * a request whose deadline has passed is rejected with
-//!   [`ServeError::DeadlineExceeded`] **before ever occupying a worker** —
-//!   expiry is checked at admission and again at batch formation;
-//! * [`ServeDriver::stats`] returns a [`ServeStats`] snapshot: queue depth,
-//!   admitted/completed/cancelled/expired counters and p50/p95 completion
-//!   latency over a sliding window.
-//!
-//! # Guarantees and non-guarantees
-//!
-//! * **Determinism** — a served request executes exactly like a standalone
-//!   [`Session::run`](crate::Session::run) with the same bindings; results
-//!   are bit-identical to a serial session loop regardless of how requests
-//!   were coalesced.
-//! * **Deadline** — a deadline bounds *admission*, not execution: a request
-//!   that would start after its deadline never runs and completes with
-//!   [`ServeError::DeadlineExceeded`].  A request dispatched before its
-//!   deadline runs to completion even if the deadline passes mid-run.
-//! * **Cancellation is best-effort** — [`RequestHandle::cancel`] succeeds
-//!   only while the request is still queued; once dispatched it completes
-//!   normally.
-//! * **Drop drains** — dropping the driver serves every request still in
-//!   the queue (no handle is left hanging), then stops the dispatcher.
+//! Every request submitted through a [`crate::Gateway`] — multi-tenant, or
+//! the one-tenant gateway behind `GradientEngine::serve()` — resolves
+//! exactly once with a [`ServeResponse`] or a typed [`ServeError`].  This
+//! module holds that vocabulary plus the sliding latency window behind the
+//! p50/p95 figures of [`crate::TenantStats`]; admission, scheduling and
+//! dispatch live in [`crate::gateway`].
 //!
 //! ```
 //! use std::collections::HashMap;
+//! use std::time::Duration;
 //! use dace_frontend::{ArrayExpr, ProgramBuilder};
-//! use dace_runtime::{compile, ServeDriver};
+//! use dace_runtime::{compile, Gateway, GatewayOptions, ServeError, SubmitOptions};
 //! use dace_tensor::Tensor;
 //!
-//! // Y = 2 * X, as a tiny SDFG.
+//! // Y = 2 * X, as a tiny SDFG served by a one-tenant gateway.
 //! let mut b = ProgramBuilder::new("double");
 //! let n = b.symbol("N");
 //! b.add_input("X", vec![n.clone()]).unwrap();
 //! b.add_input("Y", vec![n.clone()]).unwrap();
 //! b.assign("Y", ArrayExpr::a("X").mul(ArrayExpr::s(2.0)));
 //! let sdfg = b.build().unwrap();
-//!
 //! let program = compile(&sdfg, &HashMap::from([("N".to_string(), 3)])).unwrap();
-//! let server = ServeDriver::new(program);
+//! let gateway = Gateway::new(GatewayOptions::default());
+//! gateway.register("double", program).unwrap();
 //!
-//! // Requests are submitted one by one; the admission queue batches them.
-//! let handles: Vec<_> = (0..4)
-//!     .map(|i| {
-//!         let x = Tensor::from_vec(vec![i as f64; 3], &[3]).unwrap();
-//!         server.submit(HashMap::from([("X".to_string(), x)]), &["Y"])
-//!     })
-//!     .collect();
-//! for (i, handle) in handles.into_iter().enumerate() {
-//!     let response = handle.wait().unwrap();
-//!     assert_eq!(response.outputs["Y"].data(), &[2.0 * i as f64; 3]);
-//! }
-//! assert_eq!(server.stats().completed, 4);
+//! let x = || HashMap::from([("X".to_string(), Tensor::from_vec(vec![1.0; 3], &[3]).unwrap())]);
+//! let response = gateway.submit("double", x(), &["Y"]).unwrap().wait().unwrap();
+//! assert_eq!(response.outputs["Y"].data(), &[2.0; 3]);
+//! assert!(response.batched_with >= 1);
+//!
+//! // A spent latency budget is a typed rejection, not a late result.
+//! let expired = SubmitOptions { deadline: Some(Duration::ZERO), ..SubmitOptions::default() };
+//! let handle = gateway.submit_with("double", x(), &["Y"], expired).unwrap();
+//! assert!(matches!(handle.wait(), Err(ServeError::DeadlineExceeded { .. })));
 //! ```
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::time::Duration;
 
 use dace_tensor::Tensor;
 
-use crate::batch::{BatchDriver, BatchError};
 use crate::error::RuntimeError;
 use crate::executor::ExecutionReport;
-use crate::program::CompiledProgram;
-
-/// Admission-queue tuning knobs for [`ServeDriver`].
-///
-/// `max_batch` bounds how many requests one dispatch may coalesce;
-/// `max_wait` bounds how long the oldest queued request may linger waiting
-/// for the batch to fill.  Larger batches amortise scheduling overhead and
-/// exploit the worker pool; a shorter linger bounds the latency a lone
-/// request pays on an idle server.  See `docs/serving.md` for tuning
-/// guidance.
-#[derive(Clone, Debug)]
-pub struct ServeOptions {
-    /// Maximum requests coalesced into one dispatch (clamped to >= 1).
-    pub max_batch: usize,
-    /// Maximum time the oldest queued request lingers before the batch is
-    /// dispatched however full it is.
-    pub max_wait: Duration,
-    /// Fan-out cap for each dispatched batch (0 = the worker pool's full
-    /// width); forwarded to the underlying [`BatchDriver`].
-    pub workers: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            max_batch: 8,
-            max_wait: Duration::from_millis(2),
-            workers: 0,
-        }
-    }
-}
 
 /// Why a served request did not produce a result.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,7 +55,7 @@ pub enum ServeError {
     },
     /// The request was cancelled while still queued.
     Cancelled,
-    /// The request was submitted while (or after) the driver was shutting
+    /// The request was submitted while (or after) the gateway was shutting
     /// down and was never admitted.
     ShuttingDown,
     /// The request executed and failed with a runtime error.
@@ -136,9 +65,9 @@ pub enum ServeError {
     Panicked(String),
     /// The tenant's admission queue was full, so the request was rejected
     /// instead of growing the queue without bound.  `retry_after_hint` is a
-    /// coarse estimate of when the queue is likely to have room again —
-    /// produced by the multi-tenant [`crate::gateway::Gateway`]; a bare
-    /// [`ServeDriver`] queue is unbounded and never raises it.
+    /// coarse estimate of when the queue is likely to have room again.  The
+    /// one-tenant gateway behind `GradientEngine::serve()` registers an
+    /// unbounded queue and never raises it.
     Overloaded {
         /// Suggested client back-off before resubmitting (best-effort).
         retry_after_hint: Duration,
@@ -197,185 +126,8 @@ pub struct ServeResponse {
     pub batched_with: usize,
 }
 
-/// Lifecycle of one request, guarded by `RequestState::phase`.
-enum ReqPhase {
-    /// Waiting in the admission queue; owns the request payload.
-    Queued {
-        inputs: HashMap<String, Tensor>,
-        fetch: Vec<String>,
-    },
-    /// Claimed by the dispatcher and running (or about to).
-    Dispatched,
-    /// Finished; the result waits for `wait`/`try_wait`.
-    Done(Result<ServeResponse, ServeError>),
-    /// The result was consumed by `wait`.
-    Taken,
-}
-
-struct RequestState {
-    id: u64,
-    submitted: Instant,
-    deadline: Option<Instant>,
-    phase: Mutex<ReqPhase>,
-    done_cv: Condvar,
-}
-
-impl RequestState {
-    fn lock_phase(&self) -> MutexGuard<'_, ReqPhase> {
-        self.phase.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn complete(&self, result: Result<ServeResponse, ServeError>) {
-        *self.lock_phase() = ReqPhase::Done(result);
-        self.done_cv.notify_all();
-    }
-}
-
-/// Handle to one submitted request.
-///
-/// Obtained from [`ServeDriver::submit`] /
-/// [`ServeDriver::submit_with_deadline`].  The result is retrieved exactly
-/// once with [`RequestHandle::wait`]; [`RequestHandle::try_wait`] polls
-/// without consuming it.  Dropping a handle does not cancel the request —
-/// it simply discards the result when it arrives.
-pub struct RequestHandle {
-    req: Arc<RequestState>,
-    shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for RequestHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RequestHandle")
-            .field("id", &self.req.id)
-            .field("done", &self.is_done())
-            .finish()
-    }
-}
-
-impl RequestHandle {
-    /// Monotonic id of this request (unique per driver).
-    pub fn id(&self) -> u64 {
-        self.req.id
-    }
-
-    /// Whether a result (or rejection) is available.
-    pub fn is_done(&self) -> bool {
-        matches!(&*self.req.lock_phase(), ReqPhase::Done(_) | ReqPhase::Taken)
-    }
-
-    /// Block until the request completes and take its result.
-    pub fn wait(self) -> Result<ServeResponse, ServeError> {
-        let mut phase = self.req.lock_phase();
-        loop {
-            match &*phase {
-                ReqPhase::Done(_) => break,
-                ReqPhase::Taken => unreachable!("wait consumes the handle"),
-                _ => {
-                    phase = self
-                        .req
-                        .done_cv
-                        .wait(phase)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
-        match std::mem::replace(&mut *phase, ReqPhase::Taken) {
-            ReqPhase::Done(result) => result,
-            _ => unreachable!("loop above exits only on Done"),
-        }
-    }
-
-    /// Non-blocking poll: `Some(result)` once the request completed (the
-    /// stored result is cloned, so a later [`RequestHandle::wait`] still
-    /// succeeds), `None` while it is queued or running.
-    pub fn try_wait(&self) -> Option<Result<ServeResponse, ServeError>> {
-        match &*self.req.lock_phase() {
-            ReqPhase::Done(result) => Some(result.clone()),
-            _ => None,
-        }
-    }
-
-    /// Bounded blocking wait: block up to `timeout` for the request to
-    /// complete, so callers can bound their own wait instead of relying
-    /// solely on server-side deadlines.  Returns `None` on timeout —
-    /// the request keeps running and the handle stays fully usable — or
-    /// `Some(result)` once completed (the stored result is cloned, like
-    /// [`RequestHandle::try_wait`], so a later [`RequestHandle::wait`]
-    /// still succeeds).
-    ///
-    /// The expired-then-completed race is benign by construction: a
-    /// `wait_timeout` that returns `None` at the same instant the
-    /// dispatcher completes the request loses nothing — the result is
-    /// stored on the request, and the next `try_wait`/`wait_timeout`/
-    /// [`RequestHandle::wait`] observes it.  The result is delivered
-    /// exactly once by `wait` however many bounded waits timed out before.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServeResponse, ServeError>> {
-        let deadline = Instant::now() + timeout;
-        let mut phase = self.req.lock_phase();
-        loop {
-            if let ReqPhase::Done(result) = &*phase {
-                return Some(result.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .req
-                .done_cv
-                .wait_timeout(phase, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            phase = guard;
-        }
-    }
-
-    /// Best-effort cancellation: succeeds (returns `true`) only while the
-    /// request still sits in the admission queue, completing it with
-    /// [`ServeError::Cancelled`].  A request already dispatched or finished
-    /// is unaffected (`false`).
-    pub fn cancel(&self) -> bool {
-        let mut phase = self.req.lock_phase();
-        if matches!(&*phase, ReqPhase::Queued { .. }) {
-            // Dropping the payload here releases the input tensors
-            // immediately; the dispatcher skips the request when it drains
-            // it from the queue.
-            *phase = ReqPhase::Done(Err(ServeError::Cancelled));
-            self.req.done_cv.notify_all();
-            let mut c = self.shared.lock_counters();
-            c.queued -= 1;
-            c.cancelled += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Request-lifecycle counters, all under one lock so a [`ServeStats`]
-/// snapshot is *coherent*: every admitted request is counted in exactly one
-/// of `queued`, `in_flight`, `completed`, `failed`, `cancelled`, `expired`
-/// or `rejected` at every instant, and each lifecycle transition updates
-/// both sides of the move in a single critical section.  (Independent
-/// relaxed atomics — the previous design — allowed torn snapshots where a
-/// request had left `queued` but not yet arrived anywhere else, breaking
-/// the conservation invariant documented on [`ServeStats`].)
-#[derive(Default)]
-struct Counters {
-    admitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    expired: u64,
-    rejected: u64,
-    queued: u64,
-    in_flight: u64,
-    batches: u64,
-    largest_batch: usize,
-}
-
-/// Sliding window of completion latencies (seconds) for the percentile
-/// figures in [`ServeStats`] (shared with the per-tenant windows of
-/// [`crate::gateway::Gateway`]).
+/// Sliding window of completion latencies for the per-tenant percentile
+/// figures in [`crate::TenantStats`].
 pub(crate) struct LatencyWindow {
     samples: Vec<Duration>,
     next: usize,
@@ -420,610 +172,17 @@ impl LatencyWindow {
     }
 }
 
-/// Snapshot of a [`ServeDriver`]'s counters and latency percentiles.
-///
-/// Snapshots are **coherent**: all counters are read under one lock, and
-/// every lifecycle transition updates its counters atomically, so the
-/// conservation invariant
-///
-/// ```text
-/// admitted == queue_depth + in_flight
-///           + completed + failed + cancelled + expired + rejected
-/// ```
-///
-/// holds on *every* snapshot, not just at quiescence.
-#[derive(Clone, Debug, Default)]
-pub struct ServeStats {
-    /// Requests currently waiting in the admission queue.  (Cancelled or
-    /// expired requests are counted out the moment they complete, even if
-    /// the dispatcher has not physically drained them yet.)
-    pub queue_depth: usize,
-    /// Requests claimed by the dispatcher and not yet completed.
-    pub in_flight: u64,
-    /// Requests ever submitted (including ones later cancelled/expired).
-    pub admitted: u64,
-    /// Requests that executed and returned a result.
-    pub completed: u64,
-    /// Requests that executed and failed (runtime error or panic).
-    pub failed: u64,
-    /// Requests cancelled while queued.
-    pub cancelled: u64,
-    /// Requests rejected because their deadline passed before dispatch.
-    pub expired: u64,
-    /// Requests rejected because the driver was shutting down.
-    pub rejected: u64,
-    /// Batches dispatched so far.
-    pub batches: u64,
-    /// Largest number of requests one dispatch coalesced.
-    pub largest_batch: usize,
-    /// Median submit-to-completion latency over the sliding window of
-    /// completed requests (zero before the first completion).
-    pub p50_latency: Duration,
-    /// 95th-percentile submit-to-completion latency over the same window.
-    pub p95_latency: Duration,
-    /// Sessions created by the underlying pool (lifetime counter).
-    pub sessions_created: u64,
-    /// Checkouts served from the idle pool (lifetime counter).
-    pub sessions_reused: u64,
-    /// Sessions currently parked in the idle pool.
-    pub pooled_sessions: usize,
-}
-
-/// Admission queue: requests plus the shutdown flag, under one lock so the
-/// "submit vs shutdown" race has a single arbiter (a request either lands
-/// in the queue before the dispatcher's final drain, or observes the flag
-/// and is rejected — it can never be enqueued and missed).
-struct QueueState {
-    items: VecDeque<Arc<RequestState>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    driver: BatchDriver,
-    opts: ServeOptions,
-    /// Live admission bound (starts at `opts.max_batch`).  Atomic so
-    /// [`ServeDriver::raise_max_batch`] can widen an already-serving driver
-    /// — e.g. for a submit-all-then-wait-all caller whose batch is larger
-    /// than the configured bound.
-    max_batch: AtomicUsize,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
-    counters: Mutex<Counters>,
-    latencies: Mutex<LatencyWindow>,
-    next_id: AtomicU64,
-}
-
-impl Shared {
-    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_counters(&self) -> MutexGuard<'_, Counters> {
-        self.counters.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn max_batch(&self) -> usize {
-        self.max_batch.load(Ordering::Relaxed)
-    }
-}
-
-/// Dynamic-admission serving driver: one shared [`CompiledProgram`], the
-/// pooled sessions of a [`BatchDriver`], and a dispatcher thread that
-/// coalesces individually submitted requests into batches.
-///
-/// Construct with [`ServeDriver::new`] / [`ServeDriver::with_options`] (or
-/// [`ServeDriver::over`] to wrap a pre-configured [`BatchDriver`], e.g. one
-/// carrying free hints).  The driver is `Sync`: any number of threads can
-/// submit concurrently.  Dropping it drains the queue and stops the
-/// dispatcher.
-pub struct ServeDriver {
-    shared: Arc<Shared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for ServeDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeDriver")
-            .field("program", self.shared.driver.program())
-            .field("options", &self.options())
-            .field("queue_depth", &self.shared.lock_queue().items.len())
-            .finish()
-    }
-}
-
-impl ServeDriver {
-    /// Serve `program` with default [`ServeOptions`].
-    pub fn new(program: CompiledProgram) -> Self {
-        Self::with_options(program, ServeOptions::default())
-    }
-
-    /// Serve `program` with explicit admission-queue options.
-    pub fn with_options(program: CompiledProgram, options: ServeOptions) -> Self {
-        Self::over(BatchDriver::new(program), options)
-    }
-
-    /// Serve over a pre-configured [`BatchDriver`] (session pool, free
-    /// hints).  The driver's worker cap is overwritten by
-    /// [`ServeOptions::workers`].
-    pub fn over(driver: BatchDriver, mut options: ServeOptions) -> Self {
-        options.max_batch = options.max_batch.max(1);
-        driver.set_workers(options.workers);
-        let shared = Arc::new(Shared {
-            driver,
-            max_batch: AtomicUsize::new(options.max_batch),
-            opts: options,
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                shutdown: false,
-            }),
-            queue_cv: Condvar::new(),
-            counters: Mutex::new(Counters::default()),
-            latencies: Mutex::new(LatencyWindow::new()),
-            next_id: AtomicU64::new(0),
-        });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dace-serve-dispatcher".to_string())
-                .spawn(move || dispatcher_loop(&shared))
-                .expect("spawning the serve dispatcher thread failed")
-        };
-        ServeDriver {
-            shared,
-            dispatcher: Mutex::new(Some(dispatcher)),
-        }
-    }
-
-    /// Submit one request: bind `inputs`, execute the shared plan, fetch
-    /// the named arrays.  Returns immediately; the admission queue decides
-    /// when (and with how many peers) the request runs.
-    pub fn submit(&self, inputs: HashMap<String, Tensor>, fetch: &[&str]) -> RequestHandle {
-        self.submit_inner(inputs, fetch, None)
-    }
-
-    /// [`ServeDriver::submit`] with a latency budget: if the request is
-    /// still queued `deadline` after submission, it is rejected with
-    /// [`ServeError::DeadlineExceeded`] without ever occupying a worker.
-    /// A deadline does not abort a request that already started executing.
-    pub fn submit_with_deadline(
-        &self,
-        inputs: HashMap<String, Tensor>,
-        fetch: &[&str],
-        deadline: Duration,
-    ) -> RequestHandle {
-        self.submit_inner(inputs, fetch, Some(Instant::now() + deadline))
-    }
-
-    fn submit_inner(
-        &self,
-        inputs: HashMap<String, Tensor>,
-        fetch: &[&str],
-        deadline: Option<Instant>,
-    ) -> RequestHandle {
-        let shared = &self.shared;
-        let req = Arc::new(RequestState {
-            id: shared.next_id.fetch_add(1, Ordering::Relaxed),
-            submitted: Instant::now(),
-            deadline,
-            phase: Mutex::new(ReqPhase::Queued {
-                inputs,
-                fetch: fetch.iter().map(|s| s.to_string()).collect(),
-            }),
-            done_cv: Condvar::new(),
-        });
-        let handle = RequestHandle {
-            req: Arc::clone(&req),
-            shared: Arc::clone(shared),
-        };
-        // A zero (or negative) budget expires at admission: the request is
-        // rejected here and never reaches the queue, let alone a worker.
-        if let Some(dl) = deadline {
-            let now = Instant::now();
-            if now >= dl {
-                {
-                    let mut c = shared.lock_counters();
-                    c.admitted += 1;
-                    c.expired += 1;
-                }
-                req.complete(Err(ServeError::DeadlineExceeded {
-                    missed_by: now - dl,
-                }));
-                return handle;
-            }
-        }
-        let mut queue = shared.lock_queue();
-        if queue.shutdown {
-            drop(queue);
-            {
-                let mut c = shared.lock_counters();
-                c.admitted += 1;
-                c.rejected += 1;
-            }
-            req.complete(Err(ServeError::ShuttingDown));
-            return handle;
-        }
-        queue.items.push_back(req);
-        {
-            let mut c = shared.lock_counters();
-            c.admitted += 1;
-            c.queued += 1;
-        }
-        drop(queue);
-        shared.queue_cv.notify_one();
-        handle
-    }
-
-    /// Submit a whole batch and wait for every result, in order — the
-    /// static [`BatchDriver::run_batch`] API re-expressed as
-    /// submit-all-then-wait-all over the admission queue.
-    pub fn run_batch(
-        &self,
-        items: &[HashMap<String, Tensor>],
-        fetch: &[&str],
-    ) -> Vec<Result<ServeResponse, ServeError>> {
-        // Let the whole batch ride one dispatch at full fan-out instead of
-        // being split into `max_batch`-sized sequential waves.
-        self.raise_max_batch(items.len());
-        let handles: Vec<RequestHandle> = items
-            .iter()
-            .map(|inputs| self.submit(inputs.clone(), fetch))
-            .collect();
-        handles.into_iter().map(RequestHandle::wait).collect()
-    }
-
-    /// Counter / latency snapshot.  Coherent: all lifecycle counters are
-    /// read under one lock, so the conservation invariant documented on
-    /// [`ServeStats`] holds on every snapshot.
-    pub fn stats(&self) -> ServeStats {
-        let shared = &self.shared;
-        let (p50, p95) = shared
-            .latencies
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .percentiles();
-        let c = shared.lock_counters();
-        ServeStats {
-            queue_depth: c.queued as usize,
-            in_flight: c.in_flight,
-            admitted: c.admitted,
-            completed: c.completed,
-            failed: c.failed,
-            cancelled: c.cancelled,
-            expired: c.expired,
-            rejected: c.rejected,
-            batches: c.batches,
-            largest_batch: c.largest_batch,
-            p50_latency: p50,
-            p95_latency: p95,
-            sessions_created: shared.driver.sessions_created(),
-            sessions_reused: shared.driver.sessions_reused(),
-            pooled_sessions: shared.driver.pooled_sessions(),
-        }
-    }
-
-    /// The underlying session-pool driver (for warm-up and pool statistics).
-    pub fn batch_driver(&self) -> &BatchDriver {
-        &self.shared.driver
-    }
-
-    /// The shared program this server serves.
-    pub fn program(&self) -> &CompiledProgram {
-        self.shared.driver.program()
-    }
-
-    /// The current admission-queue options (`max_batch` reflects any
-    /// [`ServeDriver::raise_max_batch`] widening since construction).
-    pub fn options(&self) -> ServeOptions {
-        ServeOptions {
-            max_batch: self.shared.max_batch(),
-            ..self.shared.opts.clone()
-        }
-    }
-
-    /// Widen the admission bound to at least `max_batch` requests per
-    /// dispatch (never narrows; takes effect from the next batch
-    /// formation).  Used by submit-all-then-wait-all callers so a batch
-    /// larger than the configured bound runs as one dispatch at full
-    /// fan-out instead of serialised waves.  To *lower* the bound, use
-    /// [`ServeDriver::set_max_batch`].
-    pub fn raise_max_batch(&self, max_batch: usize) {
-        self.shared
-            .max_batch
-            .fetch_max(max_batch.max(1), Ordering::Relaxed);
-    }
-
-    /// Set the admission bound to exactly `max_batch` requests per
-    /// dispatch, clamped to `>= 1` — unlike
-    /// [`ServeDriver::raise_max_batch`] this can also **lower** the cap on
-    /// a live driver (takes effect from the next batch formation).
-    /// Lowering re-stamps the warm pool: idle sessions beyond the new
-    /// bound are dropped, so the pool's memory footprint follows the cap
-    /// down instead of staying at the old high-water mark (the same
-    /// reach-the-warm-pool fix [`BatchDriver::set_free_hints`] got in
-    /// PR 5).  Sessions currently serving a dispatch are unaffected.
-    pub fn set_max_batch(&self, max_batch: usize) {
-        let bound = max_batch.max(1);
-        self.shared.max_batch.store(bound, Ordering::Relaxed);
-        self.shared.driver.trim_pool(bound);
-    }
-
-    /// Pre-create pooled sessions off the serving path (see
-    /// [`BatchDriver::warm`]).
-    pub fn warm(&self, n: usize) {
-        self.shared.driver.warm(n);
-    }
-
-    /// Stop admitting requests, serve everything still queued, and join the
-    /// dispatcher.  Called automatically on drop; idempotent.  Requests
-    /// submitted after shutdown complete with [`ServeError::ShuttingDown`].
-    pub fn shutdown(&self) {
-        {
-            let mut queue = self.shared.lock_queue();
-            queue.shutdown = true;
-        }
-        self.shared.queue_cv.notify_all();
-        if let Some(handle) = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            // A panic in the dispatcher is a bug, but the driver is usually
-            // being dropped here — swallow it rather than aborting unwind.
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ServeDriver {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The bind/fetch payload of one request: its input tensors and the array
-/// names to fetch after the run.
-type Payload = (HashMap<String, Tensor>, Vec<String>);
-
-/// One claimed, runnable request: its state plus the payload taken from the
-/// queued phase.  The payload sits behind a `Mutex<Option<..>>` so the
-/// dispatch closure (which only gets a shared reference per item) can
-/// *move* the inputs into the session instead of deep-copying them.
-struct Claimed {
-    req: Arc<RequestState>,
-    payload: Mutex<Option<Payload>>,
-}
-
-fn dispatcher_loop(shared: &Shared) {
-    while let Some(batch) = collect_batch(shared) {
-        serve_batch(shared, batch);
-    }
-}
-
-/// Complete (and remove from the queue) every queued request whose deadline
-/// has already passed, so rejections are delivered on time instead of at
-/// the end of the linger window.  Cancelled requests are swept out too —
-/// their handles were already completed by `cancel`.
-fn sweep_expired(shared: &Shared, queue: &mut QueueState, now: Instant) {
-    queue.items.retain(|req| {
-        let due = req.deadline.is_some_and(|dl| now >= dl);
-        let mut phase = req.lock_phase();
-        match &*phase {
-            ReqPhase::Queued { .. } if due => {
-                let dl = req.deadline.expect("due implies a deadline");
-                {
-                    let mut c = shared.lock_counters();
-                    c.queued -= 1;
-                    c.expired += 1;
-                }
-                *phase = ReqPhase::Done(Err(ServeError::DeadlineExceeded {
-                    missed_by: now - dl,
-                }));
-                req.done_cv.notify_all();
-                false
-            }
-            ReqPhase::Queued { .. } => true,
-            // Cancelled while queued: the handle already holds its result.
-            _ => false,
-        }
-    });
-}
-
-/// Block until a batch can be formed, then claim up to `max_batch` runnable
-/// requests.  Returns `None` when the queue is drained and the driver is
-/// shutting down.  Loops internally until at least one runnable request was
-/// claimed.
-fn collect_batch(shared: &Shared) -> Option<Vec<Claimed>> {
-    let max_wait = shared.opts.max_wait;
-    loop {
-        let mut queue = shared.lock_queue();
-        // Sleep until there is something to serve (or we are told to stop).
-        loop {
-            if !queue.items.is_empty() {
-                break;
-            }
-            if queue.shutdown {
-                return None;
-            }
-            queue = shared
-                .queue_cv
-                .wait(queue)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        // Linger: give the batch a chance to fill, bounded by the oldest
-        // request's wait budget.  Expired requests are rejected the moment
-        // their deadline passes (the wake-up target is the earliest of the
-        // linger end and every queued deadline), and shutdown dispatches
-        // immediately.
-        loop {
-            let now = Instant::now();
-            sweep_expired(shared, &mut queue, now);
-            let Some(front) = queue.items.front() else {
-                break; // everything expired/cancelled: back to sleep
-            };
-            if queue.items.len() >= shared.max_batch() || queue.shutdown {
-                break;
-            }
-            let linger_until = front.submitted + max_wait;
-            if now >= linger_until {
-                break;
-            }
-            let mut wake = linger_until;
-            for req in &queue.items {
-                if let Some(dl) = req.deadline {
-                    wake = wake.min(dl);
-                }
-            }
-            if wake <= now {
-                continue; // a deadline is due: sweep on the next pass
-            }
-            let (guard, _) = shared
-                .queue_cv
-                .wait_timeout(queue, wake - now)
-                .unwrap_or_else(|e| e.into_inner());
-            queue = guard;
-        }
-        // Claim up to max_batch requests, skipping any that were cancelled
-        // or expired between the sweep and here (the sweep above is the
-        // timely path; this is the race backstop).
-        let mut claimed = Vec::new();
-        while claimed.len() < shared.max_batch() {
-            let Some(req) = queue.items.pop_front() else {
-                break;
-            };
-            let mut phase = req.lock_phase();
-            match std::mem::replace(&mut *phase, ReqPhase::Dispatched) {
-                ReqPhase::Queued { inputs, fetch } => {
-                    let now = Instant::now();
-                    if let Some(dl) = req.deadline {
-                        if now >= dl {
-                            {
-                                let mut c = shared.lock_counters();
-                                c.queued -= 1;
-                                c.expired += 1;
-                            }
-                            *phase = ReqPhase::Done(Err(ServeError::DeadlineExceeded {
-                                missed_by: now - dl,
-                            }));
-                            req.done_cv.notify_all();
-                            continue;
-                        }
-                    }
-                    {
-                        let mut c = shared.lock_counters();
-                        c.queued -= 1;
-                        c.in_flight += 1;
-                    }
-                    drop(phase);
-                    claimed.push(Claimed {
-                        req,
-                        payload: Mutex::new(Some((inputs, fetch))),
-                    });
-                }
-                // Cancelled while queued: leave the Done result in place.
-                other => {
-                    *phase = other;
-                }
-            }
-        }
-        drop(queue);
-        if !claimed.is_empty() {
-            return Some(claimed);
-        }
-        // Everything drained this round was cancelled or expired; go back
-        // to sleep (or exit) without dispatching an empty batch.
-    }
-}
-
-/// Fan one formed batch across the pooled sessions and complete its
-/// handles.  Execution is exactly [`BatchDriver::run_batch_with`] — the
-/// admission layer adds nothing to the per-item run path.
-fn serve_batch(shared: &Shared, batch: Vec<Claimed>) {
-    let n = batch.len();
-    {
-        let mut c = shared.lock_counters();
-        c.batches += 1;
-        c.largest_batch = c.largest_batch.max(n);
-    }
-    let out = shared.driver.run_batch_with(n, |i, session| {
-        let (inputs, fetch) = batch[i]
-            .payload
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("each claimed request is dispatched exactly once");
-        session.clear_bindings();
-        // The request owns its tensors by now, so binding *moves* them into
-        // the session — no copy on the serving hot path.
-        for (name, tensor) in inputs {
-            session.set_input(&name, tensor)?;
-        }
-        session.run()?;
-        let mut outputs = HashMap::with_capacity(fetch.len());
-        for name in fetch {
-            let tensor = session
-                .array(&name)
-                .ok_or_else(|| RuntimeError::UnknownArray(name.clone()))?;
-            outputs.insert(name, tensor.clone());
-        }
-        Ok::<_, RuntimeError>((outputs, session.last_report().clone()))
-    });
-    for (claimed, item) in batch.iter().zip(out.items) {
-        let result = match item {
-            Ok((outputs, report)) => {
-                let latency = claimed.req.submitted.elapsed();
-                {
-                    let mut c = shared.lock_counters();
-                    c.in_flight -= 1;
-                    c.completed += 1;
-                }
-                shared
-                    .latencies
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(latency);
-                Ok(ServeResponse {
-                    outputs,
-                    report,
-                    latency,
-                    batched_with: n,
-                })
-            }
-            Err(BatchError::Item(e)) => {
-                let mut c = shared.lock_counters();
-                c.in_flight -= 1;
-                c.failed += 1;
-                drop(c);
-                Err(ServeError::Execution(e))
-            }
-            Err(BatchError::Panicked(msg)) => {
-                let mut c = shared.lock_counters();
-                c.in_flight -= 1;
-                c.failed += 1;
-                drop(c);
-                Err(ServeError::Panicked(msg))
-            }
-        };
-        claimed.req.complete(result);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The serving stack must be freely shareable: handles move across
-    /// threads, the driver is submitted to concurrently.
+    /// Request outcomes cross threads: a handle resolved by the dispatcher
+    /// is read by whichever client thread waits on it.
     #[test]
     fn serve_types_are_send_sync() {
-        fn assert_send<T: Send>() {}
-        fn assert_sync<T: Sync>() {}
-        assert_send::<ServeDriver>();
-        assert_sync::<ServeDriver>();
-        assert_send::<RequestHandle>();
-        assert_sync::<RequestHandle>();
-        assert_send::<ServeResponse>();
-        assert_send::<ServeError>();
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ServeResponse>();
+        assert_send_sync::<ServeError>();
     }
 
     #[test]

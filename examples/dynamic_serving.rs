@@ -37,15 +37,16 @@ fn main() {
         ])
     };
 
-    // One engine, one compiled gradient program, one dynamic server.  The
+    // One engine, one compiled gradient program, one dynamic server — a
+    // `Gateway` whose only tenant is the engine's gradient program.  The
     // admission queue dispatches as soon as 4 requests wait, or after the
     // oldest request lingered 1ms — whichever comes first.
     let mut engine =
         GradientEngine::new(&sdfg, "OUT", &["W"], &symbols, &AdOptions::default()).unwrap();
-    let server = engine.serve_with_options(ServeOptions {
+    let server = engine.serve_with_options(GatewayOptions {
         max_batch: 4,
         max_wait: Duration::from_millis(1),
-        workers: 0,
+        ..GatewayOptions::default()
     });
 
     // --- Clients submit individually; the server coalesces. --------------
@@ -71,9 +72,11 @@ fn main() {
 
     // --- Deadlines reject before execution; cancellation is explicit. ----
     let server = engine.serve();
-    let impatient = server
-        .submit_with_deadline(&request(0), Duration::ZERO)
-        .unwrap();
+    let budget = SubmitOptions {
+        deadline: Some(Duration::ZERO),
+        ..SubmitOptions::default()
+    };
+    let impatient = server.submit_with(&request(0), budget).unwrap();
     match impatient.wait() {
         Err(EngineError::Serve(ServeError::DeadlineExceeded { missed_by })) => {
             println!("\nzero-budget request rejected before execution (missed by {missed_by:?})");
@@ -81,7 +84,7 @@ fn main() {
         other => panic!("expected a deadline rejection, got {other:?}"),
     }
 
-    let stats = server.stats();
+    let stats = server.stats().expect("the engine's tenant is registered");
     println!(
         "\nserver stats: admitted={}, completed={}, expired={}, batches={} \
          (largest {}), p50={:?}, p95={:?}",
@@ -95,6 +98,7 @@ fn main() {
     );
     assert_eq!(stats.completed, 10);
     assert_eq!(stats.expired, 1);
+    assert!(stats.conserves(), "every request is in exactly one bucket");
     // The blocking runs, the served requests and the batch dispatches all
     // shared one gradient lowering.
     assert_eq!(engine.gradient_program().cache_stats().misses, 1);

@@ -20,17 +20,14 @@ pub use npbench;
 pub mod prelude {
     pub use dace_ad::{
         AdOptions, BackwardPlan, BatchGradientResult, CheckpointStrategy, EngineError,
-        GatewayGradientClient, GatewayGradientHandle, GradientEngine, GradientHandle,
-        GradientServer, ServedGradient,
+        GatewayGradientClient, GatewayGradientHandle, GradientEngine, ServedGradient,
     };
     pub use dace_frontend::{ArrayExpr, ProgramBuilder, ScalarRef};
-    #[allow(deprecated)]
-    pub use dace_runtime::Executor;
     pub use dace_runtime::{
         compile, BatchDriver, BatchError, BatchItemResult, BatchOutput, BatchReport, BreakerState,
         CompiledProgram, ExecutionReport, FaultPlan, Gateway, GatewayError, GatewayHandle,
-        GatewayOptions, GatewayStats, PlanCacheStats, RequestHandle, ServeDriver, ServeError,
-        ServeOptions, ServeResponse, ServeStats, Session, SubmitOptions, TenantConfig, TenantStats,
+        GatewayOptions, GatewayStats, PlanCacheStats, ServeError, ServeResponse, Session,
+        SubmitOptions, TenantConfig, TenantStats,
     };
     pub use dace_sdfg::{DType, Sdfg, SymExpr};
     pub use dace_tensor::{allclose, allclose_default, Tensor};

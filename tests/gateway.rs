@@ -291,6 +291,60 @@ fn overload_sheds_with_typed_hint() {
     assert_eq!(stats.tenants["alpha"].completed, CAP as u64);
 }
 
+/// Cancelling queued requests gives their capacity back at once: a tenant
+/// whose clients cancelled everything admits fresh work instead of
+/// shedding it against entries the dispatcher has not swept out yet.
+#[test]
+fn cancelled_requests_release_queue_capacity() {
+    const CAP: usize = 3;
+    let gateway = Gateway::new(GatewayOptions {
+        max_batch: 64,                     // never fills
+        max_wait: Duration::from_secs(30), // never lingers out in-test
+        queue_capacity: CAP,
+        ..GatewayOptions::default()
+    });
+    gateway.register("alpha", alpha_program()).unwrap();
+
+    let doomed: Vec<_> = (0..CAP)
+        .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
+        .collect();
+    // Let the dispatcher settle into its linger sleep, so the cancelled
+    // entries below are still physically queued when capacity is checked.
+    std::thread::sleep(Duration::from_millis(50));
+    for handle in &doomed {
+        assert!(handle.cancel(), "a queued request must be cancellable");
+    }
+    assert_eq!(gateway.stats().tenants["alpha"].queue_depth, 0);
+
+    let fresh: Vec<_> = (0..CAP)
+        .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
+        .collect();
+    for handle in &fresh {
+        assert!(
+            handle.try_wait().is_none(),
+            "an empty queue must admit, got {:?}",
+            handle.try_wait()
+        );
+    }
+    // The bound itself still holds for live requests.
+    let over = gateway.submit("alpha", item(CAP), &["Y"]).unwrap();
+    assert!(matches!(
+        over.try_wait(),
+        Some(Err(ServeError::Overloaded { .. }))
+    ));
+    let stats = gateway.stats();
+    assert!(stats.conserves());
+    assert_eq!(stats.tenants["alpha"].queue_depth, CAP);
+    assert_eq!(stats.tenants["alpha"].cancelled, CAP as u64);
+    assert_eq!(stats.tenants["alpha"].overloaded, 1);
+
+    gateway.shutdown();
+    for handle in fresh {
+        must_resolve(handle).unwrap();
+    }
+    assert!(gateway.stats().conserves());
+}
+
 /// An injected panic on the first dispatch quarantines the session and the
 /// idempotent request is retried to a bit-identical result; a
 /// non-idempotent request resolves with the panic instead.

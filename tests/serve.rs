@@ -1,6 +1,7 @@
-//! Dynamic-admission serving: coalescing, determinism, deadlines,
-//! cancellation, concurrent submission and drop-drain semantics of
-//! `ServeDriver` / `GradientEngine::serve`.
+//! Dynamic-admission serving of one program: coalescing, determinism,
+//! deadlines, cancellation, concurrent submission and drop-drain semantics
+//! of a one-tenant `Gateway` / `GradientEngine::serve` (the multi-tenant
+//! behaviours live in `tests/gateway.rs`).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -54,6 +55,40 @@ fn bits(t: &Tensor) -> Vec<u64> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+const TENANT: &str = "solo";
+
+/// A gateway with `program` as its only tenant, configured the way
+/// `GradientEngine::serve()` configures its own: unbounded queue, no
+/// retries, no circuit breaker.
+fn solo_gateway(program: CompiledProgram, max_batch: usize, max_wait: Duration) -> Gateway {
+    let gateway = Gateway::new(GatewayOptions {
+        max_batch,
+        max_wait,
+        queue_capacity: usize::MAX,
+        retry_budget: 0,
+        breaker_threshold: u32::MAX,
+        ..GatewayOptions::default()
+    });
+    gateway.register(TENANT, program).unwrap();
+    gateway
+}
+
+fn submit(gateway: &Gateway, i: usize) -> GatewayHandle {
+    gateway.submit(TENANT, item(i), &["Y"]).unwrap()
+}
+
+fn submit_with_deadline(gateway: &Gateway, i: usize, deadline: Duration) -> GatewayHandle {
+    let opts = SubmitOptions {
+        deadline: Some(deadline),
+        ..SubmitOptions::default()
+    };
+    gateway.submit_with(TENANT, item(i), &["Y"], opts).unwrap()
+}
+
+fn stats(gateway: &Gateway) -> TenantStats {
+    gateway.stats().tenants.remove(TENANT).unwrap()
+}
+
 /// Individually submitted requests are coalesced into one dispatch (the
 /// admission queue fills to `max_batch` well inside the linger window) and
 /// every result is bit-identical to a serial session loop.
@@ -63,15 +98,8 @@ fn submitted_requests_coalesce_and_match_serial() {
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 6);
 
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: 6,
-            max_wait: Duration::from_millis(500),
-            workers: 0,
-        },
-    );
-    let handles: Vec<_> = (0..6).map(|i| server.submit(item(i), &["Y"])).collect();
+    let server = solo_gateway(program, 6, Duration::from_millis(500));
+    let handles: Vec<_> = (0..6).map(|i| submit(&server, i)).collect();
     for (i, handle) in handles.into_iter().enumerate() {
         let response = handle.wait().unwrap();
         assert_eq!(
@@ -85,7 +113,7 @@ fn submitted_requests_coalesce_and_match_serial() {
         );
         assert!(response.latency > Duration::ZERO);
     }
-    let stats = server.stats();
+    let stats = stats(&server);
     assert_eq!(stats.admitted, 6);
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.batches, 1, "one dispatch served the whole burst");
@@ -103,17 +131,10 @@ fn submitted_requests_coalesce_and_match_serial() {
 fn deadline_expired_requests_never_execute() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: 8,
-            max_wait: Duration::from_millis(150),
-            workers: 0,
-        },
-    );
+    let server = solo_gateway(program, 8, Duration::from_millis(150));
 
     // Zero budget: expired at admission, never enqueued.
-    let handle = server.submit_with_deadline(item(0), &["Y"], Duration::ZERO);
+    let handle = submit_with_deadline(&server, 0, Duration::ZERO);
     match handle.wait() {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -123,7 +144,7 @@ fn deadline_expired_requests_never_execute() {
     // lingers (150ms) waiting for peers that never come.  The rejection
     // must arrive when the deadline fires, not at the end of the linger.
     let submitted = std::time::Instant::now();
-    let handle = server.submit_with_deadline(item(1), &["Y"], Duration::from_millis(20));
+    let handle = submit_with_deadline(&server, 1, Duration::from_millis(20));
     match handle.wait() {
         Err(ServeError::DeadlineExceeded { missed_by }) => {
             assert!(missed_by > Duration::ZERO);
@@ -138,7 +159,7 @@ fn deadline_expired_requests_never_execute() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 
-    let stats = server.stats();
+    let stats = stats(&server);
     assert_eq!(stats.expired, 2);
     assert_eq!(stats.completed, 0);
     assert_eq!(
@@ -146,8 +167,7 @@ fn deadline_expired_requests_never_execute() {
         "no dispatch may fire for expired requests"
     );
     assert_eq!(
-        server.batch_driver().sessions_created(),
-        0,
+        stats.sessions_created, 0,
         "an expired request must never occupy a worker session"
     );
 }
@@ -160,17 +180,10 @@ fn cancel_works_on_queued_requests() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 2);
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: 8,
-            max_wait: Duration::from_millis(250),
-            workers: 0,
-        },
-    );
+    let server = solo_gateway(program, 8, Duration::from_millis(250));
 
-    let doomed = server.submit(item(0), &["Y"]);
-    let survivor = server.submit(item(1), &["Y"]);
+    let doomed = submit(&server, 0);
+    let survivor = submit(&server, 1);
     assert!(doomed.cancel(), "a queued request must be cancellable");
     assert!(!doomed.cancel(), "a second cancel is a no-op");
     assert!(doomed.is_done());
@@ -189,7 +202,7 @@ fn cancel_works_on_queued_requests() {
         response.batched_with, 1,
         "the cancelled peer must not count into the dispatch"
     );
-    let stats = server.stats();
+    let stats = stats(&server);
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 1);
 }
@@ -201,15 +214,8 @@ fn try_wait_polls_then_wait_takes() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 1);
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: 1,
-            max_wait: Duration::from_millis(1),
-            workers: 0,
-        },
-    );
-    let handle = server.submit(item(0), &["Y"]);
+    let server = solo_gateway(program, 1, Duration::from_millis(1));
+    let handle = submit(&server, 0);
     let polled = loop {
         if let Some(result) = handle.try_wait() {
             break result;
@@ -236,14 +242,7 @@ fn concurrent_mixed_submissions_are_exact_and_bounded() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, THREADS * PER_THREAD);
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: MAX_BATCH,
-            max_wait: Duration::from_millis(1),
-            workers: 0,
-        },
-    );
+    let server = solo_gateway(program, MAX_BATCH, Duration::from_millis(1));
 
     enum Outcome {
         Completed(usize, Vec<u64>),
@@ -260,9 +259,9 @@ fn concurrent_mixed_submissions_are_exact_and_bounded() {
                     // Every third request carries a generous deadline (it
                     // must still complete); every fourth race-cancels.
                     let handle = if idx.is_multiple_of(3) {
-                        server.submit_with_deadline(item(idx), &["Y"], Duration::from_secs(60))
+                        submit_with_deadline(server, idx, Duration::from_secs(60))
                     } else {
-                        server.submit(item(idx), &["Y"])
+                        submit(server, idx)
                     };
                     let cancelled = idx.is_multiple_of(4) && handle.cancel();
                     let outcome = match handle.wait() {
@@ -303,7 +302,8 @@ fn concurrent_mixed_submissions_are_exact_and_bounded() {
             Outcome::Cancelled => cancelled += 1,
         }
     }
-    let stats = server.stats();
+    let stats = stats(&server);
+    assert!(stats.conserves());
     assert_eq!(stats.admitted, (THREADS * PER_THREAD) as u64);
     assert_eq!(stats.completed, completed);
     assert_eq!(stats.cancelled, cancelled);
@@ -314,41 +314,15 @@ fn concurrent_mixed_submissions_are_exact_and_bounded() {
     // The dispatcher serves one batch at a time, so the pool can never
     // outgrow the dispatch bound — however many threads submit.
     assert!(
-        server.batch_driver().sessions_created() <= MAX_BATCH as u64,
+        stats.sessions_created <= MAX_BATCH as u64,
         "session pool exceeded the dispatch bound: created {}",
-        server.batch_driver().sessions_created()
+        stats.sessions_created
     );
     assert!(stats.pooled_sessions <= MAX_BATCH);
 }
 
-/// `ServeDriver::run_batch` (submit-all-then-wait-all) reproduces the
-/// static `BatchDriver::run_batch` results bit for bit — the layering
-/// proof at the driver level.
-#[test]
-fn serve_run_batch_matches_static_batch_driver() {
-    let (sdfg, syms) = elementwise_program();
-    let program = compile(&sdfg, &syms).unwrap();
-    let items: Vec<_> = (0..10).map(item).collect();
-
-    let static_driver = BatchDriver::new(program.clone());
-    let static_out = static_driver.run_batch(&items, &["Y"]);
-
-    let server = ServeDriver::new(program);
-    let served = server.run_batch(&items, &["Y"]);
-
-    assert_eq!(served.len(), static_out.items.len());
-    for (i, (dynamic, fixed)) in served.iter().zip(&static_out.items).enumerate() {
-        let dynamic = dynamic.as_ref().unwrap();
-        let fixed = fixed.as_ref().unwrap();
-        assert_eq!(
-            bits(&dynamic.outputs["Y"]),
-            bits(&fixed.outputs["Y"]),
-            "item {i} diverged between static and dynamic batching"
-        );
-    }
-}
-
-/// Dropping the driver drains the queue: outstanding handles all resolve
+/// Shutting the gateway down (what drop does) drains the queue:
+/// outstanding handles all resolve
 /// (drop never strands a request), and submissions after shutdown are
 /// rejected with `ShuttingDown`.
 #[test]
@@ -356,21 +330,15 @@ fn drop_drains_outstanding_requests() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 4);
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: 8,
-            max_wait: Duration::from_secs(5), // far longer than the test
-            workers: 0,
-        },
-    );
-    let handles: Vec<_> = (0..4).map(|i| server.submit(item(i), &["Y"])).collect();
+    // The linger is far longer than the test.
+    let server = solo_gateway(program, 8, Duration::from_secs(5));
+    let handles: Vec<_> = (0..4).map(|i| submit(&server, i)).collect();
     server.shutdown();
     for (i, handle) in handles.into_iter().enumerate() {
         let response = handle.wait().unwrap();
         assert_eq!(bits(&response.outputs["Y"]), bits(&reference[i]));
     }
-    let late = server.submit(item(0), &["Y"]);
+    let late = submit(&server, 0);
     match late.wait() {
         Err(ServeError::ShuttingDown) => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
@@ -424,30 +392,34 @@ fn engine_serve_matches_blocking_run() {
     }
 
     // A zero latency budget is a typed serve rejection.
-    let handle = server
-        .submit_with_deadline(&inputs_list[0], Duration::ZERO)
-        .unwrap();
+    let budget = SubmitOptions {
+        deadline: Some(Duration::ZERO),
+        ..SubmitOptions::default()
+    };
+    let handle = server.submit_with(&inputs_list[0], budget).unwrap();
     match handle.wait() {
         Err(EngineError::Serve(ServeError::DeadlineExceeded { .. })) => {}
         other => panic!("expected Serve(DeadlineExceeded), got {other:?}"),
     }
 
-    // Serving statistics are visible through the engine server.
-    let stats = server.stats();
+    // Serving statistics are visible through the engine's client, and the
+    // private gateway is the single-program configuration.
+    let stats = server.stats().expect("the engine's tenant is registered");
+    assert!(stats.conserves());
     assert_eq!(stats.completed, 5);
     assert_eq!(stats.expired, 1);
+    let options = server.gateway().options();
+    assert_eq!(options.queue_capacity, usize::MAX);
+    assert_eq!(options.retry_budget, 0);
+    assert_eq!(options.breaker_threshold, u32::MAX);
 }
 
 /// Conservation stress: while submitter threads race plain submissions,
 /// tight deadlines and cancellations against the dispatcher, a sampler
 /// thread takes `stats()` snapshots continuously.  The request-conservation
-/// invariant
-///
-/// `admitted == queue_depth + in_flight + completed + failed + cancelled
-///             + expired + rejected`
-///
-/// must hold on *every* snapshot — a torn snapshot (counters read at
-/// different instants) shows up here as a transient imbalance.
+/// invariant (`TenantStats::conserves`) must hold on *every* snapshot — a
+/// torn snapshot (counters read at different instants) shows up here as a
+/// transient imbalance.
 #[test]
 fn stats_snapshots_conserve_requests_under_load() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -456,38 +428,10 @@ fn stats_snapshots_conserve_requests_under_load() {
     const PER_THREAD: usize = 12;
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let server = ServeDriver::with_options(
-        program,
-        ServeOptions {
-            max_batch: 3,
-            max_wait: Duration::from_millis(1),
-            workers: 0,
-        },
-    );
+    let server = solo_gateway(program, 3, Duration::from_millis(1));
 
-    let check = |stats: &ServeStats, when: &str| {
-        let accounted = stats.queue_depth as u64
-            + stats.in_flight
-            + stats.completed
-            + stats.failed
-            + stats.cancelled
-            + stats.expired
-            + stats.rejected;
-        assert_eq!(
-            stats.admitted,
-            accounted,
-            "torn snapshot ({when}): admitted {} != accounted {accounted} \
-             (queued {} + in-flight {} + completed {} + failed {} + \
-             cancelled {} + expired {} + rejected {})",
-            stats.admitted,
-            stats.queue_depth,
-            stats.in_flight,
-            stats.completed,
-            stats.failed,
-            stats.cancelled,
-            stats.expired,
-            stats.rejected,
-        );
+    let check = |stats: &TenantStats, when: &str| {
+        assert!(stats.conserves(), "torn snapshot ({when}): {stats:?}");
     };
 
     let done = AtomicBool::new(false);
@@ -501,7 +445,7 @@ fn stats_snapshots_conserve_requests_under_load() {
             scope.spawn(move || {
                 let mut samples = 0u64;
                 while !done.load(Ordering::Acquire) {
-                    check(&server.stats(), "during load");
+                    check(&stats(server), "during load");
                     samples += 1;
                 }
                 samples
@@ -519,13 +463,9 @@ fn stats_snapshots_conserve_requests_under_load() {
                         // complete, the rest are plain; every fifth
                         // race-cancels.
                         let handle = match idx % 3 {
-                            0 => server.submit_with_deadline(item(idx), &["Y"], Duration::ZERO),
-                            1 => server.submit_with_deadline(
-                                item(idx),
-                                &["Y"],
-                                Duration::from_millis(1),
-                            ),
-                            _ => server.submit(item(idx), &["Y"]),
+                            0 => submit_with_deadline(server, idx, Duration::ZERO),
+                            1 => submit_with_deadline(server, idx, Duration::from_millis(1)),
+                            _ => submit(server, idx),
                         };
                         if idx.is_multiple_of(5) {
                             handle.cancel();
@@ -553,7 +493,7 @@ fn stats_snapshots_conserve_requests_under_load() {
     });
 
     // Quiescent snapshot: everything admitted reached a terminal state.
-    let stats = server.stats();
+    let stats = stats(&server);
     check(&stats, "at quiescence");
     assert_eq!(stats.admitted, (THREADS * PER_THREAD) as u64);
     assert_eq!(stats.queue_depth, 0, "no request may remain queued");
@@ -568,17 +508,10 @@ fn stats_snapshots_conserve_requests_under_load() {
 fn wait_timeout_reports_pending_then_completion() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let server = ServeDriver::with_options(
-        program.clone(),
-        ServeOptions {
-            max_batch: 8,
-            // Long linger: the request stays pending until we've sampled it.
-            max_wait: Duration::from_millis(100),
-            workers: 0,
-        },
-    );
+    // Long linger: the request stays pending until we've sampled it.
+    let server = solo_gateway(program.clone(), 8, Duration::from_millis(100));
 
-    let handle = server.submit(item(0), &["Y"]);
+    let handle = submit(&server, 0);
     // Pending: a zero-ish timeout must return None without consuming.
     assert!(
         handle.wait_timeout(Duration::ZERO).is_none(),
@@ -596,49 +529,4 @@ fn wait_timeout_reports_pending_then_completion() {
     assert!(handle.is_done());
     assert!(handle.try_wait().is_some());
     assert!(handle.wait().is_ok());
-}
-
-/// `set_max_batch` can *lower* a live driver's cap (clamped to >= 1): new
-/// dispatches respect the narrower bound and the warm pool is trimmed to
-/// it, while `raise_max_batch` still only widens.
-#[test]
-fn set_max_batch_lowers_cap_and_trims_pool() {
-    let (sdfg, syms) = elementwise_program();
-    let program = compile(&sdfg, &syms).unwrap();
-    let server = ServeDriver::with_options(
-        program.clone(),
-        ServeOptions {
-            max_batch: 6,
-            max_wait: Duration::from_millis(2),
-            workers: 0,
-        },
-    );
-    server.warm(6);
-    assert_eq!(server.batch_driver().pooled_sessions(), 6);
-
-    server.set_max_batch(2);
-    assert_eq!(server.options().max_batch, 2);
-    assert_eq!(
-        server.batch_driver().pooled_sessions(),
-        2,
-        "lowering the cap must trim idle warm sessions down with it"
-    );
-    // raise_max_batch never narrows; set_max_batch(0) clamps to 1.
-    server.raise_max_batch(1);
-    assert_eq!(server.options().max_batch, 2);
-    server.set_max_batch(0);
-    assert_eq!(server.options().max_batch, 1);
-
-    // The narrowed cap binds dispatch width: with serial workers and a
-    // linger window, 5 requests can never ride in one batch of > 1.
-    let handles: Vec<_> = (0..5).map(|i| server.submit(item(i), &["Y"])).collect();
-    let expected = serial_reference(&program, 5);
-    for (i, handle) in handles.into_iter().enumerate() {
-        let response = handle.wait().unwrap();
-        assert_eq!(bits(&response.outputs["Y"]), bits(&expected[i]));
-        assert_eq!(
-            response.batched_with, 1,
-            "a cap of 1 must serialise dispatches"
-        );
-    }
 }
