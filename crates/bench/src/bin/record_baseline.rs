@@ -14,7 +14,7 @@
 //! p50/p95 latency and the observed coalescing) — and writes one JSON
 //! object per row to the output file.  A fourth synthetic row,
 //! `specialized_kernels`, times the forward loop kernels through the plan
-//! specialization tier (forced on) against the VM interpreter (forced off)
+//! specialization tier (the default) against the VM interpreter (forced off)
 //! over identical compiled plans, verifying bit-identical results and that
 //! specialization actually fired before recording; its `dace_ms` is the
 //! specialized-path total, with the VM total and the geometric-mean speedup
@@ -274,7 +274,7 @@ fn measure_spec(preset: Preset, reps: usize) -> Result<SpecRow, String> {
             time_forward(&program, &inputs, SpecMode::ForceOff, reps)
                 .map_err(|e| format!("{name}: {e}"))?;
         let (spec, spec_state, spec_dispatches) =
-            time_forward(&program, &inputs, SpecMode::ForceOn, reps)
+            time_forward(&program, &inputs, SpecMode::Auto, reps)
                 .map_err(|e| format!("{name}: {e}"))?;
         // The row is only honest if the two paths actually diverged in
         // dispatch and converged in result: record nothing otherwise.

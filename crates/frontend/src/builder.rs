@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use dace_sdfg::{
     ArrayDesc, BranchRegion, CondExpr, ControlFlow, DType, DataflowGraph, LibraryOp, LoopRegion,
-    MapScope, Memlet, ScalarExpr, Sdfg, SdfgError, State, SymExpr, Tasklet,
+    MapScope, Memlet, ScalarExpr, Sdfg, SdfgError, Severity, State, SymExpr, Tasklet,
 };
 
 use crate::expr::{ArrayExpr, ElemExpr};
@@ -80,8 +80,15 @@ impl ProgramBuilder {
         assert_eq!(self.frames.len(), 1, "unclosed control-flow region");
         let items = self.frames.pop().unwrap();
         self.sdfg.cfg = ControlFlow::Sequence(items);
-        self.sdfg.validate_strict()?;
-        Ok(self.sdfg)
+        match self
+            .sdfg
+            .validate()
+            .into_iter()
+            .find(|d| d.severity == Severity::Error)
+        {
+            Some(d) => Err(SdfgError::Invalid(d.message)),
+            None => Ok(self.sdfg),
+        }
     }
 
     // ----- statement helpers -------------------------------------------------
@@ -335,7 +342,6 @@ impl ProgramBuilder {
             params: params.clone(),
             ranges: dims.iter().map(|d| (SymExpr::int(0), d.clone())).collect(),
             body,
-            parallel: true,
         });
         let dst_out = g.add_access(dst);
         for (array, node) in srcs {
@@ -374,7 +380,6 @@ impl ProgramBuilder {
                 .map(|(_, lo, hi)| (lo.clone(), hi.clone()))
                 .collect(),
             body,
-            parallel: true,
         });
         let dst_out = g.add_access(dst);
         for (array, node) in srcs {

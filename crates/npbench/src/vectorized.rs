@@ -753,7 +753,10 @@ mod tests {
             assert_eq!(k.category(), Category::Vectorized);
             let sizes = k.sizes(Preset::Test);
             let sdfg = k.build_dace(&sizes);
-            sdfg.validate_strict().unwrap();
+            assert!(sdfg
+                .validate()
+                .iter()
+                .all(|d| d.severity != dace_sdfg::Severity::Error));
             assert!(sdfg.arrays.contains_key("OUT"));
         }
     }

@@ -9,10 +9,10 @@
 //!
 //! The concurrency model is **inter-request parallelism**: every batch item
 //! runs start-to-finish on one worker thread.  Parallel constructs *inside*
-//! the program (large maps, library kernels) detect that they already run on
+//! the program (the library kernels) detect that they already run on
 //! a pool worker and execute inline, so a batch of N requests costs no
-//! nested fan-out and no cross-thread synchronisation per map — for many
-//! concurrent small-to-medium requests this beats intra-map parallelism,
+//! nested fan-out and no cross-thread synchronisation per call — for many
+//! concurrent small-to-medium requests this beats intra-op parallelism,
 //! which is the same trade inference servers make between inter- and
 //! intra-op thread pools.
 //!

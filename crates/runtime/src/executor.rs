@@ -1,11 +1,10 @@
 //! The SDFG interpreter, driven by a compiled execution plan.
 //!
-//! This module holds the plan *walker*: the hot loops (sequential maps and
-//! the snapshot-based parallel path; the native map kernel lives in the
-//! `spec` module) touch no string keys and perform no per-iteration clones
-//! or allocations.  The
-//! parallel path fans out over a persistent rayon worker pool with one
-//! register file per chunk.
+//! This module holds the plan *walker*.  A map or an innermost loop runs on
+//! the native kernel lowering attached to it (the `spec` module) when that
+//! kernel's per-dispatch validation passes, and otherwise on the sequential
+//! register VM defined here, whose hot loop touches no string keys and
+//! performs no per-iteration clones or allocations.
 //!
 //! The public entry point is the compile-once API at the crate root:
 //! [`crate::compile`] lowers the SDFG into a [`crate::CompiledProgram`]
@@ -20,8 +19,6 @@
 
 use std::collections::HashMap;
 use std::time::Duration;
-
-use rayon::prelude::*;
 
 use dace_sdfg::{LibraryOp, Subset};
 use dace_tensor::Tensor;
@@ -70,45 +67,29 @@ pub struct ExecutionReport {
     pub plan_cache_misses: u64,
 }
 
-/// Minimum number of map points before the parallel (rayon) path is used.
-const PARALLEL_MAP_THRESHOLD: usize = 8192;
-
-/// Map execution path selection.  `Auto` (the default) picks the fastest
-/// applicable path; the forced variants pin the register VM so tests and
-/// instrumentation can compare the native kernel, the sequential and the
-/// parallel path on the same map and assert identical results and counters.
+/// Map execution path selection, a test switch: `Sequential` pins the
+/// register VM so tests and instrumentation can compare it against the
+/// native kernel on the same map and assert identical results and counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MapPath {
     /// The N-D affine map kernel when lowering attached one (and
-    /// [`crate::SpecMode`] is not `ForceOff`), then the VM: parallel above
-    /// the point threshold, otherwise sequential.
+    /// [`crate::SpecMode`] is not `ForceOff`) and its validation passes,
+    /// otherwise the sequential register VM.
     #[default]
     Auto,
-    /// Always the general sequential loop.
+    /// Always the sequential register VM.
     Sequential,
-    /// The snapshot-based parallel path whenever the body permits it
-    /// (ignoring the point threshold); sequential otherwise.
-    Parallel,
 }
 
 /// Scratch buffers reused across tasklet evaluations: the expression slot
 /// array, the floating-point and integer register files, and the per-tasklet
-/// output values.  One `Scratch` lives per executor; the parallel map path
-/// creates one per chunk.
+/// output values.  One `Scratch` lives per executor.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) slots: Vec<f64>,
     pub(crate) f_regs: Vec<f64>,
     pub(crate) i_regs: Vec<i64>,
     pub(crate) outs: Vec<f64>,
-}
-
-/// A buffered element write produced by the parallel map path.
-struct BufferedWrite {
-    array: u32,
-    flat: usize,
-    value: f64,
-    accumulate: bool,
 }
 
 /// Mutable execution state, separated from the immutable plan so the
@@ -127,9 +108,6 @@ pub(crate) struct RunState {
     pub(crate) scratch: Scratch,
     pub(crate) path: MapPath,
     pub(crate) spec_mode: SpecMode,
-    /// Per-specialization-site dispatch counters (profile-guided upgrade;
-    /// deliberately *not* reset across runs — warmth persists per session).
-    pub(crate) spec_exec_counts: Vec<u64>,
 }
 
 impl RunState {
@@ -145,8 +123,7 @@ impl RunState {
             free_hints: vec![Vec::new(); plan.states.len()],
             scratch: Scratch::default(),
             path: MapPath::Auto,
-            spec_mode: SpecMode::from_env(),
-            spec_exec_counts: vec![0; plan.specs.len()],
+            spec_mode: SpecMode::Auto,
         }
     }
 
@@ -217,7 +194,7 @@ impl RunState {
                             .state
                             .is_none_or(|s| self.free_hints[s].is_empty());
                         if hints_clear
-                            && self.spec_should_dispatch(spec_id)
+                            && self.spec_mode != SpecMode::ForceOff
                             && self.exec_spec(plan, spec_id, start, end)?
                         {
                             let trip = (end - start) as u64;
@@ -405,32 +382,34 @@ impl RunState {
     }
 
     fn exec_map(&mut self, plan: &ExecPlan, m: &PlanMap) -> RuntimeResult<()> {
-        // Evaluate the iteration domain.
+        // Evaluate the iteration domain.  Symbolic extents are
+        // attacker/user-controlled: neither an extent nor the domain size
+        // may wrap (wrapping would silently truncate the iteration count in
+        // release builds and panic in debug builds).
         let ndim = m.ranges.len();
         let mut lows = Vec::with_capacity(ndim);
         let mut sizes = Vec::with_capacity(ndim);
+        let mut total = Some(1usize);
         for (s, e) in &m.ranges {
             let lo = self.idx(plan, s)?;
             let hi = self.idx(plan, e)?;
+            // An extent beyond `i64` is reported saturated.
+            let size = hi.checked_sub(lo).map(|n| n.max(0) as usize);
+            total = total.zip(size).and_then(|(t, n)| t.checked_mul(n));
             lows.push(lo);
-            sizes.push((hi - lo).max(0) as usize);
+            sizes.push(size.unwrap_or(usize::MAX));
         }
-        // Symbolic extents are attacker/user-controlled: the domain size must
-        // not wrap (wrapping would silently truncate the iteration count in
-        // release builds and panic in debug builds).
-        let total: usize = sizes
-            .iter()
-            .try_fold(1usize, |acc, &s| acc.checked_mul(s))
-            .ok_or_else(|| RuntimeError::MapDomainOverflow {
-                sizes: sizes.clone(),
-            })?;
+        let total = total.ok_or_else(|| RuntimeError::MapDomainOverflow {
+            sizes: sizes.clone(),
+        })?;
         if total == 0 {
             return Ok(());
         }
         self.report.map_points += total as u64;
 
-        // Pre-allocate every container referenced by the body so that the
-        // parallel path can operate on an immutable snapshot.
+        // Pre-allocate every container referenced by the body: the kernel
+        // validates against allocated containers, and doing it here keeps the
+        // allocation side effects independent of the path taken.
         for &a in &m.referenced {
             self.ensure_allocated(plan, a)?;
         }
@@ -447,24 +426,7 @@ impl RunState {
                 }
             }
         }
-
-        // The parallel path is gated on the affine dependence verdict
-        // computed at lowering: `Safe` and `Reduction` maps are provably
-        // bit-identical under the snapshot/buffered-write scheme, while
-        // `Race` and `Unknown` maps run sequentially even when explicitly
-        // requested via `MapPath::Parallel`.
-        let use_parallel = match self.path {
-            MapPath::Auto => {
-                m.parallel && total >= PARALLEL_MAP_THRESHOLD && m.verdict.allows_parallel()
-            }
-            MapPath::Parallel => m.verdict.allows_parallel(),
-            MapPath::Sequential => false,
-        };
-        if use_parallel {
-            self.exec_map_parallel(plan, m, &lows, &sizes, total)
-        } else {
-            self.exec_map_sequential(plan, m, &lows, &sizes, total)
-        }
+        self.exec_map_sequential(plan, m, &lows, &sizes, total)
     }
 
     fn exec_map_sequential(
@@ -484,9 +446,9 @@ impl RunState {
         for (d, &p) in m.params.iter().enumerate() {
             self.syms.set(p, lows[d]);
         }
-        // Odometer over the index domain (last dimension fastest), matching
-        // the row-major flat order of the old unflatten-per-point loop but
-        // without any per-point allocation.
+        // Odometer over the index domain (last dimension fastest), mirrored
+        // into the map-parameter symbol slots, without any per-point
+        // allocation.
         let mut counters = vec![0usize; ndim];
         let mut remaining = total;
         loop {
@@ -495,95 +457,21 @@ impl RunState {
             if remaining == 0 {
                 break;
             }
-            advance_odometer(&mut counters, &mut self.syms, &m.params, lows, sizes);
+            for d in (0..ndim).rev() {
+                let slot = &mut self.syms.vals[m.params[d] as usize];
+                counters[d] += 1;
+                if counters[d] < sizes[d] {
+                    *slot = lows[d] + counters[d] as i64;
+                    break;
+                }
+                counters[d] = 0;
+                *slot = lows[d];
+            }
         }
         for (&p, &(v, def)) in m.params.iter().zip(&saved) {
             self.syms.vals[p as usize] = v;
             self.syms.defined[p as usize] = def;
         }
-        Ok(())
-    }
-
-    /// Parallel map execution: every index point is evaluated against an
-    /// immutable snapshot of the arrays, producing buffered writes that are
-    /// applied afterwards.  This mirrors the data-race-free semantics of a
-    /// DaCe map (each iteration writes a disjoint subset).  Work is split
-    /// into one contiguous chunk per pool thread; each chunk reuses its own
-    /// symbol file and register scratch across its points.
-    fn exec_map_parallel(
-        &mut self,
-        plan: &ExecPlan,
-        m: &PlanMap,
-        lows: &[i64],
-        sizes: &[usize],
-        total: usize,
-    ) -> RuntimeResult<()> {
-        if let Some(e) = &m.body.fail {
-            return Err(e.clone());
-        }
-        let n_chunks = rayon::current_num_threads().max(1).min(total);
-        let chunk = total.div_ceil(n_chunks);
-        let slab = &self.slab;
-        let base_syms = &self.syms;
-        let results: Result<Vec<(Vec<BufferedWrite>, AccessLog)>, RuntimeError> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk;
-                let hi = ((c + 1) * chunk).min(total);
-                let mut log = AccessLog::default();
-                if lo >= hi {
-                    return Ok((Vec::new(), log));
-                }
-                let mut syms = base_syms.clone();
-                let mut scratch = Scratch::default();
-                let mut writes: Vec<BufferedWrite> = Vec::new();
-                let mut counters = unflatten(lo, sizes);
-                for (d, &p) in m.params.iter().enumerate() {
-                    syms.set(p, lows[d] + counters[d] as i64);
-                }
-                let mut iter = lo;
-                let mut remaining = hi - lo;
-                loop {
-                    eval_body_readonly(
-                        plan,
-                        &m.body,
-                        slab,
-                        &syms,
-                        &mut scratch,
-                        &mut writes,
-                        iter,
-                        &mut log,
-                    )?;
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break;
-                    }
-                    iter += 1;
-                    advance_odometer(&mut counters, &mut syms, &m.params, lows, sizes);
-                }
-                Ok((writes, log))
-            })
-            .collect();
-        let chunks = results?;
-        if cfg!(feature = "race-check") {
-            check_race_free(plan, &chunks);
-        }
-        for (chunk_writes, _) in chunks {
-            for w in chunk_writes {
-                let t = self.slab[w.array as usize].as_mut().ok_or_else(|| {
-                    RuntimeError::UnknownArray(plan.arrays.names[w.array as usize].clone())
-                })?;
-                let target = &mut t.data_mut()[w.flat];
-                if w.accumulate {
-                    *target += w.value;
-                } else {
-                    *target = w.value;
-                }
-            }
-        }
-        // Count tasklet *evaluations* (not buffered writes): each index point
-        // evaluates every tasklet of the body exactly once.
-        self.report.tasklet_invocations += total as u64 * m.body_tasklets;
         Ok(())
     }
 
@@ -748,159 +636,6 @@ fn flat_offset(
     Ok(flat)
 }
 
-/// Shadow access log of the `race-check` dynamic detector: one entry per
-/// snapshot read and per buffered write, tagged with the flat iteration
-/// index.  Populated only when the `race-check` feature is enabled (the
-/// vectors stay empty — and the branches fold away — otherwise).
-#[derive(Default)]
-struct AccessLog {
-    /// `(array, flat offset, flat iteration index)` per snapshot read.
-    reads: Vec<(u32, usize, usize)>,
-    /// `(array, flat offset, flat iteration index, accumulate)` per write.
-    writes: Vec<(u32, usize, usize, bool)>,
-}
-
-/// Cross-validate a static `Safe`/`Reduction` verdict against the observed
-/// accesses of one parallel map execution: no two *distinct* iterations may
-/// touch the same element unless both touches are accumulating writes.
-/// Panics on violation — that means the dependence analyzer admitted a racy
-/// map and must be fixed.
-fn check_race_free(plan: &ExecPlan, chunks: &[(Vec<BufferedWrite>, AccessLog)]) {
-    // (array, flat) -> (iteration, accumulate) of a previous write.
-    let mut writes: HashMap<(u32, usize), (usize, bool)> = HashMap::new();
-    let conflict = |array: u32, what: &str| -> ! {
-        panic!(
-            "race-check: the dependence analyzer admitted a parallel map, but two \
-             iterations touched the same element of `{}` ({what})",
-            plan.arrays.names[array as usize]
-        )
-    };
-    for (_, log) in chunks {
-        for &(array, flat, iter, acc) in &log.writes {
-            if let Some((prev_iter, prev_acc)) = writes.insert((array, flat), (iter, acc)) {
-                if prev_iter != iter && !(acc && prev_acc) {
-                    conflict(array, "conflicting writes");
-                }
-            }
-        }
-    }
-    for (_, log) in chunks {
-        for &(array, flat, iter) in &log.reads {
-            if let Some(&(w_iter, _)) = writes.get(&(array, flat)) {
-                if w_iter != iter {
-                    conflict(array, "a read overlapping another iteration's write");
-                }
-            }
-        }
-    }
-}
-
-/// Evaluate a tasklet-only body against an immutable array snapshot,
-/// appending the buffered writes.
-#[allow(clippy::too_many_arguments)]
-fn eval_body_readonly(
-    plan: &ExecPlan,
-    body: &PlanGraph,
-    slab: &[Option<Tensor>],
-    syms: &SymFile,
-    scratch: &mut Scratch,
-    writes: &mut Vec<BufferedWrite>,
-    iter: usize,
-    log: &mut AccessLog,
-) -> RuntimeResult<()> {
-    for &n in &body.order {
-        let t = match &body.nodes[n] {
-            PlanNode::Tasklet(t) => t,
-            PlanNode::Fail(e) => return Err(e.clone()),
-            _ => continue,
-        };
-        scratch.slots.clear();
-        scratch.slots.resize(t.n_slots, 0.0);
-        for r in &t.reads {
-            let v = read_access(plan, slab, syms, &mut scratch.i_regs, r.array, &r.access)?;
-            scratch.slots[r.slot as usize] = v;
-            if cfg!(feature = "race-check") {
-                let flat = match &r.access {
-                    PlanAccess::All => 0,
-                    PlanAccess::Element(idx) => {
-                        let layout = plan.arrays.layout(r.array)?;
-                        flat_offset(plan, syms, &mut scratch.i_regs, r.array, idx, layout)?
-                    }
-                };
-                log.reads.push((r.array, flat, iter));
-            }
-        }
-        load_iters(plan, syms, &mut scratch.slots, &t.iter_loads)?;
-        scratch.outs.clear();
-        for e in &t.exprs {
-            let v = e.eval(&scratch.slots, &mut scratch.f_regs);
-            scratch.outs.push(v);
-        }
-        for w in &t.writes {
-            let flat = match &w.access {
-                PlanAccess::All => {
-                    let t2 = slab[w.array as usize].as_ref().ok_or_else(|| {
-                        RuntimeError::UnknownArray(plan.arrays.names[w.array as usize].clone())
-                    })?;
-                    if t2.len() != 1 {
-                        return Err(RuntimeError::Malformed(format!(
-                            "whole-array memlet of `{}` used as a scalar write",
-                            plan.arrays.names[w.array as usize]
-                        )));
-                    }
-                    0
-                }
-                PlanAccess::Element(idx) => {
-                    let layout = plan.arrays.layout(w.array)?;
-                    flat_offset(plan, syms, &mut scratch.i_regs, w.array, idx, layout)?
-                }
-            };
-            if cfg!(feature = "race-check") {
-                log.writes.push((w.array, flat, iter, w.accumulate));
-            }
-            writes.push(BufferedWrite {
-                array: w.array,
-                flat,
-                value: scratch.outs[w.expr as usize],
-                accumulate: w.accumulate,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Advance a row-major index odometer by one step (last dimension fastest)
-/// and mirror the new per-dimension indices into the map-parameter symbol
-/// slots.  Shared by the sequential and parallel map paths so their
-/// iteration orders cannot drift apart.
-#[inline]
-fn advance_odometer(
-    counters: &mut [usize],
-    syms: &mut SymFile,
-    params: &[u32],
-    lows: &[i64],
-    sizes: &[usize],
-) {
-    for d in (0..sizes.len()).rev() {
-        counters[d] += 1;
-        if counters[d] < sizes[d] {
-            syms.vals[params[d] as usize] = lows[d] + counters[d] as i64;
-            return;
-        }
-        counters[d] = 0;
-        syms.vals[params[d] as usize] = lows[d];
-    }
-}
-
-fn unflatten(mut flat: usize, sizes: &[usize]) -> Vec<usize> {
-    let mut out = vec![0usize; sizes.len()];
-    for d in (0..sizes.len()).rev() {
-        out[d] = flat % sizes[d];
-        flat /= sizes[d];
-    }
-    out
-}
-
 /// Convenience: check that a subset evaluates fully (used in tests).
 pub fn subset_indices(subset: &Subset, bindings: &HashMap<String, i64>) -> Option<Vec<usize>> {
     subset
@@ -928,7 +663,7 @@ mod tests {
         Ok(crate::program::compile(sdfg, symbols)?.session())
     }
 
-    /// out[i] = in[i] * k for all i, as a parallel map.
+    /// out[i] = in[i] * k for all i, as a map.
     fn scale_sdfg(k: f64) -> Sdfg {
         let mut sdfg = Sdfg::new("scale");
         sdfg.add_symbol("N");
@@ -960,7 +695,6 @@ mod tests {
             params: vec!["i".into()],
             ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
             body,
-            parallel: true,
         });
         let wn = g.add_access("Y");
         g.add_edge(rn, None, m, None, Memlet::all("X"));
@@ -988,19 +722,31 @@ mod tests {
         assert_eq!(report.tasklet_invocations, 5);
     }
 
+    /// The counters every execution path must agree on.
+    fn counters(r: &ExecutionReport) -> (u64, u64, u64) {
+        (r.tasklet_invocations, r.map_points, r.state_executions)
+    }
+
+    /// A large map gives the same bits and counters on the native kernel
+    /// (`Auto`) as on the sequential VM.
     #[test]
     fn parallel_map_matches_sequential() {
         let sdfg = scale_sdfg(2.0);
-        let n = (PARALLEL_MAP_THRESHOLD + 100) as i64;
-        let x = dace_tensor::random::uniform(&[n as usize], 1);
-        let mut ex = mk_session(&sdfg, &symbols(&[("N", n)])).unwrap();
-        ex.set_input("X", x.clone()).unwrap();
-        ex.run().unwrap();
-        let expected = x.scale(2.0);
-        assert!(dace_tensor::allclose_default(
-            ex.array("Y").unwrap(),
-            &expected
-        ));
+        let n = 8292usize;
+        let x = dace_tensor::random::uniform(&[n], 1);
+        let mut runs = Vec::new();
+        for path in [MapPath::Sequential, MapPath::Auto] {
+            let mut ex = mk_session(&sdfg, &symbols(&[("N", n as i64)])).unwrap();
+            ex.force_map_path(path);
+            ex.set_input("X", x.clone()).unwrap();
+            let report = ex.run().unwrap();
+            runs.push((ex.array("Y").unwrap().clone(), report));
+        }
+        assert!(dace_tensor::allclose_default(&runs[0].0, &x.scale(2.0)));
+        assert_eq!(runs[0].0.data(), runs[1].0.data());
+        assert_eq!(counters(&runs[0].1), counters(&runs[1].1));
+        assert_eq!(runs[0].1.specialized_dispatches, 0);
+        assert_eq!(runs[1].1.specialized_dispatches, 1);
     }
 
     /// A symbolic iteration domain whose point count overflows `usize` must
@@ -1008,6 +754,7 @@ mod tests {
     #[test]
     fn oversized_map_domain_is_a_typed_error() {
         let mut sdfg = Sdfg::new("huge");
+        sdfg.add_symbol("L0");
         sdfg.add_symbol("N");
         sdfg.add_array("X", ArrayDesc::input(vec![SymExpr::int(1)]))
             .unwrap();
@@ -1036,12 +783,11 @@ mod tests {
         let m = g.add_map(MapScope {
             params: vec!["i".into(), "j".into(), "k".into()],
             ranges: vec![
-                (SymExpr::int(0), SymExpr::sym("N")),
+                (SymExpr::sym("L"), SymExpr::sym("N")),
                 (SymExpr::int(0), SymExpr::sym("N")),
                 (SymExpr::int(0), SymExpr::sym("N")),
             ],
             body,
-            parallel: false,
         });
         let wn = g.add_access("Y");
         g.add_edge(rn, None, m, None, Memlet::all("X"));
@@ -1050,11 +796,19 @@ mod tests {
             name: "s".into(),
             graph: g,
         });
-        sdfg.cfg = ControlFlow::State(sid);
+        // The first range starts at a loop iterator, so only the executor
+        // (not lowering) ever sees its concrete extent.
+        sdfg.cfg = ControlFlow::Loop(LoopRegion {
+            var: "L".into(),
+            start: SymExpr::sym("L0"),
+            end: SymExpr::sym("L0").add_int(1),
+            step: SymExpr::int(1),
+            body: Box::new(ControlFlow::State(sid)),
+        });
 
         // 2^22 per dimension: the product 2^66 does not fit in a u64-sized
         // usize, and must error before any per-point work or allocation.
-        let mut ex = mk_session(&sdfg, &symbols(&[("N", 1 << 22)])).unwrap();
+        let mut ex = mk_session(&sdfg, &symbols(&[("L0", 0), ("N", 1 << 22)])).unwrap();
         ex.set_input("X", Tensor::from_vec(vec![1.0], &[1]).unwrap())
             .unwrap();
         let err = ex.run().unwrap_err();
@@ -1064,16 +818,27 @@ mod tests {
                 sizes: vec![1 << 22; 3],
             }
         );
+
+        // An extent that itself wraps `i64` (`N - L` with `L < 0`) is the
+        // same typed error, not a debug panic or a silently skipped map.
+        let mut ex = mk_session(&sdfg, &symbols(&[("L0", -5), ("N", i64::MAX)])).unwrap();
+        let err = ex.run().unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::MapDomainOverflow {
+                sizes: vec![usize::MAX, i64::MAX as usize, i64::MAX as usize],
+            }
+        );
     }
 
     /// The same kernel-eligible map must produce identical results and
-    /// identical counters on the native kernel (`Auto`) and both VM paths.
+    /// identical counters on the native kernel (`Auto`) and the VM.
     #[test]
     fn all_paths_report_identical_counters() {
         let x = dace_tensor::random::uniform(&[64], 9);
         let mut reports = Vec::new();
         let mut outputs = Vec::new();
-        for path in [MapPath::Auto, MapPath::Sequential, MapPath::Parallel] {
+        for path in [MapPath::Auto, MapPath::Sequential] {
             let sdfg = scale_sdfg(1.5);
             let mut ex = mk_session(&sdfg, &symbols(&[("N", 64)])).unwrap();
             ex.force_map_path(path);
@@ -1082,35 +847,28 @@ mod tests {
             outputs.push(ex.array("Y").unwrap().data().to_vec());
             reports.push(report);
         }
-        for r in &reports[1..] {
-            assert_eq!(r.tasklet_invocations, reports[0].tasklet_invocations);
-            assert_eq!(r.map_points, reports[0].map_points);
-            assert_eq!(r.state_executions, reports[0].state_executions);
-        }
+        assert_eq!(counters(&reports[0]), counters(&reports[1]));
         assert_eq!(reports[0].tasklet_invocations, 64);
-        for o in &outputs[1..] {
-            assert_eq!(o, &outputs[0], "paths disagree on results");
-        }
+        assert_eq!(outputs[0], outputs[1], "paths disagree on results");
     }
 
-    /// The dependence verdict of the single map node in `sdfg`'s plan.
+    /// The dependence verdict of the single map node of `sdfg` (what
+    /// lowering gates kernel attachment on).
     fn map_verdict(sdfg: &Sdfg, syms: &HashMap<String, i64>) -> ParVerdict {
-        let plan = crate::plan::compile_plan(sdfg, syms);
-        for st in &plan.states {
-            for n in &st.nodes {
-                if let PlanNode::Map(m) = n {
-                    return m.verdict.clone();
+        for st in &sdfg.states {
+            for n in &st.graph.nodes {
+                if let dace_sdfg::DfNode::MapScope(m) = n {
+                    return dace_sdfg::analyze_map(m, syms);
                 }
             }
         }
-        panic!("no map node in lowered plan");
+        panic!("no map node in the SDFG");
     }
 
-    /// A parallel map accumulating into a fixed element (`A[0] = A[0] + X[i]`
-    /// without WCR) passed the old syntactic heuristic and raced across
-    /// workers.  The dependence analyzer classifies it `Race` and forces the
-    /// sequential path, so results are bit-identical however the path is
-    /// requested.
+    /// A map accumulating into a fixed element (`A[0] = A[0] + X[i]` without
+    /// WCR) carries a cross-iteration dependence.  The dependence analyzer
+    /// classifies it `Race`, so no kernel attaches and `Auto` runs the
+    /// sequential VM: bit-identical however the path is requested.
     #[test]
     fn fixed_element_rmw_map_is_forced_sequential() {
         let build = || {
@@ -1153,7 +911,6 @@ mod tests {
                 params: vec!["i".into()],
                 ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
                 body,
-                parallel: true,
             });
             let wn = g.add_access("A");
             g.add_edge(rn, None, m, None, Memlet::all("X"));
@@ -1172,23 +929,29 @@ mod tests {
 
         let x = dace_tensor::random::uniform(&[n], 17);
         let mut outs = Vec::new();
-        for path in [MapPath::Sequential, MapPath::Parallel] {
+        let mut reports = Vec::new();
+        for path in [MapPath::Sequential, MapPath::Auto] {
             let mut ex = mk_session(&build(), &syms).unwrap();
             ex.force_map_path(path);
             ex.set_input("X", x.clone()).unwrap();
             ex.set_input("A", Tensor::from_vec(vec![10.0], &[1]).unwrap())
                 .unwrap();
-            ex.run().unwrap();
+            reports.push(ex.run().unwrap());
             outs.push(ex.array("A").unwrap().data().to_vec());
         }
-        assert_eq!(outs[0], outs[1], "forced-parallel RMW diverged");
+        assert_eq!(outs[0], outs[1], "RMW diverged across paths");
+        assert_eq!(counters(&reports[0]), counters(&reports[1]));
+        assert_eq!(
+            reports[1].specialized_dispatches, 0,
+            "a Race map ran on the kernel"
+        );
         // And the value really is the sequential accumulation.
         let expected = x.data().iter().fold(10.0, |a, &v| a + v);
         assert_eq!(outs[0][0], expected);
     }
 
-    /// A parallel map writing a whole-array (scalar) subset every iteration
-    /// is likewise a race: last-iteration-wins only holds sequentially.
+    /// A map writing a whole-array (scalar) subset every iteration is
+    /// likewise a race: last-iteration-wins only holds sequentially.
     #[test]
     fn whole_array_write_map_is_forced_sequential() {
         let build = || {
@@ -1216,7 +979,6 @@ mod tests {
                 params: vec!["i".into()],
                 ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
                 body,
-                parallel: true,
             });
             let wn = g.add_access("S");
             g.add_edge(rn, None, m, None, Memlet::all("X"));
@@ -1232,20 +994,27 @@ mod tests {
         let syms = symbols(&[("N", n as i64)]);
         assert!(matches!(map_verdict(&build(), &syms), ParVerdict::Race(_)));
         let x = dace_tensor::random::uniform(&[n], 23);
-        for path in [MapPath::Sequential, MapPath::Parallel] {
+        let mut reports = Vec::new();
+        for path in [MapPath::Sequential, MapPath::Auto] {
             let mut ex = mk_session(&build(), &syms).unwrap();
             ex.force_map_path(path);
             ex.set_input("X", x.clone()).unwrap();
-            ex.run().unwrap();
+            reports.push(ex.run().unwrap());
             // Sequential semantics: the last iteration's value sticks.
             assert_eq!(ex.array("S").unwrap().data(), &[x.data()[n - 1]]);
         }
+        assert_eq!(counters(&reports[0]), counters(&reports[1]));
+        assert_eq!(
+            reports[1].specialized_dispatches, 0,
+            "a Race map ran on the kernel"
+        );
     }
 
     /// A strided injective write (`A[2*i+1]`) fed by a *ranged* read
-    /// (`X[i:i+1]`) was kept sequential by the old heuristic (any non-element
-    /// subset edge failed it).  The analyzer proves it `Safe`, so the map now
-    /// takes the parallel path — with bit-identical results.
+    /// (`X[i:i+1]`) was kept off every fast path by the old syntactic
+    /// heuristic (any non-element subset edge failed it).  The analyzer
+    /// proves it `Safe`, so the map kernel attaches — with results
+    /// bit-identical to the VM.
     #[test]
     fn strided_injective_map_is_newly_parallel() {
         let build = || {
@@ -1287,7 +1056,6 @@ mod tests {
                 params: vec!["i".into()],
                 ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
                 body,
-                parallel: true,
             });
             let wn = g.add_access("A");
             g.add_edge(rn, None, m, None, Memlet::all("X"));
@@ -1305,15 +1073,18 @@ mod tests {
 
         let x = dace_tensor::random::uniform(&[n], 41);
         let mut outs = Vec::new();
-        for path in [MapPath::Sequential, MapPath::Parallel] {
+        let mut reports = Vec::new();
+        for path in [MapPath::Sequential, MapPath::Auto] {
             let mut ex = mk_session(&build(), &syms).unwrap();
             ex.force_map_path(path);
             ex.set_input("X", x.clone()).unwrap();
             ex.set_input("A", Tensor::zeros(&[2 * n + 1])).unwrap();
-            ex.run().unwrap();
+            reports.push(ex.run().unwrap());
             outs.push(ex.array("A").unwrap().data().to_vec());
         }
-        assert_eq!(outs[0], outs[1], "parallel strided write diverged");
+        assert_eq!(outs[0], outs[1], "kernel strided write diverged");
+        assert_eq!(counters(&reports[0]), counters(&reports[1]));
+        assert_eq!(reports[1].specialized_dispatches, 1);
         for (k, &v) in outs[0].iter().enumerate() {
             if k % 2 == 1 {
                 assert_eq!(v, x.data()[(k - 1) / 2] * 3.0);
@@ -1324,10 +1095,8 @@ mod tests {
     }
 
     /// A WCR-sum accumulation into one element is a `Reduction`: admitted to
-    /// the parallel path and bit-identical to sequential accumulation (the
-    /// buffered writes apply in flat iteration order).  Under
-    /// `--features race-check` this also exercises the dynamic detector on
-    /// an accumulate-only overlap, which it must accept.
+    /// the map kernel and bit-identical to the VM's accumulation (the kernel
+    /// walks the domain in the VM's odometer order).
     #[test]
     fn wcr_reduction_map_is_parallel_and_bit_identical() {
         let build = || {
@@ -1357,7 +1126,6 @@ mod tests {
                 params: vec!["i".into()],
                 ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
                 body,
-                parallel: true,
             });
             let wn = g.add_access("A");
             g.add_edge(rn, None, m, None, Memlet::all("X"));
@@ -1374,20 +1142,23 @@ mod tests {
         assert_eq!(map_verdict(&build(), &syms), ParVerdict::Reduction);
         let x = dace_tensor::random::uniform(&[n], 7);
         let mut outs = Vec::new();
-        for path in [MapPath::Sequential, MapPath::Parallel] {
+        let mut reports = Vec::new();
+        for path in [MapPath::Sequential, MapPath::Auto] {
             let mut ex = mk_session(&build(), &syms).unwrap();
             ex.force_map_path(path);
             ex.set_input("X", x.clone()).unwrap();
             ex.set_input("A", Tensor::zeros(&[1])).unwrap();
-            ex.run().unwrap();
+            reports.push(ex.run().unwrap());
             outs.push(ex.array("A").unwrap().data().to_vec());
         }
         assert_eq!(outs[0], outs[1], "WCR reduction diverged across paths");
+        assert_eq!(counters(&reports[0]), counters(&reports[1]));
+        assert_eq!(reports[1].specialized_dispatches, 1);
     }
 
     /// A tasklet with two out-edges must count as ONE evaluation per index
-    /// point on every path (the parallel path used to count buffered writes,
-    /// i.e. two per point).
+    /// point on every path (evaluations, not writes, which are two per
+    /// point).
     #[test]
     fn multi_output_tasklet_counts_evaluations_not_writes() {
         let build = || {
@@ -1435,7 +1206,6 @@ mod tests {
                 params: vec!["i".into()],
                 ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
                 body,
-                parallel: true,
             });
             let wn = g.add_access("Y");
             let zn = g.add_access("Z");
@@ -1452,7 +1222,7 @@ mod tests {
         let x = dace_tensor::random::uniform(&[100], 4);
         let mut reports = Vec::new();
         let mut ys = Vec::new();
-        for path in [MapPath::Sequential, MapPath::Parallel] {
+        for path in [MapPath::Sequential, MapPath::Auto] {
             let sdfg = build();
             let mut ex = mk_session(&sdfg, &symbols(&[("N", 100)])).unwrap();
             ex.force_map_path(path);
@@ -1466,8 +1236,10 @@ mod tests {
         assert_eq!(reports[0].tasklet_invocations, 100);
         assert_eq!(
             reports[1].tasklet_invocations, 100,
-            "parallel path must count tasklet evaluations, not buffered writes"
+            "the kernel must count tasklet evaluations, not writes"
         );
+        assert_eq!(counters(&reports[0]), counters(&reports[1]));
+        assert_eq!(reports[1].specialized_dispatches, 1);
         assert_eq!(ys[0], ys[1]);
     }
 
@@ -1721,7 +1493,6 @@ mod tests {
                 params: vec!["i".into()],
                 ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
                 body,
-                parallel: true,
             });
             let wn = g.add_access(dst);
             g.add_edge(rn, None, m, None, Memlet::all(src));
@@ -1948,7 +1719,6 @@ mod tests {
             params: vec!["i".into()],
             ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
             body,
-            parallel: true,
         });
         let wn = g.add_access("Y");
         g.add_edge(rn, None, m, None, Memlet::all("T"));

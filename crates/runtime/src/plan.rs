@@ -402,7 +402,7 @@ pub enum KernelMiss {
 pub enum MapStrategy {
     /// The N-D affine map kernel (the VM stays the per-dispatch fallback).
     Kernel,
-    /// The register VM, sequential or snapshot-parallel by verdict and size.
+    /// The sequential register VM.
     Vm(KernelMiss),
 }
 
@@ -435,12 +435,6 @@ pub(crate) struct PlanMap {
     pub body: PlanGraph,
     /// Arrays referenced by the body (pre-allocated before iteration).
     pub referenced: Vec<u32>,
-    pub parallel: bool,
-    /// Affine dependence verdict gating the kernel and the snapshot-based
-    /// parallel path.
-    pub verdict: ParVerdict,
-    /// Tasklet count of one body execution (for invocation accounting).
-    pub body_tasklets: u64,
     /// The attached N-D affine kernel, or why the map stays on the VM.
     pub kernel: Result<MapKernel, KernelMiss>,
     /// Index points of one execution under the plan's symbol values (`None`
@@ -892,17 +886,10 @@ impl Lowerer {
             referenced.push(self.array(&name)?);
         }
         let body = self.lower_graph(&map.body);
-        // The affine dependence analyzer replaces the old syntactic
-        // `parallel_safe` heuristic: it rejects provably racy bodies (fixed
-        // element or whole-array writes) and admits provably injective
-        // strided/offset writes the heuristic had no way to reason about.
+        // The affine dependence verdict gates kernel attachment: it rejects
+        // provably racy bodies (fixed element or whole-array writes) and
+        // admits provably injective strided/offset writes.
         let verdict = dace_sdfg::analyze_map(map, &self.bindings);
-        let body_tasklets = map
-            .body
-            .nodes
-            .iter()
-            .filter(|n| matches!(n, DfNode::Tasklet(_)))
-            .count() as u64;
         let kernel = self.recognize_map_kernel(map, &params, &body, &verdict);
         let points = map.ranges.iter().try_fold(1u64, |acc, (s, e)| {
             let (lo, hi) = (s.eval(&self.bindings).ok()?, e.eval(&self.bindings).ok()?);
@@ -913,9 +900,6 @@ impl Lowerer {
             ranges,
             body,
             referenced,
-            parallel: map.parallel,
-            verdict,
-            body_tasklets,
             kernel,
             points,
         })
@@ -923,8 +907,8 @@ impl Lowerer {
 
     /// Recognize the N-D affine map kernel: a verdict that allows parallel
     /// execution (no iteration reads what another writes, so the kernel's
-    /// sequential nest, the sequential VM and the snapshot-parallel VM all
-    /// agree), a body of access nodes plus one tasklet, every memlet affine
+    /// nest agrees with the VM), a body of access nodes plus one tasklet,
+    /// every memlet affine
     /// in the map parameters, and reads of a written array only at the index
     /// it is written at.  `params` are the parameters' symbol slots and
     /// `lowered` the lowered form of `map.body`; the two graphs correspond

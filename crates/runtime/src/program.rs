@@ -625,8 +625,7 @@ impl Session {
 
     /// Force the specialized-kernel dispatch mode (testing/instrumentation
     /// knob mirroring [`Session::force_map_path`]; see [`crate::SpecMode`]).
-    /// Defaults to the `DACE_SPEC` environment variable (`off`/`on`), else
-    /// profile-guided `Auto`.
+    /// Defaults to `Auto`.
     pub fn force_specialization(&mut self, mode: crate::SpecMode) {
         self.st.spec_mode = mode;
     }

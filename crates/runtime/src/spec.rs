@@ -37,13 +37,11 @@
 //!   (see `docs/verification.md`); the map kernel admits such reads only at
 //!   the very index that is written.  Anything else stays on the VM.
 //!
-//! Loop-kernel dispatch is profile-guided ([`SpecMode::Auto`]): a site runs
-//! on the VM for its first [`SPEC_UPGRADE_THRESHOLD`] dispatch
-//! opportunities, then self-upgrades.  The map kernel has no warm-up to buy
-//! (its validation is a few corner checks per access) and dispatches on
-//! every map execution.  [`SpecMode::ForceOn`] / [`SpecMode::ForceOff`] (or
-//! `DACE_SPEC=on|off`) pin the choice for A/B testing, mirroring
-//! [`crate::MapPath`]; `ForceOff` is pure register-VM execution.
+//! The dispatch rule is the same for both: run the kernel lowering attached
+//! if its per-dispatch validation passes (a few corner checks per access),
+//! otherwise the sequential register VM — from the first opportunity on.
+//! [`SpecMode::ForceOff`] pins pure register-VM execution, the reference the
+//! bit-identity tests compare against, mirroring [`crate::MapPath`].
 
 use dace_tensor::Tensor;
 
@@ -51,35 +49,15 @@ use crate::error::RuntimeResult;
 use crate::executor::{RunState, Scratch};
 use crate::plan::{ExecPlan, MapExpr, MapKernel, SpecAccess};
 
-/// Number of dispatch opportunities a specialization site spends on the VM
-/// before [`SpecMode::Auto`] upgrades it to the specialized loop.  Cold
-/// sites keep the VM's lazy validation and pay no specialization cost.
-pub(crate) const SPEC_UPGRADE_THRESHOLD: u64 = 3;
-
-/// Specialized-kernel dispatch control: the [`crate::MapPath`]-style force
-/// knob of the specialization tier (`Session::force_specialization`).
+/// Specialized-kernel dispatch control, a test switch in the style of
+/// [`crate::MapPath`] (`Session::force_specialization`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpecMode {
-    /// Profile-guided: each site upgrades to its specialized loop after a
-    /// fixed number of VM executions.
+    /// Dispatch every attached kernel whose validation passes.
     #[default]
     Auto,
-    /// Dispatch specialized kernels whenever structurally recognized.
-    ForceOn,
     /// Never dispatch specialized kernels (pure register-VM execution).
     ForceOff,
-}
-
-impl SpecMode {
-    /// Initial mode from the `DACE_SPEC` environment variable: `off`, `on`,
-    /// or anything else (including unset) for `Auto`.
-    pub(crate) fn from_env() -> Self {
-        match std::env::var("DACE_SPEC").as_deref() {
-            Ok("off") => SpecMode::ForceOff,
-            Ok("on") => SpecMode::ForceOn,
-            _ => SpecMode::Auto,
-        }
-    }
 }
 
 /// One access flattened against its layout for a concrete `[start, end)`
@@ -117,24 +95,6 @@ struct MapDst {
 }
 
 impl RunState {
-    /// Whether a specialization site should dispatch now, advancing its
-    /// profile counter in `Auto` mode.
-    pub(crate) fn spec_should_dispatch(&mut self, spec_id: u32) -> bool {
-        match self.spec_mode {
-            SpecMode::ForceOff => false,
-            SpecMode::ForceOn => true,
-            SpecMode::Auto => {
-                let count = &mut self.spec_exec_counts[spec_id as usize];
-                if *count >= SPEC_UPGRADE_THRESHOLD {
-                    true
-                } else {
-                    *count += 1;
-                    false
-                }
-            }
-        }
-    }
-
     /// Flatten one access over the box `lows[p] ..= lasts[p]` of its
     /// iteration variables: evaluate the loop-invariant index parts,
     /// bounds-check the extreme corners per dimension (which covers every

@@ -1,12 +1,12 @@
 //! Affine dependence and race analysis for map scopes.
 //!
 //! [`analyze_map`] decides whether a map body may execute its iterations
-//! concurrently, replacing the old syntactic `parallel_safe` heuristic in
-//! the runtime.  The model matches the runtime's parallel map path exactly:
-//! every iteration evaluates tasklets against an immutable snapshot of the
-//! arrays and buffers its writes, which are applied afterwards in flat
-//! iteration order.  Concurrent execution is therefore bit-identical to
-//! sequential execution iff
+//! concurrently; the runtime attaches its native map kernel only to maps
+//! that pass.  The model is snapshot execution: every iteration evaluates
+//! tasklets against an immutable snapshot of the arrays and buffers its
+//! writes, which are applied afterwards in flat iteration order.
+//! Concurrent execution is therefore bit-identical to sequential execution
+//! iff
 //!
 //! * no iteration *reads* a location that a different iteration writes
 //!   (snapshot reads would observe the pre-map value instead), and
@@ -45,8 +45,8 @@ pub enum ParVerdict {
     /// bit-identical to sequential execution.
     Safe,
     /// The only cross-iteration conflicts are `Wcr::Sum` accumulations
-    /// into common locations; the runtime applies buffered accumulations
-    /// in iteration order, so parallel execution stays bit-identical.
+    /// into common locations; applied in iteration order, parallel
+    /// execution stays bit-identical.
     Reduction,
     /// A conflicting access pair was proven: parallel execution would
     /// diverge from sequential execution.
@@ -57,7 +57,8 @@ pub enum ParVerdict {
 }
 
 impl ParVerdict {
-    /// Whether the runtime may take the snapshot-based parallel path.
+    /// Whether iterations are independent enough to reorder or run
+    /// concurrently (the runtime's precondition for the map kernel).
     pub fn allows_parallel(&self) -> bool {
         matches!(self, ParVerdict::Safe | ParVerdict::Reduction)
     }
@@ -248,8 +249,8 @@ enum PairRelation {
 /// iterators may be absent; anything unresolved degrades toward
 /// [`ParVerdict::Unknown`], never toward an unsound `Safe`).
 pub fn analyze_map(map: &MapScope, bindings: &HashMap<String, i64>) -> ParVerdict {
-    // The runtime's parallel body evaluator executes tasklets only; a body
-    // with nested maps or library nodes must never take the parallel path.
+    // The model covers tasklet-only bodies; a body with nested maps or
+    // library nodes is never admitted.
     if !map
         .body
         .nodes
@@ -303,9 +304,9 @@ pub fn analyze_map(map: &MapScope, bindings: &HashMap<String, i64>) -> ParVerdic
         let src_tasklet = matches!(map.body.nodes[e.src], DfNode::Tasklet(_));
         let dst_tasklet = matches!(map.body.nodes[e.dst], DfNode::Tasklet(_));
         if !src_tasklet && !dst_tasklet {
-            // Access-to-access copies are inert in this runtime (neither
-            // the sequential nor the parallel body evaluator moves data for
-            // them), but be conservative about shapes we don't model.
+            // Access-to-access copies are inert in this runtime (the body
+            // evaluator moves no data for them), but be conservative about
+            // shapes we don't model.
             return ParVerdict::Unknown;
         }
         let mk = |topo_node: usize| Access {
@@ -687,7 +688,6 @@ mod tests {
             params: vec!["i".into()],
             ranges: vec![(SymExpr::int(lo), SymExpr::int(hi))],
             body,
-            parallel: true,
         }
     }
 
@@ -835,7 +835,7 @@ mod tests {
     #[test]
     fn same_iteration_read_after_write_is_race() {
         // t1 writes A[i]; t2 reads A[i] afterwards.  Sequentially t2 sees
-        // t1's value; the parallel path reads the pre-map snapshot.
+        // t1's value; a snapshot read sees the pre-map value.
         let mut g = DataflowGraph::new();
         let t1 = g.add_tasklet(Tasklet::new("t1", "o", ScalarExpr::input("x")));
         let t2 = g.add_tasklet(Tasklet::new("t2", "o", ScalarExpr::input("x")));
@@ -875,7 +875,6 @@ mod tests {
                 (SymExpr::int(0), SymExpr::int(4)),
             ],
             body: g,
-            parallel: true,
         };
         assert!(matches!(
             analyze_map(&m, &bindings(&[])),
@@ -897,7 +896,6 @@ mod tests {
                 (SymExpr::int(0), SymExpr::int(64)),
             ],
             body: g,
-            parallel: true,
         };
         assert_eq!(analyze_map(&m, &bindings(&[])), ParVerdict::Safe);
     }
@@ -1079,7 +1077,6 @@ mod proptests {
                     (SymExpr::int(lo1), SymExpr::int(lo1 + n1)),
                 ],
                 body: g,
-                parallel: true,
             };
 
             let verdict = analyze_map(&map, &HashMap::new());

@@ -69,10 +69,6 @@ pub struct MapScope {
     pub ranges: Vec<(SymExpr, SymExpr)>,
     /// The nested dataflow body executed once per index point.
     pub body: DataflowGraph,
-    /// Whether iterations may execute in parallel (no loop-carried
-    /// dependencies).  The frontend sets this; the runtime uses rayon when
-    /// it is true and the body's writes are disjoint per iteration.
-    pub parallel: bool,
 }
 
 /// A node of a dataflow graph.
@@ -420,7 +416,6 @@ mod tests {
             params: vec!["i".into()],
             ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
             body,
-            parallel: true,
         });
         assert!(g.reads().contains_key("X"));
         assert!(g.writes().contains_key("Y"));
@@ -456,7 +451,6 @@ mod tests {
             params: vec!["i".into()],
             ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
             body,
-            parallel: true,
         });
         let mut bind = HashMap::new();
         bind.insert("N".to_string(), 100);

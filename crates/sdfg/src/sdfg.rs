@@ -290,10 +290,6 @@ pub enum SdfgError {
     UnknownArray(String),
     /// An array is declared twice.
     DuplicateArray(String),
-    /// A state id in the control flow is out of range.
-    UnknownState(usize),
-    /// A dataflow graph contains a cycle.
-    CyclicState(String),
     /// Generic validation failure.
     Invalid(String),
 }
@@ -303,8 +299,6 @@ impl fmt::Display for SdfgError {
         match self {
             SdfgError::UnknownArray(a) => write!(f, "unknown array `{a}`"),
             SdfgError::DuplicateArray(a) => write!(f, "array `{a}` declared twice"),
-            SdfgError::UnknownState(i) => write!(f, "control flow references unknown state {i}"),
-            SdfgError::CyclicState(s) => write!(f, "state `{s}` has a cyclic dataflow graph"),
             SdfgError::Invalid(m) => write!(f, "invalid SDFG: {m}"),
         }
     }
@@ -404,7 +398,7 @@ impl Sdfg {
     }
 
     // Structural validation lives in `crate::verify`: `validate()` returns
-    // located diagnostics, `validate_strict()` the legacy typed error.
+    // located diagnostics.
 
     /// Human-readable multi-line description (used in docs and debugging).
     pub fn describe(&self) -> String {
@@ -429,6 +423,7 @@ impl Sdfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::DiagCode;
 
     #[test]
     fn array_descriptor_sizes() {
@@ -469,20 +464,20 @@ mod tests {
         state.graph.add_access("missing");
         let id = s.add_state(state);
         s.cfg = ControlFlow::State(id);
-        assert!(matches!(
-            s.validate_strict(),
-            Err(SdfgError::UnknownArray(_))
-        ));
+        assert!(s
+            .validate()
+            .iter()
+            .any(|d| matches!(&d.code, DiagCode::UnknownArray(a) if a == "missing")));
     }
 
     #[test]
     fn validate_detects_unknown_state() {
         let mut s = Sdfg::new("p");
         s.cfg = ControlFlow::State(3);
-        assert!(matches!(
-            s.validate_strict(),
-            Err(SdfgError::UnknownState(3))
-        ));
+        assert!(s
+            .validate()
+            .iter()
+            .any(|d| d.code == DiagCode::UnknownState(3)));
     }
 
     #[test]

@@ -23,16 +23,13 @@
 //!   without connectors (the runtime reports these lazily, and only if the
 //!   state is ever executed); memlets whose `data` disagrees with the
 //!   access node they attach to; constant zero loop steps.
-//!
-//! The legacy typed interface survives as [`Sdfg::validate_strict`], which
-//! maps the first error diagnostic back onto [`SdfgError`].
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::graph::{DataflowGraph, DfNode, NodeId};
 use crate::memlet::IndexRange;
-use crate::sdfg::{CondExpr, CondOperand, ControlFlow, Sdfg, SdfgError};
+use crate::sdfg::{CondExpr, CondOperand, ControlFlow, Sdfg};
 use crate::symexpr::SymExpr;
 
 /// How severe a [`Diagnostic`] is.
@@ -545,7 +542,7 @@ impl Sdfg {
     /// An empty result means the structure is sound; entries with
     /// [`Severity::Error`] make the SDFG unexecutable and are rejected by
     /// the runtime's `compile()`.  See the module docs for the severity
-    /// policy and [`Sdfg::validate_strict`] for the legacy typed interface.
+    /// policy.
     pub fn validate(&self) -> Vec<Diagnostic> {
         let mut known_syms: BTreeSet<String> = self.symbols.iter().cloned().collect();
         known_syms.extend(self.cfg.loop_iterators());
@@ -586,23 +583,6 @@ impl Sdfg {
             v.check_graph(&st.graph, sid, &mut scope);
         }
         v.diags
-    }
-
-    /// Validate and map the first error diagnostic onto the legacy typed
-    /// [`SdfgError`].  Warnings never fail this check.
-    pub fn validate_strict(&self) -> Result<(), SdfgError> {
-        for d in self.validate() {
-            if d.severity != Severity::Error {
-                continue;
-            }
-            return Err(match d.code {
-                DiagCode::UnknownState(id) => SdfgError::UnknownState(id),
-                DiagCode::CyclicState(name) => SdfgError::CyclicState(name),
-                DiagCode::UnknownArray(name) => SdfgError::UnknownArray(name),
-                _ => SdfgError::Invalid(d.message),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -713,7 +693,6 @@ mod tests {
             params: vec!["i".into(), "i".into()],
             ranges: vec![(SymExpr::int(0), SymExpr::int(4))],
             body,
-            parallel: true,
         });
         let (mut s, _) = one_state(g);
         s.add_array("A", ArrayDesc::input(vec![SymExpr::int(4)]))
@@ -765,7 +744,6 @@ mod tests {
             params: vec!["i".into()],
             ranges: vec![(SymExpr::int(0), SymExpr::int(4))],
             body,
-            parallel: true,
         });
         let (mut s, _) = one_state(g);
         s.add_array("A", ArrayDesc::input(vec![SymExpr::int(4)]))

@@ -27,8 +27,7 @@
 //!   are no views, broadcasts or negative strides to reason about.
 //! * [`Tensor`] is plain owned data (`Vec<f64>` + shape), hence `Send` and
 //!   `Sync`; `dace-runtime` relies on this to move tensors between pooled
-//!   sessions and worker threads and to share read-only snapshots during
-//!   parallel map execution.
+//!   sessions and worker threads.
 //! * [`allclose`] follows NumPy semantics, including non-finite handling:
 //!   `NaN != NaN`, and infinities match only with equal signs.
 //!

@@ -69,7 +69,11 @@ fn gradient_program_is_a_single_valid_sdfg() {
     )
     .unwrap();
     let plan = engine.plan();
-    plan.sdfg.validate_strict().unwrap();
+    assert!(plan
+        .sdfg
+        .validate()
+        .iter()
+        .all(|d| d.severity != dace_ad_repro::sdfg::Severity::Error));
     assert!(plan.backward_start_index > 0);
     assert_eq!(plan.output, "OUT");
 }

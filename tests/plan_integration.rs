@@ -112,9 +112,9 @@ fn plan_execution_cross_validates_against_jax_baseline() {
     }
 }
 
-/// The forced sequential path must agree bit-for-bit with the auto-selected
-/// (element-wise / parallel) paths on a full forward SDFG, and report the
-/// same memory peak.
+/// The forced sequential VM must agree bit-for-bit with the auto-selected
+/// path (the map kernel where attached) on a full forward SDFG, and report
+/// the same memory peak.
 #[test]
 fn forced_sequential_path_matches_auto_on_golden_forward_passes() {
     for name in KERNELS {

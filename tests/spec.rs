@@ -2,32 +2,31 @@
 //!
 //! The plan compiler recognizes dominant kernel shapes (affine elementwise
 //! bodies, fixed-radius stencils, reduction/contraction bodies) in unit-step
-//! innermost loops and dispatches them to monomorphized native loops after a
-//! profile-guided warm-up, and attaches the N-D affine map kernel to every
-//! single-tasklet affine map its dependence verdict admits (see
-//! `crates/runtime/src/spec.rs`).  These tests pin down the tier's contract:
+//! innermost loops and dispatches them to monomorphized native loops, and
+//! attaches the N-D affine map kernel to every single-tasklet affine map its
+//! dependence verdict admits (see `crates/runtime/src/spec.rs`).  These
+//! tests pin down the tier's contract:
 //!
 //! * the specialized path is **bit-identical** to the register VM on every
-//!   loop kernel of the paper's evaluation, on the gradient programs of the
-//!   eight BLAS kernels, and on randomly generated affine bodies — loop
+//!   loop kernel of the paper's evaluation, on the gradient programs of all
+//!   fifteen kernels, and on randomly generated affine bodies — loop
 //!   nests (random offsets, scale factors and aliasing, including reads of
 //!   the written array) and 2-/3-parameter maps (permuted, partial, constant
 //!   and offset indices, WCR and plain writes, multi-assignment tasklets);
 //! * execution counters (`tasklet_invocations`, `state_executions`,
-//!   `map_points`) are identical across `SpecMode::{Auto, ForceOn,
-//!   ForceOff}`, mirroring the `MapPath` parity guarantees;
-//! * `ForceOn` actually dispatches specialized kernels on the figure loop
-//!   kernels and on the map kernels (the recognizers cover them), every
-//!   large map of the BLAS gradient programs attaches the map kernel, and
-//!   `Auto` self-upgrades loop sites after the warm-up threshold without
-//!   changing results;
+//!   `map_points`) are identical across `SpecMode::{Auto, ForceOff}`,
+//!   mirroring the `MapPath` parity guarantees;
+//! * `Auto` actually dispatches specialized kernels on the figure loop
+//!   kernels and on the map kernels (the recognizers cover them) from the
+//!   first opportunity on, and every large map of the BLAS gradient
+//!   programs attaches the map kernel;
 //! * a map whose access leaves its array falls back to the VM and fails
 //!   exactly as the VM does, partial writes included.
 
 use std::collections::HashMap;
 
 use dace_ad_repro::frontend::{elem, lit};
-use dace_ad_repro::npbench::{kernel_by_name, Preset};
+use dace_ad_repro::npbench::{all_kernels, kernel_by_name, Preset};
 use dace_ad_repro::prelude::*;
 use dace_ad_repro::runtime::{MapStrategy, SpecMode};
 use dace_ad_repro::sdfg::Sdfg;
@@ -77,7 +76,6 @@ fn specialized_path_is_bit_identical_on_loop_kernels() {
         let sdfg = kernel.build_dace(&sizes);
 
         let (off_arrays, off_report) = run_forward(&sdfg, &symbols, &inputs, SpecMode::ForceOff);
-        let (on_arrays, on_report) = run_forward(&sdfg, &symbols, &inputs, SpecMode::ForceOn);
         let (auto_arrays, auto_report) = run_forward(&sdfg, &symbols, &inputs, SpecMode::Auto);
 
         assert_eq!(
@@ -85,39 +83,33 @@ fn specialized_path_is_bit_identical_on_loop_kernels() {
             "{name}: ForceOff dispatched"
         );
         assert!(
-            on_report.specialized_dispatches > 0,
-            "{name}: ForceOn never dispatched a specialized kernel"
+            auto_report.specialized_dispatches > 0,
+            "{name}: Auto never dispatched a specialized kernel"
         );
         for (arr, off_bits) in &off_arrays {
             assert_eq!(
-                off_bits, &on_arrays[arr],
+                off_bits, &auto_arrays[arr],
                 "{name}: specialized {arr} differs from the VM"
             );
-            assert_eq!(
-                off_bits, &auto_arrays[arr],
-                "{name}: auto-mode {arr} differs from the VM"
-            );
         }
-        for (label, report) in [("ForceOn", &on_report), ("Auto", &auto_report)] {
-            assert_eq!(
-                off_report.tasklet_invocations, report.tasklet_invocations,
-                "{name}: {label} tasklet counter diverged"
-            );
-            assert_eq!(
-                off_report.state_executions, report.state_executions,
-                "{name}: {label} state counter diverged"
-            );
-            assert_eq!(
-                off_report.map_points, report.map_points,
-                "{name}: {label} map-point counter diverged"
-            );
-        }
+        assert_eq!(
+            off_report.tasklet_invocations, auto_report.tasklet_invocations,
+            "{name}: tasklet counter diverged"
+        );
+        assert_eq!(
+            off_report.state_executions, auto_report.state_executions,
+            "{name}: state counter diverged"
+        );
+        assert_eq!(
+            off_report.map_points, auto_report.map_points,
+            "{name}: map-point counter diverged"
+        );
     }
 }
 
 /// The forward map/library kernels run their maps on the N-D map kernel
-/// under `ForceOn` and `Auto` and on the VM under `ForceOff`: identical
-/// outputs and counters either way, and the kernel actually fires.
+/// under `Auto` and on the VM under `ForceOff`: identical outputs and
+/// counters either way, and the kernel actually fires.
 #[test]
 fn map_kernels_are_bit_identical_across_spec_modes() {
     for name in BLAS_KERNELS {
@@ -131,27 +123,26 @@ fn map_kernels_are_bit_identical_across_spec_modes() {
         let maps = compile(&sdfg, &symbols).unwrap().map_strategies().len() as u64;
         let (off_arrays, off_report) = run_forward(&sdfg, &symbols, &inputs, SpecMode::ForceOff);
         assert_eq!(off_report.specialized_dispatches, 0, "{name}: ForceOff");
-        for mode in [SpecMode::ForceOn, SpecMode::Auto] {
-            let (arrays, report) = run_forward(&sdfg, &symbols, &inputs, mode);
-            assert_eq!(report.specialized_dispatches, maps, "{name} [{mode:?}]");
-            for (arr, off_bits) in &off_arrays {
-                assert_eq!(off_bits, &arrays[arr], "{name} [{mode:?}]: {arr} differs");
-            }
-            assert_eq!(off_report.tasklet_invocations, report.tasklet_invocations);
-            assert_eq!(off_report.state_executions, report.state_executions);
-            assert_eq!(off_report.map_points, report.map_points);
+        let (arrays, report) = run_forward(&sdfg, &symbols, &inputs, SpecMode::Auto);
+        assert_eq!(report.specialized_dispatches, maps, "{name}");
+        for (arr, off_bits) in &off_arrays {
+            assert_eq!(off_bits, &arrays[arr], "{name}: {arr} differs");
         }
+        assert_eq!(off_report.tasklet_invocations, report.tasklet_invocations);
+        assert_eq!(off_report.state_executions, report.state_executions);
+        assert_eq!(off_report.map_points, report.map_points);
     }
 }
 
-/// The gradient programs `GradientEngine` compiles for the eight BLAS
-/// kernels — outer-product, transpose- and broadcast-accumulate maps and the
-/// multi-assignment adjoint tasklets of reversed elementwise maps — produce
-/// bitwise the VM's gradients on the map kernel, with equal counters.
+/// The gradient programs `GradientEngine` compiles for all fifteen kernels
+/// — the BLAS kernels' outer-product, transpose- and broadcast-accumulate
+/// maps and the multi-assignment adjoint tasklets of reversed elementwise
+/// maps, and the loop kernels' reversed loop nests — produce bitwise the
+/// VM's gradients on the native kernels, with equal counters.
 #[test]
 fn blas_gradients_are_bit_identical_on_the_map_kernel() {
-    for name in BLAS_KERNELS {
-        let kernel = kernel_by_name(name).unwrap();
+    for kernel in all_kernels() {
+        let name = kernel.name();
         let sizes = kernel.sizes(Preset::Test);
         let symbols = kernel.symbols(&sizes);
         let inputs = kernel.inputs(&sizes);
@@ -177,7 +168,7 @@ fn blas_gradients_are_bit_identical_on_the_map_kernel() {
             (grads, report)
         };
         let (off_grads, off) = run(SpecMode::ForceOff);
-        let (on_grads, on) = run(SpecMode::ForceOn);
+        let (on_grads, on) = run(SpecMode::Auto);
         assert_eq!(off.specialized_dispatches, 0, "{name}: ForceOff dispatched");
         assert!(on.specialized_dispatches > 0, "{name}: kernel never fired");
         assert_eq!(off_grads, on_grads, "{name}: gradient differs from the VM");
@@ -291,7 +282,7 @@ fn out_of_range_map_falls_back_to_the_vm_error() {
         (err, bits(session.array("Y").unwrap()))
     };
     let (off_err, off_y) = run(SpecMode::ForceOff);
-    let (on_err, on_y) = run(SpecMode::ForceOn);
+    let (on_err, on_y) = run(SpecMode::Auto);
     assert_eq!(off_err, on_err);
     assert_eq!(off_y, on_y);
     // The VM wrote row 0 before failing on `Y[0, 5]`.
@@ -300,9 +291,9 @@ fn out_of_range_map_falls_back_to_the_vm_error() {
     assert!(off_y[5..].iter().all(|&b| b == 0));
 }
 
-/// `Auto` mode keeps a site on the VM for its first
-/// `SPEC_UPGRADE_THRESHOLD` dispatch opportunities, then self-upgrades —
-/// without changing results or counters across the transition.
+/// `Auto` mode has no warm-up: a loop site dispatches its kernel on the
+/// first opportunity and on every later one, with stable results and
+/// counters across the runs of a session.
 #[test]
 fn auto_mode_upgrades_after_warmup() {
     // One dispatch opportunity per run: a single innermost control-flow loop.
@@ -323,24 +314,19 @@ fn auto_mode_upgrades_after_warmup() {
     let x = Tensor::from_vec((0..16).map(|v| v as f64 * 0.25).collect(), &[16]).unwrap();
 
     let mut session = compile(&sdfg, &symbols).unwrap().session();
-    // Pin Auto explicitly: the default comes from `DACE_SPEC`, and the CI
-    // matrix runs this suite with the tier force-disabled and force-enabled.
-    session.force_specialization(SpecMode::Auto);
     session.set_input("X", x.clone()).unwrap();
     let mut reference: Option<Vec<u64>> = None;
     let mut counters: Option<(u64, u64)> = None;
     for run in 0..5 {
         let report = session.run().unwrap();
-        // SPEC_UPGRADE_THRESHOLD is 3: runs 0-2 stay on the VM, 3+ dispatch.
-        let expected = u64::from(run >= 3);
         assert_eq!(
-            report.specialized_dispatches, expected,
+            report.specialized_dispatches, 1,
             "run {run}: unexpected dispatch count"
         );
         let y = bits(session.array("Y").unwrap());
         match &reference {
             None => reference = Some(y),
-            Some(r) => assert_eq!(r, &y, "run {run}: result changed across the upgrade"),
+            Some(r) => assert_eq!(r, &y, "run {run}: result changed"),
         }
         match counters {
             None => counters = Some((report.tasklet_invocations, report.state_executions)),
@@ -640,7 +626,6 @@ mod proptests {
                 .map(|&(lo, n)| (SymExpr::int(lo), SymExpr::int(lo + n)))
                 .collect(),
             body: DataflowGraph::new(),
-            parallel: true,
         });
         for (array, node) in reads {
             state.add_edge(node, None, map, None, Memlet::all(array));
@@ -695,7 +680,7 @@ mod proptests {
         fn specialized_execution_is_bit_identical(case in arb_case()) {
             let sdfg = build_case(&case);
             let (a_off, b_off, r_off) = run_case(&sdfg, case.n, SpecMode::ForceOff);
-            let (a_on, b_on, r_on) = run_case(&sdfg, case.n, SpecMode::ForceOn);
+            let (a_on, b_on, r_on) = run_case(&sdfg, case.n, SpecMode::Auto);
             prop_assert_eq!(r_off.specialized_dispatches, 0);
             prop_assert_eq!(&a_off, &a_on, "A diverged for {:?}", &case);
             prop_assert_eq!(&b_off, &b_on, "B diverged for {:?}", &case);
@@ -708,19 +693,17 @@ mod proptests {
         /// constant and offset indices, plain and WCR writes, in-place
         /// updates and the multi-assignment adjoint shape: the map kernel
         /// (or, where recognition or the verdict declines, the VM) is
-        /// bit-identical to pure-VM execution under `ForceOn` and `Auto`.
+        /// bit-identical to pure-VM execution.
         #[test]
         fn map_kernel_execution_is_bit_identical(case in arb_map_case()) {
             let sdfg = build_map_case(&case);
             let (off, r_off) = run_map_case(&sdfg, SpecMode::ForceOff);
             prop_assert_eq!(r_off.specialized_dispatches, 0);
-            for mode in [SpecMode::ForceOn, SpecMode::Auto] {
-                let (on, r_on) = run_map_case(&sdfg, mode);
-                prop_assert_eq!(&off, &on, "{:?} diverged for {:?}", mode, &case);
-                prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
-                prop_assert_eq!(r_off.state_executions, r_on.state_executions);
-                prop_assert_eq!(r_off.map_points, r_on.map_points);
-            }
+            let (on, r_on) = run_map_case(&sdfg, SpecMode::Auto);
+            prop_assert_eq!(&off, &on, "diverged for {:?}", &case);
+            prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
+            prop_assert_eq!(r_off.state_executions, r_on.state_executions);
+            prop_assert_eq!(r_off.map_points, r_on.map_points);
         }
     }
 }
