@@ -32,11 +32,11 @@
 //! Verify mode (`--verify`) runs the static SDFG verifier and the affine
 //! dependence analyzer over every selected kernel instead of executing
 //! anything, printing a per-kernel table of diagnostics, per-map
-//! parallelism verdicts and the share of maps (forward and gradient program)
-//! lowering put on the N-D affine map kernel, with the typed reason for every
-//! map left on the VM.  The process exits non-zero if any kernel produces
-//! an error-severity diagnostic or a proven `Race` verdict — the CI verify
-//! step asserts the whole suite is clean:
+//! parallelism verdicts and the share of maps and of innermost loops (forward
+//! and gradient program) lowering put on the N-D affine kernel, with the
+//! typed reason for every map or loop left on the VM.  The process exits
+//! non-zero if any kernel produces an error-severity diagnostic or a proven
+//! `Race` verdict — the CI verify step asserts the whole suite is clean:
 //!
 //! ```text
 //! npbench --verify [--kernel atax,jacobi2d] [--preset test]
@@ -435,31 +435,43 @@ fn map_verdicts(
     }
 }
 
-/// `attached/total` maps on the N-D affine map kernel, and one line per map
-/// lowering left on the VM with the typed reason.
-fn strategy_column(label: &str, program: &dace_runtime::CompiledProgram) -> (String, Vec<String>) {
-    let maps = program.map_strategies();
-    let declined: Vec<String> = maps
+/// `attached/total` sites (the maps, or the innermost loops, of one program)
+/// on the N-D affine kernel, and one line per site lowering left on the VM
+/// with the typed reason.
+fn strategy_column(label: &str, sites: &[dace_runtime::MapInfo]) -> (String, Vec<String>) {
+    let declined: Vec<String> = sites
         .iter()
         .filter(|m| m.strategy != dace_runtime::MapStrategy::Kernel)
         .map(|m| {
             let points = m.points.map_or("?".to_string(), |p| p.to_string());
             format!(
-                "{label} map in state {} ({points} points): {}",
+                "{label} in state {} ({points} points): {}",
                 m.state, m.strategy
             )
         })
         .collect();
     (
-        format!("{}/{}", maps.len() - declined.len(), maps.len()),
+        format!("{}/{}", sites.len() - declined.len(), sites.len()),
         declined,
     )
+}
+
+/// The map and the innermost-loop columns of one program, and the declined
+/// sites of both.
+fn strategy_columns(
+    label: &str,
+    program: &dace_runtime::CompiledProgram,
+) -> ([String; 2], Vec<String>) {
+    let (maps, mut declined) = strategy_column(&format!("{label} map"), &program.map_strategies());
+    let (loops, lines) = strategy_column(&format!("{label} loop"), &program.loop_strategies());
+    declined.extend(lines);
+    ([maps, loops], declined)
 }
 
 fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String> {
     use dace_sdfg::{ParVerdict, Severity};
     println!(
-        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12}",
+        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12} {:>12} {:>17}",
         "kernel",
         "errors",
         "warnings",
@@ -469,7 +481,9 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         "race",
         "unknown",
         "kernel",
-        "grad kernel"
+        "grad kernel",
+        "loop kernel",
+        "grad loop kernel"
     );
     let mut dirty = 0usize;
     for kernel in kernels {
@@ -487,11 +501,13 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         }
         let count = |v: fn(&ParVerdict) -> bool| verdicts.iter().filter(|x| v(x)).count();
         let races = count(|v| matches!(v, ParVerdict::Race(_)));
-        // The execution strategy lowering chose per map, for the forward
-        // program and for the gradient program built from it.
-        let (fwd, mut declined) = match dace_runtime::compile(&sdfg, &bindings) {
-            Ok(program) => strategy_column("forward", &program),
-            Err(_) => ("-".to_string(), Vec::new()),
+        // The execution strategy lowering chose per map and per innermost
+        // loop, for the forward program and for the gradient program built
+        // from it.
+        let unbuilt = || (["-".to_string(), "-".to_string()], Vec::new());
+        let ([fwd, fwd_loops], mut declined) = match dace_runtime::compile(&sdfg, &bindings) {
+            Ok(program) => strategy_columns("forward", &program),
+            Err(_) => unbuilt(),
         };
         let engine = dace_ad::GradientEngine::new(
             &sdfg,
@@ -500,16 +516,13 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             &bindings,
             &dace_ad::AdOptions::default(),
         );
-        let grad = match &engine {
-            Ok(engine) => {
-                let (column, lines) = strategy_column("gradient", engine.gradient_program());
-                declined.extend(lines);
-                column
-            }
-            Err(_) => "-".to_string(),
+        let ([grad, grad_loops], lines) = match &engine {
+            Ok(engine) => strategy_columns("gradient", engine.gradient_program()),
+            Err(_) => unbuilt(),
         };
+        declined.extend(lines);
         println!(
-            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12}",
+            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12} {:>12} {:>17}",
             kernel.name(),
             errors,
             diags.len() - errors,
@@ -520,6 +533,8 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             count(|v| *v == ParVerdict::Unknown),
             fwd,
             grad,
+            fwd_loops,
+            grad_loops,
         );
         for d in &diags {
             println!("             {d}");

@@ -29,7 +29,7 @@ use crate::plan::{
     CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap,
     PlanNode, PlanOperand, PlanTasklet, SymFile,
 };
-use crate::spec::SpecMode;
+use crate::spec::{extent, KernelDst, SpecMode};
 
 /// Execution statistics and instrumentation results.
 #[derive(Clone, Debug, Default)]
@@ -54,9 +54,8 @@ pub struct ExecutionReport {
     /// Number of library-node expansions executed.
     pub library_calls: u64,
     /// Number of specialized-kernel dispatches: each covers one whole
-    /// innermost-loop execution (a [`crate::SpecMode`]-gated loop kernel) or
-    /// one whole map execution (the N-D affine map kernel) handled natively
-    /// instead of by the register VM.
+    /// execution of an innermost loop or of a map handled by the N-D affine
+    /// kernel instead of by the register VM.
     pub specialized_dispatches: u64,
     /// Plan-cache hits recorded for this program's cache entry (snapshot at
     /// the end of the run; see [`crate::PlanCacheStats`]).
@@ -72,7 +71,7 @@ pub struct ExecutionReport {
 /// native kernel on the same map and assert identical results and counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MapPath {
-    /// The N-D affine map kernel when lowering attached one (and
+    /// The N-D affine kernel when lowering attached one to the map (and
     /// [`crate::SpecMode`] is not `ForceOff`) and its validation passes,
     /// otherwise the sequential register VM.
     #[default]
@@ -81,15 +80,20 @@ pub enum MapPath {
     Sequential,
 }
 
-/// Scratch buffers reused across tasklet evaluations: the expression slot
-/// array, the floating-point and integer register files, and the per-tasklet
-/// output values.  One `Scratch` lives per executor.
+/// Scratch buffers reused across tasklet evaluations and kernel dispatches:
+/// the expression slot array, the floating-point and integer register files,
+/// the per-tasklet output values, and the kernel executor's work vectors
+/// (flattened accesses, running writes, the written tensors while they are
+/// out of the slab).  One `Scratch` lives per executor.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) slots: Vec<f64>,
     pub(crate) f_regs: Vec<f64>,
     pub(crate) i_regs: Vec<i64>,
     pub(crate) outs: Vec<f64>,
+    pub(crate) flat: Vec<i64>,
+    pub(crate) dsts: Vec<KernelDst>,
+    pub(crate) out_ts: Vec<Tensor>,
 }
 
 /// Mutable execution state, separated from the immutable plan so the
@@ -173,7 +177,8 @@ impl RunState {
                 end,
                 step,
                 body,
-                spec,
+                kernel,
+                ..
             } => {
                 let start = self.idx(plan, start)?;
                 let end = self.idx(plan, end)?;
@@ -184,25 +189,22 @@ impl RunState {
                         plan.syms.names[*var as usize]
                     )));
                 }
-                // Specialized innermost-loop dispatch.  The specialized run
-                // never touches the symbol file, matching the VM's net
-                // save/restore effect; per-state free hints keep the VM path
-                // (the hint fires per state execution).
-                if step == 1 {
-                    if let Some(spec_id) = *spec {
-                        let hints_clear = plan.specs[spec_id as usize]
-                            .state
-                            .is_none_or(|s| self.free_hints[s].is_empty());
-                        if hints_clear
-                            && self.spec_mode != SpecMode::ForceOff
-                            && self.exec_spec(plan, spec_id, start, end)?
-                        {
-                            let trip = (end - start) as u64;
-                            self.report.state_executions += trip;
-                            self.report.tasklet_invocations += trip;
-                            self.report.specialized_dispatches += 1;
-                            return Ok(());
-                        }
+                // The loop's kernel, attached at lowering: a one-variable
+                // dispatch over `start .. end`.  It never touches the symbol
+                // file, matching the VM's net save/restore effect.  Per-state
+                // free hints keep the VM path (the hint fires per state
+                // execution), as do an empty loop (already free on the VM)
+                // and an extent that wraps `i64`.
+                if let (1, SpecMode::Auto, Ok(k)) = (step, self.spec_mode, kernel) {
+                    let trip = extent(start, end).unwrap_or(0);
+                    if trip > 0
+                        && self.free_hints[k.state].is_empty()
+                        && self.exec_kernel(plan, &k.kernel, &[start], &[trip])?
+                    {
+                        self.report.state_executions += trip as u64;
+                        self.report.tasklet_invocations += trip as u64;
+                        self.report.specialized_dispatches += 1;
+                        return Ok(());
                     }
                 }
                 let v = *var as usize;
@@ -212,7 +214,12 @@ impl RunState {
                 while (step > 0 && i < end) || (step < 0 && i > end) {
                     self.syms.vals[v] = i;
                     self.exec_cfg(plan, body)?;
-                    i += step;
+                    // Stepping past `i64` ends the loop: no later value is
+                    // in range.
+                    let Some(next) = i.checked_add(step) else {
+                        break;
+                    };
+                    i = next;
                 }
                 // Restore any outer binding of the same iterator name.
                 self.syms.vals[v] = previous.0;
@@ -394,7 +401,7 @@ impl RunState {
             let lo = self.idx(plan, s)?;
             let hi = self.idx(plan, e)?;
             // An extent beyond `i64` is reported saturated.
-            let size = hi.checked_sub(lo).map(|n| n.max(0) as usize);
+            let size = extent(lo, hi);
             total = total.zip(size).and_then(|(t, n)| t.checked_mul(n));
             lows.push(lo);
             sizes.push(size.unwrap_or(usize::MAX));
@@ -414,12 +421,12 @@ impl RunState {
             self.ensure_allocated(plan, a)?;
         }
 
-        // The N-D affine map kernel, attached at lowering.  It validates
-        // before mutating, so a declined dispatch falls through to the VM
-        // with nothing but the (path-independent) allocations above done.
+        // The map's kernel, attached at lowering.  It validates before
+        // mutating, so a declined dispatch falls through to the VM with
+        // nothing but the (path-independent) allocations above done.
         if self.path == MapPath::Auto && self.spec_mode != SpecMode::ForceOff {
             if let Ok(kernel) = &m.kernel {
-                if self.exec_map_kernel(plan, kernel, &lows, &sizes)? {
+                if self.exec_kernel(plan, kernel, &lows, &sizes)? {
                     self.report.tasklet_invocations += total as u64;
                     self.report.specialized_dispatches += 1;
                     return Ok(());
@@ -649,7 +656,7 @@ mod tests {
     use super::*;
     use crate::program::Session;
     use dace_sdfg::{
-        ArrayDesc, BranchRegion, CmpOp, CondExpr, CondOperand, ControlFlow, DataflowGraph,
+        ArrayDesc, BranchRegion, CmpOp, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode,
         IndexRange, LoopRegion, MapScope, Memlet, ParVerdict, ScalarExpr as E, Sdfg, State, Subset,
         SymExpr, Tasklet, Wcr,
     };
@@ -828,6 +835,84 @@ mod tests {
             RuntimeError::MapDomainOverflow {
                 sizes: vec![usize::MAX, i64::MAX as usize, i64::MAX as usize],
             }
+        );
+    }
+
+    /// The loop site shares the map's checked extent: bounds whose
+    /// difference wraps `i64` (`start = -5`, `end = i64::MAX`) leave the
+    /// kernel undispatched, and the VM reports its typed out-of-range error
+    /// at the first iteration — no debug panic, no wrapped trip count.
+    #[test]
+    fn wrapping_loop_trip_count_is_the_vm_error() {
+        let mut sdfg = Sdfg::new("huge_loop");
+        sdfg.add_symbol("S");
+        sdfg.add_symbol("E");
+        sdfg.add_array("A", ArrayDesc::input(vec![SymExpr::int(4)]))
+            .unwrap();
+        let mut g = DataflowGraph::new();
+        let t = g.add_tasklet(Tasklet::new("one", "o", E::c(1.0)));
+        let w = g.add_access("A");
+        g.add_edge(
+            t,
+            Some("o"),
+            w,
+            None,
+            Memlet::element("A", vec![SymExpr::sym("i")]),
+        );
+        let sid = sdfg.add_state(State {
+            name: "s".into(),
+            graph: g,
+        });
+        sdfg.cfg = ControlFlow::Loop(LoopRegion {
+            var: "i".into(),
+            start: SymExpr::sym("S"),
+            end: SymExpr::sym("E"),
+            step: SymExpr::int(1),
+            body: Box::new(ControlFlow::State(sid)),
+        });
+        let program =
+            crate::program::compile(&sdfg, &symbols(&[("S", -5), ("E", i64::MAX)])).unwrap();
+        let loops = program.loop_strategies();
+        assert_eq!(loops.len(), 1);
+        assert_eq!(loops[0].strategy, crate::MapStrategy::Kernel);
+        assert_eq!(loops[0].points, None, "the extent does not fit in i64");
+        let mut ex = program.session();
+        ex.set_input("A", Tensor::zeros(&[4])).unwrap();
+        assert_eq!(
+            ex.run().unwrap_err(),
+            RuntimeError::BadIndex {
+                array: "A".into(),
+                index: vec![-5],
+            }
+        );
+        assert_eq!(ex.array("A").unwrap().data(), &[0.0; 4]);
+    }
+
+    /// Symbol values are user-controlled at compile time too: a map bound
+    /// `N + 1` under `N = i64::MAX` must not overflow-panic in lowering (the
+    /// point count is simply unknown), and an array whose byte size leaves
+    /// `i64` keeps its typed evaluation error.
+    #[test]
+    fn compile_time_symbol_overflow_is_typed() {
+        let mut sdfg = scale_sdfg(2.0);
+        let DfNode::MapScope(map) = &mut sdfg.states[0].graph.nodes[1] else {
+            panic!("scale_sdfg places the map second");
+        };
+        map.ranges[0].1 = SymExpr::sym("N").add_int(1);
+        let program = crate::program::compile(&sdfg, &symbols(&[("N", i64::MAX)])).unwrap();
+        let maps = program.map_strategies();
+        assert_eq!(maps.len(), 1);
+        assert_eq!(maps[0].points, None);
+        assert_eq!(
+            SymExpr::sym("N")
+                .add_int(1)
+                .eval(&symbols(&[("N", i64::MAX)])),
+            Err(dace_sdfg::SymError::Overflow)
+        );
+        // `X` is `N` doubles: its 8 N bytes do not fit.
+        assert_eq!(
+            program.session().set_input("X", Tensor::zeros(&[1])),
+            Err(RuntimeError::from(dace_sdfg::SymError::Overflow))
         );
     }
 

@@ -17,8 +17,9 @@
 //!   register-based [`CompiledExpr`] instruction sequences with connector
 //!   and iteration-symbol references resolved to slot indices;
 //! * per-graph topological orders, the affine dependence verdict
-//!   ([`dace_sdfg::analyze_map`]) of every map and, from it, the map's
-//!   execution strategy ([`MapStrategy`]: the N-D affine [`MapKernel`], or
+//!   ([`dace_sdfg::analyze_map`]) of every map and the execution strategy
+//!   of every map and control-flow loop ([`MapStrategy`]: the N-D affine
+//!   [`AffineKernel`] — one struct and one recognizer for both sites — or
 //!   the VM with a typed reason) are all decided once.
 //!
 //! Lowering never fails eagerly: constructs that the old interpreter would
@@ -31,8 +32,8 @@ use std::collections::HashMap;
 
 use dace_sdfg::{
     CmpOp, CompiledExpr, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode, ExprOp,
-    LeafRef, LibraryOp, MapScope, MicroPattern, ParVerdict, Sdfg, Subset, SubsetClass, SymError,
-    SymExpr, Tasklet, Wcr,
+    LeafRef, LibraryOp, LoopRegion, MapScope, MicroPattern, ParVerdict, Sdfg, Subset, SubsetClass,
+    SymError, SymExpr, Tasklet, Wcr,
 };
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -296,15 +297,15 @@ pub(crate) struct PlanTasklet {
     pub writes: Vec<PlanWrite>,
 }
 
-/// One array access of a specialized kernel, decomposed as an affine
-/// function of the specialized iteration variables (the loop iterator of a
-/// [`SpecKernel`], the map parameters of a [`MapKernel`]): dimension `d`
-/// indexes at `rest[d] + Σ_p coeff[d][p] * var_p`.  The `rest` parts are
-/// loop-invariant and evaluated once per dispatch; the flat row-major offset
-/// then advances by a precomputed constant step per variable.  An empty
-/// `rest` is a whole-array subset used as a scalar (a length-1 container).
+/// One array access of an [`AffineKernel`], decomposed as an affine function
+/// of the kernel's iteration variables (the parameters of a map, the iterator
+/// of a control-flow loop): dimension `d` indexes at
+/// `rest[d] + Σ_v coeff[d][v] * var_v`.  The `rest` parts are loop-invariant
+/// and evaluated once per dispatch; the flat row-major offset then advances
+/// by a precomputed constant step per variable.  An empty `rest` is a
+/// whole-array subset used as a scalar (a length-1 container).
 #[derive(Clone, Debug)]
-pub(crate) struct SpecAccess {
+pub(crate) struct KernelAccess {
     pub array: u32,
     /// Loop-invariant index component per dimension.
     pub rest: Vec<CIdx>,
@@ -312,64 +313,69 @@ pub(crate) struct SpecAccess {
     pub coeff: Vec<Vec<i64>>,
 }
 
-/// A specialized innermost-loop kernel: a control-flow loop whose body is a
-/// single affine-memlet tasklet, compiled down to a flat
-/// native loop with per-access constant strides.  The register VM remains
-/// the universal fallback — dispatch re-validates every precondition and
-/// bails out (`Ok(false)`) before mutating anything, so the VM reproduces
-/// exact error semantics (including partial execution) whenever the
-/// specialized form does not apply.
+/// The N-D affine kernel, the one native kernel of the specialization tier:
+/// a dataflow body of access nodes plus one tasklet (any number of
+/// assignments and writes) whose memlets are all affine in the iteration
+/// variables, compiled down to a native nest over a rectangular domain with
+/// one constant flat step per access and variable.  It attaches at two
+/// sites: a map ([`PlanMap::kernel`], variables = the map parameters, gated
+/// on the dependence verdict) and a unit-step control-flow loop over a
+/// single state ([`LoopKernel`], one variable, walked in loop order).
+/// Dispatch ([`crate::executor::RunState::exec_kernel`]) validates every
+/// precondition before allocating or writing anything and otherwise leaves
+/// the site to the register VM, which reproduces exact error semantics
+/// (including partial execution).
 #[derive(Clone, Debug)]
-pub(crate) struct SpecKernel {
-    /// Element reads, `(slot, access)`, in tasklet edge order.
-    pub reads: Vec<(u32, SpecAccess)>,
-    /// Whole-array scalar reads (`(slot, array)`, length-1 containers).
-    pub scalar_reads: Vec<(u32, u32)>,
+pub(crate) struct AffineKernel {
+    /// Reads, in tasklet edge order.
+    pub reads: Vec<KernelRead>,
     /// Loop-invariant iteration-symbol promotions, loaded once per dispatch.
     pub iter_loads: Vec<(u32, u32)>,
-    /// Expression slots holding the specialized iteration variable itself
-    /// (updated per iteration).
-    pub inner_iter_slots: Vec<u32>,
-    pub n_slots: usize,
-    pub expr: CompiledExpr,
-    /// Micro-kernel shape of `expr`, when recognized (bit-identical eval).
-    pub micro: Option<MicroPattern>,
-    pub write: SpecAccess,
-    pub accumulate: bool,
-    /// Every array the body's access nodes touch (pre-allocated at dispatch,
-    /// mirroring the VM's allocation side effects).
-    pub arrays: Vec<u32>,
-    /// The state executed by the loop body (control-flow specs only; used
-    /// for state accounting and the free-hint guard).
-    pub state: Option<usize>,
-}
-
-/// The N-D affine map kernel: a map whose dependence verdict allows
-/// parallel execution and whose body is a single tasklet with affine
-/// memlets, compiled down to a native loop nest over the rectangular domain
-/// with one constant flat step per access and parameter.  Dispatch
-/// ([`crate::executor::RunState::exec_map_kernel`]) validates every
-/// precondition before mutating anything and otherwise leaves the map to the
-/// VM, exactly as a [`SpecKernel`] does.
-#[derive(Clone, Debug)]
-pub(crate) struct MapKernel {
-    /// Reads, `(slot, access)`, in tasklet edge order.
-    pub reads: Vec<(u32, SpecAccess)>,
-    /// Loop-invariant iteration-symbol promotions, loaded once per dispatch.
-    pub iter_loads: Vec<(u32, u32)>,
-    /// `(slot, parameter index)`: map parameters the assignments read as
-    /// values.
-    pub param_slots: Vec<(u32, usize)>,
+    /// `(slot, variable index)`: outer iteration variables the assignments
+    /// read as values (refreshed once per row).
+    pub outer_slots: Vec<(u32, usize)>,
+    /// Slots holding the innermost iteration variable (refreshed per point).
+    pub inner_slots: Vec<u32>,
     pub n_slots: usize,
     /// The tasklet's assignments.
-    pub exprs: Vec<MapExpr>,
-    /// Writes, `(assignment, access, accumulate)`, in tasklet edge order.
-    pub writes: Vec<(u32, SpecAccess, bool)>,
+    pub exprs: Vec<KernelExpr>,
+    /// Writes, in tasklet edge order.
+    pub writes: Vec<KernelWrite>,
+    /// The written arrays, ascending; taken out of the slab for a dispatch.
+    pub outs: Vec<u32>,
+    /// Every array the body's access nodes name, in execution order:
+    /// allocated at dispatch once validation has passed, mirroring the VM's
+    /// allocation side effects.
+    pub arrays: Vec<u32>,
 }
 
-/// One assignment of a [`MapKernel`].
+/// One read of an [`AffineKernel`].
 #[derive(Clone, Debug)]
-pub(crate) struct MapExpr {
+pub(crate) struct KernelRead {
+    pub slot: u32,
+    pub access: KernelAccess,
+    /// Index into [`AffineKernel::outs`] when the kernel also writes the
+    /// array: the read then goes through the live output buffer.
+    pub out: Option<u32>,
+    /// The read is fixed along the innermost variable, of an array the
+    /// kernel does not write, into a slot no other read shares: it is loaded
+    /// once per row instead of once per point.
+    pub row_invariant: bool,
+}
+
+/// One write of an [`AffineKernel`]: the value of assignment `expr`.
+#[derive(Clone, Debug)]
+pub(crate) struct KernelWrite {
+    pub expr: u32,
+    pub access: KernelAccess,
+    pub accumulate: bool,
+    /// Index of the array in [`AffineKernel::outs`].
+    pub out: u32,
+}
+
+/// One assignment of an [`AffineKernel`].
+#[derive(Clone, Debug)]
+pub(crate) struct KernelExpr {
     pub expr: CompiledExpr,
     /// Micro-kernel shape of `expr`, when recognized (bit-identical eval).
     pub micro: Option<MicroPattern>,
@@ -378,10 +384,22 @@ pub(crate) struct MapExpr {
     pub constant: bool,
 }
 
-/// Why the N-D affine map kernel did not attach to a map, which therefore
-/// runs on the register VM.
+/// The kernel attached to a control-flow loop, with the state its body
+/// executes (for state accounting and the free-hint guard).
+#[derive(Clone, Debug)]
+pub(crate) struct LoopKernel {
+    pub kernel: AffineKernel,
+    pub state: usize,
+}
+
+/// Why the N-D affine kernel did not attach to a map or a control-flow
+/// loop, which therefore runs on the register VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMiss {
+    /// The loop's step is not the constant `1` (reversed and strided loops).
+    NonUnitStep,
+    /// The loop's body is not a single state.
+    MultiStateBody,
     /// The body is not access nodes plus exactly one tasklet.
     MultiTasklet,
     /// A memlet index is not `Σ coeff·param + loop-invariant rest` of the
@@ -391,19 +409,31 @@ pub enum KernelMiss {
     VerdictRace,
     /// The dependence analyzer could not prove the map safe.
     VerdictUnknown,
-    /// The tasklet reads an array it also writes, at a different index.
+    /// The tasklet reads an array it also writes at an index its site does
+    /// not admit: a map admits only the written index itself, a loop any
+    /// index whose offset to the write is statically decidable.
     AliasedReadAtOtherIndex,
     /// The concrete layout of an accessed array is unknown at lowering.
     UnknownLayout,
 }
 
-/// The execution strategy lowering chose for a map.
+/// The execution strategy lowering chose for a map or a loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapStrategy {
-    /// The N-D affine map kernel (the VM stays the per-dispatch fallback).
+    /// The N-D affine kernel (the VM stays the per-dispatch fallback).
     Kernel,
     /// The sequential register VM.
     Vm(KernelMiss),
+}
+
+impl MapStrategy {
+    /// The strategy a plan node's kernel slot stands for.
+    pub(crate) fn of<K>(kernel: &Result<K, KernelMiss>) -> Self {
+        match kernel {
+            Ok(_) => MapStrategy::Kernel,
+            Err(why) => MapStrategy::Vm(*why),
+        }
+    }
 }
 
 impl std::fmt::Display for MapStrategy {
@@ -415,13 +445,16 @@ impl std::fmt::Display for MapStrategy {
     }
 }
 
-/// One map of a compiled program with the strategy chosen for it (see
-/// [`crate::CompiledProgram::map_strategies`]).
+/// One map or one innermost control-flow loop of a compiled program with the
+/// strategy chosen for it (see [`crate::CompiledProgram::map_strategies`]
+/// and [`crate::CompiledProgram::loop_strategies`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MapInfo {
-    /// Id of the state holding the map.
+    /// Id of the state holding the map, or of the first state of the loop's
+    /// body.
     pub state: usize,
-    /// Index points of one execution, when the ranges are loop-invariant.
+    /// Index points (loop iterations) of one execution, when the bounds are
+    /// loop-invariant.
     pub points: Option<u64>,
     pub strategy: MapStrategy,
 }
@@ -436,7 +469,7 @@ pub(crate) struct PlanMap {
     /// Arrays referenced by the body (pre-allocated before iteration).
     pub referenced: Vec<u32>,
     /// The attached N-D affine kernel, or why the map stays on the VM.
-    pub kernel: Result<MapKernel, KernelMiss>,
+    pub kernel: Result<AffineKernel, KernelMiss>,
     /// Index points of one execution under the plan's symbol values (`None`
     /// when a range depends on an outer iterator).
     pub points: Option<u64>,
@@ -509,8 +542,8 @@ pub(crate) enum PlanCf {
         end: CIdx,
         step: CIdx,
         body: Box<PlanCf>,
-        /// Specialized-kernel id of a recognized innermost-loop body.
-        spec: Option<u32>,
+        /// The attached N-D affine kernel, or why the loop stays on the VM.
+        kernel: Result<Box<LoopKernel>, KernelMiss>,
     },
     Branch {
         cond: PlanCond,
@@ -528,8 +561,9 @@ pub(crate) struct ExecPlan {
     pub init_syms: SymFile,
     pub states: Vec<PlanGraph>,
     pub cfg: PlanCf,
-    /// Specialized innermost-loop kernels recognized in this plan.
-    pub specs: Vec<SpecKernel>,
+    /// The innermost control-flow loops, in program order, with the strategy
+    /// chosen for each (see [`crate::CompiledProgram::loop_strategies`]).
+    pub loops: Vec<MapInfo>,
 }
 
 // ---------------------------------------------------------------------------
@@ -540,7 +574,7 @@ struct Lowerer {
     arrays: ArrayTable,
     syms: SymTable,
     init_syms: SymFile,
-    specs: Vec<SpecKernel>,
+    loops: Vec<MapInfo>,
     /// Concrete symbol values the plan is specialized for; the dependence
     /// analyzer resolves symbolic strides/offsets through them.
     bindings: HashMap<String, i64>,
@@ -587,7 +621,7 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecP
         },
         syms: SymTable::default(),
         init_syms: SymFile::default(),
-        specs: Vec::new(),
+        loops: Vec::new(),
         bindings: symbols.clone(),
     };
 
@@ -606,18 +640,14 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecP
         .iter()
         .map(|s| lo.lower_graph(&s.graph))
         .collect();
-    let mut cfg = lo.lower_cf(&sdfg.cfg);
-    // Specialization post-pass: walk the original and lowered control-flow
-    // trees in parallel (they are structurally identical) and attach
-    // specialized kernels to unit-step innermost loops over a single state.
-    lo.attach_cf_specs(&sdfg.cfg, &mut cfg, sdfg, &states);
+    let cfg = lo.lower_cf(&sdfg.cfg, sdfg, &states);
     ExecPlan {
         arrays: lo.arrays,
         syms: lo.syms,
         init_syms: lo.init_syms,
         states,
         cfg,
-        specs: lo.specs,
+        loops: lo.loops,
     }
 }
 
@@ -886,11 +916,18 @@ impl Lowerer {
             referenced.push(self.array(&name)?);
         }
         let body = self.lower_graph(&map.body);
-        // The affine dependence verdict gates kernel attachment: it rejects
-        // provably racy bodies (fixed element or whole-array writes) and
-        // admits provably injective strided/offset writes.
-        let verdict = dace_sdfg::analyze_map(map, &self.bindings);
-        let kernel = self.recognize_map_kernel(map, &params, &body, &verdict);
+        // The map site's gate: the affine dependence verdict rejects provably
+        // racy bodies (fixed element or whole-array writes) and admits
+        // provably injective strided/offset writes, so the kernel's nest
+        // agrees with the VM; a read of a written array is admitted only at
+        // the very index it is written at.
+        let kernel = match dace_sdfg::analyze_map(map, &self.bindings) {
+            ParVerdict::Safe | ParVerdict::Reduction => {
+                self.recognize_kernel(&map.body, &body, &map.params, |w, r| w == r)
+            }
+            ParVerdict::Race(_) => Err(KernelMiss::VerdictRace),
+            ParVerdict::Unknown => Err(KernelMiss::VerdictUnknown),
+        };
         let points = map.ranges.iter().try_fold(1u64, |acc, (s, e)| {
             let (lo, hi) = (s.eval(&self.bindings).ok()?, e.eval(&self.bindings).ok()?);
             acc.checked_mul(hi.checked_sub(lo)?.max(0) as u64)
@@ -905,26 +942,55 @@ impl Lowerer {
         })
     }
 
-    /// Recognize the N-D affine map kernel: a verdict that allows parallel
-    /// execution (no iteration reads what another writes, so the kernel's
-    /// nest agrees with the VM), a body of access nodes plus one tasklet,
-    /// every memlet affine
-    /// in the map parameters, and reads of a written array only at the index
-    /// it is written at.  `params` are the parameters' symbol slots and
-    /// `lowered` the lowered form of `map.body`; the two graphs correspond
-    /// node-for-node and edge-for-edge by construction.
-    fn recognize_map_kernel(
+    /// The loop site's gate: a unit-step loop (the flat walk assumes
+    /// consecutive iterator values; the runtime step is re-checked at
+    /// dispatch) whose body is a single state, walked in loop order with
+    /// reads of a written array going through the live buffer — admitted
+    /// when [`dace_sdfg::deps::alias_decidable`] understands the offset
+    /// between the write and the read.
+    fn loop_kernel(
         &mut self,
-        map: &MapScope,
-        params: &[u32],
-        lowered: &PlanGraph,
-        verdict: &ParVerdict,
-    ) -> Result<MapKernel, KernelMiss> {
-        match verdict {
-            ParVerdict::Safe | ParVerdict::Reduction => {}
-            ParVerdict::Race(_) => return Err(KernelMiss::VerdictRace),
-            ParVerdict::Unknown => return Err(KernelMiss::VerdictUnknown),
+        l: &LoopRegion,
+        sdfg: &Sdfg,
+        states: &[PlanGraph],
+    ) -> Result<Box<LoopKernel>, KernelMiss> {
+        if l.step != SymExpr::int(1) {
+            return Err(KernelMiss::NonUnitStep);
         }
+        let state = singleton_state(&l.body).ok_or(KernelMiss::MultiStateBody)?;
+        let kernel = self.recognize_kernel(
+            &sdfg.states[state].graph,
+            &states[state],
+            std::slice::from_ref(&l.var),
+            |w, r| dace_sdfg::deps::alias_decidable(w, r, &l.var),
+        )?;
+        Ok(Box::new(LoopKernel { kernel, state }))
+    }
+
+    fn loop_points(&self, l: &LoopRegion) -> Option<u64> {
+        let eval = |e: &SymExpr| e.eval(&self.bindings).ok();
+        let (start, end, step) = (eval(&l.start)?, eval(&l.end)?, eval(&l.step)?);
+        let span = match step {
+            0 => return None,
+            1.. => end.checked_sub(start)?,
+            _ => start.checked_sub(end)?,
+        };
+        Some((span.max(0) as u64).div_ceil(step.unsigned_abs()))
+    }
+
+    /// Recognize the N-D affine kernel on a dataflow body: access nodes plus
+    /// one tasklet, every memlet affine in the iteration variables `vars`.
+    /// `graph` is the original body and `lowered` its lowered form; the two
+    /// correspond node-for-node and edge-for-edge by construction.
+    /// `admits(write, read)` is the attachment site's rule for a read of an
+    /// array the tasklet also writes.
+    fn recognize_kernel(
+        &mut self,
+        graph: &DataflowGraph,
+        lowered: &PlanGraph,
+        vars: &[String],
+        admits: impl Fn(&Subset, &Subset) -> bool,
+    ) -> Result<AffineKernel, KernelMiss> {
         let mut tasklets = lowered
             .nodes
             .iter()
@@ -938,48 +1004,82 @@ impl Lowerer {
             return Err(KernelMiss::MultiTasklet);
         };
         let (tnode, t) = first?;
-        let (in_edges, out_edges) = (map.body.in_edges(tnode), map.body.out_edges(tnode));
+        let (in_edges, out_edges) = (graph.in_edges(tnode), graph.out_edges(tnode));
+        let mut outs: Vec<u32> = t.writes.iter().map(|w| w.array).collect();
+        outs.sort_unstable();
+        outs.dedup();
+        let out_of = |array: u32| outs.iter().position(|&o| o == array).map(|o| o as u32);
         let mut writes = Vec::with_capacity(t.writes.len());
         for (w, e) in t.writes.iter().zip(&out_edges) {
-            let access = self.lower_affine_subset(&e.memlet.subset, &map.params, w.array)?;
-            writes.push((w.expr, access, w.accumulate));
+            writes.push(KernelWrite {
+                expr: w.expr,
+                access: self.lower_affine_subset(&e.memlet.subset, vars, w.array)?,
+                accumulate: w.accumulate,
+                out: out_of(w.array).expect("collected above"),
+            });
         }
         let mut reads = Vec::with_capacity(t.reads.len());
         for (r, e) in t.reads.iter().zip(&in_edges) {
-            let aliased_elsewhere = t
-                .writes
-                .iter()
-                .zip(&out_edges)
-                .any(|(w, we)| w.array == r.array && we.memlet.subset != e.memlet.subset);
-            if aliased_elsewhere {
+            let declined =
+                t.writes.iter().zip(&out_edges).any(|(w, we)| {
+                    w.array == r.array && !admits(&we.memlet.subset, &e.memlet.subset)
+                });
+            if declined {
                 return Err(KernelMiss::AliasedReadAtOtherIndex);
             }
-            let access = self.lower_affine_subset(&e.memlet.subset, &map.params, r.array)?;
-            reads.push((r.slot, access));
+            let access = self.lower_affine_subset(&e.memlet.subset, vars, r.array)?;
+            let out = out_of(r.array);
+            // Duplicate connectors share a slot, last edge wins per point:
+            // only a read with a slot of its own may leave the point loop.
+            let row_invariant = out.is_none()
+                && access
+                    .coeff
+                    .iter()
+                    .all(|c| c.last().is_none_or(|&c| c == 0))
+                && t.reads.iter().filter(|o| o.slot == r.slot).count() == 1;
+            reads.push(KernelRead {
+                slot: r.slot,
+                access,
+                out,
+                row_invariant,
+            });
         }
-        let mut iter_loads = Vec::new();
-        let mut param_slots = Vec::new();
+        let var_syms: Vec<u32> = vars.iter().map(|v| self.sym(v)).collect();
+        let (mut iter_loads, mut outer_slots, mut inner_slots) =
+            (Vec::new(), Vec::new(), Vec::new());
         for &(slot, sym) in &t.iter_loads {
-            match params.iter().position(|&p| p == sym) {
-                Some(p) => param_slots.push((slot, p)),
+            match var_syms.iter().position(|&v| v == sym) {
+                Some(v) if v + 1 == vars.len() => inner_slots.push(slot),
+                Some(v) => outer_slots.push((slot, v)),
                 None => iter_loads.push((slot, sym)),
             }
         }
-        Ok(MapKernel {
+        let mut arrays = Vec::new();
+        for &n in &lowered.order {
+            if let PlanNode::Access(a) = lowered.nodes[n] {
+                if !arrays.contains(&a) {
+                    arrays.push(a);
+                }
+            }
+        }
+        Ok(AffineKernel {
             reads,
             iter_loads,
-            param_slots,
+            outer_slots,
+            inner_slots,
             n_slots: t.n_slots,
             exprs: t
                 .exprs
                 .iter()
-                .map(|e| MapExpr {
+                .map(|e| KernelExpr {
                     expr: e.clone(),
                     micro: e.micro_pattern(),
                     constant: !e.ops().iter().any(|op| matches!(op, ExprOp::Slot { .. })),
                 })
                 .collect(),
             writes,
+            outs,
+            arrays,
         })
     }
 
@@ -993,7 +1093,7 @@ impl Lowerer {
         subset: &Subset,
         vars: &[String],
         array: u32,
-    ) -> Result<SpecAccess, KernelMiss> {
+    ) -> Result<KernelAccess, KernelMiss> {
         let Ok(layout) = &self.arrays.layouts[array as usize] else {
             return Err(KernelMiss::UnknownLayout);
         };
@@ -1001,7 +1101,7 @@ impl Lowerer {
         let affine = dace_sdfg::deps::affine_subset(subset, vars)
             .filter(|a| subset.is_all() || a.rests.len() == rank)
             .ok_or(KernelMiss::NonAffineIndex)?;
-        Ok(SpecAccess {
+        Ok(KernelAccess {
             array,
             rest: affine
                 .rests
@@ -1010,172 +1110,6 @@ impl Lowerer {
                 .collect(),
             coeff: affine.coeffs,
         })
-    }
-
-    /// Recognize a specializable loop body: a dataflow graph of access nodes
-    /// plus exactly one single-assignment tasklet whose memlets are all
-    /// affine in `var` (element subsets) or loop-invariant scalars
-    /// (whole-array subsets of length-1 containers).  `graph` is the
-    /// original body and `lowered` its lowered form; the two correspond
-    /// node-for-node and edge-for-edge by construction.
-    fn recognize_spec(
-        &mut self,
-        graph: &DataflowGraph,
-        lowered: &PlanGraph,
-        var: &str,
-    ) -> Option<SpecKernel> {
-        if lowered.fail.is_some() {
-            return None;
-        }
-        let mut tasklet = None;
-        let mut arrays = Vec::new();
-        for (id, node) in lowered.nodes.iter().enumerate() {
-            match node {
-                PlanNode::Access(a) => {
-                    if !arrays.contains(a) {
-                        arrays.push(*a);
-                    }
-                }
-                PlanNode::Tasklet(t) => {
-                    if tasklet.is_some() {
-                        return None;
-                    }
-                    tasklet = Some((id, t));
-                }
-                _ => return None,
-            }
-        }
-        let (tnode, t) = tasklet?;
-        if t.exprs.len() != 1 || t.writes.len() != 1 {
-            return None;
-        }
-        let out_edges = graph.out_edges(tnode);
-        let in_edges = graph.in_edges(tnode);
-        if out_edges.len() != 1 || in_edges.len() != t.reads.len() {
-            return None;
-        }
-        let out_array = t.writes[0].array;
-        let vars = [var.to_string()];
-        // Loop kernels take plain element subsets only (no range starts).
-        let affine = |lo: &mut Self, subset: &Subset, array: u32| {
-            let access = lo.lower_affine_subset(subset, &vars, array).ok()?;
-            subset.is_element().then_some(access)
-        };
-        let write = affine(self, &out_edges[0].memlet.subset, out_array)?;
-        let mut reads = Vec::new();
-        let mut scalar_reads = Vec::new();
-        let mut seen_slots = Vec::new();
-        for (r, e) in t.reads.iter().zip(&in_edges) {
-            // Duplicate connectors share a slot with last-wins semantics;
-            // keep that subtlety on the VM path.
-            if seen_slots.contains(&r.slot) {
-                return None;
-            }
-            seen_slots.push(r.slot);
-            match &r.access {
-                PlanAccess::Element(_) => {
-                    // Reads aliasing the written array are only specialized
-                    // when the write/read relation is statically decidable
-                    // (a constant offset along `var`); anything symbolic
-                    // falls back to the VM, which tracks writes exactly.
-                    if r.array == out_array
-                        && !dace_sdfg::deps::alias_decidable(
-                            &out_edges[0].memlet.subset,
-                            &e.memlet.subset,
-                            var,
-                        )
-                    {
-                        return None;
-                    }
-                    reads.push((r.slot, affine(self, &e.memlet.subset, r.array)?));
-                }
-                PlanAccess::All => {
-                    // A scalar read of the written array would have to track
-                    // per-iteration writes; leave that to the VM.
-                    if r.array == out_array {
-                        return None;
-                    }
-                    scalar_reads.push((r.slot, r.array));
-                }
-            }
-        }
-        let var_slot = self.sym(var);
-        let mut iter_loads = Vec::new();
-        let mut inner_iter_slots = Vec::new();
-        for &(slot, sym) in &t.iter_loads {
-            if sym == var_slot {
-                inner_iter_slots.push(slot);
-            } else {
-                iter_loads.push((slot, sym));
-            }
-        }
-        let expr = t.exprs[0].clone();
-        let micro = expr.micro_pattern();
-        Some(SpecKernel {
-            reads,
-            scalar_reads,
-            iter_loads,
-            inner_iter_slots,
-            n_slots: t.n_slots,
-            expr,
-            micro,
-            write,
-            accumulate: t.writes[0].accumulate,
-            arrays,
-            state: None,
-        })
-    }
-
-    /// Attach specialized kernels to unit-step control-flow loops whose body
-    /// is a single recognizable state, recursing structurally through the
-    /// original and lowered trees in lock-step.
-    fn attach_cf_specs(
-        &mut self,
-        cf: &ControlFlow,
-        plan: &mut PlanCf,
-        sdfg: &Sdfg,
-        states: &[PlanGraph],
-    ) {
-        match (cf, plan) {
-            (ControlFlow::Sequence(cs), PlanCf::Seq(ps)) => {
-                for (c, p) in cs.iter().zip(ps.iter_mut()) {
-                    self.attach_cf_specs(c, p, sdfg, states);
-                }
-            }
-            (
-                ControlFlow::Branch(b),
-                PlanCf::Branch {
-                    then_body,
-                    else_body,
-                    ..
-                },
-            ) => {
-                self.attach_cf_specs(&b.then_body, then_body, sdfg, states);
-                if let (Some(c), Some(p)) = (b.else_body.as_ref(), else_body.as_mut()) {
-                    self.attach_cf_specs(c, p, sdfg, states);
-                }
-            }
-            (ControlFlow::Loop(l), PlanCf::Loop { body, spec, .. }) => {
-                self.attach_cf_specs(&l.body, body, sdfg, states);
-                // Only unit-step loops specialize: the flat-stride walk
-                // assumes consecutive iterator values.  (The runtime step is
-                // re-checked at dispatch; this is the structural gate.)
-                if l.step != SymExpr::int(1) {
-                    return;
-                }
-                let Some(sid) = singleton_state(&l.body) else {
-                    return;
-                };
-                if let Some(mut k) =
-                    self.recognize_spec(&sdfg.states[sid].graph, &states[sid], &l.var)
-                {
-                    k.state = Some(sid);
-                    *spec = Some(self.specs.len() as u32);
-                    self.specs.push(k);
-                }
-            }
-            _ => {}
-        }
     }
 
     fn lower_library(
@@ -1205,24 +1139,49 @@ impl Lowerer {
         })
     }
 
-    fn lower_cf(&mut self, cf: &ControlFlow) -> PlanCf {
+    /// Lower the control-flow tree; `states` are the already lowered state
+    /// graphs, which the loop site's kernel recognition reads.
+    fn lower_cf(&mut self, cf: &ControlFlow, sdfg: &Sdfg, states: &[PlanGraph]) -> PlanCf {
         match cf {
             ControlFlow::State(id) => PlanCf::State(*id),
-            ControlFlow::Sequence(children) => {
-                PlanCf::Seq(children.iter().map(|c| self.lower_cf(c)).collect())
+            ControlFlow::Sequence(children) => PlanCf::Seq(
+                children
+                    .iter()
+                    .map(|c| self.lower_cf(c, sdfg, states))
+                    .collect(),
+            ),
+            ControlFlow::Loop(l) => {
+                let var = self.sym(&l.var);
+                let [start, end, step] =
+                    [&l.start, &l.end, &l.step].map(|e| self.lower_sym_expr(e));
+                let listed = self.loops.len();
+                let body = Box::new(self.lower_cf(&l.body, sdfg, states));
+                let kernel = self.loop_kernel(l, sdfg, states);
+                // A body that listed nothing holds no loop: this one is
+                // innermost.
+                if self.loops.len() == listed {
+                    self.loops.push(MapInfo {
+                        state: l.body.states_in_order().first().copied().unwrap_or(0),
+                        points: self.loop_points(l),
+                        strategy: MapStrategy::of(&kernel),
+                    });
+                }
+                PlanCf::Loop {
+                    var,
+                    start,
+                    end,
+                    step,
+                    body,
+                    kernel,
+                }
             }
-            ControlFlow::Loop(l) => PlanCf::Loop {
-                var: self.sym(&l.var),
-                start: self.lower_sym_expr(&l.start),
-                end: self.lower_sym_expr(&l.end),
-                step: self.lower_sym_expr(&l.step),
-                body: Box::new(self.lower_cf(&l.body)),
-                spec: None,
-            },
             ControlFlow::Branch(b) => PlanCf::Branch {
                 cond: self.lower_cond(&b.cond),
-                then_body: Box::new(self.lower_cf(&b.then_body)),
-                else_body: b.else_body.as_ref().map(|e| Box::new(self.lower_cf(e))),
+                then_body: Box::new(self.lower_cf(&b.then_body, sdfg, states)),
+                else_body: b
+                    .else_body
+                    .as_ref()
+                    .map(|e| Box::new(self.lower_cf(e, sdfg, states))),
             },
         }
     }

@@ -476,10 +476,7 @@ impl CompiledProgram {
                     out.push(MapInfo {
                         state,
                         points: m.points,
-                        strategy: match &m.kernel {
-                            Ok(_) => MapStrategy::Kernel,
-                            Err(why) => MapStrategy::Vm(*why),
-                        },
+                        strategy: MapStrategy::of(&m.kernel),
                     });
                     walk(state, &m.body, out);
                 }
@@ -490,6 +487,13 @@ impl CompiledProgram {
             walk(state, graph, &mut out);
         }
         out
+    }
+
+    /// Every innermost control-flow loop of the program (a loop whose body
+    /// holds no further loop), in program order, with the record a map
+    /// gets: the kernel, or the VM and the typed reason.
+    pub fn loop_strategies(&self) -> Vec<MapInfo> {
+        self.plan.loops.clone()
     }
 
     pub(crate) fn plan(&self) -> &ExecPlan {

@@ -1,45 +1,50 @@
 //! The specialized-kernel execution tier.
 //!
-//! Plan compilation ([`crate::plan`]) attaches two kinds of native kernel;
-//! this module dispatches both.  In either, every array access advances by
-//! a precomputed constant step instead of re-walking the plan graph and
-//! re-evaluating compiled index expressions per point.
+//! Plan compilation ([`crate::plan`]) attaches one kind of native kernel, the
+//! N-D affine kernel ([`crate::plan::AffineKernel`]), at two sites; this
+//! module holds its one executor ([`RunState::exec_kernel`]).  A body of
+//! access nodes plus one tasklet (any number of assignments and writes) with
+//! affine memlets — identity, permuted, partial, constant and offset
+//! indices, range starts, whole-array scalars — runs as a native nest in
+//! which every array access advances by a precomputed constant step instead
+//! of re-walking the plan graph and re-evaluating compiled index expressions
+//! per point.
 //!
-//! * **Control-flow-loop kernels** ([`crate::plan::SpecKernel`]): a
-//!   unit-step innermost control-flow loop whose body state is one
-//!   single-assignment affine tasklet — elementwise bodies, fixed-radius
-//!   stencils, reduction/contraction bodies — runs as one flat loop.
-//! * **The N-D affine map kernel** ([`crate::plan::MapKernel`]): a map whose
-//!   dependence verdict allows parallel execution and whose body is one
-//!   tasklet (any number of assignments) with affine memlets — identity,
-//!   permuted, partial, constant and offset indices alike — runs as a
-//!   native nest over its rectangular domain, in the VM's odometer order.
+//! * **Map site**: a map whose dependence verdict allows parallel execution
+//!   runs over its rectangular domain in the VM's odometer order.
+//! * **Loop site**: a unit-step control-flow loop over a single state —
+//!   elementwise bodies, fixed-radius stencils, reduction/contraction bodies
+//!   — is the same nest with one variable, i.e. the loop itself in loop
+//!   order.
 //!
 //! Exactness is the design invariant:
 //!
-//! * **Validate first, mutate second.**  Every precondition — runtime trip
-//!   count, bound iteration symbols, in-range accesses across the whole
-//!   iteration space, scalar-read container sizes — is checked before any
-//!   write.  Any failure returns `Ok(false)` and the caller falls back to
-//!   the register VM, which reproduces the exact semantics of the failing
-//!   case, including partial execution followed by an error.
-//! * **Bit-identical arithmetic.**  The specialized loop evaluates the very
-//!   same [`dace_sdfg::CompiledExpr`] the VM would (or its recognized
+//! * **Validate first, mutate second.**  Every precondition — bound
+//!   iteration symbols, present inputs, in-range accesses across the whole
+//!   iteration space, scalar-access container sizes — is checked before any
+//!   allocation or write.  Any failure returns `Ok(false)` and the caller
+//!   falls back to the register VM, which reproduces the exact semantics of
+//!   the failing case, including partial execution followed by an error.
+//! * **Bit-identical arithmetic.**  The kernel evaluates the very same
+//!   [`dace_sdfg::CompiledExpr`] the VM would (or its recognized
 //!   [`dace_sdfg::MicroPattern`], whose evaluation applies the same
 //!   operations in the same order), with reads loaded into the same slots in
 //!   the same order, all reads of a point before its writes and the writes
 //!   in edge order — so results match the VM bit for bit, a property the
 //!   proptests in `tests/spec.rs` pin down.
 //! * **Aliasing-aware.**  Reads of a written array go through the buffer
-//!   being mutated.  Loop kernels thereby preserve Gauss–Seidel-style
+//!   being mutated.  The loop site thereby preserves Gauss–Seidel-style
 //!   read-after-write order, admitted only when
 //!   [`dace_sdfg::deps::alias_decidable`] understands the write/read offset
-//!   (see `docs/verification.md`); the map kernel admits such reads only at
+//!   (see `docs/verification.md`); the map site admits such reads only at
 //!   the very index that is written.  Anything else stays on the VM.
 //!
-//! The dispatch rule is the same for both: run the kernel lowering attached
-//! if its per-dispatch validation passes (a few corner checks per access),
+//! The dispatch rule is the same for both sites: run the attached kernel if
+//! its per-dispatch validation passes (a few corner checks per access),
 //! otherwise the sequential register VM — from the first opportunity on.
+//! Loop sites dispatch hundreds of times per gradient on rows of tens of
+//! points, so per-dispatch work is kept flat: work vectors live in
+//! [`Scratch`], written-array and slot lists are fixed at lowering.
 //! [`SpecMode::ForceOff`] pins pure register-VM execution, the reference the
 //! bit-identity tests compare against, mirroring [`crate::MapPath`].
 
@@ -47,7 +52,7 @@ use dace_tensor::Tensor;
 
 use crate::error::RuntimeResult;
 use crate::executor::{RunState, Scratch};
-use crate::plan::{ExecPlan, MapExpr, MapKernel, SpecAccess};
+use crate::plan::{AffineKernel, ExecPlan, KernelAccess, KernelExpr, SymFile};
 
 /// Specialized-kernel dispatch control, a test switch in the style of
 /// [`crate::MapPath`] (`Session::force_specialization`).
@@ -60,33 +65,35 @@ pub enum SpecMode {
     ForceOff,
 }
 
-/// One access flattened against its layout for a concrete `[start, end)`
-/// window: row-major offset at `i = start`, and offset delta per iteration.
-#[derive(Clone, Copy)]
-struct Flat {
-    base: i64,
-    step: i64,
+/// Iterations of `lo .. hi`, the one extent computation of both attachment
+/// sites.  Bounds are user-controlled symbols: `None` means `hi - lo` wraps
+/// `i64` (a map reports [`crate::RuntimeError::MapDomainOverflow`], a loop
+/// stays on the VM).
+#[inline]
+pub(crate) fn extent(lo: i64, hi: i64) -> Option<usize> {
+    hi.checked_sub(lo).map(|n| n.max(0) as usize)
 }
 
-/// Where a specialized read loads from.
+/// Where a per-point read loads from.
 enum SrcBuf<'a> {
     /// A slab tensor the kernel does not write.
     Slab(&'a [f64]),
     /// The `n`-th written tensor, taken out of the slab for the dispatch
-    /// (reads observe in-loop writes; a loop kernel has exactly one).
+    /// (reads observe the writes of earlier points).
     Out(usize),
 }
 
-/// A specialized read with its running flat offset and innermost step.
-struct SpecSrc<'a> {
+/// A per-point read with its running flat offset and innermost step.
+struct KernelSrc<'a> {
     slot: usize,
     off: i64,
     step: i64,
     buf: SrcBuf<'a>,
 }
 
-/// A map-kernel write with its running flat offset and innermost step.
-struct MapDst {
+/// A write with its running flat offset and innermost step.
+#[derive(Clone, Copy)]
+pub(crate) struct KernelDst {
     expr: usize,
     off: i64,
     step: i64,
@@ -94,194 +101,62 @@ struct MapDst {
     accumulate: bool,
 }
 
+/// Flatten one access over the box `lows[v] .. lows[v] + sizes[v]` (every
+/// size at least 1) of its iteration variables: evaluate the loop-invariant
+/// index parts, bounds-check the extreme corners per dimension (which covers
+/// every point, indices being monotone in each variable), and fold the
+/// per-dimension strides into `flat = [offset at lows, step per variable]`.
+/// `None` means the VM must handle this dispatch.
+fn flatten_access(
+    plan: &ExecPlan,
+    syms: &SymFile,
+    i_regs: &mut Vec<i64>,
+    acc: &KernelAccess,
+    lows: &[i64],
+    sizes: &[usize],
+    flat: &mut [i64],
+) -> Option<()> {
+    let layout = plan.arrays.layout(acc.array).ok()?;
+    flat.fill(0);
+    if acc.rest.is_empty() {
+        // Whole-array scalar access: one fixed element of a length-1
+        // container (the VM rejects any other length).
+        return (layout.dims.iter().product::<usize>() == 1).then_some(());
+    }
+    let (base, steps) = flat.split_first_mut()?;
+    for d in 0..acc.rest.len() {
+        let rest = acc.rest[d].eval(syms, &plan.syms.names, i_regs).ok()?;
+        let stride = layout.strides[d] as i64;
+        let (mut at_lows, mut lo, mut hi) = (rest, rest, rest);
+        for (v, &c) in acc.coeff[d].iter().enumerate() {
+            let last = lows[v].checked_add(sizes[v] as i64 - 1)?;
+            let (at_low, at_last) = (c.checked_mul(lows[v])?, c.checked_mul(last)?);
+            at_lows = at_lows.checked_add(at_low)?;
+            lo = lo.checked_add(at_low.min(at_last))?;
+            hi = hi.checked_add(at_low.max(at_last))?;
+            steps[v] = steps[v].checked_add(c.checked_mul(stride)?)?;
+        }
+        if lo < 0 || hi >= layout.dims[d] as i64 {
+            return None;
+        }
+        *base = base.checked_add(at_lows.checked_mul(stride)?)?;
+    }
+    Some(())
+}
+
 impl RunState {
-    /// Flatten one access over the box `lows[p] ..= lasts[p]` of its
-    /// iteration variables: evaluate the loop-invariant index parts,
-    /// bounds-check the extreme corners per dimension (which covers every
-    /// point, indices being monotone in each variable), and fold the
-    /// per-dimension strides into the flat offset at `lows` (returned) and
-    /// one flat step per variable (written to `steps`).  `None` means the VM
-    /// must handle this dispatch.
-    fn flatten_spec_access(
-        &mut self,
-        plan: &ExecPlan,
-        acc: &SpecAccess,
-        lows: &[i64],
-        lasts: &[i64],
-        steps: &mut [i64],
-    ) -> Option<i64> {
-        let layout = plan.arrays.layout(acc.array).ok()?;
-        steps.fill(0);
-        if acc.rest.is_empty() {
-            // Whole-array scalar access: one fixed element of a length-1
-            // container (the VM rejects any other length).
-            return (layout.dims.iter().product::<usize>() == 1).then_some(0);
-        }
-        let mut base = 0i64;
-        for d in 0..acc.rest.len() {
-            let rest = acc.rest[d]
-                .eval(&self.syms, &plan.syms.names, &mut self.scratch.i_regs)
-                .ok()?;
-            let stride = layout.strides[d] as i64;
-            let (mut at_lows, mut lo, mut hi) = (rest, rest, rest);
-            for (p, &c) in acc.coeff[d].iter().enumerate() {
-                let (at_low, at_last) = (c.checked_mul(lows[p])?, c.checked_mul(lasts[p])?);
-                at_lows = at_lows.checked_add(at_low)?;
-                lo = lo.checked_add(at_low.min(at_last))?;
-                hi = hi.checked_add(at_low.max(at_last))?;
-                steps[p] = steps[p].checked_add(c.checked_mul(stride)?)?;
-            }
-            if lo < 0 || hi >= layout.dims[d] as i64 {
-                return None;
-            }
-            base = base.checked_add(at_lows.checked_mul(stride)?)?;
-        }
-        Some(base)
-    }
-
-    /// Execute specialized kernel `spec_id` over `i in [start, end)` with
-    /// unit step.  Returns `Ok(false)` — having mutated nothing — when any
+    /// Execute the N-D affine kernel `k` over the rectangular domain
+    /// `lows[v] .. lows[v] + sizes[v]` (non-empty) of its iteration
+    /// variables: the parameters of a map, or the iterator of a loop.  Each
+    /// access is flattened once against its layout; the nest then walks the
+    /// domain in the VM's order — last variable fastest, on a flat loop —
+    /// so a one-variable domain is the loop itself, in loop order.  Returns
+    /// `Ok(false)` — having allocated and written nothing — when any
     /// precondition fails and the VM must run instead.
-    pub(crate) fn exec_spec(
+    pub(crate) fn exec_kernel(
         &mut self,
         plan: &ExecPlan,
-        spec_id: u32,
-        start: i64,
-        end: i64,
-    ) -> RuntimeResult<bool> {
-        let spec = &plan.specs[spec_id as usize];
-        if end <= start {
-            // The VM's empty loop is already free; keep one code path.
-            return Ok(false);
-        }
-        let trip = (end - start) as usize;
-
-        // -- Validation (no mutation past this comment until it all holds) --
-        for &a in &spec.arrays {
-            // A missing non-transient input must surface as the VM's error.
-            if self.slab[a as usize].is_none() && !plan.arrays.transient[a as usize] {
-                return Ok(false);
-            }
-        }
-        for &(_, sym) in &spec.iter_loads {
-            if !self.syms.defined[sym as usize] {
-                return Ok(false);
-            }
-        }
-        for &(_, a) in &spec.scalar_reads {
-            // Tensor length always equals the layout product, so this is
-            // checkable before allocation.
-            let Ok(layout) = plan.arrays.layout(a) else {
-                return Ok(false);
-            };
-            if layout.dims.iter().product::<usize>() != 1 {
-                return Ok(false);
-            }
-        }
-        let (lows, lasts) = ([start], [end - 1]);
-        let mut step = [0i64];
-        let mut read_flats = Vec::with_capacity(spec.reads.len());
-        for (_, acc) in &spec.reads {
-            match self.flatten_spec_access(plan, acc, &lows, &lasts, &mut step) {
-                Some(base) => read_flats.push(Flat {
-                    base,
-                    step: step[0],
-                }),
-                None => return Ok(false),
-            }
-        }
-        let Some(base) = self.flatten_spec_access(plan, &spec.write, &lows, &lasts, &mut step)
-        else {
-            return Ok(false);
-        };
-        let write = Flat {
-            base,
-            step: step[0],
-        };
-
-        // -- Execution --
-        for &a in &spec.arrays {
-            self.ensure_allocated(plan, a)?;
-        }
-        let out_array = spec.write.array as usize;
-        let RunState {
-            slab,
-            syms,
-            scratch,
-            ..
-        } = self;
-        scratch.slots.clear();
-        scratch.slots.resize(spec.n_slots, 0.0);
-        for &(slot, sym) in &spec.iter_loads {
-            scratch.slots[slot as usize] = syms.vals[sym as usize] as f64;
-        }
-        for &(slot, a) in &spec.scalar_reads {
-            scratch.slots[slot as usize] =
-                slab[a as usize].as_ref().expect("allocated above").data()[0];
-        }
-        let mut out_t = slab[out_array].take().expect("allocated above");
-        {
-            let mut srcs: Vec<SpecSrc<'_>> = spec
-                .reads
-                .iter()
-                .zip(&read_flats)
-                .map(|(&(slot, ref acc), flat)| SpecSrc {
-                    slot: slot as usize,
-                    off: flat.base,
-                    step: flat.step,
-                    buf: if acc.array as usize == out_array {
-                        SrcBuf::Out(0)
-                    } else {
-                        SrcBuf::Slab(slab[acc.array as usize].as_ref().expect("allocated").data())
-                    },
-                })
-                .collect();
-            let out = out_t.data_mut();
-            let slots = &mut scratch.slots;
-            match &spec.micro {
-                Some(m) => run_spec_loop(
-                    trip,
-                    start,
-                    &mut srcs,
-                    &spec.inner_iter_slots,
-                    slots,
-                    out,
-                    write,
-                    spec.accumulate,
-                    |slots| m.eval(slots),
-                ),
-                None => {
-                    let expr = &spec.expr;
-                    let f_regs = &mut scratch.f_regs;
-                    run_spec_loop(
-                        trip,
-                        start,
-                        &mut srcs,
-                        &spec.inner_iter_slots,
-                        slots,
-                        out,
-                        write,
-                        spec.accumulate,
-                        |slots| expr.eval(slots, f_regs),
-                    );
-                }
-            }
-        }
-        slab[out_array] = Some(out_t);
-        Ok(true)
-    }
-
-    /// Execute the N-D affine kernel `k` of a map over the rectangular
-    /// domain `lows[p] .. lows[p] + sizes[p]` (non-empty; the caller has
-    /// allocated every referenced container).  Each access is flattened
-    /// once against its layout; the nest then walks the domain in the VM's
-    /// odometer order with the innermost parameter on a flat loop.  Returns
-    /// `Ok(false)` — having mutated nothing — when any precondition fails
-    /// and the VM must run instead.
-    pub(crate) fn exec_map_kernel(
-        &mut self,
-        plan: &ExecPlan,
-        k: &MapKernel,
+        k: &AffineKernel,
         lows: &[i64],
         sizes: &[usize],
     ) -> RuntimeResult<bool> {
@@ -289,41 +164,44 @@ impl RunState {
         let Some((&trip, outer)) = sizes.split_last() else {
             return Ok(false);
         };
-        let np = sizes.len();
-        let inner = np - 1;
+        let inner = outer.len();
+        // Per access: the offset at `lows`, then one step per variable.
+        let per_access = sizes.len() + 1;
+        let read_flats = k.reads.len() * per_access;
+        let access_flats = read_flats + k.writes.len() * per_access;
 
         // -- Validation (no mutation past this comment until it all holds) --
-        if k.iter_loads
-            .iter()
-            .any(|&(_, sym)| !self.syms.defined[sym as usize])
-        {
+        let unbound = |&(_, sym): &(u32, u32)| !self.syms.defined[sym as usize];
+        // A missing non-transient input must surface as the VM's error.
+        let missing =
+            |&a: &u32| self.slab[a as usize].is_none() && !plan.arrays.transient[a as usize];
+        if k.iter_loads.iter().any(unbound) || k.arrays.iter().any(missing) {
             return Ok(false);
         }
-        let lasts: Vec<i64> = lows
-            .iter()
-            .zip(sizes)
-            .map(|(&lo, &n)| lo + n as i64 - 1)
-            .collect();
+        // The flattened accesses, then the odometer of the outer variables.
+        let (syms, slab, scratch) = (&self.syms, &self.slab, &mut self.scratch);
+        scratch.flat.clear();
+        scratch.flat.resize(access_flats + inner, 0);
         let accesses = k
             .reads
             .iter()
-            .map(|(_, acc)| acc)
-            .chain(k.writes.iter().map(|(_, acc, _)| acc));
-        let mut steps = vec![0i64; (k.reads.len() + k.writes.len()) * np];
-        let mut bases = Vec::with_capacity(k.reads.len() + k.writes.len());
-        for (acc, steps) in accesses.zip(steps.chunks_mut(np)) {
+            .map(|r| &r.access)
+            .chain(k.writes.iter().map(|w| &w.access));
+        for (acc, flat) in accesses.zip(scratch.flat.chunks_exact_mut(per_access)) {
             // A memlet of an array the body has no access node for surfaces
             // as the VM's error.
-            if self.slab[acc.array as usize].is_none() {
+            if slab[acc.array as usize].is_none() && !k.arrays.contains(&acc.array) {
                 return Ok(false);
             }
-            match self.flatten_spec_access(plan, acc, lows, &lasts, steps) {
-                Some(base) => bases.push(base),
-                None => return Ok(false),
+            if flatten_access(plan, syms, &mut scratch.i_regs, acc, lows, sizes, flat).is_none() {
+                return Ok(false);
             }
         }
 
         // -- Execution --
+        for &a in &k.arrays {
+            self.ensure_allocated(plan, a)?;
+        }
         let RunState {
             slab,
             syms,
@@ -334,6 +212,9 @@ impl RunState {
             slots,
             f_regs,
             outs: vals,
+            flat,
+            dsts,
+            out_ts,
             ..
         } = scratch;
         slots.clear();
@@ -343,149 +224,137 @@ impl RunState {
         }
         // Slot-free assignments evaluate here, once; the rest per point.
         vals.clear();
-        vals.extend(k.exprs.iter().map(|e| e.expr.eval(slots, f_regs)));
+        for e in &k.exprs {
+            vals.push(if e.constant {
+                e.expr.eval(slots, f_regs)
+            } else {
+                0.0
+            });
+        }
         // Take the written tensors out of the slab so that every other read
-        // borrows it directly; reads of a written array go through `outs`.
-        let mut out_ids: Vec<u32> = k.writes.iter().map(|(_, acc, _)| acc.array).collect();
-        out_ids.sort_unstable();
-        out_ids.dedup();
-        let mut out_ts: Vec<Tensor> = out_ids
-            .iter()
-            .map(|&a| slab[a as usize].take().expect("checked above"))
-            .collect();
-        {
-            let mut outs: Vec<&mut [f64]> = out_ts.iter_mut().map(|t| t.data_mut()).collect();
-            let out_of = |a: u32| out_ids.iter().position(|&o| o == a);
-            let mut srcs: Vec<SpecSrc<'_>> = k
-                .reads
+        // borrows it directly; reads of a written array go through `out_ts`.
+        out_ts.extend(
+            k.outs
                 .iter()
-                .enumerate()
-                .map(|(i, &(slot, ref acc))| SpecSrc {
-                    slot: slot as usize,
+                .map(|&a| slab[a as usize].take().expect("allocated above")),
+        );
+        let (flat, counters) = flat.split_at_mut(access_flats);
+        let (read_flats, write_flats) = flat.split_at(read_flats);
+        let data = |a: u32| slab[a as usize].as_ref().expect("allocated above").data();
+        let mut srcs: Vec<KernelSrc<'_>> = Vec::with_capacity(k.reads.len());
+        for (r, flat) in k.reads.iter().zip(read_flats.chunks_exact(per_access)) {
+            if !r.row_invariant {
+                srcs.push(KernelSrc {
+                    slot: r.slot as usize,
                     off: 0,
-                    step: steps[i * np + inner],
-                    buf: match out_of(acc.array) {
-                        Some(o) => SrcBuf::Out(o),
-                        None => SrcBuf::Slab(
-                            slab[acc.array as usize]
-                                .as_ref()
-                                .expect("checked above")
-                                .data(),
-                        ),
+                    step: flat[1 + inner],
+                    buf: match r.out {
+                        Some(o) => SrcBuf::Out(o as usize),
+                        None => SrcBuf::Slab(data(r.access.array)),
                     },
-                })
-                .collect();
-            let mut dsts: Vec<MapDst> = k
-                .writes
-                .iter()
-                .enumerate()
-                .map(|(j, &(expr, ref acc, accumulate))| MapDst {
-                    expr: expr as usize,
-                    off: 0,
-                    step: steps[(k.reads.len() + j) * np + inner],
-                    out: out_of(acc.array).expect("collected above"),
-                    accumulate,
-                })
-                .collect();
-            let inner_slots: Vec<u32> = k
-                .param_slots
-                .iter()
-                .filter(|&&(_, p)| p == inner)
-                .map(|&(slot, _)| slot)
-                .collect();
-            let mut counters = vec![0usize; inner];
-            for row in 0..outer.iter().product::<usize>() {
-                // The outer parameters of this row, last fastest.
-                let mut rest = row;
-                for (c, &n) in counters.iter_mut().zip(outer).rev() {
-                    (*c, rest) = (rest % n, rest / n);
-                }
-                // Row start: every access's offset at this outer point, and
-                // the outer parameters the assignments read as values.
-                let offs = srcs
-                    .iter_mut()
-                    .map(|s| &mut s.off)
-                    .chain(dsts.iter_mut().map(|d| &mut d.off));
-                for (i, off) in offs.enumerate() {
-                    *off = bases[i]
-                        + counters
-                            .iter()
-                            .zip(&steps[i * np..])
-                            .map(|(&c, &step)| c as i64 * step)
-                            .sum::<i64>();
-                }
-                for &(slot, p) in &k.param_slots {
-                    if p < inner {
-                        slots[slot as usize] = (lows[p] + counters[p] as i64) as f64;
-                    }
-                }
-                if let ([e], [d]) = (&k.exprs[..], &dsts[..]) {
-                    // One assignment, one write: the loop kernels' flat
-                    // loop, monomorphized over the evaluator.
-                    macro_rules! row {
-                        ($eval:expr) => {
-                            run_spec_loop(
-                                trip,
-                                lows[inner],
-                                &mut srcs,
-                                &inner_slots,
-                                slots,
-                                outs[0],
-                                Flat {
-                                    base: d.off,
-                                    step: d.step,
-                                },
-                                d.accumulate,
-                                $eval,
-                            )
-                        };
-                    }
-                    match (&e.micro, e.constant) {
-                        (_, true) => row!(|_| vals[0]),
-                        (Some(m), _) => row!(|slots| m.eval(slots)),
-                        (None, _) => row!(|slots| e.expr.eval(slots, f_regs)),
-                    }
-                } else {
-                    run_map_row(
-                        trip,
-                        lows[inner],
-                        &mut srcs,
-                        &mut dsts,
-                        &inner_slots,
-                        slots,
-                        vals,
-                        &mut outs,
-                        &k.exprs,
-                        f_regs,
-                    );
-                }
+                });
             }
         }
-        for (&a, t) in out_ids.iter().zip(out_ts) {
+        dsts.clear();
+        for (w, flat) in k.writes.iter().zip(write_flats.chunks_exact(per_access)) {
+            dsts.push(KernelDst {
+                expr: w.expr as usize,
+                off: 0,
+                step: flat[1 + inner],
+                out: w.out as usize,
+                accumulate: w.accumulate,
+            });
+        }
+        for row in 0..outer.iter().product::<usize>() {
+            // The outer variables of this row, last fastest.
+            let mut rest = row;
+            for (c, &n) in counters.iter_mut().zip(outer).rev() {
+                (*c, rest) = ((rest % n) as i64, rest / n);
+            }
+            let at_row = |flat: &[i64]| {
+                let steps = counters.iter().zip(&flat[1..]);
+                flat[0] + steps.map(|(&c, &step)| c * step).sum::<i64>()
+            };
+            // Row start: every access's offset at this outer point (a
+            // row-invariant read loads here, once), and the outer variables
+            // the assignments read as values.
+            let mut per_point = srcs.iter_mut();
+            for (r, flat) in k.reads.iter().zip(read_flats.chunks_exact(per_access)) {
+                if r.row_invariant {
+                    slots[r.slot as usize] = data(r.access.array)[at_row(flat) as usize];
+                } else {
+                    per_point.next().expect("built above").off = at_row(flat);
+                }
+            }
+            for (d, flat) in dsts.iter_mut().zip(write_flats.chunks_exact(per_access)) {
+                d.off = at_row(flat);
+            }
+            for &(slot, v) in &k.outer_slots {
+                slots[slot as usize] = (lows[v] + counters[v]) as f64;
+            }
+            if let ([e], [d]) = (&k.exprs[..], &dsts[..]) {
+                // One assignment, one write: the flat loop monomorphized
+                // over the evaluator.
+                let out = out_ts[d.out].data_mut();
+                macro_rules! row {
+                    ($eval:expr) => {
+                        run_single_row(
+                            trip,
+                            lows[inner],
+                            &mut srcs,
+                            &k.inner_slots,
+                            slots,
+                            out,
+                            *d,
+                            $eval,
+                        )
+                    };
+                }
+                match (&e.micro, e.constant) {
+                    (_, true) => row!(|_| vals[0]),
+                    (Some(m), _) => row!(|slots| m.eval(slots)),
+                    (None, _) => row!(|slots| e.expr.eval(slots, f_regs)),
+                }
+            } else {
+                run_multi_row(
+                    trip,
+                    lows[inner],
+                    &mut srcs,
+                    dsts,
+                    &k.inner_slots,
+                    slots,
+                    vals,
+                    out_ts,
+                    &k.exprs,
+                    f_regs,
+                );
+            }
+        }
+        drop(srcs);
+        for (&a, t) in k.outs.iter().zip(out_ts.drain(..)) {
             slab[a as usize] = Some(t);
         }
         Ok(true)
     }
 }
 
-/// The flat inner loop, monomorphized over the expression evaluator: load
-/// each read at its running offset (in edge order, so duplicate-slot
-/// semantics match the VM), refresh iterator slots, evaluate, write.
+/// One row of a single-assignment, single-write kernel, monomorphized over
+/// the expression evaluator: load each per-point read at its running offset
+/// (in edge order, so duplicate-slot semantics match the VM), refresh the
+/// innermost-variable slots, evaluate, write.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn run_spec_loop(
+fn run_single_row(
     trip: usize,
-    start: i64,
-    srcs: &mut [SpecSrc<'_>],
+    inner_low: i64,
+    srcs: &mut [KernelSrc<'_>],
     inner_slots: &[u32],
     slots: &mut [f64],
     out: &mut [f64],
-    write: Flat,
-    accumulate: bool,
+    mut dst: KernelDst,
     mut eval: impl FnMut(&[f64]) -> f64,
 ) {
-    let mut woff = write.base;
-    for k in 0..trip {
+    for i in 0..trip {
         for s in srcs.iter_mut() {
             slots[s.slot] = match s.buf {
                 SrcBuf::Slab(d) => d[s.off as usize],
@@ -494,44 +363,44 @@ fn run_spec_loop(
             s.off += s.step;
         }
         if !inner_slots.is_empty() {
-            let iv = (start + k as i64) as f64;
+            let iv = (inner_low + i as i64) as f64;
             for &sl in inner_slots {
                 slots[sl as usize] = iv;
             }
         }
         let v = eval(slots);
-        if accumulate {
-            out[woff as usize] += v;
+        if dst.accumulate {
+            out[dst.off as usize] += v;
         } else {
-            out[woff as usize] = v;
+            out[dst.off as usize] = v;
         }
-        woff += write.step;
+        dst.off += dst.step;
     }
 }
 
-/// One row of a multi-assignment map kernel: per point, load each read at
-/// its running offset (in edge order, so duplicate-slot semantics match the VM), refresh
-/// the innermost-parameter slots, evaluate every slot-reading assignment,
-/// then apply the writes in edge order.
+/// One row of a multi-assignment kernel: per point, load each per-point
+/// read at its running offset (in edge order), refresh the
+/// innermost-variable slots, evaluate every slot-reading assignment, then
+/// apply the writes in edge order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn run_map_row(
+fn run_multi_row(
     trip: usize,
     inner_low: i64,
-    srcs: &mut [SpecSrc<'_>],
-    dsts: &mut [MapDst],
+    srcs: &mut [KernelSrc<'_>],
+    dsts: &mut [KernelDst],
     inner_slots: &[u32],
     slots: &mut [f64],
     vals: &mut [f64],
-    outs: &mut [&mut [f64]],
-    exprs: &[MapExpr],
+    outs: &mut [Tensor],
+    exprs: &[KernelExpr],
     f_regs: &mut Vec<f64>,
 ) {
     for i in 0..trip {
         for s in srcs.iter_mut() {
             slots[s.slot] = match s.buf {
                 SrcBuf::Slab(d) => d[s.off as usize],
-                SrcBuf::Out(o) => outs[o][s.off as usize],
+                SrcBuf::Out(o) => outs[o].data()[s.off as usize],
             };
             s.off += s.step;
         }
@@ -550,7 +419,7 @@ fn run_map_row(
             }
         }
         for d in dsts.iter_mut() {
-            let target = &mut outs[d.out][d.off as usize];
+            let target = &mut outs[d.out].data_mut()[d.off as usize];
             if d.accumulate {
                 *target += vals[d.expr];
             } else {

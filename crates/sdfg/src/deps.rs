@@ -56,14 +56,6 @@ pub enum ParVerdict {
     Unknown,
 }
 
-impl ParVerdict {
-    /// Whether iterations are independent enough to reorder or run
-    /// concurrently (the runtime's precondition for the map kernel).
-    pub fn allows_parallel(&self) -> bool {
-        matches!(self, ParVerdict::Safe | ParVerdict::Reduction)
-    }
-}
-
 impl fmt::Display for ParVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

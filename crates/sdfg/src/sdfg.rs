@@ -69,18 +69,19 @@ impl ArrayDesc {
 
     /// Total element count under symbol bindings.
     pub fn volume(&self, bindings: &HashMap<String, i64>) -> Result<i64, SymError> {
-        let mut v = 1i64;
-        for d in &self.shape {
-            v *= d.eval(bindings)?.max(0);
-        }
-        Ok(v)
+        self.shape.iter().try_fold(1i64, |v, d| {
+            v.checked_mul(d.eval(bindings)?.max(0))
+                .ok_or(SymError::Overflow)
+        })
     }
 
     /// Size in bytes under symbol bindings (every element stored as f64 at
     /// runtime, but sized by `dtype` for the memory model to match the
     /// paper's MiB numbers).
     pub fn size_bytes(&self, bindings: &HashMap<String, i64>) -> Result<i64, SymError> {
-        Ok(self.volume(bindings)? * self.dtype.size_bytes() as i64)
+        self.volume(bindings)?
+            .checked_mul(self.dtype.size_bytes() as i64)
+            .ok_or(SymError::Overflow)
     }
 
     /// Concrete shape under symbol bindings.

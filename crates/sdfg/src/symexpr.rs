@@ -41,6 +41,9 @@ pub enum SymError {
     UnboundSymbol(String),
     /// Division or remainder by zero.
     DivisionByZero,
+    /// An intermediate value does not fit in `i64` (symbol values are
+    /// user-controlled).
+    Overflow,
 }
 
 impl fmt::Display for SymError {
@@ -48,11 +51,16 @@ impl fmt::Display for SymError {
         match self {
             SymError::UnboundSymbol(s) => write!(f, "unbound symbol `{s}`"),
             SymError::DivisionByZero => write!(f, "division by zero in symbolic expression"),
+            SymError::Overflow => write!(f, "integer overflow in symbolic expression"),
         }
     }
 }
 
 impl std::error::Error for SymError {}
+
+fn checked(value: Option<i64>) -> Result<i64, SymError> {
+    value.ok_or(SymError::Overflow)
+}
 
 impl SymExpr {
     /// Shorthand constructor for a symbol.
@@ -90,7 +98,9 @@ impl SymExpr {
         self.mul(&SymExpr::Int(v))
     }
 
-    /// Evaluate against a symbol binding.
+    /// Evaluate against a symbol binding.  Symbol values are user-controlled,
+    /// so every operation is checked: a value beyond `i64` is a typed
+    /// [`SymError::Overflow`], never a wrap or a debug-build panic.
     pub fn eval(&self, bindings: &HashMap<String, i64>) -> Result<i64, SymError> {
         match self {
             SymExpr::Int(v) => Ok(*v),
@@ -98,15 +108,15 @@ impl SymExpr {
                 .get(s)
                 .copied()
                 .ok_or_else(|| SymError::UnboundSymbol(s.clone())),
-            SymExpr::Add(a, b) => Ok(a.eval(bindings)? + b.eval(bindings)?),
-            SymExpr::Sub(a, b) => Ok(a.eval(bindings)? - b.eval(bindings)?),
-            SymExpr::Mul(a, b) => Ok(a.eval(bindings)? * b.eval(bindings)?),
+            SymExpr::Add(a, b) => checked(a.eval(bindings)?.checked_add(b.eval(bindings)?)),
+            SymExpr::Sub(a, b) => checked(a.eval(bindings)?.checked_sub(b.eval(bindings)?)),
+            SymExpr::Mul(a, b) => checked(a.eval(bindings)?.checked_mul(b.eval(bindings)?)),
             SymExpr::Div(a, b) => {
                 let d = b.eval(bindings)?;
                 if d == 0 {
                     Err(SymError::DivisionByZero)
                 } else {
-                    Ok(a.eval(bindings)?.div_euclid(d))
+                    checked(a.eval(bindings)?.checked_div_euclid(d))
                 }
             }
             SymExpr::Rem(a, b) => {
@@ -114,12 +124,13 @@ impl SymExpr {
                 if d == 0 {
                     Err(SymError::DivisionByZero)
                 } else {
-                    Ok(a.eval(bindings)?.rem_euclid(d))
+                    // `i64::MIN rem -1` is 0, as every remainder by -1.
+                    Ok(a.eval(bindings)?.wrapping_rem_euclid(d))
                 }
             }
             SymExpr::Min(a, b) => Ok(a.eval(bindings)?.min(b.eval(bindings)?)),
             SymExpr::Max(a, b) => Ok(a.eval(bindings)?.max(b.eval(bindings)?)),
-            SymExpr::Neg(a) => Ok(-a.eval(bindings)?),
+            SymExpr::Neg(a) => checked(a.eval(bindings)?.checked_neg()),
         }
     }
 

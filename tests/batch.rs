@@ -117,12 +117,15 @@ fn session_pool_reuses_after_warmup() {
     let driver = BatchDriver::new(program).with_workers(2);
     let items: Vec<_> = (0..6).map(item).collect();
 
+    // Warm to the worker width: the first batch alone warms only as many
+    // sessions as its items happened to overlap (possibly one).
+    driver.warm(2);
     let first = driver.run_batch(&items, &["Y"]);
     assert_eq!(first.report.succeeded, 6);
     let created_after_warmup = driver.sessions_created();
-    assert!(
-        (1..=6).contains(&created_after_warmup),
-        "pool should create at most one session per in-flight item, created {created_after_warmup}"
+    assert_eq!(
+        created_after_warmup, 2,
+        "two workers never hold more than two sessions"
     );
 
     for _ in 0..3 {
@@ -240,6 +243,9 @@ fn item_errors_are_isolated() {
     // Wrong shape for item 2.
     items[2].insert("X".to_string(), Tensor::zeros(&[7]));
 
+    // One session per worker up front, so "creates nothing new" below does
+    // not depend on how the first batch's items overlapped.
+    driver.warm(2);
     let out = driver.run_batch(&items, &["Y"]);
     assert_eq!(out.report.succeeded, 3);
     assert_eq!(out.report.failed, 1);

@@ -1,27 +1,31 @@
 //! Specialization-tier integration tests.
 //!
-//! The plan compiler recognizes dominant kernel shapes (affine elementwise
-//! bodies, fixed-radius stencils, reduction/contraction bodies) in unit-step
-//! innermost loops and dispatches them to monomorphized native loops, and
-//! attaches the N-D affine map kernel to every single-tasklet affine map its
-//! dependence verdict admits (see `crates/runtime/src/spec.rs`).  These
-//! tests pin down the tier's contract:
+//! The plan compiler attaches one native kernel, the N-D affine kernel, at
+//! two sites: every single-tasklet affine map its dependence verdict admits,
+//! and every unit-step control-flow loop over a single single-tasklet affine
+//! state — elementwise bodies, fixed-radius stencils, reduction/contraction
+//! bodies (see `crates/runtime/src/spec.rs`).  These tests pin down the
+//! tier's contract:
 //!
 //! * the specialized path is **bit-identical** to the register VM on every
 //!   loop kernel of the paper's evaluation, on the gradient programs of all
 //!   fifteen kernels, and on randomly generated affine bodies — loop
 //!   nests (random offsets, scale factors and aliasing, including reads of
-//!   the written array) and 2-/3-parameter maps (permuted, partial, constant
-//!   and offset indices, WCR and plain writes, multi-assignment tasklets);
+//!   the written array, several writes, duplicate connectors, range starts
+//!   and a read-and-written scalar) and 2-/3-parameter maps (permuted,
+//!   partial, constant and offset indices, WCR and plain writes,
+//!   multi-assignment tasklets);
 //! * execution counters (`tasklet_invocations`, `state_executions`,
 //!   `map_points`) are identical across `SpecMode::{Auto, ForceOff}`,
 //!   mirroring the `MapPath` parity guarantees;
-//! * `Auto` actually dispatches specialized kernels on the figure loop
-//!   kernels and on the map kernels (the recognizers cover them) from the
-//!   first opportunity on, and every large map of the BLAS gradient
-//!   programs attaches the map kernel;
-//! * a map whose access leaves its array falls back to the VM and fails
-//!   exactly as the VM does, partial writes included.
+//! * `Auto` actually dispatches the kernel on the figure loop kernels and
+//!   on the map kernels (the recognizer covers them) from the first
+//!   opportunity on, and every large map of the BLAS gradient programs
+//!   attaches it;
+//! * a map or a loop whose access leaves its array falls back to the VM and
+//!   fails exactly as the VM does, partial writes included;
+//! * the reversed innermost loops of the `grad_loops` gradient programs are
+//!   listed as declined for their step (the next thing to move).
 
 use std::collections::HashMap;
 
@@ -203,6 +207,37 @@ fn large_blas_gradient_maps_attach_the_map_kernel() {
     }
 }
 
+/// Where the loop site stands on the `grad_loops` gradient programs: the
+/// gradient program lists the forward sweep's innermost loops and then one
+/// reversed loop per forward loop, and every reversed loop — step `-1` over
+/// a single multi-assignment `adj_*` tasklet — is declined for its step
+/// alone.  A signed step on the one kernel is what moves these sites.
+#[test]
+fn backward_loops_are_declined_for_their_step() {
+    use dace_ad_repro::runtime::KernelMiss;
+    let reversed = MapStrategy::Vm(KernelMiss::NonUnitStep);
+    for name in ["jacobi1d"].into_iter().chain(LOOP_KERNELS) {
+        let kernel = kernel_by_name(name).unwrap();
+        let sizes = kernel.sizes(Preset::Test);
+        let symbols = kernel.symbols(&sizes);
+        let sdfg = kernel.build_dace(&sizes);
+        let forward = compile(&sdfg, &symbols).unwrap().loop_strategies();
+        assert!(!forward.is_empty(), "{name}: no innermost loop");
+        let engine =
+            GradientEngine::new(&sdfg, "OUT", &kernel.wrt(), &symbols, &AdOptions::default())
+                .unwrap();
+        let loops = engine.gradient_program().loop_strategies();
+        let (forward_sweep, backward_sweep) = loops.split_at(forward.len());
+        assert_eq!(backward_sweep.len(), forward.len(), "{name}: {loops:?}");
+        for l in forward_sweep {
+            assert_ne!(l.strategy, reversed, "{name}: {l:?}");
+        }
+        for l in backward_sweep {
+            assert_eq!(l.strategy, reversed, "{name}: {l:?}");
+        }
+    }
+}
+
 /// A map the kernel cannot take records why on its plan node: a proven
 /// race, a read beside the written element (disjoint by parity, so the
 /// verdict is `Safe`), and a non-affine read.
@@ -291,6 +326,55 @@ fn out_of_range_map_falls_back_to_the_vm_error() {
     assert!(off_y[5..].iter().all(|&b| b == 0));
 }
 
+/// The loop counterpart: a loop whose write leaves the array at its last
+/// iteration, and the same loop with its input missing.  The kernel's
+/// validation declines either dispatch before allocating or writing
+/// anything, and the VM raises its exact error after the same partial
+/// writes.
+#[test]
+fn out_of_range_loop_falls_back_to_the_vm_error() {
+    let mut b = ProgramBuilder::new("loop_oob");
+    let n = b.symbol("N");
+    b.add_input("X", vec![n.add_int(1)]).unwrap();
+    b.add_input("Y", vec![n.clone()]).unwrap();
+    let i = SymExpr::sym("i");
+    b.for_range("i", 0, n.add_int(1), |b| {
+        b.assign_element(
+            "Y",
+            vec![i.clone()],
+            elem("X", vec![i.clone()]).mul(lit(2.0)),
+        );
+    });
+    let sdfg = b.build().unwrap();
+    let symbols = HashMap::from([("N".to_string(), 5i64)]);
+    let program = compile(&sdfg, &symbols).unwrap();
+    assert_eq!(program.loop_strategies()[0].strategy, MapStrategy::Kernel);
+    let x = Tensor::from_vec((0..6).map(|v| v as f64 + 1.0).collect(), &[6]).unwrap();
+    let run = |mode: SpecMode, x: Option<&Tensor>| {
+        let mut session = program.session();
+        session.force_specialization(mode);
+        session.set_input("Y", Tensor::zeros(&[5])).unwrap();
+        if let Some(x) = x {
+            session.set_input("X", x.clone()).unwrap();
+        }
+        let err = session.run().unwrap_err();
+        (err, bits(session.array("Y").unwrap()))
+    };
+    let (off_err, off_y) = run(SpecMode::ForceOff, Some(&x));
+    let (on_err, on_y) = run(SpecMode::Auto, Some(&x));
+    assert_eq!(off_err, on_err);
+    assert_eq!(off_y, on_y);
+    // The VM wrote all of `Y` before failing on `Y[5]`.
+    let doubled: Vec<u64> = x.data()[..5].iter().map(|v| (v * 2.0).to_bits()).collect();
+    assert_eq!(off_y, doubled);
+
+    let (off_err, off_y) = run(SpecMode::ForceOff, None);
+    let (on_err, on_y) = run(SpecMode::Auto, None);
+    assert_eq!(off_err, on_err);
+    assert_eq!(off_y, on_y);
+    assert!(off_y.iter().all(|&b| b == 0));
+}
+
 /// `Auto` mode has no warm-up: a loop site dispatches its kernel on the
 /// first opportunity and on every later one, with stable results and
 /// counters across the runs of a session.
@@ -364,6 +448,25 @@ mod proptests {
         /// 2 = sum scaled by a constant, 3 = sum divided by a constant.
         shape: u8,
         scale: f64,
+        extras: Extras,
+    }
+
+    /// Body shapes the loop site admits beyond one assignment over plain
+    /// element reads (all edited into the frontend-built tasklet).
+    #[derive(Clone, Debug, Default)]
+    struct Extras {
+        /// A second assignment `in0 * 0.5`, written (plain or `Wcr::Sum`) at
+        /// this offset into the written array again or into the other one.
+        second_write: Option<(bool, bool, i64, i64)>,
+        /// A later in-edge on connector `in0`, reading `A` at this offset —
+        /// or, flagged, in the fixed column `1 + offset`, a read that does
+        /// not move with `j`: the last edge wins.
+        duplicate_connector: Option<(bool, i64, i64)>,
+        /// Every read becomes a two-wide range, read at its start.
+        ranged_reads: bool,
+        /// A third assignment `S = S + in0` through whole-array memlets: a
+        /// scalar container the body both reads and writes.
+        scalar_of_written: bool,
     }
 
     fn arb_case() -> impl Strategy<Value = SpecCase> {
@@ -374,18 +477,33 @@ mod proptests {
             flag(),
             proptest::collection::vec((flag(), -1i64..2, -1i64..2), 1..5),
             (-1i64..2, -1i64..2),
-            0u8..4,
-            0.25f64..4.0,
+            (0u8..4, 0.25f64..4.0),
+            (
+                (flag(), flag(), flag(), -1i64..2, -1i64..2),
+                (flag(), flag(), -1i64..2, -1i64..2),
+                flag(),
+                flag(),
+            ),
         )
             .prop_map(
-                |(n, in_place, accumulate, reads, wo, shape, scale)| SpecCase {
-                    n,
-                    in_place,
-                    accumulate,
-                    reads,
-                    wo,
-                    shape,
-                    scale,
+                |(n, in_place, accumulate, reads, wo, (shape, scale), (second, dup, ranged, s))| {
+                    SpecCase {
+                        n,
+                        in_place,
+                        accumulate,
+                        reads,
+                        wo,
+                        shape,
+                        scale,
+                        extras: Extras {
+                            second_write: second
+                                .0
+                                .then_some((second.1, second.2, second.3, second.4)),
+                            duplicate_connector: dup.0.then_some((dup.1, dup.2, dup.3)),
+                            ranged_reads: ranged,
+                            scalar_of_written: s,
+                        },
+                    }
                 },
             )
     }
@@ -395,6 +513,7 @@ mod proptests {
         let n = b.symbol("N");
         b.add_input("A", vec![n.clone(), n.clone()]).unwrap();
         b.add_input("B", vec![n.clone(), n.clone()]).unwrap();
+        b.add_input("S", vec![SymExpr::int(1)]).unwrap();
         let (i, j) = (SymExpr::sym("i"), SymExpr::sym("j"));
         let one = SymExpr::int(1);
         let target = if case.in_place { "A" } else { "B" };
@@ -426,10 +545,72 @@ mod proptests {
                 }
             });
         });
-        b.build().unwrap()
+        let mut sdfg = b.build().unwrap();
+        apply_extras(&mut sdfg, case);
+        sdfg
     }
 
-    fn run_case(sdfg: &Sdfg, n: i64, mode: SpecMode) -> (Vec<u64>, Vec<u64>, ExecutionReport) {
+    /// Edit the extras of `case` into the loop body the frontend built: one
+    /// state holding access nodes and the tasklet `out = f(in0, in1, ..)`.
+    fn apply_extras(sdfg: &mut Sdfg, case: &SpecCase) {
+        use dace_ad_repro::sdfg::{DfNode, IndexRange, Memlet, ScalarExpr as E};
+        let is_tasklet = |n: &DfNode| matches!(n, DfNode::Tasklet(_));
+        let mut graphs = sdfg.states.iter_mut().map(|s| &mut s.graph);
+        let (g, t) = graphs
+            .find_map(|g| g.nodes.iter().position(is_tasklet).map(|t| (g, t)))
+            .expect("the loop body holds a tasklet");
+        let at =
+            |ro: i64, co: i64| vec![SymExpr::sym("i").add_int(ro), SymExpr::sym("j").add_int(co)];
+        let x = &case.extras;
+        if x.ranged_reads {
+            for e in g.edges.iter_mut().filter(|e| e.dst == t) {
+                for r in &mut e.memlet.subset.0 {
+                    if let IndexRange::Index(start) = r {
+                        *r = IndexRange::range(start.clone(), start.add_int(2));
+                    }
+                }
+            }
+        }
+        if let Some((fixed_column, ro, co)) = x.duplicate_connector {
+            let node = g.add_access("A");
+            let mut idx = at(ro, co);
+            if fixed_column {
+                idx[1] = SymExpr::int(1 + co);
+            }
+            g.add_edge(node, None, t, Some("in0"), Memlet::element("A", idx));
+        }
+        let mut code = Vec::new();
+        if let Some((wcr, same_array, ro, co)) = x.second_write {
+            let array = if case.in_place == same_array {
+                "A"
+            } else {
+                "B"
+            };
+            code.push(("aux".to_string(), E::input("in0").mul(E::c(0.5))));
+            let node = g.add_access(array);
+            let m = Memlet::element(array, at(ro, co));
+            g.add_edge(
+                t,
+                Some("aux"),
+                node,
+                None,
+                if wcr { m.with_wcr_sum() } else { m },
+            );
+        }
+        if x.scalar_of_written {
+            let (src, dst) = (g.add_access("S"), g.add_access("S"));
+            g.add_edge(src, None, t, Some("s"), Memlet::all("S"));
+            code.push(("acc".to_string(), E::input("s").add(E::input("in0"))));
+            g.add_edge(t, Some("acc"), dst, None, Memlet::all("S"));
+        }
+        let DfNode::Tasklet(tasklet) = &mut g.nodes[t] else {
+            unreachable!("found as a tasklet above")
+        };
+        tasklet.code.extend(code);
+    }
+
+    /// Bits of `A`, `B` and `S` after one run, and the execution report.
+    fn run_case(sdfg: &Sdfg, n: i64, mode: SpecMode) -> ([Vec<u64>; 3], ExecutionReport) {
         let symbols = HashMap::from([("N".to_string(), n)]);
         let dim = n as usize;
         let fill = |seed: f64| {
@@ -445,12 +626,12 @@ mod proptests {
         session.force_specialization(mode);
         session.set_input("A", fill(0.1)).unwrap();
         session.set_input("B", fill(2.3)).unwrap();
+        session
+            .set_input("S", Tensor::from_vec(vec![0.75], &[1]).unwrap())
+            .unwrap();
         let report = session.run().unwrap();
-        (
-            bits(session.array("A").unwrap()),
-            bits(session.array("B").unwrap()),
-            report,
-        )
+        let arrays = ["A", "B", "S"].map(|name| bits(session.array(name).unwrap()));
+        (arrays, report)
     }
 
     /// Side of every array of a generated map: parameters stay in `2..=6`
@@ -671,19 +852,22 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Whatever the recognizer decides (dispatch or VM fallback), the
-        /// results must be bit-identical to pure-VM execution and the
-        /// execution counters must not diverge — for random offsets, scale
-        /// factors, reductions and aliasing patterns, including bodies that
-        /// read the array they write (Gauss–Seidel order).
+        /// The loop kernel must be bit-identical to pure-VM execution with
+        /// equal execution counters — for random offsets, scale factors,
+        /// reductions and aliasing patterns, including bodies that read the
+        /// array they write (Gauss–Seidel order), and for the body shapes
+        /// of [`Extras`]: several assignments and writes, duplicate
+        /// connectors, range-start reads, a scalar that is read and
+        /// written.  Every one of these bodies attaches the kernel, and it
+        /// dispatches once per outer iteration.
         #[test]
         fn specialized_execution_is_bit_identical(case in arb_case()) {
             let sdfg = build_case(&case);
-            let (a_off, b_off, r_off) = run_case(&sdfg, case.n, SpecMode::ForceOff);
-            let (a_on, b_on, r_on) = run_case(&sdfg, case.n, SpecMode::Auto);
+            let (off, r_off) = run_case(&sdfg, case.n, SpecMode::ForceOff);
+            let (on, r_on) = run_case(&sdfg, case.n, SpecMode::Auto);
             prop_assert_eq!(r_off.specialized_dispatches, 0);
-            prop_assert_eq!(&a_off, &a_on, "A diverged for {:?}", &case);
-            prop_assert_eq!(&b_off, &b_on, "B diverged for {:?}", &case);
+            prop_assert_eq!(r_on.specialized_dispatches, case.n as u64 - 2, "{:?}", &case);
+            prop_assert_eq!(&off, &on, "A, B or S diverged for {:?}", &case);
             prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
             prop_assert_eq!(r_off.state_executions, r_on.state_executions);
             prop_assert_eq!(r_off.map_points, r_on.map_points);
