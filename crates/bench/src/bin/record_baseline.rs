@@ -13,12 +13,13 @@
 //! per-request cost of the gateway path; the row also records
 //! p50/p95 latency and the observed coalescing) — and writes one JSON
 //! object per row to the output file.  A fourth synthetic row,
-//! `specialized_kernels`, times the forward loop kernels through the plan
-//! specialization tier (the default) against the VM interpreter (forced off)
-//! over identical compiled plans, verifying bit-identical results and that
-//! specialization actually fired before recording; its `dace_ms` is the
-//! specialized-path total, with the VM total and the geometric-mean speedup
-//! as extra keys.
+//! `specialized_kernels`, times the gradient programs (fwd+bwd) of the seven
+//! loop kernels through the plan specialization tier (the default) against
+//! the VM interpreter (forced off) over identical compiled plans, verifying
+//! before recording that every loop site outside the named exceptions
+//! attached the kernel and that every array is bit-identical; its `dace_ms`
+//! is the specialized-path total, with the VM total and the geometric-mean
+//! speedup as extra keys.
 //!
 //! Every figure is validated before rendering: a non-finite or non-positive
 //! `dace_ms` (a zero-elapsed clock, an `inf` ratio) is a hard error, so a
@@ -41,7 +42,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use dace_runtime::{compile, CompiledProgram, SpecMode};
+use dace_ad::{AdOptions, GradientEngine};
+use dace_runtime::{KernelMiss, MapStrategy, SpecMode};
 use dace_tensor::Tensor;
 use npbench::runner::{
     percentile_ms, serve_options, time_batch, time_dace, time_fd_validation, time_serve,
@@ -63,12 +65,24 @@ const SERVE_REQUESTS: usize = 16;
 /// row, so the two serving layers are compared on identical work).
 const SERVE_KERNELS: [&str; 2] = ["atax", "jacobi2d"];
 
-/// Forward loop kernels whose lowered plans carry specializable loop nests —
-/// the `specialized_kernels` row times exactly these, VM vs specialized.
-const SPEC_KERNELS: [&str; 6] = ["seidel2d", "jacobi2d", "syrk", "syr2k", "trmm", "conv2d"];
+/// The loop kernels, whose gradient programs the `specialized_kernels` row
+/// times VM vs specialized, each with the loop sites of its gradient program
+/// (in program order) that stay on the VM — every one of them a
+/// multi-state body: jacobi1d's time loops run two map states per step,
+/// trmm's forward `k` loop gains a tape-store state (a second tasklet).  Any other site that
+/// stops attaching fails the row.
+const SPEC_KERNELS: [(&str, &[usize]); 7] = [
+    ("jacobi1d", &[0, 1]),
+    ("seidel2d", &[]),
+    ("jacobi2d", &[]),
+    ("syrk", &[]),
+    ("syr2k", &[]),
+    ("trmm", &[0]),
+    ("conv2d", &[]),
+];
 
 /// Consecutive runs per timed sample of the `specialized_kernels` row.  A
-/// single specialized forward run is sub-millisecond at the bench preset, so
+/// single specialized gradient run is sub-millisecond at the bench preset, so
 /// one-run samples are dominated by scheduler noise; timing a block and
 /// dividing keeps the row stable enough for the 25% regression gate.
 const SPEC_RUNS_PER_SAMPLE: usize = 10;
@@ -84,11 +98,12 @@ milliseconds per item, and the row also records serial/batched items-per-sec
 and the fan-out width) and the `serve_latency` row (open-loop
 dynamic-admission serving of the same kernels via GradientEngine::serve, a
 one-tenant Gateway; its `dace_ms` is wall-clock per request, with p50/p95
-latency and the largest coalesced batch as extra keys) and the `specialized_kernels` row (forward loop kernels
+latency and the largest coalesced batch as extra keys) and the
+`specialized_kernels` row (the gradient programs of the seven loop kernels
 through the plan specialization tier vs the VM on identical compiled plans,
-cross-checked bit for bit; its `dace_ms` is the specialized-path total, with
-the VM total and geomean speedup as extra keys), then writes one JSON object
-per row.  Non-finite or non-positive figures abort recording.
+every loop site checked attached and every array cross-checked bit for bit;
+its `dace_ms` is the specialized-path total, with the VM total and geomean
+speedup as extra keys), then writes one JSON object per row.  Non-finite or non-positive figures abort recording.
 
 Compare mode re-measures and exits non-zero when any row's `dace_ms`
 regressed by more than --max-regression (default 0.25 = 25%).
@@ -197,9 +212,9 @@ struct ServeRow {
     largest_batch: usize,
 }
 
-/// The `specialized_kernels` row: the forward loop kernels run through the
-/// plan specialization tier vs the VM interpreter on identical compiled
-/// plans — the interpreter-gap figure of the specialization PR.
+/// The `specialized_kernels` row: the gradient programs of the loop kernels
+/// run through the plan specialization tier vs the VM interpreter on
+/// identical compiled plans.
 struct SpecRow {
     /// Specialized-path milliseconds summed over [`SPEC_KERNELS`] — the
     /// regression-guarded figure.
@@ -212,44 +227,49 @@ struct SpecRow {
     kernels: usize,
 }
 
-/// Post-warm-up bit pattern of every array, sorted by name.
+/// Post-warm-up bit pattern of every array still allocated, sorted by name.
 type ArrayBits = Vec<(String, Vec<u64>)>;
 
-/// Best-of-`reps` forward run time under `mode`, plus the post-warm-up bit
-/// pattern of every array (sorted by name) and the warm run's specialized
-/// dispatch count.
-fn time_forward(
-    program: &CompiledProgram,
+/// Best-of-`reps` run time of the gradient program (fwd+bwd) under `mode`,
+/// plus the bit pattern of every array after the first run and that run's
+/// specialized dispatch count.
+fn time_gradient(
+    engine: &GradientEngine,
     inputs: &HashMap<String, Tensor>,
     mode: SpecMode,
     reps: usize,
 ) -> Result<(Duration, ArrayBits, u64), String> {
-    let mut session = program.session();
+    let plan = engine.plan();
+    let mut session = engine
+        .gradient_program()
+        .session()
+        .with_free_hints(&plan.free_hints);
     session.force_specialization(mode);
-    for (name, tensor) in inputs {
-        session
-            .set_input(name, tensor.clone())
-            .map_err(|e| e.to_string())?;
-    }
+    let bind = |session: &mut dace_runtime::Session| {
+        inputs.iter().try_for_each(|(name, tensor)| {
+            session
+                .set_input(name, tensor.clone())
+                .map_err(|e| e.to_string())
+        })
+    };
+    bind(&mut session)?;
     let report = session.run().map_err(|e| e.to_string())?;
-    let mut names: Vec<&String> = inputs.keys().collect();
-    names.sort();
-    let mut state = Vec::new();
-    for name in names.into_iter().map(String::as_str).chain(["OUT"]) {
-        let tensor = session
-            .array(name)
-            .ok_or_else(|| format!("array `{name}` missing after run"))?;
-        state.push((
-            name.to_string(),
-            tensor.data().iter().map(|v| v.to_bits()).collect(),
-        ));
-    }
-    // Timed repetitions continue from the post-warm-up state: the loop trip
-    // counts are data-independent, so the workload is identical every rep.
-    // Each sample times a block of runs (see [`SPEC_RUNS_PER_SAMPLE`]) and
+    let mut state: ArrayBits = plan
+        .sdfg
+        .arrays
+        .keys()
+        .filter_map(|name| {
+            let bits = session.array(name)?.data().iter().map(|v| v.to_bits());
+            Some((name.clone(), bits.collect()))
+        })
+        .collect();
+    state.sort();
+    // Each sample times a block of runs (see [`SPEC_RUNS_PER_SAMPLE`]) from
+    // freshly bound inputs — the stencils update theirs in place — and
     // reports the per-run mean of the best block.
     let mut best = Duration::MAX;
     for _ in 0..reps.max(1) {
+        bind(&mut session)?;
         let start = Instant::now();
         for _ in 0..SPEC_RUNS_PER_SAMPLE {
             session.run().map_err(|e| e.to_string())?;
@@ -263,21 +283,44 @@ fn measure_spec(preset: Preset, reps: usize) -> Result<SpecRow, String> {
     let mut spec_secs = 0.0f64;
     let mut vm_secs = 0.0f64;
     let mut log_speedups = 0.0f64;
-    for name in SPEC_KERNELS {
+    for (name, declined) in SPEC_KERNELS {
         let kernel = kernel_by_name(name).expect("spec kernel is registered");
         let sizes = kernel.sizes(preset);
-        let sdfg = kernel.build_dace(&sizes);
-        let symbols = kernel.symbols(&sizes);
-        let program = compile(&sdfg, &symbols).map_err(|e| format!("{name}: {e}"))?;
+        let engine = GradientEngine::new(
+            &kernel.build_dace(&sizes),
+            "OUT",
+            &kernel.wrt(),
+            &kernel.symbols(&sizes),
+            &AdOptions::default(),
+        )
+        .map_err(|e| format!("{name}: {e}"))?;
+        // The row is only honest if every loop site that can attach did, if
+        // the two paths actually diverged in dispatch and if they converged
+        // in result: record nothing otherwise.
+        for (site, l) in engine
+            .gradient_program()
+            .loop_strategies()
+            .iter()
+            .enumerate()
+        {
+            let expected = match declined.contains(&site) {
+                true => MapStrategy::Vm(KernelMiss::MultiStateBody),
+                false => MapStrategy::Kernel,
+            };
+            if l.strategy != expected {
+                return Err(format!(
+                    "{name}: loop site {site} of the gradient program is `{}`, expected `{expected}`",
+                    l.strategy
+                ));
+            }
+        }
         let inputs = kernel.inputs(&sizes);
         let (vm, vm_state, vm_dispatches) =
-            time_forward(&program, &inputs, SpecMode::ForceOff, reps)
+            time_gradient(&engine, &inputs, SpecMode::ForceOff, reps)
                 .map_err(|e| format!("{name}: {e}"))?;
         let (spec, spec_state, spec_dispatches) =
-            time_forward(&program, &inputs, SpecMode::Auto, reps)
+            time_gradient(&engine, &inputs, SpecMode::Auto, reps)
                 .map_err(|e| format!("{name}: {e}"))?;
-        // The row is only honest if the two paths actually diverged in
-        // dispatch and converged in result: record nothing otherwise.
         if vm_dispatches != 0 {
             return Err(format!("{name}: VM path reported specialized dispatches"));
         }
@@ -437,9 +480,10 @@ fn measure(
             None
         }
     };
-    // Plan-specialization tier vs VM on the forward loop kernels.  Guards
-    // the interpreter-gap closure: a recognition regression shows up either
-    // as "specialization never fired" (hard error) or a dace_ms regression.
+    // Plan-specialization tier vs VM on the loop kernels' gradient programs.
+    // Guards the interpreter-gap closure: a loop site — forward or reversed —
+    // that stops attaching is a hard error, a slower kernel a dace_ms
+    // regression.
     let spec = match measure_spec(preset, reps) {
         Ok(s) => {
             out.insert("specialized_kernels".to_string(), s.dace_ms);

@@ -32,9 +32,10 @@
 //! Verify mode (`--verify`) runs the static SDFG verifier and the affine
 //! dependence analyzer over every selected kernel instead of executing
 //! anything, printing a per-kernel table of diagnostics, per-map
-//! parallelism verdicts and the share of maps and of innermost loops (forward
+//! parallelism verdicts and the share of maps and of loop sites (forward
 //! and gradient program) lowering put on the N-D affine kernel, with the
-//! typed reason for every map or loop left on the VM.  The process exits
+//! typed reason for every map or loop left on the VM and the depth and
+//! point count of every loop site.  The process exits
 //! non-zero if any kernel produces an error-severity diagnostic or a proven
 //! `Race` verdict — the CI verify step asserts the whole suite is clean:
 //!
@@ -435,35 +436,48 @@ fn map_verdicts(
     }
 }
 
-/// `attached/total` sites (the maps, or the innermost loops, of one program)
-/// on the N-D affine kernel, and one line per site lowering left on the VM
-/// with the typed reason.
-fn strategy_column(label: &str, sites: &[dace_runtime::MapInfo]) -> (String, Vec<String>) {
-    let declined: Vec<String> = sites
+/// `attached/total` sites (the maps, or the loop sites, of one program) on
+/// the N-D affine kernel, and one line per site with its strategy — the
+/// typed reason where lowering left it on the VM —, depth and points
+/// (`kernel (4-deep, 3600 points)`) and, where an enclosing loop could not
+/// take it into a deeper nest, why.  `all` lists the attached sites too.
+fn strategy_column(
+    label: &str,
+    sites: &[dace_runtime::MapInfo],
+    all: bool,
+) -> (String, Vec<String>) {
+    let attached = |m: &&dace_runtime::MapInfo| m.strategy == dace_runtime::MapStrategy::Kernel;
+    let lines = sites
         .iter()
-        .filter(|m| m.strategy != dace_runtime::MapStrategy::Kernel)
+        .filter(|m| all || !attached(m))
         .map(|m| {
             let points = m.points.map_or("?".to_string(), |p| p.to_string());
-            format!(
-                "{label} in state {} ({points} points): {}",
-                m.state, m.strategy
-            )
+            let mut line = format!(
+                "{label} in state {}: {} ({}-deep, {points} points)",
+                m.state, m.strategy, m.depth
+            );
+            if let Some(why) = m.enclosing {
+                line += &format!("; enclosing loop: {why:?}");
+            }
+            line
         })
         .collect();
     (
-        format!("{}/{}", sites.len() - declined.len(), sites.len()),
-        declined,
+        format!("{}/{}", sites.iter().filter(attached).count(), sites.len()),
+        lines,
     )
 }
 
-/// The map and the innermost-loop columns of one program, and the declined
-/// sites of both.
+/// The map and the loop-site columns of one program, and the report lines
+/// of both.
 fn strategy_columns(
     label: &str,
     program: &dace_runtime::CompiledProgram,
 ) -> ([String; 2], Vec<String>) {
-    let (maps, mut declined) = strategy_column(&format!("{label} map"), &program.map_strategies());
-    let (loops, lines) = strategy_column(&format!("{label} loop"), &program.loop_strategies());
+    let (maps, mut declined) =
+        strategy_column(&format!("{label} map"), &program.map_strategies(), false);
+    let (loops, lines) =
+        strategy_column(&format!("{label} loop"), &program.loop_strategies(), true);
     declined.extend(lines);
     ([maps, loops], declined)
 }
@@ -501,9 +515,9 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         }
         let count = |v: fn(&ParVerdict) -> bool| verdicts.iter().filter(|x| v(x)).count();
         let races = count(|v| matches!(v, ParVerdict::Race(_)));
-        // The execution strategy lowering chose per map and per innermost
-        // loop, for the forward program and for the gradient program built
-        // from it.
+        // The execution strategy lowering chose per map and per loop site,
+        // for the forward program and for the gradient program built from
+        // it.
         let unbuilt = || (["-".to_string(), "-".to_string()], Vec::new());
         let ([fwd, fwd_loops], mut declined) = match dace_runtime::compile(&sdfg, &bindings) {
             Ok(program) => strategy_columns("forward", &program),

@@ -1,6 +1,6 @@
 //! The SDFG interpreter, driven by a compiled execution plan.
 //!
-//! This module holds the plan *walker*.  A map or an innermost loop runs on
+//! This module holds the plan *walker*.  A map or a loop nest runs on
 //! the native kernel lowering attached to it (the `spec` module) when that
 //! kernel's per-dispatch validation passes, and otherwise on the sequential
 //! register VM defined here, whose hot loop touches no string keys and
@@ -29,7 +29,7 @@ use crate::plan::{
     CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap,
     PlanNode, PlanOperand, PlanTasklet, SymFile,
 };
-use crate::spec::{extent, KernelDst, SpecMode};
+use crate::spec::{extent, Axis, KernelDst, SpecMode};
 
 /// Execution statistics and instrumentation results.
 #[derive(Clone, Debug, Default)]
@@ -54,8 +54,9 @@ pub struct ExecutionReport {
     /// Number of library-node expansions executed.
     pub library_calls: u64,
     /// Number of specialized-kernel dispatches: each covers one whole
-    /// execution of an innermost loop or of a map handled by the N-D affine
-    /// kernel instead of by the register VM.
+    /// execution of a map, of a perfect rectangular loop nest or of a loop
+    /// on its own handled by the N-D affine kernel instead of by the
+    /// register VM (so collapsing a nest lowers the count for equal work).
     pub specialized_dispatches: u64,
     /// Plan-cache hits recorded for this program's cache entry (snapshot at
     /// the end of the run; see [`crate::PlanCacheStats`]).
@@ -83,14 +84,15 @@ pub enum MapPath {
 /// Scratch buffers reused across tasklet evaluations and kernel dispatches:
 /// the expression slot array, the floating-point and integer register files,
 /// the per-tasklet output values, and the kernel executor's work vectors
-/// (flattened accesses, running writes, the written tensors while they are
-/// out of the slab).  One `Scratch` lives per executor.
+/// (the iteration variables of a loop-site dispatch, flattened accesses,
+/// running writes, the written tensors while they are out of the slab).  One `Scratch` lives per executor.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) slots: Vec<f64>,
     pub(crate) f_regs: Vec<f64>,
     pub(crate) i_regs: Vec<i64>,
     pub(crate) outs: Vec<f64>,
+    pub(crate) axes: Vec<Axis>,
     pub(crate) flat: Vec<i64>,
     pub(crate) dsts: Vec<KernelDst>,
     pub(crate) out_ts: Vec<Tensor>,
@@ -158,7 +160,7 @@ impl RunState {
     }
 
     #[inline]
-    fn idx(&mut self, plan: &ExecPlan, c: &CIdx) -> RuntimeResult<i64> {
+    pub(crate) fn idx(&mut self, plan: &ExecPlan, c: &CIdx) -> RuntimeResult<i64> {
         c.eval(&self.syms, &plan.syms.names, &mut self.scratch.i_regs)
     }
 
@@ -189,20 +191,15 @@ impl RunState {
                         plan.syms.names[*var as usize]
                     )));
                 }
-                // The loop's kernel, attached at lowering: a one-variable
-                // dispatch over `start .. end`.  It never touches the symbol
-                // file, matching the VM's net save/restore effect.  Per-state
-                // free hints keep the VM path (the hint fires per state
-                // execution), as do an empty loop (already free on the VM)
-                // and an extent that wraps `i64`.
-                if let (1, SpecMode::Auto, Ok(k)) = (step, self.spec_mode, kernel) {
-                    let trip = extent(start, end).unwrap_or(0);
-                    if trip > 0
-                        && self.free_hints[k.state].is_empty()
-                        && self.exec_kernel(plan, &k.kernel, &[start], &[trip])?
-                    {
-                        self.report.state_executions += trip as u64;
-                        self.report.tasklet_invocations += trip as u64;
+                // The loop's kernel, attached at lowering: one dispatch over
+                // this loop and the perfect nest below it, in either
+                // direction.  It never touches the symbol file, matching the
+                // VM's net save/restore effect.
+                if let (SpecMode::Auto, Ok((k, level))) = (self.spec_mode, kernel) {
+                    let own = [start, end, step];
+                    if let Some(points) = self.exec_loop_kernel(plan, k, *level, own)? {
+                        self.report.state_executions += points;
+                        self.report.tasklet_invocations += points;
                         self.report.specialized_dispatches += 1;
                         return Ok(());
                     }
@@ -393,9 +390,7 @@ impl RunState {
         // attacker/user-controlled: neither an extent nor the domain size
         // may wrap (wrapping would silently truncate the iteration count in
         // release builds and panic in debug builds).
-        let ndim = m.ranges.len();
-        let mut lows = Vec::with_capacity(ndim);
-        let mut sizes = Vec::with_capacity(ndim);
+        let mut axes = Vec::with_capacity(m.ranges.len());
         let mut total = Some(1usize);
         for (s, e) in &m.ranges {
             let lo = self.idx(plan, s)?;
@@ -403,11 +398,14 @@ impl RunState {
             // An extent beyond `i64` is reported saturated.
             let size = extent(lo, hi);
             total = total.zip(size).and_then(|(t, n)| t.checked_mul(n));
-            lows.push(lo);
-            sizes.push(size.unwrap_or(usize::MAX));
+            axes.push(Axis {
+                start: lo,
+                trip: size.unwrap_or(usize::MAX),
+                dir: 1,
+            });
         }
         let total = total.ok_or_else(|| RuntimeError::MapDomainOverflow {
-            sizes: sizes.clone(),
+            sizes: axes.iter().map(|a| a.trip).collect(),
         })?;
         if total == 0 {
             return Ok(());
@@ -426,22 +424,21 @@ impl RunState {
         // nothing but the (path-independent) allocations above done.
         if self.path == MapPath::Auto && self.spec_mode != SpecMode::ForceOff {
             if let Ok(kernel) = &m.kernel {
-                if self.exec_kernel(plan, kernel, &lows, &sizes)? {
+                if self.exec_kernel(plan, kernel, &axes)? {
                     self.report.tasklet_invocations += total as u64;
                     self.report.specialized_dispatches += 1;
                     return Ok(());
                 }
             }
         }
-        self.exec_map_sequential(plan, m, &lows, &sizes, total)
+        self.exec_map_sequential(plan, m, &axes, total)
     }
 
     fn exec_map_sequential(
         &mut self,
         plan: &ExecPlan,
         m: &PlanMap,
-        lows: &[i64],
-        sizes: &[usize],
+        axes: &[Axis],
         total: usize,
     ) -> RuntimeResult<()> {
         let ndim = m.params.len();
@@ -450,8 +447,8 @@ impl RunState {
             .iter()
             .map(|&p| (self.syms.vals[p as usize], self.syms.defined[p as usize]))
             .collect();
-        for (d, &p) in m.params.iter().enumerate() {
-            self.syms.set(p, lows[d]);
+        for (&p, axis) in m.params.iter().zip(axes) {
+            self.syms.set(p, axis.start);
         }
         // Odometer over the index domain (last dimension fastest), mirrored
         // into the map-parameter symbol slots, without any per-point
@@ -467,12 +464,12 @@ impl RunState {
             for d in (0..ndim).rev() {
                 let slot = &mut self.syms.vals[m.params[d] as usize];
                 counters[d] += 1;
-                if counters[d] < sizes[d] {
-                    *slot = lows[d] + counters[d] as i64;
+                if counters[d] < axes[d].trip {
+                    *slot = axes[d].start + counters[d] as i64;
                     break;
                 }
                 counters[d] = 0;
-                *slot = lows[d];
+                *slot = axes[d].start;
             }
         }
         for (&p, &(v, def)) in m.params.iter().zip(&saved) {
@@ -839,53 +836,82 @@ mod tests {
     }
 
     /// The loop site shares the map's checked extent: bounds whose
-    /// difference wraps `i64` (`start = -5`, `end = i64::MAX`) leave the
-    /// kernel undispatched, and the VM reports its typed out-of-range error
-    /// at the first iteration — no debug panic, no wrapped trip count.
+    /// difference wraps `i64` — `-5 .. i64::MAX` upwards, `i64::MAX .. -5`
+    /// downwards — and a nest whose trip counts multiply past `usize` leave
+    /// the kernel undispatched, and the VM reports its typed out-of-range
+    /// error at the first bad iteration after the same writes — no debug
+    /// panic, no wrapped trip count.
     #[test]
     fn wrapping_loop_trip_count_is_the_vm_error() {
-        let mut sdfg = Sdfg::new("huge_loop");
-        sdfg.add_symbol("S");
-        sdfg.add_symbol("E");
-        sdfg.add_array("A", ArrayDesc::input(vec![SymExpr::int(4)]))
-            .unwrap();
-        let mut g = DataflowGraph::new();
-        let t = g.add_tasklet(Tasklet::new("one", "o", E::c(1.0)));
-        let w = g.add_access("A");
-        g.add_edge(
-            t,
-            Some("o"),
-            w,
-            None,
-            Memlet::element("A", vec![SymExpr::sym("i")]),
-        );
-        let sid = sdfg.add_state(State {
-            name: "s".into(),
-            graph: g,
-        });
-        sdfg.cfg = ControlFlow::Loop(LoopRegion {
-            var: "i".into(),
-            start: SymExpr::sym("S"),
-            end: SymExpr::sym("E"),
-            step: SymExpr::int(1),
-            body: Box::new(ControlFlow::State(sid)),
-        });
-        let program =
-            crate::program::compile(&sdfg, &symbols(&[("S", -5), ("E", i64::MAX)])).unwrap();
-        let loops = program.loop_strategies();
-        assert_eq!(loops.len(), 1);
-        assert_eq!(loops[0].strategy, crate::MapStrategy::Kernel);
-        assert_eq!(loops[0].points, None, "the extent does not fit in i64");
-        let mut ex = program.session();
-        ex.set_input("A", Tensor::zeros(&[4])).unwrap();
-        assert_eq!(
-            ex.run().unwrap_err(),
-            RuntimeError::BadIndex {
-                array: "A".into(),
-                index: vec![-5],
+        // `for i in S..E by step { [for j in S..E by step] A[innermost] = 1 }`
+        let build = |step: i64, nested: bool| {
+            let mut sdfg = Sdfg::new("huge_loop");
+            sdfg.add_symbol("S");
+            sdfg.add_symbol("E");
+            sdfg.add_array("A", ArrayDesc::input(vec![SymExpr::int(4)]))
+                .unwrap();
+            let mut g = DataflowGraph::new();
+            let t = g.add_tasklet(Tasklet::new("one", "o", E::c(1.0)));
+            let w = g.add_access("A");
+            let innermost = if nested { "j" } else { "i" };
+            g.add_edge(
+                t,
+                Some("o"),
+                w,
+                None,
+                Memlet::element("A", vec![SymExpr::sym(innermost)]),
+            );
+            let sid = sdfg.add_state(State {
+                name: "s".into(),
+                graph: g,
+            });
+            let level = |var: &str, body: ControlFlow| {
+                ControlFlow::Loop(LoopRegion {
+                    var: var.into(),
+                    start: SymExpr::sym("S"),
+                    end: SymExpr::sym("E"),
+                    step: SymExpr::int(step),
+                    body: Box::new(body),
+                })
+            };
+            sdfg.cfg = level("i", ControlFlow::State(sid));
+            if nested {
+                sdfg.cfg = level("i", level("j", ControlFlow::State(sid)));
             }
-        );
-        assert_eq!(ex.array("A").unwrap().data(), &[0.0; 4]);
+            sdfg
+        };
+        // (step, nested, S, E, the index the VM fails at, `A` at that time).
+        let cases = [
+            (1, false, -5, i64::MAX, -5, [0.0; 4]),
+            (-1, false, i64::MAX, -5, i64::MAX, [0.0; 4]),
+            // 2^33 iterations per level: each trip count fits, their
+            // product does not.  Row `i = 0` fills `A` and leaves it.
+            (1, true, 0, 1 << 33, 4, [1.0; 4]),
+        ];
+        for (step, nested, start, end, bad, written) in cases {
+            let sdfg = build(step, nested);
+            let program =
+                crate::program::compile(&sdfg, &symbols(&[("S", start), ("E", end)])).unwrap();
+            let loops = program.loop_strategies();
+            assert_eq!(loops.len(), 1);
+            assert_eq!(loops[0].strategy, crate::MapStrategy::Kernel);
+            assert_eq!(loops[0].depth, 1 + nested as usize);
+            assert_eq!(loops[0].points, None, "the extent does not fit");
+            for mode in [SpecMode::ForceOff, SpecMode::Auto] {
+                let mut ex = program.session();
+                ex.force_specialization(mode);
+                ex.set_input("A", Tensor::zeros(&[4])).unwrap();
+                assert_eq!(
+                    ex.run().unwrap_err(),
+                    RuntimeError::BadIndex {
+                        array: "A".into(),
+                        index: vec![bad],
+                    },
+                    "step {step}, nested {nested}, {mode:?}"
+                );
+                assert_eq!(ex.array("A").unwrap().data(), &written);
+            }
+        }
     }
 
     /// Symbol values are user-controlled at compile time too: a map bound

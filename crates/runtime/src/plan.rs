@@ -20,7 +20,15 @@
 //!   ([`dace_sdfg::analyze_map`]) of every map and the execution strategy
 //!   of every map and control-flow loop ([`MapStrategy`]: the N-D affine
 //!   [`AffineKernel`] — one struct and one recognizer for both sites — or
-//!   the VM with a typed reason) are all decided once.
+//!   the VM with a typed reason) are all decided once.  At the loop site the
+//!   unit is the *perfect rectangular nest*: loops with a constant step of
+//!   `±1`, each the only content of its parent's body, down to a single
+//!   state, no bound referencing an iterator of the nest.  The outermost
+//!   loop of such a nest is recognized once, with one kernel variable per
+//!   loop, and every level shares the result ([`LoopKernel`]); a triangular
+//!   nest collapses only below its dependent bound, an imperfect one not at
+//!   all, and the loop that could not collapse records which it was
+//!   ([`KernelMiss::NonRectangularBound`], [`KernelMiss::ImperfectNest`]).
 //!
 //! Lowering never fails eagerly: constructs that the old interpreter would
 //! only reject *when executed* (missing connectors, unknown arrays, cyclic
@@ -29,7 +37,9 @@
 //! fire because the offending state is dead — is preserved.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use dace_sdfg::deps::AffineAccess;
 use dace_sdfg::{
     CmpOp, CompiledExpr, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode, ExprOp,
     LeafRef, LibraryOp, LoopRegion, MapScope, MicroPattern, ParVerdict, Sdfg, Subset, SubsetClass,
@@ -319,8 +329,9 @@ pub(crate) struct KernelAccess {
 /// variables, compiled down to a native nest over a rectangular domain with
 /// one constant flat step per access and variable.  It attaches at two
 /// sites: a map ([`PlanMap::kernel`], variables = the map parameters, gated
-/// on the dependence verdict) and a unit-step control-flow loop over a
-/// single state ([`LoopKernel`], one variable, walked in loop order).
+/// on the dependence verdict) and a perfect rectangular nest of `±1`-step
+/// control-flow loops over a single state ([`LoopKernel`], variables = the
+/// iterators outermost first, walked in loop order in either direction).
 /// Dispatch ([`crate::executor::RunState::exec_kernel`]) validates every
 /// precondition before allocating or writing anything and otherwise leaves
 /// the site to the register VM, which reproduces exact error semantics
@@ -384,22 +395,42 @@ pub(crate) struct KernelExpr {
     pub constant: bool,
 }
 
-/// The kernel attached to a control-flow loop, with the state its body
-/// executes (for state accounting and the free-hint guard).
+/// The kernel of a perfect rectangular loop nest, recognized once at the
+/// nest's outermost loop and shared by every level ([`PlanCf::Loop`] holds
+/// it with the level's depth).  A level dispatches it over its own iterator
+/// and those of the levels below, with the levels above — which the VM is
+/// walking when control reaches an inner level — pinned at their current
+/// values; so the outermost loop runs the whole nest in one dispatch, and
+/// when that dispatch is declined the VM walks it and the next level tries,
+/// down to the innermost loop's one-variable row.
 #[derive(Clone, Debug)]
 pub(crate) struct LoopKernel {
+    /// Variables: the iterators of `levels`.
     pub kernel: AffineKernel,
+    /// The state the innermost body executes (for state accounting and the
+    /// free-hint guard).
     pub state: usize,
+    /// Iterator symbol slot and `[start, end, step]` of every level,
+    /// outermost first; no bound references an iterator of the nest.
+    pub levels: Vec<(u32, [CIdx; 3])>,
 }
 
 /// Why the N-D affine kernel did not attach to a map or a control-flow
 /// loop, which therefore runs on the register VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMiss {
-    /// The loop's step is not the constant `1` (reversed and strided loops).
+    /// The step of the loop, or of a loop of the perfect nest below it, is
+    /// not the constant `1` or `-1`: strided (`|step| ≠ 1`) or symbolic.
     NonUnitStep,
-    /// The loop's body is not a single state.
+    /// The loop's body holds no loop and is not a single state.
     MultiStateBody,
+    /// The loop's body holds a loop but is not exactly one loop: the nest is
+    /// imperfect, and the loops below attach on their own.
+    ImperfectNest,
+    /// The bounds of a loop of the perfect nest below reference — or its
+    /// iterator shadows — an iterator of the nest (a triangular nest): the
+    /// nest collapses only below the dependent bound.
+    NonRectangularBound,
     /// The body is not access nodes plus exactly one tasklet.
     MultiTasklet,
     /// A memlet index is not `Σ coeff·param + loop-invariant rest` of the
@@ -445,18 +476,26 @@ impl std::fmt::Display for MapStrategy {
     }
 }
 
-/// One map or one innermost control-flow loop of a compiled program with the
-/// strategy chosen for it (see [`crate::CompiledProgram::map_strategies`]
-/// and [`crate::CompiledProgram::loop_strategies`]).
+/// One map or one loop site of a compiled program — a perfect loop nest
+/// collapsed into one kernel dispatch, or an innermost loop on its own —
+/// with the strategy chosen for it (see
+/// [`crate::CompiledProgram::map_strategies`] and
+/// [`crate::CompiledProgram::loop_strategies`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MapInfo {
     /// Id of the state holding the map, or of the first state of the loop's
     /// body.
     pub state: usize,
-    /// Index points (loop iterations) of one execution, when the bounds are
-    /// loop-invariant.
+    /// Iteration variables of the site: the map's parameters, or the loops
+    /// one dispatch of the site covers (`1` for a loop on its own).
+    pub depth: usize,
+    /// Index points (iterations of the whole nest) of one execution, when
+    /// the bounds are loop-invariant.
     pub points: Option<u64>,
     pub strategy: MapStrategy,
+    /// Why the loop enclosing this loop site did not take it into a deeper
+    /// nest (`None` for a map and for a loop no loop encloses).
+    pub enclosing: Option<KernelMiss>,
 }
 
 /// A lowered map scope.
@@ -542,8 +581,9 @@ pub(crate) enum PlanCf {
         end: CIdx,
         step: CIdx,
         body: Box<PlanCf>,
-        /// The attached N-D affine kernel, or why the loop stays on the VM.
-        kernel: Result<Box<LoopKernel>, KernelMiss>,
+        /// The kernel of the nest the loop is a level of, with the level's
+        /// depth in it, or why the loop stays on the VM.
+        kernel: Result<(Arc<LoopKernel>, usize), KernelMiss>,
     },
     Branch {
         cond: PlanCond,
@@ -561,8 +601,9 @@ pub(crate) struct ExecPlan {
     pub init_syms: SymFile,
     pub states: Vec<PlanGraph>,
     pub cfg: PlanCf,
-    /// The innermost control-flow loops, in program order, with the strategy
-    /// chosen for each (see [`crate::CompiledProgram::loop_strategies`]).
+    /// The loop sites — collapsed nests and innermost loops on their own —
+    /// in program order, with the strategy chosen for each (see
+    /// [`crate::CompiledProgram::loop_strategies`]).
     pub loops: Vec<MapInfo>,
 }
 
@@ -640,7 +681,7 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecP
         .iter()
         .map(|s| lo.lower_graph(&s.graph))
         .collect();
-    let cfg = lo.lower_cf(&sdfg.cfg, sdfg, &states);
+    let cfg = lo.lower_cf(&sdfg.cfg, sdfg, &states, Enclosing::Root(None));
     ExecPlan {
         arrays: lo.arrays,
         syms: lo.syms,
@@ -651,14 +692,51 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecP
     }
 }
 
-/// Resolve a control-flow subtree that is a single state (possibly wrapped
-/// in singleton sequences, which the frontend's loop builder emits).
-fn singleton_state(cf: &ControlFlow) -> Option<usize> {
-    match cf {
-        ControlFlow::State(id) => Some(*id),
-        ControlFlow::Sequence(items) if items.len() == 1 => singleton_state(&items[0]),
-        _ => None,
+/// The loops of the perfect nest rooted at `root`, outermost first — each
+/// the sole content of its parent's body, singleton sequences (which the
+/// frontend's loop builder emits) aside — and the state the innermost one
+/// executes.
+fn perfect_nest(root: &LoopRegion) -> Result<(Vec<&LoopRegion>, usize), KernelMiss> {
+    fn holds_loop(cf: &ControlFlow) -> bool {
+        match cf {
+            ControlFlow::State(_) => false,
+            ControlFlow::Sequence(items) => items.iter().any(holds_loop),
+            ControlFlow::Loop(_) => true,
+            ControlFlow::Branch(b) => {
+                holds_loop(&b.then_body) || b.else_body.as_deref().is_some_and(holds_loop)
+            }
+        }
     }
+    let mut levels = vec![root];
+    let mut body = &*root.body;
+    loop {
+        match body {
+            ControlFlow::State(id) => return Ok((levels, *id)),
+            ControlFlow::Sequence(items) if items.len() == 1 => body = &items[0],
+            ControlFlow::Loop(l) => {
+                levels.push(l);
+                body = &l.body;
+            }
+            other if holds_loop(other) => return Err(KernelMiss::ImperfectNest),
+            _ => return Err(KernelMiss::MultiStateBody),
+        }
+    }
+}
+
+/// A memlet subset with its affine decomposition in a kernel's variables.
+type Decomposed<'a> = (&'a Subset, &'a AffineAccess);
+
+/// What a loop being lowered learns from the loop around it.
+#[derive(Clone, Copy)]
+enum Enclosing<'a> {
+    /// It is the root of a nest of its own: no loop encloses it (`None`),
+    /// or one that attached no kernel, for the reason given.
+    Root(Option<KernelMiss>),
+    /// It is level `level` of the nest the enclosing loop attached.
+    Nest {
+        kernel: &'a Arc<LoopKernel>,
+        level: usize,
+    },
 }
 
 impl Lowerer {
@@ -923,7 +1001,7 @@ impl Lowerer {
         // the very index it is written at.
         let kernel = match dace_sdfg::analyze_map(map, &self.bindings) {
             ParVerdict::Safe | ParVerdict::Reduction => {
-                self.recognize_kernel(&map.body, &body, &map.params, |w, r| w == r)
+                self.recognize_kernel(&map.body, &body, &map.params, |w, r| w.0 == r.0)
             }
             ParVerdict::Race(_) => Err(KernelMiss::VerdictRace),
             ParVerdict::Unknown => Err(KernelMiss::VerdictUnknown),
@@ -942,29 +1020,57 @@ impl Lowerer {
         })
     }
 
-    /// The loop site's gate: a unit-step loop (the flat walk assumes
-    /// consecutive iterator values; the runtime step is re-checked at
-    /// dispatch) whose body is a single state, walked in loop order with
-    /// reads of a written array going through the live buffer — admitted
+    /// The loop site's gate: a perfect nest of loops, each with a constant
+    /// step of `1` or `-1` (re-checked at dispatch) and bounds that reference
+    /// no iterator of the nest, over a single state — walked in loop order
+    /// with reads of a written array going through the live buffer, admitted
     /// when [`dace_sdfg::deps::alias_decidable`] understands the offset
-    /// between the write and the read.
+    /// between the write and the read along every iterator.  One recognition
+    /// serves every level of the nest (see [`LoopKernel`]).
     fn loop_kernel(
         &mut self,
         l: &LoopRegion,
         sdfg: &Sdfg,
         states: &[PlanGraph],
-    ) -> Result<Box<LoopKernel>, KernelMiss> {
-        if l.step != SymExpr::int(1) {
+    ) -> Result<(LoopKernel, Option<u64>), KernelMiss> {
+        let (levels, state) = perfect_nest(l)?;
+        if !levels
+            .iter()
+            .all(|l| matches!(l.step.eval_const(), Ok(1 | -1)))
+        {
             return Err(KernelMiss::NonUnitStep);
         }
-        let state = singleton_state(&l.body).ok_or(KernelMiss::MultiStateBody)?;
-        let kernel = self.recognize_kernel(
-            &sdfg.states[state].graph,
-            &states[state],
-            std::slice::from_ref(&l.var),
-            |w, r| dace_sdfg::deps::alias_decidable(w, r, &l.var),
-        )?;
-        Ok(Box::new(LoopKernel { kernel, state }))
+        let vars: Vec<String> = levels.iter().map(|l| l.var.clone()).collect();
+        for (depth, l) in levels.iter().enumerate().skip(1) {
+            let outer = &vars[..depth];
+            let bounds = [&l.start, &l.end, &l.step];
+            if outer
+                .iter()
+                .any(|v| *v == l.var || bounds.iter().any(|e| e.references(v)))
+            {
+                return Err(KernelMiss::NonRectangularBound);
+            }
+        }
+        let kernel =
+            self.recognize_kernel(&sdfg.states[state].graph, &states[state], &vars, |w, r| {
+                dace_sdfg::deps::alias_decidable(w.1, r.1)
+            })?;
+        let points = levels
+            .iter()
+            .try_fold(1u64, |acc, l| acc.checked_mul(self.loop_points(l)?));
+        let levels = levels
+            .iter()
+            .map(|l| {
+                let bounds = [&l.start, &l.end, &l.step].map(|e| self.lower_sym_expr(e));
+                (self.sym(&l.var), bounds)
+            })
+            .collect();
+        let kernel = LoopKernel {
+            kernel,
+            state,
+            levels,
+        };
+        Ok((kernel, points))
     }
 
     fn loop_points(&self, l: &LoopRegion) -> Option<u64> {
@@ -983,13 +1089,14 @@ impl Lowerer {
     /// `graph` is the original body and `lowered` its lowered form; the two
     /// correspond node-for-node and edge-for-edge by construction.
     /// `admits(write, read)` is the attachment site's rule for a read of an
-    /// array the tasklet also writes.
+    /// array the tasklet also writes, each side given as the memlet subset
+    /// and its decomposition in `vars`.
     fn recognize_kernel(
         &mut self,
         graph: &DataflowGraph,
         lowered: &PlanGraph,
         vars: &[String],
-        admits: impl Fn(&Subset, &Subset) -> bool,
+        admits: impl Fn(Decomposed<'_>, Decomposed<'_>) -> bool,
     ) -> Result<AffineKernel, KernelMiss> {
         let mut tasklets = lowered
             .nodes
@@ -1010,24 +1117,30 @@ impl Lowerer {
         outs.dedup();
         let out_of = |array: u32| outs.iter().position(|&o| o == array).map(|o| o as u32);
         let mut writes = Vec::with_capacity(t.writes.len());
+        let mut written = Vec::with_capacity(t.writes.len());
         for (w, e) in t.writes.iter().zip(&out_edges) {
+            let (access, affine) = self.lower_affine_subset(&e.memlet.subset, vars, w.array)?;
             writes.push(KernelWrite {
                 expr: w.expr,
-                access: self.lower_affine_subset(&e.memlet.subset, vars, w.array)?,
+                access,
                 accumulate: w.accumulate,
                 out: out_of(w.array).expect("collected above"),
             });
+            written.push((&e.memlet.subset, affine));
         }
         let mut reads = Vec::with_capacity(t.reads.len());
         for (r, e) in t.reads.iter().zip(&in_edges) {
-            let declined =
-                t.writes.iter().zip(&out_edges).any(|(w, we)| {
-                    w.array == r.array && !admits(&we.memlet.subset, &e.memlet.subset)
+            let (access, affine) = self.lower_affine_subset(&e.memlet.subset, vars, r.array)?;
+            let declined = t
+                .writes
+                .iter()
+                .zip(&written)
+                .any(|(w, (subset, w_affine))| {
+                    w.array == r.array && !admits((subset, w_affine), (&e.memlet.subset, &affine))
                 });
             if declined {
                 return Err(KernelMiss::AliasedReadAtOtherIndex);
             }
-            let access = self.lower_affine_subset(&e.memlet.subset, vars, r.array)?;
             let out = out_of(r.array);
             // Duplicate connectors share a slot, last edge wins per point:
             // only a read with a slot of its own may leave the point loop.
@@ -1087,13 +1200,14 @@ impl Lowerer {
     /// dimension must decompose as `Σ coeff * var + rest` (range dimensions
     /// at their start index, as the VM reads them), against an array whose
     /// concrete layout is known and of matching rank.  A whole-array subset
-    /// lowers to the rank-free scalar access.
+    /// lowers to the rank-free scalar access.  The decomposition itself is
+    /// returned alongside for the site's aliasing rule.
     fn lower_affine_subset(
         &mut self,
         subset: &Subset,
         vars: &[String],
         array: u32,
-    ) -> Result<KernelAccess, KernelMiss> {
+    ) -> Result<(KernelAccess, AffineAccess), KernelMiss> {
         let Ok(layout) = &self.arrays.layouts[array as usize] else {
             return Err(KernelMiss::UnknownLayout);
         };
@@ -1101,15 +1215,16 @@ impl Lowerer {
         let affine = dace_sdfg::deps::affine_subset(subset, vars)
             .filter(|a| subset.is_all() || a.rests.len() == rank)
             .ok_or(KernelMiss::NonAffineIndex)?;
-        Ok(KernelAccess {
+        let access = KernelAccess {
             array,
             rest: affine
                 .rests
                 .iter()
                 .map(|e| self.lower_sym_expr(e))
                 .collect(),
-            coeff: affine.coeffs,
-        })
+            coeff: affine.coeffs.clone(),
+        };
+        Ok((access, affine))
     }
 
     fn lower_library(
@@ -1140,31 +1255,62 @@ impl Lowerer {
     }
 
     /// Lower the control-flow tree; `states` are the already lowered state
-    /// graphs, which the loop site's kernel recognition reads.
-    fn lower_cf(&mut self, cf: &ControlFlow, sdfg: &Sdfg, states: &[PlanGraph]) -> PlanCf {
+    /// graphs, which the loop site's kernel recognition reads, and
+    /// `enclosing` what the nearest loop around `cf` decided.
+    fn lower_cf(
+        &mut self,
+        cf: &ControlFlow,
+        sdfg: &Sdfg,
+        states: &[PlanGraph],
+        enclosing: Enclosing<'_>,
+    ) -> PlanCf {
         match cf {
             ControlFlow::State(id) => PlanCf::State(*id),
             ControlFlow::Sequence(children) => PlanCf::Seq(
                 children
                     .iter()
-                    .map(|c| self.lower_cf(c, sdfg, states))
+                    .map(|c| self.lower_cf(c, sdfg, states, enclosing))
                     .collect(),
             ),
             ControlFlow::Loop(l) => {
                 let var = self.sym(&l.var);
                 let [start, end, step] =
                     [&l.start, &l.end, &l.step].map(|e| self.lower_sym_expr(e));
+                // A level of an attached nest shares the nest's kernel; any
+                // other loop is the root of a nest of its own and a site of
+                // the report.
+                let (kernel, site) = match enclosing {
+                    Enclosing::Nest { kernel, level } => (Ok((Arc::clone(kernel), level)), None),
+                    Enclosing::Root(enclosing) => {
+                        let recognized = self.loop_kernel(l, sdfg, states);
+                        let (depth, points) = match &recognized {
+                            Ok((k, points)) => (k.levels.len(), *points),
+                            Err(_) => (1, self.loop_points(l)),
+                        };
+                        let kernel = recognized.map(|(k, _)| (Arc::new(k), 0));
+                        let site = MapInfo {
+                            state: l.body.states_in_order().first().copied().unwrap_or(0),
+                            depth,
+                            points,
+                            strategy: MapStrategy::of(&kernel),
+                            enclosing,
+                        };
+                        (kernel, Some(site))
+                    }
+                };
+                let below = match &kernel {
+                    Ok((kernel, level)) => Enclosing::Nest {
+                        kernel,
+                        level: level + 1,
+                    },
+                    Err(why) => Enclosing::Root(Some(*why)),
+                };
                 let listed = self.loops.len();
-                let body = Box::new(self.lower_cf(&l.body, sdfg, states));
-                let kernel = self.loop_kernel(l, sdfg, states);
-                // A body that listed nothing holds no loop: this one is
-                // innermost.
-                if self.loops.len() == listed {
-                    self.loops.push(MapInfo {
-                        state: l.body.states_in_order().first().copied().unwrap_or(0),
-                        points: self.loop_points(l),
-                        strategy: MapStrategy::of(&kernel),
-                    });
+                let body = Box::new(self.lower_cf(&l.body, sdfg, states, below));
+                // A declined loop is a site only when it is innermost (its
+                // body listed nothing): the loops below speak for the rest.
+                if let (Some(site), true) = (site, self.loops.len() == listed) {
+                    self.loops.push(site);
                 }
                 PlanCf::Loop {
                     var,
@@ -1177,11 +1323,11 @@ impl Lowerer {
             }
             ControlFlow::Branch(b) => PlanCf::Branch {
                 cond: self.lower_cond(&b.cond),
-                then_body: Box::new(self.lower_cf(&b.then_body, sdfg, states)),
+                then_body: Box::new(self.lower_cf(&b.then_body, sdfg, states, enclosing)),
                 else_body: b
                     .else_body
                     .as_ref()
-                    .map(|e| Box::new(self.lower_cf(e, sdfg, states))),
+                    .map(|e| Box::new(self.lower_cf(e, sdfg, states, enclosing))),
             },
         }
     }

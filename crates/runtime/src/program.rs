@@ -475,8 +475,10 @@ impl CompiledProgram {
                 if let PlanNode::Map(m) = node {
                     out.push(MapInfo {
                         state,
+                        depth: m.params.len(),
                         points: m.points,
                         strategy: MapStrategy::of(&m.kernel),
+                        enclosing: None,
                     });
                     walk(state, &m.body, out);
                 }
@@ -489,9 +491,13 @@ impl CompiledProgram {
         out
     }
 
-    /// Every innermost control-flow loop of the program (a loop whose body
-    /// holds no further loop), in program order, with the record a map
-    /// gets: the kernel, or the VM and the typed reason.
+    /// Every loop site of the program, in program order, with the record a
+    /// map gets: the kernel, or the VM and the typed reason.  A site is a
+    /// perfect rectangular loop nest that one kernel dispatch covers (listed
+    /// once, with its depth and the points of the whole nest), or an
+    /// innermost loop (one whose body holds no further loop) on its own;
+    /// `enclosing` says why the loop around a site did not take it into a
+    /// deeper nest.
     pub fn loop_strategies(&self) -> Vec<MapInfo> {
         self.plan.loops.clone()
     }

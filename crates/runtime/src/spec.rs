@@ -12,17 +12,28 @@
 //!
 //! * **Map site**: a map whose dependence verdict allows parallel execution
 //!   runs over its rectangular domain in the VM's odometer order.
-//! * **Loop site**: a unit-step control-flow loop over a single state —
-//!   elementwise bodies, fixed-radius stencils, reduction/contraction bodies
-//!   — is the same nest with one variable, i.e. the loop itself in loop
-//!   order.
+//! * **Loop site**: a control-flow loop with step `1` or `-1` over a single
+//!   state — elementwise bodies, fixed-radius stencils, reduction/contraction
+//!   bodies, and the reversed (`adj_*`) loops of a gradient program — is the
+//!   same nest with one variable that walks `start, start ± 1, …`, i.e. the
+//!   loop itself in loop order.  A *perfect rectangular nest* of such loops
+//!   (each the sole content of its parent's body, no bound referencing an
+//!   iterator of the nest) is the same nest with one variable per loop,
+//!   outermost first: one dispatch runs the whole nest, last variable
+//!   fastest, which is the order the VM walks it in.  Every level of the
+//!   nest holds the nest's kernel ([`crate::plan::LoopKernel`]): when the
+//!   dispatch at the outermost level is declined the VM walks that loop and
+//!   the next level dispatches with the outer iterators pinned at their
+//!   current values, down to the innermost loop's single row — so errors
+//!   and partial writes come out of the same fallback chain.
 //!
 //! Exactness is the design invariant:
 //!
 //! * **Validate first, mutate second.**  Every precondition — bound
 //!   iteration symbols, present inputs, in-range accesses across the whole
-//!   iteration space, scalar-access container sizes — is checked before any
-//!   allocation or write.  Any failure returns `Ok(false)` and the caller
+//!   iteration space (both extreme corners of the box, whichever way each
+//!   variable walks), scalar-access container sizes, trip counts and their
+//!   product within `usize` — is checked before any allocation or write.  Any failure returns `Ok(false)` and the caller
 //!   falls back to the register VM, which reproduces the exact semantics of
 //!   the failing case, including partial execution followed by an error.
 //! * **Bit-identical arithmetic.**  The kernel evaluates the very same
@@ -34,16 +45,18 @@
 //!   proptests in `tests/spec.rs` pin down.
 //! * **Aliasing-aware.**  Reads of a written array go through the buffer
 //!   being mutated.  The loop site thereby preserves Gauss–Seidel-style
-//!   read-after-write order, admitted only when
-//!   [`dace_sdfg::deps::alias_decidable`] understands the write/read offset
-//!   (see `docs/verification.md`); the map site admits such reads only at
-//!   the very index that is written.  Anything else stays on the VM.
+//!   read-after-write order in either direction and across the rows of a
+//!   nest, admitted only when [`dace_sdfg::deps::alias_decidable`]
+//!   understands the write/read offset along every iterator (see
+//!   `docs/verification.md`); the map site admits such reads only at the
+//!   very index that is written.  Anything else stays on the VM.
 //!
 //! The dispatch rule is the same for both sites: run the attached kernel if
 //! its per-dispatch validation passes (a few corner checks per access),
 //! otherwise the sequential register VM — from the first opportunity on.
-//! Loop sites dispatch hundreds of times per gradient on rows of tens of
-//! points, so per-dispatch work is kept flat: work vectors live in
+//! Triangular and imperfect nests still dispatch once per row, hundreds of
+//! times per gradient on rows of tens of points, so per-dispatch work is
+//! kept flat: work vectors (the iteration variables included) live in
 //! [`Scratch`], written-array and slot lists are fixed at lowering.
 //! [`SpecMode::ForceOff`] pins pure register-VM execution, the reference the
 //! bit-identity tests compare against, mirroring [`crate::MapPath`].
@@ -52,7 +65,7 @@ use dace_tensor::Tensor;
 
 use crate::error::RuntimeResult;
 use crate::executor::{RunState, Scratch};
-use crate::plan::{AffineKernel, ExecPlan, KernelAccess, KernelExpr, SymFile};
+use crate::plan::{AffineKernel, ExecPlan, KernelAccess, KernelExpr, LoopKernel, SymFile};
 
 /// Specialized-kernel dispatch control, a test switch in the style of
 /// [`crate::MapPath`] (`Session::force_specialization`).
@@ -72,6 +85,41 @@ pub enum SpecMode {
 #[inline]
 pub(crate) fn extent(lo: i64, hi: i64) -> Option<usize> {
     hi.checked_sub(lo).map(|n| n.max(0) as usize)
+}
+
+/// One iteration variable of a dispatch: it takes the `trip` values `start,
+/// start + dir, …` with `dir` either `1` or `-1`.  A map parameter ascends;
+/// a loop iterator walks in the direction of its step.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Axis {
+    pub start: i64,
+    pub trip: usize,
+    pub dir: i64,
+}
+
+impl Axis {
+    /// The walk of a control-flow loop from `start` to `end` (exclusive) by
+    /// `step`: `None` — the VM runs the loop — unless the step is `1` or
+    /// `-1`, at least one iteration runs and the trip count fits `i64`.
+    fn of_loop(start: i64, end: i64, step: i64) -> Option<Axis> {
+        let trip = match step {
+            1 => extent(start, end)?,
+            -1 => extent(end, start)?,
+            _ => return None,
+        };
+        (trip > 0).then_some(Axis {
+            start,
+            trip,
+            dir: step,
+        })
+    }
+
+    /// The value of the variable at count `c < trip`.  In range: the last
+    /// value lies between the loop's `start` and `end`, both `i64`.
+    #[inline]
+    fn at(&self, c: usize) -> i64 {
+        self.start + self.dir * c as i64
+    }
 }
 
 /// Where a per-point read loads from.
@@ -101,19 +149,19 @@ pub(crate) struct KernelDst {
     accumulate: bool,
 }
 
-/// Flatten one access over the box `lows[v] .. lows[v] + sizes[v]` (every
-/// size at least 1) of its iteration variables: evaluate the loop-invariant
-/// index parts, bounds-check the extreme corners per dimension (which covers
-/// every point, indices being monotone in each variable), and fold the
-/// per-dimension strides into `flat = [offset at lows, step per variable]`.
-/// `None` means the VM must handle this dispatch.
+/// Flatten one access over the box its iteration variables `axes` (every
+/// trip at least 1) span: evaluate the loop-invariant index parts,
+/// bounds-check the extreme corners per dimension — the first and the last
+/// value of each variable, whichever way it walks, which covers every point,
+/// indices being monotone in each variable — and fold the per-dimension
+/// strides and the walking directions into `flat = [offset at the starts,
+/// step per variable]`.  `None` means the VM must handle this dispatch.
 fn flatten_access(
     plan: &ExecPlan,
     syms: &SymFile,
     i_regs: &mut Vec<i64>,
     acc: &KernelAccess,
-    lows: &[i64],
-    sizes: &[usize],
+    axes: &[Axis],
     flat: &mut [i64],
 ) -> Option<()> {
     let layout = plan.arrays.layout(acc.array).ok()?;
@@ -127,46 +175,115 @@ fn flatten_access(
     for d in 0..acc.rest.len() {
         let rest = acc.rest[d].eval(syms, &plan.syms.names, i_regs).ok()?;
         let stride = layout.strides[d] as i64;
-        let (mut at_lows, mut lo, mut hi) = (rest, rest, rest);
-        for (v, &c) in acc.coeff[d].iter().enumerate() {
-            let last = lows[v].checked_add(sizes[v] as i64 - 1)?;
-            let (at_low, at_last) = (c.checked_mul(lows[v])?, c.checked_mul(last)?);
-            at_lows = at_lows.checked_add(at_low)?;
-            lo = lo.checked_add(at_low.min(at_last))?;
-            hi = hi.checked_add(at_low.max(at_last))?;
-            steps[v] = steps[v].checked_add(c.checked_mul(stride)?)?;
+        let (mut at_starts, mut lo, mut hi) = (rest, rest, rest);
+        for ((step, &c), axis) in steps.iter_mut().zip(&acc.coeff[d]).zip(axes) {
+            let (first, last) = (axis.start, axis.at(axis.trip - 1));
+            let (at_first, at_last) = (c.checked_mul(first)?, c.checked_mul(last)?);
+            at_starts = at_starts.checked_add(at_first)?;
+            lo = lo.checked_add(at_first.min(at_last))?;
+            hi = hi.checked_add(at_first.max(at_last))?;
+            *step = step.checked_add(c.checked_mul(stride)?.checked_mul(axis.dir)?)?;
         }
         if lo < 0 || hi >= layout.dims[d] as i64 {
             return None;
         }
-        *base = base.checked_add(at_lows.checked_mul(stride)?)?;
+        *base = base.checked_add(at_starts.checked_mul(stride)?)?;
     }
     Some(())
 }
 
 impl RunState {
-    /// Execute the N-D affine kernel `k` over the rectangular domain
-    /// `lows[v] .. lows[v] + sizes[v]` (non-empty) of its iteration
-    /// variables: the parameters of a map, or the iterator of a loop.  Each
-    /// access is flattened once against its layout; the nest then walks the
-    /// domain in the VM's order — last variable fastest, on a flat loop —
-    /// so a one-variable domain is the loop itself, in loop order.  Returns
-    /// `Ok(false)` — having allocated and written nothing — when any
-    /// precondition fails and the VM must run instead.
+    /// Run the kernel of the nest `k` from its level `level`, a loop whose
+    /// bounds evaluated to `own = [start, end, step]`: one dispatch over the
+    /// levels above pinned at their current values, the loop's own walk and
+    /// the walks of the levels below, their bounds evaluated here.  Returns
+    /// the number of points run, or `None` — nothing allocated or written —
+    /// when the VM must walk the loop: a per-state free hint (it fires per
+    /// state execution), a step other than `±1`, an empty level (already
+    /// free on the VM), a trip count or a product of trip counts that wraps,
+    /// a bound the VM will fail to evaluate, or a declined dispatch.
+    pub(crate) fn exec_loop_kernel(
+        &mut self,
+        plan: &ExecPlan,
+        k: &LoopKernel,
+        level: usize,
+        own: [i64; 3],
+    ) -> RuntimeResult<Option<u64>> {
+        if !self.free_hints[k.state].is_empty() {
+            return Ok(None);
+        }
+        let mut axes = std::mem::take(&mut self.scratch.axes);
+        axes.clear();
+        let points = self.loop_axes(plan, k, level, own, &mut axes);
+        let ran = match points {
+            Some(_) => self.exec_kernel(plan, &k.kernel, &axes),
+            None => Ok(false),
+        };
+        self.scratch.axes = axes;
+        Ok(if ran? { points.map(|n| n as u64) } else { None })
+    }
+
+    /// The iteration variables of one loop-site dispatch, and their number
+    /// of points.
+    fn loop_axes(
+        &mut self,
+        plan: &ExecPlan,
+        k: &LoopKernel,
+        level: usize,
+        own: [i64; 3],
+        axes: &mut Vec<Axis>,
+    ) -> Option<usize> {
+        let (above, below) = k.levels.split_at(level);
+        for &(slot, _) in above {
+            let defined = self.syms.defined[slot as usize];
+            axes.push(defined.then_some(Axis {
+                start: self.syms.vals[slot as usize],
+                trip: 1,
+                dir: 1,
+            })?);
+        }
+        let mut points = 1usize;
+        for (depth, (_, bounds)) in below.iter().enumerate() {
+            let [start, end, step] = match depth {
+                0 => own,
+                _ => {
+                    let [start, end, step] = bounds;
+                    [
+                        self.idx(plan, start).ok()?,
+                        self.idx(plan, end).ok()?,
+                        self.idx(plan, step).ok()?,
+                    ]
+                }
+            };
+            let axis = Axis::of_loop(start, end, step)?;
+            points = points.checked_mul(axis.trip)?;
+            axes.push(axis);
+        }
+        Some(points)
+    }
+
+    /// Execute the N-D affine kernel `k` over the rectangular domain its
+    /// iteration variables `axes` (every trip at least 1) span: the
+    /// parameters of a map, or the iterators of a loop nest, each walking in
+    /// its own direction.  Each access is flattened once against its layout;
+    /// the nest then walks the domain in the VM's order — last variable
+    /// fastest, on a flat loop — so a loop-site domain is the loop nest
+    /// itself, in loop order.  Returns `Ok(false)` — having allocated and
+    /// written nothing — when any precondition fails and the VM must run
+    /// instead.
     pub(crate) fn exec_kernel(
         &mut self,
         plan: &ExecPlan,
         k: &AffineKernel,
-        lows: &[i64],
-        sizes: &[usize],
+        axes: &[Axis],
     ) -> RuntimeResult<bool> {
         // A parameterless map is a single VM tasklet evaluation.
-        let Some((&trip, outer)) = sizes.split_last() else {
+        let Some((&walk, outer)) = axes.split_last() else {
             return Ok(false);
         };
         let inner = outer.len();
-        // Per access: the offset at `lows`, then one step per variable.
-        let per_access = sizes.len() + 1;
+        // Per access: the offset at the starts, then one step per variable.
+        let per_access = axes.len() + 1;
         let read_flats = k.reads.len() * per_access;
         let access_flats = read_flats + k.writes.len() * per_access;
 
@@ -193,7 +310,7 @@ impl RunState {
             if slab[acc.array as usize].is_none() && !k.arrays.contains(&acc.array) {
                 return Ok(false);
             }
-            if flatten_access(plan, syms, &mut scratch.i_regs, acc, lows, sizes, flat).is_none() {
+            if flatten_access(plan, syms, &mut scratch.i_regs, acc, axes, flat).is_none() {
                 return Ok(false);
             }
         }
@@ -233,6 +350,10 @@ impl RunState {
         }
         // Take the written tensors out of the slab so that every other read
         // borrows it directly; reads of a written array go through `out_ts`.
+        // Both `expect`s: validation left every accessed array either in
+        // the slab already or in `k.arrays`, which `ensure_allocated` has
+        // just filled; `k.outs` is deduplicated, so each is taken once, and
+        // `data` only serves reads of arrays that are not in `k.outs`.
         out_ts.extend(
             k.outs
                 .iter()
@@ -265,11 +386,12 @@ impl RunState {
                 accumulate: w.accumulate,
             });
         }
-        for row in 0..outer.iter().product::<usize>() {
-            // The outer variables of this row, last fastest.
+        // The caller bounded the product of all trips.
+        for row in 0..outer.iter().map(|a| a.trip).product::<usize>() {
+            // The counts of the outer variables in this row, last fastest.
             let mut rest = row;
-            for (c, &n) in counters.iter_mut().zip(outer).rev() {
-                (*c, rest) = ((rest % n) as i64, rest / n);
+            for (c, a) in counters.iter_mut().zip(outer).rev() {
+                (*c, rest) = ((rest % a.trip) as i64, rest / a.trip);
             }
             let at_row = |flat: &[i64]| {
                 let steps = counters.iter().zip(&flat[1..]);
@@ -283,6 +405,7 @@ impl RunState {
                 if r.row_invariant {
                     slots[r.slot as usize] = data(r.access.array)[at_row(flat) as usize];
                 } else {
+                    // `srcs` holds one entry per such read, in this order.
                     per_point.next().expect("built above").off = at_row(flat);
                 }
             }
@@ -290,7 +413,7 @@ impl RunState {
                 d.off = at_row(flat);
             }
             for &(slot, v) in &k.outer_slots {
-                slots[slot as usize] = (lows[v] + counters[v]) as f64;
+                slots[slot as usize] = outer[v].at(counters[v] as usize) as f64;
             }
             if let ([e], [d]) = (&k.exprs[..], &dsts[..]) {
                 // One assignment, one write: the flat loop monomorphized
@@ -298,16 +421,7 @@ impl RunState {
                 let out = out_ts[d.out].data_mut();
                 macro_rules! row {
                     ($eval:expr) => {
-                        run_single_row(
-                            trip,
-                            lows[inner],
-                            &mut srcs,
-                            &k.inner_slots,
-                            slots,
-                            out,
-                            *d,
-                            $eval,
-                        )
+                        run_single_row(walk, &mut srcs, &k.inner_slots, slots, out, *d, $eval)
                     };
                 }
                 match (&e.micro, e.constant) {
@@ -317,8 +431,7 @@ impl RunState {
                 }
             } else {
                 run_multi_row(
-                    trip,
-                    lows[inner],
+                    walk,
                     &mut srcs,
                     dsts,
                     &k.inner_slots,
@@ -345,8 +458,7 @@ impl RunState {
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn run_single_row(
-    trip: usize,
-    inner_low: i64,
+    walk: Axis,
     srcs: &mut [KernelSrc<'_>],
     inner_slots: &[u32],
     slots: &mut [f64],
@@ -354,7 +466,7 @@ fn run_single_row(
     mut dst: KernelDst,
     mut eval: impl FnMut(&[f64]) -> f64,
 ) {
-    for i in 0..trip {
+    for i in 0..walk.trip {
         for s in srcs.iter_mut() {
             slots[s.slot] = match s.buf {
                 SrcBuf::Slab(d) => d[s.off as usize],
@@ -363,7 +475,7 @@ fn run_single_row(
             s.off += s.step;
         }
         if !inner_slots.is_empty() {
-            let iv = (inner_low + i as i64) as f64;
+            let iv = walk.at(i) as f64;
             for &sl in inner_slots {
                 slots[sl as usize] = iv;
             }
@@ -385,8 +497,7 @@ fn run_single_row(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn run_multi_row(
-    trip: usize,
-    inner_low: i64,
+    walk: Axis,
     srcs: &mut [KernelSrc<'_>],
     dsts: &mut [KernelDst],
     inner_slots: &[u32],
@@ -396,7 +507,7 @@ fn run_multi_row(
     exprs: &[KernelExpr],
     f_regs: &mut Vec<f64>,
 ) {
-    for i in 0..trip {
+    for i in 0..walk.trip {
         for s in srcs.iter_mut() {
             slots[s.slot] = match s.buf {
                 SrcBuf::Slab(d) => d[s.off as usize],
@@ -405,7 +516,7 @@ fn run_multi_row(
             s.off += s.step;
         }
         if !inner_slots.is_empty() {
-            let iv = (inner_low + i as i64) as f64;
+            let iv = walk.at(i) as f64;
             for &sl in inner_slots {
                 slots[sl as usize] = iv;
             }

@@ -168,7 +168,15 @@ impl SymExpr {
 
     /// True if the expression references the given symbol.
     pub fn references(&self, name: &str) -> bool {
-        self.free_symbols().contains(name)
+        use SymExpr::*;
+        match self {
+            Int(_) => false,
+            Sym(s) => s == name,
+            Neg(a) => a.references(name),
+            Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Rem(a, b) | Min(a, b) | Max(a, b) => {
+                a.references(name) || b.references(name)
+            }
+        }
     }
 
     /// Substitute a symbol by another expression.

@@ -24,12 +24,13 @@
 //!   attaches it;
 //! * a map or a loop whose access leaves its array falls back to the VM and
 //!   fails exactly as the VM does, partial writes included;
-//! * the reversed innermost loops of the `grad_loops` gradient programs are
-//!   listed as declined for their step (the next thing to move).
+//! * the reversed loop nests of the `grad_loops` gradient programs attach
+//!   the kernel at the depth of their forward counterparts, except the
+//!   sites listed by name with their typed reason.
 
 use std::collections::HashMap;
 
-use dace_ad_repro::frontend::{elem, lit};
+use dace_ad_repro::frontend::{elem, iter_val, lit};
 use dace_ad_repro::npbench::{all_kernels, kernel_by_name, Preset};
 use dace_ad_repro::prelude::*;
 use dace_ad_repro::runtime::{MapStrategy, SpecMode};
@@ -207,33 +208,63 @@ fn large_blas_gradient_maps_attach_the_map_kernel() {
     }
 }
 
-/// Where the loop site stands on the `grad_loops` gradient programs: the
-/// gradient program lists the forward sweep's innermost loops and then one
-/// reversed loop per forward loop, and every reversed loop — step `-1` over
-/// a single multi-assignment `adj_*` tasklet — is declined for its step
-/// alone.  A signed step on the one kernel is what moves these sites.
+/// Where the loop site stands on the `grad_loops` gradient programs.  The
+/// gradient program lists the forward sweep's loop sites and then their
+/// reversals (step `-1` over a single multi-assignment `adj_*` tasklet) in
+/// reverse order, at the same depths: a perfect rectangular nest is one
+/// site (`syrk`'s `j <= i` rows stay 1-deep under the dependent bound, its
+/// `k`/`j` nest collapses below it).  Every site attaches the kernel except
+/// the ones named here with their typed reason.
 #[test]
-fn backward_loops_are_declined_for_their_step() {
+fn backward_loops_attach_except_the_named_sites() {
     use dace_ad_repro::runtime::KernelMiss;
-    let reversed = MapStrategy::Vm(KernelMiss::NonUnitStep);
-    for name in ["jacobi1d"].into_iter().chain(LOOP_KERNELS) {
+    // (kernel, depth of every forward loop site, declined gradient sites,
+    // why the loop around the sites took none of them into a deeper nest).
+    let imperfect = Some(KernelMiss::ImperfectNest);
+    type Row = (
+        &'static str,
+        &'static [usize],
+        &'static [usize],
+        Option<KernelMiss>,
+    );
+    let table: [Row; 7] = [
+        // The time loop runs two map states per step, in both sweeps.
+        ("jacobi1d", &[1], &[0, 1], None),
+        ("seidel2d", &[3], &[], None),
+        // Two sweeps per time step.
+        ("jacobi2d", &[2, 2], &[], imperfect),
+        // The `i` loop holds the `beta` rows and the `k`/`j` nest.
+        ("syrk", &[1, 2], &[], imperfect),
+        ("syr2k", &[1, 2], &[], imperfect),
+        // The forward `k` loop gains a `fwd_store` state that saves the
+        // operand `B[k, j]` to the tape: two tasklets per iteration.  The
+        // `j` loop holds the `k` loop and the `alpha` scaling.
+        ("trmm", &[1], &[0], imperfect),
+        ("conv2d", &[4], &[], None),
+    ];
+    for (name, depths, declined, enclosing) in table {
         let kernel = kernel_by_name(name).unwrap();
         let sizes = kernel.sizes(Preset::Test);
         let symbols = kernel.symbols(&sizes);
         let sdfg = kernel.build_dace(&sizes);
         let forward = compile(&sdfg, &symbols).unwrap().loop_strategies();
-        assert!(!forward.is_empty(), "{name}: no innermost loop");
+        let forward_depths: Vec<usize> = forward.iter().map(|l| l.depth).collect();
+        assert_eq!(forward_depths, depths, "{name}: {forward:?}");
         let engine =
             GradientEngine::new(&sdfg, "OUT", &kernel.wrt(), &symbols, &AdOptions::default())
                 .unwrap();
         let loops = engine.gradient_program().loop_strategies();
-        let (forward_sweep, backward_sweep) = loops.split_at(forward.len());
-        assert_eq!(backward_sweep.len(), forward.len(), "{name}: {loops:?}");
-        for l in forward_sweep {
-            assert_ne!(l.strategy, reversed, "{name}: {l:?}");
-        }
-        for l in backward_sweep {
-            assert_eq!(l.strategy, reversed, "{name}: {l:?}");
+        let mirrored: Vec<usize> = depths.iter().chain(depths.iter().rev()).copied().collect();
+        let gradient_depths: Vec<usize> = loops.iter().map(|l| l.depth).collect();
+        assert_eq!(gradient_depths, mirrored, "{name}: {loops:?}");
+        for (site, l) in loops.iter().enumerate() {
+            let expected = if declined.contains(&site) {
+                MapStrategy::Vm(KernelMiss::MultiStateBody)
+            } else {
+                MapStrategy::Kernel
+            };
+            assert_eq!(l.strategy, expected, "{name}: site {site} of {loops:?}");
+            assert_eq!(l.enclosing, enclosing, "{name}: site {site} of {loops:?}");
         }
     }
 }
@@ -327,52 +358,90 @@ fn out_of_range_map_falls_back_to_the_vm_error() {
 }
 
 /// The loop counterpart: a loop whose write leaves the array at its last
-/// iteration, and the same loop with its input missing.  The kernel's
-/// validation declines either dispatch before allocating or writing
-/// anything, and the VM raises its exact error after the same partial
-/// writes.
+/// iteration — walking up (`Y[N]`) or down (`Y[-1]`, the lowest index) —
+/// the same loop with its input missing, and a 2-deep nest whose far corner
+/// `Z[N-1, N]` is out of range.  The kernel's validation declines every
+/// dispatch (of the whole nest, then of each row) before allocating or
+/// writing anything, and the VM raises its exact error after the same
+/// partial writes.
 #[test]
 fn out_of_range_loop_falls_back_to_the_vm_error() {
-    let mut b = ProgramBuilder::new("loop_oob");
-    let n = b.symbol("N");
-    b.add_input("X", vec![n.add_int(1)]).unwrap();
-    b.add_input("Y", vec![n.clone()]).unwrap();
     let i = SymExpr::sym("i");
-    b.for_range("i", 0, n.add_int(1), |b| {
-        b.assign_element(
-            "Y",
-            vec![i.clone()],
-            elem("X", vec![i.clone()]).mul(lit(2.0)),
-        );
-    });
-    let sdfg = b.build().unwrap();
+    let j = SymExpr::sym("j");
+    let build = |down: bool, nested: bool| {
+        let mut b = ProgramBuilder::new("loop_oob");
+        let n = b.symbol("N");
+        b.add_input("X", vec![n.add_int(1)]).unwrap();
+        b.add_input("Y", vec![n.clone()]).unwrap();
+        b.add_input("Z", vec![n.clone(), n.clone()]).unwrap();
+        let (start, end, step) = match down {
+            false => (SymExpr::int(0), n.add_int(1), 1),
+            true => (n.add_int(-1), SymExpr::int(-2), -1),
+        };
+        b.for_range_step("i", start, end, step, |b| {
+            let x = elem("X", vec![i.clone()]).mul(lit(2.0));
+            if nested {
+                b.for_range("j", 0, n.add_int(1), |b| {
+                    b.assign_element("Z", vec![i.clone(), j.clone()], x);
+                });
+            } else {
+                b.assign_element("Y", vec![i.clone()], x);
+            }
+        });
+        b.build().unwrap()
+    };
     let symbols = HashMap::from([("N".to_string(), 5i64)]);
-    let program = compile(&sdfg, &symbols).unwrap();
-    assert_eq!(program.loop_strategies()[0].strategy, MapStrategy::Kernel);
     let x = Tensor::from_vec((0..6).map(|v| v as f64 + 1.0).collect(), &[6]).unwrap();
-    let run = |mode: SpecMode, x: Option<&Tensor>| {
+    let run = |sdfg: &Sdfg, depth: usize, mode: SpecMode, x: Option<&Tensor>| {
+        let program = compile(sdfg, &symbols).unwrap();
+        let sites = program.loop_strategies();
+        assert_eq!(sites[0].strategy, MapStrategy::Kernel);
+        assert_eq!(sites[0].depth, depth);
         let mut session = program.session();
         session.force_specialization(mode);
         session.set_input("Y", Tensor::zeros(&[5])).unwrap();
+        session.set_input("Z", Tensor::zeros(&[5, 5])).unwrap();
         if let Some(x) = x {
             session.set_input("X", x.clone()).unwrap();
         }
         let err = session.run().unwrap_err();
-        (err, bits(session.array("Y").unwrap()))
+        let written = ["Y", "Z"].map(|a| bits(session.array(a).unwrap()));
+        (err, written)
     };
-    let (off_err, off_y) = run(SpecMode::ForceOff, Some(&x));
-    let (on_err, on_y) = run(SpecMode::Auto, Some(&x));
-    assert_eq!(off_err, on_err);
-    assert_eq!(off_y, on_y);
-    // The VM wrote all of `Y` before failing on `Y[5]`.
     let doubled: Vec<u64> = x.data()[..5].iter().map(|v| (v * 2.0).to_bits()).collect();
-    assert_eq!(off_y, doubled);
 
-    let (off_err, off_y) = run(SpecMode::ForceOff, None);
-    let (on_err, on_y) = run(SpecMode::Auto, None);
+    // Either direction writes all of `Y` before failing on `Y[5]` / `Y[-1]`.
+    for down in [false, true] {
+        let sdfg = build(down, false);
+        let (off_err, off) = run(&sdfg, 1, SpecMode::ForceOff, Some(&x));
+        let (on_err, on) = run(&sdfg, 1, SpecMode::Auto, Some(&x));
+        assert_eq!(off_err, on_err, "down: {down}");
+        assert_eq!(off, on, "down: {down}");
+        assert_eq!(off[0], doubled, "down: {down}");
+    }
+
+    // The input missing: nothing is written.
+    let sdfg = build(false, false);
+    let (off_err, off) = run(&sdfg, 1, SpecMode::ForceOff, None);
+    let (on_err, on) = run(&sdfg, 1, SpecMode::Auto, None);
     assert_eq!(off_err, on_err);
-    assert_eq!(off_y, on_y);
-    assert!(off_y.iter().all(|&b| b == 0));
+    assert_eq!(off, on);
+    assert!(off[0].iter().all(|&b| b == 0));
+
+    // The nest: the VM fills row 0 (descending: row 4) of `Z` with the
+    // row's value of `X`, then fails one past its end.
+    for down in [false, true] {
+        let sdfg = build(down, true);
+        let (off_err, off) = run(&sdfg, 2, SpecMode::ForceOff, Some(&x));
+        let (on_err, on) = run(&sdfg, 2, SpecMode::Auto, Some(&x));
+        assert_eq!(off_err, on_err, "down: {down}");
+        assert_eq!(off, on, "down: {down}");
+        let row = if down { 4 } else { 0 };
+        for (at, &b) in off[1].iter().enumerate() {
+            let expected = if at / 5 == row { doubled[row] } else { 0 };
+            assert_eq!(b, expected, "down: {down}, Z[{}, {}]", at / 5, at % 5);
+        }
+    }
 }
 
 /// `Auto` mode has no warm-up: a loop site dispatches its kernel on the
@@ -438,6 +507,15 @@ mod proptests {
     #[derive(Clone, Debug)]
     struct SpecCase {
         n: i64,
+        /// Walk `i` / `j` downwards, `hi-1, hi-2, .. 1` by step `-1`.
+        down: (bool, bool),
+        /// Wrap the nest in a time loop `for t in 0..2`: a 3-deep nest.
+        time_loop: bool,
+        /// The inner loop covers `1 ..= i`: a triangular nest.
+        triangular: bool,
+        /// Add the value of this iterator (`i`, `j`, then `t` when there is
+        /// a time loop) to the expression.
+        iter_value: Option<usize>,
         in_place: bool,
         accumulate: bool,
         /// (read from written array, row offset, col offset) per read.
@@ -472,7 +550,13 @@ mod proptests {
     fn arb_case() -> impl Strategy<Value = SpecCase> {
         let flag = || (0u8..2).prop_map(|v| v == 1);
         (
-            6i64..11,
+            (
+                6i64..11,
+                (flag(), flag()),
+                flag(),
+                (0u8..4).prop_map(|v| v == 0),
+                (flag(), 0usize..3),
+            ),
             flag(),
             flag(),
             proptest::collection::vec((flag(), -1i64..2, -1i64..2), 1..5),
@@ -486,9 +570,22 @@ mod proptests {
             ),
         )
             .prop_map(
-                |(n, in_place, accumulate, reads, wo, (shape, scale), (second, dup, ranged, s))| {
+                |(
+                    nest,
+                    in_place,
+                    accumulate,
+                    reads,
+                    wo,
+                    (shape, scale),
+                    (second, dup, ranged, s),
+                )| {
+                    let (n, down, time_loop, triangular, iter_value) = nest;
                     SpecCase {
                         n,
+                        down,
+                        time_loop,
+                        triangular,
+                        iter_value: iter_value.0.then_some(iter_value.1),
                         in_place,
                         accumulate,
                         reads,
@@ -517,34 +614,57 @@ mod proptests {
         let (i, j) = (SymExpr::sym("i"), SymExpr::sym("j"));
         let one = SymExpr::int(1);
         let target = if case.in_place { "A" } else { "B" };
-        b.for_range("i", 1, n.sub(&one), |b| {
-            b.for_range("j", 1, n.sub(&one), |b| {
-                let rd = |&(alias, ro, co): &(bool, i64, i64)| {
-                    let arr = if alias { target } else { "A" };
-                    elem(arr, vec![i.add_int(ro), j.add_int(co)])
-                };
-                let mut expr = rd(&case.reads[0]);
-                match case.shape {
-                    1 if case.reads.len() >= 2 => expr = expr.mul(rd(&case.reads[1])),
-                    _ => {
-                        for r in &case.reads[1..] {
-                            expr = expr.add(rd(r));
-                        }
-                        if case.shape == 2 {
-                            expr = expr.mul(lit(case.scale));
-                        } else if case.shape == 3 {
-                            expr = expr.div(lit(case.scale));
+        // `1 .. hi` upwards, or the same values downwards.
+        let walk = |down: bool, hi: SymExpr| match down {
+            false => (one.clone(), hi, 1),
+            true => (hi.sub(&one), SymExpr::int(0), -1),
+        };
+        let (i_start, i_end, i_step) = walk(case.down.0, n.sub(&one));
+        let j_hi = if case.triangular {
+            i.add_int(1)
+        } else {
+            n.sub(&one)
+        };
+        let (j_start, j_end, j_step) = walk(case.down.1, j_hi);
+        let nest = |b: &mut ProgramBuilder| {
+            b.for_range_step("i", i_start, i_end, i_step, |b| {
+                b.for_range_step("j", j_start, j_end, j_step, |b| {
+                    let rd = |&(alias, ro, co): &(bool, i64, i64)| {
+                        let arr = if alias { target } else { "A" };
+                        elem(arr, vec![i.add_int(ro), j.add_int(co)])
+                    };
+                    let mut expr = rd(&case.reads[0]);
+                    match case.shape {
+                        1 if case.reads.len() >= 2 => expr = expr.mul(rd(&case.reads[1])),
+                        _ => {
+                            for r in &case.reads[1..] {
+                                expr = expr.add(rd(r));
+                            }
+                            if case.shape == 2 {
+                                expr = expr.mul(lit(case.scale));
+                            } else if case.shape == 3 {
+                                expr = expr.div(lit(case.scale));
+                            }
                         }
                     }
-                }
-                let idx = vec![i.add_int(case.wo.0), j.add_int(case.wo.1)];
-                if case.accumulate {
-                    b.accumulate_element(target, idx, expr);
-                } else {
-                    b.assign_element(target, idx, expr);
-                }
+                    if let Some(v) = case.iter_value {
+                        let iterators = ["i", "j", if case.time_loop { "t" } else { "i" }];
+                        expr = expr.add(iter_val(iterators[v]));
+                    }
+                    let idx = vec![i.add_int(case.wo.0), j.add_int(case.wo.1)];
+                    if case.accumulate {
+                        b.accumulate_element(target, idx, expr);
+                    } else {
+                        b.assign_element(target, idx, expr);
+                    }
+                });
             });
-        });
+        };
+        if case.time_loop {
+            b.for_range("t", 0, 2, nest);
+        } else {
+            nest(&mut b);
+        }
         let mut sdfg = b.build().unwrap();
         apply_extras(&mut sdfg, case);
         sdfg
@@ -855,18 +975,41 @@ mod proptests {
         /// The loop kernel must be bit-identical to pure-VM execution with
         /// equal execution counters — for random offsets, scale factors,
         /// reductions and aliasing patterns, including bodies that read the
-        /// array they write (Gauss–Seidel order), and for the body shapes
-        /// of [`Extras`]: several assignments and writes, duplicate
-        /// connectors, range-start reads, a scalar that is read and
-        /// written.  Every one of these bodies attaches the kernel, and it
-        /// dispatches once per outer iteration.
+        /// array they write (Gauss–Seidel order) at `±1` in both iterators,
+        /// for iterators walking up or down, 2- and 3-deep nests, and for
+        /// the body shapes of [`Extras`]: several assignments and writes,
+        /// duplicate connectors, range-start reads, a scalar that is read
+        /// and written.  Every one of these bodies attaches the kernel: a
+        /// rectangular nest runs in one dispatch, a triangular nest — and
+        /// a read of a written array in a fixed column, whose offset to the
+        /// write moves with `j` — one dispatch per row.
         #[test]
         fn specialized_execution_is_bit_identical(case in arb_case()) {
             let sdfg = build_case(&case);
+            let writes_a = case.in_place
+                || matches!(case.extras.second_write, Some((_, false, _, _)));
+            let fixed_column = matches!(case.extras.duplicate_connector, Some((true, _, _)));
+            let per_row = case.triangular || (writes_a && fixed_column);
+            let rows = (case.n as u64 - 2) * if case.time_loop { 2 } else { 1 };
+            let symbols = HashMap::from([("N".to_string(), case.n)]);
+            let sites = compile(&sdfg, &symbols).unwrap().loop_strategies();
+            prop_assert_eq!(sites.len(), 1, "{:?}", &sites);
+            prop_assert_eq!(sites[0].strategy, MapStrategy::Kernel, "{:?}", &case);
+            let depth = if per_row { 1 } else { 2 + case.time_loop as usize };
+            prop_assert_eq!(sites[0].depth, depth, "{:?}", &case);
+            use dace_ad_repro::runtime::KernelMiss;
+            let enclosing = match (case.triangular, per_row) {
+                (true, _) => Some(KernelMiss::NonRectangularBound),
+                (_, true) => Some(KernelMiss::AliasedReadAtOtherIndex),
+                _ => None,
+            };
+            prop_assert_eq!(sites[0].enclosing, enclosing, "{:?}", &case);
+
             let (off, r_off) = run_case(&sdfg, case.n, SpecMode::ForceOff);
             let (on, r_on) = run_case(&sdfg, case.n, SpecMode::Auto);
             prop_assert_eq!(r_off.specialized_dispatches, 0);
-            prop_assert_eq!(r_on.specialized_dispatches, case.n as u64 - 2, "{:?}", &case);
+            let dispatches = if per_row { rows } else { 1 };
+            prop_assert_eq!(r_on.specialized_dispatches, dispatches, "{:?}", &case);
             prop_assert_eq!(&off, &on, "A, B or S diverged for {:?}", &case);
             prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
             prop_assert_eq!(r_off.state_executions, r_on.state_executions);
