@@ -896,6 +896,62 @@ mod tests {
         check_against_fd(&fwd, "OUT", &["A", "B"], &syms, &inputs, 1e-4);
     }
 
+    /// Reverse mode is total over the products' operand flags (so it is
+    /// closed over the flagged nodes its own adjoints are made of): every
+    /// combination, on operands whose three extents differ — a wrong flag in
+    /// an adjoint would not even lower — against finite differences, behind
+    /// a nonlinearity so the incoming gradient is not uniform.
+    #[test]
+    fn gradients_through_flagged_products_match_fd() {
+        use dace_sdfg::{DfNode, LibraryOp};
+        let (m, k, n) = (2, 3, 4);
+        let under = |rows: i64, cols: i64, transposed: bool| {
+            if transposed {
+                vec![cols, rows]
+            } else {
+                vec![rows, cols]
+            }
+        };
+        let mut ops = vec![LibraryOp::MatVec { trans_a: true }];
+        for (trans_a, trans_b) in [(false, false), (true, false), (false, true), (true, true)] {
+            ops.push(LibraryOp::MatMul { trans_a, trans_b });
+        }
+        for op in ops {
+            // (stored shape of A, of the second operand, shape of the result)
+            let (a, second, out) = match op {
+                LibraryOp::MatMul { trans_a, trans_b } => {
+                    (under(m, k, trans_a), under(k, n, trans_b), vec![m, n])
+                }
+                _ => (under(m, k, true), vec![k], vec![m]),
+            };
+            let dims = |shape: &[i64]| shape.iter().map(|&d| SymExpr::int(d)).collect::<Vec<_>>();
+            let mut b = ProgramBuilder::new("flagged");
+            b.add_input("A", dims(&a)).unwrap();
+            b.add_input("B", dims(&second)).unwrap();
+            b.add_transient("C", dims(&out)).unwrap();
+            b.add_transient("S", dims(&out)).unwrap();
+            b.add_scalar("OUT").unwrap();
+            match op {
+                LibraryOp::MatMul { .. } => b.matmul("C", "A", "B"),
+                _ => b.matvec("C", "A", "B"),
+            }
+            b.assign("S", ArrayExpr::a("C").sin());
+            b.sum_into("OUT", "S", false);
+            let mut fwd = b.build().unwrap();
+            // The frontend emits the flags unset: set them on the node.
+            for node in &mut fwd.states[0].graph.nodes {
+                if let DfNode::Library(unflagged) = node {
+                    *unflagged = op;
+                }
+            }
+            let shape = |s: &[i64]| s.iter().map(|&d| d as usize).collect::<Vec<_>>();
+            let mut inputs = HashMap::new();
+            inputs.insert("A".to_string(), uniform(&shape(&a), 4));
+            inputs.insert("B".to_string(), uniform(&shape(&second), 5));
+            check_against_fd(&fwd, "OUT", &["A", "B"], &symbols(&[]), &inputs, 1e-6);
+        }
+    }
+
     #[test]
     fn gradient_through_sequential_loop_with_overwrites() {
         // for i in 1..N: A[i] = A[i] * A[i-1]; OUT = sum(A)

@@ -975,34 +975,35 @@ impl<'a> Ctx<'a> {
             }
         };
 
-        match op {
-            LibraryOp::MatMul => {
+        match *op {
+            LibraryOp::MatMul { trans_a, trans_b } => {
                 let a = in_arrays.get("A").cloned().unwrap_or_default();
                 let b = in_arrays.get("B").cloned().unwrap_or_default();
-                let ga = self.grad(&a);
-                let gb = self.grad(&b);
-                if ga.is_some() {
+                // Each adjoint is again one product with flagged operands,
+                // accumulated in place; a transposed operand's gradient is
+                // stored transposed too, which swaps the factors.
+                if let Some(ga) = self.grad(&a) {
                     let b_val = forwarded(self, "B")?;
-                    // grad_A += grad_out @ b_val^T
-                    let bt = self.add_transient_like(&b_val, true)?;
-                    adjoints.push(self.transpose_state(&b_val, &bt, state_name));
-                    adjoints.push(self.matmul_accumulate_state(
-                        &grad_out,
-                        &bt,
-                        &ga.clone().unwrap(),
-                        state_name,
-                    ));
+                    // gA += gC·op(B)ᵀ, or as stored under the flag:
+                    // gAᵀ += op(B)·gCᵀ.
+                    let (factors, (trans_a, trans_b)) = if trans_a {
+                        ([b_val.as_str(), &grad_out], (trans_b, true))
+                    } else {
+                        ([grad_out.as_str(), &b_val], (false, !trans_b))
+                    };
+                    let op = LibraryOp::MatMul { trans_a, trans_b };
+                    adjoints.push(self.library_accumulate_state(op, factors, &ga, state_name));
                 }
-                if gb.is_some() {
+                if let Some(gb) = self.grad(&b) {
                     let a_val = forwarded(self, "A")?;
-                    let at = self.add_transient_like(&a_val, true)?;
-                    adjoints.push(self.transpose_state(&a_val, &at, state_name));
-                    adjoints.push(self.matmul_accumulate_state(
-                        &at,
-                        &grad_out,
-                        &gb.clone().unwrap(),
-                        state_name,
-                    ));
+                    // gB += op(A)ᵀ·gC, or as stored: gBᵀ += gCᵀ·op(A).
+                    let (factors, (trans_a, trans_b)) = if trans_b {
+                        ([grad_out.as_str(), &a_val], (true, trans_a))
+                    } else {
+                        ([a_val.as_str(), &grad_out], (!trans_a, false))
+                    };
+                    let op = LibraryOp::MatMul { trans_a, trans_b };
+                    adjoints.push(self.library_accumulate_state(op, factors, &gb, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1010,30 +1011,32 @@ impl<'a> Ctx<'a> {
                     );
                 }
             }
-            LibraryOp::MatVec => {
+            LibraryOp::MatVec { trans_a } => {
                 let a = in_arrays.get("A").cloned().unwrap_or_default();
                 let x = in_arrays.get("x").cloned().unwrap_or_default();
-                if self.grads.contains_key(&a) {
+                if let Some(ga) = self.grad(&a) {
                     let x_val = forwarded(self, "x")?;
-                    // grad_A[i,j] += grad_out[i] * x_val[j]
+                    // gA[i,j] += gy[i]·x[j]; with `A` read transposed the
+                    // stored gradient is the outer product the other way.
+                    let (rows, cols) = if trans_a {
+                        (&x_val, &grad_out)
+                    } else {
+                        (&grad_out, &x_val)
+                    };
                     adjoints.push(self.outer_accumulate_state(
-                        &grad_out,
-                        &x_val,
-                        &self.grads[&a].clone(),
+                        rows,
+                        cols,
+                        &ga,
                         &self.fwd.arrays[&a].shape.clone(),
                         state_name,
                     ));
                 }
-                if self.grads.contains_key(&x) {
+                if let Some(gx) = self.grad(&x) {
                     let a_val = forwarded(self, "A")?;
-                    let at = self.add_transient_like(&a_val, true)?;
-                    adjoints.push(self.transpose_state(&a_val, &at, state_name));
-                    adjoints.push(self.matvec_accumulate_state(
-                        &at,
-                        &grad_out,
-                        &self.grads[&x].clone(),
-                        state_name,
-                    ));
+                    // gx += op(A)ᵀ·gy
+                    let op = LibraryOp::MatVec { trans_a: !trans_a };
+                    let operands = [a_val.as_str(), &grad_out];
+                    adjoints.push(self.library_accumulate_state(op, operands, &gx, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1088,68 +1091,22 @@ impl<'a> Ctx<'a> {
     // helper state builders for library adjoints
     // --------------------------------------------------------------------
 
-    fn add_transient_like(&mut self, array: &str, transposed: bool) -> Result<String, AdError> {
-        let desc = self
-            .out
-            .arrays
-            .get(array)
-            .or_else(|| self.fwd.arrays.get(array))
-            .ok_or_else(|| AdError::Malformed(format!("unknown array `{array}`")))?
-            .clone();
-        let mut shape = desc.shape.clone();
-        if transposed && shape.len() == 2 {
-            shape.swap(0, 1);
-        }
-        let name = self.fresh("adj_tmp");
-        self.out
-            .add_array(name.clone(), ArrayDesc::transient(shape))
-            .map_err(|e| AdError::Malformed(e.to_string()))?;
-        Ok(name)
-    }
-
-    fn transpose_state(&mut self, src: &str, dst: &str, label: &str) -> ControlFlow {
-        let mut g = DataflowGraph::new();
-        let a = g.add_access(src);
-        let t = g.add_library(LibraryOp::Transpose);
-        let b = g.add_access(dst);
-        g.add_edge(a, None, t, Some("A"), Memlet::all(src));
-        g.add_edge(t, Some("B"), b, None, Memlet::all(dst));
+    /// `dst += op(operands)`: a product's adjoint, as one WCR library node.
+    fn library_accumulate_state(
+        &mut self,
+        op: LibraryOp,
+        operands: [&str; 2],
+        dst: &str,
+        label: &str,
+    ) -> ControlFlow {
+        let kind = match op {
+            LibraryOp::MatMul { .. } => "matmul",
+            _ => "matvec",
+        };
         let n = self.next();
         ControlFlow::State(self.out.add_state(State {
-            name: format!("adj_transpose_{label}_{n}"),
-            graph: g,
-        }))
-    }
-
-    fn matmul_accumulate_state(&mut self, a: &str, b: &str, dst: &str, label: &str) -> ControlFlow {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(a);
-        let bn = g.add_access(b);
-        let mm = g.add_library(LibraryOp::MatMul);
-        let cn = g.add_access(dst);
-        g.add_edge(an, None, mm, Some("A"), Memlet::all(a));
-        g.add_edge(bn, None, mm, Some("B"), Memlet::all(b));
-        g.add_edge(mm, Some("C"), cn, None, Memlet::all(dst).with_wcr_sum());
-        let n = self.next();
-        ControlFlow::State(self.out.add_state(State {
-            name: format!("adj_matmul_{label}_{n}"),
-            graph: g,
-        }))
-    }
-
-    fn matvec_accumulate_state(&mut self, a: &str, x: &str, dst: &str, label: &str) -> ControlFlow {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(a);
-        let xn = g.add_access(x);
-        let mv = g.add_library(LibraryOp::MatVec);
-        let yn = g.add_access(dst);
-        g.add_edge(an, None, mv, Some("A"), Memlet::all(a));
-        g.add_edge(xn, None, mv, Some("x"), Memlet::all(x));
-        g.add_edge(mv, Some("y"), yn, None, Memlet::all(dst).with_wcr_sum());
-        let n = self.next();
-        ControlFlow::State(self.out.add_state(State {
-            name: format!("adj_matvec_{label}_{n}"),
-            graph: g,
+            name: format!("adj_{kind}_{label}_{n}"),
+            graph: DataflowGraph::library_call(op, &operands, dst, true),
         }))
     }
 
@@ -1506,6 +1463,53 @@ mod tests {
         let plan = generate_backward(&fwd, "OUT", &["X"]).unwrap();
         // sin(Y) needs Y; Y is a transient written once outside loops.
         assert!(plan.candidates.iter().any(|c| c.array == "Y"));
+    }
+
+    /// The adjoint of a product is one flagged product accumulated in place:
+    /// no `Transpose` node, no operand-sized `adj_tmp` transient.
+    #[test]
+    fn product_adjoints_materialise_no_transpose() {
+        let mut b = ProgramBuilder::new("products");
+        let n = b.symbol("N");
+        let square = vec![n.clone(), n.clone()];
+        b.add_input("A", square.clone()).unwrap();
+        b.add_input("B", square.clone()).unwrap();
+        b.add_input("x", vec![n.clone()]).unwrap();
+        b.add_transient("C", square).unwrap();
+        b.add_transient("y", vec![n.clone()]).unwrap();
+        b.add_scalar("OUT").unwrap();
+        b.matmul("C", "A", "B");
+        b.matvec("y", "C", "x");
+        b.sum_into("OUT", "y", false);
+        let fwd = b.build().unwrap();
+        let plan = generate_backward(&fwd, "OUT", &["A", "B", "x"]).unwrap();
+        let ops: Vec<LibraryOp> = (plan.sdfg.cfg.states_in_order().iter())
+            .flat_map(|&s| &plan.sdfg.states[s].graph.nodes)
+            .filter_map(|node| match node {
+                DfNode::Library(op) => Some(*op),
+                _ => None,
+            })
+            .collect();
+        let flagged = |ta, tb| LibraryOp::MatMul {
+            trans_a: ta,
+            trans_b: tb,
+        };
+        assert_eq!(
+            ops,
+            [
+                // forward, as written
+                LibraryOp::MATMUL,
+                LibraryOp::MATVEC,
+                LibraryOp::SumReduce { accumulate: false },
+                // gx += Cᵀ·gy; gA += gC·Bᵀ; gB += Aᵀ·gC
+                LibraryOp::MatVec { trans_a: true },
+                flagged(false, true),
+                flagged(true, false),
+            ]
+        );
+        assert!(!plan.sdfg.arrays.keys().any(|a| a.contains("adj_tmp")));
+        // Every transient is a forward container or the gradient of one.
+        assert_eq!(plan.sdfg.arrays.len(), 2 * fwd.arrays.len());
     }
 
     #[test]

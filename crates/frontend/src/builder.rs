@@ -123,52 +123,38 @@ impl ProgramBuilder {
         self.push_state(&format!("accumulate_{dst}"), graph);
     }
 
+    /// One library call as a statement: `dst = op(operands)`, accumulated
+    /// into `dst` with `accumulate`.
+    fn library(
+        &mut self,
+        label: &str,
+        op: LibraryOp,
+        operands: &[&str],
+        dst: &str,
+        accumulate: bool,
+    ) {
+        let graph = DataflowGraph::library_call(op, operands, dst, accumulate);
+        self.push_state(&format!("{label}_{dst}"), graph);
+    }
+
     /// `dst = a @ b` (matrix-matrix multiplication library node).
     pub fn matmul(&mut self, dst: &str, a: &str, b: &str) {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(a);
-        let bn = g.add_access(b);
-        let mm = g.add_library(LibraryOp::MatMul);
-        let cn = g.add_access(dst);
-        g.add_edge(an, None, mm, Some("A"), Memlet::all(a));
-        g.add_edge(bn, None, mm, Some("B"), Memlet::all(b));
-        g.add_edge(mm, Some("C"), cn, None, Memlet::all(dst));
-        self.push_state(&format!("matmul_{dst}"), g);
+        self.library("matmul", LibraryOp::MATMUL, &[a, b], dst, false);
     }
 
     /// `dst = a @ x` (matrix-vector multiplication library node).
     pub fn matvec(&mut self, dst: &str, a: &str, x: &str) {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(a);
-        let xn = g.add_access(x);
-        let mv = g.add_library(LibraryOp::MatVec);
-        let yn = g.add_access(dst);
-        g.add_edge(an, None, mv, Some("A"), Memlet::all(a));
-        g.add_edge(xn, None, mv, Some("x"), Memlet::all(x));
-        g.add_edge(mv, Some("y"), yn, None, Memlet::all(dst));
-        self.push_state(&format!("matvec_{dst}"), g);
+        self.library("matvec", LibraryOp::MATVEC, &[a, x], dst, false);
     }
 
     /// `dst = a^T` (2-D transpose library node).
     pub fn transpose(&mut self, dst: &str, a: &str) {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(a);
-        let tn = g.add_library(LibraryOp::Transpose);
-        let bn = g.add_access(dst);
-        g.add_edge(an, None, tn, Some("A"), Memlet::all(a));
-        g.add_edge(tn, Some("B"), bn, None, Memlet::all(dst));
-        self.push_state(&format!("transpose_{dst}"), g);
+        self.library("transpose", LibraryOp::Transpose, &[a], dst, false);
     }
 
     /// `dst = copy(src)` (full-array copy library node).
     pub fn copy(&mut self, dst: &str, src: &str) {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(src);
-        let cp = g.add_library(LibraryOp::Copy);
-        let bn = g.add_access(dst);
-        g.add_edge(an, None, cp, Some("A"), Memlet::all(src));
-        g.add_edge(cp, Some("B"), bn, None, Memlet::all(dst));
-        self.push_state(&format!("copy_{dst}"), g);
+        self.library("copy", LibraryOp::Copy, &[src], dst, false);
     }
 
     /// `dst[0] = sum(src)` or `dst[0] += sum(src)`.
@@ -176,18 +162,8 @@ impl ProgramBuilder {
     /// This is the reduction the paper appends to every NPBench program to
     /// obtain a scalar dependent variable for reverse-mode AD.
     pub fn sum_into(&mut self, dst: &str, src: &str, accumulate: bool) {
-        let mut g = DataflowGraph::new();
-        let an = g.add_access(src);
-        let rn = g.add_library(LibraryOp::SumReduce { accumulate });
-        let sn = g.add_access(dst);
-        g.add_edge(an, None, rn, Some("IN"), Memlet::all(src));
-        let memlet = if accumulate {
-            Memlet::all(dst).with_wcr_sum()
-        } else {
-            Memlet::all(dst)
-        };
-        g.add_edge(rn, Some("OUT"), sn, None, memlet);
-        self.push_state(&format!("sum_{dst}"), g);
+        let op = LibraryOp::SumReduce { accumulate };
+        self.library("sum", op, &[src], dst, accumulate);
     }
 
     // ----- element statements ------------------------------------------------

@@ -14,7 +14,8 @@ pub enum RuntimeError {
     MissingInput(String),
     /// An array referenced during execution is not declared.
     UnknownArray(String),
-    /// A provided input has the wrong shape.
+    /// A provided input has the wrong shape, or a library node's operand or
+    /// destination has (`expected`: the shape the node needs there).
     ShapeMismatch {
         array: String,
         expected: Vec<usize>,
@@ -32,6 +33,10 @@ pub enum RuntimeError {
     Tasklet(String),
     /// The dataflow graph of a state is cyclic.
     CyclicGraph(String),
+    /// A library node writes a container that is also one of its inputs.
+    /// Library outputs are computed in place, so such a node cannot run as
+    /// written: route the result through another container.
+    AliasedLibraryOutput(String),
     /// Structural error (missing connectors, wrong library usage, ...).
     Malformed(String),
     /// The static verifier rejected the SDFG before lowering.  Carries
@@ -63,6 +68,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Tensor(m) => write!(f, "tensor kernel error: {m}"),
             RuntimeError::Tasklet(m) => write!(f, "tasklet evaluation error: {m}"),
             RuntimeError::CyclicGraph(s) => write!(f, "cyclic dataflow graph in state `{s}`"),
+            RuntimeError::AliasedLibraryOutput(a) => write!(
+                f,
+                "a library node writes `{a}`, which is also one of its inputs"
+            ),
             RuntimeError::Malformed(m) => write!(f, "malformed SDFG: {m}"),
             RuntimeError::InvalidSdfg { diagnostics } => {
                 write!(

@@ -30,11 +30,21 @@
 //!   all, and the loop that could not collapse records which it was
 //!   ([`KernelMiss::NonRectangularBound`], [`KernelMiss::ImperfectNest`]).
 //!
-//! Lowering never fails eagerly: constructs that the old interpreter would
-//! only reject *when executed* (missing connectors, unknown arrays, cyclic
-//! graphs) lower to [`PlanNode::Fail`] / `PlanGraph::fail` markers carrying
-//! the exact runtime error, so error behaviour — including errors that never
-//! fire because the offending state is dead — is preserved.
+//! * library nodes have their connectors resolved to slab slots and their
+//!   operands' ranks and shapes — under the op's transposition flags —
+//!   checked against the concrete layouts, so executing one is a kernel
+//!   call into its (pooled) destination and nothing else.
+//!
+//! Lowering fails eagerly for one thing only: a library node that can never
+//! run as written — operands that do not fit each other
+//! ([`RuntimeError::ShapeMismatch`]) or an output container that is also one
+//! of its inputs ([`RuntimeError::AliasedLibraryOutput`]: outputs are
+//! computed in place).  Every other construct that the old interpreter would
+//! only reject *when executed* (unknown arrays, cyclic graphs, a destination
+//! of the wrong shape) lowers to [`PlanNode::Fail`] / `PlanGraph::fail`
+//! markers carrying the exact runtime error, so error behaviour — including
+//! errors that never fire because the offending state is dead — is
+//! preserved.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -514,14 +524,15 @@ pub(crate) struct PlanMap {
     pub points: Option<u64>,
 }
 
-/// A lowered library node.
+/// A lowered library node: operands resolved to slab slots, their shapes
+/// and every destination's checked against the result's.
 #[derive(Clone, Debug)]
 pub(crate) struct PlanLibrary {
     pub op: LibraryOp,
-    /// `(connector, array)` per in-edge.
-    pub inputs: Vec<(String, u32)>,
-    /// `(connector, array, wcr)` per out-edge.
-    pub outputs: Vec<(String, u32, bool)>,
+    /// The operand arrays, in the order of the op's input connectors.
+    pub inputs: Vec<u32>,
+    /// `(array, accumulate)` per out-edge; never one of `inputs`.
+    pub outputs: Vec<(u32, bool)>,
 }
 
 /// A lowered dataflow node.
@@ -619,10 +630,13 @@ struct Lowerer {
     /// Concrete symbol values the plan is specialized for; the dependence
     /// analyzer resolves symbolic strides/offsets through them.
     bindings: HashMap<String, i64>,
+    /// The first library node that can never run as written (see the module
+    /// docs): the one error lowering reports eagerly.
+    rejected: Option<RuntimeError>,
 }
 
 /// Compile an SDFG into an execution plan under concrete symbol values.
-pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecPlan {
+pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<ExecPlan> {
     // Intern arrays in name order (deterministic ids).
     let mut names = Vec::new();
     let mut ids = HashMap::new();
@@ -664,6 +678,7 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecP
         init_syms: SymFile::default(),
         loops: Vec::new(),
         bindings: symbols.clone(),
+        rejected: None,
     };
 
     // Intern every provided symbol value (sorted for deterministic slots);
@@ -682,13 +697,62 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> ExecP
         .map(|s| lo.lower_graph(&s.graph))
         .collect();
     let cfg = lo.lower_cf(&sdfg.cfg, sdfg, &states, Enclosing::Root(None));
-    ExecPlan {
+    if let Some(e) = lo.rejected {
+        return Err(e);
+    }
+    Ok(ExecPlan {
         arrays: lo.arrays,
         syms: lo.syms,
         init_syms: lo.init_syms,
         states,
         cfg,
         loops: lo.loops,
+    })
+}
+
+/// The shape of `op`'s result over operands of the concrete shapes `dims`
+/// (named by `names`, both in connector order) — or how they fail to fit.
+fn library_result(
+    op: &LibraryOp,
+    dims: &[&[usize]],
+    names: &[&str],
+) -> Result<Vec<usize>, RuntimeError> {
+    let under = |d: &[usize], transposed: bool| {
+        if transposed {
+            [d[1], d[0]]
+        } else {
+            [d[0], d[1]]
+        }
+    };
+    // The second operand must have the shape the first one implies.
+    let fit = |expected: Vec<usize>, result: Vec<usize>| {
+        if dims[1] == expected {
+            Ok(result)
+        } else {
+            Err(RuntimeError::ShapeMismatch {
+                array: names[1].to_string(),
+                expected,
+                got: dims[1].to_vec(),
+            })
+        }
+    };
+    match (op, dims) {
+        (LibraryOp::MatMul { trans_a, trans_b }, [a @ [_, _], b @ [_, _]]) => {
+            let ([m, k], [_, n]) = (under(a, *trans_a), under(b, *trans_b));
+            fit(under(&[k, n], *trans_b).to_vec(), vec![m, n])
+        }
+        (LibraryOp::MatVec { trans_a }, [a @ [_, _], [_]]) => {
+            let [m, k] = under(a, *trans_a);
+            fit(vec![k], vec![m])
+        }
+        (LibraryOp::Transpose, [[rows, cols]]) => Ok(vec![*cols, *rows]),
+        (LibraryOp::SumReduce { .. }, [_]) => Ok(vec![1]),
+        (LibraryOp::Copy, [a]) => Ok(a.to_vec()),
+        // The verifier reports this one first on every path through
+        // `compile()`.
+        _ => Err(RuntimeError::Malformed(format!(
+            "library node `{op:?}` over operands of shapes {dims:?}"
+        ))),
     }
 }
 
@@ -1233,22 +1297,54 @@ impl Lowerer {
         node: usize,
         op: &LibraryOp,
     ) -> Result<PlanLibrary, RuntimeError> {
+        let in_edges = graph.in_edges(node);
         let mut inputs = Vec::new();
-        for e in graph.in_edges(node) {
-            let conn = e.dst_conn.clone().ok_or_else(|| {
-                RuntimeError::Malformed("library in-edge without connector".into())
-            })?;
-            inputs.push((conn, self.array(&e.memlet.data)?));
+        let mut names = Vec::new();
+        for conn in op.input_connectors() {
+            let edge = in_edges
+                .iter()
+                .find(|e| e.dst_conn.as_deref() == Some(conn))
+                .ok_or_else(|| {
+                    RuntimeError::Malformed(format!("library node missing input `{conn}`"))
+                })?;
+            inputs.push(self.array(&edge.memlet.data)?);
+            names.push(edge.memlet.data.as_str());
         }
+        let mut dims = Vec::new();
+        for &a in &inputs {
+            dims.push(self.arrays.layout(a)?.dims.as_slice());
+        }
+        let result = library_result(op, &dims, &names);
+        let result = result.map_err(|e| self.rejected.get_or_insert(e).clone())?;
+
+        let out_conn = op.output_connectors()[0];
+        let accumulates = matches!(op, LibraryOp::SumReduce { accumulate: true });
         let mut outputs = Vec::new();
         for e in graph.out_edges(node) {
-            let conn = e.src_conn.clone().ok_or_else(|| {
-                RuntimeError::Malformed("library out-edge without connector".into())
-            })?;
-            outputs.push((conn, self.array(&e.memlet.data)?, e.memlet.wcr.is_some()));
+            if e.src_conn.as_deref() != Some(out_conn) {
+                return Err(RuntimeError::Malformed(format!(
+                    "library node has no output `{:?}`",
+                    e.src_conn
+                )));
+            }
+            let array = &e.memlet.data;
+            let dst = self.array(array)?;
+            if inputs.contains(&dst) {
+                let e = RuntimeError::AliasedLibraryOutput(array.clone());
+                return Err(self.rejected.get_or_insert(e).clone());
+            }
+            let expected = &self.arrays.layout(dst)?.dims;
+            if *expected != result {
+                return Err(RuntimeError::ShapeMismatch {
+                    array: array.clone(),
+                    expected: expected.clone(),
+                    got: result,
+                });
+            }
+            outputs.push((dst, accumulates || e.memlet.wcr.is_some()));
         }
         Ok(PlanLibrary {
-            op: op.clone(),
+            op: *op,
             inputs,
             outputs,
         })

@@ -288,10 +288,15 @@ fn fingerprint_sdfg(sdfg: &Sdfg) -> u64 {
 /// only the first call pays the lowering cost.
 ///
 /// # Errors
-/// [`RuntimeError::MissingSymbol`] when a declared symbol has no value, and
+/// [`RuntimeError::MissingSymbol`] when a declared symbol has no value,
 /// [`RuntimeError::InvalidSdfg`] when the static verifier finds
 /// error-severity diagnostics (dangling edges, unknown arrays, rank
-/// mismatches, constant out-of-bounds indices, ...).
+/// mismatches, constant out-of-bounds indices, malformed library nodes,
+/// ...), and — from lowering, where shapes are concrete — a library node
+/// that can never run as written: [`RuntimeError::ShapeMismatch`] for
+/// operands that do not fit each other under the node's transposition
+/// flags, [`RuntimeError::AliasedLibraryOutput`] for an output container
+/// that is also an input.
 pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<CompiledProgram> {
     for s in &sdfg.symbols {
         if !symbols.contains_key(s) {
@@ -338,7 +343,7 @@ pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<Com
     }
     // Lower while holding the lock so concurrent compiles of the same key
     // produce exactly one plan (lowering is fast relative to execution).
-    let plan = Arc::new(compile_plan(sdfg, symbols));
+    let plan = Arc::new(compile_plan(sdfg, symbols)?);
     let stats = Arc::new(EntryStats {
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(1),
@@ -378,7 +383,7 @@ pub fn debug_inject_plan_cache_alias(
     symbols: &HashMap<String, i64>,
     fingerprint: u64,
 ) {
-    let plan = Arc::new(compile_plan(donor, symbols));
+    let plan = Arc::new(compile_plan(donor, symbols).expect("the donor lowers"));
     let echo = StructuralEcho::of(donor);
     let mut key_syms: Vec<(String, i64)> = symbols.iter().map(|(k, &v)| (k.clone(), v)).collect();
     key_syms.sort();

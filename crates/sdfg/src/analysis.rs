@@ -639,7 +639,7 @@ mod tests {
         let mut g = DataflowGraph::new();
         let a = g.add_access("A");
         let b = g.add_access("B");
-        let mm = g.add_library(LibraryOp::MatMul);
+        let mm = g.add_library(LibraryOp::MATMUL);
         let c = g.add_access("C");
         g.add_edge(a, None, mm, Some("A"), Memlet::all("A"));
         g.add_edge(b, None, mm, Some("B"), Memlet::all("B"));

@@ -17,12 +17,24 @@ pub type NodeId = usize;
 
 /// Library nodes: coarse-grained operations expanded into optimized kernels
 /// by the runtime (the equivalent of DaCe's BLAS library nodes).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The products read a matrix operand transposed under its flag — the form
+/// their own adjoints take (`gA += gC @ Bᵀ`, `gx += Aᵀ @ gy`), so reverse
+/// mode never materialises a transpose and is closed over these nodes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LibraryOp {
-    /// `C = A @ B` for 2-D operands (connectors: "A", "B" -> "C").
-    MatMul,
-    /// `y = A @ x` matrix-vector product (connectors: "A", "x" -> "y").
-    MatVec,
+    /// `C = op(A) @ op(B)` for 2-D operands (connectors: "A", "B" -> "C").
+    MatMul {
+        /// Read `A` as `Aᵀ`.
+        trans_a: bool,
+        /// Read `B` as `Bᵀ`.
+        trans_b: bool,
+    },
+    /// `y = op(A) @ x` matrix-vector product (connectors: "A", "x" -> "y").
+    MatVec {
+        /// Read `A` as `Aᵀ`.
+        trans_a: bool,
+    },
     /// `B = A^T` (connectors: "A" -> "B").
     Transpose,
     /// `out = sum(IN)` full reduction to a scalar array of shape `[1]`
@@ -36,11 +48,19 @@ pub enum LibraryOp {
 }
 
 impl LibraryOp {
+    /// `A @ B` with neither operand transposed.
+    pub const MATMUL: LibraryOp = LibraryOp::MatMul {
+        trans_a: false,
+        trans_b: false,
+    };
+    /// `A @ x` with `A` as stored.
+    pub const MATVEC: LibraryOp = LibraryOp::MatVec { trans_a: false };
+
     /// Input connector names of the library node.
     pub fn input_connectors(&self) -> Vec<&'static str> {
         match self {
-            LibraryOp::MatMul => vec!["A", "B"],
-            LibraryOp::MatVec => vec!["A", "x"],
+            LibraryOp::MatMul { .. } => vec!["A", "B"],
+            LibraryOp::MatVec { .. } => vec!["A", "x"],
             LibraryOp::Transpose => vec!["A"],
             LibraryOp::SumReduce { .. } => vec!["IN"],
             LibraryOp::Copy => vec!["A"],
@@ -50,11 +70,23 @@ impl LibraryOp {
     /// Output connector names of the library node.
     pub fn output_connectors(&self) -> Vec<&'static str> {
         match self {
-            LibraryOp::MatMul => vec!["C"],
-            LibraryOp::MatVec => vec!["y"],
+            LibraryOp::MatMul { .. } => vec!["C"],
+            LibraryOp::MatVec { .. } => vec!["y"],
             LibraryOp::Transpose => vec!["B"],
             LibraryOp::SumReduce { .. } => vec!["OUT"],
             LibraryOp::Copy => vec!["B"],
+        }
+    }
+
+    /// The rank an operand on `connector` must have; `None` for the
+    /// connectors that take any rank (`SumReduce`'s input and `Copy`, whose
+    /// two sides only have to agree).
+    pub fn operand_rank(&self, connector: &str) -> Option<usize> {
+        match (self, connector) {
+            (LibraryOp::MatMul { .. } | LibraryOp::Transpose, _) => Some(2),
+            (LibraryOp::MatVec { .. }, "A") => Some(2),
+            (LibraryOp::MatVec { .. }, _) | (LibraryOp::SumReduce { .. }, "OUT") => Some(1),
+            (LibraryOp::SumReduce { .. } | LibraryOp::Copy, _) => None,
         }
     }
 }
@@ -150,6 +182,26 @@ impl DataflowGraph {
     /// Add a library node.
     pub fn add_library(&mut self, op: LibraryOp) -> NodeId {
         self.add_node(DfNode::Library(op))
+    }
+
+    /// The graph of one library call: `operands`, in the order of the op's
+    /// input connectors, feed `op`, whose output is written to the whole of
+    /// `dst` — accumulated (`Wcr::Sum`) with `accumulate`.
+    pub fn library_call(op: LibraryOp, operands: &[&str], dst: &str, accumulate: bool) -> Self {
+        let mut g = DataflowGraph::new();
+        let reads: Vec<NodeId> = operands.iter().map(|a| g.add_access(*a)).collect();
+        let lib = g.add_library(op);
+        let write = g.add_access(dst);
+        for ((node, conn), array) in reads.into_iter().zip(op.input_connectors()).zip(operands) {
+            g.add_edge(node, None, lib, Some(conn), Memlet::all(*array));
+        }
+        let memlet = if accumulate {
+            Memlet::all(dst).with_wcr_sum()
+        } else {
+            Memlet::all(dst)
+        };
+        g.add_edge(lib, Some(op.output_connectors()[0]), write, None, memlet);
+        g
     }
 
     /// Add an edge.
@@ -316,8 +368,8 @@ impl DataflowGraph {
             .map(|e| e.memlet.subset.volume(bindings).unwrap_or(1).max(1) as f64)
             .sum();
         match op {
-            LibraryOp::MatMul => in_volume.powf(1.5), // ~ 2*N^3 for square N^2 inputs
-            LibraryOp::MatVec => 2.0 * in_volume,
+            LibraryOp::MatMul { .. } => in_volume.powf(1.5), // ~ 2*N^3 for square N^2 inputs
+            LibraryOp::MatVec { .. } => 2.0 * in_volume,
             LibraryOp::Transpose | LibraryOp::Copy => in_volume,
             LibraryOp::SumReduce { .. } => in_volume,
         }
@@ -459,8 +511,8 @@ mod tests {
 
     #[test]
     fn library_connectors() {
-        assert_eq!(LibraryOp::MatMul.input_connectors(), vec!["A", "B"]);
-        assert_eq!(LibraryOp::MatMul.output_connectors(), vec!["C"]);
+        assert_eq!(LibraryOp::MATMUL.input_connectors(), vec!["A", "B"]);
+        assert_eq!(LibraryOp::MATMUL.output_connectors(), vec!["C"]);
         assert_eq!(
             LibraryOp::SumReduce { accumulate: true }.output_connectors(),
             vec!["OUT"]

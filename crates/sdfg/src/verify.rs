@@ -14,8 +14,11 @@
 //!   meaningfully: dangling memlet endpoints, references to undeclared
 //!   arrays or states, cyclic dataflow graphs, subset-rank vs array-rank
 //!   mismatches, constant indices provably out of bounds against constant
-//!   shape dimensions, and inconsistent map scopes (parameter/range arity
-//!   mismatch, duplicate parameters).
+//!   shape dimensions, inconsistent map scopes (parameter/range arity
+//!   mismatch, duplicate parameters), and library nodes with a missing,
+//!   unknown or doubly-fed connector or an operand of the wrong rank (the
+//!   operands' *sizes* depend on symbol values and are checked when the
+//!   runtime lowers the node).
 //! * **Warning** — suspicious but executable (or only checkable with more
 //!   context than the pure structure provides): free subset symbols that
 //!   are neither declared SDFG symbols, loop iterators, nor in-scope map
@@ -27,7 +30,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::graph::{DataflowGraph, DfNode, NodeId};
+use crate::graph::{DataflowGraph, DfNode, LibraryOp, NodeId};
 use crate::memlet::IndexRange;
 use crate::sdfg::{CondExpr, CondOperand, ControlFlow, Sdfg};
 use crate::symexpr::SymExpr;
@@ -65,7 +68,8 @@ pub enum DiagCode {
     /// A symbolic expression references a name that is neither an SDFG
     /// symbol, a loop iterator, nor an in-scope map parameter.
     UnknownSymbol(String),
-    /// A memlet subset's rank differs from the declared array rank.
+    /// A memlet subset's rank differs from the declared array rank, or a
+    /// library operand's rank from the one its connector takes.
     RankMismatch,
     /// A constant index is out of bounds against a constant shape.
     IndexOutOfBounds,
@@ -77,7 +81,9 @@ pub enum DiagCode {
     ShadowedName(String),
     /// A loop region's step is constant zero.
     ZeroStep,
-    /// A tasklet edge is missing a connector or names an unknown one.
+    /// A tasklet or library edge is missing a connector or names an unknown
+    /// one, or a library node lacks an operand, its output, or has an input
+    /// connector fed twice.
     BadConnector,
     /// A memlet's `data` disagrees with the access node it attaches to.
     DataMismatch,
@@ -309,6 +315,62 @@ impl<'a> Verifier<'a> {
         }
     }
 
+    /// A library node executes whole operands by connector name: every input
+    /// connector fed exactly once, the output written at least once (fanning
+    /// it out to several containers is fine), no other connector, and every
+    /// operand of the rank its connector takes.
+    fn check_library(&mut self, graph: &DataflowGraph, id: NodeId, op: &LibraryOp, state: usize) {
+        let mut found: Vec<(DiagCode, String)> = Vec::new();
+        // (connector, array) of every edge on each side of the node.
+        let ins: Vec<(Option<&str>, &String)> = (graph.in_edges(id).iter())
+            .map(|e| (e.dst_conn.as_deref(), &e.memlet.data))
+            .collect();
+        let outs: Vec<(Option<&str>, &String)> = (graph.out_edges(id).iter())
+            .map(|e| (e.src_conn.as_deref(), &e.memlet.data))
+            .collect();
+        for conn in op.input_connectors() {
+            let fed = ins.iter().filter(|(c, _)| *c == Some(conn)).count();
+            if fed != 1 {
+                let what = format!("has {fed} operands on `{conn}`");
+                found.push((DiagCode::BadConnector, what));
+            }
+        }
+        if outs.is_empty() {
+            found.push((DiagCode::BadConnector, "writes its output nowhere".into()));
+        }
+        // `Copy` takes any rank, as long as both sides have it.
+        let rank_of = |array: &String| self.sdfg.arrays.get(array).map(|d| d.shape.len());
+        let copied = ins.first().and_then(|(_, array)| rank_of(array));
+        let sides = [
+            (&ins, op.input_connectors(), None),
+            (&outs, op.output_connectors(), copied),
+        ];
+        for (edges, known, any_rank) in sides {
+            for &(conn, array) in edges {
+                let Some(conn) = conn.filter(|c| known.contains(c)) else {
+                    let what = format!("has an edge on connector {conn:?}, which it lacks");
+                    found.push((DiagCode::BadConnector, what));
+                    continue;
+                };
+                // An undeclared array is reported with the edge.
+                let (Some(want), Some(got)) = (op.operand_rank(conn).or(any_rank), rank_of(array))
+                else {
+                    continue;
+                };
+                if want != got {
+                    let what =
+                        format!("takes rank {want} on `{conn}`, but `{array}` has rank {got}");
+                    found.push((DiagCode::RankMismatch, what));
+                }
+            }
+        }
+        let loc = self.state_name(Some(state)).to_string();
+        for (code, what) in found {
+            let message = format!("library node `{op:?}` {what} (state `{loc}`)");
+            self.push(Severity::Error, code, Some(state), Some(id), message);
+        }
+    }
+
     fn check_graph(&mut self, graph: &DataflowGraph, state: usize, scope: &mut Vec<String>) {
         // Nodes (recursing into map bodies with extended parameter scope).
         for (id, node) in graph.nodes.iter().enumerate() {
@@ -431,7 +493,7 @@ impl<'a> Verifier<'a> {
                     self.check_graph(&m.body, state, scope);
                     scope.truncate(depth);
                 }
-                DfNode::Library(_) => {}
+                DfNode::Library(op) => self.check_library(graph, id, op, state),
             }
         }
         // Edges: endpoints, memlet data, subset shape.
@@ -775,5 +837,85 @@ mod tests {
         assert!(errors(&s.validate())
             .iter()
             .any(|d| matches!(d.code, DiagCode::IndexOutOfBounds)));
+    }
+
+    /// Library nodes are checked at validation, not at their first run: one
+    /// malformed program per connector and rank rule.
+    #[test]
+    fn malformed_library_nodes_are_errors() {
+        use crate::graph::LibraryOp;
+        let matmul = |edit: &dyn Fn(&mut DataflowGraph)| {
+            let mut g = DataflowGraph::library_call(LibraryOp::MATMUL, &["A", "B"], "C", false);
+            edit(&mut g);
+            let (mut s, _) = one_state(g);
+            for (name, rank) in [("A", 2), ("B", 2), ("C", 2), ("C2", 2), ("V", 1)] {
+                s.add_array(name, ArrayDesc::input(vec![SymExpr::int(3); rank]))
+                    .unwrap();
+            }
+            s.validate()
+        };
+        let codes = |diags: &[Diagnostic]| -> Vec<DiagCode> {
+            errors(diags).iter().map(|d| d.code.clone()).collect()
+        };
+        assert!(matmul(&|_| {}).is_empty());
+        // A fanned-out output is fine.
+        let fan_out = |g: &mut DataflowGraph| {
+            let c2 = g.add_access("C2");
+            g.add_edge(2, Some("C"), c2, None, Memlet::all("C2"));
+        };
+        assert!(matmul(&fan_out).is_empty());
+
+        // Missing: drop the `B` in-edge.
+        let diags = matmul(&|g| g.edges.retain(|e| e.dst_conn.as_deref() != Some("B")));
+        assert_eq!(codes(&diags), [DiagCode::BadConnector]);
+        assert!(diags[0].message.contains("0 operands on `B`"), "{diags:?}");
+        // Duplicated: feed `A` twice.
+        let diags = matmul(&|g| g.add_edge(1, None, 2, Some("A"), Memlet::all("B")));
+        assert_eq!(codes(&diags), [DiagCode::BadConnector]);
+        assert!(diags[0].message.contains("2 operands on `A`"), "{diags:?}");
+        // Unknown, on either side, and none at all.
+        for edit in [
+            &|g: &mut DataflowGraph| g.add_edge(0, None, 2, Some("Z"), Memlet::all("A")),
+            &|g: &mut DataflowGraph| g.add_edge(0, None, 2, None, Memlet::all("A")),
+            &|g: &mut DataflowGraph| g.add_edge(2, Some("y"), 3, None, Memlet::all("C")),
+        ] as [&dyn Fn(&mut DataflowGraph); 3]
+        {
+            assert_eq!(codes(&matmul(edit)), [DiagCode::BadConnector]);
+        }
+        // No output edge.
+        let diags = matmul(&|g| g.edges.retain(|e| e.src != 2));
+        assert_eq!(codes(&diags), [DiagCode::BadConnector]);
+        // Wrong operand rank, input and output side.
+        for (conn, is_input) in [("B", true), ("C", false)] {
+            let diags = matmul(&|g| {
+                for e in &mut g.edges {
+                    let on = if is_input { &e.dst_conn } else { &e.src_conn };
+                    if on.as_deref() == Some(conn) {
+                        e.memlet = Memlet::all("V");
+                    }
+                }
+            });
+            assert!(codes(&diags).contains(&DiagCode::RankMismatch), "{diags:?}");
+        }
+
+        // `Copy` takes any rank, but the same on both sides; `SumReduce`
+        // any rank in, rank 1 out.
+        let unary = |op: LibraryOp, src: &str, dst: &str| {
+            let (mut s, _) = one_state(DataflowGraph::library_call(op, &[src], dst, false));
+            for (name, rank) in [("M", 2), ("M2", 2), ("V", 1)] {
+                s.add_array(name, ArrayDesc::input(vec![SymExpr::int(3); rank]))
+                    .unwrap();
+            }
+            codes(&s.validate())
+        };
+        assert!(unary(LibraryOp::Copy, "M", "M2").is_empty());
+        assert_eq!(unary(LibraryOp::Copy, "M", "V"), [DiagCode::RankMismatch]);
+        let sum = LibraryOp::SumReduce { accumulate: false };
+        assert!(unary(sum, "M", "V").is_empty());
+        assert_eq!(unary(sum, "V", "M"), [DiagCode::RankMismatch]);
+        assert_eq!(
+            unary(LibraryOp::MatVec { trans_a: true }, "V", "V"),
+            [DiagCode::BadConnector, DiagCode::RankMismatch]
+        );
     }
 }

@@ -1,19 +1,22 @@
 //! Linear-algebra kernels: matmul, matvec, dot, outer product, transpose.
 //!
 //! These stand in for the optimized library calls (MKL / CBLAS / cuBLAS) that
-//! DaCe expands library nodes into.  The matrix multiplication is blocked and
-//! parallelised over row panels with rayon, which is the idiomatic Rust
-//! (rayon) equivalent of the OpenMP-parallel kernels DaCe emits.
+//! DaCe expands library nodes into.  Every matrix product runs on the one
+//! packed kernel of the crate's `gemm` module; the `*_into` entry points
+//! write (or accumulate into) a caller-owned tensor and read their matrix
+//! operand transposed on request, so neither a result nor a transpose is
+//! ever materialised on the way.  Large kernels fan out over the rayon pool
+//! in chunks of the output, which never changes an element's summation
+//! order.
 
 use rayon::prelude::*;
 
 use crate::error::{TensorError, TensorResult};
+use crate::gemm::{gemm, Operand};
 use crate::tensor::Tensor;
 
-/// Threshold (in output elements) above which matmul parallelises with rayon.
+/// Threshold (in elements of work) above which a kernel fans out with rayon.
 const PAR_THRESHOLD: usize = 64 * 64;
-/// Block size for the k-dimension of the blocked matmul.
-const BLOCK_K: usize = 64;
 
 /// Whether a kernel over `work` elements fans out over the pool.  A pool one
 /// thread wide has nothing to fan out to: handing the whole kernel to its
@@ -34,13 +37,62 @@ fn expect_rank(t: &Tensor, rank: usize, op: &'static str) -> TensorResult<()> {
     Ok(())
 }
 
+/// The output of `op` must already have the shape the operands imply.
+fn expect_shape(out: &Tensor, shape: &[usize], op: &'static str) -> TensorResult<()> {
+    if out.shape() != shape {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: shape.to_vec(),
+            rhs: out.shape().to_vec(),
+        });
+    }
+    Ok(())
+}
+
+/// `(rows, cols)` of `op(t)` for a rank-2 `t`.
+fn op_dims(t: &Tensor, transposed: bool, op: &'static str) -> TensorResult<(usize, usize)> {
+    expect_rank(t, 2, op)?;
+    let (rows, cols) = (t.shape()[0], t.shape()[1]);
+    Ok(if transposed {
+        (cols, rows)
+    } else {
+        (rows, cols)
+    })
+}
+
+/// `*y = dot` or `*y += dot`.
+#[inline]
+fn store(y: &mut f64, value: f64, accumulate: bool) {
+    if accumulate {
+        *y += value;
+    } else {
+        *y = value;
+    }
+}
+
 impl Tensor {
     /// Matrix-matrix multiplication `self[M,K] @ other[K,N] -> [M,N]`.
     pub fn matmul(&self, other: &Tensor) -> TensorResult<Tensor> {
-        expect_rank(self, 2, "matmul")?;
-        expect_rank(other, 2, "matmul")?;
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (other.shape()[0], other.shape()[1]);
+        let (m, _) = op_dims(self, false, "matmul")?;
+        let (_, n) = op_dims(other, false, "matmul")?;
+        let mut out = Tensor::zeros(&[m, n]);
+        self.matmul_into(other, false, false, &mut out, false)?;
+        Ok(out)
+    }
+
+    /// `out = op(self) @ op(other)`, or `out += …` with `accumulate`, where
+    /// `op(X)` is `Xᵀ` under the operand's flag and `X` otherwise.  `out`
+    /// must already have the product's shape.
+    pub fn matmul_into(
+        &self,
+        other: &Tensor,
+        trans_a: bool,
+        trans_b: bool,
+        out: &mut Tensor,
+        accumulate: bool,
+    ) -> TensorResult<()> {
+        let (m, k) = op_dims(self, trans_a, "matmul")?;
+        let (k2, n) = op_dims(other, trans_b, "matmul")?;
         if k != k2 {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -48,46 +100,39 @@ impl Tensor {
                 rhs: other.shape().to_vec(),
             });
         }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f64; m * n];
-
-        let row_kernel = |i: usize, row_out: &mut [f64]| {
-            // blocked over k to keep the B panel in cache
-            let mut kk = 0;
-            while kk < k {
-                let kend = (kk + BLOCK_K).min(k);
-                for p in kk..kend {
-                    let aip = a[i * k + p];
-                    if aip == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for (o, &bv) in row_out.iter_mut().zip(brow.iter()) {
-                        *o += aip * bv;
-                    }
-                }
-                kk = kend;
-            }
-        };
-
-        if fans_out(m * n) {
-            out.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| row_kernel(i, row));
-        } else {
-            for (i, row) in out.chunks_mut(n).enumerate() {
-                row_kernel(i, row);
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        expect_shape(out, &[m, n], "matmul")?;
+        gemm(
+            Operand::new(self.data(), m, k, trans_a),
+            Operand::new(other.data(), k, n, trans_b),
+            (m, k, n),
+            out.data_mut(),
+            accumulate,
+            fans_out(m * n),
+        );
+        Ok(())
     }
 
     /// Matrix-vector product `self[M,K] @ v[K] -> [M]`.
     pub fn matvec(&self, v: &Tensor) -> TensorResult<Tensor> {
-        expect_rank(self, 2, "matvec")?;
+        let (m, _) = op_dims(self, false, "matvec")?;
+        let mut out = Tensor::zeros(&[m]);
+        self.matvec_into(v, false, &mut out, false)?;
+        Ok(out)
+    }
+
+    /// `out = op(self) @ v`, or `out += …` with `accumulate`.  The plain
+    /// form is a dot product per row; the transposed form is a row-axpy
+    /// sweep `out += v[i] · self[i, :]`, so both read `self` once, in
+    /// storage order.
+    pub fn matvec_into(
+        &self,
+        v: &Tensor,
+        trans_a: bool,
+        out: &mut Tensor,
+        accumulate: bool,
+    ) -> TensorResult<()> {
+        let (m, k) = op_dims(self, trans_a, "matvec")?;
         expect_rank(v, 1, "matvec")?;
-        let (m, k) = (self.shape()[0], self.shape()[1]);
         if v.shape()[0] != k {
             return Err(TensorError::ShapeMismatch {
                 op: "matvec",
@@ -95,31 +140,49 @@ impl Tensor {
                 rhs: v.shape().to_vec(),
             });
         }
-        let a = self.data();
-        let x = v.data();
-        let out: Vec<f64> = if fans_out(m * k) {
-            (0..m)
-                .into_par_iter()
-                .map(|i| {
-                    a[i * k..(i + 1) * k]
-                        .iter()
-                        .zip(x.iter())
-                        .map(|(&av, &xv)| av * xv)
-                        .sum()
-                })
-                .collect()
+        expect_shape(out, &[m], "matvec")?;
+        let (a, x, y) = (self.data(), v.data(), out.data_mut());
+        let fans_out = fans_out(m * k);
+        if trans_a {
+            // Columns `j0 ..` of the sweep; an element's order is over the
+            // rows of `self` whichever chunk holds it.
+            let sweep = |j0: usize, y: &mut [f64]| {
+                if !accumulate {
+                    y.fill(0.0);
+                }
+                for (row, &xi) in a.chunks_exact(m.max(1)).zip(x) {
+                    for (yj, &aij) in y.iter_mut().zip(&row[j0..]) {
+                        *yj += xi * aij;
+                    }
+                }
+            };
+            if fans_out {
+                let chunk = m.div_ceil(rayon::current_num_threads());
+                y.par_chunks_mut(chunk)
+                    .enumerate()
+                    .for_each(|(c, y)| sweep(c * chunk, y));
+            } else {
+                sweep(0, y);
+            }
         } else {
-            (0..m)
-                .map(|i| {
-                    a[i * k..(i + 1) * k]
-                        .iter()
-                        .zip(x.iter())
-                        .map(|(&av, &xv)| av * xv)
-                        .sum()
-                })
-                .collect()
-        };
-        Tensor::from_vec(out, &[m])
+            let dot = |i: usize| -> f64 {
+                a[i * k..(i + 1) * k]
+                    .iter()
+                    .zip(x)
+                    .map(|(&av, &xv)| av * xv)
+                    .sum()
+            };
+            if fans_out {
+                y.par_chunks_mut(1)
+                    .enumerate()
+                    .for_each(|(i, y)| store(&mut y[0], dot(i), accumulate));
+            } else {
+                for (i, y) in y.iter_mut().enumerate() {
+                    store(y, dot(i), accumulate);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Vector dot product.
@@ -159,15 +222,23 @@ impl Tensor {
 
     /// 2-D transpose.
     pub fn transpose(&self) -> TensorResult<Tensor> {
-        expect_rank(self, 2, "transpose")?;
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = vec![0.0; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data()[i * n + j];
+        let (n, m) = op_dims(self, true, "transpose")?;
+        let mut out = Tensor::zeros(&[n, m]);
+        self.transpose_into(&mut out, false)?;
+        Ok(out)
+    }
+
+    /// `out = selfᵀ`, or `out += selfᵀ` with `accumulate`.
+    pub fn transpose_into(&self, out: &mut Tensor, accumulate: bool) -> TensorResult<()> {
+        let (n, m) = op_dims(self, true, "transpose")?;
+        expect_shape(out, &[n, m], "transpose")?;
+        let dst = out.data_mut();
+        for (i, row) in self.data().chunks_exact(n.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                store(&mut dst[j * m + i], v, accumulate);
             }
         }
-        Tensor::from_vec(out, &[n, m])
+        Ok(())
     }
 
     /// General matrix multiply `alpha * A @ B + beta * C`, overwriting and
@@ -227,7 +298,8 @@ mod tests {
     }
 
     /// A one-wide pool keeps large kernels on the caller, a wider one fans
-    /// them out, and both compute the same bits.
+    /// them out, and both compute the same bits — under every operand flag,
+    /// overwriting and accumulating.
     #[test]
     fn one_wide_pool_keeps_kernels_on_the_caller() {
         let pool = |n| {
@@ -245,6 +317,115 @@ mod tests {
         let x = Tensor::from_fn(&[64], |i| i[0] as f64 * 0.7);
         let run = || (a.matmul(&b).unwrap(), a.matvec(&x).unwrap());
         assert_eq!(pool(1).install(run), pool(2).install(run));
+
+        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
+        let seed = Tensor::from_fn(&[80, 80], |i| (i[0] + 2 * i[1]) as f64 * 0.1);
+        let run_into = || {
+            let mut outs = Vec::new();
+            for accumulate in [false, true] {
+                for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let mut c = seed.clone();
+                    let (l, r) = (if ta { &at } else { &a }, if tb { &bt } else { &b });
+                    l.matmul_into(r, ta, tb, &mut c, accumulate).unwrap();
+                    outs.push(c);
+                }
+                // `at` is 64 x 80: the transposed form maps 64 -> 80 too.
+                for (m, ta) in [(&a, false), (&at, true)] {
+                    let mut y = Tensor::from_fn(&[80], |i| i[0] as f64);
+                    m.matvec_into(&x, ta, &mut y, accumulate).unwrap();
+                    outs.push(y);
+                }
+            }
+            outs
+        };
+        let serial = pool(1).install(run_into);
+        assert_eq!(serial, pool(2).install(run_into));
+        // Reading an operand through its flag is reading its transpose.
+        assert_eq!(serial[0], a.matmul(&b).unwrap());
+        assert!(serial[1..4].iter().all(|c| *c == serial[0]));
+        assert!(crate::allclose(&serial[5], &serial[4], 1e-12, 1e-12));
+    }
+
+    /// IEEE products are not skipped: `0 · inf` and `0 · NaN` are `NaN` in
+    /// the result exactly where the naive loops say so (the old kernel's
+    /// `if a == 0.0 { continue }` read `0`), and `-0.0` operands change
+    /// nothing.  Every multiply form, overwriting and accumulating.
+    #[test]
+    fn non_finite_operands_follow_the_naive_loops() {
+        let same = |got: &Tensor, want: &Tensor| {
+            got.shape() == want.shape()
+                && got
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(g, w)| g == w || (g.is_nan() && w.is_nan()))
+        };
+        let one = |v: f64| Tensor::from_vec(vec![v], &[1, 1]).unwrap();
+        assert!(one(0.0).matmul(&one(f64::INFINITY)).unwrap().data()[0].is_nan());
+
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.5];
+        let pick = |i: usize| specials[i % specials.len()];
+        // 5 x 9 and 9 x 11: more than one tile each way, with edge tiles.
+        let a = Tensor::from_fn(&[5, 9], |i| pick(i[0] * 7 + i[1] * 3));
+        let b = Tensor::from_fn(&[9, 11], |i| pick(i[0] * 5 + i[1] + 1));
+        let x = Tensor::from_fn(&[9], |i| pick(i[0] + 2));
+        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
+        for accumulate in [false, true] {
+            let mut want = Tensor::ones(&[5, 11]);
+            let mut want_y = Tensor::ones(&[5]);
+            for i in 0..5 {
+                let mut yi = 0.0;
+                for p in 0..9 {
+                    yi += a.at(&[i, p]).unwrap() * x.data()[p];
+                }
+                store(&mut want_y.data_mut()[i], yi, accumulate);
+                for j in 0..11 {
+                    let mut acc = 0.0;
+                    for p in 0..9 {
+                        acc += a.at(&[i, p]).unwrap() * b.at(&[p, j]).unwrap();
+                    }
+                    store(want.at_mut(&[i, j]).unwrap(), acc, accumulate);
+                }
+            }
+            assert!(want.data().iter().any(|v| v.is_nan()));
+            assert!(want_y.data().iter().any(|v| v.is_nan()));
+            if !accumulate {
+                assert!(same(&a.matmul(&b).unwrap(), &want));
+                assert!(same(&a.matvec(&x).unwrap(), &want_y));
+            }
+            for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut c = Tensor::ones(&[5, 11]);
+                let (l, r) = (if ta { &at } else { &a }, if tb { &bt } else { &b });
+                l.matmul_into(r, ta, tb, &mut c, accumulate).unwrap();
+                assert!(same(&c, &want), "ta={ta} tb={tb} accumulate={accumulate}");
+            }
+            for (m, ta) in [(&a, false), (&at, true)] {
+                let mut y = Tensor::ones(&[5]);
+                m.matvec_into(&x, ta, &mut y, accumulate).unwrap();
+                assert!(same(&y, &want_y), "ta={ta} accumulate={accumulate}");
+            }
+        }
+    }
+
+    #[test]
+    fn into_entry_points_check_the_output_shape() {
+        let a = Tensor::zeros(&[2, 3]);
+        let b = Tensor::zeros(&[3, 4]);
+        let mut c = Tensor::zeros(&[4, 2]);
+        assert!(a.matmul_into(&b, false, false, &mut c, false).is_err());
+        // (2x3)ᵀ @ ... needs a 2-row right operand.
+        assert!(a.matmul_into(&b, true, false, &mut c, false).is_err());
+        let mut y = Tensor::zeros(&[2]);
+        assert!(a
+            .matvec_into(&Tensor::zeros(&[3]), true, &mut y, false)
+            .is_err());
+        assert!(a
+            .matvec_into(&Tensor::zeros(&[2]), true, &mut y, false)
+            .is_err());
+        assert!(a.transpose_into(&mut y, false).is_err());
+        let mut t = Tensor::ones(&[3, 2]);
+        a.transpose_into(&mut t, true).unwrap();
+        assert_eq!(t, Tensor::ones(&[3, 2]));
     }
 
     #[test]
