@@ -437,10 +437,11 @@ fn map_verdicts(
 }
 
 /// `attached/total` sites (the maps, or the loop sites, of one program) on
-/// the N-D affine kernel, and one line per site with its strategy — the
-/// typed reason where lowering left it on the VM —, depth and points
-/// (`kernel (4-deep, 3600 points)`) and, where an enclosing loop could not
-/// take it into a deeper nest, why.  `all` lists the attached sites too.
+/// the N-D affine kernel, and one line per site with its strategy — the row
+/// mode of an attached site, the typed reason where lowering left it on the
+/// VM —, depth and points (`kernel, rows in strips (4-deep, 3600 points)`) and,
+/// where an enclosing loop could not take it into a deeper nest, why.  `all`
+/// lists every site; otherwise only those that are not kernels in strips.
 fn strategy_column(
     label: &str,
     sites: &[dace_runtime::MapInfo],
@@ -449,11 +450,12 @@ fn strategy_column(
     let attached = |m: &&dace_runtime::MapInfo| m.strategy == dace_runtime::MapStrategy::Kernel;
     let lines = sites
         .iter()
-        .filter(|m| all || !attached(m))
+        .filter(|m| all || m.rows != Some(dace_runtime::RowMode::Strips))
         .map(|m| {
             let points = m.points.map_or("?".to_string(), |p| p.to_string());
+            let rows = m.rows.map_or(String::new(), |rows| format!(", {rows}"));
             let mut line = format!(
-                "{label} in state {}: {} ({}-deep, {points} points)",
+                "{label} in state {}: {}{rows} ({}-deep, {points} points)",
                 m.state, m.strategy, m.depth
             );
             if let Some(why) = m.enclosing {
@@ -469,17 +471,25 @@ fn strategy_column(
 }
 
 /// The map and the loop-site columns of one program, and the report lines
-/// of both.
+/// of both, closed by the count of attached sites per row mode.
 fn strategy_columns(
     label: &str,
     program: &dace_runtime::CompiledProgram,
 ) -> ([String; 2], Vec<String>) {
-    let (maps, mut declined) =
-        strategy_column(&format!("{label} map"), &program.map_strategies(), false);
-    let (loops, lines) =
-        strategy_column(&format!("{label} loop"), &program.loop_strategies(), true);
-    declined.extend(lines);
-    ([maps, loops], declined)
+    let (map_sites, loop_sites) = (program.map_strategies(), program.loop_strategies());
+    let (maps, mut report) = strategy_column(&format!("{label} map"), &map_sites, false);
+    let (loops, lines) = strategy_column(&format!("{label} loop"), &loop_sites, true);
+    report.extend(lines);
+    let rows = |mode| {
+        let sites = map_sites.iter().chain(&loop_sites);
+        sites.filter(|m| m.rows == Some(mode)).count()
+    };
+    report.push(format!(
+        "{label} rows: {} site(s) in strips, {} per point",
+        rows(dace_runtime::RowMode::Strips),
+        rows(dace_runtime::RowMode::PerPointCarriedRead)
+    ));
+    ([maps, loops], report)
 }
 
 fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String> {

@@ -29,7 +29,7 @@ use crate::plan::{
     CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap,
     PlanNode, PlanOperand, PlanTasklet, SymFile,
 };
-use crate::spec::{extent, Axis, KernelDst, SpecMode};
+use crate::spec::{extent, Axis, KernelDst, KernelSrc, SpecMode};
 
 /// Execution statistics and instrumentation results.
 #[derive(Clone, Debug, Default)]
@@ -82,10 +82,13 @@ pub enum MapPath {
 }
 
 /// Scratch buffers reused across tasklet evaluations and kernel dispatches:
-/// the expression slot array, the floating-point and integer register files,
-/// the per-tasklet output values, and the kernel executor's work vectors
-/// (the iteration variables of a loop-site dispatch, flattened accesses,
-/// running writes, the written tensors while they are out of the slab).  One `Scratch` lives per executor.
+/// the expression slot array, the floating-point and integer register files
+/// (`f_regs` also holds the register columns of a strip), the per-tasklet
+/// output values, and the kernel executor's work vectors (the iteration
+/// variables of a loop-site dispatch, flattened accesses, the slot and value
+/// columns of a row, read and write cursors, the accessed tensors while
+/// they are out of the slab).  None of it is tracked memory.  One `Scratch`
+/// lives per executor.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) slots: Vec<f64>,
@@ -94,8 +97,10 @@ pub(crate) struct Scratch {
     pub(crate) outs: Vec<f64>,
     pub(crate) axes: Vec<Axis>,
     pub(crate) flat: Vec<i64>,
+    pub(crate) cols: Vec<f64>,
+    pub(crate) srcs: Vec<KernelSrc>,
     pub(crate) dsts: Vec<KernelDst>,
-    pub(crate) out_ts: Vec<Tensor>,
+    pub(crate) ts: Vec<Tensor>,
 }
 
 /// Mutable execution state, separated from the immutable plan so the

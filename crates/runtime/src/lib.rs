@@ -99,7 +99,7 @@ pub use gateway::{
     SubmitOptions, TenantConfig, TenantStats,
 };
 pub use memory::MemoryTracker;
-pub use plan::{KernelMiss, MapInfo, MapStrategy};
+pub use plan::{KernelMiss, MapInfo, MapStrategy, RowMode};
 pub use program::{
     clear_plan_cache, compile, debug_fingerprint_sdfg, debug_inject_plan_cache_alias,
     plan_cache_capacity, plan_cache_len, plan_cache_stats, set_plan_cache_capacity,

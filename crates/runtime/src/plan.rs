@@ -362,12 +362,17 @@ pub(crate) struct AffineKernel {
     pub exprs: Vec<KernelExpr>,
     /// Writes, in tasklet edge order.
     pub writes: Vec<KernelWrite>,
-    /// The written arrays, ascending; taken out of the slab for a dispatch.
-    pub outs: Vec<u32>,
+    /// Every array a memlet names, once, the `n_outs` written ones first: a
+    /// dispatch takes their tensors out of the slab, in this order, and
+    /// every access goes through its index here.
+    pub bufs: Vec<u32>,
+    pub n_outs: usize,
     /// Every array the body's access nodes name, in execution order:
     /// allocated at dispatch once validation has passed, mirroring the VM's
     /// allocation side effects.
     pub arrays: Vec<u32>,
+    /// How the rows of a dispatch may run, as far as the memlets decide it.
+    pub rows: RowMode,
 }
 
 /// One read of an [`AffineKernel`].
@@ -375,9 +380,9 @@ pub(crate) struct AffineKernel {
 pub(crate) struct KernelRead {
     pub slot: u32,
     pub access: KernelAccess,
-    /// Index into [`AffineKernel::outs`] when the kernel also writes the
-    /// array: the read then goes through the live output buffer.
-    pub out: Option<u32>,
+    /// Index of the array in [`AffineKernel::bufs`]; below `n_outs` when the
+    /// kernel also writes it, so that the read observes earlier writes.
+    pub buf: u32,
     /// The read is fixed along the innermost variable, of an array the
     /// kernel does not write, into a slot no other read shares: it is loaded
     /// once per row instead of once per point.
@@ -390,8 +395,8 @@ pub(crate) struct KernelWrite {
     pub expr: u32,
     pub access: KernelAccess,
     pub accumulate: bool,
-    /// Index of the array in [`AffineKernel::outs`].
-    pub out: u32,
+    /// Index of the array in [`AffineKernel::bufs`], below `n_outs`.
+    pub buf: u32,
 }
 
 /// One assignment of an [`AffineKernel`].
@@ -458,6 +463,36 @@ pub enum KernelMiss {
     UnknownLayout,
 }
 
+/// How the kernel runs a row — the walk of the innermost iteration variable
+/// with the outer ones fixed — of a site it attached to, decided at lowering
+/// from the memlets alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowMode {
+    /// Strip-mined: up to [`dace_sdfg::STRIP`] points at a time, every read
+    /// gathered into a column, every assignment evaluated instruction by
+    /// instruction over the columns, then the writes.  Legal because no
+    /// point of a row can read what another point of it writes: every read
+    /// of an array the body also writes has exactly the subset of every
+    /// write to that array.  (A dispatch still runs such a row point by
+    /// point when it is short, or when such an access does not move along
+    /// the row, so that every point touches the same element.)
+    Strips,
+    /// Point by point, all reads of a point before its writes: the body
+    /// reads an array it writes at another index than a write, so a point
+    /// may read what an earlier point of its row wrote (a Gauss–Seidel
+    /// sweep, an adjoint that reads a gradient it scatters into).
+    PerPointCarriedRead,
+}
+
+impl std::fmt::Display for RowMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RowMode::Strips => write!(f, "rows in strips"),
+            RowMode::PerPointCarriedRead => write!(f, "rows per point: carried read"),
+        }
+    }
+}
+
 /// The execution strategy lowering chose for a map or a loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapStrategy {
@@ -503,6 +538,8 @@ pub struct MapInfo {
     /// the bounds are loop-invariant.
     pub points: Option<u64>,
     pub strategy: MapStrategy,
+    /// How the rows of an attached site run (`None` on the VM).
+    pub rows: Option<RowMode>,
     /// Why the loop enclosing this loop site did not take it into a deeper
     /// nest (`None` for a map and for a loop no loop encloses).
     pub enclosing: Option<KernelMiss>,
@@ -1176,10 +1213,19 @@ impl Lowerer {
         };
         let (tnode, t) = first?;
         let (in_edges, out_edges) = (graph.in_edges(tnode), graph.out_edges(tnode));
-        let mut outs: Vec<u32> = t.writes.iter().map(|w| w.array).collect();
-        outs.sort_unstable();
-        outs.dedup();
-        let out_of = |array: u32| outs.iter().position(|&o| o == array).map(|o| o as u32);
+        let mut bufs: Vec<u32> = t.writes.iter().map(|w| w.array).collect();
+        bufs.sort_unstable();
+        bufs.dedup();
+        let n_outs = bufs.len();
+        for r in &t.reads {
+            if !bufs.contains(&r.array) {
+                bufs.push(r.array);
+            }
+        }
+        let buf_of = |array: u32| {
+            let at = bufs.iter().position(|&b| b == array);
+            at.expect("every memlet's array was collected above") as u32
+        };
         let mut writes = Vec::with_capacity(t.writes.len());
         let mut written = Vec::with_capacity(t.writes.len());
         for (w, e) in t.writes.iter().zip(&out_edges) {
@@ -1188,27 +1234,32 @@ impl Lowerer {
                 expr: w.expr,
                 access,
                 accumulate: w.accumulate,
-                out: out_of(w.array).expect("collected above"),
+                buf: buf_of(w.array),
             });
             written.push((&e.memlet.subset, affine));
         }
         let mut reads = Vec::with_capacity(t.reads.len());
+        let mut rows = RowMode::Strips;
         for (r, e) in t.reads.iter().zip(&in_edges) {
             let (access, affine) = self.lower_affine_subset(&e.memlet.subset, vars, r.array)?;
-            let declined = t
-                .writes
-                .iter()
-                .zip(&written)
-                .any(|(w, (subset, w_affine))| {
-                    w.array == r.array && !admits((subset, w_affine), (&e.memlet.subset, &affine))
-                });
-            if declined {
-                return Err(KernelMiss::AliasedReadAtOtherIndex);
+            for (w, (subset, w_affine)) in t.writes.iter().zip(&written) {
+                if w.array != r.array {
+                    continue;
+                }
+                if !admits((subset, w_affine), (&e.memlet.subset, &affine)) {
+                    return Err(KernelMiss::AliasedReadAtOtherIndex);
+                }
+                // The map site's rule, evaluated at either site: a read at
+                // another index than a write of its array may carry a value
+                // along the row.
+                if **subset != e.memlet.subset {
+                    rows = RowMode::PerPointCarriedRead;
+                }
             }
-            let out = out_of(r.array);
+            let buf = buf_of(r.array);
             // Duplicate connectors share a slot, last edge wins per point:
             // only a read with a slot of its own may leave the point loop.
-            let row_invariant = out.is_none()
+            let row_invariant = buf as usize >= n_outs
                 && access
                     .coeff
                     .iter()
@@ -1217,7 +1268,7 @@ impl Lowerer {
             reads.push(KernelRead {
                 slot: r.slot,
                 access,
-                out,
+                buf,
                 row_invariant,
             });
         }
@@ -1255,8 +1306,10 @@ impl Lowerer {
                 })
                 .collect(),
             writes,
-            outs,
+            bufs,
+            n_outs,
             arrays,
+            rows,
         })
     }
 
@@ -1389,6 +1442,7 @@ impl Lowerer {
                             depth,
                             points,
                             strategy: MapStrategy::of(&kernel),
+                            rows: kernel.as_ref().ok().map(|(k, _)| k.kernel.rows),
                             enclosing,
                         };
                         (kernel, Some(site))

@@ -483,6 +483,7 @@ impl CompiledProgram {
                         depth: m.params.len(),
                         points: m.points,
                         strategy: MapStrategy::of(&m.kernel),
+                        rows: m.kernel.as_ref().ok().map(|k| k.rows),
                         enclosing: None,
                     });
                     walk(state, &m.body, out);

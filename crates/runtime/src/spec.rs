@@ -27,45 +27,78 @@
 //!   current values, down to the innermost loop's single row — so errors
 //!   and partial writes come out of the same fallback chain.
 //!
+//! A dispatch walks its domain row by row — a row is the walk of the last
+//! (innermost) variable with the outer ones fixed — and a row runs in one of
+//! two modes, selected from what the code observes:
+//!
+//! * **In strips** of up to [`STRIP`] points: every per-point read is
+//!   gathered into a column of a column-major slot file (slot `s` of point
+//!   `j` at `s * STRIP + j`), every assignment is evaluated instruction by
+//!   instruction over the columns ([`dace_sdfg::CompiledExpr::eval_strip`]:
+//!   the operator is matched once per instruction per strip and the
+//!   arithmetic loops vectorize), then the writes are applied.  Legal when
+//!   no point of the row can read what another point of it writes: lowering
+//!   requires every read of a written array to have exactly the subset of
+//!   every write to that array ([`RowMode`]), and the dispatch requires such
+//!   an access to move along the row (flat step `≠ 0`).
+//! * **Point by point**, all reads of a point before its writes: the rows
+//!   that carry a value from point to point (a Gauss–Seidel sweep, an
+//!   adjoint that reads the gradient it scatters into, a scalar that is
+//!   read and written), and rows of fewer than `MIN_STRIP_ROW` points, which
+//!   do not repay a strip's set-up.
+//!
 //! Exactness is the design invariant:
 //!
 //! * **Validate first, mutate second.**  Every precondition — bound
 //!   iteration symbols, present inputs, in-range accesses across the whole
 //!   iteration space (both extreme corners of the box, whichever way each
 //!   variable walks), scalar-access container sizes, trip counts and their
-//!   product within `usize` — is checked before any allocation or write.  Any failure returns `Ok(false)` and the caller
-//!   falls back to the register VM, which reproduces the exact semantics of
-//!   the failing case, including partial execution followed by an error.
+//!   product within `usize` — is checked before any allocation or write.
+//!   Any failure returns `Ok(false)` and the caller falls back to the
+//!   register VM, which reproduces the exact semantics of the failing case,
+//!   including partial execution followed by an error.
 //! * **Bit-identical arithmetic.**  The kernel evaluates the very same
-//!   [`dace_sdfg::CompiledExpr`] the VM would (or its recognized
-//!   [`dace_sdfg::MicroPattern`], whose evaluation applies the same
-//!   operations in the same order), with reads loaded into the same slots in
-//!   the same order, all reads of a point before its writes and the writes
-//!   in edge order — so results match the VM bit for bit, a property the
-//!   proptests in `tests/spec.rs` pin down.
-//! * **Aliasing-aware.**  Reads of a written array go through the buffer
-//!   being mutated.  The loop site thereby preserves Gauss–Seidel-style
-//!   read-after-write order in either direction and across the rows of a
-//!   nest, admitted only when [`dace_sdfg::deps::alias_decidable`]
-//!   understands the write/read offset along every iterator (see
-//!   `docs/verification.md`); the map site admits such reads only at the
-//!   very index that is written.  Anything else stays on the VM.
+//!   [`dace_sdfg::CompiledExpr`] the VM would — per point, over a strip (per
+//!   point the same operations in the same order: Rust neither reassociates
+//!   nor contracts floating-point arithmetic, and the transcendental
+//!   operators stay the scalar library calls) or as its recognized
+//!   [`dace_sdfg::MicroPattern`] — with reads loaded into the same slots in
+//!   the same order and all reads of a point before its writes.  Writes land
+//!   in the per-point order wherever the order can be observed: writes that
+//!   share an array are applied point-major, in edge order within a point,
+//!   in either row mode (neighbouring points of an adjoint stencil
+//!   accumulate into one element, and the order of a floating-point sum is
+//!   part of the result); only when every write has an array of its own
+//!   does a strip sweep each write's column on its own, points ascending.
+//!   So results match the VM bit for bit, a property the tests in
+//!   `tests/spec.rs` pin down at both presets.
+//! * **Aliasing-aware.**  Every access goes through the tensors the
+//!   dispatch took out of the slab, so a read of a written array observes
+//!   the writes of earlier points.  The loop site thereby preserves
+//!   Gauss–Seidel-style read-after-write order in either direction and
+//!   across the rows of a nest, admitted only when
+//!   [`dace_sdfg::deps::alias_decidable`] understands the write/read offset
+//!   along every iterator (see `docs/verification.md`); the map site admits
+//!   such reads only at the very index that is written.  Anything else
+//!   stays on the VM.
 //!
 //! The dispatch rule is the same for both sites: run the attached kernel if
 //! its per-dispatch validation passes (a few corner checks per access),
 //! otherwise the sequential register VM — from the first opportunity on.
 //! Triangular and imperfect nests still dispatch once per row, hundreds of
 //! times per gradient on rows of tens of points, so per-dispatch work is
-//! kept flat: work vectors (the iteration variables included) live in
-//! [`Scratch`], written-array and slot lists are fixed at lowering.
+//! kept flat: every work vector (the iteration variables, the flattened
+//! accesses, the read and write cursors, the columns) lives in [`Scratch`]
+//! and only ever grows, buffer and slot lists are fixed at lowering.
 //! [`SpecMode::ForceOff`] pins pure register-VM execution, the reference the
 //! bit-identity tests compare against, mirroring [`crate::MapPath`].
 
+use dace_sdfg::STRIP;
 use dace_tensor::Tensor;
 
 use crate::error::RuntimeResult;
 use crate::executor::{RunState, Scratch};
-use crate::plan::{AffineKernel, ExecPlan, KernelAccess, KernelExpr, LoopKernel, SymFile};
+use crate::plan::{AffineKernel, ExecPlan, KernelAccess, KernelRead, LoopKernel, RowMode, SymFile};
 
 /// Specialized-kernel dispatch control, a test switch in the style of
 /// [`crate::MapPath`] (`Session::force_specialization`).
@@ -122,32 +155,40 @@ impl Axis {
     }
 }
 
-/// Where a per-point read loads from.
-enum SrcBuf<'a> {
-    /// A slab tensor the kernel does not write.
-    Slab(&'a [f64]),
-    /// The `n`-th written tensor, taken out of the slab for the dispatch
-    /// (reads observe the writes of earlier points).
-    Out(usize),
-}
-
-/// A per-point read with its running flat offset and innermost step.
-struct KernelSrc<'a> {
+/// A per-point read of the current row: its tensor among those the dispatch
+/// took out of the slab, its flat offset (at the row's first point; running,
+/// in a per-point row) and its step along the row.
+#[derive(Clone, Copy)]
+pub(crate) struct KernelSrc {
     slot: usize,
+    buf: usize,
     off: i64,
     step: i64,
-    buf: SrcBuf<'a>,
 }
 
-/// A write with its running flat offset and innermost step.
+/// A write, likewise.
 #[derive(Clone, Copy)]
 pub(crate) struct KernelDst {
     expr: usize,
+    buf: usize,
     off: i64,
     step: i64,
-    out: usize,
     accumulate: bool,
 }
+
+/// Rows of fewer points than this run point by point even where strips are
+/// legal: a strip pays its gather, one pass per instruction and its write
+/// sweep as loops of their own, which a handful of points does not repay.
+/// Measured on the two workloads with short rows (pinned best of 400
+/// `npbench` gradients at the bench preset, constant 1 / 2 / 4 / 8 / 16):
+/// conv2d, rows of 3 points, 0.185 / 0.187 / 0.107 / 0.107 / 0.109 ms; syrk,
+/// triangular rows of 1–16 points, 0.077 / 0.075 / 0.076 / 0.085 / 0.134 ms
+/// (syr2k alike) — the crossover lies between 3 and 4 points.  It depends on
+/// the body: at the test preset (rows of 5–7 points, `Session::run` of a
+/// gradient program) bodies that are one `MicroPattern` lose ≈ 0.5 µs in
+/// strips (atax 3.4 → 3.9 µs) where general bodies gain 0.7–2 µs (gemm
+/// 5.2 → 4.5, syr2k 15.6 → 13.5).
+const MIN_STRIP_ROW: usize = 4;
 
 /// Flatten one access over the box its iteration variables `axes` (every
 /// trip at least 1) span: evaluate the loop-invariant index parts,
@@ -267,10 +308,10 @@ impl RunState {
     /// parameters of a map, or the iterators of a loop nest, each walking in
     /// its own direction.  Each access is flattened once against its layout;
     /// the nest then walks the domain in the VM's order — last variable
-    /// fastest, on a flat loop — so a loop-site domain is the loop nest
-    /// itself, in loop order.  Returns `Ok(false)` — having allocated and
-    /// written nothing — when any precondition fails and the VM must run
-    /// instead.
+    /// fastest, row by row, each row in strips or point by point (see the
+    /// module docs) — so a loop-site domain is the loop nest itself, in loop
+    /// order.  Returns `Ok(false)` — having allocated and written nothing —
+    /// when any precondition fails and the VM must run instead.
     pub(crate) fn exec_kernel(
         &mut self,
         plan: &ExecPlan,
@@ -326,73 +367,72 @@ impl RunState {
             ..
         } = self;
         let Scratch {
-            slots,
+            cols,
             f_regs,
-            outs: vals,
             flat,
+            srcs,
             dsts,
-            out_ts,
+            ts,
             ..
         } = scratch;
-        slots.clear();
-        slots.resize(k.n_slots, 0.0);
+        let (flat, counters) = flat.split_at_mut(access_flats);
+        let (read_flats, write_flats) = flat.split_at(read_flats);
+        // The row mode: strips where lowering found no read carried along
+        // the row, unless the row is short or a read of a written array
+        // stays on one element, which every point of the row then reads and
+        // writes in turn.
+        let moves =
+            |(r, flat): (&KernelRead, &[i64])| r.buf as usize >= k.n_outs || flat[1 + inner] != 0;
+        let strips = k.rows == RowMode::Strips
+            && walk.trip >= MIN_STRIP_ROW
+            && (k.reads.iter().zip(read_flats.chunks_exact(per_access))).all(moves);
+        // One column per slot, then one per assignment: `height` points
+        // tall, the first `width` of them in use.  A per-point row is the
+        // strip of height one.  Never cleared: every slot is a read's, an
+        // iteration variable's or a symbol's, and all of those are filled
+        // below before an assignment reads them.
+        let height = if strips { STRIP } else { 1 };
+        let width = walk.trip.min(height);
+        let columns = (k.n_slots + k.exprs.len()) * height;
+        if cols.len() < columns {
+            cols.resize(columns, 0.0);
+        }
+        let (slots, vals) = cols[..columns].split_at_mut(k.n_slots * height);
+        let column = |slot: u32| slot as usize * height..slot as usize * height + width;
         for &(slot, sym) in &k.iter_loads {
-            slots[slot as usize] = syms.vals[sym as usize] as f64;
+            slots[column(slot)].fill(syms.vals[sym as usize] as f64);
         }
-        // Slot-free assignments evaluate here, once; the rest per point.
-        vals.clear();
-        for e in &k.exprs {
-            vals.push(if e.constant {
-                e.expr.eval(slots, f_regs)
-            } else {
-                0.0
-            });
+        // Slot-free assignments evaluate here, once; the rest per point or
+        // per strip.
+        for (e, vals) in k.exprs.iter().zip(vals.chunks_exact_mut(height)) {
+            if e.constant {
+                vals[..width].fill(e.expr.eval(&[], f_regs));
+            }
         }
-        // Take the written tensors out of the slab so that every other read
-        // borrows it directly; reads of a written array go through `out_ts`.
-        // Both `expect`s: validation left every accessed array either in
-        // the slab already or in `k.arrays`, which `ensure_allocated` has
-        // just filled; `k.outs` is deduplicated, so each is taken once, and
-        // `data` only serves reads of arrays that are not in `k.outs`.
-        out_ts.extend(
-            k.outs
+        // Take the accessed tensors out of the slab: every access indexes
+        // `ts`, and a read of a written array observes the writes of earlier
+        // points.  The `expect`: validation left every accessed array either
+        // in the slab already or in `k.arrays`, which `ensure_allocated` has
+        // just filled; `k.bufs` is deduplicated, so each is taken once.
+        ts.extend(
+            k.bufs
                 .iter()
                 .map(|&a| slab[a as usize].take().expect("allocated above")),
         );
-        let (flat, counters) = flat.split_at_mut(access_flats);
-        let (read_flats, write_flats) = flat.split_at(read_flats);
-        let data = |a: u32| slab[a as usize].as_ref().expect("allocated above").data();
-        let mut srcs: Vec<KernelSrc<'_>> = Vec::with_capacity(k.reads.len());
-        for (r, flat) in k.reads.iter().zip(read_flats.chunks_exact(per_access)) {
-            if !r.row_invariant {
-                srcs.push(KernelSrc {
-                    slot: r.slot as usize,
-                    off: 0,
-                    step: flat[1 + inner],
-                    buf: match r.out {
-                        Some(o) => SrcBuf::Out(o as usize),
-                        None => SrcBuf::Slab(data(r.access.array)),
-                    },
-                });
-            }
-        }
         dsts.clear();
         for (w, flat) in k.writes.iter().zip(write_flats.chunks_exact(per_access)) {
             dsts.push(KernelDst {
                 expr: w.expr as usize,
+                buf: w.buf as usize,
                 off: 0,
                 step: flat[1 + inner],
-                out: w.out as usize,
                 accumulate: w.accumulate,
             });
         }
-        // The caller bounded the product of all trips.
-        for row in 0..outer.iter().map(|a| a.trip).product::<usize>() {
-            // The counts of the outer variables in this row, last fastest.
-            let mut rest = row;
-            for (c, a) in counters.iter_mut().zip(outer).rev() {
-                (*c, rest) = ((rest % a.trip) as i64, rest / a.trip);
-            }
+        // The caller bounded the product of all trips; `counters` holds the
+        // counts of the outer variables in the current row, zero in the
+        // first one.
+        for _ in 0..outer.iter().map(|a| a.trip).product::<usize>() {
             let at_row = |flat: &[i64]| {
                 let steps = counters.iter().zip(&flat[1..]);
                 flat[0] + steps.map(|(&c, &step)| c * step).sum::<i64>()
@@ -400,77 +440,176 @@ impl RunState {
             // Row start: every access's offset at this outer point (a
             // row-invariant read loads here, once), and the outer variables
             // the assignments read as values.
-            let mut per_point = srcs.iter_mut();
+            srcs.clear();
             for (r, flat) in k.reads.iter().zip(read_flats.chunks_exact(per_access)) {
+                let (buf, off) = (r.buf as usize, at_row(flat));
                 if r.row_invariant {
-                    slots[r.slot as usize] = data(r.access.array)[at_row(flat) as usize];
+                    slots[column(r.slot)].fill(ts[buf].data()[off as usize]);
                 } else {
-                    // `srcs` holds one entry per such read, in this order.
-                    per_point.next().expect("built above").off = at_row(flat);
+                    srcs.push(KernelSrc {
+                        slot: r.slot as usize,
+                        buf,
+                        off,
+                        step: flat[1 + inner],
+                    });
                 }
             }
             for (d, flat) in dsts.iter_mut().zip(write_flats.chunks_exact(per_access)) {
                 d.off = at_row(flat);
             }
             for &(slot, v) in &k.outer_slots {
-                slots[slot as usize] = outer[v].at(counters[v] as usize) as f64;
+                slots[column(slot)].fill(outer[v].at(counters[v] as usize) as f64);
             }
-            if let ([e], [d]) = (&k.exprs[..], &dsts[..]) {
-                // One assignment, one write: the flat loop monomorphized
-                // over the evaluator.
-                let out = out_ts[d.out].data_mut();
-                macro_rules! row {
-                    ($eval:expr) => {
-                        run_single_row(walk, &mut srcs, &k.inner_slots, slots, out, *d, $eval)
-                    };
+            match (&k.exprs[..], &dsts[..]) {
+                _ if strips => run_strip_row(walk, k, srcs, dsts, ts, slots, vals, f_regs),
+                // One assignment, one write, no instruction list to walk:
+                // the point loop monomorphized over the evaluator.
+                ([e], [d]) if e.constant || e.micro.is_some() => {
+                    macro_rules! row {
+                        ($eval:expr) => {
+                            run_single_row(walk, srcs, &k.inner_slots, slots, ts, *d, $eval)
+                        };
+                    }
+                    // A pattern starts at a slot, so only a constant has none.
+                    match &e.micro {
+                        Some(m) => row!(|slots| m.eval(slots)),
+                        None => row!(|_| vals[0]),
+                    }
                 }
-                match (&e.micro, e.constant) {
-                    (_, true) => row!(|_| vals[0]),
-                    (Some(m), _) => row!(|slots| m.eval(slots)),
-                    (None, _) => row!(|slots| e.expr.eval(slots, f_regs)),
+                _ => run_point_row(walk, k, srcs, dsts, ts, slots, vals, f_regs),
+            }
+            // The next row, last variable fastest.
+            for (c, a) in counters.iter_mut().zip(outer).rev() {
+                *c += 1;
+                if (*c as usize) < a.trip {
+                    break;
                 }
-            } else {
-                run_multi_row(
-                    walk,
-                    &mut srcs,
-                    dsts,
-                    &k.inner_slots,
-                    slots,
-                    vals,
-                    out_ts,
-                    &k.exprs,
-                    f_regs,
-                );
+                *c = 0;
             }
         }
-        drop(srcs);
-        for (&a, t) in k.outs.iter().zip(out_ts.drain(..)) {
+        for (&a, t) in k.bufs.iter().zip(ts.drain(..)) {
             slab[a as usize] = Some(t);
         }
         Ok(true)
     }
 }
 
-/// One row of a single-assignment, single-write kernel, monomorphized over
-/// the expression evaluator: load each per-point read at its running offset
-/// (in edge order, so duplicate-slot semantics match the VM), refresh the
-/// innermost-variable slots, evaluate, write.
+/// One row in strips of up to [`STRIP`] points.  Per strip: gather every
+/// per-point read into its slot column in edge order (so duplicate-slot
+/// semantics match the VM: the last edge wins), fill the columns of the
+/// innermost variable, evaluate every slot-reading assignment instruction by
+/// instruction over the columns, then apply the writes.  Writes that share
+/// an array keep the per-point order — point-major, edge order within a
+/// point — because neighbouring points may accumulate into one element and
+/// the order of a floating-point sum is part of the result; only when every
+/// write has an array of its own is each column swept on its own.
 #[allow(clippy::too_many_arguments)]
+fn run_strip_row(
+    walk: Axis,
+    k: &AffineKernel,
+    srcs: &[KernelSrc],
+    dsts: &[KernelDst],
+    ts: &mut [Tensor],
+    slots: &mut [f64],
+    vals: &mut [f64],
+    f_regs: &mut Vec<f64>,
+) {
+    let own_arrays = k.n_outs == k.writes.len();
+    for first in (0..walk.trip).step_by(STRIP) {
+        let n = (walk.trip - first).min(STRIP);
+        let at = |off: i64, step: i64| off + first as i64 * step;
+        for s in srcs {
+            let col = &mut slots[s.slot * STRIP..][..n];
+            gather(col, ts[s.buf].data(), at(s.off, s.step), s.step);
+        }
+        for &slot in &k.inner_slots {
+            let col = &mut slots[slot as usize * STRIP..][..n];
+            for (j, v) in col.iter_mut().enumerate() {
+                *v = walk.at(first + j) as f64;
+            }
+        }
+        for (e, vals) in k.exprs.iter().zip(vals.chunks_exact_mut(STRIP)) {
+            if !e.constant {
+                e.expr.eval_strip(slots, n, f_regs, vals);
+            }
+        }
+        if own_arrays {
+            for d in dsts {
+                let (out, col) = (ts[d.buf].data_mut(), &vals[d.expr * STRIP..][..n]);
+                if d.accumulate {
+                    scatter(out, at(d.off, d.step), d.step, col, |o, v| *o += v);
+                } else {
+                    scatter(out, at(d.off, d.step), d.step, col, |o, v| *o = v);
+                }
+            }
+        } else {
+            for j in 0..n {
+                for d in dsts {
+                    let off = at(d.off, d.step) + j as i64 * d.step;
+                    let target = &mut ts[d.buf].data_mut()[off as usize];
+                    if d.accumulate {
+                        *target += vals[d.expr * STRIP + j];
+                    } else {
+                        *target = vals[d.expr * STRIP + j];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Load `col[j] = data[off + j * step]`; validation bounded every index.
+fn gather(col: &mut [f64], data: &[f64], off: i64, step: i64) {
+    let (n, off) = (col.len(), off as usize);
+    match step {
+        1 => col.copy_from_slice(&data[off..off + n]),
+        -1 => (col.iter_mut().zip(data[off + 1 - n..=off].iter().rev())).for_each(|(c, &v)| *c = v),
+        0 => col.fill(data[off]),
+        _ => (col.iter_mut().enumerate())
+            .for_each(|(j, c)| *c = data[(off as i64 + j as i64 * step) as usize]),
+    }
+}
+
+/// Apply `put(&mut out[off + j * step], col[j])` for `j` ascending, the
+/// order of the points; validation bounded every index.
+fn scatter(out: &mut [f64], off: i64, step: i64, col: &[f64], put: impl Fn(&mut f64, f64)) {
+    let (n, off) = (col.len(), off as usize);
+    match step {
+        1 => (out[off..off + n].iter_mut().zip(col)).for_each(|(o, &v)| put(o, v)),
+        -1 => (out[off + 1 - n..=off].iter_mut().rev().zip(col)).for_each(|(o, &v)| put(o, v)),
+        // One element takes the whole column, in order: a running sum.
+        0 => col.iter().for_each(|&v| put(&mut out[off], v)),
+        _ => (col.iter().enumerate())
+            .for_each(|(j, &v)| put(&mut out[(off as i64 + j as i64 * step) as usize], v)),
+    }
+}
+
+/// One per-point row of a single-assignment, single-write kernel,
+/// monomorphized over the expression evaluator: [`run_point_row`] without
+/// the walks over the assignments and the writes, and with the written
+/// tensor's data held across the row (a Gauss–Seidel body reads nothing
+/// else).
 #[inline]
 fn run_single_row(
     walk: Axis,
-    srcs: &mut [KernelSrc<'_>],
+    srcs: &mut [KernelSrc],
     inner_slots: &[u32],
     slots: &mut [f64],
-    out: &mut [f64],
+    ts: &mut [Tensor],
     mut dst: KernelDst,
     mut eval: impl FnMut(&[f64]) -> f64,
 ) {
+    // One write: its tensor is the only written one, the first of the
+    // table, and every other read finds its own among the rest.
+    let Some((out, rest)) = ts.split_first_mut() else {
+        return;
+    };
+    let out = out.data_mut();
     for i in 0..walk.trip {
         for s in srcs.iter_mut() {
-            slots[s.slot] = match s.buf {
-                SrcBuf::Slab(d) => d[s.off as usize],
-                SrcBuf::Out(_) => out[s.off as usize],
+            slots[s.slot] = match s.buf.checked_sub(1) {
+                None => out[s.off as usize],
+                Some(r) => rest[r].data()[s.off as usize],
             };
             s.off += s.step;
         }
@@ -490,38 +629,34 @@ fn run_single_row(
     }
 }
 
-/// One row of a multi-assignment kernel: per point, load each per-point
-/// read at its running offset (in edge order), refresh the
-/// innermost-variable slots, evaluate every slot-reading assignment, then
-/// apply the writes in edge order.
+/// One row point by point: per point, load each per-point read at its
+/// running offset (in edge order, so duplicate-slot semantics match the VM),
+/// refresh the innermost-variable slots, evaluate every slot-reading
+/// assignment, then apply the writes in edge order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn run_multi_row(
+fn run_point_row(
     walk: Axis,
-    srcs: &mut [KernelSrc<'_>],
+    k: &AffineKernel,
+    srcs: &mut [KernelSrc],
     dsts: &mut [KernelDst],
-    inner_slots: &[u32],
+    ts: &mut [Tensor],
     slots: &mut [f64],
     vals: &mut [f64],
-    outs: &mut [Tensor],
-    exprs: &[KernelExpr],
     f_regs: &mut Vec<f64>,
 ) {
     for i in 0..walk.trip {
         for s in srcs.iter_mut() {
-            slots[s.slot] = match s.buf {
-                SrcBuf::Slab(d) => d[s.off as usize],
-                SrcBuf::Out(o) => outs[o].data()[s.off as usize],
-            };
+            slots[s.slot] = ts[s.buf].data()[s.off as usize];
             s.off += s.step;
         }
-        if !inner_slots.is_empty() {
+        if !k.inner_slots.is_empty() {
             let iv = walk.at(i) as f64;
-            for &sl in inner_slots {
+            for &sl in &k.inner_slots {
                 slots[sl as usize] = iv;
             }
         }
-        for (e, v) in exprs.iter().zip(vals.iter_mut()) {
+        for (e, v) in k.exprs.iter().zip(vals.iter_mut()) {
             if !e.constant {
                 *v = match &e.micro {
                     Some(m) => m.eval(slots),
@@ -530,7 +665,7 @@ fn run_multi_row(
             }
         }
         for d in dsts.iter_mut() {
-            let target = &mut outs[d.out].data_mut()[d.off as usize];
+            let target = &mut ts[d.buf].data_mut()[d.off as usize];
             if d.accumulate {
                 *target += vals[d.expr];
             } else {

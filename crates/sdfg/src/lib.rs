@@ -70,7 +70,9 @@ pub use analysis::{compute_ccs, is_full_overwrite, summarize_accesses, AccessSum
 pub use deps::{analyze_map, AffineAccess, Conflict, ParVerdict};
 pub use graph::{DataflowGraph, DfNode, Edge, LibraryOp, MapScope, NodeId};
 pub use memlet::{IndexRange, Memlet, Subset, SubsetClass, Wcr};
-pub use scalar_expr::{BinOp, CompiledExpr, ExprOp, LeafRef, MicroPattern, ScalarExpr, UnOp};
+pub use scalar_expr::{
+    BinOp, CompiledExpr, ExprOp, LeafRef, MicroPattern, ScalarExpr, UnOp, STRIP,
+};
 pub use sdfg::{
     ArrayDesc, BranchRegion, CmpOp, CondExpr, CondOperand, ControlFlow, DType, LoopRegion, Sdfg,
     SdfgError, State,

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use dace_ad_repro::frontend::{elem, iter_val, lit};
 use dace_ad_repro::npbench::{all_kernels, kernel_by_name, Preset};
 use dace_ad_repro::prelude::*;
-use dace_ad_repro::runtime::{MapStrategy, SpecMode};
+use dace_ad_repro::runtime::{MapStrategy, RowMode, SpecMode};
 use dace_ad_repro::sdfg::Sdfg;
 
 const LOOP_KERNELS: [&str; 6] = ["seidel2d", "jacobi2d", "syrk", "syr2k", "trmm", "conv2d"];
@@ -139,6 +139,58 @@ fn map_kernels_are_bit_identical_across_spec_modes() {
     }
 }
 
+/// The gradient program `GradientEngine` compiles for one program under
+/// `options` produces bitwise the VM's output and gradients on the native
+/// kernels, with equal counters, and the kernels fire.
+fn assert_gradient_parity(
+    name: &str,
+    sdfg: &Sdfg,
+    wrt: &[&str],
+    symbols: &HashMap<String, i64>,
+    inputs: &HashMap<String, Tensor>,
+    options: &AdOptions,
+) {
+    let engine = GradientEngine::new(sdfg, "OUT", wrt, symbols, options).unwrap();
+    let plan = engine.plan();
+    let run = |mode: SpecMode| {
+        let mut session = engine
+            .gradient_program()
+            .session()
+            .with_free_hints(&plan.free_hints);
+        session.force_specialization(mode);
+        for (n, t) in inputs {
+            session.set_input(n, t.clone()).unwrap();
+        }
+        let report = session.run().unwrap();
+        let grads: Vec<Vec<u64>> = std::iter::once(&plan.output)
+            .chain(plan.inputs.iter().map(|i| &plan.gradients[i]))
+            .map(|array| bits(session.array(array).unwrap()))
+            .collect();
+        (grads, report)
+    };
+    let (off_grads, off) = run(SpecMode::ForceOff);
+    let (on_grads, on) = run(SpecMode::Auto);
+    assert_eq!(off.specialized_dispatches, 0, "{name}: ForceOff dispatched");
+    assert!(on.specialized_dispatches > 0, "{name}: kernel never fired");
+    assert_eq!(off_grads, on_grads, "{name}: gradient differs from the VM");
+    assert_eq!(off.tasklet_invocations, on.tasklet_invocations, "{name}");
+    assert_eq!(off.state_executions, on.state_executions, "{name}");
+    assert_eq!(off.map_points, on.map_points, "{name}");
+}
+
+fn assert_kernel_gradient_parity(name: &str, preset: Preset, options: &AdOptions) {
+    let kernel = kernel_by_name(name).unwrap();
+    let sizes = kernel.sizes(preset);
+    assert_gradient_parity(
+        name,
+        &kernel.build_dace(&sizes),
+        &kernel.wrt(),
+        &kernel.symbols(&sizes),
+        &kernel.inputs(&sizes),
+        options,
+    );
+}
+
 /// The gradient programs `GradientEngine` compiles for all fifteen kernels
 /// — the BLAS kernels' outer-product, transpose- and broadcast-accumulate
 /// maps and the multi-assignment adjoint tasklets of reversed elementwise
@@ -147,39 +199,76 @@ fn map_kernels_are_bit_identical_across_spec_modes() {
 #[test]
 fn blas_gradients_are_bit_identical_on_the_map_kernel() {
     for kernel in all_kernels() {
-        let name = kernel.name();
-        let sizes = kernel.sizes(Preset::Test);
-        let symbols = kernel.symbols(&sizes);
-        let inputs = kernel.inputs(&sizes);
-        let sdfg = kernel.build_dace(&sizes);
-        let wrt = kernel.wrt();
-        let engine =
-            GradientEngine::new(&sdfg, "OUT", &wrt, &symbols, &AdOptions::default()).unwrap();
-        let plan = engine.plan();
-        let run = |mode: SpecMode| {
-            let mut session = engine
-                .gradient_program()
-                .session()
-                .with_free_hints(&plan.free_hints);
-            session.force_specialization(mode);
-            for (n, t) in &inputs {
-                session.set_input(n, t.clone()).unwrap();
-            }
-            let report = session.run().unwrap();
-            let grads: Vec<Vec<u64>> = std::iter::once(&plan.output)
-                .chain(plan.inputs.iter().map(|i| &plan.gradients[i]))
-                .map(|array| bits(session.array(array).unwrap()))
-                .collect();
-            (grads, report)
-        };
-        let (off_grads, off) = run(SpecMode::ForceOff);
-        let (on_grads, on) = run(SpecMode::Auto);
-        assert_eq!(off.specialized_dispatches, 0, "{name}: ForceOff dispatched");
-        assert!(on.specialized_dispatches > 0, "{name}: kernel never fired");
-        assert_eq!(off_grads, on_grads, "{name}: gradient differs from the VM");
-        assert_eq!(off.tasklet_invocations, on.tasklet_invocations, "{name}");
-        assert_eq!(off.state_executions, on.state_executions, "{name}");
-        assert_eq!(off.map_points, on.map_points, "{name}");
+        assert_kernel_gradient_parity(kernel.name(), Preset::Test, &AdOptions::default());
+    }
+}
+
+/// The same at the bench preset, where rows fill strips and cross strip
+/// boundaries (at the test preset most rows are shorter than the short-row
+/// constant and never leave the per-point path).
+#[test]
+fn gradients_are_bit_identical_at_the_bench_preset() {
+    for kernel in all_kernels() {
+        assert_kernel_gradient_parity(kernel.name(), Preset::Bench, &AdOptions::default());
+    }
+}
+
+/// The checkpointing classes of the benchmark's `ckpt_ilp` workload —
+/// Listing-1 and mlp under store-all, the ILP at the frozen limit and
+/// recompute-all, at the bench sizes: recompute slices re-run forward maps
+/// between the adjoint ones, under free hints.
+#[test]
+fn checkpointed_gradients_are_bit_identical_at_the_bench_preset() {
+    use ArrayExpr as A;
+    // The paper's Listing-1 over 96 x 96 arrays: three `sin` sites whose
+    // inputs must be forwarded to the backward pass.
+    let listing1 = {
+        let mut b = ProgramBuilder::new("listing1");
+        let n = b.symbol("N");
+        for input in ["C", "D"] {
+            b.add_input(input, vec![n.clone(), n.clone()]).unwrap();
+        }
+        for t in ["A0", "A1", "A2", "sin0", "sin1", "sin2", "D1", "D2", "tmp"] {
+            b.add_transient(t, vec![n.clone(), n.clone()]).unwrap();
+        }
+        b.add_scalar("OUT").unwrap();
+        b.assign("A0", A::a("C").mul(A::a("D")));
+        b.assign("sin0", A::a("A0").sin());
+        b.assign("D1", A::a("D").mul(A::s(6.0)));
+        b.assign("A1", A::a("C").mul(A::a("D1")));
+        b.assign("sin1", A::a("A1").sin());
+        b.assign("D2", A::a("D1").mul(A::s(3.0)));
+        b.assign("A2", A::a("C").mul(A::a("D2")));
+        b.assign("sin2", A::a("A2").sin());
+        b.assign("tmp", A::a("sin0").add(A::a("sin1")).add(A::a("sin2")));
+        b.sum_into("OUT", "tmp", false);
+        b.build().unwrap()
+    };
+    let n = 96usize;
+    let symbols = HashMap::from([("N".to_string(), n as i64)]);
+    let fill = |seed: f64| {
+        let data = (0..n * n).map(|k| (k as f64 * 0.37 + seed).sin());
+        Tensor::from_vec(data.collect(), &[n, n]).unwrap()
+    };
+    let inputs = HashMap::from([("C".to_string(), fill(0.1)), ("D".to_string(), fill(2.3))]);
+    // Under store-all, the ILP at the limit `perfbench` froze for the
+    // program, and recompute-all.
+    let strategies = |limit: usize| {
+        [
+            CheckpointStrategy::StoreAll,
+            CheckpointStrategy::Ilp {
+                memory_limit_bytes: limit,
+            },
+            CheckpointStrategy::RecomputeAll,
+        ]
+    };
+    for strategy in strategies(12 * n * n * 8 + 16) {
+        let name = format!("listing1 under {strategy:?}");
+        let options = AdOptions { strategy };
+        assert_gradient_parity(&name, &listing1, &["C", "D"], &symbols, &inputs, &options);
+    }
+    for strategy in strategies(860_176) {
+        assert_kernel_gradient_parity("mlp", Preset::Bench, &AdOptions { strategy });
     }
 }
 
@@ -266,6 +355,62 @@ fn backward_loops_attach_except_the_named_sites() {
             assert_eq!(l.strategy, expected, "{name}: site {site} of {loops:?}");
             assert_eq!(l.enclosing, enclosing, "{name}: site {site} of {loops:?}");
         }
+    }
+}
+
+/// How the attached sites' rows run in the bench-preset gradient programs
+/// of all fifteen kernels: in strips, except the sites named here, whose
+/// bodies read an array they write at another index than the write — both
+/// sweeps of seidel2d (the forward reads `A[i, j-1]`, its reversal reads the
+/// gradient at `[i, j]` and accumulates into its neighbours) and trmm's
+/// reversed `k` rows (they read the gradient of `B` at `[i, j]` while
+/// accumulating into it at `[k, j]`).  What is listed here is what the
+/// strip evaluator does not reach.
+#[test]
+fn per_point_sites_of_the_gradient_programs_are_the_named_ones() {
+    // (kernel, loop sites of the gradient program that run per point).
+    let per_point: [(&str, &[usize]); 2] = [("seidel2d", &[0, 1]), ("trmm", &[1])];
+    for kernel in all_kernels() {
+        let name = kernel.name();
+        let sizes = kernel.sizes(Preset::Bench);
+        let engine = GradientEngine::new(
+            &kernel.build_dace(&sizes),
+            "OUT",
+            &kernel.wrt(),
+            &kernel.symbols(&sizes),
+            &AdOptions::default(),
+        )
+        .unwrap();
+        let program = engine.gradient_program();
+        let carried = |sites: Vec<dace_ad_repro::runtime::MapInfo>| -> Vec<usize> {
+            let rows = sites.iter().enumerate();
+            rows.filter(|(_, m)| m.rows == Some(RowMode::PerPointCarriedRead))
+                .map(|(site, _)| site)
+                .collect()
+        };
+        for m in program
+            .map_strategies()
+            .iter()
+            .chain(&program.loop_strategies())
+        {
+            assert_eq!(
+                m.rows.is_some(),
+                m.strategy == MapStrategy::Kernel,
+                "{name}: {m:?}"
+            );
+        }
+        assert_eq!(
+            carried(program.map_strategies()),
+            [0usize; 0],
+            "{name}: maps"
+        );
+        let expected = per_point.iter().find(|(k, _)| *k == name);
+        let expected = expected.map_or(&[][..], |(_, sites)| sites);
+        assert_eq!(
+            carried(program.loop_strategies()),
+            expected,
+            "{name}: loop sites"
+        );
     }
 }
 
@@ -497,6 +642,248 @@ fn auto_mode_upgrades_after_warmup() {
     }
 }
 
+/// Named row shapes against the VM, each as the row `for j` (two strips and
+/// three points long, unless the shape says otherwise) of a `for i in 0..3`
+/// nest over one tasklet: the strip row's gathers, sweeps and write orders
+/// one at a time, and the shapes that must stay per point.  `G` holds
+/// `1e16, 1, -1e16, ..`, so that a sum into one element depends on the order
+/// of its terms.
+#[test]
+fn named_row_shapes_match_the_vm() {
+    use dace_ad_repro::sdfg::{
+        ArrayDesc, ControlFlow, DataflowGraph, LoopRegion, Memlet, ScalarExpr as E, State, Tasklet,
+        UnOp, STRIP,
+    };
+    let len = (2 * STRIP + 3) as i64;
+    let width = 2 * len + 4;
+    let (i, j) = (SymExpr::sym("i"), SymExpr::sym("j"));
+    let at = |dj: i64| vec![i.clone(), j.add_int(dj)];
+    let x = || E::input("x");
+    type Read = (&'static str, &'static str, Vec<SymExpr>);
+    type Write = (&'static str, &'static str, Vec<SymExpr>, bool);
+    struct Shape {
+        name: &'static str,
+        /// `j` walks `start, start + step, ..` up to `end` (exclusive).
+        walk: (i64, SymExpr, i64),
+        reads: Vec<Read>,
+        code: Vec<(&'static str, E)>,
+        writes: Vec<Write>,
+        rows: RowMode,
+    }
+    let up = || (1, SymExpr::int(1 + len), 1);
+    let general = || E::un(UnOp::Sin, x()).mul(E::c(2.0)).add(E::input("y"));
+    let adjoint = |offsets: &[i64]| Shape {
+        name: "WCR writes into one array at neighbouring offsets",
+        walk: up(),
+        reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
+        code: vec![("d", x().mul(E::input("y")).add(x()))],
+        writes: offsets.iter().map(|&dj| ("d", "C", at(dj), true)).collect(),
+        rows: RowMode::Strips,
+    };
+    let shapes = vec![
+        Shape {
+            name: "ascending walk",
+            walk: up(),
+            reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
+            code: vec![("o", general())],
+            writes: vec![("o", "C", at(0), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "descending walk",
+            walk: (len, SymExpr::int(0), -1),
+            reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
+            code: vec![("o", general())],
+            writes: vec![("o", "C", at(0), true)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "negative flat step under an ascending walk, and a stride of two",
+            walk: up(),
+            reads: vec![
+                ("x", "A", vec![i.clone(), SymExpr::int(len + 1).sub(&j)]),
+                ("y", "B", vec![i.clone(), j.mul_int(2)]),
+            ],
+            code: vec![("o", general())],
+            writes: vec![
+                (
+                    "o",
+                    "C",
+                    vec![i.clone(), SymExpr::int(len + 1).sub(&j)],
+                    false,
+                ),
+                ("o", "D", vec![i.clone(), j.mul_int(2)], true),
+            ],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "step-0 WCR destination",
+            walk: up(),
+            reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
+            code: vec![("o", x().add(E::input("y")))],
+            writes: vec![("o", "C", vec![i.clone(), SymExpr::int(0)], true)],
+            rows: RowMode::Strips,
+        },
+        adjoint(&[-1, 1]),
+        adjoint(&[-1, 0, 1]),
+        Shape {
+            name: "read-modify-write at the written index",
+            walk: up(),
+            reads: vec![("x", "A", at(0)), ("y", "C", at(0))],
+            code: vec![("o", E::c(1.5).mul(x()).add(E::c(1.2).mul(E::input("y"))))],
+            writes: vec![("o", "C", at(0), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "read-modify-write of one element",
+            walk: up(),
+            reads: vec![
+                ("x", "G", at(0)),
+                ("y", "C", vec![i.clone(), SymExpr::int(0)]),
+            ],
+            code: vec![("o", x().add(E::input("y")))],
+            writes: vec![("o", "C", vec![i.clone(), SymExpr::int(0)], false)],
+            // Lowering sees equal subsets; the dispatch sees the step 0.
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "Gauss-Seidel read at j - 1",
+            walk: up(),
+            reads: vec![("x", "C", at(-1)), ("y", "A", at(0))],
+            code: vec![("o", general())],
+            writes: vec![("o", "C", at(0), false)],
+            rows: RowMode::PerPointCarriedRead,
+        },
+        Shape {
+            name: "duplicate connector slots, moving and fixed",
+            walk: up(),
+            reads: vec![
+                ("x", "A", at(0)),
+                ("y", "A", at(1)),
+                ("x", "B", at(0)),
+                ("y", "B", vec![i.clone(), SymExpr::int(2)]),
+            ],
+            code: vec![("o", general())],
+            writes: vec![("o", "C", at(0), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "row-invariant, inner- and outer-iterator operands",
+            walk: up(),
+            reads: vec![
+                ("x", "A", at(0)),
+                ("y", "B", vec![i.clone(), SymExpr::int(3)]),
+            ],
+            code: vec![("o", general().mul(E::iter("j")).sub(E::iter("i")))],
+            writes: vec![("o", "C", at(0), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "a slot-free assignment beside a general one",
+            walk: up(),
+            reads: vec![("x", "C", at(0)), ("y", "A", at(0))],
+            code: vec![
+                ("clear", E::c(0.0)),
+                ("d", x().mul(E::un(UnOp::Cos, E::input("y")))),
+            ],
+            writes: vec![("clear", "C", at(0), false), ("d", "D", at(0), true)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            // The nest is triangular: one dispatch per row.
+            name: "rows of 7, 8 and 9 points",
+            walk: (1, i.add_int(8), 1),
+            reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
+            code: vec![("o", general())],
+            writes: vec![
+                ("o", "C", at(0), false),
+                ("o", "D", vec![i.clone(), j.add(&i)], false),
+            ],
+            rows: RowMode::Strips,
+        },
+    ];
+    for (n, shape) in shapes.iter().enumerate() {
+        let name = format!("shape {n} ({})", shape.name);
+        let mut sdfg = Sdfg::new("row_shape");
+        let dims = vec![SymExpr::int(3), SymExpr::int(width)];
+        for array in ["A", "B", "C", "D", "G"] {
+            sdfg.add_array(array, ArrayDesc::input(dims.clone()))
+                .unwrap();
+        }
+        let mut g = DataflowGraph::new();
+        let code = shape.code.iter().map(|(o, e)| (o.to_string(), e.clone()));
+        let t = g.add_tasklet(Tasklet::multi("t", code.collect()));
+        for (conn, array, idx) in &shape.reads {
+            let node = g.add_access(*array);
+            g.add_edge(
+                node,
+                None,
+                t,
+                Some(*conn),
+                Memlet::element(*array, idx.clone()),
+            );
+        }
+        for (conn, array, idx, wcr) in &shape.writes {
+            let (node, m) = (g.add_access(*array), Memlet::element(*array, idx.clone()));
+            g.add_edge(
+                t,
+                Some(*conn),
+                node,
+                None,
+                if *wcr { m.with_wcr_sum() } else { m },
+            );
+        }
+        let sid = sdfg.add_state(State {
+            name: "body".into(),
+            graph: g,
+        });
+        let level = |var: &str, (start, end, step): (i64, SymExpr, i64), body: ControlFlow| {
+            ControlFlow::Loop(LoopRegion {
+                var: var.into(),
+                start: SymExpr::int(start),
+                end,
+                step: SymExpr::int(step),
+                body: Box::new(body),
+            })
+        };
+        let row = level("j", shape.walk.clone(), ControlFlow::State(sid));
+        sdfg.cfg = level("i", (0, SymExpr::int(3), 1), row);
+
+        let program = compile(&sdfg, &HashMap::new()).unwrap();
+        let sites = program.loop_strategies();
+        assert_eq!(sites.len(), 1, "{name}");
+        assert_eq!(sites[0].strategy, MapStrategy::Kernel, "{name}");
+        assert_eq!(sites[0].rows, Some(shape.rows), "{name}");
+        let run = |mode: SpecMode| {
+            let mut session = program.session();
+            session.force_specialization(mode);
+            for (k, array) in ["A", "B", "C", "D", "G"].into_iter().enumerate() {
+                let data = (0..3 * width as usize).map(|v| match (array, v % 3) {
+                    ("G", 0) => 1e16,
+                    ("G", 1) => 1.0,
+                    ("G", _) => -1e16,
+                    _ => (v as f64 * 0.37 + k as f64).sin(),
+                });
+                let t = Tensor::from_vec(data.collect(), &[3, width as usize]).unwrap();
+                session.set_input(array, t).unwrap();
+            }
+            let report = session.run().unwrap();
+            let arrays = ["A", "B", "C", "D", "G"].map(|a| bits(session.array(a).unwrap()));
+            (arrays, report)
+        };
+        let (off, r_off) = run(SpecMode::ForceOff);
+        let (on, r_on) = run(SpecMode::Auto);
+        assert_eq!(r_off.specialized_dispatches, 0, "{name}");
+        assert!(r_on.specialized_dispatches > 0, "{name}");
+        assert_eq!(off, on, "{name}: diverged from the VM");
+        assert_eq!(
+            r_off.tasklet_invocations, r_on.tasklet_invocations,
+            "{name}"
+        );
+        assert_eq!(r_off.state_executions, r_on.state_executions, "{name}");
+    }
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -506,7 +893,16 @@ mod proptests {
     /// `R[i+or_r, j+or_c]` and `R` may alias the written array.
     #[derive(Clone, Debug)]
     struct SpecCase {
+        /// Side of the arrays; `j` covers `1 .. n-1`, a row of `n - 2`
+        /// points (the triangular nest aside).
         n: i64,
+        /// `i` covers `1 .. i_hi`: every row of a small case, three rows of
+        /// a long one.
+        i_hi: i64,
+        /// No read of a written array at another index than a write (the
+        /// fields below are generated freely and then bent to it): lowering
+        /// must find the rows strip-legal.
+        strip_legal: bool,
         /// Walk `i` / `j` downwards, `hi-1, hi-2, .. 1` by step `-1`.
         down: (bool, bool),
         /// Wrap the nest in a time loop `for t in 0..2`: a 3-deep nest.
@@ -549,9 +945,18 @@ mod proptests {
 
     fn arb_case() -> impl Strategy<Value = SpecCase> {
         let flag = || (0u8..2).prop_map(|v| v == 1);
+        // Rows of 4..=8 points straddle the kernel's short-row constant (8);
+        // the long rows are one point short of a strip, a full strip, one
+        // point into the second strip, and two strips and three points.
+        let strip = dace_ad_repro::sdfg::STRIP as i64;
+        let side = prop_oneof![
+            6i64..11,
+            6i64..11,
+            (0usize..4).prop_map(move |k| [strip - 1, strip, strip + 1, 2 * strip + 3][k] + 2),
+        ];
         (
             (
-                6i64..11,
+                (side, 0u8..4),
                 (flag(), flag()),
                 flag(),
                 (0u8..4).prop_map(|v| v == 0),
@@ -579,9 +984,21 @@ mod proptests {
                     (shape, scale),
                     (second, dup, ranged, s),
                 )| {
-                    let (n, down, time_loop, triangular, iter_value) = nest;
+                    let ((n, legal), down, time_loop, triangular, iter_value) = nest;
+                    // Half of the small cases, three in four long ones.
+                    let strip_legal = legal > if n < 11 { 1 } else { 0 };
+                    let (in_place, reads, second) = match strip_legal {
+                        false => (in_place, reads, second),
+                        true => (
+                            false,
+                            reads.into_iter().map(|r| (false, r.1, r.2)).collect(),
+                            (second.0, second.1, true, second.3, second.4),
+                        ),
+                    };
                     SpecCase {
                         n,
+                        i_hi: if n < 11 { n - 1 } else { 4 },
+                        strip_legal,
                         down,
                         time_loop,
                         triangular,
@@ -619,7 +1036,7 @@ mod proptests {
             false => (one.clone(), hi, 1),
             true => (hi.sub(&one), SymExpr::int(0), -1),
         };
-        let (i_start, i_end, i_step) = walk(case.down.0, n.sub(&one));
+        let (i_start, i_end, i_step) = walk(case.down.0, SymExpr::int(case.i_hi));
         let j_hi = if case.triangular {
             i.add_int(1)
         } else {
@@ -754,10 +1171,10 @@ mod proptests {
         (arrays, report)
     }
 
-    /// Side of every array of a generated map: parameters stay in `2..=6`
-    /// and offsets (with the read-modify-write shift) in `-2..=2`, so every
-    /// access is in range.
-    const SIDE: i64 = 10;
+    /// Highest index a generated map reaches beyond a parameter's extent:
+    /// lows stay in `2..=3` and offsets (with the read-modify-write shift)
+    /// in `-2..=2`, so arrays of side `extent + MARGIN` hold every access.
+    const MARGIN: i64 = 6;
 
     /// One index expression of a generated memlet: `param + offset` or a
     /// constant.
@@ -772,7 +1189,9 @@ mod proptests {
     /// `R1..R3` are only read, `W1..W3` and `U1..U3` are written.
     #[derive(Clone, Debug)]
     struct MapCase {
-        /// `(low, extent)` per map parameter.
+        /// `(low, extent)` per map parameter.  The last parameter — the row
+        /// — may be long (a strip-boundary extent); the arrays are then of
+        /// rank at most 2 to stay small.
         domain: Vec<(i64, i64)>,
         /// Reads of the `R` arrays.
         reads: Vec<Vec<Ix>>,
@@ -806,8 +1225,16 @@ mod proptests {
         };
         let access = move || proptest::collection::vec(ix(), 1..4);
         let maybe = |on: bool, acc: Vec<Ix>| on.then_some(acc);
+        // Rows of 2..=4 points, rows straddling the kernel's short-row
+        // constant (8), and rows at the strip boundaries.
+        let strip = dace_ad_repro::sdfg::STRIP as i64;
+        let rows = [7, 8, strip - 1, strip, strip + 1, 2 * strip + 3];
+        let row = prop_oneof![
+            Just(None),
+            (0usize..rows.len()).prop_map(move |k| Some(rows[k])),
+        ];
         (
-            proptest::collection::vec((2i64..4, 2i64..5), 2..4),
+            (proptest::collection::vec((2i64..4, 2i64..5), 2..4), row),
             proptest::collection::vec(access(), 0..4),
             (access(), flag(), flag(), -1i64..2),
             // Two in three writes index by a rotation of all parameters
@@ -819,24 +1246,49 @@ mod proptests {
         )
             .prop_map(
                 move |(domain, reads, (write, wcr, rmw, shift), perm, adj, (shape, scale), pv)| {
+                    let (mut domain, row) = domain;
+                    if let (Some(row), Some(last)) = (row, domain.last_mut()) {
+                        last.1 = row;
+                    }
+                    let rank = max_rank(row.unwrap_or(0));
+                    let cut = |mut acc: Vec<Ix>| {
+                        acc.truncate(rank);
+                        acc
+                    };
                     MapCase {
                         write: match perm {
-                            (0, _, _) => write,
-                            (_, rot, offs) => (0..domain.len())
+                            (0, _, _) => cut(write),
+                            (_, rot, offs) => (0..domain.len().min(rank))
                                 .map(|d| Ix::Param((d + rot) % domain.len(), offs[d]))
                                 .collect(),
                         },
                         domain,
-                        reads,
+                        reads: reads.into_iter().map(cut).collect(),
                         wcr,
                         rmw: rmw.then_some(shift),
-                        adjoint: maybe(adj.0, adj.1).map(|first| (first, maybe(adj.2, adj.3))),
+                        adjoint: maybe(adj.0, adj.1)
+                            .map(|first| (cut(first), maybe(adj.2, adj.3).map(cut))),
                         shape,
                         scale,
                         param_value: pv.0.then_some(pv.1),
                     }
                 },
             )
+    }
+
+    /// Longest extent of a case's domain.
+    fn longest(case: &MapCase) -> i64 {
+        case.domain.iter().map(|&(_, n)| n).max().unwrap_or(0)
+    }
+
+    /// Highest rank of the arrays of a case whose longest extent is
+    /// `longest`: long rows get no rank-3 arrays, to stay small.
+    fn max_rank(longest: i64) -> usize {
+        if longest > 8 {
+            2
+        } else {
+            3
+        }
     }
 
     fn build_map_case(case: &MapCase) -> Sdfg {
@@ -900,8 +1352,8 @@ mod proptests {
 
         let mut sdfg = Sdfg::new("map_prop");
         for family in ["R", "W", "U"] {
-            for rank in 1..=3 {
-                let shape = vec![SymExpr::int(SIDE); rank];
+            for rank in 1..=max_rank(longest(case)) {
+                let shape = vec![SymExpr::int(longest(case) + MARGIN); rank];
                 sdfg.add_array(format!("{family}{rank}"), ArrayDesc::input(shape))
                     .unwrap();
             }
@@ -949,15 +1401,22 @@ mod proptests {
         sdfg
     }
 
-    fn run_map_case(sdfg: &Sdfg, mode: SpecMode) -> (Vec<Vec<u64>>, ExecutionReport) {
+    /// Bits of every array of a case after one run.
+    fn run_map_case(
+        sdfg: &Sdfg,
+        case: &MapCase,
+        mode: SpecMode,
+    ) -> (Vec<Vec<u64>>, ExecutionReport) {
+        let side = (longest(case) + MARGIN) as usize;
+        let ranks = max_rank(longest(case));
         let arrays: Vec<(String, usize)> = ["R", "W", "U"]
             .iter()
-            .flat_map(|f| (1..=3).map(move |rank| (format!("{f}{rank}"), rank)))
+            .flat_map(|f| (1..=ranks).map(move |rank| (format!("{f}{rank}"), rank)))
             .collect();
         let mut session = compile(sdfg, &HashMap::new()).unwrap().session();
         session.force_specialization(mode);
         for (k, (name, rank)) in arrays.iter().enumerate() {
-            let shape = vec![SIDE as usize; *rank];
+            let shape = vec![side; *rank];
             let len: usize = shape.iter().product();
             let data = (0..len).map(|v| (v as f64 * 0.37 + k as f64).sin());
             session
@@ -990,7 +1449,7 @@ mod proptests {
                 || matches!(case.extras.second_write, Some((_, false, _, _)));
             let fixed_column = matches!(case.extras.duplicate_connector, Some((true, _, _)));
             let per_row = case.triangular || (writes_a && fixed_column);
-            let rows = (case.n as u64 - 2) * if case.time_loop { 2 } else { 1 };
+            let rows = (case.i_hi as u64 - 1) * if case.time_loop { 2 } else { 1 };
             let symbols = HashMap::from([("N".to_string(), case.n)]);
             let sites = compile(&sdfg, &symbols).unwrap().loop_strategies();
             prop_assert_eq!(sites.len(), 1, "{:?}", &sites);
@@ -1004,6 +1463,9 @@ mod proptests {
                 _ => None,
             };
             prop_assert_eq!(sites[0].enclosing, enclosing, "{:?}", &case);
+            if case.strip_legal {
+                prop_assert_eq!(sites[0].rows, Some(RowMode::Strips), "{:?}", &case);
+            }
 
             let (off, r_off) = run_case(&sdfg, case.n, SpecMode::ForceOff);
             let (on, r_on) = run_case(&sdfg, case.n, SpecMode::Auto);
@@ -1024,9 +1486,9 @@ mod proptests {
         #[test]
         fn map_kernel_execution_is_bit_identical(case in arb_map_case()) {
             let sdfg = build_map_case(&case);
-            let (off, r_off) = run_map_case(&sdfg, SpecMode::ForceOff);
+            let (off, r_off) = run_map_case(&sdfg, &case, SpecMode::ForceOff);
             prop_assert_eq!(r_off.specialized_dispatches, 0);
-            let (on, r_on) = run_map_case(&sdfg, SpecMode::Auto);
+            let (on, r_on) = run_map_case(&sdfg, &case, SpecMode::Auto);
             prop_assert_eq!(&off, &on, "diverged for {:?}", &case);
             prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
             prop_assert_eq!(r_off.state_executions, r_on.state_executions);
