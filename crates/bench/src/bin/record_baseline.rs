@@ -347,7 +347,7 @@ fn measure_spec(preset: Preset, reps: usize) -> Result<SpecRow, String> {
 }
 
 fn measure_serve(preset: Preset, reps: usize) -> Result<ServeRow, String> {
-    let options = serve_options(8, 2.0, 0);
+    let options = serve_options(8, 0);
     let mut requests = 0usize;
     let mut total_secs = 0.0f64;
     let mut latencies = Vec::new();

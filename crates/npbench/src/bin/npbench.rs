@@ -19,14 +19,15 @@
 //! Serve mode (`--serve RPS`) drives the dynamic-admission server with an
 //! open-loop load: `--requests` individually submitted requests per kernel,
 //! paced at `RPS` submissions per second (`0` = as fast as possible),
-//! reporting completion counters and p50/p95 latency.  The process exits
+//! reporting completion counters, p50/p95 latency and the median admission
+//! overhead (`wait` = latency minus execute time).  The process exits
 //! non-zero if any request is lost, fails, or expires without a deadline
 //! having been set, or if the server's quiescent stats snapshot does not
 //! conserve — which is what the CI serve-smoke step asserts:
 //!
 //! ```text
 //! npbench --serve 200 --requests 32 [--deadline-ms D] [--max-batch B]
-//!         [--max-wait-ms W] [--kernel atax,jacobi2d] [--preset test]
+//!         [--kernel atax,jacobi2d] [--preset test]
 //! ```
 //!
 //! Verify mode (`--verify`) runs the static SDFG verifier and the affine
@@ -77,7 +78,6 @@ struct Args {
     requests: usize,
     deadline_ms: Option<f64>,
     max_batch: usize,
-    max_wait_ms: f64,
     gateway: Option<usize>,
     verify: bool,
     queue_cap: usize,
@@ -112,8 +112,6 @@ Options:
                            gateway mode: deadline on every third request
   --max-batch B            serve mode: admission-queue batch bound
                            (default: 8)
-  --max-wait-ms W          serve mode: admission-queue linger window in
-                           milliseconds (default: 2)
   --verify                 static-analysis mode: run the SDFG verifier and
                            the affine dependence analyzer over the selected
                            kernels (no execution) and print per-kernel
@@ -150,7 +148,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         requests: 64,
         deadline_ms: None,
         max_batch: 8,
-        max_wait_ms: 2.0,
         gateway: None,
         verify: false,
         queue_cap: 32,
@@ -224,12 +221,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.max_batch = need(i)?
                     .parse()
                     .map_err(|e| format!("bad --max-batch value: {e}"))?;
-                i += 2;
-            }
-            "--max-wait-ms" => {
-                args.max_wait_ms = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --max-wait-ms value: {e}"))?;
                 i += 2;
             }
             "--verify" => {
@@ -351,14 +342,13 @@ fn run_serve(
     requests: usize,
     deadline_ms: Option<f64>,
     max_batch: usize,
-    max_wait_ms: f64,
     workers: usize,
 ) -> Result<(), String> {
-    let options = npbench::runner::serve_options(max_batch, max_wait_ms, workers);
+    let options = npbench::runner::serve_options(max_batch, workers);
     let deadline = deadline_ms.map(|d| Duration::from_secs_f64(d / 1e3));
     println!(
         "open-loop load: {requests} requests/kernel ({}), \
-         max_batch={max_batch}, max_wait={max_wait_ms}ms{}",
+         max_batch={max_batch}{}",
         if rps > 0.0 {
             format!("{rps:.0} submissions/sec")
         } else {
@@ -370,8 +360,18 @@ fn run_serve(
         },
     );
     println!(
-        "{:<12} {:>6} {:>6} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>7}",
-        "kernel", "done", "expd", "rej", "lost", "rps", "req [ms]", "p50 [ms]", "p95 [ms]", "batch"
+        "{:<12} {:>6} {:>6} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
+        "kernel",
+        "done",
+        "expd",
+        "rej",
+        "lost",
+        "rps",
+        "req [ms]",
+        "p50 [ms]",
+        "p95 [ms]",
+        "wait [ms]",
+        "batch"
     );
     let mut bad = 0usize;
     for kernel in kernels {
@@ -387,7 +387,7 @@ fn run_serve(
         )
         .map_err(|e| format!("{}: {e}", kernel.name()))?;
         println!(
-            "{:<12} {:>6} {:>6} {:>6} {:>6} {:>10.1} {:>10.3} {:>10.3} {:>10.3} {:>7}",
+            "{:<12} {:>6} {:>6} {:>6} {:>6} {:>10.1} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>7}",
             kernel.name(),
             t.completed,
             t.expired,
@@ -397,6 +397,7 @@ fn run_serve(
             t.per_request_ms,
             t.p50_ms,
             t.p95_ms,
+            t.wait_ms,
             t.stats.largest_batch,
         );
         // The smoke contract: nothing may be lost or fail, without a
@@ -591,7 +592,6 @@ fn run_gateway(kernels: &[Box<dyn Kernel>], preset: Preset, args: &Args) -> Resu
         queue_capacity: args.queue_cap,
         retry_budget: args.retry_budget,
         max_batch: args.max_batch,
-        max_wait: Duration::from_secs_f64(args.max_wait_ms.max(0.0) / 1e3),
         inject_panic_every: args.inject_panic_every,
         inject_delay: Duration::from_secs_f64(args.inject_delay_ms.max(0.0) / 1e3),
         reloads: args.reloads,
@@ -730,7 +730,6 @@ fn main() -> ExitCode {
             args.requests,
             args.deadline_ms,
             args.max_batch,
-            args.max_wait_ms,
             args.workers,
         )
     } else if args.batch > 0 {

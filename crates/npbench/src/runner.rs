@@ -220,6 +220,9 @@ pub struct ServeTiming {
     pub p95_ms: f64,
     /// Worst submit-to-completion latency (ms).
     pub max_ms: f64,
+    /// Median of latency minus the request's own execute time (ms): what
+    /// admission, dispatch and result delivery add to the gradient.
+    pub wait_ms: f64,
     /// The server's tenant snapshot once every handle of the reported
     /// repetition had resolved (lifetime counters: `largest_batch`,
     /// `rejected`, ...).  Quiescent, so it must conserve with nothing
@@ -235,10 +238,9 @@ pub struct ServeTiming {
 /// `serve_latency` baseline row, so both measure the same configuration):
 /// like `GradientEngine::serve()`'s defaults, the queue is unbounded and
 /// retries and the circuit breaker are off.
-pub fn serve_options(max_batch: usize, max_wait_ms: f64, workers: usize) -> GatewayOptions {
+pub fn serve_options(max_batch: usize, workers: usize) -> GatewayOptions {
     GatewayOptions {
         max_batch,
-        max_wait: Duration::from_secs_f64(max_wait_ms.max(0.0) / 1e3),
         workers,
         queue_capacity: usize::MAX,
         retry_budget: 0,
@@ -323,12 +325,15 @@ pub fn time_serve(
             );
         }
         let mut latencies_ms = Vec::with_capacity(requests);
+        let mut waits_ms = Vec::with_capacity(requests);
         let (mut completed, mut expired, mut failed) = (0usize, 0usize, 0usize);
         for handle in handles {
             match handle.wait() {
                 Ok(served) => {
                     completed += 1;
                     latencies_ms.push(served.latency.as_secs_f64() * 1e3);
+                    let wait = served.latency.saturating_sub(served.result.report.elapsed);
+                    waits_ms.push(wait.as_secs_f64() * 1e3);
                 }
                 Err(EngineError::Serve(ServeError::DeadlineExceeded { .. })) => expired += 1,
                 Err(_) => failed += 1,
@@ -336,6 +341,7 @@ pub fn time_serve(
         }
         let elapsed = start.elapsed();
         latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        waits_ms.sort_by(|a, b| a.partial_cmp(b).expect("waits are finite"));
         let timing = ServeTiming {
             requests,
             completed,
@@ -348,6 +354,7 @@ pub fn time_serve(
             p50_ms: percentile_ms(&latencies_ms, 0.50),
             p95_ms: percentile_ms(&latencies_ms, 0.95),
             max_ms: latencies_ms.last().copied().unwrap_or(0.0),
+            wait_ms: percentile_ms(&waits_ms, 0.50),
             stats: server.stats().expect("the engine's tenant is registered"),
             latencies_ms,
         };
@@ -377,8 +384,6 @@ pub struct GatewayLoad {
     pub retry_budget: u32,
     /// Admission bound per dispatch.
     pub max_batch: usize,
-    /// Admission linger window.
-    pub max_wait: Duration,
     /// Inject a dispatch panic on every k-th dispatch of every tenant.
     pub inject_panic_every: Option<u64>,
     /// Inject this much artificial latency into every dispatched item.
@@ -396,7 +401,6 @@ impl Default for GatewayLoad {
             queue_capacity: 32,
             retry_budget: 2,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             inject_panic_every: None,
             inject_delay: Duration::ZERO,
             reloads: 0,
@@ -482,7 +486,6 @@ pub fn time_gateway(
     let clients = load.clients.max(1);
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: load.max_batch,
-        max_wait: load.max_wait,
         queue_capacity: load.queue_capacity,
         retry_budget: load.retry_budget,
         ..GatewayOptions::default()
@@ -705,7 +708,7 @@ mod tests {
             6,
             0.0,
             None,
-            serve_options(8, 2.0, 0),
+            serve_options(8, 0),
             1,
         )
         .unwrap();
@@ -714,6 +717,7 @@ mod tests {
         assert_eq!(t.expired + t.failed + t.lost, 0);
         assert_eq!(t.latencies_ms.len(), 6);
         assert!(t.per_request_ms > 0.0 && t.p50_ms > 0.0 && t.p95_ms >= t.p50_ms);
+        assert!(t.wait_ms >= 0.0 && t.wait_ms <= t.max_ms);
         assert!(t.stats.largest_batch >= 1);
         assert!(t.stats.conserves());
     }

@@ -9,12 +9,15 @@
 //!
 //! * **Dynamic admission** — requests are submitted individually
 //!   ([`Gateway::submit`], [`Gateway::submit_with`]) and return a
-//!   [`GatewayHandle`] immediately; a tenant's queued requests coalesce
-//!   into one dispatch as soon as [`GatewayOptions::max_batch`] are ready
-//!   or the oldest has lingered for [`GatewayOptions::max_wait`].  A
-//!   deadline bounds *admission*, not execution: a request still queued
-//!   when its budget runs out resolves [`ServeError::DeadlineExceeded`]
-//!   on time and never occupies a worker; one already dispatched runs to
+//!   [`GatewayHandle`] immediately.  Dispatch is work-conserving: an idle
+//!   dispatcher sends a ready request at once, and whatever queued while
+//!   a batch executed (up to [`GatewayOptions::max_batch`] per tenant)
+//!   forms the next one, so the queue paces itself between latency and
+//!   batching.  A deadline bounds *admission*, not execution: a request
+//!   still queued when its budget runs out resolves
+//!   [`ServeError::DeadlineExceeded`] (on time while a backoff or an open
+//!   breaker holds it, at the dispatcher's return while a batch runs) and
+//!   never occupies a worker; one already dispatched runs to
 //!   completion.  Served results are bit-identical to a standalone
 //!   [`Session::run`](crate::Session::run) however they were coalesced.
 //! * **Backpressure** — each tenant owns a *bounded* admission queue; a
@@ -107,20 +110,17 @@ const MAX_BACKOFF_SHIFT: u32 = 10;
 
 /// Gateway-wide tuning knobs.
 ///
-/// `max_batch`/`max_wait`/`workers` shape each formed batch: larger batches
-/// amortise scheduling overhead and exploit the worker pool, a shorter
-/// linger bounds the latency a lone request pays on an idle tenant.  The
-/// rest govern the robustness machinery: queue bounds, the retry budget and
-/// the circuit breaker.  See `docs/serving.md` for a tuning table.
+/// `max_batch`/`workers` shape each formed batch: how many of the requests
+/// that queued behind the previous dispatch ride the next one, and how wide
+/// it fans out.  The rest govern the robustness machinery: queue bounds,
+/// the retry budget and the circuit breaker.  See `docs/serving.md` for a
+/// tuning table.
 #[derive(Clone, Debug)]
 pub struct GatewayOptions {
     /// Maximum requests one dispatch may coalesce (clamped to >= 1).  Also
     /// the WDRR quantum: credits a tenant earns per round-robin visit,
     /// multiplied by its weight.
     pub max_batch: usize,
-    /// Maximum time the oldest ready request lingers before its tenant's
-    /// batch dispatches however full it is.
-    pub max_wait: Duration,
     /// Default per-tenant admission-queue bound (clamped to >= 1);
     /// overridable per tenant via [`TenantConfig::queue_capacity`].  A
     /// submission finding the queue full is rejected with
@@ -148,7 +148,6 @@ impl Default for GatewayOptions {
     fn default() -> Self {
         GatewayOptions {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64,
             retry_budget: 2,
             retry_backoff: Duration::from_micros(500),
@@ -647,7 +646,7 @@ impl GatewayHandle {
             tenant.counters.cancelled += 1;
             // The queue entry is left in place; the dispatcher's sweep
             // drops entries whose phase is no longer Queued.  Wake it so
-            // cancelled entries do not pile up behind a long linger.
+            // an entry held by a backoff or an open breaker is dropped now.
             drop(phase);
             drop(state);
             self.shared.work_cv.notify_one();
@@ -688,6 +687,25 @@ struct QueueEntry {
     retry_at: Option<Instant>,
 }
 
+impl QueueEntry {
+    /// Eligible for dispatch now (backoff elapsed; shutdown ignores backoff
+    /// — the final drain does not wait out retry timers).
+    fn ready(&self, now: Instant, shutdown: bool) -> bool {
+        shutdown || self.retry_at.is_none_or(|r| r <= now)
+    }
+}
+
+/// What one tenant's queue asks of the dispatcher (see
+/// [`TenantState::next_step`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// The tenant may dispatch and holds a ready entry: its batch is due.
+    Dispatch,
+    /// Nothing of this tenant can go before this instant; `None` when only
+    /// a notification (a submission, a probe's completion) changes that.
+    WakeAt(Option<Instant>),
+}
+
 /// A tenant's executable: its session-pool driver stamped with the program
 /// epoch it belongs to.  `Arc`-swapped by [`Gateway::reload`] so in-flight
 /// batches keep the old driver alive while new dispatches use the new one.
@@ -722,25 +740,29 @@ struct TenantState {
 }
 
 impl TenantState {
-    /// Whether the dispatcher may form a batch for this tenant right now.
-    /// Shutdown overrides the breaker and probe gating: the final drain
-    /// dispatches everything.
-    fn dispatch_allowed(&self, shutdown: bool) -> bool {
-        shutdown
+    /// The one dispatch rule: a batch is due the moment the tenant may
+    /// dispatch and holds one ready entry.  Otherwise the timed wake covers
+    /// only what can still be waiting — a backoff's `retry_at`, an open
+    /// breaker's `reopen_at` and the deadlines of entries held by either (a
+    /// half-open probe's completion notifies `work_cv` by itself).
+    fn next_step(&self, now: Instant, shutdown: bool) -> Step {
+        // Shutdown overrides the breaker and probe gating: the final drain
+        // dispatches everything.
+        let allowed = shutdown
             || match self.breaker.state() {
                 BreakerState::Closed => true,
                 BreakerState::HalfOpen => !self.probing,
                 BreakerState::Open => false,
-            }
-    }
-
-    /// Entries eligible for dispatch now (backoff elapsed; shutdown
-    /// ignores backoff — the final drain does not wait out retry timers).
-    fn ready_count(&self, now: Instant, shutdown: bool) -> usize {
-        self.queue
-            .iter()
-            .filter(|e| shutdown || e.retry_at.is_none_or(|r| r <= now))
-            .count()
+            };
+        if allowed && self.queue.iter().any(|e| e.ready(now, shutdown)) {
+            return Step::Dispatch;
+        }
+        let reopen = self.breaker.reopen_at().filter(|_| !allowed);
+        let held = self.queue.iter().flat_map(|e| {
+            let retry = e.retry_at.filter(|_| allowed);
+            retry.into_iter().chain(e.req.deadline)
+        });
+        Step::WakeAt(reopen.into_iter().chain(held).min())
     }
 }
 
@@ -980,10 +1002,9 @@ impl Gateway {
         // sweep are still physically in the queue but hold no capacity.
         if t.counters.queued >= t.capacity as u64 {
             t.counters.overloaded += 1;
-            // Best-effort hint: roughly one median service time (or one
-            // linger window before any latency samples exist).
-            let (p50, _) = t.latencies.percentiles();
-            let hint = p50.max(self.shared.opts.max_wait).max(MIN_RETRY_HINT);
+            // Best-effort hint: roughly one recent service time, read in
+            // O(1) — shedding must not cost more than admitting.
+            let hint = t.latencies.estimate().max(MIN_RETRY_HINT);
             drop(state);
             req.complete(Err(ServeError::Overloaded {
                 retry_after_hint: hint,
@@ -1058,16 +1079,18 @@ impl Gateway {
     }
 
     /// Coherent snapshot of every tenant (all counters read under the one
-    /// state lock; see [`TenantStats::conserves`]).
+    /// state lock; see [`TenantStats::conserves`]).  The latency windows are
+    /// copied under the lock and sorted after it is released, so a scrape
+    /// never holds up the dispatcher for a sort.
     pub fn stats(&self) -> GatewayStats {
         let state = self.shared.lock_state();
-        let mut tenants = BTreeMap::new();
-        for (name, t) in &state.tenants {
-            let (p50, p95) = t.latencies.percentiles();
-            let c = &t.counters;
-            tenants.insert(
-                name.clone(),
-                TenantStats {
+        let dispatches = state.dispatches;
+        let snapshot: Vec<_> = state
+            .tenants
+            .iter()
+            .map(|(name, t)| {
+                let c = &t.counters;
+                let stats = TenantStats {
                     queue_depth: c.queued as usize,
                     in_flight: c.in_flight,
                     admitted: c.admitted,
@@ -1087,17 +1110,26 @@ impl Gateway {
                     breaker_trips: t.breaker.trips,
                     epoch: t.epoch,
                     weight: t.weight,
-                    p50_latency: p50,
-                    p95_latency: p95,
+                    p50_latency: Duration::ZERO,
+                    p95_latency: Duration::ZERO,
                     sessions_created: t.exec.driver.sessions_created(),
                     sessions_reused: t.exec.driver.sessions_reused(),
                     pooled_sessions: t.exec.driver.pooled_sessions(),
                     sessions_discarded: t.exec.driver.sessions_discarded(),
-                },
-            );
-        }
+                };
+                (name.clone(), stats, t.latencies.samples())
+            })
+            .collect();
+        drop(state);
+        let tenants = snapshot
+            .into_iter()
+            .map(|(name, mut stats, samples)| {
+                (stats.p50_latency, stats.p95_latency) = LatencyWindow::percentiles(samples);
+                (name, stats)
+            })
+            .collect();
         GatewayStats {
-            dispatches: state.dispatches,
+            dispatches,
             tenants,
         }
     }
@@ -1203,87 +1235,49 @@ fn sweep(state: &mut GwState, now: Instant) {
     }
 }
 
-/// Block until a batch can be formed, then claim one tenant's worth of
-/// ready requests by WDRR.  Returns `None` when every queue is drained and
-/// the gateway is shutting down.
+/// Block until some tenant's batch is due ([`TenantState::next_step`]),
+/// then claim one tenant's worth of ready requests by WDRR.  Returns `None`
+/// when every queue is drained and the gateway is shutting down.
 fn collect_batch(shared: &GwShared) -> Option<GwBatch> {
-    let max_wait = shared.opts.max_wait;
-    let max_batch = shared.opts.max_batch;
     let mut state = shared.lock_state();
     loop {
         let now = Instant::now();
         sweep(&mut state, now);
         let shutdown = state.shutdown;
-        // Scan for work: is any allowed tenant's batch due (oldest ready
-        // entry past its linger, or a backoff elapsed) or full?  Track the
-        // earliest instant anything changes so the wait below is exact.
-        let mut any_queued = false;
         let mut dispatch_now = false;
         let mut wake: Option<Instant> = None;
-        let bump = |wake: &mut Option<Instant>, at: Instant| {
-            *wake = Some(wake.map_or(at, |w| w.min(at)));
-        };
         for t in state.tenants.values() {
-            if t.queue.is_empty() {
-                continue;
+            match t.next_step(now, shutdown) {
+                Step::Dispatch => dispatch_now = true,
+                Step::WakeAt(at) => wake = wake.into_iter().chain(at).min(),
             }
-            any_queued = true;
-            // Deadlines tick whether or not the tenant may dispatch.
-            for e in &t.queue {
-                if let Some(dl) = e.req.deadline {
-                    bump(&mut wake, dl);
-                }
-            }
-            if !t.dispatch_allowed(shutdown) {
-                if let Some(until) = t.breaker.reopen_at() {
-                    bump(&mut wake, until);
-                }
-                // Half-open with a probe in flight: its completion
-                // notifies work_cv, no timed wake needed.
-                continue;
-            }
-            let mut ready = 0usize;
-            for e in &t.queue {
-                let due_at = e.retry_at.unwrap_or(e.req.submitted + max_wait);
-                if shutdown || e.retry_at.is_none_or(|r| r <= now) {
-                    ready += 1;
-                    if shutdown || due_at <= now {
-                        dispatch_now = true;
-                    }
-                }
-                bump(&mut wake, due_at);
-            }
-            if ready >= max_batch {
-                dispatch_now = true;
-            }
-        }
-        if shutdown && !any_queued {
-            return None;
         }
         if dispatch_now {
+            // Coalescing is self-pacing: the claim takes whatever queued
+            // while the previous batch executed.
             if let Some(batch) = wdrr_claim(shared, &mut state, now) {
                 return Some(batch);
             }
+            continue; // the claim resolved what it found: rescan
         }
-        // Nothing dispatchable yet: sleep until the next event (or a
-        // notification).  After the sweep every tracked instant is in the
-        // future unless a dispatch just happened, so this cannot spin.
-        match wake {
-            Some(at) if at > now => {
-                let (guard, _) = shared
-                    .work_cv
-                    .wait_timeout(state, at - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = guard;
-            }
-            Some(_) => {} // an instant is already due: re-sweep
-            None => {
-                state = shared
-                    .work_cv
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+        if shutdown {
+            return None; // the drain leaves nothing held back
         }
+        // Nothing may go yet: sleep until a held entry changes (after the
+        // sweep every such instant is in the future) or a notification.
+        state = match wake {
+            Some(at) => {
+                shared
+                    .work_cv
+                    .wait_timeout(state, at.saturating_duration_since(now))
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
+            }
+            None => shared
+                .work_cv
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner()),
+        };
     }
 }
 
@@ -1295,9 +1289,10 @@ fn wdrr_claim(shared: &GwShared, state: &mut GwState, now: Instant) -> Option<Gw
     // Continue spending the active tenant's earned deficit first — this is
     // what makes weight show up as consecutive dispatches.
     let mut pick = state.active.clone().filter(|name| {
-        state.tenants.get(name).is_some_and(|t| {
-            t.deficit >= 1 && t.dispatch_allowed(shutdown) && t.ready_count(now, shutdown) > 0
-        })
+        state
+            .tenants
+            .get(name)
+            .is_some_and(|t| t.deficit >= 1 && t.next_step(now, shutdown) == Step::Dispatch)
     });
     if pick.is_none() {
         state.active = None;
@@ -1315,7 +1310,7 @@ fn wdrr_claim(shared: &GwShared, state: &mut GwState, now: Instant) -> Option<Gw
                 t.deficit = 0;
                 continue;
             }
-            if !t.dispatch_allowed(shutdown) || t.ready_count(now, shutdown) == 0 {
+            if t.next_step(now, shutdown) != Step::Dispatch {
                 continue;
             }
             // Earn this round's quantum, banking at most one unspent
@@ -1345,7 +1340,7 @@ fn wdrr_claim(shared: &GwShared, state: &mut GwState, now: Instant) -> Option<Gw
         let Some(entry) = t.queue.pop_front() else {
             break;
         };
-        if !(shutdown || entry.retry_at.is_none_or(|r| r <= now)) {
+        if !entry.ready(now, shutdown) {
             held_back.push(entry);
             continue;
         }
@@ -1626,6 +1621,101 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.on_success();
         assert_eq!(b.state(), BreakerState::Closed, "successful probe closes");
+    }
+
+    /// A tenant over `Y = 2X` holding `entries`, given as (`retry_at`,
+    /// `deadline`) per queued request.
+    fn tenant_with(entries: &[(Option<Instant>, Option<Instant>)]) -> TenantState {
+        use dace_frontend::{ArrayExpr, ProgramBuilder};
+        let mut b = ProgramBuilder::new("double");
+        let n = b.symbol("N");
+        b.add_input("X", vec![n.clone()]).unwrap();
+        b.add_input("Y", vec![n.clone()]).unwrap();
+        b.assign("Y", ArrayExpr::a("X").mul(ArrayExpr::s(2.0)));
+        let program =
+            crate::compile(&b.build().unwrap(), &HashMap::from([("N".to_string(), 3)])).unwrap();
+        let mut tenant = TenantState {
+            weight: 1,
+            capacity: 64,
+            deficit: 0,
+            queue: VecDeque::new(),
+            exec: Arc::new(TenantExec {
+                driver: BatchDriver::new(program),
+                epoch: 1,
+            }),
+            epoch: 1,
+            inflight_epoch: 1,
+            probing: false,
+            counters: TenantCounters::default(),
+            breaker: Breaker::new(),
+            faults: FaultPlan::default(),
+            dispatch_seq: 0,
+            latencies: LatencyWindow::new(),
+        };
+        for &(retry_at, deadline) in entries {
+            tenant.queue.push_back(QueueEntry {
+                req: Arc::new(GwRequest {
+                    id: 0,
+                    tenant: "t".to_string(),
+                    submitted: Instant::now(),
+                    deadline,
+                    idempotent: true,
+                    phase: Mutex::new(GwPhase::Queued {
+                        inputs: HashMap::new(),
+                        fetch: Vec::new(),
+                    }),
+                    done_cv: Condvar::new(),
+                }),
+                attempts: 0,
+                retry_at,
+            });
+        }
+        tenant
+    }
+
+    /// The dispatch rule and what is left of the timed wake: a ready entry
+    /// of an allowed tenant is due now; otherwise the dispatcher sleeps to
+    /// the earliest `retry_at`, `reopen_at` or deadline of a held entry.
+    #[test]
+    fn next_step_dispatches_ready_entries_and_wakes_for_held_ones() {
+        let now = Instant::now();
+        let at = |ms: u64| Some(now + Duration::from_millis(ms));
+
+        assert_eq!(tenant_with(&[]).next_step(now, false), Step::WakeAt(None));
+        // Ready and allowed: due at once, whatever else is queued.
+        let ready = tenant_with(&[(at(50), at(20)), (None, at(10))]);
+        assert_eq!(ready.next_step(now, false), Step::Dispatch);
+        let elapsed = tenant_with(&[(Some(now), None)]);
+        assert_eq!(elapsed.next_step(now, false), Step::Dispatch);
+
+        // In backoff: wake at `retry_at`, or at an earlier deadline.
+        let backoff = tenant_with(&[(at(50), None), (at(30), at(70))]);
+        assert_eq!(backoff.next_step(now, false), Step::WakeAt(at(30)));
+        let expiring = tenant_with(&[(at(50), at(20))]);
+        assert_eq!(expiring.next_step(now, false), Step::WakeAt(at(20)));
+        // The final drain ignores backoff.
+        assert_eq!(expiring.next_step(now, true), Step::Dispatch);
+
+        // Open breaker: ready entries are held until `reopen_at` (or their
+        // deadline); a backoff behind it adds no wake of its own.
+        let mut open = tenant_with(&[(None, None), (at(5), at(90))]);
+        open.breaker
+            .on_infra_failure(1, Duration::from_millis(40), now);
+        assert_eq!(open.breaker.state(), BreakerState::Open);
+        assert_eq!(open.next_step(now, false), Step::WakeAt(at(40)));
+        assert_eq!(open.next_step(now, true), Step::Dispatch);
+        let mut open_expiring = tenant_with(&[(None, at(15))]);
+        open_expiring
+            .breaker
+            .on_infra_failure(1, Duration::from_millis(40), now);
+        assert_eq!(open_expiring.next_step(now, false), Step::WakeAt(at(15)));
+
+        // Half-open: one probe may go; while it is in flight nothing does,
+        // and its completion (a notification) is the wake.
+        open.breaker.tick(now + Duration::from_millis(40));
+        assert_eq!(open.next_step(now, false), Step::Dispatch);
+        open.probing = true;
+        assert_eq!(open.next_step(now, false), Step::WakeAt(at(90)));
     }
 
     /// base × 2^(attempt-1), with the exponent capped.

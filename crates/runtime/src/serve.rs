@@ -127,10 +127,14 @@ pub struct ServeResponse {
 }
 
 /// Sliding window of completion latencies for the per-tenant percentile
-/// figures in [`crate::TenantStats`].
+/// figures in [`crate::TenantStats`], plus a running service-time estimate
+/// for the `Overloaded` retry hint.
 pub(crate) struct LatencyWindow {
     samples: Vec<Duration>,
     next: usize,
+    /// Exponentially weighted mean of the recorded latencies (the newest
+    /// sample weighs an eighth).
+    mean: Duration,
 }
 
 const LATENCY_WINDOW: usize = 4096;
@@ -140,16 +144,34 @@ impl LatencyWindow {
         LatencyWindow {
             samples: Vec::new(),
             next: 0,
+            mean: Duration::ZERO,
         }
     }
 
     pub(crate) fn record(&mut self, latency: Duration) {
+        self.mean = if self.samples.is_empty() {
+            latency
+        } else {
+            (self.mean * 7 + latency) / 8
+        };
         if self.samples.len() < LATENCY_WINDOW {
             self.samples.push(latency);
         } else {
             self.samples[self.next] = latency;
             self.next = (self.next + 1) % LATENCY_WINDOW;
         }
+    }
+
+    /// Recent service time in O(1) (zero before the first sample): what an
+    /// admission decision may read under the gateway's state lock.
+    pub(crate) fn estimate(&self) -> Duration {
+        self.mean
+    }
+
+    /// Copy of the window, for [`LatencyWindow::percentiles`] to sort once
+    /// the state lock is released.
+    pub(crate) fn samples(&self) -> Vec<Duration> {
+        self.samples.clone()
     }
 
     /// Nearest-rank percentile over the window (`q` in [0, 1]).
@@ -161,13 +183,12 @@ impl LatencyWindow {
         sorted[rank - 1]
     }
 
-    /// (p50, p95) over the current window, zero while empty.
-    pub(crate) fn percentiles(&self) -> (Duration, Duration) {
-        let mut sorted = self.samples.clone();
-        sorted.sort();
+    /// (p50, p95) over a copied window, zero while empty.
+    pub(crate) fn percentiles(mut samples: Vec<Duration>) -> (Duration, Duration) {
+        samples.sort();
         (
-            Self::percentile(&sorted, 0.50),
-            Self::percentile(&sorted, 0.95),
+            Self::percentile(&samples, 0.50),
+            Self::percentile(&samples, 0.95),
         )
     }
 }
@@ -183,6 +204,26 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServeResponse>();
         assert_send_sync::<ServeError>();
+    }
+
+    /// The `Overloaded` hint's estimate: the first sample seeds it, every
+    /// later one moves it an eighth of the way, and it never needs a sort.
+    #[test]
+    fn latency_estimate_is_an_exponentially_weighted_mean() {
+        let ms = Duration::from_millis;
+        let mut w = LatencyWindow::new();
+        assert_eq!(w.estimate(), Duration::ZERO);
+        w.record(ms(8));
+        assert_eq!(w.estimate(), ms(8));
+        w.record(ms(16));
+        assert_eq!(w.estimate(), ms(9));
+        w.record(ms(1));
+        assert_eq!(w.estimate(), ms(8));
+        for _ in 0..100 {
+            w.record(ms(2));
+        }
+        assert!(w.estimate() >= ms(2) && w.estimate() < ms(2) + Duration::from_micros(1));
+        assert_eq!(LatencyWindow::percentiles(w.samples()), (ms(2), ms(2)));
     }
 
     #[test]

@@ -38,14 +38,13 @@ fn main() {
     };
 
     // One engine, one compiled gradient program, one dynamic server — a
-    // `Gateway` whose only tenant is the engine's gradient program.  The
-    // admission queue dispatches as soon as 4 requests wait, or after the
-    // oldest request lingered 1ms — whichever comes first.
+    // `Gateway` whose only tenant is the engine's gradient program.  An
+    // idle dispatcher sends a request at once; whatever arrives while a
+    // dispatch executes rides the next one, up to 4 at a time.
     let mut engine =
         GradientEngine::new(&sdfg, "OUT", &["W"], &symbols, &AdOptions::default()).unwrap();
     let server = engine.serve_with_options(GatewayOptions {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         ..GatewayOptions::default()
     });
 

@@ -11,6 +11,8 @@ use dace_ad_repro::prelude::*;
 use dace_tensor::Tensor;
 use npbench::Preset;
 
+mod common;
+
 const N: usize = 16;
 
 fn symbols() -> HashMap<String, i64> {
@@ -100,6 +102,12 @@ fn wait_for(gateway: &Gateway, pred: impl Fn(&GatewayStats) -> bool, what: &str)
     }
 }
 
+/// Occupy the dispatcher with `item(i)` on tenant "alpha" (see
+/// [`common::plug_dispatcher`]).
+fn plug(gateway: &Gateway, i: usize) -> GatewayHandle {
+    common::plug_dispatcher(gateway, "alpha", item(i), &["Y"])
+}
+
 /// Two tenants, interleaved submissions: every result is bit-identical to
 /// a serial session run of the right tenant's program, and both tenants'
 /// counters conserve.
@@ -109,7 +117,6 @@ fn two_tenants_serve_bit_identical_results() {
     let beta = beta_program();
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         ..GatewayOptions::default()
     });
     gateway.register("alpha", alpha.clone()).unwrap();
@@ -142,6 +149,73 @@ fn two_tenants_serve_bit_identical_results() {
     assert!(stats.dispatches >= 2, "each tenant dispatches separately");
 }
 
+/// Work-conserving dispatch: an idle dispatcher sends a lone request at
+/// once, so its latency is the execute time plus the admission path — not a
+/// wait for peers that never come.
+#[test]
+fn a_lone_request_is_dispatched_at_once() {
+    let gateway = Gateway::new(GatewayOptions::default());
+    gateway.register("alpha", alpha_program()).unwrap();
+    let mut latencies: Vec<Duration> = (0..41)
+        .map(|i| {
+            let handle = gateway.submit("alpha", item(i), &["Y"]).unwrap();
+            let response = must_resolve(handle).unwrap();
+            assert_eq!(response.batched_with, 1, "request {i} had no peer");
+            response.latency
+        })
+        .collect();
+    latencies.sort();
+    assert!(
+        latencies[20] < Duration::from_millis(1),
+        "median submit-to-completion latency of a lone request: {:?}",
+        latencies[20]
+    );
+    let stats = gateway.stats();
+    assert!(stats.conserves());
+    assert_eq!(stats.tenants["alpha"].batches, 41);
+}
+
+/// The self-pacing rule: whatever arrives while a dispatch executes forms
+/// the next batch — `k <= max_batch` requests ride one dispatch, a backlog
+/// of `max_batch + 3` splits into `max_batch` and 3 — and every result is
+/// bit-identical to the serial reference.
+#[test]
+fn arrivals_during_a_dispatch_form_the_next_batch() {
+    const MAX_BATCH: usize = 4;
+    let program = alpha_program();
+    let gateway = Gateway::new(GatewayOptions {
+        max_batch: MAX_BATCH,
+        ..GatewayOptions::default()
+    });
+    gateway.register("alpha", program.clone()).unwrap();
+
+    for (backlog, expect) in [(3, vec![3; 3]), (MAX_BATCH + 3, vec![4, 4, 4, 4, 3, 3, 3])] {
+        let held = plug(&gateway, backlog);
+        let handles: Vec<_> = (0..backlog)
+            .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
+            .collect();
+        for (i, handle) in handles.into_iter().enumerate() {
+            let response = must_resolve(handle).unwrap();
+            assert_eq!(bits(&response.outputs["Y"]), bits(&reference(&program, i)));
+            assert_eq!(
+                response.batched_with, expect[i],
+                "item {i} of a backlog of {backlog}"
+            );
+        }
+        assert_eq!(must_resolve(held).unwrap().batched_with, 1);
+    }
+    let stats = gateway.stats();
+    assert!(stats.conserves());
+    let t = &stats.tenants["alpha"];
+    assert_eq!(t.completed, 2 + 3 + 7);
+    assert_eq!(
+        t.batches,
+        2 + 1 + 2,
+        "two plugs, then one and two dispatches"
+    );
+    assert_eq!(t.largest_batch, MAX_BATCH);
+}
+
 /// Equal-weight WDRR: a tenant with a small backlog drains while a hot
 /// tenant with 4× the backlog is still being served — the hot tenant
 /// cannot starve the small one.
@@ -149,7 +223,6 @@ fn two_tenants_serve_bit_identical_results() {
 fn wdrr_small_tenant_is_not_starved_by_hot_tenant() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 2,
-        max_wait: Duration::ZERO,
         queue_capacity: 64,
         ..GatewayOptions::default()
     });
@@ -200,7 +273,6 @@ fn wdrr_small_tenant_is_not_starved_by_hot_tenant() {
 fn wdrr_weight_skews_dispatch_share() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 2,
-        max_wait: Duration::ZERO,
         ..GatewayOptions::default()
     });
     gateway
@@ -255,13 +327,13 @@ fn wdrr_weight_skews_dispatch_share() {
 fn overload_sheds_with_typed_hint() {
     const CAP: usize = 3;
     let gateway = Gateway::new(GatewayOptions {
-        max_batch: 64,                     // never fills
-        max_wait: Duration::from_secs(30), // never lingers out in-test
+        max_batch: 64, // never fills
         queue_capacity: CAP,
         ..GatewayOptions::default()
     });
     gateway.register("alpha", alpha_program()).unwrap();
 
+    let held = plug(&gateway, CAP);
     let queued: Vec<_> = (0..CAP)
         .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
         .collect();
@@ -286,9 +358,10 @@ fn overload_sheds_with_typed_hint() {
     for handle in queued {
         must_resolve(handle).unwrap();
     }
+    must_resolve(held).unwrap();
     let stats = gateway.stats();
     assert!(stats.conserves());
-    assert_eq!(stats.tenants["alpha"].completed, CAP as u64);
+    assert_eq!(stats.tenants["alpha"].completed, CAP as u64 + 1);
 }
 
 /// Cancelling queued requests gives their capacity back at once: a tenant
@@ -298,19 +371,18 @@ fn overload_sheds_with_typed_hint() {
 fn cancelled_requests_release_queue_capacity() {
     const CAP: usize = 3;
     let gateway = Gateway::new(GatewayOptions {
-        max_batch: 64,                     // never fills
-        max_wait: Duration::from_secs(30), // never lingers out in-test
+        max_batch: 64, // never fills
         queue_capacity: CAP,
         ..GatewayOptions::default()
     });
     gateway.register("alpha", alpha_program()).unwrap();
 
+    // The dispatcher is busy with the plug, so the cancelled entries below
+    // are still physically queued when capacity is checked.
+    let held = plug(&gateway, CAP);
     let doomed: Vec<_> = (0..CAP)
         .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
         .collect();
-    // Let the dispatcher settle into its linger sleep, so the cancelled
-    // entries below are still physically queued when capacity is checked.
-    std::thread::sleep(Duration::from_millis(50));
     for handle in &doomed {
         assert!(handle.cancel(), "a queued request must be cancellable");
     }
@@ -342,7 +414,10 @@ fn cancelled_requests_release_queue_capacity() {
     for handle in fresh {
         must_resolve(handle).unwrap();
     }
-    assert!(gateway.stats().conserves());
+    must_resolve(held).unwrap();
+    let stats = gateway.stats();
+    assert!(stats.conserves());
+    assert_eq!(stats.tenants["alpha"].completed, CAP as u64 + 1);
 }
 
 /// An injected panic on the first dispatch quarantines the session and the
@@ -353,7 +428,6 @@ fn panic_is_retried_for_idempotent_requests_only() {
     let program = alpha_program();
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         retry_budget: 2,
         retry_backoff: Duration::from_micros(100),
         breaker_threshold: 10, // keep the breaker out of this test
@@ -418,7 +492,6 @@ fn breaker_trips_sheds_and_recovers_via_probe() {
     let program = alpha_program();
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         retry_budget: 0, // failures resolve immediately
         breaker_threshold: 2,
         breaker_cooldown: cooldown,
@@ -487,7 +560,6 @@ fn failed_probe_reopens_breaker() {
     let cooldown = Duration::from_millis(30);
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         retry_budget: 0,
         breaker_threshold: 1, // first failure trips
         breaker_cooldown: cooldown,
@@ -535,7 +607,6 @@ fn checkout_failure_is_typed_and_retryable() {
     let program = alpha_program();
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         retry_budget: 1,
         retry_backoff: Duration::from_micros(100),
         breaker_threshold: 10,
@@ -585,7 +656,6 @@ fn checkout_failure_is_typed_and_retryable() {
 fn cancel_succeeds_mid_retry_backoff() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         retry_budget: 2,
         retry_backoff: Duration::from_millis(500), // long enough to race
         breaker_threshold: 10,
@@ -622,16 +692,27 @@ fn cancel_succeeds_mid_retry_backoff() {
     assert_eq!(stats.tenants["alpha"].completed, 0);
 }
 
-/// A deadline expires *in the gateway queue* on time (not at the end of
-/// the linger window), with the typed `DeadlineExceeded` rejection.
+/// A deadline expires *in the gateway queue* on time: a request the
+/// dispatcher cannot take — it panicked once and sits in a 30 s retry
+/// backoff — resolves with the typed `DeadlineExceeded` rejection at its
+/// deadline, through the dispatcher's timed wake, not at the backoff's end.
 #[test]
 fn deadline_expires_in_queue_on_time() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 64,
-        max_wait: Duration::from_secs(30), // linger far longer than the test
+        retry_backoff: Duration::from_secs(30), // far longer than the test
         ..GatewayOptions::default()
     });
     gateway.register("alpha", alpha_program()).unwrap();
+    gateway
+        .inject_faults(
+            "alpha",
+            FaultPlan {
+                panic_on: vec![1],
+                ..FaultPlan::default()
+            },
+        )
+        .unwrap();
     let submitted = Instant::now();
     let handle = gateway
         .submit_with(
@@ -639,7 +720,7 @@ fn deadline_expires_in_queue_on_time() {
             item(0),
             &["Y"],
             SubmitOptions {
-                deadline: Some(Duration::from_millis(20)),
+                deadline: Some(Duration::from_millis(200)),
                 idempotent: true,
             },
         )
@@ -649,7 +730,7 @@ fn deadline_expires_in_queue_on_time() {
             assert!(missed_by > Duration::ZERO);
             assert!(
                 submitted.elapsed() < Duration::from_secs(5),
-                "rejection must arrive at the deadline, not the linger end"
+                "rejection must arrive at the deadline, not the backoff end"
             );
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -657,7 +738,8 @@ fn deadline_expires_in_queue_on_time() {
     let stats = gateway.stats();
     assert!(stats.conserves());
     assert_eq!(stats.tenants["alpha"].expired, 1);
-    assert_eq!(stats.tenants["alpha"].batches, 0);
+    assert_eq!(stats.tenants["alpha"].batches, 1);
+    assert_eq!(stats.tenants["alpha"].retried, 1);
 }
 
 /// Graceful reload: the call blocks until in-flight requests drained
@@ -669,7 +751,6 @@ fn reload_drains_old_plan_and_swaps() {
     let v2 = alpha_v2_program();
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 4,
-        max_wait: Duration::ZERO,
         ..GatewayOptions::default()
     });
     gateway.register("alpha", v1.clone()).unwrap();
@@ -742,7 +823,6 @@ fn concurrent_reloads_never_tear_results() {
     let ref_v2 = bits(&reference(&v2, 0));
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 2,
-        max_wait: Duration::ZERO,
         ..GatewayOptions::default()
     }));
     gateway.register("alpha", v1.clone()).unwrap();
@@ -794,7 +874,6 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
     const PER_THREAD: usize = 10;
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 2,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 16,
         retry_budget: 3,
         retry_backoff: Duration::from_millis(20), // long: shutdown races it
@@ -947,7 +1026,6 @@ fn engine_register_with_matches_blocking_run() {
 
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         ..GatewayOptions::default()
     }));
     let client = engine

@@ -11,6 +11,8 @@ use dace_ad_repro::prelude::*;
 use dace_tensor::Tensor;
 use npbench::Preset;
 
+mod common;
+
 fn symbols(pairs: &[(&str, i64)]) -> HashMap<String, i64> {
     pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
 }
@@ -60,10 +62,9 @@ const TENANT: &str = "solo";
 /// A gateway with `program` as its only tenant, configured the way
 /// `GradientEngine::serve()` configures its own: unbounded queue, no
 /// retries, no circuit breaker.
-fn solo_gateway(program: CompiledProgram, max_batch: usize, max_wait: Duration) -> Gateway {
+fn solo_gateway(program: CompiledProgram, max_batch: usize) -> Gateway {
     let gateway = Gateway::new(GatewayOptions {
         max_batch,
-        max_wait,
         queue_capacity: usize::MAX,
         retry_budget: 0,
         breaker_threshold: u32::MAX,
@@ -89,16 +90,22 @@ fn stats(gateway: &Gateway) -> TenantStats {
     gateway.stats().tenants.remove(TENANT).unwrap()
 }
 
-/// Individually submitted requests are coalesced into one dispatch (the
-/// admission queue fills to `max_batch` well inside the linger window) and
-/// every result is bit-identical to a serial session loop.
+/// Occupy the dispatcher with `item(i)` (see [`common::plug_dispatcher`]).
+fn plug(gateway: &Gateway, i: usize) -> GatewayHandle {
+    common::plug_dispatcher(gateway, TENANT, item(i), &["Y"])
+}
+
+/// Individually submitted requests that arrive while a dispatch executes
+/// are coalesced into the next one, and every result is bit-identical to a
+/// serial session loop.
 #[test]
 fn submitted_requests_coalesce_and_match_serial() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let reference = serial_reference(&program, 6);
+    let reference = serial_reference(&program, 7);
 
-    let server = solo_gateway(program, 6, Duration::from_millis(500));
+    let server = solo_gateway(program, 6);
+    let held = plug(&server, 6);
     let handles: Vec<_> = (0..6).map(|i| submit(&server, i)).collect();
     for (i, handle) in handles.into_iter().enumerate() {
         let response = handle.wait().unwrap();
@@ -113,10 +120,13 @@ fn submitted_requests_coalesce_and_match_serial() {
         );
         assert!(response.latency > Duration::ZERO);
     }
+    let response = held.wait().unwrap();
+    assert_eq!(bits(&response.outputs["Y"]), bits(&reference[6]));
+    assert_eq!(response.batched_with, 1);
     let stats = stats(&server);
-    assert_eq!(stats.admitted, 6);
-    assert_eq!(stats.completed, 6);
-    assert_eq!(stats.batches, 1, "one dispatch served the whole burst");
+    assert_eq!(stats.admitted, 7);
+    assert_eq!(stats.completed, 7);
+    assert_eq!(stats.batches, 2, "one dispatch served the whole burst");
     assert_eq!(stats.largest_batch, 6);
     assert_eq!(stats.queue_depth, 0);
     assert!(stats.p95_latency >= stats.p50_latency);
@@ -125,13 +135,14 @@ fn submitted_requests_coalesce_and_match_serial() {
 
 /// Deadline-expired requests are rejected with `DeadlineExceeded` without
 /// ever occupying a worker — asserted both for a zero budget (rejected at
-/// admission) and for a queued request whose deadline passes mid-linger
-/// (rejected at batch formation).  No session is ever created for them.
+/// admission) and for a request whose deadline passes while it is queued
+/// behind a running dispatch (rejected when the dispatcher returns).  No
+/// session is ever created for them.
 #[test]
 fn deadline_expired_requests_never_execute() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let server = solo_gateway(program, 8, Duration::from_millis(150));
+    let server = solo_gateway(program, 8);
 
     // Zero budget: expired at admission, never enqueued.
     let handle = submit_with_deadline(&server, 0, Duration::ZERO);
@@ -140,48 +151,42 @@ fn deadline_expired_requests_never_execute() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 
-    // Queued expiry: the deadline (20ms) passes while the lone request
-    // lingers (150ms) waiting for peers that never come.  The rejection
-    // must arrive when the deadline fires, not at the end of the linger.
-    let submitted = std::time::Instant::now();
+    // Queued expiry: the deadline (20ms) passes while the dispatcher is
+    // held by the plug; at its return the request is swept, not claimed.
+    let held = plug(&server, 0);
     let handle = submit_with_deadline(&server, 1, Duration::from_millis(20));
     match handle.wait() {
         Err(ServeError::DeadlineExceeded { missed_by }) => {
             assert!(missed_by > Duration::ZERO);
-            assert!(
-                submitted.elapsed() < Duration::from_millis(120),
-                "rejection must be delivered at the deadline, not after the \
-                 full {:?} linger (took {:?})",
-                Duration::from_millis(150),
-                submitted.elapsed()
-            );
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
+    held.wait().unwrap();
 
     let stats = stats(&server);
     assert_eq!(stats.expired, 2);
-    assert_eq!(stats.completed, 0);
+    assert_eq!(stats.completed, 1, "only the plug executed");
     assert_eq!(
-        stats.batches, 0,
+        stats.batches, 1,
         "no dispatch may fire for expired requests"
     );
     assert_eq!(
-        stats.sessions_created, 0,
+        stats.sessions_created, 1,
         "an expired request must never occupy a worker session"
     );
 }
 
 /// Cancellation succeeds on queued requests (completing them with
 /// `Cancelled`), is idempotent-false afterwards, and does not disturb other
-/// requests in the same linger window.
+/// requests queued beside them.
 #[test]
 fn cancel_works_on_queued_requests() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 2);
-    let server = solo_gateway(program, 8, Duration::from_millis(250));
+    let server = solo_gateway(program, 8);
 
+    let held = plug(&server, 0);
     let doomed = submit(&server, 0);
     let survivor = submit(&server, 1);
     assert!(doomed.cancel(), "a queued request must be cancellable");
@@ -202,9 +207,10 @@ fn cancel_works_on_queued_requests() {
         response.batched_with, 1,
         "the cancelled peer must not count into the dispatch"
     );
+    held.wait().unwrap();
     let stats = stats(&server);
     assert_eq!(stats.cancelled, 1);
-    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.completed, 2, "the plug and the survivor");
 }
 
 /// `try_wait` polls without consuming: repeated polls and the final `wait`
@@ -214,7 +220,7 @@ fn try_wait_polls_then_wait_takes() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 1);
-    let server = solo_gateway(program, 1, Duration::from_millis(1));
+    let server = solo_gateway(program, 1);
     let handle = submit(&server, 0);
     let polled = loop {
         if let Some(result) = handle.try_wait() {
@@ -242,7 +248,7 @@ fn concurrent_mixed_submissions_are_exact_and_bounded() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, THREADS * PER_THREAD);
-    let server = solo_gateway(program, MAX_BATCH, Duration::from_millis(1));
+    let server = solo_gateway(program, MAX_BATCH);
 
     enum Outcome {
         Completed(usize, Vec<u64>),
@@ -330,10 +336,12 @@ fn drop_drains_outstanding_requests() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
     let reference = serial_reference(&program, 4);
-    // The linger is far longer than the test.
-    let server = solo_gateway(program, 8, Duration::from_secs(5));
+    let server = solo_gateway(program, 8);
+    // Queued behind a running dispatch when the shutdown arrives.
+    let held = plug(&server, 0);
     let handles: Vec<_> = (0..4).map(|i| submit(&server, i)).collect();
     server.shutdown();
+    held.wait().unwrap();
     for (i, handle) in handles.into_iter().enumerate() {
         let response = handle.wait().unwrap();
         assert_eq!(bits(&response.outputs["Y"]), bits(&reference[i]));
@@ -428,7 +436,7 @@ fn stats_snapshots_conserve_requests_under_load() {
     const PER_THREAD: usize = 12;
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let server = solo_gateway(program, 3, Duration::from_millis(1));
+    let server = solo_gateway(program, 3);
 
     let check = |stats: &TenantStats, when: &str| {
         assert!(stats.conserves(), "torn snapshot ({when}): {stats:?}");
@@ -508,9 +516,10 @@ fn stats_snapshots_conserve_requests_under_load() {
 fn wait_timeout_reports_pending_then_completion() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    // Long linger: the request stays pending until we've sampled it.
-    let server = solo_gateway(program.clone(), 8, Duration::from_millis(100));
+    let server = solo_gateway(program.clone(), 8);
 
+    // Behind the plug the request stays pending until we've sampled it.
+    let _held = plug(&server, 0);
     let handle = submit(&server, 0);
     // Pending: a zero-ish timeout must return None without consuming.
     assert!(
@@ -521,7 +530,7 @@ fn wait_timeout_reports_pending_then_completion() {
     // Completion: a generous timeout observes the result...
     let observed = handle
         .wait_timeout(Duration::from_secs(30))
-        .expect("request must complete within the linger window");
+        .expect("request must complete once the plug has returned");
     let expected = serial_reference(&program, 1);
     assert_eq!(bits(&observed.unwrap().outputs["Y"]), bits(&expected[0]));
     // ...and does not consume it: the handle still resolves through the
