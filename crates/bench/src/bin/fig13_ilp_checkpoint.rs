@@ -6,39 +6,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use dace_ad::{AdOptions, CheckpointStrategy, GradientEngine};
-use dace_frontend::{ArrayExpr, ProgramBuilder};
-use dace_sdfg::Sdfg;
 use dace_tensor::random::uniform;
-
-/// The Listing-1 program: three sin() sites whose inputs A0/A1/A2 must be
-/// forwarded (the two scalings of D are materialised as D1/D2; see
-/// EXPERIMENTS.md for the SSA-rendering note).
-fn listing1() -> Sdfg {
-    let mut b = ProgramBuilder::new("listing1");
-    let n = b.symbol("N");
-    b.add_input("C", vec![n.clone(), n.clone()]).unwrap();
-    b.add_input("D", vec![n.clone(), n.clone()]).unwrap();
-    for t in ["A0", "A1", "A2", "sin0", "sin1", "sin2", "D1", "D2", "tmp"] {
-        b.add_transient(t, vec![n.clone(), n.clone()]).unwrap();
-    }
-    b.add_scalar("OUT").unwrap();
-    b.assign("A0", ArrayExpr::a("C").mul(ArrayExpr::a("D")));
-    b.assign("sin0", ArrayExpr::a("A0").sin());
-    b.assign("D1", ArrayExpr::a("D").mul(ArrayExpr::s(6.0)));
-    b.assign("A1", ArrayExpr::a("C").mul(ArrayExpr::a("D1")));
-    b.assign("sin1", ArrayExpr::a("A1").sin());
-    b.assign("D2", ArrayExpr::a("D1").mul(ArrayExpr::s(3.0)));
-    b.assign("A2", ArrayExpr::a("C").mul(ArrayExpr::a("D2")));
-    b.assign("sin2", ArrayExpr::a("A2").sin());
-    b.assign(
-        "tmp",
-        ArrayExpr::a("sin0")
-            .add(ArrayExpr::a("sin1"))
-            .add(ArrayExpr::a("sin2")),
-    );
-    b.sum_into("OUT", "tmp", false);
-    b.build().unwrap()
-}
+use npbench::listing1;
 
 fn main() {
     let n: usize = 360; // each [N,N] f64 array is ~1 MiB
@@ -53,10 +22,11 @@ fn main() {
 
     println!("=== Fig. 13: store/recompute configurations of the Listing-1 example (N = {n}) ===");
     println!(
-        "{:<8} {:<22} {:>12} {:>16}",
-        "config", "stored arrays", "runtime [ms]", "peak memory [MiB]"
+        "{:<8} {:<22} {:>12} {:>16} {:>16}",
+        "config", "stored arrays", "runtime [ms]", "peak memory [MiB]", "predicted [MiB]"
     );
 
+    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
     let mut results = Vec::new();
     for mask in 0..(1u32 << candidates.len()) {
         let store: Vec<String> = candidates
@@ -74,9 +44,16 @@ fn main() {
         let start = Instant::now();
         let result = engine.run(&inputs).unwrap();
         let elapsed = start.elapsed();
-        let peak_mib = result.report.peak_bytes as f64 / (1024.0 * 1024.0);
+        // The memory-measurement sequence is the peak (§IV-A): the same
+        // number on every line.
+        let predicted = engine
+            .plan()
+            .ilp_report
+            .as_ref()
+            .unwrap()
+            .predicted_peak_bytes;
         println!(
-            "C-{:<6} {:<22} {:>12.2} {:>16.2}",
+            "C-{:<6} {:<22} {:>12.2} {:>16.2} {:>16.2}",
             mask,
             if store.is_empty() {
                 "(none)".to_string()
@@ -84,7 +61,8 @@ fn main() {
                 store.join(",")
             },
             elapsed.as_secs_f64() * 1e3,
-            peak_mib
+            mib(result.report.peak_bytes),
+            mib(predicted)
         );
         results.push((mask, elapsed, result.report.peak_bytes));
     }
@@ -103,10 +81,7 @@ fn main() {
     let start = Instant::now();
     let result = engine.run(&inputs).unwrap();
     let elapsed = start.elapsed();
-    println!(
-        "\nuser-set memory limit: {:.2} MiB",
-        limit as f64 / (1024.0 * 1024.0)
-    );
+    println!("\nuser-set memory limit: {:.2} MiB", mib(limit));
     println!(
         "ILP-selected configuration: store {:?}, recompute {:?} (solve time {:?}, {} B&B nodes)",
         report.stored, report.recomputed, report.solve_time, report.solver_nodes
@@ -114,7 +89,7 @@ fn main() {
     println!(
         "ILP configuration runtime {:.2} ms, measured peak {:.2} MiB (predicted {:.2} MiB)",
         elapsed.as_secs_f64() * 1e3,
-        result.report.peak_bytes as f64 / (1024.0 * 1024.0),
-        report.predicted_peak_bytes as f64 / (1024.0 * 1024.0)
+        mib(result.report.peak_bytes),
+        mib(report.predicted_peak_bytes)
     );
 }

@@ -3,11 +3,8 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (see `DESIGN.md` §3 for the experiment index and
 //! `EXPERIMENTS.md` for the recorded results).  Each figure has a dedicated
-//! binary (`cargo run --release -p dace-bench --bin figNN_...`) and the
-//! criterion benches in `benches/paper_figures.rs` cover the same
-//! measurements in `cargo bench` form.
+//! binary (`cargo run --release -p dace-bench --bin figNN_...`).
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use npbench::runner::{time_dace, time_jax};
@@ -157,11 +154,6 @@ pub fn fig1_kernel_names() -> Vec<&'static str> {
     vec![
         "jacobi1d", "k2mm", "atax", "syr2k", "conv2d", "trmm", "seidel2d",
     ]
-}
-
-/// Symbol map helper for explicit sizes.
-pub fn symbols_of(kernel: &dyn Kernel, sizes: &Sizes) -> HashMap<String, i64> {
-    kernel.symbols(sizes)
 }
 
 #[cfg(test)]

@@ -2,23 +2,47 @@
 //!
 //! Candidates are forwarded containers: transients produced in straight-line
 //! code whose values the backward pass reads directly.  *Storing* a candidate
-//! means keeping it alive from the forward pass into the backward pass;
-//! *recomputing* it means freeing it after its last forward use and cloning
-//! its producer slice into the backward pass right before its first backward
-//! use (with versioned temporaries for dependencies that were overwritten in
-//! the meantime).
+//! keeps it alive from the forward pass into the backward pass; *recomputing*
+//! it frees it after its last forward use and re-runs its producer slice in
+//! the backward pass right before its first backward use, on versioned `rc_*`
+//! temporaries for the intermediates.
 //!
-//! The store/recompute decision is a binary variable per candidate.  The
-//! memory-measurement sequence models the peak footprint of the combined
-//! forward+backward timeline as a linear function of those variables; every
-//! sequence entry must stay below the user limit, and the objective minimises
-//! the recomputation FLOP cost — exactly the formulation of Section IV-A.
+//! # One table, four readings
+//!
+//! When a container is alive is stated once.  [`apply_strategy`] walks the
+//! top-level timeline of the gradient program once (`Timeline::walk`: what
+//! each item reads and writes), describes every candidate's slice against it
+//! without touching the SDFG (`Timeline::slice`), and builds one table of
+//! lifetimes (`Timeline::table`) over the measurement points: the items, plus
+//! the steps of each recomputable candidate's slice where they would run.
+//! The rule behind every row: a transient is born in the first item that
+//! references it and is dead after the last one **if that item is
+//! straight-line, otherwise at the end of the run** — a state inside a loop
+//! or a branch may run again, or not at all, so nothing is released after it.
+//! A recomputable candidate has its lifetimes twice, once per decision; a
+//! slice's temporaries live over their own steps.  Everything else reads it:
+//!
+//! 1. the **memory-measurement sequence** of §IV-A, `m_t = const_t + Σ_i
+//!    (store_i(t)·v_i + rec_i(t)·(1 − v_i))` per point (`Sequence`);
+//! 2. the **ILP rows** `m_t ≤ limit`, minimising the recomputation FLOPs
+//!    (`solve_ilp`) — every strategy is a decision vector `v`, the ILP
+//!    merely computes its own;
+//! 3. **`predicted_peak_bytes`**, `max_t m_t` at the chosen vector;
+//! 4. the **free hints**: a lifetime that holds under the chosen vector and
+//!    ends before the run does frees its container after the last state of
+//!    the point it ends at (`Table::hints`).
+//!
+//! Only the slices of the candidates the vector recomputes become states and
+//! `rc_*` arrays (`materialize`).  The executor allocates a transient when a
+//! state first references it and releases it exactly where a hint says, so
+//! the prediction is the peak its memory tracker observes (a branch that is
+//! not taken allocates less than predicted, never more).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use dace_ilp::{IlpProblem, IlpStatus};
-use dace_sdfg::{ControlFlow, DataflowGraph, DfNode, Sdfg, State};
+use dace_sdfg::{ArrayDesc, ControlFlow, DataflowGraph, DfNode, Sdfg, State};
 
 use crate::reverse::{AdError, BackwardPlan};
 use crate::CheckpointStrategy;
@@ -28,8 +52,6 @@ use crate::CheckpointStrategy;
 pub struct RecomputeCandidate {
     /// The transient container name.
     pub array: String,
-    /// Forward-order position of the state producing it (diagnostics).
-    pub producer_pos: usize,
 }
 
 /// Cost model entry for one candidate (the `S_i`, `R_i`, `c_i` of §IV-A).
@@ -71,27 +93,6 @@ pub struct CheckpointReport {
     pub feasible: bool,
 }
 
-/// A fully analysed candidate, including the recomputation slice.
-struct AnalyzedCandidate {
-    array: String,
-    size_bytes: usize,
-    flops: f64,
-    overhead_bytes: usize,
-    /// States (already added to the plan SDFG) forming the recompute slice.
-    slice_states: Vec<usize>,
-    /// Versioned temporaries used by the slice (freed after the recompute).
-    temporaries: Vec<String>,
-    /// Top-level item index of the producer in the forward half.
-    producer_item: usize,
-    /// Top-level item index of the last forward reader.
-    last_forward_reader: usize,
-    /// Top-level item index of the first backward reader.
-    first_backward_reader: usize,
-    /// Top-level item index of the last backward reader.
-    last_backward_reader: usize,
-    recomputable: bool,
-}
-
 /// Apply a checkpointing strategy to a plan, mutating its SDFG (recompute
 /// blocks, free hints) and returning the report.
 pub fn apply_strategy(
@@ -99,344 +100,553 @@ pub fn apply_strategy(
     strategy: &CheckpointStrategy,
     symbols: &HashMap<String, i64>,
 ) -> Result<CheckpointReport, AdError> {
-    let mut report = CheckpointReport::default();
-    if plan.candidates.is_empty() || matches!(strategy, CheckpointStrategy::StoreAll) {
-        report.stored = plan.candidates.iter().map(|c| c.array.clone()).collect();
-        report.feasible = true;
-        for c in &plan.candidates {
-            report.costs.push(CandidateCost {
-                array: c.array.clone(),
-                size_bytes: array_bytes(&plan.sdfg, &c.array, symbols),
-                recompute_flops: 0.0,
-                recompute_overhead_bytes: 0,
-                recomputable: false,
-            });
-        }
-        apply_liveness_hints(plan);
-        report.predicted_peak_bytes = predict_peak_store_all(plan, symbols);
-        return Ok(report);
-    }
+    let timeline = Timeline::walk(plan)?;
+    let mut rc_names = BTreeSet::new();
+    let candidates: Vec<Candidate> = (plan.candidates.iter())
+        .map(|c| Candidate {
+            array: c.array.clone(),
+            slice: timeline.slice(&plan.sdfg, &c.array, symbols, &mut rc_names),
+        })
+        .collect();
+    let mut table = timeline.table(&plan.sdfg, &candidates, symbols);
+    let sequence = Sequence::read(&table, candidates.len());
 
-    // Analyse every candidate.
-    let mut analyzed: Vec<AnalyzedCandidate> = Vec::new();
-    let candidates = plan.candidates.clone();
-    for cand in &candidates {
-        if let Some(a) = analyze_candidate(plan, &cand.array, symbols)? {
-            analyzed.push(a);
-        }
-    }
-
-    // Decide which to store.
-    let store_set: BTreeSet<String> = match strategy {
-        CheckpointStrategy::StoreAll => unreachable!(),
-        CheckpointStrategy::RecomputeAll => analyzed
-            .iter()
-            .filter(|a| !a.recomputable)
-            .map(|a| a.array.clone())
+    // A strategy is a decision vector: `store[i]` for candidate `i`.
+    let mut report = CheckpointReport {
+        feasible: true,
+        ..CheckpointReport::default()
+    };
+    let must_store = candidates.iter().map(|c| c.slice.is_none());
+    let store: Vec<bool> = match strategy {
+        CheckpointStrategy::StoreAll => vec![true; candidates.len()],
+        CheckpointStrategy::RecomputeAll => must_store.collect(),
+        CheckpointStrategy::Manual { store } => must_store
+            .zip(&candidates)
+            .map(|(must, c)| must || store.contains(&c.array))
             .collect(),
-        CheckpointStrategy::Manual { store } => {
-            let explicit: BTreeSet<String> = store.iter().cloned().collect();
-            analyzed
-                .iter()
-                .filter(|a| explicit.contains(&a.array) || !a.recomputable)
-                .map(|a| a.array.clone())
-                .collect()
-        }
         CheckpointStrategy::Ilp { memory_limit_bytes } => {
             report.memory_limit_bytes = Some(*memory_limit_bytes);
             let start = Instant::now();
-            let (set, nodes, feasible) = solve_ilp(plan, &analyzed, *memory_limit_bytes, symbols);
+            let (store, nodes, feasible) = solve_ilp(&sequence, &candidates, *memory_limit_bytes);
             report.solve_time = start.elapsed();
             report.solver_nodes = nodes;
             report.feasible = feasible;
-            set
+            store
         }
     };
-    if !matches!(strategy, CheckpointStrategy::Ilp { .. }) {
-        report.feasible = true;
-    }
 
-    // Record the cost model.
-    for a in &analyzed {
+    report.predicted_peak_bytes = sequence.peak(&store);
+    for (c, &stored) in candidates.iter().zip(&store) {
         report.costs.push(CandidateCost {
-            array: a.array.clone(),
-            size_bytes: a.size_bytes,
-            recompute_flops: a.flops,
-            recompute_overhead_bytes: a.overhead_bytes,
-            recomputable: a.recomputable,
+            array: c.array.clone(),
+            size_bytes: array_bytes(&plan.sdfg, &c.array, symbols),
+            recompute_flops: c.slice.as_ref().map_or(0.0, |s| s.flops),
+            recompute_overhead_bytes: c.slice.as_ref().map_or(0, |s| s.overhead),
+            recomputable: c.slice.is_some(),
         });
-    }
-
-    // Apply the decisions to the plan.
-    let decisions: Vec<(bool, &AnalyzedCandidate)> = analyzed
-        .iter()
-        .map(|a| (store_set.contains(&a.array), a))
-        .collect();
-    report.predicted_peak_bytes = predict_peak(plan, &decisions, symbols);
-
-    // Insertions must be applied back-to-front so indices stay valid.
-    let ControlFlow::Sequence(ref mut top) = plan.sdfg.cfg else {
-        return Err(AdError::Malformed(
-            "gradient SDFG has no top-level sequence".into(),
-        ));
-    };
-    let mut insertions: Vec<(usize, Vec<ControlFlow>, &AnalyzedCandidate)> = Vec::new();
-    for (stored, a) in &decisions {
-        if *stored || !a.recomputable {
-            report.stored.push(a.array.clone());
-            continue;
-        }
-        report.recomputed.push(a.array.clone());
-        plan.recomputed.push(a.array.clone());
-        // Free after the last forward reader.
-        if let Some(sid) = last_state_of(&top[a.last_forward_reader]) {
-            plan.free_hints
-                .entry(sid)
-                .or_default()
-                .push(a.array.clone());
-        }
-        // Free the candidate and its temporaries after the last backward reader.
-        if let Some(sid) = last_state_of(&top[a.last_backward_reader]) {
-            let entry = plan.free_hints.entry(sid).or_default();
-            entry.push(a.array.clone());
-            entry.extend(a.temporaries.clone());
-        }
-        insertions.push((
-            a.first_backward_reader,
-            a.slice_states
-                .iter()
-                .map(|&sid| ControlFlow::State(sid))
-                .collect(),
-            a,
-        ));
-    }
-    insertions.sort_by_key(|(idx, _, _)| std::cmp::Reverse(*idx));
-    for (idx, states, _) in insertions {
-        for (offset, st) in states.into_iter().enumerate() {
-            top.insert(idx + offset, st);
+        if stored {
+            report.stored.push(c.array.clone());
+        } else {
+            report.recomputed.push(c.array.clone());
+            plan.recomputed.push(c.array.clone());
         }
     }
-
-    apply_liveness_hints(plan);
+    materialize(plan, &candidates, &store, &mut table)?;
+    plan.free_hints = table.hints(&store);
     Ok(report)
 }
 
-// ---------------------------------------------------------------------------
-// candidate analysis
-// ---------------------------------------------------------------------------
-
 fn array_bytes(sdfg: &Sdfg, array: &str, symbols: &HashMap<String, i64>) -> usize {
-    sdfg.arrays
-        .get(array)
-        .and_then(|d| d.size_bytes(symbols).ok())
-        .unwrap_or(0)
-        .max(0) as usize
+    let bytes = sdfg.arrays.get(array).map(|d| d.size_bytes(symbols));
+    bytes.and_then(Result::ok).unwrap_or(0).max(0) as usize
 }
 
-/// Indices of top-level items that read / write a given array.
-fn item_accesses(top: &[ControlFlow], sdfg: &Sdfg, array: &str) -> (Vec<usize>, Vec<usize>) {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for (i, item) in top.iter().enumerate() {
-        let mut r = false;
-        let mut w = false;
-        for sid in item.states_in_order() {
-            let g = &sdfg.states[sid].graph;
-            if g.reads().contains_key(array) {
-                r = true;
-            }
-            if g.writes().contains_key(array) {
-                w = true;
-            }
-        }
-        if r {
-            reads.push(i);
-        }
-        if w {
-            writes.push(i);
-        }
-    }
-    (reads, writes)
+// ---------------------------------------------------------------------------
+// the timeline, and the candidates read against it
+// ---------------------------------------------------------------------------
+
+/// The items (ascending) that read an array, and the `(item, state)` pairs
+/// that write it.
+#[derive(Default)]
+struct Uses {
+    reads: Vec<usize>,
+    writes: Vec<(usize, usize)>,
 }
 
-fn last_state_of(cf: &ControlFlow) -> Option<usize> {
-    cf.states_in_order().last().copied()
+/// One walk over the top-level sequence of the gradient program.
+struct Timeline {
+    /// Per item: its last state, if it is straight-line (plain states only)
+    /// and so may be followed by a free; `None` for a loop or a branch.
+    frees_after: Vec<Option<usize>>,
+    uses: BTreeMap<String, Uses>,
+    /// The states a recompute slice may re-run — those of straight-line
+    /// forward items that write one array — with their place in program
+    /// order and the arrays they read.
+    producers: HashMap<usize, (usize, Vec<String>)>,
+    /// Index of the gradient-seed item: the forward half lies before it.
+    backward_start: usize,
 }
 
-/// True if a top-level item consists only of plain states (no loops or
-/// branches) — the precondition for recompute-slice construction.
-fn is_straight_line(cf: &ControlFlow) -> bool {
+/// Whether `cf` consists of plain states only; the arrays its branch
+/// conditions read are collected on the way.
+fn straight_line(cf: &ControlFlow, conditions: &mut BTreeSet<String>) -> bool {
     match cf {
         ControlFlow::State(_) => true,
-        ControlFlow::Sequence(children) => children.iter().all(is_straight_line),
-        _ => false,
+        // Every child is visited, for its conditions.
+        ControlFlow::Sequence(children) => {
+            let bent = children.iter().filter(|c| !straight_line(c, conditions));
+            bent.count() == 0
+        }
+        ControlFlow::Loop(l) => {
+            straight_line(&l.body, conditions);
+            false
+        }
+        ControlFlow::Branch(b) => {
+            conditions.extend(b.cond.referenced_arrays());
+            straight_line(&b.then_body, conditions);
+            if let Some(e) = &b.else_body {
+                straight_line(e, conditions);
+            }
+            false
+        }
     }
 }
 
-fn analyze_candidate(
-    plan: &mut BackwardPlan,
-    array: &str,
-    symbols: &HashMap<String, i64>,
-) -> Result<Option<AnalyzedCandidate>, AdError> {
-    let ControlFlow::Sequence(top) = plan.sdfg.cfg.clone() else {
-        return Err(AdError::Malformed(
-            "gradient SDFG has no top-level sequence".into(),
-        ));
-    };
-    let fwd_half = &top[..plan.backward_start_index];
-    let (fwd_reads, fwd_writes) = item_accesses(fwd_half, &plan.sdfg, array);
-    let (all_reads, _) = item_accesses(&top, &plan.sdfg, array);
-    let bwd_reads: Vec<usize> = all_reads
-        .iter()
-        .copied()
-        .filter(|&i| i > plan.backward_start_index)
-        .collect();
-    if fwd_writes.len() != 1 || bwd_reads.is_empty() {
-        return Ok(None);
-    }
-    let producer_item = fwd_writes[0];
-    let last_forward_reader = fwd_reads.last().copied().unwrap_or(producer_item);
-    let size_bytes = array_bytes(&plan.sdfg, array, symbols);
-
-    // Build the recomputation slice (if the producer region is straight-line).
-    let straight_line = fwd_half[..=producer_item].iter().all(is_straight_line);
-    let (slice_states, temporaries, flops, overhead_bytes) = if straight_line {
-        build_recompute_slice(plan, fwd_half, array, producer_item, symbols)?
-    } else {
-        (Vec::new(), Vec::new(), 0.0, 0)
-    };
-    // An empty slice means the producer chain could not be reconstructed
-    // from live program inputs — the candidate must always be stored.
-    let recomputable = straight_line && !slice_states.is_empty();
-
-    Ok(Some(AnalyzedCandidate {
-        array: array.to_string(),
-        size_bytes,
-        flops,
-        overhead_bytes,
-        slice_states,
-        temporaries,
-        producer_item,
-        last_forward_reader,
-        first_backward_reader: bwd_reads[0],
-        last_backward_reader: *bwd_reads.last().unwrap(),
-        recomputable,
-    }))
-}
-
-/// Construct the recomputation slice for `array`.
-///
-/// The model follows Section IV-A of the paper: the candidate is recomputed
-/// *from the program inputs*, re-running its transitive producer chain.
-/// Every transient intermediate along the chain is materialised into a fresh
-/// `rc_*` temporary (their combined size is the recomputation memory
-/// overhead `R_i`), and the summed FLOP estimate of the chain is the
-/// recomputation cost `c_i`.  The chain must be straight-line, each array in
-/// it written exactly once, and all non-transient dependencies must never be
-/// overwritten — otherwise the candidate is reported as non-recomputable and
-/// is always stored.
-///
-/// Returns (new state ids in program order, temporary containers, FLOPs,
-/// peak temporary bytes).
-fn build_recompute_slice(
-    plan: &mut BackwardPlan,
-    fwd_half: &[ControlFlow],
-    target: &str,
-    _producer_item: usize,
-    symbols: &HashMap<String, i64>,
-) -> Result<(Vec<usize>, Vec<String>, f64, usize), AdError> {
-    // Straight-line view: one (item index, state id) per plain state.
-    let mut line: Vec<(usize, usize)> = Vec::new();
-    for (i, item) in fwd_half.iter().enumerate() {
-        if !is_straight_line(item) {
-            continue;
-        }
-        for sid in item.states_in_order() {
-            line.push((i, sid));
-        }
-    }
-    // writer positions (in `line`) per array.
-    let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (k, (_, sid)) in line.iter().enumerate() {
-        for a in plan.sdfg.states[*sid].graph.writes().into_keys() {
-            writers.entry(a).or_default().push(k);
-        }
-    }
-
-    // Transitive producer closure over transient arrays.
-    let mut needed: BTreeSet<String> = BTreeSet::new();
-    let mut work: Vec<String> = vec![target.to_string()];
-    while let Some(array) = work.pop() {
-        if !needed.insert(array.clone()) {
-            continue;
-        }
-        let w = writers.get(&array).cloned().unwrap_or_default();
-        if w.len() != 1 {
-            return Ok((Vec::new(), Vec::new(), 0.0, 0));
-        }
-        let (_, sid) = line[w[0]];
-        for dep in plan.sdfg.states[sid].graph.reads().into_keys() {
-            let dep_transient = plan
-                .sdfg
-                .arrays
-                .get(&dep)
-                .map(|d| d.transient)
-                .unwrap_or(false);
-            let dep_writes = writers.get(&dep).map(|v| v.len()).unwrap_or(0);
-            if dep_transient {
-                work.push(dep);
-            } else if dep_writes > 0 {
-                // A program input that the forward pass overwrites cannot be
-                // used to recompute anything.
-                return Ok((Vec::new(), Vec::new(), 0.0, 0));
+impl Timeline {
+    /// The one place that asks the states what they read and write.
+    fn walk(plan: &BackwardPlan) -> Result<Self, AdError> {
+        let ControlFlow::Sequence(top) = &plan.sdfg.cfg else {
+            return Err(AdError::Malformed(
+                "gradient SDFG has no top-level sequence".into(),
+            ));
+        };
+        let mut timeline = Timeline {
+            frees_after: Vec::with_capacity(top.len()),
+            uses: BTreeMap::new(),
+            producers: HashMap::new(),
+            backward_start: plan.backward_start_index,
+        };
+        for (t, item) in top.iter().enumerate() {
+            let mut conditions = BTreeSet::new();
+            let straight = straight_line(item, &mut conditions);
+            let states = item.states_in_order();
+            (timeline.frees_after).push(states.last().copied().filter(|_| straight));
+            let uses = &mut timeline.uses;
+            for array in conditions {
+                uses.entry(array).or_default().reads.push(t);
+            }
+            for state in states {
+                let graph = &plan.sdfg.states[state].graph;
+                let reads: Vec<String> = graph.reads().into_keys().collect();
+                let writes: Vec<String> = graph.writes().into_keys().collect();
+                for array in &reads {
+                    uses.entry(array.clone()).or_default().reads.push(t);
+                }
+                for array in &writes {
+                    let entry = uses.entry(array.clone()).or_default();
+                    entry.writes.push((t, state));
+                }
+                if straight && t < timeline.backward_start && writes.len() == 1 {
+                    let order = timeline.producers.len();
+                    timeline.producers.insert(state, (order, reads));
+                }
             }
         }
+        Ok(timeline)
     }
 
-    // Emit the slice states in original program order, renaming every
-    // transient intermediate except the target itself.
-    let mut ordered: Vec<(usize, String)> =
-        needed.iter().map(|a| (writers[a][0], a.clone())).collect();
-    ordered.sort_by_key(|(k, _)| *k);
-
-    let mut rename_map: BTreeMap<String, String> = BTreeMap::new();
-    let mut temporaries: Vec<String> = Vec::new();
-    let mut overhead_bytes = 0usize;
-    for (_, array) in &ordered {
-        if array == target {
-            continue;
+    /// Describe the recomputation slice of `target` (§IV-A), if it has one:
+    /// the candidate is recomputed *from the program inputs*, re-running its
+    /// transitive producer chain in program order with every transient
+    /// intermediate renamed to a fresh `rc_*` temporary (`rc_names` reserves
+    /// the names; nothing else is touched).  It has one if it is written once
+    /// in the forward half and read in the backward half; everything up to
+    /// its producer is straight-line, and so is its last forward reader (the
+    /// forward copy can be released); each array of the chain is written
+    /// exactly once, by such a state that writes nothing else; and no program
+    /// input the chain reads is ever overwritten.
+    fn slice<'a>(
+        &'a self,
+        sdfg: &Sdfg,
+        target: &'a str,
+        symbols: &HashMap<String, i64>,
+        rc_names: &mut BTreeSet<String>,
+    ) -> Option<Slice> {
+        let uses = self.uses.get(target)?;
+        let forward = |t: &usize| *t < self.backward_start;
+        let written: Vec<usize> = (uses.writes.iter().map(|w| w.0).filter(forward)).collect();
+        let &[producer] = &written[..] else {
+            return None;
+        };
+        let before = *uses.reads.iter().find(|&&t| t > self.backward_start)?;
+        let reader = uses.reads.iter().rev().find(|&t| forward(t));
+        let after = reader.map_or(producer, |&t| t.max(producer));
+        let straight = |t: usize| self.frees_after[t].is_some();
+        if !(0..=producer).all(straight) || !straight(after) {
+            return None;
         }
-        let tmp = plan.sdfg.fresh_name(&format!("rc_{array}"));
-        let desc = plan.sdfg.arrays[array].clone();
-        plan.sdfg
-            .add_array(tmp.clone(), dace_sdfg::ArrayDesc::transient(desc.shape))
-            .map_err(|e| AdError::Malformed(e.to_string()))?;
-        overhead_bytes += array_bytes(&plan.sdfg, &tmp, symbols);
-        temporaries.push(tmp.clone());
-        rename_map.insert(array.clone(), tmp);
+
+        let mut chain: BTreeMap<usize, Step> = BTreeMap::new();
+        let mut work: Vec<&str> = vec![target];
+        while let Some(array) = work.pop() {
+            let [(_, state)] = self.uses.get(array)?.writes[..] else {
+                return None;
+            };
+            let (order, reads) = self.producers.get(&state)?;
+            let array = array.to_string();
+            if chain.insert(*order, Step { state, array }).is_some() {
+                continue;
+            }
+            for dep in reads {
+                if sdfg.arrays.get(dep)?.transient {
+                    work.push(dep);
+                } else if self.uses.get(dep).is_some_and(|u| !u.writes.is_empty()) {
+                    return None;
+                }
+            }
+        }
+        let steps: Vec<Step> = chain.into_values().collect();
+        if steps.last()?.array != target {
+            return None;
+        }
+
+        let reads = |s: &Step, array: &String| self.producers[&s.state].1.contains(array);
+        let (mut flops, mut temporaries) = (0.0, Vec::new());
+        for (k, step) in steps.iter().enumerate() {
+            flops += sdfg.states[step.state].graph.flop_estimate(symbols);
+            if step.array == target {
+                continue;
+            }
+            let name = (0usize..)
+                .map(|n| match n {
+                    0 => format!("rc_{}", step.array),
+                    n => format!("rc_{}_{n}", step.array),
+                })
+                .find(|n| !sdfg.arrays.contains_key(n) && !rc_names.contains(n))?;
+            rc_names.insert(name.clone());
+            let first_read = steps.iter().position(|s| reads(s, &step.array));
+            let last_read = steps.iter().rposition(|s| reads(s, &step.array));
+            temporaries.push(Temporary {
+                of: step.array.clone(),
+                bytes: array_bytes(sdfg, &step.array, symbols),
+                born: first_read.map_or(k, |r| r.min(k)),
+                dies: last_read.map_or(k, |r| r.max(k)),
+                name,
+            });
+        }
+        // `R_i`: the most the temporaries hold at any one step.
+        let held = |k: usize| {
+            let alive = temporaries.iter().filter(|t| t.born <= k && k <= t.dies);
+            alive.map(|t| t.bytes).sum::<usize>()
+        };
+        Some(Slice {
+            overhead: (0..steps.len()).map(held).max().unwrap_or(0),
+            after,
+            before,
+            steps,
+            temporaries,
+            flops,
+        })
+    }
+}
+
+/// A candidate read against the timeline; without a slice it is not
+/// recomputable and always stored.
+struct Candidate {
+    array: String,
+    slice: Option<Slice>,
+}
+
+/// Description of a recomputation slice; nothing of it is in the SDFG until
+/// `materialize` puts it there.
+struct Slice {
+    /// Item of the last forward reader, after which the candidate is freed.
+    after: usize,
+    /// Item of the first backward reader, before which the slice runs.
+    before: usize,
+    /// Producer states to re-run, in program order, each with the array of
+    /// the chain it writes; the last writes the candidate itself.
+    steps: Vec<Step>,
+    temporaries: Vec<Temporary>,
+    /// `c_i`: summed FLOP estimate of the steps.
+    flops: f64,
+    /// `R_i`.
+    overhead: usize,
+}
+
+struct Step {
+    state: usize,
+    array: String,
+}
+
+/// The versioned temporary `name` of the intermediate `of`, alive from step
+/// `born` to step `dies` of its slice.
+struct Temporary {
+    of: String,
+    name: String,
+    bytes: usize,
+    born: usize,
+    dies: usize,
+}
+
+// ---------------------------------------------------------------------------
+// the table and its readings
+// ---------------------------------------------------------------------------
+
+/// Under which decision a lifetime exists: always, or if candidate `i` is
+/// stored (`true`) / recomputed (`false`).
+#[derive(Clone, Copy)]
+enum When {
+    Always,
+    If(usize, bool),
+}
+
+/// One stretch of measurement points over which a transient holds memory.
+struct Lifetime {
+    array: String,
+    bytes: usize,
+    when: When,
+    born: usize,
+    /// The point it is dead after; `None`: alive to the end of the run.
+    dies: Option<usize>,
+}
+
+struct Table {
+    /// Per measurement point the state a free may follow: an item's last
+    /// state, if the item is straight-line; a slice step's state, once
+    /// `materialize` has put it into the SDFG.
+    frees_after: Vec<Option<usize>>,
+    /// Per candidate the point of its slice's first step.
+    slice_at: Vec<usize>,
+    /// Bytes of the non-transient containers, alive throughout.
+    fixed: usize,
+    lifetimes: Vec<Lifetime>,
+}
+
+impl Timeline {
+    fn table(
+        &self,
+        sdfg: &Sdfg,
+        candidates: &[Candidate],
+        symbols: &HashMap<String, i64>,
+    ) -> Table {
+        // The points: every item, and before the item that first reads a
+        // recomputable candidate in the backward pass the steps of its slice
+        // (later candidates first, which is how `materialize` splices).
+        let mut frees_after = Vec::new();
+        let mut item_at = Vec::with_capacity(self.frees_after.len());
+        let mut slice_at = vec![0; candidates.len()];
+        for (t, &state) in self.frees_after.iter().enumerate() {
+            for (i, c) in candidates.iter().enumerate().rev() {
+                if let Some(slice) = c.slice.as_ref().filter(|s| s.before == t) {
+                    slice_at[i] = frees_after.len();
+                    frees_after.resize(slice_at[i] + slice.steps.len(), None);
+                }
+            }
+            item_at.push(frees_after.len());
+            frees_after.push(state);
+        }
+        // The rule: dead after the last referencing item if that item is
+        // straight-line, otherwise at the end of the run.
+        let dead_after = |t: usize| self.frees_after[t].map(|_| item_at[t]);
+
+        let mut fixed = 0;
+        let mut lifetimes = Vec::new();
+        for (name, desc) in &sdfg.arrays {
+            let bytes = array_bytes(sdfg, name, symbols);
+            if !desc.transient {
+                fixed += bytes;
+                continue;
+            }
+            let Some(uses) = self.uses.get(name) else {
+                continue;
+            };
+            let items = (uses.reads.iter().copied()).chain(uses.writes.iter().map(|w| w.0));
+            let (Some(first), Some(last)) = (items.clone().min(), items.max()) else {
+                continue;
+            };
+            let life = |when, born, dies| Lifetime {
+                array: name.clone(),
+                bytes,
+                when,
+                born,
+                dies,
+            };
+            let recomputable = (candidates.iter().enumerate())
+                .find_map(|(i, c)| Some((i, c.slice.as_ref()?)).filter(|_| c.array == *name));
+            let Some((i, slice)) = recomputable else {
+                lifetimes.push(life(When::Always, item_at[first], dead_after(last)));
+                continue;
+            };
+            // Stored: one lifetime.  Recomputed: released after the last
+            // forward reader and born again in the slice's last step.
+            let (recomputed, at) = (When::If(i, false), slice_at[i]);
+            let reborn = at + slice.steps.len() - 1;
+            lifetimes.push(life(When::If(i, true), item_at[first], dead_after(last)));
+            lifetimes.push(life(recomputed, item_at[first], dead_after(slice.after)));
+            lifetimes.push(life(recomputed, reborn, dead_after(last)));
+            lifetimes.extend(slice.temporaries.iter().map(|t| Lifetime {
+                array: t.name.clone(),
+                bytes: t.bytes,
+                when: recomputed,
+                born: at + t.born,
+                dies: Some(at + t.dies),
+            }));
+        }
+        Table {
+            frees_after,
+            slice_at,
+            fixed,
+            lifetimes,
+        }
+    }
+}
+
+impl Table {
+    /// The free hints: every lifetime that holds under `store` and ends
+    /// before the run does releases its container after the last state of
+    /// the point it ends at.
+    fn hints(&self, store: &[bool]) -> HashMap<usize, Vec<String>> {
+        let mut hints: HashMap<usize, Vec<String>> = HashMap::new();
+        for l in &self.lifetimes {
+            let holds = match l.when {
+                When::Always => true,
+                When::If(i, stored) => store[i] == stored,
+            };
+            if let (true, Some(state)) = (holds, l.dies.and_then(|p| self.frees_after[p])) {
+                hints.entry(state).or_default().push(l.array.clone());
+            }
+        }
+        hints
+    }
+}
+
+/// The memory-measurement sequence: per point `t` the bytes alive as a
+/// linear function of the decision vector, `m_t = constant[t] + Σ_i
+/// decided[i][v_i][t]` — `decided[i][1]` is `store_i`, `decided[i][0]` `rec_i`.
+struct Sequence {
+    constant: Vec<usize>,
+    decided: Vec<[Vec<usize>; 2]>,
+}
+
+impl Sequence {
+    fn read(table: &Table, candidates: usize) -> Self {
+        let points = table.frees_after.len();
+        let mut sequence = Sequence {
+            constant: vec![table.fixed; points],
+            decided: vec![[vec![0; points], vec![0; points]]; candidates],
+        };
+        for l in &table.lifetimes {
+            let row = match l.when {
+                When::Always => &mut sequence.constant,
+                When::If(i, stored) => &mut sequence.decided[i][stored as usize],
+            };
+            for m in &mut row[l.born..=l.dies.unwrap_or(points - 1)] {
+                *m += l.bytes;
+            }
+        }
+        sequence
     }
 
-    let mut slice_states = Vec::new();
-    let mut flops = 0.0;
-    for (k, array) in ordered {
-        let (_, sid) = line[k];
-        let mut graph = plan.sdfg.states[sid].graph.clone();
-        rename_arrays(&mut graph, &rename_map);
-        flops += graph.flop_estimate(symbols);
-        let new_id = plan.sdfg.add_state(State {
-            name: format!("recompute_{array}"),
-            graph,
-        });
-        slice_states.push(new_id);
+    /// `max_t m_t` at a decision vector.  A slice step of a stored candidate
+    /// is no point of the run; it reads what is alive between its
+    /// neighbours, which is no more than either of them.
+    fn peak(&self, store: &[bool]) -> usize {
+        let decided = |t| (store.iter().zip(&self.decided)).map(move |(&v, d)| d[v as usize][t]);
+        let m = |t: usize| self.constant[t] + decided(t).sum::<usize>();
+        (0..self.constant.len()).map(m).max().unwrap_or(0)
     }
-    Ok((slice_states, temporaries, flops, overhead_bytes))
+}
+
+/// Build and solve the ILP of Section IV over the sequence: one binary
+/// variable per recomputable candidate (the others are constants of the
+/// sequence), `m_t ≤ limit` per point, minimal recomputation FLOPs.  Returns
+/// the decision vector, the solver node count and whether the limit was met.
+fn solve_ilp(
+    sequence: &Sequence,
+    candidates: &[Candidate],
+    memory_limit_bytes: usize,
+) -> (Vec<bool>, usize, bool) {
+    let vars: Vec<(usize, &Slice)> = (candidates.iter().enumerate())
+        .filter_map(|(i, c)| Some((i, c.slice.as_ref()?)))
+        .collect();
+    let mut ilp = IlpProblem::binary(vars.len());
+    // Minimise Σ c_i (1 − v_i), i.e. −Σ c_i v_i.
+    for (k, (_, slice)) in vars.iter().enumerate() {
+        ilp.set_objective(k, -slice.flops.max(1.0));
+    }
+    let limit = memory_limit_bytes as f64;
+    for t in 0..sequence.constant.len() {
+        // m_t = floor + Σ_i (store_i(t) − rec_i(t))·v_i
+        let decided = vars.iter().map(|(i, _)| &sequence.decided[*i]);
+        let floor = sequence.constant[t] + decided.clone().map(|d| d[0][t]).sum::<usize>();
+        let row: Vec<f64> = decided.map(|d| d[1][t] as f64 - d[0][t] as f64).collect();
+        // A point no decision can push over the limit constrains nothing.
+        let worst = floor as f64 + row.iter().filter(|&&c| c > 0.0).sum::<f64>();
+        if worst > limit {
+            ilp.add_le_constraint(row, limit - floor as f64);
+        }
+    }
+    let solution = ilp.solve();
+    let feasible = solution.status == IlpStatus::Optimal;
+    // Infeasible even with maximal recomputation: recompute everything
+    // recomputable (the cheapest-memory configuration).
+    let mut store: Vec<bool> = candidates.iter().map(|c| c.slice.is_none()).collect();
+    for (k, (i, _)) in vars.iter().enumerate() {
+        store[*i] = feasible && solution.values[k] > 0.5;
+    }
+    (store, solution.nodes_explored, feasible)
+}
+
+/// Put the slices of the recomputed candidates into the SDFG — their `rc_*`
+/// arrays, their states, and the states' place in the top-level sequence —
+/// and the new states into the table's points.
+fn materialize(
+    plan: &mut BackwardPlan,
+    candidates: &[Candidate],
+    store: &[bool],
+    table: &mut Table,
+) -> Result<(), AdError> {
+    let mut insertions: Vec<(usize, Vec<ControlFlow>)> = Vec::new();
+    for (i, c) in candidates.iter().enumerate() {
+        let (false, Some(slice)) = (store[i], &c.slice) else {
+            continue;
+        };
+        let mut renames = BTreeMap::new();
+        for t in &slice.temporaries {
+            let desc = ArrayDesc {
+                transient: true,
+                ..plan.sdfg.arrays[&t.of].clone()
+            };
+            (plan.sdfg.add_array(t.name.clone(), desc))
+                .map_err(|e| AdError::Malformed(e.to_string()))?;
+            renames.insert(t.of.clone(), t.name.clone());
+        }
+        let mut states = Vec::new();
+        for (k, step) in slice.steps.iter().enumerate() {
+            let name = format!("recompute_{}", step.array);
+            let mut graph = plan.sdfg.states[step.state].graph.clone();
+            rename_arrays(&mut graph, &renames);
+            let state = plan.sdfg.add_state(State { name, graph });
+            table.frees_after[table.slice_at[i] + k] = Some(state);
+            states.push(ControlFlow::State(state));
+        }
+        insertions.push((slice.before, states));
+    }
+    let ControlFlow::Sequence(top) = &mut plan.sdfg.cfg else {
+        unreachable!("`Timeline::walk` read the top-level sequence");
+    };
+    // Back to front, so the indices stay valid; of two slices before the
+    // same item the later candidate's runs first.
+    insertions.sort_by_key(|(item, _)| std::cmp::Reverse(*item));
+    for (item, states) in insertions {
+        top.splice(item..item, states);
+    }
+    Ok(())
 }
 
 /// Rename array references (access nodes and memlets) in a dataflow graph.
 fn rename_arrays(graph: &mut DataflowGraph, renames: &BTreeMap<String, String>) {
-    if renames.is_empty() {
-        return;
-    }
     for node in &mut graph.nodes {
         match node {
             DfNode::Access(name) => {
@@ -453,226 +663,6 @@ fn rename_arrays(graph: &mut DataflowGraph, renames: &BTreeMap<String, String>) 
             edge.memlet.data = new.clone();
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// memory-measurement sequence and ILP
-// ---------------------------------------------------------------------------
-
-/// Alive-interval model of one container over the top-level timeline.
-struct Interval {
-    start: usize,
-    end: usize,
-    bytes: usize,
-}
-
-fn baseline_intervals(
-    plan: &BackwardPlan,
-    symbols: &HashMap<String, i64>,
-    skip: &BTreeSet<String>,
-) -> Vec<Interval> {
-    let ControlFlow::Sequence(top) = &plan.sdfg.cfg else {
-        return Vec::new();
-    };
-    let horizon = top.len();
-    let mut out = Vec::new();
-    for (name, desc) in &plan.sdfg.arrays {
-        if skip.contains(name) {
-            continue;
-        }
-        let bytes = desc.size_bytes(symbols).unwrap_or(0).max(0) as usize;
-        if bytes == 0 {
-            continue;
-        }
-        if !desc.transient {
-            out.push(Interval {
-                start: 0,
-                end: horizon,
-                bytes,
-            });
-        } else {
-            // Transients live from their first write to their last reference
-            // (the liveness pass frees them there).
-            let (reads, writes) = item_accesses(top, &plan.sdfg, name);
-            if let Some(&first) = writes.first() {
-                let last = reads
-                    .last()
-                    .copied()
-                    .unwrap_or(first)
-                    .max(writes.last().copied().unwrap_or(first));
-                out.push(Interval {
-                    start: first,
-                    end: last,
-                    bytes,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Free every transient container after the last top-level item that
-/// references it, provided that item is straight-line (freeing inside loops
-/// would discard values still needed by later iterations).  This mirrors the
-/// scoped deallocation DaCe's generated code performs and is what makes the
-/// measured peak memory reflect store/recompute decisions (Fig. 13).
-pub fn apply_liveness_hints(plan: &mut BackwardPlan) {
-    let ControlFlow::Sequence(top) = plan.sdfg.cfg.clone() else {
-        return;
-    };
-    let names: Vec<String> = plan
-        .sdfg
-        .arrays
-        .iter()
-        .filter(|(_, d)| d.transient)
-        .map(|(n, _)| n.clone())
-        .collect();
-    for name in names {
-        let (reads, writes) = item_accesses(&top, &plan.sdfg, &name);
-        let last = reads
-            .last()
-            .copied()
-            .unwrap_or(0)
-            .max(writes.last().copied().unwrap_or(0));
-        if reads.is_empty() && writes.is_empty() {
-            continue;
-        }
-        if !is_straight_line(&top[last]) {
-            continue;
-        }
-        if let Some(sid) = last_state_of(&top[last]) {
-            let entry = plan.free_hints.entry(sid).or_default();
-            if !entry.contains(&name) {
-                entry.push(name);
-            }
-        }
-    }
-}
-
-fn predict_peak_store_all(plan: &BackwardPlan, symbols: &HashMap<String, i64>) -> usize {
-    let decisions: Vec<(bool, &AnalyzedCandidate)> = Vec::new();
-    predict_peak(plan, &decisions, symbols)
-}
-
-fn predict_peak(
-    plan: &BackwardPlan,
-    decisions: &[(bool, &AnalyzedCandidate)],
-    symbols: &HashMap<String, i64>,
-) -> usize {
-    let ControlFlow::Sequence(top) = &plan.sdfg.cfg else {
-        return 0;
-    };
-    let horizon = top.len();
-    let _ = horizon;
-    let skip: BTreeSet<String> = decisions.iter().map(|(_, a)| a.array.clone()).collect();
-    let mut intervals = baseline_intervals(plan, symbols, &skip);
-    for (stored, a) in decisions {
-        if *stored || !a.recomputable {
-            intervals.push(Interval {
-                start: a.producer_item,
-                end: a.last_backward_reader,
-                bytes: a.size_bytes,
-            });
-        } else {
-            intervals.push(Interval {
-                start: a.producer_item,
-                end: a.last_forward_reader,
-                bytes: a.size_bytes,
-            });
-            intervals.push(Interval {
-                start: a.first_backward_reader,
-                end: a.last_backward_reader,
-                bytes: a.size_bytes + a.overhead_bytes,
-            });
-        }
-    }
-    let mut peak = 0usize;
-    let horizon_t = match &plan.sdfg.cfg {
-        ControlFlow::Sequence(v) => v.len(),
-        _ => 0,
-    };
-    for t in 0..=horizon_t {
-        let total: usize = intervals
-            .iter()
-            .filter(|iv| iv.start <= t && t <= iv.end)
-            .map(|iv| iv.bytes)
-            .sum();
-        peak = peak.max(total);
-    }
-    peak
-}
-
-/// Build and solve the ILP of Section IV; returns the set of candidates to
-/// store, the solver node count and whether the limit was met.
-fn solve_ilp(
-    plan: &BackwardPlan,
-    analyzed: &[AnalyzedCandidate],
-    memory_limit_bytes: usize,
-    symbols: &HashMap<String, i64>,
-) -> (BTreeSet<String>, usize, bool) {
-    let ControlFlow::Sequence(top) = &plan.sdfg.cfg else {
-        return (BTreeSet::new(), 0, false);
-    };
-    let horizon = top.len();
-    let skip: BTreeSet<String> = analyzed.iter().map(|a| a.array.clone()).collect();
-    let intervals = baseline_intervals(plan, symbols, &skip);
-
-    let n = analyzed.len();
-    let mut ilp = IlpProblem::binary(n);
-    // Objective: minimise recomputation cost = sum c_i (1 - v_i)  <=> minimise -c_i v_i.
-    for (i, a) in analyzed.iter().enumerate() {
-        let cost = if a.recomputable {
-            a.flops.max(1.0)
-        } else {
-            1e15
-        };
-        ilp.set_objective(i, -cost);
-    }
-    // One constraint per timeline position (memory-measurement sequence).
-    for t in 0..=horizon {
-        let base: f64 = intervals
-            .iter()
-            .filter(|iv| iv.start <= t && t <= iv.end)
-            .map(|iv| iv.bytes as f64)
-            .sum();
-        let mut row = vec![0.0; n];
-        let mut constant = base;
-        for (i, a) in analyzed.iter().enumerate() {
-            // store contribution: S_i * v_i over [producer, last backward read]
-            let store_alive = a.producer_item <= t && t <= a.last_backward_reader;
-            // recompute contribution: S_i over [producer, last_fwd_read] and
-            // (S_i + R_i) over [first_bwd_read, last_bwd_read], times (1 - v_i)
-            let rec_alive_fwd = a.producer_item <= t && t <= a.last_forward_reader;
-            let rec_alive_bwd = a.first_backward_reader <= t && t <= a.last_backward_reader;
-            let s = a.size_bytes as f64;
-            let r = a.overhead_bytes as f64;
-            let store_term = if store_alive { s } else { 0.0 };
-            let rec_term =
-                if rec_alive_fwd { s } else { 0.0 } + if rec_alive_bwd { s + r } else { 0.0 };
-            // m_t += store_term * v_i + rec_term * (1 - v_i)
-            constant += rec_term;
-            row[i] += store_term - rec_term;
-        }
-        ilp.add_le_constraint(row, memory_limit_bytes as f64 - constant);
-    }
-    let sol = ilp.solve();
-    if sol.status != IlpStatus::Optimal {
-        // Infeasible even with maximal recomputation: recompute everything
-        // recomputable (cheapest-memory configuration).
-        let stored = analyzed
-            .iter()
-            .filter(|a| !a.recomputable)
-            .map(|a| a.array.clone())
-            .collect();
-        return (stored, sol.nodes_explored, false);
-    }
-    let mut stored = BTreeSet::new();
-    for (i, a) in analyzed.iter().enumerate() {
-        if sol.values[i] > 0.5 || !a.recomputable {
-            stored.insert(a.array.clone());
-        }
-    }
-    (stored, sol.nodes_explored, true)
 }
 
 #[cfg(test)]

@@ -484,13 +484,19 @@ impl<'a> Ctx<'a> {
             match &graph.nodes[node] {
                 DfNode::Access(_) => {}
                 DfNode::Tasklet(t) => {
-                    let (tapes, adjoints) =
-                        self.reverse_tasklet(&graph, node, t, pos, &state.name, None)?;
+                    let (tapes, adjoint) = self.reverse_tasklet(&graph, node, t, pos, false)?;
                     tape_states.extend(tapes);
-                    adjoint_states.extend(adjoints);
+                    if let Some(adjoint) = adjoint {
+                        let sid = self.out.add_state(State {
+                            name: format!("adj_{}_{}", state.name, self.counter),
+                            graph: adjoint,
+                        });
+                        self.counter += 1;
+                        adjoint_states.push(ControlFlow::State(sid));
+                    }
                 }
                 DfNode::MapScope(m) => {
-                    let (tapes, adjoints) = self.reverse_map(&graph, node, m, pos, &state.name)?;
+                    let (tapes, adjoints) = self.reverse_map(m, pos, &state.name)?;
                     tape_states.extend(tapes);
                     adjoint_states.extend(adjoints);
                 }
@@ -662,7 +668,6 @@ impl<'a> Ctx<'a> {
         }
         self.candidates.push(RecomputeCandidate {
             array: array.to_string(),
-            producer_pos: writes[0],
         });
     }
 
@@ -670,20 +675,20 @@ impl<'a> Ctx<'a> {
     // tasklet reversal
     // --------------------------------------------------------------------
 
-    /// Reverse one tasklet.  When `map_ctx` is `Some`, the tasklet lives in a
-    /// map body and the returned adjoint body is wrapped by the caller; in
-    /// that case forwarded whole-array copies are used instead of scalar
-    /// tapes.
-    #[allow(clippy::type_complexity)]
+    /// Reverse one tasklet: the tape-store states the forward pass gains and
+    /// the adjoint dataflow graph (`None` if the tasklet's output does not
+    /// contribute).  The caller makes the graph a state of its own, or —
+    /// with `in_map`, the tasklet living in a map body — the body of the
+    /// adjoint map; there, forwarded whole-array copies are used instead of
+    /// scalar tapes.
     fn reverse_tasklet(
         &mut self,
         graph: &DataflowGraph,
         node: NodeId,
         tasklet: &Tasklet,
         pos: usize,
-        state_name: &str,
-        map_ctx: Option<&MapScope>,
-    ) -> Result<(Vec<ControlFlow>, Vec<ControlFlow>), AdError> {
+        in_map: bool,
+    ) -> Result<(Vec<ControlFlow>, Option<DataflowGraph>), AdError> {
         if tasklet.code.len() != 1 {
             return Err(AdError::Unsupported(format!(
                 "multi-assignment tasklet `{}` in the CCS",
@@ -714,7 +719,7 @@ impl<'a> Ctx<'a> {
         let accumulate = out_memlet.wcr.is_some();
         let Some(grad_dst) = self.grad(&dst_array) else {
             // Output does not contribute to the dependent variable.
-            return Ok((Vec::new(), Vec::new()));
+            return Ok((Vec::new(), None));
         };
 
         // Which inputs receive gradient contributions?
@@ -740,7 +745,7 @@ impl<'a> Ctx<'a> {
                     tasklet.label
                 )));
             };
-            let (value_memlet, store) = if map_ctx.is_some() {
+            let (value_memlet, store) = if in_map {
                 // Inside a map body: forward whole-array copies so that the
                 // per-point index expressions keep working.
                 let (container, offsets, store) = self.forward_array_value(&memlet.data, pos)?;
@@ -826,22 +831,7 @@ impl<'a> Ctx<'a> {
             g.add_edge(adj_node, Some(conn), acc, None, memlet.clone());
         }
 
-        if map_ctx.is_some() {
-            // The caller wraps this body in a map; return it as a single
-            // pseudo-state the caller will unwrap.
-            let sid = self.out.add_state(State {
-                name: format!("adjbody_{state_name}"),
-                graph: g,
-            });
-            return Ok((tape_states, vec![ControlFlow::State(sid)]));
-        }
-
-        let sid = self.out.add_state(State {
-            name: format!("adj_{state_name}_{}", self.counter),
-            graph: g,
-        });
-        self.counter += 1;
-        Ok((tape_states, vec![ControlFlow::State(sid)]))
+        Ok((tape_states, Some(g)))
     }
 
     // --------------------------------------------------------------------
@@ -850,8 +840,6 @@ impl<'a> Ctx<'a> {
 
     fn reverse_map(
         &mut self,
-        _graph: &DataflowGraph,
-        _node: NodeId,
         map: &MapScope,
         pos: usize,
         state_name: &str,
@@ -875,21 +863,11 @@ impl<'a> Ctx<'a> {
         let DfNode::Tasklet(tasklet) = &map.body.nodes[tnode] else {
             unreachable!()
         };
-        let (tape_states, body_states) = self.reverse_tasklet(
-            &map.body.clone(),
-            tnode,
-            tasklet,
-            pos,
-            state_name,
-            Some(map),
-        )?;
-        if body_states.is_empty() {
+        let (tape_states, body_graph) =
+            self.reverse_tasklet(&map.body, tnode, tasklet, pos, true)?;
+        let Some(body_graph) = body_graph else {
             return Ok((tape_states, Vec::new()));
-        }
-        let ControlFlow::State(body_id) = body_states[0] else {
-            return Err(AdError::Malformed("unexpected adjoint body shape".into()));
         };
-        let body_graph = self.out.states[body_id].graph.clone();
 
         // Wrap the adjoint body in a map with the same range.
         let mut g = DataflowGraph::new();
@@ -897,15 +875,16 @@ impl<'a> Ctx<'a> {
         for array in body_graph.reads().into_keys() {
             read_nodes.push((array.clone(), g.add_access(&array)));
         }
+        let writes = body_graph.writes();
         let map_node = g.add_map(MapScope {
             params: map.params.clone(),
             ranges: map.ranges.clone(),
-            body: body_graph.clone(),
+            body: body_graph,
         });
         for (array, n) in read_nodes {
             g.add_edge(n, None, map_node, None, Memlet::all(array));
         }
-        for array in body_graph.writes().into_keys() {
+        for array in writes.into_keys() {
             let w = g.add_access(&array);
             g.add_edge(map_node, None, w, None, Memlet::all(array));
         }

@@ -122,6 +122,38 @@ pub fn kernel_by_name(name: &str) -> Option<Box<dyn Kernel>> {
     all_kernels().into_iter().find(|k| k.name() == name)
 }
 
+/// The motivating example of the paper's §IV-A (Listing 1) over `N × N`
+/// arrays, differentiated with respect to `C` and `D`: three `sin` sites
+/// whose inputs `A0` / `A1` / `A2` must be forwarded to the backward pass.
+/// The two in-place scalings of `D` are materialised as the transients `D1`
+/// and `D2` (an SSA rendering that preserves the paper's `S` / `R` / `c`
+/// cost structure), which makes five store/recompute candidates.  Not a
+/// [`Kernel`]: it has no jax-rs side and exists for the checkpointing
+/// figures, examples and tests.
+pub fn listing1() -> Sdfg {
+    use dace_frontend::{ArrayExpr as A, ProgramBuilder};
+    let mut b = ProgramBuilder::new("listing1");
+    let n = b.symbol("N");
+    for input in ["C", "D"] {
+        b.add_input(input, vec![n.clone(), n.clone()]).unwrap();
+    }
+    for t in ["A0", "A1", "A2", "sin0", "sin1", "sin2", "D1", "D2", "tmp"] {
+        b.add_transient(t, vec![n.clone(), n.clone()]).unwrap();
+    }
+    b.add_scalar("OUT").unwrap();
+    b.assign("A0", A::a("C").mul(A::a("D")));
+    b.assign("sin0", A::a("A0").sin());
+    b.assign("D1", A::a("D").mul(A::s(6.0)));
+    b.assign("A1", A::a("C").mul(A::a("D1")));
+    b.assign("sin1", A::a("A1").sin());
+    b.assign("D2", A::a("D1").mul(A::s(3.0)));
+    b.assign("A2", A::a("C").mul(A::a("D2")));
+    b.assign("sin2", A::a("A2").sin());
+    b.assign("tmp", A::a("sin0").add(A::a("sin1")).add(A::a("sin2")));
+    b.sum_into("OUT", "tmp", false);
+    b.build().unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

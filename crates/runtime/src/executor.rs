@@ -17,10 +17,9 @@
 //! recomputation temporaries and consumed tape entries) release containers
 //! early so that peak-memory measurements reflect store/recompute choices.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use dace_sdfg::{LibraryOp, Subset};
+use dace_sdfg::LibraryOp;
 use dace_tensor::Tensor;
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -292,7 +291,7 @@ impl RunState {
             // Park the released tensor in the pool so a later allocation of
             // the same container reuses it instead of reallocating.  Guarded
             // so a hint firing while the container is unallocated (skipped
-            // branch, duplicate hint) does not clobber a parked buffer.
+            // branch) does not clobber a parked buffer.
             if let Some(t) = self.slab[aid].take() {
                 self.pool[aid] = Some(t);
             }
@@ -632,14 +631,6 @@ fn flat_offset(
     Ok(flat)
 }
 
-/// Convenience: check that a subset evaluates fully (used in tests).
-pub fn subset_indices(subset: &Subset, bindings: &HashMap<String, i64>) -> Option<Vec<usize>> {
-    subset
-        .eval_indices(bindings)
-        .ok()
-        .map(|v| v.into_iter().map(|x| x.max(0) as usize).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,6 +640,7 @@ mod tests {
         IndexRange, LoopRegion, MapScope, Memlet, ParVerdict, ScalarExpr as E, Sdfg, State, Subset,
         SymExpr, Tasklet, Wcr,
     };
+    use std::collections::HashMap;
 
     fn symbols(pairs: &[(&str, i64)]) -> HashMap<String, i64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()

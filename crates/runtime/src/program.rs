@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use dace_sdfg::{CondExpr, Sdfg};
+use dace_sdfg::Sdfg;
 use dace_tensor::Tensor;
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -655,19 +655,6 @@ impl Session {
             .and_then(|id| self.st.slab[id as usize].as_ref())
     }
 
-    /// Take ownership of all live arrays (inputs, outputs and surviving
-    /// transients), draining the slab.  Bindings are cleared; the session
-    /// stays usable, but the next run re-materialises its containers.
-    pub fn take_arrays(&mut self) -> HashMap<String, Tensor> {
-        self.provided.fill(false);
-        let names = &self.program.plan().arrays.names;
-        names
-            .iter()
-            .enumerate()
-            .filter_map(|(id, name)| self.st.slab[id].take().map(|t| (name.clone(), t)))
-            .collect()
-    }
-
     /// The memory tracker of the most recent run (for tests and benchmarks).
     pub fn tracker(&self) -> &MemoryTracker {
         &self.st.tracker
@@ -744,82 +731,5 @@ impl Session {
         st.report.plan_cache_hits = cache.hits;
         st.report.plan_cache_misses = cache.misses;
         Ok(st.report.clone())
-    }
-
-    /// Evaluate a control-flow condition against explicit string bindings.
-    ///
-    /// Retained for source compatibility with pre-plan callers; internal
-    /// execution evaluates the lowered `PlanCond` over the symbol file
-    /// instead, so changes to condition semantics belong there first.
-    pub fn eval_cond(
-        &mut self,
-        cond: &CondExpr,
-        bindings: &HashMap<String, i64>,
-    ) -> RuntimeResult<bool> {
-        match cond {
-            CondExpr::Cmp { lhs, op, rhs } => {
-                let a = self.eval_cond_operand(lhs, bindings)?;
-                let b = self.eval_cond_operand(rhs, bindings)?;
-                Ok(op.apply(a, b))
-            }
-            CondExpr::Not(inner) => Ok(!self.eval_cond(inner, bindings)?),
-            CondExpr::StoredFlag(name) => {
-                self.ensure_allocated_by_name(name)?;
-                let t = self
-                    .array(name)
-                    .ok_or_else(|| RuntimeError::UnknownArray(name.clone()))?;
-                Ok(t.data().first().copied().unwrap_or(0.0) != 0.0)
-            }
-        }
-    }
-
-    fn eval_cond_operand(
-        &mut self,
-        op: &dace_sdfg::CondOperand,
-        bindings: &HashMap<String, i64>,
-    ) -> RuntimeResult<f64> {
-        use dace_sdfg::CondOperand;
-        match op {
-            CondOperand::Const(v) => Ok(*v),
-            CondOperand::Sym(e) => Ok(e.eval(bindings)? as f64),
-            CondOperand::Element { array, index } => {
-                self.ensure_allocated_by_name(array)?;
-                let idx: Vec<i64> = index
-                    .iter()
-                    .map(|e| e.eval(bindings))
-                    .collect::<Result<_, _>>()?;
-                let t = self
-                    .array(array)
-                    .ok_or_else(|| RuntimeError::UnknownArray(array.clone()))?;
-                let uidx: Vec<usize> = idx
-                    .iter()
-                    .map(|&v| {
-                        if v < 0 {
-                            Err(RuntimeError::BadIndex {
-                                array: array.clone(),
-                                index: idx.clone(),
-                            })
-                        } else {
-                            Ok(v as usize)
-                        }
-                    })
-                    .collect::<Result<_, _>>()?;
-                t.at(&uidx).map_err(|_| RuntimeError::BadIndex {
-                    array: array.clone(),
-                    index: idx.clone(),
-                })
-            }
-        }
-    }
-
-    fn ensure_allocated_by_name(&mut self, name: &str) -> RuntimeResult<()> {
-        let id = self
-            .program
-            .plan()
-            .arrays
-            .id(name)
-            .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
-        let Session { program, st, .. } = self;
-        st.ensure_allocated(program.plan.as_ref(), id)
     }
 }

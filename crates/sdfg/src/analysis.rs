@@ -177,78 +177,6 @@ pub fn is_full_overwrite(subset: &Subset, desc: &ArrayDesc, wcr: bool) -> bool {
         })
 }
 
-/// Per-state classification of how each array is accessed, used by the AD
-/// engine for gradient clearing and forwarding decisions.
-#[derive(Clone, Debug, Default)]
-pub struct AccessSummary {
-    /// Arrays read in the state (outside or inside maps).
-    pub reads: BTreeSet<String>,
-    /// Arrays written in the state.
-    pub writes: BTreeSet<String>,
-    /// Arrays that are fully overwritten by at least one write.
-    pub overwrites: BTreeSet<String>,
-}
-
-/// Summarise accesses of a state graph.
-pub fn summarize_accesses(graph: &DataflowGraph, sdfg: &Sdfg) -> AccessSummary {
-    let mut summary = AccessSummary {
-        reads: graph.reads().into_keys().collect(),
-        writes: BTreeSet::new(),
-        overwrites: BTreeSet::new(),
-    };
-    for (array, memlets) in graph.writes() {
-        summary.writes.insert(array.clone());
-        if let Ok(desc) = sdfg.array(&array) {
-            for m in &memlets {
-                if is_full_overwrite(&m.subset, desc, m.wcr.is_some()) {
-                    summary.overwrites.insert(array.clone());
-                }
-            }
-        }
-    }
-    summary
-}
-
-/// Estimated floating-point cost of executing the whole SDFG once under the
-/// given symbol bindings (loops multiply by their trip count).
-pub fn sdfg_flop_estimate(sdfg: &Sdfg, bindings: &HashMap<String, i64>) -> f64 {
-    cfg_flops(sdfg, &sdfg.cfg, bindings)
-}
-
-fn cfg_flops(sdfg: &Sdfg, cfg: &ControlFlow, bindings: &HashMap<String, i64>) -> f64 {
-    match cfg {
-        ControlFlow::State(id) => sdfg.states[*id].graph.flop_estimate(bindings),
-        ControlFlow::Sequence(children) => {
-            children.iter().map(|c| cfg_flops(sdfg, c, bindings)).sum()
-        }
-        ControlFlow::Loop(l) => {
-            let start = l.start.eval(bindings).unwrap_or(0);
-            let end = l.end.eval(bindings).unwrap_or(0);
-            let step = l.step.eval(bindings).unwrap_or(1);
-            let trips = if step > 0 {
-                ((end - start).max(0) + step - 1) / step.max(1)
-            } else if step < 0 {
-                ((start - end).max(0) + (-step) - 1) / (-step)
-            } else {
-                0
-            };
-            let mut inner = bindings.clone();
-            inner.insert(l.var.clone(), start);
-            trips as f64 * cfg_flops(sdfg, &l.body, &inner)
-        }
-        ControlFlow::Branch(b) => {
-            // Pessimistic: the more expensive arm.
-            let t = cfg_flops(sdfg, &b.then_body, bindings);
-            let e = b
-                .else_body
-                .as_ref()
-                .map(|e| cfg_flops(sdfg, e, bindings))
-                .unwrap_or(0.0);
-            t.max(e)
-        }
-    }
-}
-
 /// The trip count of a loop region under symbol bindings (0 if empty).
 pub fn loop_trip_count(
     start: &SymExpr,
@@ -573,30 +501,6 @@ mod tests {
             &scalar_desc,
             false
         ));
-    }
-
-    #[test]
-    fn access_summary_classifies() {
-        let sdfg = fig2_sdfg();
-        let summary = summarize_accesses(&sdfg.states[0].graph, &sdfg);
-        assert!(summary.reads.contains("M"));
-        assert!(summary.writes.contains("A"));
-        assert!(summary.overwrites.is_empty() || summary.overwrites.contains("A"));
-        let s2 = summarize_accesses(&sdfg.states[1].graph, &sdfg);
-        assert!(s2.reads.contains("A") && s2.reads.contains("C"));
-        assert!(s2.writes.contains("O") && s2.writes.contains("E"));
-    }
-
-    #[test]
-    fn flop_estimate_counts_loop_trips() {
-        let sdfg = fig2_sdfg();
-        let mut bind = HashMap::new();
-        bind.insert("S".to_string(), 10);
-        bind.insert("TSTEPS".to_string(), 3);
-        let flops = sdfg_flop_estimate(&sdfg, &bind);
-        // state_1: 3 maps x 10 elements x 1 op = 30; state_2: E map 10*0 + O map 10*2 = 20
-        // total per iteration = 50, times 3 iterations = 150.
-        assert_eq!(flops, 150.0);
     }
 
     #[test]

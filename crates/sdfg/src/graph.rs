@@ -116,18 +116,6 @@ pub enum DfNode {
     Library(LibraryOp),
 }
 
-impl DfNode {
-    /// Short human-readable label.
-    pub fn label(&self) -> String {
-        match self {
-            DfNode::Access(name) => format!("access:{name}"),
-            DfNode::Tasklet(t) => format!("tasklet:{}", t.label),
-            DfNode::MapScope(m) => format!("map[{}]", m.params.join(",")),
-            DfNode::Library(op) => format!("lib:{op:?}"),
-        }
-    }
-}
-
 /// A directed edge between two nodes, annotated with a memlet.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Edge {
@@ -323,18 +311,6 @@ impl DataflowGraph {
         out
     }
 
-    /// Find the ids of all access nodes of a given array.
-    pub fn access_nodes(&self, array: &str) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match n {
-                DfNode::Access(name) if name == array => Some(i),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Estimated floating-point operation count of one execution of the graph
     /// under the given symbol bindings (used by the recomputation cost model).
     pub fn flop_estimate(&self, bindings: &HashMap<String, i64>) -> f64 {
@@ -517,13 +493,5 @@ mod tests {
             LibraryOp::SumReduce { accumulate: true }.output_connectors(),
             vec!["OUT"]
         );
-    }
-
-    #[test]
-    fn access_nodes_lookup() {
-        let g = simple_graph();
-        assert_eq!(g.access_nodes("A"), vec![0]);
-        assert_eq!(g.access_nodes("B"), vec![2]);
-        assert!(g.access_nodes("C").is_empty());
     }
 }

@@ -66,7 +66,7 @@ pub mod symexpr;
 pub mod tasklet;
 pub mod verify;
 
-pub use analysis::{compute_ccs, is_full_overwrite, summarize_accesses, AccessSummary, CcsInfo};
+pub use analysis::{compute_ccs, is_full_overwrite, CcsInfo};
 pub use deps::{analyze_map, AffineAccess, Conflict, ParVerdict};
 pub use graph::{DataflowGraph, DfNode, Edge, LibraryOp, MapScope, NodeId};
 pub use memlet::{IndexRange, Memlet, Subset, SubsetClass, Wcr};

@@ -113,15 +113,6 @@ impl Subset {
         }
     }
 
-    /// True if the subset indexes exactly by the given parameters, in order
-    /// (`A[i, j]` for params `[i, j]`).
-    pub fn is_identity_of(&self, params: &[String]) -> bool {
-        self.0.len() == params.len()
-            && self.0.iter().zip(params.iter()).all(
-                |(r, p)| matches!(r, IndexRange::Index(crate::symexpr::SymExpr::Sym(s)) if s == p),
-            )
-    }
-
     /// Evaluate an element subset to a concrete multi-index.
     pub fn eval_indices(&self, bindings: &HashMap<String, i64>) -> Result<Vec<i64>, SymError> {
         self.0
@@ -280,18 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn classification_and_identity_detection() {
-        let params = vec!["i".to_string(), "j".to_string()];
-        let identity = Subset::indices(vec![SymExpr::sym("i"), SymExpr::sym("j")]);
-        assert_eq!(identity.classify(), SubsetClass::Element);
-        assert!(identity.is_identity_of(&params));
-        // Wrong order, wrong arity, and offset indices are not identities.
-        let swapped = Subset::indices(vec![SymExpr::sym("j"), SymExpr::sym("i")]);
-        assert!(!swapped.is_identity_of(&params));
-        let short = Subset::indices(vec![SymExpr::sym("i")]);
-        assert!(!short.is_identity_of(&params));
-        let offset = Subset::indices(vec![SymExpr::sym("i").add_int(1), SymExpr::sym("j")]);
-        assert!(!offset.is_identity_of(&params));
+    fn subset_classification() {
+        let element = Subset::indices(vec![SymExpr::sym("i"), SymExpr::sym("j")]);
+        assert_eq!(element.classify(), SubsetClass::Element);
         assert_eq!(Subset::all().classify(), SubsetClass::All);
         let ranged = Subset(vec![IndexRange::range(SymExpr::int(0), SymExpr::sym("N"))]);
         assert_eq!(ranged.classify(), SubsetClass::Other);

@@ -62,11 +62,6 @@ impl ArrayDesc {
         }
     }
 
-    /// Scalar (shape `[1]`) transient.
-    pub fn scalar_transient() -> Self {
-        Self::transient(vec![SymExpr::Int(1)])
-    }
-
     /// Total element count under symbol bindings.
     pub fn volume(&self, bindings: &HashMap<String, i64>) -> Result<i64, SymError> {
         self.shape.iter().try_fold(1i64, |v, d| {
@@ -358,14 +353,6 @@ impl Sdfg {
         self.states.len() - 1
     }
 
-    /// Convenience: add a state with a fresh dataflow graph and return its id.
-    pub fn add_empty_state(&mut self, name: impl Into<String>) -> usize {
-        self.add_state(State {
-            name: name.into(),
-            graph: DataflowGraph::new(),
-        })
-    }
-
     /// The descriptor of an array.
     pub fn array(&self, name: &str) -> Result<&ArrayDesc, SdfgError> {
         self.arrays
@@ -479,6 +466,22 @@ mod tests {
             .validate()
             .iter()
             .any(|d| d.code == DiagCode::UnknownState(3)));
+    }
+
+    #[test]
+    fn validate_detects_unreachable_state() {
+        let mut s = Sdfg::new("p");
+        for name in ["runs", "never"] {
+            s.add_state(State {
+                name: name.into(),
+                graph: DataflowGraph::new(),
+            });
+        }
+        s.cfg = ControlFlow::State(0);
+        let diags = s.validate();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, DiagCode::UnreachableState(1));
+        assert_eq!(diags[0].severity, crate::verify::Severity::Warning);
     }
 
     #[test]

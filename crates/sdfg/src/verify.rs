@@ -25,7 +25,9 @@
 //!   parameters; iterator names shadowing an outer binding; tasklet edges
 //!   without connectors (the runtime reports these lazily, and only if the
 //!   state is ever executed); memlets whose `data` disagrees with the
-//!   access node they attach to; constant zero loop steps.
+//!   access node they attach to; constant zero loop steps; states that no
+//!   control-flow node references (they are lowered and listed like the
+//!   others, but can never run).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -59,6 +61,8 @@ impl fmt::Display for Severity {
 pub enum DiagCode {
     /// Control flow references a state index that does not exist.
     UnknownState(usize),
+    /// No control-flow node references the state: it can never run.
+    UnreachableState(usize),
     /// A state's dataflow graph is cyclic.
     CyclicState(String),
     /// An edge endpoint is not a node of its graph.
@@ -629,7 +633,23 @@ impl Sdfg {
                 }
             }
         }
+        let mut reachable = vec![false; self.states.len()];
+        for sid in self.cfg.states_in_order() {
+            // An index past the table is `UnknownState`'s to report.
+            if let Some(reached) = reachable.get_mut(sid) {
+                *reached = true;
+            }
+        }
         for (sid, st) in self.states.iter().enumerate() {
+            if !reachable[sid] {
+                v.push(
+                    Severity::Warning,
+                    DiagCode::UnreachableState(sid),
+                    Some(sid),
+                    None,
+                    format!("no control-flow node references state `{}`", st.name),
+                );
+            }
             // A dangling edge would make the topological sort index out of
             // bounds; it is reported per edge, and cyclicity is moot then.
             if !has_dangling_edges(&st.graph) && st.graph.topological_order().is_none() {

@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 
 use dace_ad_repro::frontend::{elem, iter_val, lit};
-use dace_ad_repro::npbench::{all_kernels, kernel_by_name, Preset};
+use dace_ad_repro::npbench::{all_kernels, kernel_by_name, listing1, Preset};
 use dace_ad_repro::prelude::*;
 use dace_ad_repro::runtime::{MapStrategy, RowMode, SpecMode};
 use dace_ad_repro::sdfg::Sdfg;
@@ -219,31 +219,9 @@ fn gradients_are_bit_identical_at_the_bench_preset() {
 /// between the adjoint ones, under free hints.
 #[test]
 fn checkpointed_gradients_are_bit_identical_at_the_bench_preset() {
-    use ArrayExpr as A;
     // The paper's Listing-1 over 96 x 96 arrays: three `sin` sites whose
     // inputs must be forwarded to the backward pass.
-    let listing1 = {
-        let mut b = ProgramBuilder::new("listing1");
-        let n = b.symbol("N");
-        for input in ["C", "D"] {
-            b.add_input(input, vec![n.clone(), n.clone()]).unwrap();
-        }
-        for t in ["A0", "A1", "A2", "sin0", "sin1", "sin2", "D1", "D2", "tmp"] {
-            b.add_transient(t, vec![n.clone(), n.clone()]).unwrap();
-        }
-        b.add_scalar("OUT").unwrap();
-        b.assign("A0", A::a("C").mul(A::a("D")));
-        b.assign("sin0", A::a("A0").sin());
-        b.assign("D1", A::a("D").mul(A::s(6.0)));
-        b.assign("A1", A::a("C").mul(A::a("D1")));
-        b.assign("sin1", A::a("A1").sin());
-        b.assign("D2", A::a("D1").mul(A::s(3.0)));
-        b.assign("A2", A::a("C").mul(A::a("D2")));
-        b.assign("sin2", A::a("A2").sin());
-        b.assign("tmp", A::a("sin0").add(A::a("sin1")).add(A::a("sin2")));
-        b.sum_into("OUT", "tmp", false);
-        b.build().unwrap()
-    };
+    let listing1 = listing1();
     let n = 96usize;
     let symbols = HashMap::from([("N".to_string(), n as i64)]);
     let fill = |seed: f64| {
