@@ -67,17 +67,16 @@ const SERVE_KERNELS: [&str; 2] = ["atax", "jacobi2d"];
 
 /// The loop kernels, whose gradient programs the `specialized_kernels` row
 /// times VM vs specialized, each with the loop sites of its gradient program
-/// (in program order) that stay on the VM — every one of them a
-/// multi-state body: jacobi1d's time loops run two map states per step,
-/// trmm's forward `k` loop gains a tape-store state (a second tasklet).  Any other site that
-/// stops attaching fails the row.
+/// (in program order) that stay on the VM — multi-state bodies: jacobi1d's
+/// time loops run two map states per step.  Any other site that stops
+/// attaching fails the row.
 const SPEC_KERNELS: [(&str, &[usize]); 7] = [
     ("jacobi1d", &[0, 1]),
     ("seidel2d", &[]),
     ("jacobi2d", &[]),
     ("syrk", &[]),
     ("syr2k", &[]),
-    ("trmm", &[0]),
+    ("trmm", &[]),
     ("conv2d", &[]),
 ];
 

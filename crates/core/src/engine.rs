@@ -952,14 +952,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gradient_through_sequential_loop_with_overwrites() {
-        // for i in 1..N: A[i] = A[i] * A[i-1]; OUT = sum(A)
-        // Non-linear in-place updates exercise tapes and gradient clearing.
-        let mut b = ProgramBuilder::new("loopchain");
-        let n = b.symbol("N");
-        b.add_input("A", vec![n.clone()]).unwrap();
-        b.add_scalar("OUT").unwrap();
+    /// `for i in 1..N: A[i] = A[i] * A[i-1]` inside `b`: non-linear in-place
+    /// updates, whose adjoint needs both operands from a tape.
+    fn product_loop(b: &mut ProgramBuilder, n: &SymExpr) {
         let i = SymExpr::sym("i");
         b.for_range("i", 1, n.clone(), |b| {
             b.assign_element(
@@ -968,12 +963,202 @@ mod tests {
                 elem("A", vec![i.clone()]).mul(elem("A", vec![i.sub(&SymExpr::int(1))])),
             );
         });
+    }
+
+    /// The product loop and `OUT = sum(A)`, over 5 elements.
+    fn loopchain() -> (Sdfg, HashMap<String, i64>, HashMap<String, Tensor>) {
+        let mut b = ProgramBuilder::new("loopchain");
+        let n = b.symbol("N");
+        b.add_input("A", vec![n.clone()]).unwrap();
+        b.add_scalar("OUT").unwrap();
+        product_loop(&mut b, &n);
         b.sum_into("OUT", "A", false);
-        let fwd = b.build().unwrap();
-        let syms = symbols(&[("N", 5)]);
-        let mut inputs = HashMap::new();
-        inputs.insert("A".to_string(), uniform(&[5], 7).add_scalar(0.5));
+        let a = uniform(&[5], 7).add_scalar(0.5);
+        let inputs = HashMap::from([("A".to_string(), a)]);
+        (b.build().unwrap(), symbols(&[("N", 5)]), inputs)
+    }
+
+    #[test]
+    fn gradient_through_sequential_loop_with_overwrites() {
+        // Exercises tapes and gradient clearing.
+        let (fwd, syms, inputs) = loopchain();
         check_against_fd(&fwd, "OUT", &["A"], &syms, &inputs, 1e-4);
+    }
+
+    /// NPBench's trmm at its test preset: the `k` loop accumulates into
+    /// `B[i, j]` from `B[k, j]`, an operand later rows overwrite.
+    fn trmm() -> (Sdfg, HashMap<String, i64>, HashMap<String, Tensor>) {
+        let mut b = ProgramBuilder::new("trmm");
+        let (m, n) = (b.symbol("M"), b.symbol("N"));
+        b.add_input("A", vec![m.clone(), m.clone()]).unwrap();
+        b.add_input("B", vec![m.clone(), n.clone()]).unwrap();
+        b.add_scalar("OUT").unwrap();
+        let at = |r: &str, c: &str| vec![SymExpr::sym(r), SymExpr::sym(c)];
+        b.for_range("i", 0, m.clone(), |b| {
+            b.for_range("j", 0, n.clone(), |b| {
+                b.for_range("k", SymExpr::sym("i").add_int(1), m.clone(), |b| {
+                    let term = elem("A", at("k", "i")).mul(elem("B", at("k", "j")));
+                    b.accumulate_element("B", at("i", "j"), term);
+                });
+                let scaled = elem("B", at("i", "j")).mul(dace_frontend::lit(1.5));
+                b.assign_element("B", at("i", "j"), scaled);
+            });
+        });
+        b.sum_into("OUT", "B", false);
+        let inputs = HashMap::from([
+            ("A".to_string(), uniform(&[5, 5], 40)),
+            ("B".to_string(), uniform(&[5, 6], 41)),
+        ]);
+        (b.build().unwrap(), symbols(&[("M", 5), ("N", 6)]), inputs)
+    }
+
+    /// Bits of the output and the requested gradients after one run of the
+    /// engine's gradient program under `mode`.
+    fn gradient_bits(
+        engine: &GradientEngine,
+        inputs: &HashMap<String, Tensor>,
+        mode: dace_runtime::SpecMode,
+    ) -> Vec<Vec<u64>> {
+        let plan = engine.plan();
+        let program = engine.gradient_program();
+        let mut session = program.session().with_free_hints(&plan.free_hints);
+        session.force_specialization(mode);
+        for (name, tensor) in inputs {
+            session.set_input(name, tensor.clone()).unwrap();
+        }
+        session.run().unwrap();
+        let arrays =
+            std::iter::once(&plan.output).chain(plan.inputs.iter().map(|i| &plan.gradients[i]));
+        let bits = |a| session.array(a).unwrap().data().iter().map(|v| v.to_bits());
+        arrays.map(|a| bits(a).collect()).collect()
+    }
+
+    /// The scalar tape store of a tasklet that is alone in its state is one
+    /// more assignment and write of the cloned tasklet, not a `*_store` state
+    /// in front of it: an instrumented loop body stays one state, the loop
+    /// site attaches its kernel, and the kernel agrees with the VM bitwise.
+    #[test]
+    fn tape_stores_fold_into_the_tasklet_that_reads_the_value() {
+        use dace_runtime::{MapStrategy, SpecMode};
+        use dace_sdfg::DfNode;
+        // (program, the stores its forward loop tasklet gains).
+        let cases = [
+            (loopchain(), &["store_0", "store_1"][..]),
+            (trmm(), &["store_0"]),
+        ];
+        for ((fwd, syms, inputs), stores) in cases {
+            let name = &fwd.name;
+            let wrt: Vec<&str> = inputs.keys().map(String::as_str).collect();
+            let engine =
+                GradientEngine::new(&fwd, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
+            let sdfg = &engine.plan().sdfg;
+            assert_eq!(sdfg.validate(), [], "{name}");
+            let stored: Vec<_> = sdfg
+                .states
+                .iter()
+                .filter(|s| s.name.ends_with("_store"))
+                .collect();
+            assert!(stored.is_empty(), "{name}: {stored:?}");
+            // Every loop is a site of one state that the kernel took.
+            let sites = engine.gradient_program().loop_strategies();
+            assert_eq!(sites.len(), 2, "{name}: the loop and its reversal");
+            for site in &sites {
+                assert_eq!(site.strategy, MapStrategy::Kernel, "{name}: {site:?}");
+            }
+            // One assignment per stored connector beside the tasklet's own,
+            // each written to a tape of its own.
+            let body = &sdfg.states[sites[0].state].graph;
+            let tasklets = body.nodes.iter().enumerate().filter_map(|(id, n)| match n {
+                DfNode::Tasklet(t) => Some((id, t)),
+                _ => None,
+            });
+            let [(id, tasklet)] = tasklets.collect::<Vec<_>>()[..] else {
+                panic!("{name}: the forward loop body holds one tasklet");
+            };
+            let assigned: Vec<&str> = tasklet.code[1..].iter().map(|(o, _)| o.as_str()).collect();
+            assert_eq!(assigned, stores, "{name}");
+            let tapes: Vec<&str> = (body.out_edges(id).iter().skip(1))
+                .map(|e| e.memlet.data.as_str())
+                .collect();
+            assert_eq!(tapes.len(), stores.len(), "{name}");
+            assert!(
+                tapes.iter().all(|t| t.starts_with("fwd_store_")),
+                "{name}: {tapes:?}"
+            );
+
+            check_against_fd(&fwd, "OUT", &wrt, &syms, &inputs, 1e-4);
+            let vm = gradient_bits(&engine, &inputs, SpecMode::ForceOff);
+            assert_eq!(
+                gradient_bits(&engine, &inputs, SpecMode::Auto),
+                vm,
+                "{name}"
+            );
+        }
+    }
+
+    /// Candidates whose slices border an instrumented loop: the last `T` is
+    /// produced and last read right before the product loop, whose body
+    /// state now writes its tapes itself.  Recomputing a `T` re-runs its
+    /// producer and nothing of the loop; the tapes live from the loop to its
+    /// reversal in the model as in the run.
+    #[test]
+    fn recomputation_beside_an_instrumented_loop_predicts_its_peak() {
+        let mut b = ProgramBuilder::new("beside_a_loop");
+        let n = b.symbol("N");
+        b.add_input("A", vec![n.clone()]).unwrap();
+        b.add_input("X", vec![n.clone()]).unwrap();
+        b.add_scalar("OUT").unwrap();
+        let stages = [("T0", "S0", 2.0), ("T1", "S1", 3.0), ("T2", "S2", 4.0)];
+        for (t, s, factor) in stages {
+            b.add_transient(t, vec![n.clone()]).unwrap();
+            b.add_transient(s, vec![n.clone()]).unwrap();
+            b.assign(t, ArrayExpr::a("X").mul(ArrayExpr::s(factor)));
+            b.assign(s, ArrayExpr::a(t).sin());
+        }
+        product_loop(&mut b, &n);
+        b.sum_into("OUT", "A", false);
+        for (_, s, _) in stages {
+            b.sum_into("OUT", s, true);
+        }
+        let fwd = b.build().unwrap();
+        let syms = symbols(&[("N", 64)]);
+        let inputs = HashMap::from([
+            ("A".to_string(), uniform(&[64], 7).add_scalar(0.5)),
+            ("X".to_string(), uniform(&[64], 8)),
+        ]);
+        let run = |strategy: CheckpointStrategy| {
+            let options = AdOptions::builder().strategy(strategy).build();
+            let mut engine =
+                GradientEngine::new(&fwd, "OUT", &["A", "X"], &syms, &options).unwrap();
+            let result = engine.run(&inputs).unwrap();
+            let report = engine.plan().ilp_report.clone().unwrap();
+            assert_eq!(report.predicted_peak_bytes, result.report.peak_bytes);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let gradients: Vec<_> = result.gradients.values().map(bits).collect();
+            (gradients, report, engine)
+        };
+        let (store_all, stored, _) = run(CheckpointStrategy::StoreAll);
+        let (recomputed, report, engine) = run(CheckpointStrategy::RecomputeAll);
+        assert_eq!(report.recomputed.len(), 3, "{:?}", report.stored);
+        assert_eq!(recomputed, store_all);
+        assert!(report.predicted_peak_bytes < stored.predicted_peak_bytes);
+        // The slices are the producers alone: no recompute state writes a tape.
+        let sdfg = &engine.plan().sdfg;
+        let slices = sdfg
+            .states
+            .iter()
+            .filter(|s| s.name.starts_with("recompute_"));
+        let mut written: Vec<String> = slices.flat_map(|s| s.graph.writes().into_keys()).collect();
+        written.sort();
+        assert_eq!(written, ["T0", "T1", "T2"]);
+        // A limit one array below the store-all peak: the ILP recomputes too.
+        let limit = stored.predicted_peak_bytes - 64 * 8;
+        let (under_limit, report, _) = run(CheckpointStrategy::Ilp {
+            memory_limit_bytes: limit,
+        });
+        assert!(report.feasible && report.predicted_peak_bytes <= limit);
+        assert!(!report.recomputed.is_empty());
+        assert_eq!(under_limit, store_all);
     }
 
     #[test]

@@ -168,6 +168,22 @@ fn flatten(cf: ControlFlow) -> Vec<ControlFlow> {
     }
 }
 
+/// Where a tasklet under reversal lives, which decides how the forward
+/// values its adjoint needs reach the backward pass when they cannot be read
+/// in place.
+#[derive(Clone, Copy)]
+enum TaskletSite {
+    /// In a map body: whole-array copies, so that the per-point index
+    /// expressions keep working.
+    MapBody,
+    /// The one compute node of a state, cloned as this state of the gradient
+    /// program: scalar tape stores are folded into the clone's tasklet.
+    Alone(usize),
+    /// Beside other compute nodes of its state: a scalar tape-store state in
+    /// front of the clone.
+    Among,
+}
+
 /// Context of an enclosing sequential loop during reversal (used for tape
 /// shapes and indices).
 #[derive(Clone, Debug)]
@@ -476,6 +492,11 @@ impl<'a> Ctx<'a> {
 
         let mut tape_states: Vec<ControlFlow> = Vec::new();
         let mut adjoint_states: Vec<ControlFlow> = Vec::new();
+        let computes = graph
+            .nodes
+            .iter()
+            .filter(|n| !matches!(n, DfNode::Access(_)));
+        let alone = computes.count() == 1;
 
         for &node in order.iter().rev() {
             if !marked.contains(&node) {
@@ -484,7 +505,12 @@ impl<'a> Ctx<'a> {
             match &graph.nodes[node] {
                 DfNode::Access(_) => {}
                 DfNode::Tasklet(t) => {
-                    let (tapes, adjoint) = self.reverse_tasklet(&graph, node, t, pos, false)?;
+                    let site = if alone {
+                        TaskletSite::Alone(cloned_id)
+                    } else {
+                        TaskletSite::Among
+                    };
+                    let (tapes, adjoint) = self.reverse_tasklet(&graph, node, t, pos, site)?;
                     tape_states.extend(tapes);
                     if let Some(adjoint) = adjoint {
                         let sid = self.out.add_state(State {
@@ -522,12 +548,20 @@ impl<'a> Ctx<'a> {
     /// either directly (safe) or through a per-iteration tape.
     ///
     /// Returns the memlet the backward pass should read, and optionally the
-    /// tape-store state to insert in the forward pass.
+    /// tape-store state to insert in the forward pass.  With `fold = (state,
+    /// node, connector)` — the read feeds `connector` of the tasklet `node`,
+    /// the one compute node of the cloned forward `state` — the store is
+    /// instead one more assignment and out-edge of that tasklet, `store_k =
+    /// connector` → `tape[offsets]`: a tasklet's reads precede its writes, so
+    /// the connector holds exactly the value the adjoint needs, and an
+    /// instrumented loop body stays the single state the loop site attaches
+    /// to.
     fn forward_scalar_value(
         &mut self,
         array: &str,
         idx: &[SymExpr],
         pos: usize,
+        fold: Option<(usize, NodeId, &str)>,
     ) -> Result<(Memlet, Option<ControlFlow>), AdError> {
         if self.is_safe_read(array, pos) {
             self.note_candidate(array);
@@ -554,6 +588,22 @@ impl<'a> Ctx<'a> {
         if tape_idx.is_empty() {
             tape_idx.push(SymExpr::int(0));
         }
+        let stored = Memlet::element(&tape, tape_idx);
+        if let Some((state, node, conn)) = fold {
+            let g = &mut self.out.states[state].graph;
+            let DfNode::Tasklet(t) = &mut g.nodes[node] else {
+                unreachable!("the clone holds the tasklet under reversal at its node id")
+            };
+            let taken = t.output_connectors();
+            let out = (t.code.len() - 1..)
+                .map(|k| format!("store_{k}"))
+                .find(|name| !taken.contains(name))
+                .expect("an unbounded range of names");
+            t.code.push((out.clone(), ScalarExpr::input(conn)));
+            let dst = g.add_access(&tape);
+            g.add_edge(node, Some(&out), dst, None, stored.clone());
+            return Ok((stored, None));
+        }
         // Store state: tape[offsets] = array[idx]
         let mut g = DataflowGraph::new();
         let src = g.add_access(array);
@@ -566,21 +616,12 @@ impl<'a> Ctx<'a> {
             Some("v"),
             Memlet::element(array, idx.to_vec()),
         );
-        g.add_edge(
-            t,
-            Some("out"),
-            dst,
-            None,
-            Memlet::element(&tape, tape_idx.clone()),
-        );
+        g.add_edge(t, Some("out"), dst, None, stored.clone());
         let sid = self.out.add_state(State {
             name: format!("{tape}_store"),
             graph: g,
         });
-        Ok((
-            Memlet::element(&tape, tape_idx),
-            Some(ControlFlow::State(sid)),
-        ))
+        Ok((stored, Some(ControlFlow::State(sid))))
     }
 
     /// Decide how the backward pass obtains the forward value of a whole
@@ -677,17 +718,16 @@ impl<'a> Ctx<'a> {
 
     /// Reverse one tasklet: the tape-store states the forward pass gains and
     /// the adjoint dataflow graph (`None` if the tasklet's output does not
-    /// contribute).  The caller makes the graph a state of its own, or —
-    /// with `in_map`, the tasklet living in a map body — the body of the
-    /// adjoint map; there, forwarded whole-array copies are used instead of
-    /// scalar tapes.
+    /// contribute).  The caller makes the graph a state of its own, or — the
+    /// tasklet living in a map body — the body of the adjoint map; `site`
+    /// decides how the forward values the adjoint needs are kept.
     fn reverse_tasklet(
         &mut self,
         graph: &DataflowGraph,
         node: NodeId,
         tasklet: &Tasklet,
         pos: usize,
-        in_map: bool,
+        site: TaskletSite,
     ) -> Result<(Vec<ControlFlow>, Option<DataflowGraph>), AdError> {
         if tasklet.code.len() != 1 {
             return Err(AdError::Unsupported(format!(
@@ -745,15 +785,18 @@ impl<'a> Ctx<'a> {
                     tasklet.label
                 )));
             };
-            let (value_memlet, store) = if in_map {
-                // Inside a map body: forward whole-array copies so that the
-                // per-point index expressions keep working.
-                let (container, offsets, store) = self.forward_array_value(&memlet.data, pos)?;
-                let mut idx = offsets;
-                idx.extend(memlet.subset.eval_symbolic());
-                (Memlet::element(container, idx), store)
-            } else {
-                self.forward_scalar_value(&memlet.data, &memlet.subset.eval_symbolic(), pos)?
+            let idx = memlet.subset.eval_symbolic();
+            let (value_memlet, store) = match site {
+                TaskletSite::MapBody => {
+                    let (container, mut at, store) = self.forward_array_value(&memlet.data, pos)?;
+                    at.extend(idx);
+                    (Memlet::element(container, at), store)
+                }
+                TaskletSite::Alone(state) => {
+                    let fold = Some((state, node, conn.as_str()));
+                    self.forward_scalar_value(&memlet.data, &idx, pos, fold)?
+                }
+                TaskletSite::Among => self.forward_scalar_value(&memlet.data, &idx, pos, None)?,
             };
             if let Some(s) = store {
                 tape_states.push(s);
@@ -864,7 +907,7 @@ impl<'a> Ctx<'a> {
             unreachable!()
         };
         let (tape_states, body_graph) =
-            self.reverse_tasklet(&map.body, tnode, tasklet, pos, true)?;
+            self.reverse_tasklet(&map.body, tnode, tasklet, pos, TaskletSite::MapBody)?;
         let Some(body_graph) = body_graph else {
             return Ok((tape_states, Vec::new()));
         };

@@ -486,8 +486,9 @@ fn strategy_columns(
         sites.filter(|m| m.rows == Some(mode)).count()
     };
     report.push(format!(
-        "{label} rows: {} site(s) in strips, {} per point",
+        "{label} rows: {} site(s) in strips, {} in strips with writes per point, {} per point",
         rows(dace_runtime::RowMode::Strips),
+        rows(dace_runtime::RowMode::StripsUnorderedWrites),
         rows(dace_runtime::RowMode::PerPointCarriedRead)
     ));
     ([maps, loops], report)

@@ -85,8 +85,9 @@ pub enum MapPath {
 /// (`f_regs` also holds the register columns of a strip), the per-tasklet
 /// output values, and the kernel executor's work vectors (the iteration
 /// variables of a loop-site dispatch, flattened accesses, the slot and value
-/// columns of a row, read and write cursors, the accessed tensors while
-/// they are out of the slab).  None of it is tracked memory.  One `Scratch`
+/// columns of a row, read and write cursors, the order of a strip row's write
+/// sweeps, the accessed tensors while they are out of the slab).  None of it
+/// is tracked memory.  One `Scratch`
 /// lives per executor.
 #[derive(Default)]
 pub(crate) struct Scratch {
@@ -99,6 +100,7 @@ pub(crate) struct Scratch {
     pub(crate) cols: Vec<f64>,
     pub(crate) srcs: Vec<KernelSrc>,
     pub(crate) dsts: Vec<KernelDst>,
+    pub(crate) sweeps: Vec<usize>,
     pub(crate) ts: Vec<Tensor>,
 }
 

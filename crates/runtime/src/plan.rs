@@ -437,7 +437,9 @@ pub enum KernelMiss {
     /// The step of the loop, or of a loop of the perfect nest below it, is
     /// not the constant `1` or `-1`: strided (`|step| ≠ 1`) or symbolic.
     NonUnitStep,
-    /// The loop's body holds no loop and is not a single state.
+    /// The loop's body holds no loop and is not a single state (jacobi1d's
+    /// time loop over two map states; a tape store does not make a body
+    /// multi-state: AD folds it into the tasklet that reads the value).
     MultiStateBody,
     /// The loop's body holds a loop but is not exactly one loop: the nest is
     /// imperfect, and the loops below attach on their own.
@@ -477,6 +479,12 @@ pub enum RowMode {
     /// point when it is short, or when such an access does not move along
     /// the row, so that every point touches the same element.)
     Strips,
+    /// Strip-mined, but the writes of a strip are applied point by point in
+    /// edge order instead of one column sweep per write: two writes share an
+    /// array and no order of their sweeps reproduces the per-point order at
+    /// every element — their flat steps along the row differ, or one of them
+    /// stays on one element (step `0`) while another write visits it.
+    StripsUnorderedWrites,
     /// Point by point, all reads of a point before its writes: the body
     /// reads an array it writes at another index than a write, so a point
     /// may read what an earlier point of its row wrote (a Gauss–Seidel
@@ -488,6 +496,12 @@ impl std::fmt::Display for RowMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RowMode::Strips => write!(f, "rows in strips"),
+            RowMode::StripsUnorderedWrites => {
+                write!(
+                    f,
+                    "rows in strips, writes per point: unordered shared-array writes"
+                )
+            }
             RowMode::PerPointCarriedRead => write!(f, "rows per point: carried read"),
         }
     }
@@ -1271,6 +1285,26 @@ impl Lowerer {
                 buf,
                 row_invariant,
             });
+        }
+        // Writes that share an array sweep one after the other only if an
+        // order of the sweeps is the per-point order at every element: all
+        // of them move by one non-zero flat step along the row (the order
+        // itself depends on the offsets, see `run_strip_row`).
+        let row_step = |w: &KernelWrite| -> i128 {
+            let layout = self.arrays.layouts[w.access.array as usize].as_ref();
+            let strides = &layout.expect("`lower_affine_subset` found it").strides;
+            let along_row = |c: &Vec<i64>| c.last().copied().unwrap_or(0) as i128;
+            (w.access.coeff.iter().zip(strides))
+                .map(|(c, &stride)| along_row(c) * stride as i128)
+                .sum()
+        };
+        let steps: Vec<i128> = writes.iter().map(row_step).collect();
+        let unordered = |(at, w): (usize, &KernelWrite)| {
+            let mut earlier = (0..at).filter(|&o| writes[o].buf == w.buf);
+            earlier.any(|o| steps[at] == 0 || steps[o] != steps[at])
+        };
+        if rows == RowMode::Strips && writes.iter().enumerate().any(unordered) {
+            rows = RowMode::StripsUnorderedWrites;
         }
         let var_syms: Vec<u32> = vars.iter().map(|v| self.sym(v)).collect();
         let (mut iter_loads, mut outer_slots, mut inner_slots) =

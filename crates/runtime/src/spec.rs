@@ -64,14 +64,16 @@
 //!   operators stay the scalar library calls) or as its recognized
 //!   [`dace_sdfg::MicroPattern`] — with reads loaded into the same slots in
 //!   the same order and all reads of a point before its writes.  Writes land
-//!   in the per-point order wherever the order can be observed: writes that
-//!   share an array are applied point-major, in edge order within a point,
-//!   in either row mode (neighbouring points of an adjoint stencil
-//!   accumulate into one element, and the order of a floating-point sum is
-//!   part of the result); only when every write has an array of its own
-//!   does a strip sweep each write's column on its own, points ascending.
-//!   So results match the VM bit for bit, a property the tests in
-//!   `tests/spec.rs` pin down at both presets.
+//!   in the per-point order wherever the order can be observed: neighbouring
+//!   points of an adjoint stencil accumulate into one element, and the order
+//!   of a floating-point sum is part of the result.  A per-point row applies
+//!   them point-major, in edge order within a point; a strip sweeps each
+//!   write's column on its own, points ascending, the sweeps that share an
+//!   array in the one order that is the per-point order at every element
+//!   (`run_strip_row`), and falls back to the point-major walk where no
+//!   such order exists ([`RowMode::StripsUnorderedWrites`]).  So results
+//!   match the VM bit for bit, a property the tests in `tests/spec.rs` pin
+//!   down at both presets.
 //! * **Aliasing-aware.**  Every access goes through the tensors the
 //!   dispatch took out of the slab, so a read of a written array observes
 //!   the writes of earlier points.  The loop site thereby preserves
@@ -92,6 +94,8 @@
 //! and only ever grows, buffer and slot lists are fixed at lowering.
 //! [`SpecMode::ForceOff`] pins pure register-VM execution, the reference the
 //! bit-identity tests compare against, mirroring [`crate::MapPath`].
+
+use std::cmp::Reverse;
 
 use dace_sdfg::STRIP;
 use dace_tensor::Tensor;
@@ -372,6 +376,7 @@ impl RunState {
             flat,
             srcs,
             dsts,
+            sweeps,
             ts,
             ..
         } = scratch;
@@ -383,7 +388,7 @@ impl RunState {
         // writes in turn.
         let moves =
             |(r, flat): (&KernelRead, &[i64])| r.buf as usize >= k.n_outs || flat[1 + inner] != 0;
-        let strips = k.rows == RowMode::Strips
+        let strips = k.rows != RowMode::PerPointCarriedRead
             && walk.trip >= MIN_STRIP_ROW
             && (k.reads.iter().zip(read_flats.chunks_exact(per_access))).all(moves);
         // One column per slot, then one per assignment: `height` points
@@ -461,7 +466,7 @@ impl RunState {
                 slots[column(slot)].fill(outer[v].at(counters[v] as usize) as f64);
             }
             match (&k.exprs[..], &dsts[..]) {
-                _ if strips => run_strip_row(walk, k, srcs, dsts, ts, slots, vals, f_regs),
+                _ if strips => run_strip_row(walk, k, srcs, dsts, sweeps, ts, slots, vals, f_regs),
                 // One assignment, one write, no instruction list to walk:
                 // the point loop monomorphized over the evaluator.
                 ([e], [d]) if e.constant || e.micro.is_some() => {
@@ -498,23 +503,41 @@ impl RunState {
 /// per-point read into its slot column in edge order (so duplicate-slot
 /// semantics match the VM: the last edge wins), fill the columns of the
 /// innermost variable, evaluate every slot-reading assignment instruction by
-/// instruction over the columns, then apply the writes.  Writes that share
-/// an array keep the per-point order — point-major, edge order within a
-/// point — because neighbouring points may accumulate into one element and
-/// the order of a floating-point sum is part of the result; only when every
-/// write has an array of its own is each column swept on its own.
+/// instruction over the columns, then apply the writes, each as one sweep
+/// of its column, points ascending.
+///
+/// Writes that share an array may meet in one element — neighbouring points
+/// of an adjoint stencil accumulate into it — and the order of a
+/// floating-point sum is part of the result, so the sweeps run in the order
+/// that is the per-point order at every element.  Under [`RowMode::Strips`]
+/// all writes to one array move by one non-zero flat `step` along the row:
+/// each touches an element at most once, element `e` takes write `w` from
+/// point `(e - off_w) / step`, and ascending points at every element are
+/// descending `off_w / step` over the sweeps, equal offsets being one point
+/// and so in edge order.  Strips run in point order, so an element two
+/// strips reach sees the earlier points first.  The offsets move with the
+/// row, so each row sorts its writes anew (into `sweeps`, by place among
+/// `dsts`); writes to different arrays compare without consequence.  What
+/// the rule cannot order ([`RowMode::StripsUnorderedWrites`]) is applied
+/// point-major, in edge order within a point.
 #[allow(clippy::too_many_arguments)]
 fn run_strip_row(
     walk: Axis,
     k: &AffineKernel,
     srcs: &[KernelSrc],
     dsts: &[KernelDst],
+    sweeps: &mut Vec<usize>,
     ts: &mut [Tensor],
     slots: &mut [f64],
     vals: &mut [f64],
     f_regs: &mut Vec<f64>,
 ) {
-    let own_arrays = k.n_outs == k.writes.len();
+    let ordered = k.rows == RowMode::Strips;
+    sweeps.clear();
+    if ordered {
+        sweeps.extend(0..dsts.len());
+        sweeps.sort_unstable_by_key(|&w| (Reverse(dsts[w].off * dsts[w].step.signum()), w));
+    }
     for first in (0..walk.trip).step_by(STRIP) {
         let n = (walk.trip - first).min(STRIP);
         let at = |off: i64, step: i64| off + first as i64 * step;
@@ -533,8 +556,8 @@ fn run_strip_row(
                 e.expr.eval_strip(slots, n, f_regs, vals);
             }
         }
-        if own_arrays {
-            for d in dsts {
+        if ordered {
+            for d in sweeps.iter().map(|&w| &dsts[w]) {
                 let (out, col) = (ts[d.buf].data_mut(), &vals[d.expr * STRIP..][..n]);
                 if d.accumulate {
                     scatter(out, at(d.off, d.step), d.step, col, |o, v| *o += v);

@@ -14,7 +14,8 @@
 //!   the written array, several writes, duplicate connectors, range starts
 //!   and a read-and-written scalar) and 2-/3-parameter maps (permuted,
 //!   partial, constant and offset indices, WCR and plain writes,
-//!   multi-assignment tasklets);
+//!   multi-assignment tasklets), both with a family of several writes
+//!   into one array, whose sweeps a strip must order;
 //! * execution counters (`tasklet_invocations`, `state_executions`,
 //!   `map_points`) are identical across `SpecMode::{Auto, ForceOff}`,
 //!   mirroring the `MapPath` parity guarantees;
@@ -303,10 +304,10 @@ fn backward_loops_attach_except_the_named_sites() {
         // The `i` loop holds the `beta` rows and the `k`/`j` nest.
         ("syrk", &[1, 2], &[], imperfect),
         ("syr2k", &[1, 2], &[], imperfect),
-        // The forward `k` loop gains a `fwd_store` state that saves the
-        // operand `B[k, j]` to the tape: two tasklets per iteration.  The
-        // `j` loop holds the `k` loop and the `alpha` scaling.
-        ("trmm", &[1], &[0], imperfect),
+        // The forward `k` body saves the operand `B[k, j]` to the tape as
+        // one more assignment and write of its own tasklet: still one state.
+        // The `j` loop holds the `k` loop and the `alpha` scaling.
+        ("trmm", &[1], &[], imperfect),
         ("conv2d", &[4], &[], None),
     ];
     for (name, depths, declined, enclosing) in table {
@@ -337,17 +338,29 @@ fn backward_loops_attach_except_the_named_sites() {
 }
 
 /// How the attached sites' rows run in the bench-preset gradient programs
-/// of all fifteen kernels: in strips, except the sites named here, whose
-/// bodies read an array they write at another index than the write — both
-/// sweeps of seidel2d (the forward reads `A[i, j-1]`, its reversal reads the
-/// gradient at `[i, j]` and accumulates into its neighbours) and trmm's
-/// reversed `k` rows (they read the gradient of `B` at `[i, j]` while
-/// accumulating into it at `[k, j]`).  What is listed here is what the
-/// strip evaluator does not reach.
+/// of all fifteen kernels: in strips with one sweep per write, except the
+/// sites named here.  Per point run the bodies that read an array they
+/// write at another index than the write — both sweeps of seidel2d (the
+/// forward reads `A[i, j-1]`, its reversal reads the gradient at `[i, j]`
+/// and accumulates into its neighbours) and both of trmm's `k` rows (the
+/// forward reads `B[k, j]` while accumulating into `B[i, j]`, its reversal
+/// reads the gradient of `B` at `[i, j]` while accumulating into it at
+/// `[k, j]`).  In strips, but with the writes applied point by point, run
+/// the reversed `k`/`j` nests of syrk and syr2k: along `j` the adjoint
+/// accumulates into `grad_A[i, k]`, one element, and into `grad_A[j, k]`,
+/// which passes it at `j = i`.  What is listed here is what the strip
+/// evaluator, or its write sweeps, do not reach.
 #[test]
 fn per_point_sites_of_the_gradient_programs_are_the_named_ones() {
-    // (kernel, loop sites of the gradient program that run per point).
-    let per_point: [(&str, &[usize]); 2] = [("seidel2d", &[0, 1]), ("trmm", &[1])];
+    // (kernel, loop sites of the gradient program that run per point, and
+    // those that run in strips but write per point).
+    type Row = (&'static str, &'static [usize], &'static [usize]);
+    let named: [Row; 4] = [
+        ("seidel2d", &[0, 1], &[]),
+        ("trmm", &[0, 1], &[]),
+        ("syrk", &[], &[2]),
+        ("syr2k", &[], &[2]),
+    ];
     for kernel in all_kernels() {
         let name = kernel.name();
         let sizes = kernel.sizes(Preset::Bench);
@@ -359,36 +372,38 @@ fn per_point_sites_of_the_gradient_programs_are_the_named_ones() {
             &AdOptions::default(),
         )
         .unwrap();
+        // No tape store of the fifteen needs a state of its own (they are
+        // folded into the tasklet that reads the value).
+        let states = &engine.plan().sdfg.states;
+        assert!(states.iter().all(|s| !s.name.ends_with("_store")), "{name}");
         let program = engine.gradient_program();
-        let carried = |sites: Vec<dace_ad_repro::runtime::MapInfo>| -> Vec<usize> {
+        let running = |sites: &[dace_ad_repro::runtime::MapInfo], mode: RowMode| -> Vec<usize> {
             let rows = sites.iter().enumerate();
-            rows.filter(|(_, m)| m.rows == Some(RowMode::PerPointCarriedRead))
+            rows.filter(|(_, m)| m.rows == Some(mode))
                 .map(|(site, _)| site)
                 .collect()
         };
-        for m in program
-            .map_strategies()
-            .iter()
-            .chain(&program.loop_strategies())
-        {
+        let (maps, loops) = (program.map_strategies(), program.loop_strategies());
+        for m in maps.iter().chain(&loops) {
             assert_eq!(
                 m.rows.is_some(),
                 m.strategy == MapStrategy::Kernel,
                 "{name}: {m:?}"
             );
         }
-        assert_eq!(
-            carried(program.map_strategies()),
-            [0usize; 0],
-            "{name}: maps"
-        );
-        let expected = per_point.iter().find(|(k, _)| *k == name);
-        let expected = expected.map_or(&[][..], |(_, sites)| sites);
-        assert_eq!(
-            carried(program.loop_strategies()),
-            expected,
-            "{name}: loop sites"
-        );
+        let (_, carried, unordered) =
+            (named.iter().find(|(k, ..)| *k == name)).unwrap_or(&("", &[], &[]));
+        for (mode, expected) in [
+            (RowMode::PerPointCarriedRead, carried),
+            (RowMode::StripsUnorderedWrites, unordered),
+        ] {
+            assert_eq!(running(&maps, mode), [0usize; 0], "{name}: maps, {mode}");
+            assert_eq!(
+                running(&loops, mode),
+                *expected,
+                "{name}: loop sites, {mode}"
+            );
+        }
     }
 }
 
@@ -705,6 +720,41 @@ fn named_row_shapes_match_the_vm() {
         adjoint(&[-1, 1]),
         adjoint(&[-1, 0, 1]),
         Shape {
+            name: "a clear under accumulations at equal and higher offsets",
+            walk: (len, SymExpr::int(0), -1),
+            reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
+            code: vec![("clear", E::c(0.0)), ("d", x().add(E::input("y")))],
+            writes: vec![
+                ("d", "C", at(1), true),
+                ("clear", "C", at(0), false),
+                ("d", "C", at(0), true),
+                ("d", "D", at(0), true),
+            ],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "writes into one array at unequal steps",
+            walk: up(),
+            reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
+            code: vec![("d", x().add(E::input("y")))],
+            writes: vec![
+                ("d", "C", at(0), true),
+                ("d", "C", vec![i.clone(), j.mul_int(2)], true),
+            ],
+            rows: RowMode::StripsUnorderedWrites,
+        },
+        Shape {
+            name: "a step-0 accumulation sharing its array with a moving write",
+            walk: up(),
+            reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
+            code: vec![("d", x().add(E::input("y")))],
+            writes: vec![
+                ("d", "C", vec![i.clone(), SymExpr::int(5)], true),
+                ("d", "C", at(0), true),
+            ],
+            rows: RowMode::StripsUnorderedWrites,
+        },
+        Shape {
             name: "read-modify-write at the written index",
             walk: up(),
             reads: vec![("x", "A", at(0)), ("y", "C", at(0))],
@@ -919,11 +969,45 @@ mod proptests {
         /// A third assignment `S = S + in0` through whole-array memlets: a
         /// scalar container the body both reads and writes.
         scalar_of_written: bool,
+        shared_writes: Option<SharedWrites>,
     }
+
+    /// The write-order family of both generators: two to four more writes
+    /// `(Wcr::Sum?, offset along the row)` into one array, at distinct and —
+    /// four writes over three offsets — at equal offsets, plain and
+    /// accumulating mixed.  Write `k` carries its first operand scaled by
+    /// `SHARED_FACTORS[k]`, so that a sum into one element depends on the
+    /// order of its terms.  The loop generator aims them at `C`, which nothing
+    /// else touches, or (flagged) at the array the body's own write goes to;
+    /// the map generator at the `V` array of the written rank.  Either way a
+    /// second written array stands beside the shared one.
+    #[derive(Clone, Debug)]
+    struct SharedWrites {
+        into_target: bool,
+        writes: Vec<(bool, i64)>,
+    }
+
+    const SHARED_FACTORS: [f64; 4] = [1e16, 1.0, -1e16, 3.0];
+
+    fn arb_shared_writes() -> impl Strategy<Value = Option<SharedWrites>> {
+        let flag = || (0u8..2).prop_map(|v| v == 1);
+        let writes = proptest::collection::vec((flag(), -1i64..2), 2..5);
+        (flag(), flag(), writes).prop_map(|(on, into_target, writes)| {
+            on.then_some(SharedWrites {
+                into_target,
+                writes,
+            })
+        })
+    }
+
+    /// Row lengths the write sweeps are held to, in both generators: a lone
+    /// point, either side of the kernel's short-row constant, either side of
+    /// a strip boundary, and two strips and a part.
+    const SWEEP_ROWS: [i64; 8] = [1, 3, 4, 5, 127, 128, 129, 300];
 
     fn arb_case() -> impl Strategy<Value = SpecCase> {
         let flag = || (0u8..2).prop_map(|v| v == 1);
-        // Rows of 4..=8 points straddle the kernel's short-row constant (8);
+        // Rows of 4..=8 points start at the kernel's short-row constant (4);
         // the long rows are one point short of a strip, a full strip, one
         // point into the second strip, and two strips and three points.
         let strip = dace_ad_repro::sdfg::STRIP as i64;
@@ -931,6 +1015,7 @@ mod proptests {
             6i64..11,
             6i64..11,
             (0usize..4).prop_map(move |k| [strip - 1, strip, strip + 1, 2 * strip + 3][k] + 2),
+            (0usize..SWEEP_ROWS.len()).prop_map(|k| SWEEP_ROWS[k] + 2),
         ];
         (
             (
@@ -950,6 +1035,7 @@ mod proptests {
                 (flag(), flag(), -1i64..2, -1i64..2),
                 flag(),
                 flag(),
+                arb_shared_writes(),
             ),
         )
             .prop_map(
@@ -960,7 +1046,7 @@ mod proptests {
                     reads,
                     wo,
                     (shape, scale),
-                    (second, dup, ranged, s),
+                    (second, dup, ranged, s, shared_writes),
                 )| {
                     let ((n, legal), down, time_loop, triangular, iter_value) = nest;
                     // Half of the small cases, three in four long ones.
@@ -994,6 +1080,7 @@ mod proptests {
                             duplicate_connector: dup.0.then_some((dup.1, dup.2, dup.3)),
                             ranged_reads: ranged,
                             scalar_of_written: s,
+                            shared_writes,
                         },
                     }
                 },
@@ -1005,6 +1092,7 @@ mod proptests {
         let n = b.symbol("N");
         b.add_input("A", vec![n.clone(), n.clone()]).unwrap();
         b.add_input("B", vec![n.clone(), n.clone()]).unwrap();
+        b.add_input("C", vec![n.clone(), n.clone()]).unwrap();
         b.add_input("S", vec![SymExpr::int(1)]).unwrap();
         let (i, j) = (SymExpr::sym("i"), SymExpr::sym("j"));
         let one = SymExpr::int(1);
@@ -1112,6 +1200,21 @@ mod proptests {
                 if wcr { m.with_wcr_sum() } else { m },
             );
         }
+        if let Some(shared) = &x.shared_writes {
+            let array = match (shared.into_target, case.in_place) {
+                (false, _) => "C",
+                (true, true) => "A",
+                (true, false) => "B",
+            };
+            for (k, &(wcr, co)) in shared.writes.iter().enumerate() {
+                let conn = format!("w{k}");
+                code.push((conn.clone(), E::input("in0").mul(E::c(SHARED_FACTORS[k]))));
+                let node = g.add_access(array);
+                let m = Memlet::element(array, at(0, co));
+                let m = if wcr { m.with_wcr_sum() } else { m };
+                g.add_edge(t, Some(conn.as_str()), node, None, m);
+            }
+        }
         if x.scalar_of_written {
             let (src, dst) = (g.add_access("S"), g.add_access("S"));
             g.add_edge(src, None, t, Some("s"), Memlet::all("S"));
@@ -1124,8 +1227,8 @@ mod proptests {
         tasklet.code.extend(code);
     }
 
-    /// Bits of `A`, `B` and `S` after one run, and the execution report.
-    fn run_case(sdfg: &Sdfg, n: i64, mode: SpecMode) -> ([Vec<u64>; 3], ExecutionReport) {
+    /// Bits of `A`, `B`, `C` and `S` after one run, and the execution report.
+    fn run_case(sdfg: &Sdfg, n: i64, mode: SpecMode) -> ([Vec<u64>; 4], ExecutionReport) {
         let symbols = HashMap::from([("N".to_string(), n)]);
         let dim = n as usize;
         let fill = |seed: f64| {
@@ -1141,11 +1244,12 @@ mod proptests {
         session.force_specialization(mode);
         session.set_input("A", fill(0.1)).unwrap();
         session.set_input("B", fill(2.3)).unwrap();
+        session.set_input("C", fill(4.1)).unwrap();
         session
             .set_input("S", Tensor::from_vec(vec![0.75], &[1]).unwrap())
             .unwrap();
         let report = session.run().unwrap();
-        let arrays = ["A", "B", "S"].map(|name| bits(session.array(name).unwrap()));
+        let arrays = ["A", "B", "C", "S"].map(|name| bits(session.array(name).unwrap()));
         (arrays, report)
     }
 
@@ -1164,7 +1268,7 @@ mod proptests {
 
     /// A randomly generated 2- or 3-parameter map over a single tasklet.
     /// An access of rank `r` addresses the rank-`r` array of its family:
-    /// `R1..R3` are only read, `W1..W3` and `U1..U3` are written.
+    /// `R1..R3` are only read, `W1..W3`, `U1..U3` and `V1..V3` are written.
     #[derive(Clone, Debug)]
     struct MapCase {
         /// `(low, extent)` per map parameter.  The last parameter — the row
@@ -1190,6 +1294,9 @@ mod proptests {
         scale: f64,
         /// Add the value of this parameter to the expression.
         param_value: Option<usize>,
+        /// More writes into `V` at the written access, its row-parameter
+        /// indices shifted by the write's offset.
+        shared_writes: Option<SharedWrites>,
     }
 
     fn arb_map_case() -> impl Strategy<Value = MapCase> {
@@ -1203,13 +1310,14 @@ mod proptests {
         };
         let access = move || proptest::collection::vec(ix(), 1..4);
         let maybe = |on: bool, acc: Vec<Ix>| on.then_some(acc);
-        // Rows of 2..=4 points, rows straddling the kernel's short-row
-        // constant (8), and rows at the strip boundaries.
+        // Rows of 2..=4 points around the kernel's short-row constant (4),
+        // rows at the strip boundaries, and the rows of the write sweeps.
         let strip = dace_ad_repro::sdfg::STRIP as i64;
         let rows = [7, 8, strip - 1, strip, strip + 1, 2 * strip + 3];
         let row = prop_oneof![
             Just(None),
             (0usize..rows.len()).prop_map(move |k| Some(rows[k])),
+            (0usize..SWEEP_ROWS.len()).prop_map(|k| Some(SWEEP_ROWS[k])),
         ];
         (
             (proptest::collection::vec((2i64..4, 2i64..5), 2..4), row),
@@ -1220,10 +1328,19 @@ mod proptests {
             (0u8..3, 0usize..3, proptest::collection::vec(-1i64..2, 3)),
             (flag(), access(), flag(), access()),
             (0u8..4, 0.25f64..4.0),
-            (flag(), 0usize..3),
+            ((flag(), 0usize..3), arb_shared_writes()),
         )
             .prop_map(
-                move |(domain, reads, (write, wcr, rmw, shift), perm, adj, (shape, scale), pv)| {
+                move |(
+                    domain,
+                    reads,
+                    (write, wcr, rmw, shift),
+                    perm,
+                    adj,
+                    (shape, scale),
+                    last,
+                )| {
+                    let (pv, shared_writes) = last;
                     let (mut domain, row) = domain;
                     if let (Some(row), Some(last)) = (row, domain.last_mut()) {
                         last.1 = row;
@@ -1249,6 +1366,7 @@ mod proptests {
                         shape,
                         scale,
                         param_value: pv.0.then_some(pv.1),
+                        shared_writes,
                     }
                 },
             )
@@ -1305,6 +1423,10 @@ mod proptests {
         if let Some(p) = case.param_value {
             f = f.add(E::iter(param(p)));
         }
+        let first_operand = match ins.first() {
+            Some((conn, _)) => E::input(conn.clone()),
+            None => E::c(case.scale),
+        };
         // Assignments and their writes, in edge order.
         let mut code: Vec<(String, E)> = Vec::new();
         let mut outs: Vec<(String, Memlet)> = Vec::new();
@@ -1327,9 +1449,27 @@ mod proptests {
             let w = memlet("W", &case.write, 0);
             outs.push(("o".into(), if case.wcr { w.with_wcr_sum() } else { w }));
         }
+        // Only the row parameter is shifted, so that the writes meet within
+        // a row; and a map admits several writes into one array only as
+        // reductions, so the first flag makes every write accumulate.
+        let shared = case.shared_writes.iter().flat_map(|s| &s.writes);
+        let all_sum = shared.clone().next().is_some_and(|w| w.0);
+        for (k, &(wcr, offset)) in shared.enumerate() {
+            code.push((
+                format!("s{k}"),
+                first_operand.clone().mul(E::c(SHARED_FACTORS[k])),
+            ));
+            let along_row = case.write.iter().map(|ix| match ix {
+                Ix::Param(p, off) if p % np == np - 1 => Ix::Param(*p, off + offset),
+                other => other.clone(),
+            });
+            let v = memlet("V", &along_row.collect::<Vec<_>>(), 0);
+            let sum = all_sum || wcr;
+            outs.push((format!("s{k}"), if sum { v.with_wcr_sum() } else { v }));
+        }
 
         let mut sdfg = Sdfg::new("map_prop");
-        for family in ["R", "W", "U"] {
+        for family in ["R", "W", "U", "V"] {
             for rank in 1..=max_rank(longest(case)) {
                 let shape = vec![SymExpr::int(longest(case) + MARGIN); rank];
                 sdfg.add_array(format!("{family}{rank}"), ArrayDesc::input(shape))
@@ -1387,7 +1527,7 @@ mod proptests {
     ) -> (Vec<Vec<u64>>, ExecutionReport) {
         let side = (longest(case) + MARGIN) as usize;
         let ranks = max_rank(longest(case));
-        let arrays: Vec<(String, usize)> = ["R", "W", "U"]
+        let arrays: Vec<(String, usize)> = ["R", "W", "U", "V"]
             .iter()
             .flat_map(|f| (1..=ranks).map(move |rank| (format!("{f}{rank}"), rank)))
             .collect();
@@ -1450,7 +1590,7 @@ mod proptests {
             prop_assert_eq!(r_off.specialized_dispatches, 0);
             let dispatches = if per_row { rows } else { 1 };
             prop_assert_eq!(r_on.specialized_dispatches, dispatches, "{:?}", &case);
-            prop_assert_eq!(&off, &on, "A, B or S diverged for {:?}", &case);
+            prop_assert_eq!(&off, &on, "A, B, C or S diverged for {:?}", &case);
             prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
             prop_assert_eq!(r_off.state_executions, r_on.state_executions);
             prop_assert_eq!(r_off.map_points, r_on.map_points);
