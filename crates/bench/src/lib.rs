@@ -118,37 +118,6 @@ fn count_statements(sdfg: &dace_sdfg::Sdfg) -> usize {
     walk(&sdfg.cfg)
 }
 
-/// Estimate the kernel-level parallel speedup available on this machine
-/// (ratio of single-threaded to rayon-parallel matmul time).  Used by the
-/// Fig. 14 GPU proxy (documented substitution: no GPU is available).
-pub fn parallel_kernel_speedup() -> f64 {
-    use dace_tensor::random::uniform;
-    let a = uniform(&[256, 256], 100);
-    let b = uniform(&[256, 256], 101);
-    // Untimed warmup so the first timed loop doesn't absorb cold-cache and
-    // first-touch costs that the second one would then avoid.
-    let _ = a.matmul(&b).unwrap();
-    // Parallel (default) timing.
-    let start = std::time::Instant::now();
-    for _ in 0..3 {
-        let _ = a.matmul(&b).unwrap();
-    }
-    let par = start.elapsed().as_secs_f64();
-    // Single-threaded pool.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    let start = std::time::Instant::now();
-    pool.install(|| {
-        for _ in 0..3 {
-            let _ = a.matmul(&b).unwrap();
-        }
-    });
-    let seq = start.elapsed().as_secs_f64();
-    (seq / par.max(1e-9)).max(1.0)
-}
-
 /// Kernel selection of Fig. 1 (headline figure).
 pub fn fig1_kernel_names() -> Vec<&'static str> {
     vec![

@@ -422,19 +422,42 @@ fn run_serve(
     Ok(())
 }
 
-/// Collect every map scope in `graph` (including maps nested in map bodies)
-/// and the analyzer's verdict for it under `bindings`.
+/// The dependence analyzer's verdict, under `bindings`, for every map scope
+/// of `sdfg` (including maps nested in map bodies).  Nothing routes on it:
+/// this is the one place a proven race in a program is reported.
 fn map_verdicts(
-    graph: &dace_sdfg::DataflowGraph,
+    sdfg: &dace_sdfg::Sdfg,
     bindings: &std::collections::HashMap<String, i64>,
-    out: &mut Vec<dace_sdfg::ParVerdict>,
-) {
-    for node in &graph.nodes {
-        if let dace_sdfg::DfNode::MapScope(m) = node {
-            out.push(dace_sdfg::analyze_map(m, bindings));
-            map_verdicts(&m.body, bindings, out);
+) -> Vec<dace_sdfg::ParVerdict> {
+    fn walk(
+        graph: &dace_sdfg::DataflowGraph,
+        bindings: &std::collections::HashMap<String, i64>,
+        out: &mut Vec<dace_sdfg::ParVerdict>,
+    ) {
+        for node in &graph.nodes {
+            if let dace_sdfg::DfNode::MapScope(m) = node {
+                out.push(dace_sdfg::analyze_map(m, bindings));
+                walk(&m.body, bindings, out);
+            }
         }
     }
+    let mut out = Vec::new();
+    for st in &sdfg.states {
+        walk(&st.graph, bindings, &mut out);
+    }
+    out
+}
+
+/// `[safe, reduction, race, unknown]` of `verdicts`.
+fn verdict_counts(verdicts: &[dace_sdfg::ParVerdict]) -> [usize; 4] {
+    use dace_sdfg::ParVerdict;
+    let count = |v: fn(&ParVerdict) -> bool| verdicts.iter().filter(|x| v(x)).count();
+    [
+        count(|v| *v == ParVerdict::Safe),
+        count(|v| *v == ParVerdict::Reduction),
+        count(|v| matches!(v, ParVerdict::Race(_))),
+        count(|v| *v == ParVerdict::Unknown),
+    ]
 }
 
 /// `attached/total` sites (the maps, or the loop sites, of one program) on
@@ -497,7 +520,7 @@ fn strategy_columns(
 fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String> {
     use dace_sdfg::{ParVerdict, Severity};
     println!(
-        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12} {:>12} {:>17}",
+        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>7} {:>12} {:>12} {:>17}",
         "kernel",
         "errors",
         "warnings",
@@ -506,6 +529,7 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         "reduction",
         "race",
         "unknown",
+        "grad safe/red/race/unk",
         "kernel",
         "grad kernel",
         "loop kernel",
@@ -521,12 +545,8 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .count();
-        let mut verdicts = Vec::new();
-        for st in &sdfg.states {
-            map_verdicts(&st.graph, &bindings, &mut verdicts);
-        }
-        let count = |v: fn(&ParVerdict) -> bool| verdicts.iter().filter(|x| v(x)).count();
-        let races = count(|v| matches!(v, ParVerdict::Race(_)));
+        let verdicts = map_verdicts(&sdfg, &bindings);
+        let [safe, reduction, races, unknown] = verdict_counts(&verdicts);
         // The execution strategy lowering chose per map and per loop site,
         // for the forward program and for the gradient program built from
         // it.
@@ -547,16 +567,28 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             Err(_) => unbuilt(),
         };
         declined.extend(lines);
+        // The verdicts of the gradient program: a race in an AD-generated
+        // `adj_*` map is visible here and nowhere else.
+        let grad_verdicts = match &engine {
+            Ok(engine) => map_verdicts(&engine.plan().sdfg, &bindings),
+            Err(_) => Vec::new(),
+        };
+        let grad_counts = verdict_counts(&grad_verdicts);
+        let grad_column = match &engine {
+            Ok(_) => grad_counts.map(|n| n.to_string()).join("/"),
+            Err(_) => "-".to_string(),
+        };
         println!(
-            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>7} {:>12} {:>12} {:>17}",
+            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>7} {:>12} {:>12} {:>17}",
             kernel.name(),
             errors,
             diags.len() - errors,
             verdicts.len(),
-            count(|v| *v == ParVerdict::Safe),
-            count(|v| *v == ParVerdict::Reduction),
+            safe,
+            reduction,
             races,
-            count(|v| *v == ParVerdict::Unknown),
+            unknown,
+            grad_column,
             fwd,
             grad,
             fwd_loops,
@@ -568,12 +600,12 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         for line in &declined {
             println!("             {line}");
         }
-        for v in &verdicts {
+        for v in verdicts.iter().chain(&grad_verdicts) {
             if let ParVerdict::Race(c) = v {
                 println!("             race on `{}`: {c}", c.array);
             }
         }
-        if errors > 0 || races > 0 {
+        if errors > 0 || races + grad_counts[2] > 0 {
             dirty += 1;
         }
     }

@@ -949,8 +949,8 @@ mod tests {
         assert_eq!(outputs[0], outputs[1], "paths disagree on results");
     }
 
-    /// The dependence verdict of the single map node of `sdfg` (what
-    /// lowering gates kernel attachment on).
+    /// The dependence verdict of the single map node of `sdfg` (a diagnostic:
+    /// lowering does not consult it).
     fn map_verdict(sdfg: &Sdfg, syms: &HashMap<String, i64>) -> ParVerdict {
         for st in &sdfg.states {
             for n in &st.graph.nodes {
@@ -963,11 +963,13 @@ mod tests {
     }
 
     /// A map accumulating into a fixed element (`A[0] = A[0] + X[i]` without
-    /// WCR) carries a cross-iteration dependence.  The dependence analyzer
-    /// classifies it `Race`, so no kernel attaches and `Auto` runs the
-    /// sequential VM: bit-identical however the path is requested.
+    /// WCR) carries a cross-iteration dependence, and the dependence analyzer
+    /// classifies it `Race`.  The kernel walks the points in the VM's order
+    /// on one thread, every read through the live buffer (the access does
+    /// not move along the row, so the row runs point by point): it
+    /// dispatches once and equals the VM bit for bit.
     #[test]
-    fn fixed_element_rmw_map_is_forced_sequential() {
+    fn fixed_element_rmw_map_kernel_equals_the_vm() {
         let build = || {
             let mut sdfg = Sdfg::new("rmw_scalar");
             sdfg.add_symbol("N");
@@ -1038,19 +1040,18 @@ mod tests {
         }
         assert_eq!(outs[0], outs[1], "RMW diverged across paths");
         assert_eq!(counters(&reports[0]), counters(&reports[1]));
-        assert_eq!(
-            reports[1].specialized_dispatches, 0,
-            "a Race map ran on the kernel"
-        );
+        assert_eq!(reports[0].specialized_dispatches, 0);
+        assert_eq!(reports[1].specialized_dispatches, 1);
         // And the value really is the sequential accumulation.
         let expected = x.data().iter().fold(10.0, |a, &v| a + v);
         assert_eq!(outs[0][0], expected);
     }
 
     /// A map writing a whole-array (scalar) subset every iteration is
-    /// likewise a race: last-iteration-wins only holds sequentially.
+    /// likewise a `Race` — last-iteration-wins only holds in order — and the
+    /// kernel's write sweep is in order: one dispatch, the VM's result.
     #[test]
-    fn whole_array_write_map_is_forced_sequential() {
+    fn whole_array_write_map_kernel_equals_the_vm() {
         let build = || {
             let mut sdfg = Sdfg::new("scalar_overwrite");
             sdfg.add_symbol("N");
@@ -1101,17 +1102,14 @@ mod tests {
             assert_eq!(ex.array("S").unwrap().data(), &[x.data()[n - 1]]);
         }
         assert_eq!(counters(&reports[0]), counters(&reports[1]));
-        assert_eq!(
-            reports[1].specialized_dispatches, 0,
-            "a Race map ran on the kernel"
-        );
+        assert_eq!(reports[0].specialized_dispatches, 0);
+        assert_eq!(reports[1].specialized_dispatches, 1);
     }
 
     /// A strided injective write (`A[2*i+1]`) fed by a *ranged* read
-    /// (`X[i:i+1]`) was kept off every fast path by the old syntactic
-    /// heuristic (any non-element subset edge failed it).  The analyzer
-    /// proves it `Safe`, so the map kernel attaches — with results
-    /// bit-identical to the VM.
+    /// (`X[i:i+1]`, read at its start as the VM does): the analyzer proves
+    /// it `Safe`, and the map kernel attaches with results bit-identical to
+    /// the VM.
     #[test]
     fn strided_injective_map_is_newly_parallel() {
         let build = || {
@@ -1191,8 +1189,8 @@ mod tests {
         }
     }
 
-    /// A WCR-sum accumulation into one element is a `Reduction`: admitted to
-    /// the map kernel and bit-identical to the VM's accumulation (the kernel
+    /// A WCR-sum accumulation into one element is a `Reduction`: the map
+    /// kernel's result is bit-identical to the VM's accumulation (the kernel
     /// walks the domain in the VM's odometer order).
     #[test]
     fn wcr_reduction_map_is_parallel_and_bit_identical() {

@@ -16,11 +16,12 @@
 //! * every tasklet's [`dace_sdfg::ScalarExpr`] assignments are compiled to
 //!   register-based [`CompiledExpr`] instruction sequences with connector
 //!   and iteration-symbol references resolved to slot indices;
-//! * per-graph topological orders, the affine dependence verdict
-//!   ([`dace_sdfg::analyze_map`]) of every map and the execution strategy
-//!   of every map and control-flow loop ([`MapStrategy`]: the N-D affine
-//!   [`AffineKernel`] — one struct and one recognizer for both sites — or
-//!   the VM with a typed reason) are all decided once.  At the loop site the
+//! * per-graph topological orders and the execution strategy of every map
+//!   and control-flow loop ([`MapStrategy`]: the N-D affine
+//!   [`AffineKernel`] — one struct, one recognizer and one admission rule
+//!   for both sites — or the VM with a typed reason) are all decided once;
+//!   the dependence analyzer ([`dace_sdfg::analyze_map`]) is a diagnostic
+//!   that runs when asked, not a stage of lowering.  At the loop site the
 //!   unit is the *perfect rectangular nest*: loops with a constant step of
 //!   `±1`, each the only content of its parent's body, down to a single
 //!   state, no bound referencing an iterator of the nest.  The outermost
@@ -52,8 +53,8 @@ use std::sync::Arc;
 use dace_sdfg::deps::AffineAccess;
 use dace_sdfg::{
     CmpOp, CompiledExpr, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode, ExprOp,
-    LeafRef, LibraryOp, LoopRegion, MapScope, MicroPattern, ParVerdict, Sdfg, Subset, SubsetClass,
-    SymError, SymExpr, Tasklet, Wcr,
+    LeafRef, LibraryOp, LoopRegion, MapScope, MicroPattern, Sdfg, Subset, SubsetClass, SymError,
+    SymExpr, Tasklet, Wcr,
 };
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -338,8 +339,8 @@ pub(crate) struct KernelAccess {
 /// assignments and writes) whose memlets are all affine in the iteration
 /// variables, compiled down to a native nest over a rectangular domain with
 /// one constant flat step per access and variable.  It attaches at two
-/// sites: a map ([`PlanMap::kernel`], variables = the map parameters, gated
-/// on the dependence verdict) and a perfect rectangular nest of `±1`-step
+/// sites: a map ([`PlanMap::kernel`], variables = the map parameters, walked
+/// in the VM's odometer order) and a perfect rectangular nest of `±1`-step
 /// control-flow loops over a single state ([`LoopKernel`], variables = the
 /// iterators outermost first, walked in loop order in either direction).
 /// Dispatch ([`crate::executor::RunState::exec_kernel`]) validates every
@@ -453,13 +454,9 @@ pub enum KernelMiss {
     /// A memlet index is not `Σ coeff·param + loop-invariant rest` of the
     /// array's rank.
     NonAffineIndex,
-    /// The dependence analyzer proved a cross-iteration race.
-    VerdictRace,
-    /// The dependence analyzer could not prove the map safe.
-    VerdictUnknown,
-    /// The tasklet reads an array it also writes at an index its site does
-    /// not admit: a map admits only the written index itself, a loop any
-    /// index whose offset to the write is statically decidable.
+    /// The tasklet reads an array it also writes at an index whose offset to
+    /// the write is not statically decidable
+    /// ([`dace_sdfg::deps::alias_decidable`]).
     AliasedReadAtOtherIndex,
     /// The concrete layout of an accessed array is unknown at lowering.
     UnknownLayout,
@@ -838,9 +835,6 @@ fn perfect_nest(root: &LoopRegion) -> Result<(Vec<&LoopRegion>, usize), KernelMi
     }
 }
 
-/// A memlet subset with its affine decomposition in a kernel's variables.
-type Decomposed<'a> = (&'a Subset, &'a AffineAccess);
-
 /// What a loop being lowered learns from the loop around it.
 #[derive(Clone, Copy)]
 enum Enclosing<'a> {
@@ -1109,18 +1103,7 @@ impl Lowerer {
             referenced.push(self.array(&name)?);
         }
         let body = self.lower_graph(&map.body);
-        // The map site's gate: the affine dependence verdict rejects provably
-        // racy bodies (fixed element or whole-array writes) and admits
-        // provably injective strided/offset writes, so the kernel's nest
-        // agrees with the VM; a read of a written array is admitted only at
-        // the very index it is written at.
-        let kernel = match dace_sdfg::analyze_map(map, &self.bindings) {
-            ParVerdict::Safe | ParVerdict::Reduction => {
-                self.recognize_kernel(&map.body, &body, &map.params, |w, r| w.0 == r.0)
-            }
-            ParVerdict::Race(_) => Err(KernelMiss::VerdictRace),
-            ParVerdict::Unknown => Err(KernelMiss::VerdictUnknown),
-        };
+        let kernel = self.recognize_kernel(&map.body, &body, &map.params);
         let points = map.ranges.iter().try_fold(1u64, |acc, (s, e)| {
             let (lo, hi) = (s.eval(&self.bindings).ok()?, e.eval(&self.bindings).ok()?);
             acc.checked_mul(hi.checked_sub(lo)?.max(0) as u64)
@@ -1137,11 +1120,8 @@ impl Lowerer {
 
     /// The loop site's gate: a perfect nest of loops, each with a constant
     /// step of `1` or `-1` (re-checked at dispatch) and bounds that reference
-    /// no iterator of the nest, over a single state — walked in loop order
-    /// with reads of a written array going through the live buffer, admitted
-    /// when [`dace_sdfg::deps::alias_decidable`] understands the offset
-    /// between the write and the read along every iterator.  One recognition
-    /// serves every level of the nest (see [`LoopKernel`]).
+    /// no iterator of the nest, over a single state — walked in loop order.
+    /// One recognition serves every level of the nest (see [`LoopKernel`]).
     fn loop_kernel(
         &mut self,
         l: &LoopRegion,
@@ -1166,10 +1146,7 @@ impl Lowerer {
                 return Err(KernelMiss::NonRectangularBound);
             }
         }
-        let kernel =
-            self.recognize_kernel(&sdfg.states[state].graph, &states[state], &vars, |w, r| {
-                dace_sdfg::deps::alias_decidable(w.1, r.1)
-            })?;
+        let kernel = self.recognize_kernel(&sdfg.states[state].graph, &states[state], &vars)?;
         let points = levels
             .iter()
             .try_fold(1u64, |acc, l| acc.checked_mul(self.loop_points(l)?));
@@ -1202,16 +1179,17 @@ impl Lowerer {
     /// Recognize the N-D affine kernel on a dataflow body: access nodes plus
     /// one tasklet, every memlet affine in the iteration variables `vars`.
     /// `graph` is the original body and `lowered` its lowered form; the two
-    /// correspond node-for-node and edge-for-edge by construction.
-    /// `admits(write, read)` is the attachment site's rule for a read of an
-    /// array the tasklet also writes, each side given as the memlet subset
-    /// and its decomposition in `vars`.
+    /// correspond node-for-node and edge-for-edge by construction.  The
+    /// kernel walks its domain in the VM's order with every access going
+    /// through the live buffers, so a read of an array the tasklet also
+    /// writes is admitted wherever [`dace_sdfg::deps::alias_decidable`]
+    /// understands the offset between the write and the read along every
+    /// variable — the one admission rule of both sites.
     fn recognize_kernel(
         &mut self,
         graph: &DataflowGraph,
         lowered: &PlanGraph,
         vars: &[String],
-        admits: impl Fn(Decomposed<'_>, Decomposed<'_>) -> bool,
     ) -> Result<AffineKernel, KernelMiss> {
         let mut tasklets = lowered
             .nodes
@@ -1260,12 +1238,11 @@ impl Lowerer {
                 if w.array != r.array {
                     continue;
                 }
-                if !admits((subset, w_affine), (&e.memlet.subset, &affine)) {
+                if !dace_sdfg::deps::alias_decidable(w_affine, &affine) {
                     return Err(KernelMiss::AliasedReadAtOtherIndex);
                 }
-                // The map site's rule, evaluated at either site: a read at
-                // another index than a write of its array may carry a value
-                // along the row.
+                // A read at another index than a write of its array may
+                // carry a value along the row.
                 if **subset != e.memlet.subset {
                     rows = RowMode::PerPointCarriedRead;
                 }
@@ -1352,7 +1329,7 @@ impl Lowerer {
     /// at their start index, as the VM reads them), against an array whose
     /// concrete layout is known and of matching rank.  A whole-array subset
     /// lowers to the rank-free scalar access.  The decomposition itself is
-    /// returned alongside for the site's aliasing rule.
+    /// returned alongside for the aliasing rule.
     fn lower_affine_subset(
         &mut self,
         subset: &Subset,

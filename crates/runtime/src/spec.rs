@@ -10,8 +10,8 @@
 //! of re-walking the plan graph and re-evaluating compiled index expressions
 //! per point.
 //!
-//! * **Map site**: a map whose dependence verdict allows parallel execution
-//!   runs over its rectangular domain in the VM's odometer order.
+//! * **Map site**: a map runs over its rectangular domain in the VM's
+//!   odometer order.
 //! * **Loop site**: a control-flow loop with step `1` or `-1` over a single
 //!   state — elementwise bodies, fixed-radius stencils, reduction/contraction
 //!   bodies, and the reversed (`adj_*`) loops of a gradient program — is the
@@ -76,13 +76,13 @@
 //!   down at both presets.
 //! * **Aliasing-aware.**  Every access goes through the tensors the
 //!   dispatch took out of the slab, so a read of a written array observes
-//!   the writes of earlier points.  The loop site thereby preserves
+//!   the writes of earlier points.  Either site thereby preserves
 //!   Gauss–Seidel-style read-after-write order in either direction and
-//!   across the rows of a nest, admitted only when
-//!   [`dace_sdfg::deps::alias_decidable`] understands the write/read offset
-//!   along every iterator (see `docs/verification.md`); the map site admits
-//!   such reads only at the very index that is written.  Anything else
-//!   stays on the VM.
+//!   across the rows of a nest — and a map that races under concurrent
+//!   execution (a fixed-element read-modify-write) keeps the VM's bits —,
+//!   admitted only when [`dace_sdfg::deps::alias_decidable`] understands
+//!   the write/read offset along every variable (see
+//!   `docs/verification.md`).  Anything else stays on the VM.
 //!
 //! The dispatch rule is the same for both sites: run the attached kernel if
 //! its per-dispatch validation passes (a few corner checks per access),

@@ -1,8 +1,10 @@
 //! Affine dependence and race analysis for map scopes.
 //!
 //! [`analyze_map`] decides whether a map body may execute its iterations
-//! concurrently; the runtime attaches its native map kernel only to maps
-//! that pass.  The model is snapshot execution: every iteration evaluates
+//! concurrently.  It is a diagnostic that runs when asked (`npbench
+//! --verify`, CI, the benchmark's probe), not a stage of `compile()`: the
+//! runtime walks a map's points in order on one thread, so nothing routes on
+//! the verdict.  The model is snapshot execution: every iteration evaluates
 //! tasklets against an immutable snapshot of the arrays and buffers its
 //! writes, which are applied afterwards in flat iteration order.
 //! Concurrent execution is therefore bit-identical to sequential execution
@@ -25,8 +27,8 @@
 //! injectivity decision (fraction-free Gaussian elimination over the
 //! coefficient matrix) for self-overlap — with a brute-force enumeration
 //! fallback for small concrete domains.  Anything the algebra cannot
-//! decide degrades to [`ParVerdict::Unknown`], which the runtime treats as
-//! sequential; `Safe` is only ever returned on proof.
+//! decide degrades to [`ParVerdict::Unknown`]; `Safe` is only ever returned
+//! on proof.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -24,8 +24,8 @@
 //! estimates used by the AD engine and the ILP checkpointing model.
 //! The [`verify`] module is the structural verifier ([`sdfg::Sdfg::validate`]
 //! returns located [`verify::Diagnostic`]s) and [`deps`] is the affine
-//! dependence/race analyzer whose [`deps::ParVerdict`] the runtime uses as
-//! its parallel-safety oracle.
+//! dependence/race analyzer: its [`deps::ParVerdict`] is a diagnostic
+//! (`npbench --verify`, CI), the oracle a parallel map backend would consume.
 //!
 //! # Invariants
 //!

@@ -4,7 +4,6 @@
 //! the small subset of rayon's API it actually uses:
 //!
 //! * `(range).into_par_iter().map(f).collect::<C>()`
-//! * `slice.par_chunks_mut(n).enumerate().for_each(f)`
 //! * `ThreadPoolBuilder` / `ThreadPool::install` (thread-count policy)
 //! * [`current_num_threads`]
 //!
@@ -32,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSliceMut};
+    pub use crate::IntoParallelIterator;
 }
 
 std::thread_local! {
@@ -347,81 +346,6 @@ impl<F> ParMap<F> {
     }
 }
 
-/// Mutable-slice extension adding [`ParallelSliceMut::par_chunks_mut`].
-pub trait ParallelSliceMut<T: Send> {
-    /// Parallel iterator over non-overlapping mutable chunks of length
-    /// `chunk_size` (last chunk may be shorter).
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut {
-            slice: self,
-            chunk_size,
-        }
-    }
-}
-
-/// Parallel iterator over mutable chunks of a slice.
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pair every chunk with its index.
-    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
-        EnumerateChunksMut {
-            slice: self.slice,
-            chunk_size: self.chunk_size,
-        }
-    }
-
-    /// Run `f` on every chunk in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, chunk)| f(chunk));
-    }
-}
-
-/// Enumerated variant of [`ParChunksMut`].
-pub struct EnumerateChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<T: Send> EnumerateChunksMut<'_, T> {
-    /// Run `f` on every `(index, chunk)` pair in parallel.  Chunks are
-    /// distributed to worker threads in contiguous blocks.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        if self.slice.is_empty() || self.chunk_size == 0 {
-            return;
-        }
-        let n_chunks = self.slice.len().div_ceil(self.chunk_size);
-        let chunk_size = self.chunk_size;
-        let f = &f;
-        let mut rest = self.slice;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for (lo, hi) in spans(n_chunks) {
-            let split = ((hi - lo) * chunk_size).min(rest.len());
-            let (block, tail) = rest.split_at_mut(split);
-            rest = tail;
-            tasks.push(Box::new(move || {
-                for (k, chunk) in block.chunks_mut(chunk_size).enumerate() {
-                    f((lo + k, chunk));
-                }
-            }));
-        }
-        run_scope(tasks);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -451,17 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_enumerate_covers_all_chunks() {
-        let mut data = vec![0usize; 103];
-        data.par_chunks_mut(10)
-            .enumerate()
-            .for_each(|(i, chunk)| chunk.iter_mut().for_each(|v| *v = i));
-        for (j, &v) in data.iter().enumerate() {
-            assert_eq!(v, j / 10);
-        }
-    }
-
-    #[test]
     fn single_thread_pool_serializes() {
         let pool = crate::ThreadPoolBuilder::new()
             .num_threads(1)
@@ -483,8 +396,6 @@ mod tests {
     fn empty_inputs_are_fine() {
         let out: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
         assert!(out.is_empty());
-        let mut empty: Vec<usize> = vec![];
-        empty.par_chunks_mut(4).enumerate().for_each(|_| panic!());
     }
 
     /// The pool is persistent: repeated parallel calls reuse the same worker

@@ -10,18 +10,16 @@
 //! `C` tile into the accumulator did not vectorise).
 //!
 //! Summation order: every output element is `Σ_p a[i,p]·b[p,j]` added in
-//! increasing `p` within a slice, slices added in order.  Panel and chunk
-//! boundaries never enter an element's order, which is what makes the result
-//! independent of the pool width and — no FMA is ever emitted — of the
-//! instruction set the body was compiled for.
+//! increasing `p` within a slice, slices added in order.  Panel boundaries
+//! never enter an element's order and no FMA is ever emitted, which is what
+//! makes the result independent of the instruction set the body was compiled
+//! for.
 //!
 //! The row-panel body is compiled twice, for baseline x86-64 and with AVX2
 //! enabled, and [`row_panel`] selects between them once per panel from what
 //! the CPU reports.  That call is the crate's only `unsafe` block.
 
 use std::cell::RefCell;
-
-use rayon::prelude::*;
 
 /// Rows of a micro-tile (one packed panel of `op(A)`).
 const MR: usize = 4;
@@ -161,16 +159,15 @@ thread_local! {
 }
 
 /// `C (+)= op(A) · op(B)` for `op(A)`: `m × k`, `op(B)`: `k × n` and
-/// row-major `c`: `m × n`; `fans_out` spreads the row panels over the pool.
+/// row-major `c`: `m × n`.
 pub(crate) fn gemm(
     a: Operand<'_>,
     b: Operand<'_>,
     dims: (usize, usize, usize),
     c: &mut [f64],
     accumulate: bool,
-    fans_out: bool,
 ) {
-    gemm_with(row_panel, a, b, dims, c, accumulate, fans_out)
+    gemm_with(row_panel, a, b, dims, c, accumulate)
 }
 
 fn gemm_with(
@@ -180,7 +177,6 @@ fn gemm_with(
     (m, k, n): (usize, usize, usize),
     c: &mut [f64],
     accumulate: bool,
-    fans_out: bool,
 ) {
     assert_eq!(c.len(), m * n, "output storage vs its shape");
     if k == 0 && !accumulate {
@@ -205,14 +201,8 @@ fn gemm_with(
                 n,
                 add: accumulate || p0 > 0,
             };
-            if fans_out {
-                c.par_chunks_mut(MR * n)
-                    .enumerate()
-                    .for_each(|(panel, c_rows)| row_panel(&slice, panel * MR, c_rows));
-            } else {
-                for (panel, c_rows) in c.chunks_mut(MR * n).enumerate() {
-                    row_panel(&slice, panel * MR, c_rows);
-                }
+            for (panel, c_rows) in c.chunks_mut(MR * n).enumerate() {
+                row_panel(&slice, panel * MR, c_rows);
             }
         }
     });
@@ -257,7 +247,7 @@ mod tests {
     /// Both compilations against the naive loop, bit for bit (every `k` here
     /// is within one slice, so even the summation order is the naive one),
     /// over edge tiles, empty dimensions and `m = 1`, the four flag
-    /// combinations, overwrite and accumulate, serial and fanned out.
+    /// combinations, overwrite and accumulate.
     #[test]
     fn kernel_matches_the_naive_triple_loop() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -283,15 +273,13 @@ mod tests {
                 let mut want = c0.clone();
                 naive(a, b, dims, &mut want, accumulate);
                 for kernel in [row_panel_baseline as RowPanel, row_panel] {
-                    for fans_out in [false, true] {
-                        let mut got = c0.clone();
-                        gemm_with(kernel, a, b, dims, &mut got, accumulate, fans_out);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "{dims:?} ta={ta} tb={tb} accumulate={accumulate} fans_out={fans_out}"
-                        );
-                    }
+                    let mut got = c0.clone();
+                    gemm_with(kernel, a, b, dims, &mut got, accumulate);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{dims:?} ta={ta} tb={tb} accumulate={accumulate}"
+                    );
                 }
             }
         }
@@ -315,23 +303,13 @@ mod tests {
             let mut want = c0.clone();
             naive(a, b, dims, &mut want, accumulate);
             let mut baseline = c0.clone();
-            gemm_with(
-                row_panel_baseline,
-                a,
-                b,
-                dims,
-                &mut baseline,
-                accumulate,
-                false,
-            );
+            gemm_with(row_panel_baseline, a, b, dims, &mut baseline, accumulate);
             for (x, y) in baseline.iter().zip(&want) {
                 assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()), "{x} vs {y}");
             }
-            for fans_out in [false, true] {
-                let mut dispatched = c0.clone();
-                gemm(a, b, dims, &mut dispatched, accumulate, fans_out);
-                assert_eq!(bits(&dispatched), bits(&baseline));
-            }
+            let mut dispatched = c0.clone();
+            gemm(a, b, dims, &mut dispatched, accumulate);
+            assert_eq!(bits(&dispatched), bits(&baseline));
         }
     }
 }

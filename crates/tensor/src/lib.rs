@@ -13,9 +13,9 @@
 //! * Row-major, contiguous `f64` storage. The paper's float32 deep-learning
 //!   kernels run in f64 here (documented substitution in `DESIGN.md`).
 //! * Element-wise and reduction kernels are straightforward loops; every
-//!   matrix product runs on one packed, runtime-dispatched kernel (`gemm`,
-//!   parallelised with rayon), standing in for the optimized library calls
-//!   DaCe pattern-matches into library nodes.
+//!   matrix product runs on one packed, runtime-dispatched kernel (`gemm`)
+//!   on the calling thread, standing in for the optimized library calls DaCe
+//!   pattern-matches into library nodes.
 //! * Slicing produces owned tensors (copies); the zero-copy "cheap pointer
 //!   movement" path the paper highlights for DaCe is modelled by scalar
 //!   element accessors ([`Tensor::at`] / [`Tensor::at_mut`]) which the SDFG

@@ -5,26 +5,13 @@
 //! packed kernel of the crate's `gemm` module; the `*_into` entry points
 //! write (or accumulate into) a caller-owned tensor and read their matrix
 //! operand transposed on request, so neither a result nor a transpose is
-//! ever materialised on the way.  Large kernels fan out over the rayon pool
-//! in chunks of the output, which never changes an element's summation
-//! order.
-
-use rayon::prelude::*;
+//! ever materialised on the way.  Every kernel runs on the calling thread:
+//! parallelism is across requests (`dace_runtime::BatchDriver`), not inside
+//! an operation.
 
 use crate::error::{TensorError, TensorResult};
 use crate::gemm::{gemm, Operand};
 use crate::tensor::Tensor;
-
-/// Threshold (in elements of work) above which a kernel fans out with rayon.
-const PAR_THRESHOLD: usize = 64 * 64;
-
-/// Whether a kernel over `work` elements fans out over the pool.  A pool one
-/// thread wide has nothing to fan out to: handing the whole kernel to its
-/// worker costs a wake-up each way and runs it against another core's cold
-/// cache, so it stays on the calling thread.
-fn fans_out(work: usize) -> bool {
-    work >= PAR_THRESHOLD && rayon::current_num_threads() > 1
-}
 
 fn expect_rank(t: &Tensor, rank: usize, op: &'static str) -> TensorResult<()> {
     if t.rank() != rank {
@@ -107,7 +94,6 @@ impl Tensor {
             (m, k, n),
             out.data_mut(),
             accumulate,
-            fans_out(m * n),
         );
         Ok(())
     }
@@ -142,44 +128,20 @@ impl Tensor {
         }
         expect_shape(out, &[m], "matvec")?;
         let (a, x, y) = (self.data(), v.data(), out.data_mut());
-        let fans_out = fans_out(m * k);
         if trans_a {
-            // Columns `j0 ..` of the sweep; an element's order is over the
-            // rows of `self` whichever chunk holds it.
-            let sweep = |j0: usize, y: &mut [f64]| {
-                if !accumulate {
-                    y.fill(0.0);
+            if !accumulate {
+                y.fill(0.0);
+            }
+            for (row, &xi) in a.chunks_exact(m.max(1)).zip(x) {
+                for (yj, &aij) in y.iter_mut().zip(row) {
+                    *yj += xi * aij;
                 }
-                for (row, &xi) in a.chunks_exact(m.max(1)).zip(x) {
-                    for (yj, &aij) in y.iter_mut().zip(&row[j0..]) {
-                        *yj += xi * aij;
-                    }
-                }
-            };
-            if fans_out {
-                let chunk = m.div_ceil(rayon::current_num_threads());
-                y.par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, y)| sweep(c * chunk, y));
-            } else {
-                sweep(0, y);
             }
         } else {
-            let dot = |i: usize| -> f64 {
-                a[i * k..(i + 1) * k]
-                    .iter()
-                    .zip(x)
-                    .map(|(&av, &xv)| av * xv)
-                    .sum()
-            };
-            if fans_out {
-                y.par_chunks_mut(1)
-                    .enumerate()
-                    .for_each(|(i, y)| store(&mut y[0], dot(i), accumulate));
-            } else {
-                for (i, y) in y.iter_mut().enumerate() {
-                    store(y, dot(i), accumulate);
-                }
+            for (i, y) in y.iter_mut().enumerate() {
+                let row = &a[i * k..(i + 1) * k];
+                let dot = row.iter().zip(x).map(|(&av, &xv)| av * xv).sum();
+                store(y, dot, accumulate);
             }
         }
         Ok(())
@@ -286,64 +248,6 @@ mod tests {
         let fast = a.matmul(&b).unwrap();
         let slow = naive_matmul(&a, &b);
         assert!(crate::allclose(&fast, &slow, 1e-10, 1e-12));
-    }
-
-    #[test]
-    fn matmul_large_parallel_path() {
-        let a = Tensor::from_fn(&[80, 64], |i| ((i[0] + i[1]) % 5) as f64);
-        let b = Tensor::from_fn(&[64, 80], |i| ((i[0] * i[1]) % 3) as f64);
-        let fast = a.matmul(&b).unwrap();
-        let slow = naive_matmul(&a, &b);
-        assert!(crate::allclose(&fast, &slow, 1e-10, 1e-12));
-    }
-
-    /// A one-wide pool keeps large kernels on the caller, a wider one fans
-    /// them out, and both compute the same bits — under every operand flag,
-    /// overwriting and accumulating.
-    #[test]
-    fn one_wide_pool_keeps_kernels_on_the_caller() {
-        let pool = |n| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .unwrap()
-        };
-        assert!(!pool(1).install(|| fans_out(PAR_THRESHOLD)));
-        assert!(pool(2).install(|| fans_out(PAR_THRESHOLD)));
-        assert!(!pool(2).install(|| fans_out(PAR_THRESHOLD - 1)));
-
-        let a = Tensor::from_fn(&[80, 64], |i| (i[0] * 64 + i[1]) as f64 * 0.01);
-        let b = Tensor::from_fn(&[64, 80], |i| (i[0] as f64 - i[1] as f64) * 0.3);
-        let x = Tensor::from_fn(&[64], |i| i[0] as f64 * 0.7);
-        let run = || (a.matmul(&b).unwrap(), a.matvec(&x).unwrap());
-        assert_eq!(pool(1).install(run), pool(2).install(run));
-
-        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
-        let seed = Tensor::from_fn(&[80, 80], |i| (i[0] + 2 * i[1]) as f64 * 0.1);
-        let run_into = || {
-            let mut outs = Vec::new();
-            for accumulate in [false, true] {
-                for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
-                    let mut c = seed.clone();
-                    let (l, r) = (if ta { &at } else { &a }, if tb { &bt } else { &b });
-                    l.matmul_into(r, ta, tb, &mut c, accumulate).unwrap();
-                    outs.push(c);
-                }
-                // `at` is 64 x 80: the transposed form maps 64 -> 80 too.
-                for (m, ta) in [(&a, false), (&at, true)] {
-                    let mut y = Tensor::from_fn(&[80], |i| i[0] as f64);
-                    m.matvec_into(&x, ta, &mut y, accumulate).unwrap();
-                    outs.push(y);
-                }
-            }
-            outs
-        };
-        let serial = pool(1).install(run_into);
-        assert_eq!(serial, pool(2).install(run_into));
-        // Reading an operand through its flag is reading its transpose.
-        assert_eq!(serial[0], a.matmul(&b).unwrap());
-        assert!(serial[1..4].iter().all(|c| *c == serial[0]));
-        assert!(crate::allclose(&serial[5], &serial[4], 1e-12, 1e-12));
     }
 
     /// IEEE products are not skipped: `0 · inf` and `0 · NaN` are `NaN` in

@@ -118,7 +118,7 @@ fn matmul_matches_manual_reference() {
 
 #[test]
 fn matmul_parallel_path_matches_sequential() {
-    // 128x128 crosses the PAR_THRESHOLD fan-out; validate against the
+    // 128x128 spans many row and column panels; validate against the
     // O(n^3) reference evaluated per element.
     let n = 128;
     let a = dace_tensor::random::uniform(&[n, n], 1);

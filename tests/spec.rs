@@ -1,10 +1,10 @@
 //! Specialization-tier integration tests.
 //!
 //! The plan compiler attaches one native kernel, the N-D affine kernel, at
-//! two sites: every single-tasklet affine map its dependence verdict admits,
-//! and every unit-step control-flow loop over a single single-tasklet affine
-//! state — elementwise bodies, fixed-radius stencils, reduction/contraction
-//! bodies (see `crates/runtime/src/spec.rs`).  These tests pin down the
+//! two sites: every single-tasklet affine map, and every unit-step
+//! control-flow loop over a single single-tasklet affine state — elementwise
+//! bodies, fixed-radius stencils, reduction/contraction bodies (see
+//! `crates/runtime/src/spec.rs`).  These tests pin down the
 //! tier's contract:
 //!
 //! * the specialized path is **bit-identical** to the register VM on every
@@ -407,36 +407,43 @@ fn per_point_sites_of_the_gradient_programs_are_the_named_ones() {
     }
 }
 
-/// A map the kernel cannot take records why on its plan node: a proven
-/// race, a read beside the written element (disjoint by parity, so the
-/// verdict is `Safe`), and a non-affine read.
+/// What lowering records on a map's plan node.  The two maps the dependence
+/// verdict used to keep on the VM — a proven race into one element, and a
+/// read beside the written element (disjoint by parity) — attach the kernel
+/// with their rows per point; a map the kernel cannot take records why: a
+/// read of the written array at a symbolic offset (equal strides, so the
+/// relation is undecidable), and a non-affine read.
 #[test]
 fn declined_maps_carry_a_typed_reason() {
     use dace_ad_repro::runtime::KernelMiss;
     let i = SymExpr::sym("i");
-    let cases: [(&str, Vec<SymExpr>, Vec<SymExpr>, KernelMiss); 3] = [
-        (
-            "A",
-            vec![SymExpr::int(0)],
-            vec![i.clone()],
-            KernelMiss::VerdictRace,
-        ),
+    let carried = (MapStrategy::Kernel, Some(RowMode::PerPointCarriedRead));
+    let declined = |why| (MapStrategy::Vm(why), None);
+    let cases = [
+        ("A", vec![SymExpr::int(0)], vec![i.clone()], carried),
         (
             "A",
             vec![i.mul_int(2)],
             vec![i.mul_int(2).add_int(1)],
-            KernelMiss::AliasedReadAtOtherIndex,
+            carried,
+        ),
+        (
+            "A",
+            vec![i.clone()],
+            vec![i.add(&SymExpr::sym("M"))],
+            declined(KernelMiss::AliasedReadAtOtherIndex),
         ),
         (
             "X",
             vec![i.clone()],
             vec![i.mul(&i)],
-            KernelMiss::NonAffineIndex,
+            declined(KernelMiss::NonAffineIndex),
         ),
     ];
-    for (src, write, read, why) in cases {
+    for (src, write, read, (strategy, rows)) in cases {
         let mut b = ProgramBuilder::new("declined");
         let n = b.symbol("N");
+        b.symbol("M");
         b.add_input("X", vec![n.mul(&n)]).unwrap();
         b.add_input("A", vec![n.mul_int(2).add_int(1)]).unwrap();
         b.map_assign(
@@ -445,13 +452,13 @@ fn declined_maps_carry_a_typed_reason() {
             write,
             elem(src, read).mul(lit(2.0)),
         );
-        let symbols = HashMap::from([("N".to_string(), 6i64)]);
+        let symbols = HashMap::from([("N".to_string(), 6i64), ("M".to_string(), 6i64)]);
         let maps = compile(&b.build().unwrap(), &symbols)
             .unwrap()
             .map_strategies();
         assert_eq!(maps.len(), 1);
         assert_eq!(maps[0].points, Some(6));
-        assert_eq!(maps[0].strategy, MapStrategy::Vm(why));
+        assert_eq!((maps[0].strategy, maps[0].rows), (strategy, rows));
     }
 }
 
@@ -638,17 +645,22 @@ fn auto_mode_upgrades_after_warmup() {
 /// Named row shapes against the VM, each as the row `for j` (two strips and
 /// three points long, unless the shape says otherwise) of a `for i in 0..3`
 /// nest over one tasklet: the strip row's gathers, sweeps and write orders
-/// one at a time, and the shapes that must stay per point.  `G` holds
-/// `1e16, 1, -1e16, ..`, so that a sum into one element depends on the order
-/// of its terms.
+/// one at a time, and the shapes that must stay per point.  The last four
+/// are the rows of a 2-D map instead, `(i, j)` over `0..3 × 1..1 + n` for
+/// every `n` of `MAP_ROWS`: bodies the dependence analyzer proves racy,
+/// which the kernel runs all the same, in the VM's order.  `G` holds `1e16,
+/// 1, -1e16, ..`, so that a sum into one element depends on the order of
+/// its terms.
 #[test]
 fn named_row_shapes_match_the_vm() {
     use dace_ad_repro::sdfg::{
-        ArrayDesc, ControlFlow, DataflowGraph, LoopRegion, Memlet, ScalarExpr as E, State, Tasklet,
-        UnOp, STRIP,
+        analyze_map, ArrayDesc, ControlFlow, DataflowGraph, LoopRegion, MapScope, Memlet,
+        ParVerdict, ScalarExpr as E, State, Tasklet, UnOp, STRIP,
     };
+    /// Either side of the kernel's short-row constant and of a strip
+    /// boundary, and two strips and a part.
+    const MAP_ROWS: [i64; 6] = [3, 4, 127, 128, 129, 300];
     let len = (2 * STRIP + 3) as i64;
-    let width = 2 * len + 4;
     let (i, j) = (SymExpr::sym("i"), SymExpr::sym("j"));
     let at = |dj: i64| vec![i.clone(), j.add_int(dj)];
     let x = || E::input("x");
@@ -656,14 +668,16 @@ fn named_row_shapes_match_the_vm() {
     type Write = (&'static str, &'static str, Vec<SymExpr>, bool);
     struct Shape {
         name: &'static str,
-        /// `j` walks `start, start + step, ..` up to `end` (exclusive).
-        walk: (i64, SymExpr, i64),
+        /// `j` walks `start, start + step, ..` up to `end` (exclusive) as a
+        /// loop; `None`: `j` is the row parameter of the 2-D map.
+        walk: Option<(i64, SymExpr, i64)>,
         reads: Vec<Read>,
         code: Vec<(&'static str, E)>,
         writes: Vec<Write>,
         rows: RowMode,
     }
-    let up = || (1, SymExpr::int(1 + len), 1);
+    let up = || Some((1, SymExpr::int(1 + len), 1));
+    let origin = || vec![SymExpr::int(0), SymExpr::int(0)];
     let general = || E::un(UnOp::Sin, x()).mul(E::c(2.0)).add(E::input("y"));
     let adjoint = |offsets: &[i64]| Shape {
         name: "WCR writes into one array at neighbouring offsets",
@@ -684,7 +698,7 @@ fn named_row_shapes_match_the_vm() {
         },
         Shape {
             name: "descending walk",
-            walk: (len, SymExpr::int(0), -1),
+            walk: Some((len, SymExpr::int(0), -1)),
             reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
             code: vec![("o", general())],
             writes: vec![("o", "C", at(0), true)],
@@ -721,7 +735,7 @@ fn named_row_shapes_match_the_vm() {
         adjoint(&[-1, 0, 1]),
         Shape {
             name: "a clear under accumulations at equal and higher offsets",
-            walk: (len, SymExpr::int(0), -1),
+            walk: Some((len, SymExpr::int(0), -1)),
             reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
             code: vec![("clear", E::c(0.0)), ("d", x().add(E::input("y")))],
             writes: vec![
@@ -820,7 +834,7 @@ fn named_row_shapes_match_the_vm() {
         Shape {
             // The nest is triangular: one dispatch per row.
             name: "rows of 7, 8 and 9 points",
-            walk: (1, i.add_int(8), 1),
+            walk: Some((1, i.add_int(8), 1)),
             reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
             code: vec![("o", general())],
             writes: vec![
@@ -829,9 +843,51 @@ fn named_row_shapes_match_the_vm() {
             ],
             rows: RowMode::Strips,
         },
+        Shape {
+            name: "map: read-modify-write of one element through plain memlets",
+            walk: None,
+            reads: vec![("x", "G", at(0)), ("y", "C", origin())],
+            code: vec![("o", x().add(E::input("y")))],
+            writes: vec![("o", "C", origin(), false)],
+            // Lowering sees equal subsets; the dispatch sees the step 0.
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "map: the last point wins a plain write of one element",
+            walk: None,
+            reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
+            code: vec![("o", general())],
+            writes: vec![("o", "C", origin(), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "map: plain writes of neighbouring points meeting in one element",
+            walk: None,
+            reads: vec![("x", "A", at(0)), ("y", "B", at(1))],
+            code: vec![("o", general()), ("p", x().mul(E::input("y")))],
+            writes: vec![("o", "C", at(0), false), ("p", "C", at(1), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
+            name: "map: a read one element behind a plain write",
+            walk: None,
+            reads: vec![("x", "C", at(-1)), ("y", "A", at(0))],
+            code: vec![("o", general())],
+            writes: vec![("o", "C", at(0), false)],
+            rows: RowMode::PerPointCarriedRead,
+        },
     ];
-    for (n, shape) in shapes.iter().enumerate() {
-        let name = format!("shape {n} ({})", shape.name);
+    let loop_rows = [len];
+    let cases = shapes.iter().enumerate().flat_map(|(n, shape)| {
+        let rows = match shape.walk {
+            Some(_) => &loop_rows[..],
+            None => &MAP_ROWS[..],
+        };
+        rows.iter().map(move |&row| (n, shape, row))
+    });
+    for (n, shape, row) in cases {
+        let name = format!("shape {n} ({}), rows of {row}", shape.name);
+        let width = 2 * row + 4;
         let mut sdfg = Sdfg::new("row_shape");
         let dims = vec![SymExpr::int(3), SymExpr::int(width)];
         for array in ["A", "B", "C", "D", "G"] {
@@ -861,10 +917,6 @@ fn named_row_shapes_match_the_vm() {
                 if *wcr { m.with_wcr_sum() } else { m },
             );
         }
-        let sid = sdfg.add_state(State {
-            name: "body".into(),
-            graph: g,
-        });
         let level = |var: &str, (start, end, step): (i64, SymExpr, i64), body: ControlFlow| {
             ControlFlow::Loop(LoopRegion {
                 var: var.into(),
@@ -874,11 +926,46 @@ fn named_row_shapes_match_the_vm() {
                 body: Box::new(body),
             })
         };
-        let row = level("j", shape.walk.clone(), ControlFlow::State(sid));
-        sdfg.cfg = level("i", (0, SymExpr::int(3), 1), row);
+        if let Some(walk) = &shape.walk {
+            let sid = sdfg.add_state(State {
+                name: "body".into(),
+                graph: g,
+            });
+            let row = level("j", walk.clone(), ControlFlow::State(sid));
+            sdfg.cfg = level("i", (0, SymExpr::int(3), 1), row);
+        } else {
+            let map = MapScope {
+                params: vec!["i".into(), "j".into()],
+                ranges: vec![
+                    (SymExpr::int(0), SymExpr::int(3)),
+                    (SymExpr::int(1), SymExpr::int(1 + row)),
+                ],
+                body: g,
+            };
+            let verdict = analyze_map(&map, &HashMap::new());
+            assert!(matches!(verdict, ParVerdict::Race(_)), "{name}: {verdict}");
+            let mut state = DataflowGraph::new();
+            let m = state.add_map(map);
+            for (_, array, _) in &shape.reads {
+                let node = state.add_access(*array);
+                state.add_edge(node, None, m, None, Memlet::all(*array));
+            }
+            for (_, array, _, _) in &shape.writes {
+                let node = state.add_access(*array);
+                state.add_edge(m, None, node, None, Memlet::all(*array));
+            }
+            let sid = sdfg.add_state(State {
+                name: "map".into(),
+                graph: state,
+            });
+            sdfg.cfg = ControlFlow::State(sid);
+        }
 
         let program = compile(&sdfg, &HashMap::new()).unwrap();
-        let sites = program.loop_strategies();
+        let sites = match shape.walk {
+            Some(_) => program.loop_strategies(),
+            None => program.map_strategies(),
+        };
         assert_eq!(sites.len(), 1, "{name}");
         assert_eq!(sites[0].strategy, MapStrategy::Kernel, "{name}");
         assert_eq!(sites[0].rows, Some(shape.rows), "{name}");
@@ -1281,8 +1368,8 @@ mod proptests {
         write: Vec<Ix>,
         wcr: bool,
         /// `Some(shift)`: the tasklet also reads `W` at the written index
-        /// (`shift == 0`, an in-place update) or beside it (declined by the
-        /// recognizer, or a proven race: either way the VM's result).
+        /// (`shift == 0`, an in-place update) or beside it (a proven race,
+        /// which the kernel carries point by point).
         rmw: Option<i64>,
         /// The adjoint shape `reverse.rs` emits: read `g = W[write]`, clear
         /// it with a plain write, and accumulate `g * f(reads)` into `U` at
@@ -1450,10 +1537,9 @@ mod proptests {
             outs.push(("o".into(), if case.wcr { w.with_wcr_sum() } else { w }));
         }
         // Only the row parameter is shifted, so that the writes meet within
-        // a row; and a map admits several writes into one array only as
-        // reductions, so the first flag makes every write accumulate.
+        // a row — plain and accumulating mixed, as at the loop site: the
+        // kernel applies them in the VM's order whatever the verdict says.
         let shared = case.shared_writes.iter().flat_map(|s| &s.writes);
-        let all_sum = shared.clone().next().is_some_and(|w| w.0);
         for (k, &(wcr, offset)) in shared.enumerate() {
             code.push((
                 format!("s{k}"),
@@ -1464,8 +1550,7 @@ mod proptests {
                 other => other.clone(),
             });
             let v = memlet("V", &along_row.collect::<Vec<_>>(), 0);
-            let sum = all_sum || wcr;
-            outs.push((format!("s{k}"), if sum { v.with_wcr_sum() } else { v }));
+            outs.push((format!("s{k}"), if wcr { v.with_wcr_sum() } else { v }));
         }
 
         let mut sdfg = Sdfg::new("map_prop");
@@ -1595,22 +1680,45 @@ mod proptests {
             prop_assert_eq!(r_off.state_executions, r_on.state_executions);
             prop_assert_eq!(r_off.map_points, r_on.map_points);
         }
+    }
 
-        /// The same for 2- and 3-parameter maps with permuted, partial,
-        /// constant and offset indices, plain and WCR writes, in-place
-        /// updates and the multi-assignment adjoint shape: the map kernel
-        /// (or, where recognition or the verdict declines, the VM) is
-        /// bit-identical to pure-VM execution.
-        #[test]
-        fn map_kernel_execution_is_bit_identical(case in arb_map_case()) {
+    /// The same for 2- and 3-parameter maps with permuted, partial, constant
+    /// and offset indices, plain and WCR writes, in-place updates, reads
+    /// beside the written element and the multi-assignment adjoint shape:
+    /// the map kernel (or, where recognition declines, the VM) is
+    /// bit-identical to pure-VM execution.  Admission does not consult the
+    /// dependence verdict, so the run must exercise that: the cases whose
+    /// map the analyzer classifies `Race` or `Unknown` *and* that dispatch
+    /// the kernel are counted, and a run that drew none fails.  (Written
+    /// out instead of through `proptest!` for the count across cases.)
+    #[test]
+    fn map_kernel_execution_is_bit_identical() {
+        use dace_ad_repro::sdfg::{analyze_map, DfNode, ParVerdict};
+        const CASES: usize = 96;
+        let mut rng = proptest::strategy::runner_rng("map_kernel_execution_is_bit_identical");
+        let strategy = arb_map_case();
+        let mut racy_on_the_kernel = 0;
+        for _ in 0..CASES {
+            let case = strategy.sample(&mut rng);
             let sdfg = build_map_case(&case);
             let (off, r_off) = run_map_case(&sdfg, &case, SpecMode::ForceOff);
-            prop_assert_eq!(r_off.specialized_dispatches, 0);
+            assert_eq!(r_off.specialized_dispatches, 0);
             let (on, r_on) = run_map_case(&sdfg, &case, SpecMode::Auto);
-            prop_assert_eq!(&off, &on, "diverged for {:?}", &case);
-            prop_assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
-            prop_assert_eq!(r_off.state_executions, r_on.state_executions);
-            prop_assert_eq!(r_off.map_points, r_on.map_points);
+            assert_eq!(&off, &on, "diverged for {case:?}");
+            assert_eq!(r_off.tasklet_invocations, r_on.tasklet_invocations);
+            assert_eq!(r_off.state_executions, r_on.state_executions);
+            assert_eq!(r_off.map_points, r_on.map_points);
+            let verdict = sdfg.states[0].graph.nodes.iter().find_map(|n| match n {
+                DfNode::MapScope(m) => Some(analyze_map(m, &HashMap::new())),
+                _ => None,
+            });
+            let racy = matches!(verdict, Some(ParVerdict::Race(_) | ParVerdict::Unknown));
+            racy_on_the_kernel += (racy && r_on.specialized_dispatches > 0) as usize;
         }
+        println!("{racy_on_the_kernel} of {CASES} cases ran a Race / Unknown map on the kernel");
+        assert!(
+            racy_on_the_kernel > 0,
+            "no generated map with a Race / Unknown verdict dispatched the kernel"
+        );
     }
 }
