@@ -1,9 +1,10 @@
 //! # dace-bench
 //!
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (see `DESIGN.md` §3 for the experiment index and
-//! `EXPERIMENTS.md` for the recorded results).  Each figure has a dedicated
-//! binary (`cargo run --release -p dace-bench --bin figNN_...`).
+//! Figure harness regenerating the tables and figures of the paper's
+//! evaluation ("Benchmarks and examples" in `README.md`; what the repository
+//! measures about itself is `perfbench/`, see `docs/benchmarking.md`).  Each
+//! figure has a dedicated binary
+//! (`cargo run --release -p dace-bench --bin figNN_...`).
 
 use std::time::Duration;
 

@@ -674,7 +674,7 @@ pub(crate) mod tests {
     /// The motivating example of Listing 1: three sin() sites whose inputs
     /// A0/A1/A2 must be forwarded; the two scalings of D are materialised as
     /// the transients D1 and D2 (an SSA rendering of the in-place updates,
-    /// preserving the paper's S/R/c cost structure — see EXPERIMENTS.md).
+    /// preserving the paper's S/R/c cost structure).
     pub(crate) fn listing1() -> dace_sdfg::Sdfg {
         let mut b = ProgramBuilder::new("listing1");
         let n = b.symbol("N");

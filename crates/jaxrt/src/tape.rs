@@ -1,6 +1,6 @@
 //! Tape-based reverse-mode AD over immutable functional arrays.
 //!
-//! This is the JAX-JIT stand-in the paper compares against (see `DESIGN.md`).
+//! This is the JAX-JIT stand-in the paper compares against.
 //! It reproduces the mechanisms Section V-B identifies as the source of JAX's
 //! overhead on scientific codes:
 //!

@@ -63,7 +63,7 @@
 //! methodology.
 
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use npbench::runner::{time_batch, time_dace, time_gateway, time_jax, time_serve, GatewayLoad};
 use npbench::{all_kernels, kernel_by_name, Kernel, Preset};
@@ -76,14 +76,14 @@ struct Args {
     workers: usize,
     serve: Option<f64>,
     requests: usize,
-    deadline_ms: Option<f64>,
+    deadline: Option<Duration>,
     max_batch: usize,
     gateway: Option<usize>,
     verify: bool,
     queue_cap: usize,
     retry_budget: u32,
     inject_panic_every: Option<u64>,
-    inject_delay_ms: f64,
+    inject_delay: Duration,
     reloads: usize,
 }
 
@@ -137,7 +137,16 @@ Options:
   --help                   print this message
 ";
 
-fn parse_args() -> Result<Option<Args>, String> {
+/// A flag's value in milliseconds as a `Duration`: finite, non-negative and
+/// in range, or the usage error.
+fn parse_millis(flag: &str, value: &str) -> Result<Duration, String> {
+    let ms: f64 = value
+        .parse()
+        .map_err(|e| format!("bad {flag} value: {e}"))?;
+    Duration::try_from_secs_f64(ms / 1e3).map_err(|e| format!("bad {flag} value `{value}`: {e}"))
+}
+
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         kernels: None,
         preset: Preset::Bench,
@@ -146,17 +155,16 @@ fn parse_args() -> Result<Option<Args>, String> {
         workers: 0,
         serve: None,
         requests: 64,
-        deadline_ms: None,
+        deadline: None,
         max_batch: 8,
         gateway: None,
         verify: false,
         queue_cap: 32,
         retry_budget: 2,
         inject_panic_every: None,
-        inject_delay_ms: 0.0,
+        inject_delay: Duration::ZERO,
         reloads: 2,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let need = |i: usize| -> Result<&String, String> {
@@ -210,11 +218,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                 i += 2;
             }
             "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms value: {e}"))?,
-                );
+                args.deadline = Some(parse_millis("--deadline-ms", need(i)?)?);
                 i += 2;
             }
             "--max-batch" => {
@@ -256,9 +260,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                 i += 2;
             }
             "--inject-delay-ms" => {
-                args.inject_delay_ms = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --inject-delay-ms value: {e}"))?;
+                args.inject_delay = parse_millis("--inject-delay-ms", need(i)?)?;
                 i += 2;
             }
             "--reloads" => {
@@ -268,6 +270,18 @@ fn parse_args() -> Result<Option<Args>, String> {
                 i += 2;
             }
             other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    // The open-loop schedule puts the last submission `requests / RPS` after
+    // the first: that instant has to exist.
+    if let Some(rps) = args.serve {
+        let last_due = Duration::try_from_secs_f64(args.requests as f64 / rps)
+            .ok()
+            .and_then(|d| Instant::now().checked_add(d));
+        if !rps.is_finite() || rps < 0.0 || (rps > 0.0 && last_due.is_none()) {
+            return Err(format!(
+                "bad --serve value `{rps:e}`: not a submission rate this run can schedule"
+            ));
         }
     }
     Ok(Some(args))
@@ -340,12 +354,11 @@ fn run_serve(
     reps: usize,
     rps: f64,
     requests: usize,
-    deadline_ms: Option<f64>,
+    deadline: Option<Duration>,
     max_batch: usize,
     workers: usize,
 ) -> Result<(), String> {
     let options = npbench::runner::serve_options(max_batch, workers);
-    let deadline = deadline_ms.map(|d| Duration::from_secs_f64(d / 1e3));
     println!(
         "open-loop load: {requests} requests/kernel ({}), \
          max_batch={max_batch}{}",
@@ -354,8 +367,8 @@ fn run_serve(
         } else {
             "unpaced".to_string()
         },
-        match deadline_ms {
-            Some(d) => format!(", deadline={d}ms"),
+        match deadline {
+            Some(d) => format!(", deadline={}ms", d.as_secs_f64() * 1e3),
             None => String::new(),
         },
     );
@@ -621,12 +634,12 @@ fn run_gateway(kernels: &[Box<dyn Kernel>], preset: Preset, args: &Args) -> Resu
     let load = GatewayLoad {
         clients: args.gateway.unwrap_or(6),
         requests_per_client: args.requests,
-        deadline: args.deadline_ms.map(|d| Duration::from_secs_f64(d / 1e3)),
+        deadline: args.deadline,
         queue_capacity: args.queue_cap,
         retry_budget: args.retry_budget,
         max_batch: args.max_batch,
         inject_panic_every: args.inject_panic_every,
-        inject_delay: Duration::from_secs_f64(args.inject_delay_ms.max(0.0) / 1e3),
+        inject_delay: args.inject_delay,
         reloads: args.reloads,
     };
     println!(
@@ -647,8 +660,11 @@ fn run_gateway(kernels: &[Box<dyn Kernel>], preset: Preset, args: &Args) -> Resu
         } else {
             String::new()
         },
-        match args.deadline_ms {
-            Some(d) => format!(", deadline={d}ms on every 3rd request"),
+        match args.deadline {
+            Some(d) => format!(
+                ", deadline={}ms on every 3rd request",
+                d.as_secs_f64() * 1e3
+            ),
             None => String::new(),
         },
     );
@@ -731,7 +747,8 @@ fn run_gateway(kernels: &[Box<dyn Kernel>], preset: Preset, args: &Args) -> Resu
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(Some(a)) => a,
         Ok(None) => {
             print!("{USAGE}");
@@ -761,7 +778,7 @@ fn main() -> ExitCode {
             args.reps,
             rps,
             args.requests,
-            args.deadline_ms,
+            args.deadline,
             args.max_batch,
             args.workers,
         )
@@ -776,5 +793,52 @@ fn main() -> ExitCode {
             eprintln!("npbench: {e}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    /// A float flag that cannot become a `Duration` or a schedule is a usage
+    /// error at the flag, not a panic where the value is first used.
+    #[test]
+    fn float_flags_reject_what_cannot_be_scheduled() {
+        for (bad, flag) in [
+            (
+                &["--serve", "200", "--deadline-ms", "-1"][..],
+                "--deadline-ms",
+            ),
+            (&["--serve", "1e-300"], "--serve"),
+            (
+                &["--gateway", "1", "--inject-delay-ms", "inf"],
+                "--inject-delay-ms",
+            ),
+            (&["--serve", "NaN"], "--serve"),
+            (&["--serve", "-5"], "--serve"),
+            (&["--serve", "1", "--deadline-ms", "NaN"], "--deadline-ms"),
+        ] {
+            let err = parse(bad)
+                .err()
+                .unwrap_or_else(|| panic!("{bad:?} accepted"));
+            assert!(err.contains(flag), "{bad:?}: error must name {flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn float_flags_accept_the_documented_values() {
+        let args = parse(&["--serve", "0", "--deadline-ms", "500"]);
+        let args = args.unwrap().unwrap();
+        assert_eq!(args.serve, Some(0.0));
+        assert_eq!(args.deadline, Some(Duration::from_millis(500)));
+        let args = parse(&["--serve", "200", "--inject-delay-ms", "0.5"]);
+        let args = args.unwrap().unwrap();
+        assert_eq!(args.serve, Some(200.0));
+        assert_eq!(args.inject_delay, Duration::from_micros(500));
     }
 }

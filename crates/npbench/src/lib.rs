@@ -39,8 +39,7 @@ pub enum Category {
 ///
 /// `Test` sizes are used by the cross-validation test suite; `Bench` sizes by
 /// the benchmark harness.  The paper's "paper" NPBench sizes are scaled down
-/// so every configuration completes in seconds under the SDFG interpreter
-/// (documented substitution, see DESIGN.md §4).
+/// so every configuration completes in seconds under the SDFG interpreter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Preset {
     /// Tiny sizes for gradient cross-validation.

@@ -67,39 +67,6 @@ pub fn time_dace(
     })
 }
 
-/// Time one full finite-difference validation sweep of a kernel: the central
-/// FD gradient of `OUT` w.r.t. the kernel's first `wrt` input (`2 × len`
-/// forward executions).  With the compile-once API the whole sweep performs
-/// exactly one forward lowering, which is what the `fd_validation` baseline
-/// entry guards.
-pub fn time_fd_validation(
-    kernel: &dyn Kernel,
-    sizes: &Sizes,
-    inputs: &HashMap<String, Tensor>,
-    repetitions: usize,
-) -> Result<Timing, String> {
-    let sdfg = kernel.build_dace(sizes);
-    let symbols = kernel.symbols(sizes);
-    let wrt = *kernel
-        .wrt()
-        .first()
-        .ok_or_else(|| "kernel has no differentiable inputs".to_string())?;
-    let mut best = Duration::MAX;
-    let mut output = 0.0;
-    for _ in 0..repetitions.max(1) {
-        let start = Instant::now();
-        let grad =
-            dace_ad::engine::finite_difference_gradient(&sdfg, "OUT", wrt, &symbols, inputs, 1e-6)
-                .map_err(|e| e.to_string())?;
-        best = best.min(start.elapsed());
-        output = grad.sum();
-    }
-    Ok(Timing {
-        elapsed: best,
-        output,
-    })
-}
-
 /// Serial-vs-batched timing of one kernel's gradient over a batch of
 /// distinct input sets (see [`time_batch`]).
 #[derive(Clone, Debug)]
@@ -108,15 +75,10 @@ pub struct BatchTiming {
     pub items: usize,
     /// Effective fan-out width of the batched runs.
     pub workers: usize,
-    /// Best wall-clock time of serving the whole batch through a serial
-    /// single-session loop (`GradientEngine::run` per item).
-    pub serial: Duration,
-    /// Best wall-clock time of serving the same batch through
-    /// `GradientEngine::run_batch`.
-    pub batched: Duration,
-    /// Serial items/sec.
+    /// Items/sec of the best serial single-session loop
+    /// (`GradientEngine::run` per item).
     pub serial_items_per_sec: f64,
-    /// Batched items/sec.
+    /// Items/sec of the best `GradientEngine::run_batch` over the same batch.
     pub batched_items_per_sec: f64,
     /// `serial / batched` — the batched-serving speedup.
     pub speedup: f64,
@@ -184,8 +146,6 @@ pub fn time_batch(
     Ok(BatchTiming {
         items: batch,
         workers: effective_workers,
-        serial,
-        batched,
         serial_items_per_sec: per_sec(serial),
         batched_items_per_sec: per_sec(batched),
         speedup: serial.as_secs_f64() / batched.as_secs_f64().max(1e-12),
@@ -207,12 +167,10 @@ pub struct ServeTiming {
     /// the serving layer lost a handle (which the CI smoke gate asserts
     /// never happens).
     pub lost: usize,
-    /// First-submit-to-last-completion wall clock of the best repetition.
-    pub elapsed: Duration,
-    /// `elapsed / requests` in milliseconds — the regression-gated figure
-    /// of the `serve_latency` baseline row.
+    /// First-submit-to-last-completion wall clock of the best repetition
+    /// over `requests`, in milliseconds.
     pub per_request_ms: f64,
-    /// Completed requests per second (`completed / elapsed`).
+    /// Completed requests per second of that wall clock.
     pub achieved_rps: f64,
     /// Median submit-to-completion latency (ms) over completed requests.
     pub p50_ms: f64,
@@ -228,16 +186,12 @@ pub struct ServeTiming {
     /// `rejected`, ...).  Quiescent, so it must conserve with nothing
     /// queued or in flight — the `npbench --serve` smoke gate checks it.
     pub stats: TenantStats,
-    /// Raw per-request latencies (ms) of the best repetition, for callers
-    /// that aggregate percentiles across kernels (`record_baseline`).
-    pub latencies_ms: Vec<f64>,
 }
 
 /// Build the single-program [`GatewayOptions`] of [`time_serve`] from
-/// CLI-style knobs (shared by the `npbench --serve` mode and the
-/// `serve_latency` baseline row, so both measure the same configuration):
-/// like `GradientEngine::serve()`'s defaults, the queue is unbounded and
-/// retries and the circuit breaker are off.
+/// CLI-style knobs (the `npbench --serve` mode's configuration): like
+/// `GradientEngine::serve()`'s defaults, the queue is unbounded and retries
+/// and the circuit breaker are off.
 pub fn serve_options(max_batch: usize, workers: usize) -> GatewayOptions {
     GatewayOptions {
         max_batch,
@@ -250,9 +204,8 @@ pub fn serve_options(max_batch: usize, workers: usize) -> GatewayOptions {
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice (`q` in [0, 1]);
-/// `0.0` on an empty slice.  Shared by [`time_serve`] and the
-/// `serve_latency` baseline row so both report the same statistic.
-pub fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
+/// `0.0` on an empty slice.
+fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -348,7 +301,6 @@ pub fn time_serve(
             expired,
             failed,
             lost: requests - completed - expired - failed,
-            elapsed,
             per_request_ms: elapsed.as_secs_f64() * 1e3 / requests as f64,
             achieved_rps: completed as f64 / elapsed.as_secs_f64().max(1e-12),
             p50_ms: percentile_ms(&latencies_ms, 0.50),
@@ -356,7 +308,6 @@ pub fn time_serve(
             max_ms: latencies_ms.last().copied().unwrap_or(0.0),
             wait_ms: percentile_ms(&waits_ms, 0.50),
             stats: server.stats().expect("the engine's tenant is registered"),
-            latencies_ms,
         };
         let better = best
             .as_ref()
@@ -715,7 +666,6 @@ mod tests {
         assert_eq!(t.requests, 6);
         assert_eq!(t.completed, 6);
         assert_eq!(t.expired + t.failed + t.lost, 0);
-        assert_eq!(t.latencies_ms.len(), 6);
         assert!(t.per_request_ms > 0.0 && t.p50_ms > 0.0 && t.p95_ms >= t.p50_ms);
         assert!(t.wait_ms >= 0.0 && t.wait_ms <= t.max_ms);
         assert!(t.stats.largest_batch >= 1);

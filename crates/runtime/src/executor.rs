@@ -720,7 +720,7 @@ mod tests {
     /// A large map gives the same bits and counters on the native kernel
     /// (`Auto`) as on the sequential VM.
     #[test]
-    fn parallel_map_matches_sequential() {
+    fn large_map_on_the_kernel_matches_the_vm() {
         let sdfg = scale_sdfg(2.0);
         let n = 8292usize;
         let x = dace_tensor::random::uniform(&[n], 1);

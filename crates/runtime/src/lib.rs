@@ -1,8 +1,8 @@
 //! # dace-runtime
 //!
 //! An interpreter/executor for SDFGs, standing in for the DaCe code generator
-//! and CPU runtime of the original system (see `DESIGN.md` for the
-//! substitution rationale).  Both DaCe AD and the JAX-like baseline in this
+//! and CPU runtime of the original system (the stand-ins are listed under
+//! "Layout" in `README.md`).  Both DaCe AD and the JAX-like baseline in this
 //! repository ultimately execute on the same `dace-tensor` kernels, so the
 //! performance comparisons in the benchmark harness measure algorithmic
 //! differences (in-place gradients, no per-iteration bound checks, compact

@@ -3,8 +3,7 @@
 //! A dataflow graph is a DAG of access nodes, tasklets, nested map scopes and
 //! library nodes, connected by edges carrying memlets.  Map scopes own a
 //! nested dataflow graph (their body); this replaces DaCe's map-entry /
-//! map-exit node pairs with an equivalent but easier-to-reverse structure
-//! (documented substitution in `DESIGN.md`).
+//! map-exit node pairs with an equivalent but easier-to-reverse structure.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 

@@ -11,7 +11,7 @@
 //!
 //! Design points:
 //! * Row-major, contiguous `f64` storage. The paper's float32 deep-learning
-//!   kernels run in f64 here (documented substitution in `DESIGN.md`).
+//!   kernels run in f64 here.
 //! * Element-wise and reduction kernels are straightforward loops; every
 //!   matrix product runs on one packed, runtime-dispatched kernel (`gemm`)
 //!   on the calling thread, standing in for the optimized library calls DaCe

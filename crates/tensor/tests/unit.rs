@@ -117,7 +117,7 @@ fn matmul_matches_manual_reference() {
 }
 
 #[test]
-fn matmul_parallel_path_matches_sequential() {
+fn matmul_over_many_panels_matches_the_reference() {
     // 128x128 spans many row and column panels; validate against the
     // O(n^3) reference evaluated per element.
     let n = 128;

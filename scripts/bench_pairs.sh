@@ -11,7 +11,7 @@
 # root.  Build both sides the same way — `git clone` the parent *and* a copy of
 # the change next to each other — because the build directory enters the crate
 # hashes that order functions in the binary, which alone moves `grad_loops` by
-# a few per cent (docs/benchmarking.md, "Measurement policy").
+# a few per cent (docs/benchmarking.md, "The build-directory effect").
 set -euo pipefail
 
 [ $# -ge 3 ] || { sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }

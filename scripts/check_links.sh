@@ -1,9 +1,16 @@
 #!/usr/bin/env bash
-# Check that every relative markdown link in the repo's *.md files points at
-# a file or directory that exists.  External links (http/https/mailto) and
-# pure in-page anchors (#...) are skipped; an anchor suffix on a relative
-# link is stripped before the existence check.  Exits non-zero listing every
-# broken link.  Plain grep/sed, no dependencies — run from the repo root.
+# Check that the repo's prose names things that exist:
+#  * every relative markdown link in a *.md file points at a file or
+#    directory (external links and pure in-page anchors are skipped, an
+#    anchor suffix is stripped before the existence check);
+#  * every `NAME.md` a `//!` / `///` comment under crates/ or src/ cites is a
+#    file, relative to the repo root;
+#  * every `--bin NAME` / `--example NAME` in a *.md file is a cargo target
+#    (`src/bin/NAME.rs` / `examples/NAME.rs` of some package).  perfbench/,
+#    CHANGES.md, ROADMAP.md and ISSUE.md are exempt: history and task
+#    statements name what a PR deleted.
+# Exits non-zero listing every miss.  Plain grep/sed, no dependencies — run
+# from the repo root.
 set -u
 
 fail=0
@@ -26,6 +33,46 @@ for f in $files; do
         [ -n "$target" ] || continue
         if [ ! -e "$dir/$target" ]; then
             echo "$f: broken relative link -> $link"
+            fail=1
+        fi
+    done
+done
+
+# Rust sources, listed the same way.
+if sources=$(git ls-files '*.rs' 2>/dev/null) && [ -n "$sources" ]; then
+    :
+else
+    sources=$(find . -name '*.rs' -not -path '*/target/*' | sed 's|^\./||')
+fi
+
+# Document names cited from doc comments.
+for f in $sources; do
+    case "$f" in
+    crates/* | src/*) ;;
+    *) continue ;;
+    esac
+    for name in $(grep -E '^[[:space:]]*//[/!]' "$f" | grep -oE '[A-Za-z0-9_./-]+\.md' | sort -u); do
+        if [ ! -e "$name" ]; then
+            echo "$f: doc comment cites missing document -> $name"
+            fail=1
+        fi
+    done
+done
+
+# Cargo targets named by the documentation.
+for f in $files; do
+    case "$f" in
+    perfbench/* | CHANGES.md | ROADMAP.md | ISSUE.md) continue ;;
+    esac
+    for target in $(grep -oE -- '--(bin|example)[ =][A-Za-z0-9_-]+' "$f" | sed -E 's/^--//; s/[ =]/:/' | sort -u); do
+        kind=${target%%:*}
+        name=${target#*:}
+        case "$kind" in
+        bin) path="src/bin/$name.rs" ;;
+        *) path="examples/$name.rs" ;;
+        esac
+        if ! printf '%s\n' "$sources" | grep -qE "(^|/)$path\$"; then
+            echo "$f: no cargo target for --$kind $name"
             fail=1
         fi
     done

@@ -141,8 +141,9 @@ fn map_kernels_are_bit_identical_across_spec_modes() {
 }
 
 /// The gradient program `GradientEngine` compiles for one program under
-/// `options` produces bitwise the VM's output and gradients on the native
-/// kernels, with equal counters, and the kernels fire.
+/// `options` leaves bitwise the VM's arrays on the native kernels — output,
+/// gradients and whatever else is still allocated (inputs updated in place,
+/// tapes) —, with equal counters, and the kernels fire.
 fn assert_gradient_parity(
     name: &str,
     sdfg: &Sdfg,
@@ -163,17 +164,26 @@ fn assert_gradient_parity(
             session.set_input(n, t.clone()).unwrap();
         }
         let report = session.run().unwrap();
-        let grads: Vec<Vec<u64>> = std::iter::once(&plan.output)
-            .chain(plan.inputs.iter().map(|i| &plan.gradients[i]))
-            .map(|array| bits(session.array(array).unwrap()))
+        let gradients = plan.inputs.iter().map(|i| &plan.gradients[i]);
+        for array in std::iter::once(&plan.output).chain(gradients) {
+            assert!(session.array(array).is_some(), "{name}: `{array}` is gone");
+        }
+        let arrays: Vec<(&String, Vec<u64>)> = plan
+            .sdfg
+            .arrays
+            .keys()
+            .filter_map(|array| Some((array, bits(session.array(array)?))))
             .collect();
-        (grads, report)
+        (arrays, report)
     };
-    let (off_grads, off) = run(SpecMode::ForceOff);
-    let (on_grads, on) = run(SpecMode::Auto);
+    let (off_arrays, off) = run(SpecMode::ForceOff);
+    let (on_arrays, on) = run(SpecMode::Auto);
     assert_eq!(off.specialized_dispatches, 0, "{name}: ForceOff dispatched");
     assert!(on.specialized_dispatches > 0, "{name}: kernel never fired");
-    assert_eq!(off_grads, on_grads, "{name}: gradient differs from the VM");
+    assert_eq!(
+        off_arrays, on_arrays,
+        "{name}: an array differs from the VM"
+    );
     assert_eq!(off.tasklet_invocations, on.tasklet_invocations, "{name}");
     assert_eq!(off.state_executions, on.state_executions, "{name}");
     assert_eq!(off.map_points, on.map_points, "{name}");
