@@ -237,8 +237,8 @@ impl Timeline {
             }
             for state in states {
                 let graph = &plan.sdfg.states[state].graph;
-                let reads: Vec<String> = graph.reads().into_keys().collect();
-                let writes: Vec<String> = graph.writes().into_keys().collect();
+                let reads: Vec<String> = graph.read_arrays().into_iter().collect();
+                let writes = graph.written_arrays();
                 for array in &reads {
                     uses.entry(array.clone()).or_default().reads.push(t);
                 }

@@ -1148,7 +1148,7 @@ mod tests {
             .states
             .iter()
             .filter(|s| s.name.starts_with("recompute_"));
-        let mut written: Vec<String> = slices.flat_map(|s| s.graph.writes().into_keys()).collect();
+        let mut written: Vec<String> = slices.flat_map(|s| s.graph.written_arrays()).collect();
         written.sort();
         assert_eq!(written, ["T0", "T1", "T2"]);
         // A limit one array below the store-all peak: the ILP recomputes too.

@@ -769,15 +769,22 @@ impl<'a> Ctx<'a> {
             .cloned()
             .collect();
 
-        // Which connector values are needed by the adjoint expressions?
+        // One partial derivative per contributing input, and the connector
+        // values those expressions need.
+        let partials: Vec<ScalarExpr> = contributing
+            .iter()
+            .map(|(conn, _)| expr.derivative(conn).simplified())
+            .collect();
         let mut needed: BTreeSet<String> = BTreeSet::new();
-        for (conn, _) in &contributing {
-            needed.extend(expr.derivative(conn).simplified().inputs());
+        for d in &partials {
+            needed.extend(d.inputs());
         }
 
         // Resolve forwarded values for each needed connector.
         let mut tape_states = Vec::new();
-        let mut value_memlets: HashMap<String, Memlet> = HashMap::new();
+        // Ordered: the read edges below are added in this map's order, and
+        // two reversals of one program must be the same SDFG (one cache key).
+        let mut value_memlets: BTreeMap<String, Memlet> = BTreeMap::new();
         for conn in &needed {
             let Some((_, memlet)) = reads.iter().find(|(c, _)| c == conn) else {
                 return Err(AdError::Malformed(format!(
@@ -819,8 +826,7 @@ impl<'a> Ctx<'a> {
                 },
             ));
         }
-        for (k, (conn, memlet)) in contributing.iter().enumerate() {
-            let d = expr.derivative(conn).simplified();
+        for (k, ((_, memlet), d)) in contributing.iter().zip(partials).enumerate() {
             let contrib = ScalarExpr::Bin(
                 dace_sdfg::BinOp::Mul,
                 Box::new(d),
@@ -915,10 +921,10 @@ impl<'a> Ctx<'a> {
         // Wrap the adjoint body in a map with the same range.
         let mut g = DataflowGraph::new();
         let mut read_nodes = Vec::new();
-        for array in body_graph.reads().into_keys() {
+        for array in body_graph.read_arrays() {
             read_nodes.push((array.clone(), g.add_access(&array)));
         }
-        let writes = body_graph.writes();
+        let writes = body_graph.written_arrays();
         let map_node = g.add_map(MapScope {
             params: map.params.clone(),
             ranges: map.ranges.clone(),
@@ -927,7 +933,7 @@ impl<'a> Ctx<'a> {
         for (array, n) in read_nodes {
             g.add_edge(n, None, map_node, None, Memlet::all(array));
         }
-        for array in writes.into_keys() {
+        for array in writes {
             let w = g.add_access(&array);
             g.add_edge(map_node, None, w, None, Memlet::all(array));
         }
@@ -1368,7 +1374,7 @@ fn collect_write_info(
     match cf {
         ControlFlow::State(id) => {
             let pos = *state_pos.get(id).unwrap_or(&usize::MAX);
-            for array in sdfg.states[*id].graph.writes().into_keys() {
+            for array in sdfg.states[*id].graph.written_arrays() {
                 write_pos.entry(array.clone()).or_default().push(pos);
                 if loop_depth > 0 {
                     written_in_loop.insert(array);

@@ -287,7 +287,7 @@ impl ProgramBuilder {
 
         // Body: tasklet reading each referenced array at [params].
         let mut body = DataflowGraph::new();
-        let mut renames: HashMap<String, String> = HashMap::new();
+        let mut renames: Vec<(String, String)> = Vec::new();
         let scalar = array_expr_to_scalar(expr, &idx, &mut renames);
         let tasklet = body.add_tasklet(Tasklet::new("ew", "out", scalar));
         for (array, conn) in &renames {
@@ -413,20 +413,25 @@ fn lower_elem_tasklet(
 }
 
 /// Convert a whole-array expression into a tasklet scalar expression reading
-/// each referenced array at `idx`.  `renames` maps array names to connector
-/// names (one connector per array).
+/// each referenced array at `idx`.  `renames` pairs array names with
+/// connector names (one connector per array) in order of first use — the
+/// order the caller adds the body's reads in, so that building one program
+/// twice gives the same SDFG.
 fn array_expr_to_scalar(
     expr: &ArrayExpr,
     _idx: &[SymExpr],
-    renames: &mut HashMap<String, String>,
+    renames: &mut Vec<(String, String)>,
 ) -> ScalarExpr {
     match expr {
         ArrayExpr::Ref(name) => {
-            let next = renames.len();
-            let conn = renames
-                .entry(name.clone())
-                .or_insert_with(|| format!("in{next}"))
-                .clone();
+            let conn = match renames.iter().find(|(array, _)| array == name) {
+                Some((_, conn)) => conn.clone(),
+                None => {
+                    let conn = format!("in{}", renames.len());
+                    renames.push((name.clone(), conn.clone()));
+                    conn
+                }
+            };
             ScalarExpr::Input(conn)
         }
         ArrayExpr::Scalar(v) => ScalarExpr::Const(*v),

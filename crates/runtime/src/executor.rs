@@ -25,8 +25,8 @@ use dace_tensor::Tensor;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::memory::MemoryTracker;
 use crate::plan::{
-    CIdx, ExecPlan, Layout, PlanAccess, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap,
-    PlanNode, PlanOperand, PlanTasklet, SymFile,
+    CIdx, ExecPlan, Layout, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap, PlanNode,
+    PlanOperand, PlanTasklet, SymFile,
 };
 use crate::spec::{extent, Axis, KernelDst, KernelSrc, SpecMode};
 
@@ -157,7 +157,7 @@ impl RunState {
                 t.data_mut().fill(0.0);
                 t
             }
-            None => Tensor::zeros(&layout.dims),
+            None => Tensor::zeros(layout.dims()),
         };
         self.slab[id as usize] = Some(tensor);
         self.tracker
@@ -305,8 +305,8 @@ impl RunState {
         if let Some(e) = &g.fail {
             return Err(e.clone());
         }
-        for &n in &g.order {
-            match &g.nodes[n] {
+        for node in &g.nodes {
+            match node {
                 PlanNode::Access(a) => {
                     // Allocate when the container is written (has in-edges) or
                     // read (must already exist for non-transients).
@@ -333,7 +333,8 @@ impl RunState {
             scratch.slots.clear();
             scratch.slots.resize(t.n_slots, 0.0);
             for r in &t.reads {
-                let v = read_access(plan, slab, syms, &mut scratch.i_regs, r.array, &r.access)?;
+                let idx = r.access.indices(plan);
+                let v = read_access(plan, slab, syms, &mut scratch.i_regs, r.array, idx)?;
                 scratch.slots[r.slot as usize] = v;
             }
             load_iters(plan, syms, &mut scratch.slots, &t.iter_loads)?;
@@ -345,7 +346,8 @@ impl RunState {
         }
         for w in &t.writes {
             let value = self.scratch.outs[w.expr as usize];
-            self.write_access(plan, w.array, &w.access, value, w.accumulate)?;
+            let idx = w.access.indices(plan);
+            self.write_access(plan, w.array, idx, value, w.accumulate)?;
         }
         Ok(())
     }
@@ -354,7 +356,7 @@ impl RunState {
         &mut self,
         plan: &ExecPlan,
         array: u32,
-        access: &PlanAccess,
+        idx: Option<&[CIdx]>,
         value: f64,
         accumulate: bool,
     ) -> RuntimeResult<()> {
@@ -365,8 +367,8 @@ impl RunState {
             scratch,
             ..
         } = self;
-        let flat = match access {
-            PlanAccess::All => {
+        let flat = match idx {
+            None => {
                 let t = slab[array as usize].as_ref().expect("just allocated");
                 if t.len() != 1 {
                     return Err(RuntimeError::Malformed(format!(
@@ -376,7 +378,7 @@ impl RunState {
                 }
                 0
             }
-            PlanAccess::Element(idx) => {
+            Some(idx) => {
                 let layout = plan.arrays.layout(array)?;
                 flat_offset(plan, syms, &mut scratch.i_regs, array, idx, layout)?
             }
@@ -564,13 +566,13 @@ fn read_access(
     syms: &SymFile,
     i_regs: &mut Vec<i64>,
     array: u32,
-    access: &PlanAccess,
+    idx: Option<&[CIdx]>,
 ) -> RuntimeResult<f64> {
     let t = slab[array as usize]
         .as_ref()
         .ok_or_else(|| RuntimeError::UnknownArray(plan.arrays.names[array as usize].clone()))?;
-    match access {
-        PlanAccess::All => {
+    match idx {
+        None => {
             if t.len() == 1 {
                 Ok(t.data()[0])
             } else {
@@ -580,7 +582,7 @@ fn read_access(
                 )))
             }
         }
-        PlanAccess::Element(idx) => {
+        Some(idx) => {
             let layout = plan.arrays.layout(array)?;
             let flat = flat_offset(plan, syms, i_regs, array, idx, layout)?;
             Ok(t.data()[flat])
@@ -619,16 +621,17 @@ fn flat_offset(
         array: plan.arrays.names[array as usize].clone(),
         index: vals.to_vec(),
     };
-    if rank != layout.dims.len() {
+    let (dims, strides) = (layout.dims(), layout.strides());
+    if rank != dims.len() {
         return Err(bad(vals));
     }
     let mut flat = 0usize;
     for d in 0..rank {
         let v = vals[d];
-        if v < 0 || v as usize >= layout.dims[d] {
+        if v < 0 || v as usize >= dims[d] {
             return Err(bad(vals));
         }
-        flat += v as usize * layout.strides[d];
+        flat += v as usize * strides[d];
     }
     Ok(flat)
 }

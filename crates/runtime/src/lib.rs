@@ -47,9 +47,11 @@
 //!   place, unbound outputs are reset in place.  Results are bit-identical
 //!   to a run on a freshly opened session with the same bindings.
 //! * **Cache keying** — the plan cache key is (structural SDFG fingerprint,
-//!   sorted concrete symbol values); a plan is valid for exactly that pair
-//!   and [`compile`] never returns a plan specialised for different symbol
-//!   values.
+//!   digest of the concrete symbol values), and a match is trusted only if
+//!   the entry's symbol values equal the caller's; a plan is valid for
+//!   exactly that pair and [`compile`] never returns a plan specialised for
+//!   different symbol values.  A verified hit skips validation: only an SDFG
+//!   that passed it is ever published.
 //!
 //! # Example
 //!

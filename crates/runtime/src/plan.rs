@@ -16,8 +16,9 @@
 //! * every tasklet's [`dace_sdfg::ScalarExpr`] assignments are compiled to
 //!   register-based [`CompiledExpr`] instruction sequences with connector
 //!   and iteration-symbol references resolved to slot indices;
-//! * per-graph topological orders and the execution strategy of every map
-//!   and control-flow loop ([`MapStrategy`]: the N-D affine
+//! * every graph's nodes are stored in the order they execute in (a
+//!   topological order), and the execution strategy of every map and
+//!   control-flow loop ([`MapStrategy`]: the N-D affine
 //!   [`AffineKernel`] — one struct, one recognizer and one admission rule
 //!   for both sites — or the VM with a typed reason) are all decided once;
 //!   the dependence analyzer ([`dace_sdfg::analyze_map`]) is a diagnostic
@@ -35,6 +36,13 @@
 //!   operands' ranks and shapes — under the op's transposition flags —
 //!   checked against the concrete layouts, so executing one is a kernel
 //!   call into its (pooled) destination and nothing else.
+//!
+//! A plan is laid out in few allocations — every compiled index of every
+//! memlet in [`ExecPlan::idx`], every kernel coefficient in
+//! [`ExecPlan::coeffs`], a layout's dimensions and strides in one array, a
+//! kernel's copy of an assignment sharing its instructions — because a cold
+//! compile pays for each one twice: lowering makes it, and
+//! [`crate::clear_plan_cache`] or an eviction frees it.
 //!
 //! Lowering fails eagerly for one thing only: a library node that can never
 //! run as written — operands that do not fit each other
@@ -81,21 +89,23 @@ impl SymFile {
     }
 }
 
-/// Interner for symbol names.
+/// Interner for symbol names.  A name is found by scanning them: a plan
+/// holds its SDFG's symbols, loop iterators and map parameters — at most 9
+/// names over the forward and gradient programs of the fifteen kernels and
+/// Listing-1 — and a table beside the list would be one more thing to build
+/// and to free.
 #[derive(Debug, Default)]
 pub(crate) struct SymTable {
     pub names: Vec<String>,
-    pub ids: HashMap<String, u32>,
 }
 
 impl SymTable {
     fn intern(&mut self, name: &str, init: &mut SymFile) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+        if let Some(id) = self.names.iter().position(|n| n == name) {
+            return id as u32;
         }
         let id = self.names.len() as u32;
         self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
         init.vals.push(0);
         init.defined.push(false);
         id
@@ -247,16 +257,39 @@ impl CIdx {
 /// values.
 #[derive(Clone, Debug)]
 pub(crate) struct Layout {
-    pub dims: Vec<usize>,
-    pub strides: Vec<usize>,
+    /// The dimensions, then the row-major stride of each.
+    extents: Vec<usize>,
     pub bytes: usize,
+}
+
+impl Layout {
+    fn new(mut dims: Vec<usize>, bytes: usize) -> Self {
+        let rank = dims.len();
+        dims.resize(2 * rank, 1);
+        for d in (0..rank.saturating_sub(1)).rev() {
+            dims[rank + d] = dims[rank + d + 1] * dims[d + 1];
+        }
+        Layout {
+            extents: dims,
+            bytes,
+        }
+    }
+
+    pub fn dims(&self) -> &[usize] {
+        &self.extents[..self.extents.len() / 2]
+    }
+
+    pub fn strides(&self) -> &[usize] {
+        &self.extents[self.extents.len() / 2..]
+    }
 }
 
 /// Interned arrays with per-array metadata.
 #[derive(Debug)]
 pub(crate) struct ArrayTable {
+    /// In name order: an array's id is its rank among the names (at most 24
+    /// of them over the same programs, so a lookup is five comparisons).
     pub names: Vec<String>,
-    pub ids: HashMap<String, u32>,
     pub transient: Vec<bool>,
     /// Concrete layout, or the error its symbolic shape evaluation produced
     /// (surfaced when the array is first materialised, as before).
@@ -265,7 +298,8 @@ pub(crate) struct ArrayTable {
 
 impl ArrayTable {
     pub fn id(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied()
+        let rank = self.names.binary_search_by(|n| n.as_str().cmp(name));
+        rank.ok().map(|id| id as u32)
     }
 
     pub fn layout(&self, id: u32) -> RuntimeResult<&Layout> {
@@ -281,12 +315,23 @@ impl ArrayTable {
 // ---------------------------------------------------------------------------
 
 /// A pre-classified memlet access.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum PlanAccess {
     /// Whole-array subset used as a scalar (must be a length-1 container).
     All,
-    /// Element subset: one compiled index per dimension.
-    Element(Vec<CIdx>),
+    /// Element subset: one compiled index per dimension, `rank` of them
+    /// from `at` on in [`ExecPlan::idx`].
+    Element { at: u32, rank: u32 },
+}
+
+impl PlanAccess {
+    /// The compiled indices of an element subset.
+    pub fn indices<'a>(&self, plan: &'a ExecPlan) -> Option<&'a [CIdx]> {
+        match *self {
+            PlanAccess::All => None,
+            PlanAccess::Element { at, rank } => Some(&plan.idx[at as usize..][..rank as usize]),
+        }
+    }
 }
 
 /// One tasklet input: load the scalar read through a memlet into `slot`.
@@ -323,15 +368,19 @@ pub(crate) struct PlanTasklet {
 /// of a control-flow loop): dimension `d` indexes at
 /// `rest[d] + Σ_v coeff[d][v] * var_v`.  The `rest` parts are loop-invariant
 /// and evaluated once per dispatch; the flat row-major offset then advances
-/// by a precomputed constant step per variable.  An empty `rest` is a
-/// whole-array subset used as a scalar (a length-1 container).
-#[derive(Clone, Debug)]
+/// by a precomputed constant step per variable.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct KernelAccess {
     pub array: u32,
-    /// Loop-invariant index component per dimension.
-    pub rest: Vec<CIdx>,
-    /// Coefficient of each iteration variable, per dimension.
-    pub coeff: Vec<Vec<i64>>,
+    /// Where the `rest` of the access's dimensions start in
+    /// [`ExecPlan::idx`].
+    pub rest_at: u32,
+    /// Where their coefficients start in [`ExecPlan::coeffs`]: one row per
+    /// dimension, one entry per iteration variable.
+    pub coeff_at: u32,
+    /// Number of dimensions; `0` is a whole-array subset used as a scalar
+    /// (a length-1 container).
+    pub rank: u32,
 }
 
 /// The N-D affine kernel, the one native kernel of the specialization tier:
@@ -595,11 +644,11 @@ pub(crate) enum PlanNode {
     Fail(RuntimeError),
 }
 
-/// A lowered dataflow graph with its topological order precomputed.
+/// A lowered dataflow graph: its nodes in the order they execute in, a
+/// topological order of the graph they were lowered from.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PlanGraph {
     pub nodes: Vec<PlanNode>,
-    pub order: Vec<usize>,
     /// Set when the graph as a whole cannot execute (cyclic).
     pub fail: Option<RuntimeError>,
 }
@@ -656,6 +705,12 @@ pub(crate) enum PlanCf {
 pub(crate) struct ExecPlan {
     pub arrays: ArrayTable,
     pub syms: SymTable,
+    /// Every compiled index of every memlet, side by side (see
+    /// [`PlanAccess`] and [`KernelAccess`]): one allocation a plan, not one
+    /// a memlet.
+    pub idx: Vec<CIdx>,
+    /// The coefficient rows of every [`KernelAccess`], likewise.
+    pub coeffs: Vec<i64>,
     /// Initial symbol file: SDFG symbol values defined, iterators undefined.
     pub init_syms: SymFile,
     pub states: Vec<PlanGraph>,
@@ -673,6 +728,8 @@ pub(crate) struct ExecPlan {
 struct Lowerer {
     arrays: ArrayTable,
     syms: SymTable,
+    idx: Vec<CIdx>,
+    coeffs: Vec<i64>,
     init_syms: SymFile,
     loops: Vec<MapInfo>,
     /// Concrete symbol values the plan is specialized for; the dependence
@@ -687,30 +744,14 @@ struct Lowerer {
 pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<ExecPlan> {
     // Intern arrays in name order (deterministic ids).
     let mut names = Vec::new();
-    let mut ids = HashMap::new();
     let mut transient = Vec::new();
     let mut layouts = Vec::new();
     for (name, desc) in &sdfg.arrays {
-        ids.insert(name.clone(), names.len() as u32);
         names.push(name.clone());
         transient.push(desc.transient);
         layouts.push(
             desc.concrete_shape(symbols)
-                .and_then(|dims| {
-                    let bytes = desc.size_bytes(symbols)? as usize;
-                    Ok((dims, bytes))
-                })
-                .map(|(dims, bytes)| {
-                    let mut strides = vec![1usize; dims.len()];
-                    for d in (0..dims.len().saturating_sub(1)).rev() {
-                        strides[d] = strides[d + 1] * dims[d + 1];
-                    }
-                    Layout {
-                        dims,
-                        strides,
-                        bytes,
-                    }
-                })
+                .and_then(|dims| Ok(Layout::new(dims, desc.size_bytes(symbols)? as usize)))
                 .map_err(RuntimeError::from),
         );
     }
@@ -718,11 +759,12 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> Runti
     let mut lo = Lowerer {
         arrays: ArrayTable {
             names,
-            ids,
             transient,
             layouts,
         },
         syms: SymTable::default(),
+        idx: Vec::new(),
+        coeffs: Vec::new(),
         init_syms: SymFile::default(),
         loops: Vec::new(),
         bindings: symbols.clone(),
@@ -751,6 +793,8 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> Runti
     Ok(ExecPlan {
         arrays: lo.arrays,
         syms: lo.syms,
+        idx: lo.idx,
+        coeffs: lo.coeffs,
         init_syms: lo.init_syms,
         states,
         cfg,
@@ -947,16 +991,20 @@ impl Lowerer {
     fn lower_access(&mut self, subset: &dace_sdfg::Subset) -> PlanAccess {
         match subset.classify() {
             SubsetClass::All => PlanAccess::All,
-            SubsetClass::Element | SubsetClass::Other => PlanAccess::Element(
-                subset
-                    .0
-                    .iter()
-                    .map(|r| match r {
+            SubsetClass::Element | SubsetClass::Other => {
+                let at = self.idx.len() as u32;
+                for r in &subset.0 {
+                    let index = match r {
                         dace_sdfg::IndexRange::Index(e) => self.lower_sym_expr(e),
                         dace_sdfg::IndexRange::Range { start, .. } => self.lower_sym_expr(start),
-                    })
-                    .collect(),
-            ),
+                    };
+                    self.idx.push(index);
+                }
+                PlanAccess::Element {
+                    at,
+                    rank: subset.0.len() as u32,
+                }
+            }
         }
     }
 
@@ -964,15 +1012,12 @@ impl Lowerer {
         let Some(order) = graph.topological_order() else {
             return PlanGraph {
                 nodes: Vec::new(),
-                order: Vec::new(),
                 fail: Some(RuntimeError::CyclicGraph("<graph>".to_string())),
             };
         };
-        let nodes = graph
-            .nodes
+        let nodes = order
             .iter()
-            .enumerate()
-            .map(|(id, node)| match node {
+            .map(|&id| match &graph.nodes[id] {
                 DfNode::Access(name) => match self.array(name) {
                     Ok(a) => PlanNode::Access(a),
                     Err(e) => PlanNode::Fail(e),
@@ -991,11 +1036,7 @@ impl Lowerer {
                 },
             })
             .collect();
-        PlanGraph {
-            nodes,
-            order,
-            fail: None,
-        }
+        PlanGraph { nodes, fail: None }
     }
 
     fn lower_tasklet(
@@ -1179,7 +1220,8 @@ impl Lowerer {
     /// Recognize the N-D affine kernel on a dataflow body: access nodes plus
     /// one tasklet, every memlet affine in the iteration variables `vars`.
     /// `graph` is the original body and `lowered` its lowered form; the two
-    /// correspond node-for-node and edge-for-edge by construction.  The
+    /// correspond node for node (`lowered` in execution order) and a
+    /// tasklet's reads and writes edge for edge, by construction.  The
     /// kernel walks its domain in the VM's order with every access going
     /// through the live buffers, so a read of an array the tasklet also
     /// writes is admitted wherever [`dace_sdfg::deps::alias_decidable`]
@@ -1191,19 +1233,32 @@ impl Lowerer {
         lowered: &PlanGraph,
         vars: &[String],
     ) -> Result<AffineKernel, KernelMiss> {
-        let mut tasklets = lowered
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, n)| match n {
-                PlanNode::Access(_) => None,
-                PlanNode::Tasklet(t) => Some(Ok((id, t))),
-                _ => Some(Err(KernelMiss::MultiTasklet)),
-            });
-        let (Some(first), None) = (tasklets.next(), tasklets.next()) else {
+        // A declined site takes what it lowered out of the plan again.
+        let (idx, coeffs) = (self.idx.len(), self.coeffs.len());
+        let kernel = self.recognize_accesses(graph, lowered, vars);
+        if kernel.is_err() {
+            self.idx.truncate(idx);
+            self.coeffs.truncate(coeffs);
+        }
+        kernel
+    }
+
+    fn recognize_accesses(
+        &mut self,
+        graph: &DataflowGraph,
+        lowered: &PlanGraph,
+        vars: &[String],
+    ) -> Result<AffineKernel, KernelMiss> {
+        let not_access = |n: &&PlanNode| !matches!(n, PlanNode::Access(_));
+        let mut others = lowered.nodes.iter().filter(not_access);
+        let (Some(PlanNode::Tasklet(t)), None) = (others.next(), others.next()) else {
             return Err(KernelMiss::MultiTasklet);
         };
-        let (tnode, t) = first?;
+        // The body's one node that is no access node is the one `t` was
+        // lowered from.
+        let is_tasklet = |n: &DfNode| !matches!(n, DfNode::Access(_));
+        let tnode = graph.nodes.iter().position(is_tasklet);
+        let tnode = tnode.expect("`lowered` holds a tasklet");
         let (in_edges, out_edges) = (graph.in_edges(tnode), graph.out_edges(tnode));
         let mut bufs: Vec<u32> = t.writes.iter().map(|w| w.array).collect();
         bufs.sort_unstable();
@@ -1251,8 +1306,8 @@ impl Lowerer {
             // Duplicate connectors share a slot, last edge wins per point:
             // only a read with a slot of its own may leave the point loop.
             let row_invariant = buf as usize >= n_outs
-                && access
-                    .coeff
+                && affine
+                    .coeffs
                     .iter()
                     .all(|c| c.last().is_none_or(|&c| c == 0))
                 && t.reads.iter().filter(|o| o.slot == r.slot).count() == 1;
@@ -1267,15 +1322,15 @@ impl Lowerer {
         // order of the sweeps is the per-point order at every element: all
         // of them move by one non-zero flat step along the row (the order
         // itself depends on the offsets, see `run_strip_row`).
-        let row_step = |w: &KernelWrite| -> i128 {
+        let row_step = |(w, (_, affine)): (&KernelWrite, &(&Subset, AffineAccess))| -> i128 {
             let layout = self.arrays.layouts[w.access.array as usize].as_ref();
-            let strides = &layout.expect("`lower_affine_subset` found it").strides;
+            let strides = layout.expect("`lower_affine_subset` found it").strides();
             let along_row = |c: &Vec<i64>| c.last().copied().unwrap_or(0) as i128;
-            (w.access.coeff.iter().zip(strides))
+            (affine.coeffs.iter().zip(strides))
                 .map(|(c, &stride)| along_row(c) * stride as i128)
                 .sum()
         };
-        let steps: Vec<i128> = writes.iter().map(row_step).collect();
+        let steps: Vec<i128> = writes.iter().zip(&written).map(row_step).collect();
         let unordered = |(at, w): (usize, &KernelWrite)| {
             let mut earlier = (0..at).filter(|&o| writes[o].buf == w.buf);
             earlier.any(|o| steps[at] == 0 || steps[o] != steps[at])
@@ -1294,8 +1349,8 @@ impl Lowerer {
             }
         }
         let mut arrays = Vec::new();
-        for &n in &lowered.order {
-            if let PlanNode::Access(a) = lowered.nodes[n] {
+        for node in &lowered.nodes {
+            if let PlanNode::Access(a) = *node {
                 if !arrays.contains(&a) {
                     arrays.push(a);
                 }
@@ -1339,19 +1394,21 @@ impl Lowerer {
         let Ok(layout) = &self.arrays.layouts[array as usize] else {
             return Err(KernelMiss::UnknownLayout);
         };
-        let rank = layout.dims.len();
+        let rank = layout.dims().len();
         let affine = dace_sdfg::deps::affine_subset(subset, vars)
             .filter(|a| subset.is_all() || a.rests.len() == rank)
             .ok_or(KernelMiss::NonAffineIndex)?;
         let access = KernelAccess {
             array,
-            rest: affine
-                .rests
-                .iter()
-                .map(|e| self.lower_sym_expr(e))
-                .collect(),
-            coeff: affine.coeffs.clone(),
+            rest_at: self.idx.len() as u32,
+            coeff_at: self.coeffs.len() as u32,
+            rank: affine.rests.len() as u32,
         };
+        for (rest, coeff) in affine.rests.iter().zip(&affine.coeffs) {
+            let rest = self.lower_sym_expr(rest);
+            self.idx.push(rest);
+            self.coeffs.extend_from_slice(coeff);
+        }
         Ok((access, affine))
     }
 
@@ -1376,7 +1433,7 @@ impl Lowerer {
         }
         let mut dims = Vec::new();
         for &a in &inputs {
-            dims.push(self.arrays.layout(a)?.dims.as_slice());
+            dims.push(self.arrays.layout(a)?.dims());
         }
         let result = library_result(op, &dims, &names);
         let result = result.map_err(|e| self.rejected.get_or_insert(e).clone())?;
@@ -1397,11 +1454,11 @@ impl Lowerer {
                 let e = RuntimeError::AliasedLibraryOutput(array.clone());
                 return Err(self.rejected.get_or_insert(e).clone());
             }
-            let expected = &self.arrays.layout(dst)?.dims;
+            let expected = self.arrays.layout(dst)?.dims();
             if *expected != result {
                 return Err(RuntimeError::ShapeMismatch {
                     array: array.clone(),
-                    expected: expected.clone(),
+                    expected: expected.to_vec(),
                     got: result,
                 });
             }
@@ -1426,12 +1483,17 @@ impl Lowerer {
     ) -> PlanCf {
         match cf {
             ControlFlow::State(id) => PlanCf::State(*id),
-            ControlFlow::Sequence(children) => PlanCf::Seq(
-                children
-                    .iter()
-                    .map(|c| self.lower_cf(c, sdfg, states, enclosing))
-                    .collect(),
-            ),
+            // A sequence of one (the frontend's loop builder emits them) is
+            // its child.
+            ControlFlow::Sequence(children) => match &children[..] {
+                [only] => self.lower_cf(only, sdfg, states, enclosing),
+                _ => PlanCf::Seq(
+                    children
+                        .iter()
+                        .map(|c| self.lower_cf(c, sdfg, states, enclosing))
+                        .collect(),
+                ),
+            },
             ControlFlow::Loop(l) => {
                 let var = self.sym(&l.var);
                 let [start, end, step] =

@@ -25,8 +25,9 @@
 //! via [`plan_cache_stats`].
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use dace_sdfg::Sdfg;
@@ -43,25 +44,29 @@ use crate::plan::{compile_plan, ExecPlan, MapInfo, MapStrategy, PlanGraph, PlanN
 
 /// Hit/miss counters of the plan cache (per entry or process-wide).
 ///
-/// A *miss* is a [`compile`] call that actually lowered the SDFG; a *hit* is
-/// a call that reused an already lowered plan.  For a single cache entry the
-/// miss count is therefore the number of times that exact (SDFG, symbols)
-/// pair was lowered — `1` for as long as the entry lives.  Re-compiling a
-/// key after its entry was evicted is a genuine second lowering: the global
-/// miss counter increments again and the fresh entry starts over at
-/// `misses == 1`, so the counters stay correct across eviction.
+/// A *miss* is a [`compile`] call that lowered the SDFG and published the
+/// plan; a *hit* is a call that was handed a published plan (including one
+/// that lowered alongside another thread and found the key taken when it
+/// came to publish).  For a single cache entry the miss count is therefore
+/// `1` for as long as the entry lives.  Re-compiling a key after its entry
+/// was evicted is a genuine second lowering: the global miss counter
+/// increments again and the fresh entry starts over at `misses == 1`, so the
+/// counters stay correct across eviction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Number of [`compile`] calls served from the cache.
     pub hits: u64,
-    /// Number of [`compile`] calls that lowered the SDFG.
+    /// Number of [`compile`] calls that lowered the SDFG and published the
+    /// plan.
     pub misses: u64,
     /// Entries evicted under capacity pressure (least-recently-used first).
     /// Tracked process-wide: per-entry snapshots report `0` here, since an
     /// entry that was evicted no longer has stats to snapshot.
     pub evictions: u64,
-    /// Fingerprint collisions detected via the structural echo: a cache key
-    /// matched but the stored plan belonged to a *different* SDFG, so the
+    /// Key collisions: a cache key matched but the stored plan belonged to a
+    /// *different* SDFG (told by the structural echo) or was lowered under
+    /// other symbol values (two binding sets can share the key's 64-bit
+    /// symbol digest; the entry holds the bindings themselves), so the
     /// lookup was treated as a miss and recompiled instead of silently
     /// serving the wrong plan.  Tracked process-wide, `0` on per-entry
     /// snapshots.
@@ -86,8 +91,32 @@ impl EntryStats {
     }
 }
 
+/// The 64-bit FNV-1a state behind every digest of this module: the
+/// fingerprint, the echo's name digest and the symbol digest feed it through
+/// `std::hash::Hash`, so nothing is rendered to text on the way.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Cheap structural summary stored next to every cache entry.  The FNV-1a
-/// fingerprint is 64 bits of a textual rendering, so two different SDFGs
+/// fingerprint is 64 bits of the whole structure, so two different SDFGs
 /// *can* collide; before trusting a key match, [`compile`] compares this
 /// echo and treats a mismatch as a miss (recompile) instead of serving the
 /// wrong plan.
@@ -106,37 +135,45 @@ struct StructuralEcho {
 
 impl StructuralEcho {
     fn of(sdfg: &Sdfg) -> Self {
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for byte in bytes {
-                digest ^= u64::from(*byte);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut digest = Fnv1a::new();
         // `sdfg.arrays` is a BTreeMap, so iteration order is already sorted.
         for (name, desc) in &sdfg.arrays {
-            mix(name.as_bytes());
-            mix(&[desc.transient as u8, b';']);
+            name.hash(&mut digest);
+            desc.transient.hash(&mut digest);
         }
-        for sym in &sdfg.symbols {
-            mix(sym.as_bytes());
-            mix(b",");
-        }
+        sdfg.symbols.hash(&mut digest);
         StructuralEcho {
             arrays: sdfg.arrays.len(),
             symbols: sdfg.symbols.len(),
             states: sdfg.states.len(),
-            names_digest: digest,
+            names_digest: digest.finish(),
         }
     }
 }
 
-/// Cache key: structural SDFG fingerprint plus the concrete symbol values
-/// the plan was specialised for (layouts and loop bounds depend on them).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// Cache key: structural SDFG fingerprint plus a digest of the concrete
+/// symbol values the plan was specialised for (layouts and loop bounds depend
+/// on them).  The digest is a sum over the bindings, so it needs no sorted
+/// copy of them; the entry holds the bindings themselves and a key match is
+/// trusted only if they are equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: u64,
-    symbols: Vec<(String, i64)>,
+    symbols: u64,
+}
+
+impl CacheKey {
+    fn new(fingerprint: u64, symbols: &HashMap<String, i64>) -> Self {
+        let binding = |binding: (&String, &i64)| {
+            let mut digest = Fnv1a::new();
+            binding.hash(&mut digest);
+            digest.finish()
+        };
+        CacheKey {
+            fingerprint,
+            symbols: symbols.iter().map(binding).fold(0, u64::wrapping_add),
+        }
+    }
 }
 
 /// Default maximum number of cached plans.  A server sweeping symbol sizes
@@ -152,8 +189,47 @@ struct CacheEntry {
     plan: Arc<ExecPlan>,
     stats: Arc<EntryStats>,
     echo: StructuralEcho,
+    /// The bindings the plan was lowered under, shared with every
+    /// [`CompiledProgram`] of this entry.
+    symbols: Arc<HashMap<String, i64>>,
     /// Logical timestamp of the most recent hit or insertion.
     last_used: u64,
+}
+
+impl CacheEntry {
+    /// A freshly lowered plan: one miss, no hit yet.
+    fn new(plan: Arc<ExecPlan>, echo: StructuralEcho, symbols: &HashMap<String, i64>) -> Self {
+        CacheEntry {
+            plan,
+            stats: Arc::new(EntryStats {
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(1),
+            }),
+            echo,
+            symbols: Arc::new(symbols.clone()),
+            last_used: 0,
+        }
+    }
+
+    fn program(&self, fingerprint: u64, cache_hit: bool) -> CompiledProgram {
+        CompiledProgram {
+            plan: Arc::clone(&self.plan),
+            symbols: Arc::clone(&self.symbols),
+            stats: Arc::clone(&self.stats),
+            fingerprint,
+            cache_hit,
+        }
+    }
+}
+
+/// What [`PlanCache::lookup`] found under a key.
+enum Lookup {
+    Hit(CompiledProgram),
+    /// The key matches but the entry belongs to a different SDFG or other
+    /// bindings.  Trusting the hash would silently serve the wrong plan: the
+    /// caller lowers, and [`PlanCache::publish`] replaces the entry.
+    Collision,
+    Vacant,
 }
 
 struct PlanCache {
@@ -179,6 +255,37 @@ impl PlanCache {
         self.tick
     }
 
+    /// Look `key` up, trusting a match only if the entry was lowered from
+    /// this structure under these bindings; such a match is counted as a hit.
+    fn lookup(
+        &mut self,
+        key: CacheKey,
+        echo: StructuralEcho,
+        symbols: &HashMap<String, i64>,
+    ) -> Lookup {
+        let tick = self.touch();
+        let Some(entry) = self.map.get_mut(&key) else {
+            return Lookup::Vacant;
+        };
+        if entry.echo != echo || *entry.symbols != *symbols {
+            return Lookup::Collision;
+        }
+        entry.last_used = tick;
+        entry.stats.hits.fetch_add(1, Ordering::Relaxed);
+        GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
+        Lookup::Hit(entry.program(key.fingerprint, true))
+    }
+
+    /// Insert a freshly lowered entry (replacing a colliding one) and evict
+    /// down to the capacity.
+    fn publish(&mut self, key: CacheKey, mut entry: CacheEntry) -> CompiledProgram {
+        entry.last_used = self.touch();
+        let program = entry.program(key.fingerprint, false);
+        self.map.insert(key, entry);
+        self.evict_down_to(self.capacity);
+        program
+    }
+
     /// Evict least-recently-used entries until at most `target` remain.
     fn evict_down_to(&mut self, target: usize) {
         while self.map.len() > target {
@@ -186,7 +293,7 @@ impl PlanCache {
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| *k)
             else {
                 break;
             };
@@ -196,9 +303,14 @@ impl PlanCache {
     }
 }
 
-fn global_cache() -> &'static Mutex<PlanCache> {
+/// The process-wide cache, locked.  A poisoned lock is recovered: every
+/// update under it leaves the map valid, and nothing is lowered under it.
+fn lock_cache() -> MutexGuard<'static, PlanCache> {
     static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PlanCache::default()))
+    CACHE
+        .get_or_init(|| Mutex::new(PlanCache::default()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -219,19 +331,12 @@ pub fn plan_cache_stats() -> PlanCacheStats {
 
 /// Number of plans currently cached.
 pub fn plan_cache_len() -> usize {
-    global_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .map
-        .len()
+    lock_cache().map.len()
 }
 
 /// Current plan-cache capacity (maximum number of retained plans).
 pub fn plan_cache_capacity() -> usize {
-    global_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .capacity
+    lock_cache().capacity
 }
 
 /// Bound the process-wide plan cache at `capacity` plans (clamped to at
@@ -241,7 +346,7 @@ pub fn plan_cache_capacity() -> usize {
 /// sweep symbol sizes should size this to their working set — the default
 /// is [`DEFAULT_PLAN_CACHE_CAPACITY`].
 pub fn set_plan_cache_capacity(capacity: usize) {
-    let mut cache = global_cache().lock().unwrap_or_else(|e| e.into_inner());
+    let mut cache = lock_cache();
     cache.capacity = capacity.max(1);
     let target = cache.capacity;
     cache.evict_down_to(target);
@@ -252,28 +357,20 @@ pub fn set_plan_cache_capacity(capacity: usize) {
 /// An explicit clear is not counted as eviction pressure — the `evictions`
 /// counter tracks only capacity-driven LRU evictions.
 pub fn clear_plan_cache() {
-    global_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .map
-        .clear();
+    lock_cache().map.clear();
 }
 
 /// Deterministic FNV-1a fingerprint of the SDFG structure.
 ///
-/// The fingerprint hashes the full `Debug` rendering of the graph (names,
-/// shapes, tasklet code, memlets, control flow), so any structural change
-/// produces a different key.  Two structurally identical SDFGs — e.g. the
-/// same builder program constructed twice — share a fingerprint and
-/// therefore a cached plan.
+/// The fingerprint is the SDFG's `Hash` (names, shapes, tasklet code,
+/// memlets, control flow; every `f64` by its bits) fed into FNV-1a, so any
+/// structural change produces a different key.  Two structurally identical
+/// SDFGs — e.g. the same builder program constructed twice — share a
+/// fingerprint and therefore a cached plan.
 fn fingerprint_sdfg(sdfg: &Sdfg) -> u64 {
-    let rendered = format!("{sdfg:?}");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in rendered.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hasher = Fnv1a::new();
+    sdfg.hash(&mut hasher);
+    hasher.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -303,6 +400,18 @@ pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<Com
             return Err(RuntimeError::MissingSymbol(s.clone()));
         }
     }
+    let key = CacheKey::new(fingerprint_sdfg(sdfg), symbols);
+    let echo = StructuralEcho::of(sdfg);
+    // A verified hit skips validation: only an SDFG that passed it is ever
+    // published, and fingerprint and echo identify the structure it checks.
+    match lock_cache().lookup(key, echo, symbols) {
+        Lookup::Hit(program) => return Ok(program),
+        Lookup::Collision => {
+            GLOBAL_COLLISIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        Lookup::Vacant => {}
+    }
+
     let diagnostics: Vec<_> = sdfg
         .validate()
         .into_iter()
@@ -311,62 +420,17 @@ pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<Com
     if !diagnostics.is_empty() {
         return Err(RuntimeError::InvalidSdfg { diagnostics });
     }
-    let fingerprint = fingerprint_sdfg(sdfg);
-    let echo = StructuralEcho::of(sdfg);
-    let mut key_syms: Vec<(String, i64)> = symbols.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    key_syms.sort();
-    let key = CacheKey {
-        fingerprint,
-        symbols: key_syms,
-    };
-
-    let mut cache = global_cache().lock().unwrap_or_else(|e| e.into_inner());
-    let tick = cache.touch();
-    if let Some(entry) = cache.map.get_mut(&key) {
-        if entry.echo == echo {
-            entry.last_used = tick;
-            entry.stats.hits.fetch_add(1, Ordering::Relaxed);
-            GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok(CompiledProgram {
-                plan: Arc::clone(&entry.plan),
-                symbols: Arc::new(symbols.clone()),
-                stats: Arc::clone(&entry.stats),
-                fingerprint,
-                cache_hit: true,
-            });
-        }
-        // Fingerprint collision: the key matches but the cached plan was
-        // lowered from a structurally different SDFG.  Trusting the hash
-        // would silently serve the wrong plan — recompile instead (the
-        // fresh plan replaces the colliding entry below).
-        GLOBAL_COLLISIONS.fetch_add(1, Ordering::Relaxed);
-    }
-    // Lower while holding the lock so concurrent compiles of the same key
-    // produce exactly one plan (lowering is fast relative to execution).
+    // Lowered outside the lock, which is taken again only to publish.  If
+    // another thread published this key meanwhile, its entry is adopted and
+    // this plan dropped: one plan per key, and `misses` counts the plans
+    // that were lowered *and* published.
     let plan = Arc::new(compile_plan(sdfg, symbols)?);
-    let stats = Arc::new(EntryStats {
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(1),
-    });
+    let mut cache = lock_cache();
+    if let Lookup::Hit(program) = cache.lookup(key, echo, symbols) {
+        return Ok(program);
+    }
     GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-    cache.map.insert(
-        key,
-        CacheEntry {
-            plan: Arc::clone(&plan),
-            stats: Arc::clone(&stats),
-            echo,
-            last_used: tick,
-        },
-    );
-    let target = cache.capacity;
-    cache.evict_down_to(target);
-    Ok(CompiledProgram {
-        plan,
-        symbols: Arc::new(symbols.clone()),
-        stats,
-        fingerprint,
-        cache_hit: false,
-    })
+    Ok(cache.publish(key, CacheEntry::new(plan, echo, symbols)))
 }
 
 /// Test-only hook: compile `donor` and insert its plan under a *forged*
@@ -384,27 +448,8 @@ pub fn debug_inject_plan_cache_alias(
     fingerprint: u64,
 ) {
     let plan = Arc::new(compile_plan(donor, symbols).expect("the donor lowers"));
-    let echo = StructuralEcho::of(donor);
-    let mut key_syms: Vec<(String, i64)> = symbols.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    key_syms.sort();
-    let key = CacheKey {
-        fingerprint,
-        symbols: key_syms,
-    };
-    let mut cache = global_cache().lock().unwrap_or_else(|e| e.into_inner());
-    let tick = cache.touch();
-    cache.map.insert(
-        key,
-        CacheEntry {
-            plan,
-            stats: Arc::new(EntryStats {
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(1),
-            }),
-            echo,
-            last_used: tick,
-        },
-    );
+    let entry = CacheEntry::new(plan, StructuralEcho::of(donor), symbols);
+    lock_cache().publish(CacheKey::new(fingerprint, symbols), entry);
 }
 
 /// The structural fingerprint [`compile`] keys its cache on, exposed for
@@ -466,14 +511,16 @@ impl CompiledProgram {
     }
 
     /// Hit/miss counters of this program's cache entry.  `misses` is the
-    /// number of times this (SDFG, symbols) pair was actually lowered.
+    /// number of plans published for this (SDFG, symbols) pair while the
+    /// entry lived: `1`.
     pub fn cache_stats(&self) -> PlanCacheStats {
         self.stats.snapshot()
     }
 
-    /// Every map of the program — nested maps after their parent — with the
-    /// execution strategy lowering chose for it and, for the VM, why the
-    /// native kernel did not attach.
+    /// Every map of the program — state by state in the order a state runs
+    /// them, nested maps after their parent — with the execution strategy
+    /// lowering chose for it and, for the VM, why the native kernel did not
+    /// attach.
     pub fn map_strategies(&self) -> Vec<MapInfo> {
         fn walk(state: usize, graph: &PlanGraph, out: &mut Vec<MapInfo>) {
             for node in &graph.nodes {
@@ -587,10 +634,10 @@ impl Session {
             .id(name)
             .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
         let layout = plan.arrays.layout(id)?;
-        if layout.dims.as_slice() != tensor.shape() {
+        if layout.dims() != tensor.shape() {
             return Err(RuntimeError::ShapeMismatch {
                 array: name.to_string(),
-                expected: layout.dims.clone(),
+                expected: layout.dims().to_vec(),
                 got: tensor.shape().to_vec(),
             });
         }
@@ -714,7 +761,7 @@ impl Session {
                     Some(_) => {}
                     None => {
                         // Outputs that were not provided start as zeros.
-                        st.slab[id] = Some(Tensor::zeros(&layout.dims));
+                        st.slab[id] = Some(Tensor::zeros(layout.dims()));
                     }
                 }
                 st.tracker.alloc(&plan.arrays.names[id], layout.bytes);
@@ -731,5 +778,48 @@ impl Session {
         st.report.plan_cache_hits = cache.hits;
         st.report.plan_cache_misses = cache.misses;
         Ok(st.report.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dace_sdfg::{ArrayDesc, ControlFlow, DataflowGraph, State, SymExpr};
+
+    /// Two binding sets that share the key's symbol digest: the entry holds
+    /// the bindings it was lowered under, so the caller is served its own.
+    #[test]
+    fn symbol_digest_collision_serves_the_callers_bindings() {
+        let mut sdfg = Sdfg::new("symbol_digest_collision");
+        sdfg.add_symbol("N");
+        sdfg.add_array("X", ArrayDesc::input(vec![SymExpr::sym("N")]))
+            .unwrap();
+        let mut graph = DataflowGraph::new();
+        graph.add_access("X");
+        let state = sdfg.add_state(State {
+            name: "s".into(),
+            graph,
+        });
+        sdfg.cfg = ControlFlow::State(state);
+        let mine = HashMap::from([("N".to_string(), 3)]);
+        let theirs = HashMap::from([("N".to_string(), 5)]);
+
+        // Forge the collision: their plan, published under my key.
+        let key = CacheKey::new(fingerprint_sdfg(&sdfg), &mine);
+        let plan = Arc::new(compile_plan(&sdfg, &theirs).unwrap());
+        let entry = CacheEntry::new(plan, StructuralEcho::of(&sdfg), &theirs);
+        lock_cache().publish(key, entry);
+        let before = plan_cache_stats().collisions;
+
+        for served_from_cache in [false, true] {
+            let program = compile(&sdfg, &mine).unwrap();
+            assert_eq!(program.cache_hit(), served_from_cache);
+            assert_eq!(program.symbols(), &mine);
+            let mut session = program.session();
+            session.run().unwrap();
+            assert_eq!(session.array("X").unwrap().shape(), &[3]);
+        }
+        // Counted once: the recompiled plan replaced the colliding entry.
+        assert_eq!(plan_cache_stats().collisions - before, 1);
     }
 }

@@ -205,23 +205,27 @@ fn flatten_access(
     plan: &ExecPlan,
     syms: &SymFile,
     i_regs: &mut Vec<i64>,
-    acc: &KernelAccess,
+    acc: KernelAccess,
     axes: &[Axis],
     flat: &mut [i64],
 ) -> Option<()> {
     let layout = plan.arrays.layout(acc.array).ok()?;
+    let (dims, strides) = (layout.dims(), layout.strides());
     flat.fill(0);
-    if acc.rest.is_empty() {
+    if acc.rank == 0 {
         // Whole-array scalar access: one fixed element of a length-1
         // container (the VM rejects any other length).
-        return (layout.dims.iter().product::<usize>() == 1).then_some(());
+        return (dims.iter().product::<usize>() == 1).then_some(());
     }
     let (base, steps) = flat.split_first_mut()?;
-    for d in 0..acc.rest.len() {
-        let rest = acc.rest[d].eval(syms, &plan.syms.names, i_regs).ok()?;
-        let stride = layout.strides[d] as i64;
+    for d in 0..acc.rank as usize {
+        // One coefficient per iteration variable, and one axis.
+        let coeff = &plan.coeffs[acc.coeff_at as usize + d * axes.len()..][..axes.len()];
+        let rest = &plan.idx[acc.rest_at as usize + d];
+        let rest = rest.eval(syms, &plan.syms.names, i_regs).ok()?;
+        let stride = strides[d] as i64;
         let (mut at_starts, mut lo, mut hi) = (rest, rest, rest);
-        for ((step, &c), axis) in steps.iter_mut().zip(&acc.coeff[d]).zip(axes) {
+        for ((step, &c), axis) in steps.iter_mut().zip(coeff).zip(axes) {
             let (first, last) = (axis.start, axis.at(axis.trip - 1));
             let (at_first, at_last) = (c.checked_mul(first)?, c.checked_mul(last)?);
             at_starts = at_starts.checked_add(at_first)?;
@@ -229,7 +233,7 @@ fn flatten_access(
             hi = hi.checked_add(at_first.max(at_last))?;
             *step = step.checked_add(c.checked_mul(stride)?.checked_mul(axis.dir)?)?;
         }
-        if lo < 0 || hi >= layout.dims[d] as i64 {
+        if lo < 0 || hi >= dims[d] as i64 {
             return None;
         }
         *base = base.checked_add(at_starts.checked_mul(stride)?)?;
@@ -347,8 +351,8 @@ impl RunState {
         let accesses = k
             .reads
             .iter()
-            .map(|r| &r.access)
-            .chain(k.writes.iter().map(|w| &w.access));
+            .map(|r| r.access)
+            .chain(k.writes.iter().map(|w| w.access));
         for (acc, flat) in accesses.zip(scratch.flat.chunks_exact_mut(per_access)) {
             // A memlet of an array the body has no access node for surfaces
             // as the VM's error.

@@ -146,7 +146,7 @@ fn arrays_read_by(graph: &DataflowGraph, marked: &BTreeSet<NodeId>) -> BTreeSet<
     }
     for &id in marked {
         if let DfNode::MapScope(m) = &graph.nodes[id] {
-            out.extend(m.body.reads().into_keys());
+            out.append(&mut m.body.read_arrays());
         }
     }
     out

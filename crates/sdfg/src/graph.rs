@@ -5,7 +5,7 @@
 //! nested dataflow graph (their body); this replaces DaCe's map-entry /
 //! map-exit node pairs with an equivalent but easier-to-reverse structure.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::memlet::Memlet;
 use crate::symexpr::SymExpr;
@@ -20,7 +20,7 @@ pub type NodeId = usize;
 /// The products read a matrix operand transposed under its flag — the form
 /// their own adjoints take (`gA += gC @ Bᵀ`, `gx += Aᵀ @ gy`), so reverse
 /// mode never materialises a transpose and is closed over these nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LibraryOp {
     /// `C = op(A) @ op(B)` for 2-D operands (connectors: "A", "B" -> "C").
     MatMul {
@@ -92,7 +92,7 @@ impl LibraryOp {
 
 /// A map scope: a parallel loop over an N-dimensional index set whose body is
 /// a nested dataflow graph.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct MapScope {
     /// Map parameters (one per dimension).
     pub params: Vec<String>,
@@ -103,7 +103,7 @@ pub struct MapScope {
 }
 
 /// A node of a dataflow graph.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum DfNode {
     /// Access node referencing a data container by name.
     Access(String),
@@ -116,7 +116,7 @@ pub enum DfNode {
 }
 
 /// A directed edge between two nodes, annotated with a memlet.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Edge {
     /// Source node id.
     pub src: NodeId,
@@ -131,7 +131,7 @@ pub struct Edge {
 }
 
 /// A dataflow graph (the contents of a state or of a map-scope body).
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq, Default, Hash)]
 pub struct DataflowGraph {
     /// Nodes, addressed by index.
     pub nodes: Vec<DfNode>,
@@ -219,74 +219,73 @@ impl DataflowGraph {
         self.edges.iter().filter(|e| e.src == node).collect()
     }
 
-    /// Topological order of the nodes (Kahn's algorithm).
+    /// Topological order of the nodes (Kahn's algorithm; among the ready
+    /// nodes, first ready first out, sources in id order).
     ///
     /// Returns `None` if the graph has a cycle.
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
         let n = self.nodes.len();
+        // Successors of `u`, in edge order, are `succ[first[u]..first[u + 1]]`:
+        // one array for the whole graph instead of a list per node.
         let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut first = vec![0usize; n + 2];
         for e in &self.edges {
             indeg[e.dst] += 1;
-            adj[e.src].push(e.dst);
+            first[e.src + 2] += 1;
         }
-        let mut queue: VecDeque<NodeId> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &adj[u] {
+        for u in 2..n + 2 {
+            first[u] += first[u - 1];
+        }
+        // Filling moves `first[u + 1]` from the start of `u`'s range to its
+        // end, which is where the range of `u + 1` starts.
+        let mut succ = vec![0; self.edges.len()];
+        for e in &self.edges {
+            succ[first[e.src + 1]] = e.dst;
+            first[e.src + 1] += 1;
+        }
+        // The order doubles as the queue: nodes before `head` are done.
+        let mut order: Vec<NodeId> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        order.reserve_exact(n - order.len());
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &v in &succ[first[u]..first[u + 1]] {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
-                    queue.push_back(v);
+                    order.push(v);
                 }
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        (order.len() == n).then_some(order)
     }
 
-    /// Arrays read by this graph (including nested map bodies), with the
-    /// memlets used to read them.
-    pub fn reads(&self) -> BTreeMap<String, Vec<Memlet>> {
-        let mut out: BTreeMap<String, Vec<Memlet>> = BTreeMap::new();
-        self.collect_reads(&mut out);
+    /// Names of the arrays this graph reads (nested map bodies included):
+    /// the sources of its access-node edges.
+    pub fn read_arrays(&self) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        self.collect_arrays(&mut out, |e| e.src);
         out
     }
 
-    fn collect_reads(&self, out: &mut BTreeMap<String, Vec<Memlet>>) {
+    /// Names of the arrays this graph writes (nested map bodies included):
+    /// the destinations of its access-node edges.
+    pub fn written_arrays(&self) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        self.collect_arrays(&mut out, |e| e.dst);
+        out
+    }
+
+    fn collect_arrays(&self, out: &mut BTreeSet<String>, end: fn(&Edge) -> NodeId) {
         for e in &self.edges {
-            // An edge whose source is an access node is a read of that array.
-            if let DfNode::Access(name) = &self.nodes[e.src] {
-                out.entry(name.clone()).or_default().push(e.memlet.clone());
+            if let DfNode::Access(name) = &self.nodes[end(e)] {
+                if !out.contains(name) {
+                    out.insert(name.clone());
+                }
             }
         }
         for node in &self.nodes {
             if let DfNode::MapScope(m) = node {
-                m.body.collect_reads(out);
-            }
-        }
-    }
-
-    /// Arrays written by this graph (including nested map bodies), with the
-    /// memlets used to write them.
-    pub fn writes(&self) -> BTreeMap<String, Vec<Memlet>> {
-        let mut out: BTreeMap<String, Vec<Memlet>> = BTreeMap::new();
-        self.collect_writes(&mut out);
-        out
-    }
-
-    fn collect_writes(&self, out: &mut BTreeMap<String, Vec<Memlet>>) {
-        for e in &self.edges {
-            if let DfNode::Access(name) = &self.nodes[e.dst] {
-                out.entry(name.clone()).or_default().push(e.memlet.clone());
-            }
-        }
-        for node in &self.nodes {
-            if let DfNode::MapScope(m) = node {
-                m.body.collect_writes(out);
+                m.body.collect_arrays(out, end);
             }
         }
     }
@@ -294,9 +293,8 @@ impl DataflowGraph {
     /// All arrays referenced by this graph (reads and writes, nested bodies
     /// included).
     pub fn referenced_arrays(&self) -> BTreeSet<String> {
-        let mut out: BTreeSet<String> = BTreeSet::new();
-        out.extend(self.reads().into_keys());
-        out.extend(self.writes().into_keys());
+        let mut out = self.read_arrays();
+        out.append(&mut self.written_arrays());
         // Access nodes with no edges still reference the array.
         for node in &self.nodes {
             match node {
@@ -388,6 +386,67 @@ mod tests {
         assert!(pos(1) < pos(2));
     }
 
+    /// The order is the one of the textbook formulation — a list of
+    /// successors per node and a FIFO of ready nodes —, which the executor's
+    /// results depend on, on graphs with fan-out, fan-in, parallel edges and
+    /// isolated nodes.
+    #[test]
+    fn topological_order_is_kahns_fifo_order() {
+        fn reference(g: &DataflowGraph) -> Option<Vec<NodeId>> {
+            let n = g.nodes.len();
+            let mut indeg = vec![0; n];
+            let mut adj = vec![Vec::new(); n];
+            for e in &g.edges {
+                indeg[e.dst] += 1;
+                adj[e.src].push(e.dst);
+            }
+            let mut queue: std::collections::VecDeque<_> =
+                (0..n).filter(|&i| indeg[i] == 0).collect();
+            let mut order = Vec::new();
+            while let Some(u) = queue.pop_front() {
+                order.push(u);
+                for &v in &adj[u] {
+                    indeg[v] -= 1;
+                    if indeg[v] == 0 {
+                        queue.push_back(v);
+                    }
+                }
+            }
+            (order.len() == n).then_some(order)
+        }
+        // Pseudo-random DAGs (edges from lower to higher position of a
+        // shuffled node list), every third one closed into a cycle.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % bound
+        };
+        for case in 0..60 {
+            let n = 1 + next(9);
+            let mut rank: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                rank.swap(i, next(i + 1));
+            }
+            let mut g = DataflowGraph::new();
+            for i in 0..n {
+                g.add_access(format!("a{i}"));
+            }
+            for _ in 0..next(2 * n + 1) {
+                let (a, b) = (next(n), next(n));
+                if rank[a] < rank[b] {
+                    g.add_edge(a, None, b, None, Memlet::all("x"));
+                }
+            }
+            if case % 3 == 2 && n > 1 {
+                g.add_edge(0, None, 1, None, Memlet::all("x"));
+                g.add_edge(1, None, 0, None, Memlet::all("x"));
+            }
+            assert_eq!(g.topological_order(), reference(&g), "case {case}: {g:?}");
+        }
+    }
+
     #[test]
     fn cycle_is_detected() {
         let mut g = simple_graph();
@@ -410,12 +469,12 @@ mod tests {
     #[test]
     fn reads_and_writes_are_collected() {
         let g = simple_graph();
-        let reads = g.reads();
-        let writes = g.writes();
-        assert!(reads.contains_key("A"));
-        assert!(!reads.contains_key("B"));
-        assert!(writes.contains_key("B"));
-        assert!(!writes.contains_key("A"));
+        let reads = g.read_arrays();
+        let writes = g.written_arrays();
+        assert!(reads.contains("A"));
+        assert!(!reads.contains("B"));
+        assert!(writes.contains("B"));
+        assert!(!writes.contains("A"));
     }
 
     #[test]
@@ -444,8 +503,8 @@ mod tests {
             ranges: vec![(SymExpr::int(0), SymExpr::sym("N"))],
             body,
         });
-        assert!(g.reads().contains_key("X"));
-        assert!(g.writes().contains_key("Y"));
+        assert!(g.read_arrays().contains("X"));
+        assert!(g.written_arrays().contains("Y"));
         assert!(g.referenced_arrays().contains("X"));
     }
 

@@ -6,7 +6,7 @@ use std::fmt;
 use crate::symexpr::{SymError, SymExpr};
 
 /// One dimension of a memlet subset.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum IndexRange {
     /// A single (possibly symbolic) index.
     Index(SymExpr),
@@ -78,7 +78,7 @@ pub enum SubsetClass {
 ///
 /// An empty subset denotes "the whole array" (used for full-array memlets
 /// feeding library nodes and map scopes).
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq, Default, Hash)]
 pub struct Subset(pub Vec<IndexRange>);
 
 impl Subset {
@@ -153,7 +153,7 @@ impl Subset {
 }
 
 /// Write-conflict resolution: how concurrent/repeated writes combine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Wcr {
     /// Accumulate with `+=` — the resolution used by gradient accumulation.
     Sum,
@@ -161,7 +161,7 @@ pub enum Wcr {
 
 /// A memlet annotating an edge with the data container, the subset moved and
 /// an optional write-conflict resolution.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Memlet {
     /// Name of the data container (array) being moved.
     pub data: String,

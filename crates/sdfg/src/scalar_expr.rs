@@ -9,6 +9,8 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Binary scalar operators available in tasklet code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -90,6 +92,27 @@ pub enum ScalarExpr {
     Un(UnOp, Box<ScalarExpr>),
     /// Binary operation.
     Bin(BinOp, Box<ScalarExpr>, Box<ScalarExpr>),
+}
+
+// Written out because `f64` has no `Hash`: a constant enters by its bits, so
+// `0.0` and `-0.0` hash apart (see `CondOperand`).
+impl Hash for ScalarExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            ScalarExpr::Const(v) => v.to_bits().hash(state),
+            ScalarExpr::Input(name) | ScalarExpr::Iter(name) => name.hash(state),
+            ScalarExpr::Un(op, a) => {
+                op.hash(state);
+                a.hash(state);
+            }
+            ScalarExpr::Bin(op, a, b) => {
+                op.hash(state);
+                a.hash(state);
+                b.hash(state);
+            }
+        }
+    }
 }
 
 // The DSL deliberately exposes by-value `add`/`sub`/`mul`/`div` builders
@@ -250,7 +273,9 @@ impl ScalarExpr {
             Bin(op, a, b) => {
                 let da = a.derivative(wrt);
                 let db = b.derivative(wrt);
-                let (a, b) = ((**a).clone(), (**b).clone());
+                // Cloned only by the rules that read an operand's value (a
+                // sum's does not, and sums are the long chains).
+                let (a, b) = (&**a, &**b);
                 let d = match op {
                     BinOp::Add => Self::bin(BinOp::Add, da, db),
                     BinOp::Sub => Self::bin(BinOp::Sub, da, db),
@@ -282,13 +307,13 @@ impl ScalarExpr {
                     // Sub-gradients: route the gradient to whichever operand wins.
                     BinOp::Max => Self::bin(
                         BinOp::Add,
-                        Self::bin(BinOp::Mul, step_ge(&a, &b), da),
-                        Self::bin(BinOp::Mul, step_ge(&b, &a), db),
+                        Self::bin(BinOp::Mul, step_ge(a, b), da),
+                        Self::bin(BinOp::Mul, step_ge(b, a), db),
                     ),
                     BinOp::Min => Self::bin(
                         BinOp::Add,
-                        Self::bin(BinOp::Mul, step_ge(&b, &a), da),
-                        Self::bin(BinOp::Mul, step_ge(&a, &b), db),
+                        Self::bin(BinOp::Mul, step_ge(b, a), da),
+                        Self::bin(BinOp::Mul, step_ge(a, b), db),
                     ),
                 };
                 d.simplified()
@@ -405,7 +430,9 @@ pub enum ExprOp {
 /// order), which is asserted by property tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledExpr {
-    ops: Vec<ExprOp>,
+    /// Shared: a clone (the kernel's copy of a tasklet's assignment) is a
+    /// reference count.
+    ops: Arc<[ExprOp]>,
     result: u32,
     n_regs: u32,
 }
@@ -429,7 +456,7 @@ impl CompiledExpr {
         if regs.len() < self.n_regs as usize {
             regs.resize(self.n_regs as usize, 0.0);
         }
-        for op in &self.ops {
+        for op in self.ops.iter() {
             match *op {
                 ExprOp::Const { dst, value } => regs[dst as usize] = value,
                 ExprOp::Slot { dst, slot } => regs[dst as usize] = slots[slot as usize],
@@ -580,7 +607,7 @@ impl CompiledExpr {
     /// expression has one of the supported shapes.  Returns `None` for
     /// anything else — callers fall back to [`CompiledExpr::eval`].
     pub fn micro_pattern(&self) -> Option<MicroPattern> {
-        let ops = &self.ops;
+        let ops = &*self.ops;
         // Positional single-assignment: every instruction writes the register
         // equal to its index (guaranteed by `compile`, re-checked here so the
         // pattern match below can reason positionally).
@@ -598,7 +625,7 @@ impl CompiledExpr {
         if self.result as usize != ops.len().checked_sub(1)? {
             return None;
         }
-        match *ops.as_slice() {
+        match *ops {
             [ExprOp::Slot { slot, .. }] => return Some(MicroPattern::Copy { src: slot }),
             [ExprOp::Slot { slot: sa, .. }, ExprOp::Slot { slot: sb, .. }, ExprOp::Bin {
                 op: BinOp::Mul,
@@ -667,7 +694,7 @@ impl ScalarExpr {
         Ok(CompiledExpr {
             result,
             n_regs: result + 1,
-            ops,
+            ops: ops.into(),
         })
     }
 

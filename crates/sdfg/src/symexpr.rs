@@ -142,16 +142,19 @@ impl SymExpr {
     /// The set of free symbols appearing in the expression.
     pub fn free_symbols(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_symbols(&mut out);
+        self.visit_symbols(&mut |s| {
+            if !out.contains(s) {
+                out.insert(s.to_string());
+            }
+        });
         out
     }
 
-    fn collect_symbols(&self, out: &mut BTreeSet<String>) {
+    /// Call `visit` on every symbol occurrence, left to right, by reference.
+    pub fn visit_symbols<'a>(&'a self, visit: &mut impl FnMut(&'a str)) {
         match self {
             SymExpr::Int(_) => {}
-            SymExpr::Sym(s) => {
-                out.insert(s.clone());
-            }
+            SymExpr::Sym(s) => visit(s),
             SymExpr::Add(a, b)
             | SymExpr::Sub(a, b)
             | SymExpr::Mul(a, b)
@@ -159,10 +162,10 @@ impl SymExpr {
             | SymExpr::Rem(a, b)
             | SymExpr::Min(a, b)
             | SymExpr::Max(a, b) => {
-                a.collect_symbols(out);
-                b.collect_symbols(out);
+                a.visit_symbols(visit);
+                b.visit_symbols(visit);
             }
-            SymExpr::Neg(a) => a.collect_symbols(out),
+            SymExpr::Neg(a) => a.visit_symbols(visit),
         }
     }
 

@@ -157,6 +157,18 @@ impl<'a> Verifier<'a> {
             .unwrap_or("<cfg>")
     }
 
+    /// The symbols of `e` that are neither declared nor in `scope`, in name
+    /// order.  Nothing is allocated unless there is one.
+    fn unknown_symbols<'e>(&self, e: &'e SymExpr, scope: &[String]) -> BTreeSet<&'e str> {
+        let mut unknown = BTreeSet::new();
+        e.visit_symbols(&mut |s| {
+            if !self.known_syms.contains(s) && !scope.iter().any(|p| p == s) {
+                unknown.insert(s);
+            }
+        });
+        unknown
+    }
+
     /// Check that every free symbol of `e` is in scope.
     fn check_expr_syms(
         &mut self,
@@ -166,17 +178,15 @@ impl<'a> Verifier<'a> {
         node: Option<NodeId>,
         what: &str,
     ) {
-        for s in e.free_symbols() {
-            if !self.known_syms.contains(&s) && !scope.contains(&s) {
-                let loc = self.state_name(state).to_string();
-                self.push(
-                    Severity::Warning,
-                    DiagCode::UnknownSymbol(s.clone()),
-                    state,
-                    node,
-                    format!("undeclared symbol `{s}` in {what} `{e}` (state `{loc}`)"),
-                );
-            }
+        for s in self.unknown_symbols(e, scope) {
+            let loc = self.state_name(state).to_string();
+            self.push(
+                Severity::Warning,
+                DiagCode::UnknownSymbol(s.to_string()),
+                state,
+                node,
+                format!("undeclared symbol `{s}` in {what} `{e}` (state `{loc}`)"),
+            );
         }
     }
 
@@ -302,6 +312,16 @@ impl<'a> Verifier<'a> {
         state: Option<usize>,
         node: Option<NodeId>,
     ) {
+        // `eval_const` names the symbol it stopped at, an allocation per
+        // symbolic index; only constants are of interest here.
+        let symbolic = |e: &SymExpr| {
+            let mut any = false;
+            e.visit_symbols(&mut |_| any = true);
+            any
+        };
+        if symbolic(index) || symbolic(dim) {
+            return;
+        }
         let (Ok(i), Ok(n)) = (index.eval_const(), dim.eval_const()) else {
             return;
         };
@@ -368,6 +388,9 @@ impl<'a> Verifier<'a> {
                 }
             }
         }
+        if found.is_empty() {
+            return;
+        }
         let loc = self.state_name(Some(state)).to_string();
         for (code, what) in found {
             let message = format!("library node `{op:?}` {what} (state `{loc}`)");
@@ -396,7 +419,7 @@ impl<'a> Verifier<'a> {
                 DfNode::Tasklet(t) => {
                     // Connector hygiene: the runtime reports these lazily
                     // (only when the tasklet executes), so they are warnings.
-                    for e in graph.in_edges(id) {
+                    for e in graph.edges.iter().filter(|e| e.dst == id) {
                         if e.dst_conn.is_none() {
                             self.push(
                                 Severity::Warning,
@@ -407,7 +430,7 @@ impl<'a> Verifier<'a> {
                             );
                         }
                     }
-                    for e in graph.out_edges(id) {
+                    for e in graph.edges.iter().filter(|e| e.src == id) {
                         match e.src_conn.as_deref() {
                             None => self.push(
                                 Severity::Warning,
@@ -466,21 +489,8 @@ impl<'a> Verifier<'a> {
                         }
                     }
                     for (s, e) in &m.ranges {
-                        let scope_snapshot = scope.clone();
-                        self.check_expr_syms(
-                            s,
-                            &scope_snapshot,
-                            Some(state),
-                            Some(id),
-                            "map range",
-                        );
-                        self.check_expr_syms(
-                            e,
-                            &scope_snapshot,
-                            Some(state),
-                            Some(id),
-                            "map range",
-                        );
+                        self.check_expr_syms(s, scope, Some(state), Some(id), "map range");
+                        self.check_expr_syms(e, scope, Some(state), Some(id), "map range");
                     }
                     if !has_dangling_edges(&m.body) && m.body.topological_order().is_none() {
                         let loc = self.state_name(Some(state)).to_string();
@@ -563,24 +573,17 @@ impl<'a> Verifier<'a> {
                 );
                 continue;
             }
-            let scope_snapshot = scope.clone();
             for (d, r) in subset.0.iter().enumerate() {
                 match r {
                     IndexRange::Index(ix) => {
-                        self.check_expr_syms(
-                            ix,
-                            &scope_snapshot,
-                            Some(state),
-                            Some(e.src),
-                            "memlet subset",
-                        );
+                        self.check_expr_syms(ix, scope, Some(state), Some(e.src), "memlet subset");
                         self.check_const_bound(ix, &desc.shape[d], array, Some(state), Some(e.src));
                     }
                     IndexRange::Range { start, end } => {
                         for ix in [start, end] {
                             self.check_expr_syms(
                                 ix,
-                                &scope_snapshot,
+                                scope,
                                 Some(state),
                                 Some(e.src),
                                 "memlet subset",
@@ -620,16 +623,14 @@ impl Sdfg {
         v.check_cf(&self.cfg);
         for (name, desc) in &self.arrays {
             for dim in &desc.shape {
-                for s in dim.free_symbols() {
-                    if !v.known_syms.contains(&s) {
-                        v.push(
-                            Severity::Warning,
-                            DiagCode::UnknownSymbol(s.clone()),
-                            None,
-                            None,
-                            format!("shape of array `{name}` references undeclared symbol `{s}`"),
-                        );
-                    }
+                for s in v.unknown_symbols(dim, &[]) {
+                    v.push(
+                        Severity::Warning,
+                        DiagCode::UnknownSymbol(s.to_string()),
+                        None,
+                        None,
+                        format!("shape of array `{name}` references undeclared symbol `{s}`"),
+                    );
                 }
             }
         }

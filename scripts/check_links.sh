@@ -4,7 +4,9 @@
 #    directory (external links and pure in-page anchors are skipped, an
 #    anchor suffix is stripped before the existence check);
 #  * every `NAME.md` a `//!` / `///` comment under crates/ or src/ cites is a
-#    file, relative to the repo root;
+#    file, relative to the repo root, and no such comment still describes
+#    the plan-cache fingerprint as a hash of the SDFG's `Debug` rendering
+#    (it is the SDFG's `Hash`; ARCHITECTURE.md, "Cache keying");
 #  * every `--bin NAME` / `--example NAME` in a *.md file is a cargo target
 #    (`src/bin/NAME.rs` / `examples/NAME.rs` of some package).  perfbench/,
 #    CHANGES.md, ROADMAP.md and ISSUE.md are exempt: history and task
@@ -57,6 +59,11 @@ for f in $sources; do
             fail=1
         fi
     done
+    if stale=$(grep -nE '^[[:space:]]*//[/!].*(`Debug` rendering|textual rendering)' "$f"); then
+        echo "$f: doc comment describes the fingerprint as a rendered hash:"
+        echo "$stale"
+        fail=1
+    fi
 done
 
 # Cargo targets named by the documentation.

@@ -1,5 +1,6 @@
-//! Regression tests for the plan cache's bounded-LRU behaviour and for the
-//! fingerprint-collision echo.
+//! Regression tests for the plan cache's bounded-LRU behaviour, for the
+//! fingerprint-collision echo and for what `compile()` promises now that it
+//! looks up before it validates and lowers outside the lock.
 //!
 //! These tests mutate process-global cache state (capacity, entries), so
 //! they live in their own integration binary and serialise themselves with
@@ -7,13 +8,15 @@
 //! are unaffected.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use dace_ad_repro::prelude::*;
 use dace_ad_repro::runtime::{
     clear_plan_cache, debug_fingerprint_sdfg, debug_inject_plan_cache_alias, plan_cache_capacity,
-    plan_cache_len, plan_cache_stats, set_plan_cache_capacity, DEFAULT_PLAN_CACHE_CAPACITY,
+    plan_cache_len, plan_cache_stats, set_plan_cache_capacity, RuntimeError,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
+use dace_ad_repro::sdfg::Edge;
 use dace_tensor::Tensor;
 
 /// Serialises the tests in this binary (they mutate the process-wide cache).
@@ -171,6 +174,101 @@ fn fingerprint_collision_recompiles_instead_of_serving_wrong_plan() {
     let again = compile(&victim, &syms).unwrap();
     assert!(again.cache_hit());
     assert_eq!(plan_cache_stats().collisions, after.collisions);
+
+    clear_plan_cache();
+}
+
+/// An SDFG that fails validation is never published, so it misses, validates
+/// and fails typed on its first and on every later call — the lookup that
+/// now comes first has nothing to find.
+#[test]
+fn invalid_sdfg_fails_typed_on_every_call() {
+    let _guard = CACHE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    clear_plan_cache();
+
+    let syms = symbols(&[("N", 4)]);
+    let mut invalid = scale_program("invalid_every_call", "X", 2.0);
+    invalid.states[0].graph.add_access("undeclared");
+    let before = plan_cache_stats();
+    for call in 1..=3 {
+        let err = compile(&invalid, &syms).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::InvalidSdfg { .. }),
+            "call {call}: {err}"
+        );
+        assert_eq!(plan_cache_len(), 0, "call {call} published a plan");
+    }
+    assert_eq!(plan_cache_stats(), before, "nothing hit, nothing lowered");
+}
+
+/// A hit skips validation because the fingerprint identifies the structure
+/// validation checks: the same program made invalid is another key, so it
+/// cannot ride on the valid program's entry.
+#[test]
+fn a_valid_entry_is_no_hit_for_its_invalid_mutant() {
+    let _guard = CACHE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    clear_plan_cache();
+
+    let syms = symbols(&[("N", 4)]);
+    let valid = scale_program("valid_then_invalid", "X", 2.0);
+    assert!(!compile(&valid, &syms).unwrap().cache_hit());
+    assert!(compile(&valid, &syms).unwrap().cache_hit());
+
+    // A dangling edge: same arrays, symbols and state count, so the echo
+    // alone would not tell the two apart.
+    let mut mutant = valid.clone();
+    let edge = mutant.states[0].graph.edges[0].clone();
+    mutant.states[0].graph.edges.push(Edge { dst: 99, ..edge });
+    let err = compile(&mutant, &syms).unwrap_err();
+    assert!(matches!(err, RuntimeError::InvalidSdfg { .. }), "{err}");
+    assert_eq!(plan_cache_len(), 1);
+    assert!(compile(&valid, &syms).unwrap().cache_hit());
+
+    clear_plan_cache();
+}
+
+/// Lowering happens outside the lock, so threads compiling one key from an
+/// empty cache may each lower it — but exactly one plan is published and
+/// every thread is handed that one.
+#[test]
+fn concurrent_compiles_of_one_key_share_one_plan() {
+    const THREADS: usize = 8;
+    let _guard = CACHE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    clear_plan_cache();
+    set_plan_cache_capacity(DEFAULT_PLAN_CACHE_CAPACITY);
+
+    let syms = symbols(&[("N", 4)]);
+    let before = plan_cache_stats();
+    let start = Barrier::new(THREADS);
+    let programs: Vec<CompiledProgram> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Built per thread: equal structure, not a shared value.
+                    let sdfg = scale_program("concurrent_one_key", "X", 2.0);
+                    start.wait();
+                    compile(&sdfg, &syms).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    assert_eq!(plan_cache_len(), 1);
+    let after = plan_cache_stats();
+    assert_eq!(after.misses - before.misses, 1, "one plan published");
+    assert_eq!(after.hits - before.hits, THREADS as u64 - 1);
+    assert_eq!(programs.iter().filter(|p| !p.cache_hit()).count(), 1);
+    for program in &programs {
+        assert_eq!(program.fingerprint(), programs[0].fingerprint());
+        // One entry's counters behind every handle: they hold one plan.
+        assert_eq!(program.cache_stats().misses, 1);
+        assert_eq!(program.cache_stats().hits, THREADS as u64 - 1);
+        assert_eq!(
+            run_once(program, "X", &[1.0, 2.0, 3.0, 4.0]),
+            [2.0, 4.0, 6.0, 8.0]
+        );
+    }
 
     clear_plan_cache();
 }
