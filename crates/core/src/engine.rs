@@ -664,10 +664,10 @@ fn served_gradient(
     })
 }
 
-/// Bind `inputs` into a session, validating names against the SDFG's
-/// containers: unknown names are typed errors, transients are skipped (the
-/// program computes them itself).  `override_binding` substitutes one
-/// tensor by name without cloning the whole input map (the FD hot path —
+/// Bind `inputs` into a session by copy into its resident buffers,
+/// validating names against the SDFG's containers: unknown names are typed
+/// errors, transients are skipped (the program computes them itself).
+/// `override_binding` substitutes one tensor by name (the FD hot path —
 /// every tensor must still be rebound per run because the program may
 /// mutate its inputs in place).
 fn bind_inputs(
@@ -685,15 +685,15 @@ fn bind_inputs(
         match sdfg.arrays.get(name) {
             None => return Err(EngineError::UnknownInput(name.clone())),
             Some(desc) if desc.transient => {}
-            Some(_) => session.set_input(name, tensor.clone())?,
+            Some(_) => session.copy_input(name, tensor)?,
         }
     }
     Ok(())
 }
 
 /// One blocking gradient evaluation on `session`: bind, run, read the
-/// output and the gradients — the body of [`GradientEngine::run`] and of
-/// every [`GradientEngine::run_batch`] item.
+/// output and move the gradients out of the slab — the body of
+/// [`GradientEngine::run`] and of every [`GradientEngine::run_batch`] item.
 fn run_gradient(
     plan: &BackwardPlan,
     session: &mut Session,
@@ -705,8 +705,8 @@ fn run_gradient(
     let mut gradients = BTreeMap::new();
     for input in &plan.inputs {
         if let Some(gname) = plan.gradients.get(input) {
-            if let Some(g) = session.array(gname) {
-                gradients.insert(input.clone(), g.clone());
+            if let Some(g) = session.take_array(gname) {
+                gradients.insert(input.clone(), g);
             }
         }
     }

@@ -98,7 +98,7 @@ impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for BatchError<E>
 /// Successful result of one batch item run through [`BatchDriver::run_batch`].
 #[derive(Clone, Debug)]
 pub struct BatchItemResult {
-    /// The requested (fetched) arrays, cloned out of the session slab.
+    /// The requested (fetched) arrays, moved out of the session slab.
     pub outputs: HashMap<String, Tensor>,
     /// Execution report of this item's run.
     pub report: ExecutionReport,
@@ -365,18 +365,19 @@ impl BatchDriver {
     /// Run a batch of input bindings, fetching the named arrays of each item
     /// after its run.
     ///
-    /// Every item binds its map (cloning each tensor into its session),
-    /// executes the shared plan, and clones the `fetch` arrays out of the
-    /// slab.  Items fail independently: an unknown input or fetch name, a
-    /// shape mismatch or a runtime error marks *that* item
-    /// [`BatchError::Item`] and the rest of the batch completes.
+    /// Every item binds its map by copy into its session's resident
+    /// buffers (see [`Session::copy_input`]), executes the shared plan, and
+    /// moves the `fetch` arrays out of the slab.  Items fail independently:
+    /// an unknown input or fetch name, a shape mismatch or a runtime error
+    /// marks *that* item [`BatchError::Item`] and the rest of the batch
+    /// completes.
     pub fn run_batch(
         &self,
         items: &[HashMap<String, Tensor>],
         fetch: &[&str],
     ) -> BatchOutput<BatchItemResult, RuntimeError> {
         self.run_batch_with(items.len(), |i, session| {
-            run_item(session, items[i].clone(), fetch)
+            run_item(session, &items[i], fetch)
         })
     }
 
@@ -465,27 +466,31 @@ impl BatchDriver {
 }
 
 /// The body of every served item, static batch or gateway dispatch alike:
-/// bind the request's (owned) inputs into a checked-out session, run the
-/// shared plan, clone the `fetch` arrays out of the slab.
+/// copy the request's inputs into a checked-out session's resident buffers,
+/// run the shared plan, move the `fetch` arrays out of the slab.  The
+/// request keeps its inputs (a gateway retry requeues them as they are), and
+/// the next run on the session refills what was taken.
 pub(crate) fn run_item<S: AsRef<str>>(
     session: &mut Session,
-    inputs: HashMap<String, Tensor>,
+    inputs: &HashMap<String, Tensor>,
     fetch: &[S],
 ) -> Result<BatchItemResult, RuntimeError> {
     session.clear_bindings();
-    // The request owns its tensors, so binding *moves* them into the
-    // session — no copy on the serving hot path.
     for (name, tensor) in inputs {
-        session.set_input(&name, tensor)?;
+        session.copy_input(name, tensor)?;
     }
     let report = session.run()?;
     let mut outputs = HashMap::with_capacity(fetch.len());
     for name in fetch {
         let name = name.as_ref();
+        // A name fetched twice is already in `outputs`.
+        if outputs.contains_key(name) {
+            continue;
+        }
         let tensor = session
-            .array(name)
+            .take_array(name)
             .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
-        outputs.insert(name.to_string(), tensor.clone());
+        outputs.insert(name.to_string(), tensor);
     }
     Ok(BatchItemResult { outputs, report })
 }

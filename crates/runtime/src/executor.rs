@@ -113,6 +113,9 @@ pub(crate) struct RunState {
     /// transient, its allocation parks here and `ensure_allocated` reuses it
     /// (zero-filled in place) instead of allocating a fresh tensor.
     pub(crate) pool: Vec<Option<Tensor>>,
+    /// Which arrays are bound for the current run (by array id), via
+    /// [`crate::Session::set_input`] or [`crate::Session::copy_input`].
+    pub(crate) bound: Vec<bool>,
     pub(crate) syms: SymFile,
     pub(crate) tracker: MemoryTracker,
     pub(crate) report: ExecutionReport,
@@ -129,6 +132,7 @@ impl RunState {
         RunState {
             slab: vec![None; n_arrays],
             pool: vec![None; n_arrays],
+            bound: vec![false; n_arrays],
             syms: plan.init_syms.clone(),
             tracker: MemoryTracker::new(),
             report: ExecutionReport::default(),
@@ -289,6 +293,11 @@ impl RunState {
         self.exec_graph(plan, &plan.states[id])?;
         for k in 0..self.free_hints[id].len() {
             let aid = self.free_hints[id][k] as usize;
+            // A bound transient is this run's input and every later run's
+            // too: releasing it would hand the next run zeros.
+            if self.bound[aid] {
+                continue;
+            }
             self.tracker.free(&plan.arrays.names[aid]);
             // Park the released tensor in the pool so a later allocation of
             // the same container reuses it instead of reallocating.  Guarded
@@ -1942,11 +1951,8 @@ mod tests {
         ));
     }
 
-    /// A transient bound via `set_input` provides the initial contents (the
-    /// legacy executor honoured such bindings) and must not be zero-filled
-    /// by the per-run reset.
-    #[test]
-    fn provided_transient_keeps_its_contents() {
+    /// `Y = 2·T` over `N`, with `T` transient, in one state.
+    fn seeded_transient_sdfg() -> Sdfg {
         let mut sdfg = Sdfg::new("seeded_transient");
         sdfg.add_symbol("N");
         sdfg.add_array("T", ArrayDesc::transient(vec![SymExpr::sym("N")]))
@@ -1986,7 +1992,15 @@ mod tests {
             graph: g,
         });
         sdfg.cfg = ControlFlow::State(sid);
+        sdfg
+    }
 
+    /// A transient bound via `set_input` provides the initial contents (the
+    /// legacy executor honoured such bindings) and must not be zero-filled
+    /// by the per-run reset.
+    #[test]
+    fn provided_transient_keeps_its_contents() {
+        let sdfg = seeded_transient_sdfg();
         let mut ex = mk_session(&sdfg, &symbols(&[("N", 3)])).unwrap();
         ex.set_input("T", Tensor::full(&[3], 3.0)).unwrap();
         ex.run().unwrap();
@@ -2015,6 +2029,82 @@ mod tests {
         assert_eq!(ex.array("Y").unwrap().data(), &[3.0, 3.0, 3.0, 3.0]);
         ex.run().unwrap();
         assert_eq!(ex.array("Y").unwrap().data(), &[3.0, 3.0, 3.0, 3.0]);
+    }
+
+    /// Free hints skip a transient bound for the run, for the same reason:
+    /// the binding persists, so the second run must see the bound values,
+    /// not zeros.
+    #[test]
+    fn free_hints_skip_bound_transients() {
+        let sdfg = seeded_transient_sdfg();
+        let hints = HashMap::from([(0usize, vec!["T".to_string()])]);
+        let mut ex = mk_session(&sdfg, &symbols(&[("N", 3)]))
+            .unwrap()
+            .with_free_hints(&hints);
+        ex.set_input("T", Tensor::full(&[3], 1.5)).unwrap();
+        for run in 1..=2 {
+            ex.run().unwrap();
+            assert_eq!(ex.array("Y").unwrap().data(), &[3.0; 3], "run {run}");
+        }
+        // Unbound, the hint releases `T` again.
+        ex.clear_bindings();
+        ex.run().unwrap();
+        assert!(ex.array("T").is_none());
+    }
+
+    /// A taken array reads `None` until the next run, which starts it
+    /// afresh: the rerun is bit-identical to one on a fresh session, for an
+    /// output and for a bound input alike.
+    #[test]
+    fn take_array_moves_out_until_the_next_run() {
+        let sdfg = scale_sdfg(2.0);
+        let x = Tensor::from_vec(vec![0.5, -1.25, 3.0, 7.5], &[4]).unwrap();
+        let mut fresh = mk_session(&sdfg, &symbols(&[("N", 4)])).unwrap();
+        fresh.copy_input("X", &x).unwrap();
+        fresh.run().unwrap();
+        let reference = fresh.array("Y").unwrap().clone();
+
+        let mut ex = mk_session(&sdfg, &symbols(&[("N", 4)])).unwrap();
+        ex.copy_input("X", &x).unwrap();
+        ex.run().unwrap();
+        assert_eq!(ex.take_array("Y").unwrap(), reference);
+        assert!(ex.array("Y").is_none() && ex.take_array("Y").is_none());
+        assert_eq!(ex.take_array("nope"), None);
+        ex.run().unwrap();
+        assert_eq!(ex.array("Y").unwrap(), &reference);
+
+        // Taking a bound input unbinds it: the next run reads zeros, as a
+        // fresh session without the binding would, and a bind clones it back.
+        assert_eq!(ex.take_array("X").unwrap(), x);
+        assert!(ex.array("X").is_none());
+        ex.run().unwrap();
+        assert_eq!(ex.array("Y").unwrap().data(), &[0.0; 4]);
+        ex.copy_input("X", &x).unwrap();
+        ex.run().unwrap();
+        assert_eq!(ex.array("Y").unwrap(), &reference);
+    }
+
+    /// `copy_input` checks names and shapes like `set_input`, and a bind
+    /// that fails leaves the next correct run bit-identical.
+    #[test]
+    fn copy_input_checks_like_set_input() {
+        let sdfg = scale_sdfg(2.0);
+        let mut ex = mk_session(&sdfg, &symbols(&[("N", 4)])).unwrap();
+        let x = Tensor::full(&[4], 1.5);
+        assert!(matches!(
+            ex.copy_input("nope", &x),
+            Err(RuntimeError::UnknownArray(_))
+        ));
+        ex.copy_input("X", &x).unwrap();
+        ex.run().unwrap();
+        assert!(matches!(
+            ex.copy_input("X", &Tensor::full(&[5], 9.0)),
+            Err(RuntimeError::ShapeMismatch { .. })
+        ));
+        assert_eq!(ex.array("X").unwrap(), &x, "a failed bind writes nothing");
+        ex.copy_input("X", &Tensor::full(&[4], -2.0)).unwrap();
+        ex.run().unwrap();
+        assert_eq!(ex.array("Y").unwrap().data(), &[-4.0; 4]);
     }
 
     /// A tasklet with two assignments to the same output connector must

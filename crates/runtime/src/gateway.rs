@@ -490,9 +490,6 @@ impl GatewayStats {
     }
 }
 
-/// The bind/fetch payload of one request.
-type Payload = (HashMap<String, Tensor>, Vec<String>);
-
 /// Lifecycle of one gateway request, guarded by `GwRequest::phase`.
 enum GwPhase {
     /// In the admission queue (or awaiting a retry backoff); owns the
@@ -1167,16 +1164,14 @@ impl Drop for Gateway {
 }
 
 /// One claimed, runnable request: its state plus the payload taken from
-/// the queued phase.  When `keep_payload` is set the dispatch closure
-/// *clones* the payload out (leaving the original for a possible retry);
-/// otherwise it moves it.
+/// the queued phase.  The dispatch only borrows the payload, so a retry
+/// requeues the same allocation.
 struct GwClaimed {
     req: Arc<GwRequest>,
-    payload: Mutex<Option<Payload>>,
+    inputs: HashMap<String, Tensor>,
+    fetch: Vec<String>,
     /// Attempts already made before this dispatch (0 = first try).
     attempts: u32,
-    /// Whether the payload must survive this dispatch for a retry.
-    keep_payload: bool,
     fault: FaultAction,
 }
 
@@ -1366,15 +1361,11 @@ fn wdrr_claim(shared: &GwShared, state: &mut GwState, now: Instant) -> Option<Gw
                 let seq = t.dispatch_seq;
                 t.counters.queued -= 1;
                 t.counters.in_flight += 1;
-                // During the final drain nothing is requeued, so the
-                // payload may be moved rather than cloned.
-                let keep_payload =
-                    !shutdown && entry.req.idempotent && entry.attempts < shared.opts.retry_budget;
                 claimed.push(GwClaimed {
                     req: entry.req,
-                    payload: Mutex::new(Some((inputs, fetch))),
+                    inputs,
+                    fetch,
                     attempts: entry.attempts,
-                    keep_payload,
                     fault: t.faults.action(seq),
                 });
             }
@@ -1431,17 +1422,7 @@ fn serve_batch(shared: &GwShared, batch: GwBatch) {
             }
             FaultAction::None => {}
         }
-        let (inputs, fetch) = {
-            let mut payload = item.payload.lock().unwrap_or_else(|e| e.into_inner());
-            if item.keep_payload {
-                // Clone: the original stays behind for a possible retry.
-                payload.clone()
-            } else {
-                payload.take()
-            }
-        }
-        .expect("a claimed request carries its payload");
-        run_item(session, inputs, &fetch).map_err(GwItemError::Exec)
+        run_item(session, &item.inputs, &item.fetch).map_err(GwItemError::Exec)
     });
     // Resolve every item under ONE state critical section so a stats
     // snapshot never observes a batch half-completed relative to its
@@ -1522,9 +1503,9 @@ fn serve_batch(shared: &GwShared, batch: GwBatch) {
     shared.work_cv.notify_all();
 }
 
-/// After an infrastructure failure: requeue the item for retry if its
-/// payload survived and the gateway is not draining, otherwise resolve the
-/// handle with the failure.
+/// After an infrastructure failure: requeue an idempotent item with retry
+/// budget left for retry unless the gateway is draining, otherwise resolve
+/// the handle with the failure.
 fn retry_or_fail(
     shared: &GwShared,
     t: &mut TenantState,
@@ -1534,31 +1515,23 @@ fn retry_or_fail(
     requeue: &mut Vec<QueueEntry>,
     now: Instant,
 ) {
-    let payload = if item.keep_payload && !shutdown {
-        item.payload
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-    } else {
-        None
-    };
-    match payload {
-        Some((inputs, fetch)) => {
-            let attempt = item.attempts + 1;
-            t.counters.retried += 1;
-            t.counters.queued += 1;
-            *item.req.lock_phase() = GwPhase::Queued { inputs, fetch };
-            requeue.push(QueueEntry {
-                req: item.req,
-                attempts: attempt,
-                retry_at: Some(now + retry_backoff(shared.opts.retry_backoff, attempt)),
-            });
-        }
-        None => {
-            t.counters.failed += 1;
-            item.req.complete(Err(error));
-        }
+    if shutdown || !item.req.idempotent || item.attempts >= shared.opts.retry_budget {
+        t.counters.failed += 1;
+        item.req.complete(Err(error));
+        return;
     }
+    let attempt = item.attempts + 1;
+    t.counters.retried += 1;
+    t.counters.queued += 1;
+    *item.req.lock_phase() = GwPhase::Queued {
+        inputs: item.inputs,
+        fetch: item.fetch,
+    };
+    requeue.push(QueueEntry {
+        req: item.req,
+        attempts: attempt,
+        retry_at: Some(now + retry_backoff(shared.opts.retry_backoff, attempt)),
+    });
 }
 
 #[cfg(test)]

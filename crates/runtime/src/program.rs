@@ -490,7 +490,6 @@ impl CompiledProgram {
     pub fn session(&self) -> Session {
         Session {
             st: RunState::new(&self.plan),
-            provided: vec![false; self.plan.arrays.names.len()],
             program: self.clone(),
         }
     }
@@ -565,8 +564,10 @@ impl CompiledProgram {
 // ---------------------------------------------------------------------------
 
 /// Mutable execution state bound to a [`CompiledProgram`]: bind inputs with
-/// [`Session::set_input`], execute with [`Session::run`], read results with
-/// [`Session::array`].
+/// [`Session::set_input`] (by move) or [`Session::copy_input`] (by copy into
+/// the buffer the session holds), execute with [`Session::run`], read
+/// results with [`Session::array`] or move them out with
+/// [`Session::take_array`].
 ///
 /// A session is built for repeated runs.  Each `run` starts from a clean
 /// state — transients and unbound outputs are reset — but the underlying
@@ -604,8 +605,6 @@ impl CompiledProgram {
 pub struct Session {
     program: CompiledProgram,
     st: RunState,
-    /// Which non-transient arrays were bound via `set_input` (by array id).
-    provided: Vec<bool>,
 }
 
 impl Session {
@@ -620,7 +619,7 @@ impl Session {
     }
 
     /// Bind an input array by name.  The binding persists across runs until
-    /// overwritten or cleared.  Binding a *transient* array provides its
+    /// overwritten, cleared or taken.  Binding a *transient* array provides its
     /// initial contents (instead of the usual lazy zero-fill).
     ///
     /// # Errors
@@ -628,36 +627,59 @@ impl Session {
     /// and [`RuntimeError::ShapeMismatch`] when the tensor's shape does not
     /// match the array's concrete layout.
     pub fn set_input(&mut self, name: &str, tensor: Tensor) -> RuntimeResult<()> {
+        let id = self.bind(name, tensor.shape())?;
+        self.st.slab[id] = Some(tensor);
+        Ok(())
+    }
+
+    /// [`Session::set_input`] by copy: the values are copied into the
+    /// tensor the session already holds for the array, so a warm session
+    /// binds without allocating.  Only an empty slot (first run, or after
+    /// [`Session::take_array`]) receives a clone.  Same errors as
+    /// `set_input`.
+    pub fn copy_input(&mut self, name: &str, tensor: &Tensor) -> RuntimeResult<()> {
+        let id = self.bind(name, tensor.shape())?;
+        match &mut self.st.slab[id] {
+            Some(held) => held.data_mut().copy_from_slice(tensor.data()),
+            empty => *empty = Some(tensor.clone()),
+        }
+        Ok(())
+    }
+
+    /// The checks both binds share: `name` must be an array of the program
+    /// and `shape` its concrete layout.  Marks the array bound and returns
+    /// its id.
+    fn bind(&mut self, name: &str, shape: &[usize]) -> RuntimeResult<usize> {
         let plan = self.program.plan();
         let id = plan
             .arrays
             .id(name)
             .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
         let layout = plan.arrays.layout(id)?;
-        if layout.dims() != tensor.shape() {
+        if layout.dims() != shape {
             return Err(RuntimeError::ShapeMismatch {
                 array: name.to_string(),
                 expected: layout.dims().to_vec(),
-                got: tensor.shape().to_vec(),
+                got: shape.to_vec(),
             });
         }
-        self.st.slab[id as usize] = Some(tensor);
-        self.provided[id as usize] = true;
-        Ok(())
+        self.st.bound[id as usize] = true;
+        Ok(id as usize)
     }
 
     /// Forget every input binding.  Tensors already in the slab are reset
     /// (zero-filled in place) at the start of the next run instead of being
     /// treated as inputs.
     pub fn clear_bindings(&mut self) {
-        self.provided.fill(false);
+        self.st.bound.fill(false);
     }
 
     /// Attach per-state free hints: after executing state `id`, the listed
     /// transient containers are deallocated (used by the AD engine to bound
     /// the footprint of recomputation blocks).  Unknown state ids and array
-    /// names are ignored, as are non-transient arrays — releasing a bound
-    /// input mid-run would silently replace it with zeros on the next run.
+    /// names are ignored, as are non-transient arrays and, at run time,
+    /// transients bound for the run — releasing a bound array mid-run would
+    /// silently replace it with zeros on the next run.
     pub fn set_free_hints(&mut self, hints: &HashMap<usize, Vec<String>>) {
         let plan = self.program.plan();
         let mut resolved = vec![Vec::new(); plan.states.len()];
@@ -702,6 +724,16 @@ impl Session {
             .and_then(|id| self.st.slab[id as usize].as_ref())
     }
 
+    /// Move an array out of the session instead of cloning it (and unbind
+    /// it, if it was bound).  [`Session::array`] reads `None` for the name
+    /// until the next run, which starts the array afresh, so that run is
+    /// bit-identical to one on a fresh session.
+    pub fn take_array(&mut self, name: &str) -> Option<Tensor> {
+        let id = self.program.plan().arrays.id(name)? as usize;
+        self.st.bound[id] = false;
+        self.st.slab[id].take()
+    }
+
     /// The memory tracker of the most recent run (for tests and benchmarks).
     pub fn tracker(&self) -> &MemoryTracker {
         &self.st.tracker
@@ -726,16 +758,13 @@ impl Session {
     /// Each run starts from a clean state: the memory tracker is reset,
     /// transient tensors left over from the previous run are recycled into
     /// the allocation pool, and non-transient arrays that were *not* bound
-    /// via [`Session::set_input`] are zero-filled in place.  Results are
-    /// therefore bit-identical to a run on a freshly opened session with the
-    /// same bindings.
+    /// via [`Session::set_input`] or [`Session::copy_input`] are zero-filled
+    /// in place (allocated as zeros if [`Session::take_array`] took them).
+    /// Results are therefore bit-identical to a run on a freshly opened
+    /// session with the same bindings.
     pub fn run(&mut self) -> RuntimeResult<ExecutionReport> {
         let start = Instant::now();
-        let Session {
-            program,
-            st,
-            provided,
-        } = self;
+        let Session { program, st } = self;
         let plan: &ExecPlan = program.plan.as_ref();
 
         st.report = ExecutionReport::default();
@@ -744,11 +773,12 @@ impl Session {
         // Reset the slab in place: recycle transients into the pool (their
         // allocations are reused by `ensure_allocated`), zero unbound
         // non-transients, and count + materialise non-transient containers.
-        for (id, &was_provided) in provided.iter().enumerate() {
+        for id in 0..st.bound.len() {
+            let was_provided = st.bound[id];
             if plan.arrays.transient[id] {
-                // A transient bound via `set_input` keeps its contents (it
-                // provides the initial value, as the legacy executor did);
-                // anything else is recycled for in-place reuse.
+                // A bound transient keeps its contents (it provides the
+                // initial value, as the legacy executor did); anything else
+                // is recycled for in-place reuse.
                 if !was_provided {
                     if let Some(t) = st.slab[id].take() {
                         st.pool[id] = Some(t);

@@ -1,0 +1,118 @@
+//! Allocations per warm gradient, counted by a counting global allocator.
+//! The binary holds a single test, so nothing else allocates beside it.
+//!
+//! Inputs are copied into the session's resident buffers and gradients are
+//! moved out of the slab, so a warm gradient allocates one buffer per
+//! gradient it returns (the refill of the slot it was taken from) and none
+//! per input.  The parent of this rule (clone in, clone out) read inputs +
+//! gradients: 6 on gesummv and 4 on atax, per engine run and per batch item.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use dace_ad_repro::prelude::*;
+use npbench::Preset;
+
+/// Counts allocations of at least `MIN_BYTES` bytes while armed (non-zero).
+struct Counting;
+
+static MIN_BYTES: AtomicUsize = AtomicUsize::new(0);
+static COUNT: AtomicUsize = AtomicUsize::new(0);
+
+fn record(size: usize) {
+    let min = MIN_BYTES.load(Ordering::Relaxed);
+    if min > 0 && size >= min {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; counting only reads
+// the layout.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `f` and count its allocations of at least `min_bytes` bytes.  The
+/// result is dropped after counting stops.
+fn large_allocations<R>(min_bytes: usize, f: impl FnOnce() -> R) -> (R, usize) {
+    COUNT.store(0, Ordering::Relaxed);
+    MIN_BYTES.store(min_bytes, Ordering::Relaxed);
+    let result = f();
+    MIN_BYTES.store(0, Ordering::Relaxed);
+    (result, COUNT.load(Ordering::Relaxed))
+}
+
+#[test]
+fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
+    for name in ["gesummv", "atax"] {
+        let kernel = npbench::kernel_by_name(name).unwrap();
+        let sizes = kernel.sizes(Preset::Bench);
+        let inputs = kernel.inputs(&sizes);
+        let min_bytes = inputs.values().map(|t| t.len() * 8).min().unwrap();
+        let sdfg = kernel.build_dace(&sizes);
+        let syms = kernel.symbols(&sizes);
+        let wrt = kernel.wrt();
+        let mut engine =
+            GradientEngine::new(&sdfg, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
+
+        // `GradientEngine::run`: the first run fills the slab, the second
+        // refills what the first took.
+        for _ in 0..2 {
+            engine.run(&inputs).unwrap();
+        }
+        let (result, n) = large_allocations(min_bytes, || engine.run(&inputs).unwrap());
+        assert_eq!(result.gradients.len(), wrt.len());
+        assert_eq!(
+            n,
+            wrt.len(),
+            "{name}: a warm gradient must allocate one buffer per gradient returned \
+             and none per input ({} inputs of >= {min_bytes} B)",
+            inputs.len()
+        );
+
+        // A `BatchDriver::run_batch` item on a warm pooled session.
+        let plan = engine.plan();
+        let mut driver = BatchDriver::new(engine.gradient_program().clone()).with_workers(1);
+        driver.set_free_hints(&plan.free_hints);
+        let fetch: Vec<&str> = std::iter::once(plan.output.as_str())
+            .chain(
+                plan.inputs
+                    .iter()
+                    .map(|input| plan.gradients[input].as_str()),
+            )
+            .collect();
+        let items: Vec<HashMap<String, Tensor>> = vec![inputs.clone()];
+        for _ in 0..2 {
+            assert_eq!(driver.run_batch(&items, &fetch).report.succeeded, 1);
+        }
+        let (out, n) = large_allocations(min_bytes, || driver.run_batch(&items, &fetch));
+        assert_eq!(out.report.succeeded, 1);
+        assert_eq!(
+            n,
+            wrt.len(),
+            "{name}: a warm batch item must allocate only the gradients it fetches, \
+             nothing for its inputs"
+        );
+    }
+}

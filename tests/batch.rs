@@ -3,7 +3,9 @@
 
 use std::collections::HashMap;
 
+use dace_ad::GradientResult;
 use dace_ad_repro::prelude::*;
+use dace_runtime::RuntimeError;
 use dace_tensor::Tensor;
 use npbench::runner::batch_inputs;
 use npbench::Preset;
@@ -337,6 +339,175 @@ fn warm_pool_sessions_pick_up_free_hint_changes() {
         unhinted_final,
         "clearing hints must restore the unhinted footprint on pooled sessions"
     );
+}
+
+fn bits(t: &Tensor) -> (Vec<usize>, Vec<u64>) {
+    (
+        t.shape().to_vec(),
+        t.data().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Bitwise equality of two gradient results.
+fn assert_same_bits(a: &GradientResult, b: &GradientResult, what: &str) {
+    assert_eq!(
+        a.output_value.to_bits(),
+        b.output_value.to_bits(),
+        "{what}: output"
+    );
+    assert!(
+        a.gradients.keys().eq(b.gradients.keys()),
+        "{what}: gradient names"
+    );
+    for (name, g) in &a.gradients {
+        assert_eq!(
+            bits(g),
+            bits(&b.gradients[name]),
+            "{what}: gradient of {name}"
+        );
+    }
+}
+
+/// Runs `items` twice over on one engine and compares each run with a fresh
+/// engine's.
+fn assert_reruns_like_fresh(
+    name: &str,
+    sdfg: &dace_sdfg::Sdfg,
+    wrt: &[&str],
+    syms: &HashMap<String, i64>,
+    options: &AdOptions,
+    items: &[HashMap<String, Tensor>],
+) {
+    let engine = || GradientEngine::new(sdfg, "OUT", wrt, syms, options).unwrap();
+    let mut warm = engine();
+    for round in 0..2 {
+        for (i, inputs) in items.iter().enumerate() {
+            let got = warm.run(inputs).unwrap();
+            let fresh = engine().run(inputs).unwrap();
+            assert_same_bits(&got, &fresh, &format!("{name} round {round} item {i}"));
+        }
+    }
+}
+
+/// Gradients are moved out of the engine's session, so every run after the
+/// first refills them: a session whose gradients were taken reruns
+/// bit-identical to a fresh session, on every kernel and on Listing-1 with
+/// its recomputation free hints.
+#[test]
+fn taken_gradients_rerun_bit_identical_to_a_fresh_session() {
+    for kernel in npbench::all_kernels() {
+        let sizes = kernel.sizes(Preset::Test);
+        assert_reruns_like_fresh(
+            kernel.name(),
+            &kernel.build_dace(&sizes),
+            &kernel.wrt(),
+            &kernel.symbols(&sizes),
+            &AdOptions::default(),
+            &batch_inputs(kernel.as_ref(), &sizes, 2),
+        );
+    }
+    let fill = |seed: f64| {
+        Tensor::from_vec(
+            (0..16).map(|k| (k as f64 * 0.37 + seed).sin()).collect(),
+            &[4, 4],
+        )
+        .unwrap()
+    };
+    assert_reruns_like_fresh(
+        "listing1",
+        &npbench::listing1(),
+        &["C", "D"],
+        &symbols(&[("N", 4)]),
+        &AdOptions {
+            strategy: CheckpointStrategy::RecomputeAll,
+        },
+        &[
+            HashMap::from([("C".to_string(), fill(0.1)), ("D".to_string(), fill(2.3))]),
+            HashMap::from([("C".to_string(), fill(0.7)), ("D".to_string(), fill(-1.1))]),
+        ],
+    );
+}
+
+/// A fetch list naming one array twice, or naming a bound input, returns
+/// every name, on a cold and on a warm session alike.
+#[test]
+fn fetch_returns_duplicate_and_bound_input_names() {
+    let (sdfg, syms) = elementwise_program();
+    let program = compile(&sdfg, &syms).unwrap();
+    let driver = BatchDriver::new(program.clone()).with_workers(1);
+    let mut session = program.session();
+    for round in 0..3 {
+        let items = vec![item(round)];
+        let out = driver.run_batch(&items, &["Y", "X", "Y"]);
+        let outputs = &out.items[0].as_ref().unwrap().outputs;
+        assert_eq!(outputs.len(), 2, "round {round}");
+        assert_eq!(bits(&outputs["X"]), bits(&items[0]["X"]), "round {round}");
+        session.set_input("X", items[0]["X"].clone()).unwrap();
+        session.run().unwrap();
+        let y = session.array("Y").unwrap();
+        assert_eq!(bits(&outputs["Y"]), bits(y), "round {round}");
+    }
+    assert_eq!(driver.sessions_created(), 1);
+}
+
+/// A bind that fails with `ShapeMismatch` partway through the inputs leaves
+/// the next correct run bit-identical to a fresh engine's.
+#[test]
+fn a_failed_bind_leaves_the_next_run_bit_identical() {
+    let kernel = npbench::kernel_by_name("gesummv").unwrap();
+    let sizes = kernel.sizes(Preset::Test);
+    let items = batch_inputs(kernel.as_ref(), &sizes, 2);
+    let sdfg = kernel.build_dace(&sizes);
+    let syms = kernel.symbols(&sizes);
+    let wrt = kernel.wrt();
+    let engine = || GradientEngine::new(&sdfg, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
+
+    let fresh = engine().run(&items[1]).unwrap();
+    let wrong = Tensor::zeros(&[sizes.n + 1]);
+
+    // Through the engine, in whatever order its map yields the inputs.
+    let mut warm = engine();
+    warm.run(&items[0]).unwrap();
+    let mut bad = items[1].clone();
+    bad.insert("x".to_string(), wrong.clone());
+    assert!(matches!(
+        warm.run(&bad),
+        Err(EngineError::Runtime(RuntimeError::ShapeMismatch { .. }))
+    ));
+    assert_same_bits(&warm.run(&items[1]).unwrap(), &fresh, "engine");
+
+    // On a session of the same program, failing on the second input.
+    let plan = warm.plan();
+    let mut session = warm
+        .gradient_program()
+        .session()
+        .with_free_hints(&plan.free_hints);
+    let bind = |session: &mut Session, inputs: &HashMap<String, Tensor>| {
+        session.clear_bindings();
+        for name in ["A", "B", "x"] {
+            session.copy_input(name, &inputs[name]).unwrap();
+        }
+    };
+    bind(&mut session, &items[0]);
+    session.run().unwrap();
+    session.clear_bindings();
+    session.copy_input("A", &items[1]["A"]).unwrap();
+    assert!(matches!(
+        session.copy_input("x", &wrong),
+        Err(RuntimeError::ShapeMismatch { .. })
+    ));
+    bind(&mut session, &items[1]);
+    session.run().unwrap();
+    let out = session.array("OUT").unwrap().data()[0];
+    assert_eq!(
+        out.to_bits(),
+        fresh.output_value.to_bits(),
+        "session: output"
+    );
+    for (input, g) in &fresh.gradients {
+        let got = session.take_array(&plan.gradients[input]).unwrap();
+        assert_eq!(bits(&got), bits(g), "session: gradient of {input}");
+    }
 }
 
 /// An empty batch is a cheap no-op with a well-formed report.

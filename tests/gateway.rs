@@ -483,6 +483,78 @@ fn panic_is_retried_for_idempotent_requests_only() {
     );
 }
 
+/// A gradient request retried after an injected panic returns the same bits
+/// as `Session::run`: the dispatch only borrows the payload, so the retry
+/// runs on the very tensors the panicking dispatch held.  The fetch list
+/// also names the output twice and a bound input; the engine's own client
+/// is retried the same way and matches `GradientEngine::run`.
+#[test]
+fn a_retried_gradient_request_matches_session_run() {
+    let kernel = npbench::kernel_by_name("gesummv").unwrap();
+    let sizes = kernel.sizes(Preset::Test);
+    let inputs = kernel.inputs(&sizes);
+    let sdfg = kernel.build_dace(&sizes);
+    let syms = kernel.symbols(&sizes);
+    let mut engine =
+        GradientEngine::new(&sdfg, "OUT", &kernel.wrt(), &syms, &AdOptions::default()).unwrap();
+    let blocking = engine.run(&inputs).unwrap();
+    let plan = engine.plan();
+    let mut fetch = vec!["OUT", "x"];
+    fetch.extend(
+        plan.inputs
+            .iter()
+            .map(|input| plan.gradients[input].as_str()),
+    );
+    fetch.push("OUT");
+    let mut session = engine
+        .gradient_program()
+        .session()
+        .with_free_hints(&plan.free_hints);
+    for (name, tensor) in &inputs {
+        session.set_input(name, tensor.clone()).unwrap();
+    }
+    session.run().unwrap();
+
+    let gateway = Arc::new(Gateway::new(GatewayOptions {
+        max_batch: 1,
+        retry_budget: 1,
+        retry_backoff: Duration::from_micros(100),
+        breaker_threshold: 10,
+        ..GatewayOptions::default()
+    }));
+    let client = engine
+        .register_with(&gateway, "gesummv", TenantConfig::default())
+        .unwrap();
+    let panic_on = |dispatch: u64| FaultPlan {
+        panic_on: vec![dispatch],
+        ..FaultPlan::default()
+    };
+
+    // Dispatch #1 panics, the retry (#2) serves.
+    gateway.inject_faults("gesummv", panic_on(1)).unwrap();
+    let handle = gateway.submit("gesummv", inputs.clone(), &fetch).unwrap();
+    let response = must_resolve(handle).unwrap();
+    assert_eq!(response.outputs.len(), fetch.len() - 1);
+    for name in &fetch {
+        let expected = session.array(name).unwrap();
+        assert_eq!(bits(&response.outputs[*name]), bits(expected), "{name}");
+    }
+
+    // Dispatch #3 panics, the retry (#4) serves the client's request.
+    gateway.inject_faults("gesummv", panic_on(3)).unwrap();
+    let served = client.submit(&inputs).unwrap().wait().unwrap().result;
+    assert_eq!(
+        served.output_value.to_bits(),
+        blocking.output_value.to_bits()
+    );
+    for (name, expected) in &blocking.gradients {
+        assert_eq!(bits(&served.gradients[name]), bits(expected), "{name}");
+    }
+
+    let t = &gateway.stats().tenants["gesummv"];
+    assert_eq!((t.panics, t.retried, t.completed), (2, 2, 2));
+}
+
 /// Repeated infrastructure failures trip the breaker: admissions are shed
 /// early with `Degraded`, a half-open probe after the cooldown restores
 /// the tenant, and other tenants keep serving throughout.
