@@ -6,6 +6,9 @@
 //!
 //! Pipeline (Sections II–IV of the paper):
 //!
+//! 0. **Pre-AD transformation** — a transpose `B = Aᵀ` that only products
+//!    read is folded into their operand flags before reversal, so neither
+//!    `B` nor its gradient nor the transpose's adjoint exists.
 //! 1. **Critical computation subgraph** — [`dace_sdfg::compute_ccs`] finds the
 //!    minimal subgraph through which the independent variables contribute to
 //!    the dependent output, propagating across states, loops (fixed point,
@@ -83,6 +86,7 @@
 
 pub mod checkpoint;
 pub mod engine;
+mod fold;
 pub mod reverse;
 
 pub use checkpoint::{CheckpointReport, RecomputeCandidate};

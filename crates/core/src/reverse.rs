@@ -16,6 +16,7 @@ use dace_sdfg::{
 };
 
 use crate::checkpoint::{CheckpointReport, RecomputeCandidate};
+use crate::fold::fold_transposes;
 
 /// Errors raised during backward-pass generation.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,6 +88,10 @@ impl BackwardPlan {
 
 /// Generate the backward pass for `output` with respect to `inputs`.
 ///
+/// Reverse mode runs on `fwd` after the pre-AD pass `fold_transposes`: a
+/// transpose `B = Aᵀ` that only products read is folded into their operand
+/// flags, so the plan has no `B`, no `grad_B` and no transpose adjoint.
+///
 /// The returned plan uses the store-all strategy; apply
 /// [`crate::checkpoint::apply_strategy`] (or use [`crate::GradientEngine`])
 /// to change the store/recompute configuration.
@@ -109,6 +114,8 @@ pub fn generate_backward(
         }
     }
 
+    let folded = fold_transposes(fwd, output, inputs);
+    let fwd: &Sdfg = &folded;
     let ccs = compute_ccs(fwd, output);
     let mut ctx = Ctx::new(fwd, ccs, output, inputs);
     let (fwd_cf, bwd_cf) = ctx.reverse_cf(&fwd.cfg)?;

@@ -33,10 +33,11 @@
 //! Verify mode (`--verify`) runs the static SDFG verifier and the affine
 //! dependence analyzer over every selected kernel instead of executing
 //! anything, printing a per-kernel table of diagnostics, per-map
-//! parallelism verdicts and the share of maps and of loop sites (forward
-//! and gradient program) lowering put on the N-D affine kernel, with the
-//! typed reason for every map or loop left on the VM and the depth and
-//! point count of every loop site.  The process exits
+//! parallelism verdicts, the census of the gradient program's library nodes
+//! (`MatMul/MatVec/Transpose/SumReduce/Copy`) and the share of maps and of
+//! loop sites (forward and gradient program) lowering put on the N-D affine
+//! kernel, with the typed reason for every map or loop left on the VM and
+//! the depth and point count of every loop site.  The process exits
 //! non-zero if any kernel produces an error-severity diagnostic or a proven
 //! `Race` verdict — the CI verify step asserts the whole suite is clean:
 //!
@@ -93,7 +94,9 @@ Usage: npbench [OPTIONS]
 Options:
   --kernel NAME[,NAME...]  run only the named kernels (default: all)
   --preset test|bench      problem-size preset (default: bench)
-  --reps N                 best-of-N timing repetitions (default: 3)
+  --reps N                 best-of-N timing repetitions; in batch mode, N
+                           interleaved serial/batched rounds, the speedup
+                           their median ratio (default: 3)
   --batch N                batched-serving mode: serve N input sets per
                            kernel through GradientEngine::run_batch and
                            report items/sec vs the serial session loop
@@ -473,6 +476,27 @@ fn verdict_counts(verdicts: &[dace_sdfg::ParVerdict]) -> [usize; 4] {
     ]
 }
 
+/// `MatMul/MatVec/Transpose/SumReduce/Copy`: how many library nodes of each
+/// kind `sdfg` holds.  A gradient program whose forward transposed an operand
+/// only products read shows `Transpose` 0: reverse mode read it through the
+/// products' flags.
+fn library_census(sdfg: &dace_sdfg::Sdfg) -> String {
+    use dace_sdfg::{DfNode, LibraryOp};
+    let mut counts = [0usize; 5];
+    for node in sdfg.states.iter().flat_map(|s| &s.graph.nodes) {
+        if let DfNode::Library(op) = node {
+            counts[match op {
+                LibraryOp::MatMul { .. } => 0,
+                LibraryOp::MatVec { .. } => 1,
+                LibraryOp::Transpose => 2,
+                LibraryOp::SumReduce { .. } => 3,
+                LibraryOp::Copy => 4,
+            }] += 1;
+        }
+    }
+    counts.map(|n| n.to_string()).join("/")
+}
+
 /// `attached/total` sites (the maps, or the loop sites, of one program) on
 /// the N-D affine kernel, and one line per site with its strategy — the row
 /// mode of an attached site, the typed reason where lowering left it on the
@@ -533,7 +557,7 @@ fn strategy_columns(
 fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String> {
     use dace_sdfg::{ParVerdict, Severity};
     println!(
-        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>7} {:>12} {:>12} {:>17}",
+        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>20} {:>7} {:>12} {:>12} {:>17}",
         "kernel",
         "errors",
         "warnings",
@@ -543,6 +567,7 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         "race",
         "unknown",
         "grad safe/red/race/unk",
+        "grad mm/mv/tr/sum/cp",
         "kernel",
         "grad kernel",
         "loop kernel",
@@ -587,12 +612,15 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             Err(_) => Vec::new(),
         };
         let grad_counts = verdict_counts(&grad_verdicts);
-        let grad_column = match &engine {
-            Ok(_) => grad_counts.map(|n| n.to_string()).join("/"),
-            Err(_) => "-".to_string(),
+        let (grad_column, census) = match &engine {
+            Ok(engine) => (
+                grad_counts.map(|n| n.to_string()).join("/"),
+                library_census(&engine.plan().sdfg),
+            ),
+            Err(_) => ("-".to_string(), "-".to_string()),
         };
         println!(
-            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>7} {:>12} {:>12} {:>17}",
+            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>20} {:>7} {:>12} {:>12} {:>17}",
             kernel.name(),
             errors,
             diags.len() - errors,
@@ -602,6 +630,7 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             races,
             unknown,
             grad_column,
+            census,
             fwd,
             grad,
             fwd_loops,

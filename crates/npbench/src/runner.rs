@@ -75,12 +75,14 @@ pub struct BatchTiming {
     pub items: usize,
     /// Effective fan-out width of the batched runs.
     pub workers: usize,
-    /// Items/sec of the best serial single-session loop
-    /// (`GradientEngine::run` per item).
+    /// Items/sec of the serial single-session loop (`GradientEngine::run`
+    /// per item), over all its rounds.
     pub serial_items_per_sec: f64,
-    /// Items/sec of the best `GradientEngine::run_batch` over the same batch.
+    /// Items/sec of `GradientEngine::run_batch` over the same batch, over
+    /// all its rounds.
     pub batched_items_per_sec: f64,
-    /// `serial / batched` — the batched-serving speedup.
+    /// The batched-serving speedup: the median over the interleaved rounds
+    /// of `serial / batched` round time.
     pub speedup: f64,
 }
 
@@ -105,9 +107,12 @@ pub fn batch_inputs(
 /// Time batched gradient serving against the serial single-session loop on
 /// the same batch: one engine, one compiled gradient program, `batch`
 /// distinct input sets.  Both paths are warmed first (the paper's
-/// methodology excludes compilation and cold-cache effects), then each is
-/// measured best-of-`repetitions`.  `workers` caps the batched fan-out
-/// (0 = the worker pool's full width).
+/// methodology excludes compilation and cold-cache effects), then run
+/// `repetitions` interleaved rounds — one serial loop, then one batch —
+/// and the speedup is the median over rounds of the two sides' ratio: what
+/// else the host runs during a few rounds moves a few ratios, not the
+/// median.  `workers` caps the batched fan-out (0 = the worker pool's full
+/// width).
 pub fn time_batch(
     kernel: &dyn Kernel,
     sizes: &Sizes,
@@ -127,28 +132,33 @@ pub fn time_batch(
     engine.run(&items[0]).map_err(|e| e.to_string())?;
     engine.run_batch(&items).map_err(|e| e.to_string())?;
 
-    let mut serial = Duration::MAX;
-    let mut batched = Duration::MAX;
+    let mut serial = Duration::ZERO;
+    let mut batched = Duration::ZERO;
+    let mut ratios = Vec::with_capacity(repetitions.max(1));
     let mut effective_workers = 1;
     for _ in 0..repetitions.max(1) {
         let start = Instant::now();
         for item in &items {
             engine.run(item).map_err(|e| e.to_string())?;
         }
-        serial = serial.min(start.elapsed());
+        let serial_round = start.elapsed();
 
         let start = Instant::now();
         let out = engine.run_batch(&items).map_err(|e| e.to_string())?;
-        batched = batched.min(start.elapsed());
+        let batched_round = start.elapsed();
         effective_workers = out.batch.workers;
+        serial += serial_round;
+        batched += batched_round;
+        ratios.push(serial_round.as_secs_f64() / batched_round.as_secs_f64().max(1e-12));
     }
-    let per_sec = |d: Duration| batch as f64 / d.as_secs_f64().max(1e-12);
+    ratios.sort_by(f64::total_cmp);
+    let per_sec = |d: Duration| (batch * ratios.len()) as f64 / d.as_secs_f64().max(1e-12);
     Ok(BatchTiming {
         items: batch,
         workers: effective_workers,
         serial_items_per_sec: per_sec(serial),
         batched_items_per_sec: per_sec(batched),
-        speedup: serial.as_secs_f64() / batched.as_secs_f64().max(1e-12),
+        speedup: ratios[ratios.len() / 2],
     })
 }
 

@@ -61,6 +61,20 @@ fn fd_golden_atax_recompute_all() {
     check_kernel_against_fd("atax", CheckpointStrategy::RecomputeAll);
 }
 
+// bicg's `s = Aᵀ r` reaches reverse mode folded into its product's operand
+// flag; the finite differences run the forward program as written, with the
+// transpose materialised, so they check the fold from outside.
+
+#[test]
+fn fd_golden_bicg_store_all() {
+    check_kernel_against_fd("bicg", CheckpointStrategy::StoreAll);
+}
+
+#[test]
+fn fd_golden_bicg_recompute_all() {
+    check_kernel_against_fd("bicg", CheckpointStrategy::RecomputeAll);
+}
+
 #[test]
 fn fd_golden_gemm_store_all() {
     check_kernel_against_fd("gemm", CheckpointStrategy::StoreAll);
@@ -99,7 +113,7 @@ fn fd_golden_seidel2d_recompute_all() {
 /// noise, not just with finite differences (which have looser tolerance).
 #[test]
 fn store_all_and_recompute_all_agree_tightly() {
-    for name in ["atax", "gemm", "mvt", "seidel2d"] {
+    for name in ["atax", "bicg", "gemm", "mvt", "seidel2d"] {
         let kernel = kernel_by_name(name).unwrap();
         let sizes = kernel.sizes(Preset::Test);
         let symbols = kernel.symbols(&sizes);
