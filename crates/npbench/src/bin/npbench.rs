@@ -1,10 +1,24 @@
 //! Command-line runner for the NPBench kernel suite.
 //!
 //! Serial mode times the DaCe-AD gradient of each selected kernel against
-//! the jax-rs baseline (one row per kernel, like the paper's tables):
+//! the jax-rs baseline (one row per kernel, like the paper's tables, closed
+//! by the average and geometric-mean speedup).  A row whose two sides
+//! computed different forward values is marked, and the process exits
+//! non-zero:
 //!
 //! ```text
 //! npbench [--kernel NAME[,NAME...]] [--preset test|bench] [--reps N]
+//! ```
+//!
+//! Figure mode (`--figure N`) prints one figure of the paper's evaluation
+//! (`docs/reproduction.md`): Figs. 1, 10 and 11 are the serial table over
+//! the figure's kernels sorted by speedup, Fig. 12 the seidel2d size sweep,
+//! Fig. 13 every store/recompute configuration of Listing 1 with its
+//! observed and predicted peak (a mismatch, or a feasible limit the run
+//! exceeds, exits non-zero):
+//!
+//! ```text
+//! npbench --figure 1|10|11|12|13 [--preset test|bench] [--reps N]
 //! ```
 //!
 //! Batch mode (`--batch N`) exercises the batched serving path instead:
@@ -63,13 +77,32 @@
 //! See `docs/benchmarking.md` and `docs/serving.md` for the measurement
 //! methodology.
 
+use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use npbench::runner::{time_batch, time_dace, time_gateway, time_jax, time_serve, GatewayLoad};
-use npbench::{all_kernels, kernel_by_name, Kernel, Preset};
+use dace_ad::{AdOptions, CheckpointStrategy, GradientEngine};
+use npbench::runner::{
+    time_batch, time_dace, time_gateway, time_jax, time_serve, GatewayLoad, Timing,
+};
+use npbench::{all_kernels, kernel_by_name, kernels_in, listing1, Category, Kernel, Preset, Sizes};
+
+/// The figures `--figure` reproduces, with their titles.
+const FIGURES: [(u8, &str); 5] = [
+    (1, "headline kernels"),
+    (10, "vectorized kernels"),
+    (11, "kernels with loops"),
+    (12, "seidel2d size sweep, TSTEPS = 4"),
+    (13, "store/recompute configurations of Listing 1"),
+];
+
+/// Fig. 1's kernels.
+const FIG1: [&str; 7] = [
+    "jacobi1d", "k2mm", "atax", "syr2k", "conv2d", "trmm", "seidel2d",
+];
 
 struct Args {
+    figure: Option<u8>,
     kernels: Option<Vec<String>>,
     preset: Preset,
     reps: usize,
@@ -92,7 +125,13 @@ const USAGE: &str = "\
 Usage: npbench [OPTIONS]
 
 Options:
-  --kernel NAME[,NAME...]  run only the named kernels (default: all)
+  --figure N               print figure N of the paper's evaluation (1, 10,
+                           11, 12 or 13; see docs/reproduction.md), at sizes
+                           from --preset; exits non-zero on a row whose two
+                           sides disagree or, in Fig. 13, whose peak is not
+                           the predicted one
+  --kernel NAME[,NAME...]  run only the named kernels (default: all; not
+                           with --figure)
   --preset test|bench      problem-size preset (default: bench)
   --reps N                 best-of-N timing repetitions; in batch mode, N
                            interleaved serial/batched rounds, the speedup
@@ -140,17 +179,24 @@ Options:
   --help                   print this message
 ";
 
+/// A flag's value, or the usage error naming the flag.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {flag} value: {e}"))
+}
+
 /// A flag's value in milliseconds as a `Duration`: finite, non-negative and
 /// in range, or the usage error.
 fn parse_millis(flag: &str, value: &str) -> Result<Duration, String> {
-    let ms: f64 = value
-        .parse()
-        .map_err(|e| format!("bad {flag} value: {e}"))?;
+    let ms: f64 = parse_value(flag, value)?;
     Duration::try_from_secs_f64(ms / 1e3).map_err(|e| format!("bad {flag} value `{value}`: {e}"))
 }
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
+        figure: None,
         kernels: None,
         preset: Preset::Bench,
         reps: 3,
@@ -168,112 +214,47 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         inject_delay: Duration::ZERO,
         reloads: 2,
     };
-    let mut i = 0;
-    while i < argv.len() {
-        let need = |i: usize| -> Result<&String, String> {
-            argv.get(i + 1)
-                .ok_or_else(|| format!("missing value for `{}`", argv[i]))
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .ok_or_else(|| format!("missing value for `{flag}`"))
         };
-        match argv[i].as_str() {
+        match flag.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--kernel" => {
-                args.kernels = Some(need(i)?.split(',').map(str::to_string).collect());
-                i += 2;
+            "--figure" => {
+                let value = value()?;
+                let figure = FIGURES.iter().find(|(n, _)| n.to_string() == *value);
+                let (n, _) = figure.ok_or_else(|| format!("no figure `{value}` to reproduce"))?;
+                args.figure = Some(*n);
             }
+            "--kernel" => args.kernels = Some(value()?.split(',').map(str::to_string).collect()),
             "--preset" => {
-                args.preset = match need(i)?.as_str() {
+                args.preset = match value()?.as_str() {
                     "bench" => Preset::Bench,
                     "test" => Preset::Test,
                     other => return Err(format!("unknown preset `{other}`")),
-                };
-                i += 2;
+                }
             }
-            "--reps" => {
-                args.reps = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --reps value: {e}"))?;
-                i += 2;
-            }
-            "--batch" => {
-                args.batch = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --batch value: {e}"))?;
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --workers value: {e}"))?;
-                i += 2;
-            }
-            "--serve" => {
-                args.serve = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|e| format!("bad --serve value: {e}"))?,
-                );
-                i += 2;
-            }
-            "--requests" => {
-                args.requests = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --requests value: {e}"))?;
-                i += 2;
-            }
-            "--deadline-ms" => {
-                args.deadline = Some(parse_millis("--deadline-ms", need(i)?)?);
-                i += 2;
-            }
-            "--max-batch" => {
-                args.max_batch = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --max-batch value: {e}"))?;
-                i += 2;
-            }
-            "--verify" => {
-                args.verify = true;
-                i += 1;
-            }
-            "--gateway" => {
-                args.gateway = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|e| format!("bad --gateway value: {e}"))?,
-                );
-                i += 2;
-            }
-            "--queue-cap" => {
-                args.queue_cap = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-cap value: {e}"))?;
-                i += 2;
-            }
-            "--retry-budget" => {
-                args.retry_budget = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --retry-budget value: {e}"))?;
-                i += 2;
-            }
-            "--inject-panic-every" => {
-                args.inject_panic_every = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|e| format!("bad --inject-panic-every value: {e}"))?,
-                );
-                i += 2;
-            }
-            "--inject-delay-ms" => {
-                args.inject_delay = parse_millis("--inject-delay-ms", need(i)?)?;
-                i += 2;
-            }
-            "--reloads" => {
-                args.reloads = need(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --reloads value: {e}"))?;
-                i += 2;
-            }
+            "--reps" => args.reps = parse_value(flag, value()?)?,
+            "--batch" => args.batch = parse_value(flag, value()?)?,
+            "--workers" => args.workers = parse_value(flag, value()?)?,
+            "--serve" => args.serve = Some(parse_value(flag, value()?)?),
+            "--requests" => args.requests = parse_value(flag, value()?)?,
+            "--deadline-ms" => args.deadline = Some(parse_millis(flag, value()?)?),
+            "--max-batch" => args.max_batch = parse_value(flag, value()?)?,
+            "--verify" => args.verify = true,
+            "--gateway" => args.gateway = Some(parse_value(flag, value()?)?),
+            "--queue-cap" => args.queue_cap = parse_value(flag, value()?)?,
+            "--retry-budget" => args.retry_budget = parse_value(flag, value()?)?,
+            "--inject-panic-every" => args.inject_panic_every = Some(parse_value(flag, value()?)?),
+            "--inject-delay-ms" => args.inject_delay = parse_millis(flag, value()?)?,
+            "--reloads" => args.reloads = parse_value(flag, value()?)?,
             other => return Err(format!("unknown argument `{other}`")),
         }
+    }
+    if args.figure.is_some() && args.kernels.is_some() {
+        return Err("--figure picks its own kernels: drop --kernel".to_string());
     }
     // The open-loop schedule puts the last submission `requests / RPS` after
     // the first: that instant has to exist.
@@ -300,26 +281,209 @@ fn selected_kernels(names: &Option<Vec<String>>) -> Result<Vec<Box<dyn Kernel>>,
     }
 }
 
-fn run_serial(kernels: &[Box<dyn Kernel>], preset: Preset, reps: usize) -> Result<(), String> {
+/// One row of a speedup table: both sides' gradient of one kernel instance.
+struct Row {
+    label: String,
+    dace: Timing,
+    jax: Timing,
+}
+
+impl Row {
+    fn speedup(&self) -> f64 {
+        self.jax.elapsed.as_secs_f64() / self.dace.elapsed.as_secs_f64().max(1e-12)
+    }
+
+    /// Whether both sides computed the same forward value, within the
+    /// tolerance of the kernels' cross-validation test.
+    fn agrees(&self) -> bool {
+        let (d, j) = (self.dace.output, self.jax.output);
+        (d - j).abs() <= 1e-6 * (1.0 + j.abs())
+    }
+}
+
+fn measure(kernel: &dyn Kernel, label: String, sizes: &Sizes, reps: usize) -> Result<Row, String> {
+    let inputs = kernel.inputs(sizes);
+    let dace = time_dace(kernel, sizes, &inputs, reps).map_err(|e| format!("{label}: {e}"))?;
+    let jax = time_jax(kernel, sizes, &inputs, reps);
+    Ok(Row { label, dace, jax })
+}
+
+fn measure_all(
+    kernels: &[Box<dyn Kernel>],
+    preset: Preset,
+    reps: usize,
+) -> Result<Vec<Row>, String> {
+    (kernels.iter())
+        .map(|k| measure(k.as_ref(), k.name().to_string(), &k.sizes(preset), reps))
+        .collect()
+}
+
+/// The average and the geometric mean of `speedups`.
+fn speedup_means(speedups: &[f64]) -> (f64, f64) {
+    let n = speedups.len() as f64;
+    let log_sum: f64 = speedups.iter().map(|s| s.max(1e-12).ln()).sum();
+    (speedups.iter().sum::<f64>() / n, (log_sum / n).exp())
+}
+
+/// Print `rows` and their mean speedups; a row whose two sides disagree is
+/// printed with both forward values and makes this an error.
+fn print_rows(rows: &[Row]) -> Result<(), String> {
     println!(
         "{:<12} {:>14} {:>14} {:>10}",
         "kernel", "DaCe AD [ms]", "baseline [ms]", "speedup"
     );
-    for kernel in kernels {
-        let sizes = kernel.sizes(preset);
-        let inputs = kernel.inputs(&sizes);
-        let dace = time_dace(kernel.as_ref(), &sizes, &inputs, reps)
-            .map_err(|e| format!("{}: {e}", kernel.name()))?;
-        let jax = time_jax(kernel.as_ref(), &sizes, &inputs, reps);
+    for r in rows {
         println!(
-            "{:<12} {:>14.3} {:>14.3} {:>9.2}x",
-            kernel.name(),
-            dace.elapsed.as_secs_f64() * 1e3,
-            jax.elapsed.as_secs_f64() * 1e3,
-            jax.elapsed.as_secs_f64() / dace.elapsed.as_secs_f64().max(1e-12),
+            "{:<12} {:>14.3} {:>14.3} {:>9.2}x{}",
+            r.label,
+            r.dace.elapsed.as_secs_f64() * 1e3,
+            r.jax.elapsed.as_secs_f64() * 1e3,
+            r.speedup(),
+            if r.agrees() {
+                String::new()
+            } else {
+                format!("  MISMATCH: forward {} vs {}", r.dace.output, r.jax.output)
+            }
         );
     }
-    Ok(())
+    let (mean, geo) = speedup_means(&rows.iter().map(Row::speedup).collect::<Vec<_>>());
+    println!("average speedup: {mean:.2}x   geometric mean: {geo:.2}x");
+    match rows.iter().filter(|r| !r.agrees()).count() {
+        0 => Ok(()),
+        bad => Err(format!("{bad} row(s) whose two sides disagree")),
+    }
+}
+
+fn run_serial(kernels: &[Box<dyn Kernel>], preset: Preset, reps: usize) -> Result<(), String> {
+    print_rows(&measure_all(kernels, preset, reps)?)
+}
+
+/// The rows of Fig. 1, 10, 11 or 12: the figure's kernels sorted by
+/// speedup, or the seidel2d sweep in order of N.
+fn figure_rows(figure: u8, preset: Preset, reps: usize) -> Result<Vec<Row>, String> {
+    if figure == 12 {
+        let seidel = kernel_by_name("seidel2d").expect("seidel2d is registered");
+        let sweep: &[usize] = match preset {
+            Preset::Test => &[8, 12, 16],
+            Preset::Bench => &[8, 12, 16, 20, 24, 28, 32],
+        };
+        return (sweep.iter())
+            .map(|&n| measure(&*seidel, format!("N={n}"), &Sizes::new(n, 0, 4), reps))
+            .collect();
+    }
+    let kernels = match figure {
+        1 => FIG1.map(|n| kernel_by_name(n).expect("registered")).into(),
+        10 => kernels_in(Category::Vectorized),
+        _ => kernels_in(Category::Loops),
+    };
+    let mut rows = measure_all(&kernels, preset, reps)?;
+    rows.sort_by(|a, b| a.speedup().total_cmp(&b.speedup()));
+    Ok(rows)
+}
+
+/// One store/recompute configuration of Fig. 13.
+struct CheckpointRow {
+    label: String,
+    stored: Vec<String>,
+    elapsed: Duration,
+    /// The largest peak the memory tracker observed over the runs.
+    peak: usize,
+    predicted: usize,
+    /// The memory limit, where the ILP reported it feasible.
+    limit: Option<usize>,
+}
+
+impl CheckpointRow {
+    /// The prediction is the observed peak, and a feasible limit is kept.
+    fn holds(&self) -> bool {
+        self.peak == self.predicted && self.limit.is_none_or(|l| self.peak <= l)
+    }
+}
+
+/// Fig. 13: Listing 1 under the eight `Manual` configurations of `A0`–`A2`,
+/// then under the ILP with a limit three quarters of the way from their
+/// lowest peak to their highest.
+fn figure13(preset: Preset, reps: usize) -> Result<Vec<CheckpointRow>, String> {
+    let n = match preset {
+        Preset::Test => 16,
+        Preset::Bench => 360,
+    };
+    let fwd = listing1();
+    let symbols = HashMap::from([("N".to_string(), n as i64)]);
+    let inputs = HashMap::from([
+        ("C".to_string(), dace_tensor::random::uniform(&[n, n], 51)),
+        ("D".to_string(), dace_tensor::random::uniform(&[n, n], 52)),
+    ]);
+    let run = |label: String, strategy| -> Result<CheckpointRow, String> {
+        let options = AdOptions { strategy };
+        let mut engine = GradientEngine::new(&fwd, "OUT", &["C", "D"], &symbols, &options)
+            .map_err(|e| e.to_string())?;
+        let report = engine.plan().ilp_report.clone().expect("checkpoint report");
+        let (mut elapsed, mut peak) = (Duration::MAX, 0);
+        // The first run warms up; the best time and largest peak over all.
+        for _ in 0..=reps {
+            let start = Instant::now();
+            let result = engine.run(&inputs).map_err(|e| format!("{label}: {e}"))?;
+            elapsed = elapsed.min(start.elapsed());
+            peak = peak.max(result.report.peak_bytes);
+        }
+        Ok(CheckpointRow {
+            label,
+            stored: report.stored,
+            elapsed,
+            peak,
+            predicted: report.predicted_peak_bytes,
+            limit: report.memory_limit_bytes.filter(|_| report.feasible),
+        })
+    };
+    let mut rows = (0..8u32)
+        .map(|mask| {
+            let store = (["A0", "A1", "A2"].iter().enumerate())
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, a)| a.to_string());
+            let strategy = CheckpointStrategy::Manual {
+                store: store.collect(),
+            };
+            run(format!("C-{mask}"), strategy)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let min = rows.iter().map(|r| r.peak).min().expect("eight rows");
+    let max = rows.iter().map(|r| r.peak).max().expect("eight rows");
+    let memory_limit_bytes = min + (max - min) * 3 / 4;
+    let ilp = CheckpointStrategy::Ilp { memory_limit_bytes };
+    rows.push(run("ILP".to_string(), ilp)?);
+    Ok(rows)
+}
+
+fn run_figure(figure: u8, preset: Preset, reps: usize) -> Result<(), String> {
+    let (_, title) = FIGURES.iter().find(|(n, _)| *n == figure).expect("parsed");
+    println!("=== Fig. {figure}: {title} ({preset:?} preset) ===");
+    if figure != 13 {
+        return print_rows(&figure_rows(figure, preset, reps)?);
+    }
+    let rows = figure13(preset, reps)?;
+    println!(
+        "{:<6} {:<14} {:>12} {:>12} {:>14} {:>12}",
+        "config", "stored", "runtime [ms]", "peak [B]", "predicted [B]", "limit [B]"
+    );
+    for r in &rows {
+        println!(
+            "{:<6} {:<14} {:>12.3} {:>12} {:>14} {:>12}{}",
+            r.label,
+            format!("[{}]", r.stored.join(",")),
+            r.elapsed.as_secs_f64() * 1e3,
+            r.peak,
+            r.predicted,
+            r.limit.map_or("-".to_string(), |l| l.to_string()),
+            if r.holds() { "" } else { "  MISMATCH" }
+        );
+    }
+    match rows.iter().filter(|r| !r.holds()).count() {
+        0 => Ok(()),
+        bad => Err(format!(
+            "{bad} configuration(s) off their predicted peak or limit"
+        )),
+    }
 }
 
 fn run_batched(
@@ -796,7 +960,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = if args.verify {
+    let result = if let Some(figure) = args.figure {
+        run_figure(figure, args.preset, args.reps)
+    } else if args.verify {
         run_verify(&kernels, args.preset)
     } else if args.gateway.is_some() {
         run_gateway(&kernels, args.preset, &args)
@@ -857,6 +1023,118 @@ mod tests {
                 .unwrap_or_else(|| panic!("{bad:?} accepted"));
             assert!(err.contains(flag), "{bad:?}: error must name {flag}: {err}");
         }
+    }
+
+    #[test]
+    fn figure_flag_takes_only_the_paper_figures_and_no_kernels() {
+        for bad in [
+            &["--figure", "2"][..],
+            &["--figure", "14"],
+            &["--figure", "1", "--kernel", "atax"],
+            &["--kernel", "atax", "--figure", "13"],
+            &["--figure"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
+        for (n, _) in FIGURES {
+            let args = parse(&["--figure", &n.to_string(), "--preset", "test"]);
+            assert_eq!(args.unwrap().unwrap().figure, Some(n));
+        }
+    }
+
+    fn timing(ms: u64, output: f64) -> Timing {
+        let elapsed = Duration::from_millis(ms);
+        Timing { elapsed, output }
+    }
+
+    /// A row is printed only beside a check that both sides computed the
+    /// same forward value; a disagreeing pair fails the table.
+    #[test]
+    fn a_row_whose_sides_disagree_fails_the_table() {
+        let row = |label: &str, jax_output| Row {
+            label: label.to_string(),
+            dace: timing(1, 100.0),
+            jax: timing(2, jax_output),
+        };
+        let (agree, close, apart) = (
+            row("same", 100.0),
+            row("close", 100.00001),
+            row("apart", 100.001),
+        );
+        assert!(agree.agrees() && close.agrees() && !apart.agrees());
+        assert!(!row("nan", f64::NAN).agrees());
+        assert!(print_rows(&[agree, close]).is_ok());
+        let err = print_rows(&[row("same", 100.0), apart]).unwrap_err();
+        assert!(err.starts_with("1 row(s)"), "{err}");
+    }
+
+    #[test]
+    fn a_configuration_off_its_prediction_or_its_feasible_limit_fails() {
+        let row = |peak, limit| CheckpointRow {
+            label: "C-0".to_string(),
+            stored: Vec::new(),
+            elapsed: Duration::ZERO,
+            peak,
+            predicted: 100,
+            limit,
+        };
+        assert!(row(100, None).holds() && row(100, Some(100)).holds());
+        assert!(!row(99, None).holds() && !row(101, None).holds());
+        assert!(!row(100, Some(99)).holds());
+    }
+
+    #[test]
+    fn the_footer_is_the_average_and_the_geometric_mean() {
+        let (mean, geo) = speedup_means(&[2.0, 8.0]);
+        assert!((mean - 5.0).abs() < 1e-9 && (geo - 4.0).abs() < 1e-9);
+        let rows = [timing(2, 0.0), timing(8, 0.0)].map(|jax| Row {
+            label: String::new(),
+            dace: timing(1, 0.0),
+            jax,
+        });
+        assert_eq!(rows.each_ref().map(Row::speedup), [2.0, 8.0]);
+    }
+
+    /// Every figure at the test preset: the kernels (or sizes) it names, each
+    /// row's two sides agreeing; Fig. 13's eight configurations and the ILP
+    /// row each observe the peak the checkpoint pass predicted.
+    #[test]
+    fn every_figure_yields_its_rows_at_the_test_preset() {
+        use std::collections::BTreeSet;
+        let names = |c| kernels_in(c).iter().map(|k| k.name().to_string()).collect();
+        let cases: [(u8, BTreeSet<String>); 4] = [
+            (1, FIG1.map(str::to_string).into()),
+            (10, names(Category::Vectorized)),
+            (11, names(Category::Loops)),
+            (12, ["N=8", "N=12", "N=16"].map(str::to_string).into()),
+        ];
+        for (figure, expected) in cases {
+            let rows = figure_rows(figure, Preset::Test, 1).unwrap();
+            let labels: BTreeSet<String> = rows.iter().map(|r| r.label.clone()).collect();
+            assert_eq!(
+                (rows.len(), labels),
+                (expected.len(), expected),
+                "Fig. {figure}"
+            );
+            assert!(rows.iter().all(Row::agrees), "Fig. {figure}");
+            if figure != 12 {
+                let sorted = rows.windows(2).all(|w| w[0].speedup() <= w[1].speedup());
+                assert!(sorted, "Fig. {figure}");
+            }
+        }
+        let rows = figure13(Preset::Test, 1).unwrap();
+        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["C-0", "C-1", "C-2", "C-3", "C-4", "C-5", "C-6", "C-7", "ILP"]
+        );
+        for r in &rows {
+            assert_eq!(r.peak, r.predicted, "{}", r.label);
+            assert!(r.holds(), "{}", r.label);
+        }
+        assert_eq!(rows[7].stored, ["A0", "A1", "A2"]);
+        let limit = rows[8].limit.expect("the ILP's limit is feasible");
+        assert!(rows[8].peak <= limit);
     }
 
     #[test]

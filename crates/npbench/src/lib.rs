@@ -11,8 +11,8 @@
 //! Both sides consume bit-identical seeded inputs, append the same sum
 //! reduction to obtain a scalar dependent variable (as §V-A of the paper
 //! does), and their gradients are cross-validated with `allclose` in the test
-//! suite.  The benchmark harness (`dace-bench`) times both to regenerate the
-//! paper's figures.
+//! suite.  The `npbench` binary times both sides; `npbench --figure N`
+//! regenerates the paper's figures (`docs/reproduction.md`).
 
 #![forbid(unsafe_code)]
 
@@ -93,12 +93,6 @@ pub trait Kernel: Sync {
     fn wrt(&self) -> Vec<&'static str>;
     /// Run the jax-rs side: forward value plus gradients of `wrt`.
     fn run_jax(&self, s: &Sizes, inputs: &HashMap<String, Tensor>) -> GradOutput;
-    /// Number of forward-pass statements in the jax-rs implementation
-    /// (counted as traced-op construction sites; the Fig. 11 program-size
-    /// proxy together with the DaCe builder's statement count).
-    fn jax_loc(&self) -> usize {
-        0
-    }
 }
 
 /// Registry of all kernels.

@@ -128,9 +128,6 @@ impl Kernel for Seidel2d {
             gradients: grad_map(&["A"], grads),
         }
     }
-    fn jax_loc(&self) -> usize {
-        8
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -232,9 +229,6 @@ impl Kernel for Jacobi2d {
             gradients: grad_map(&["A", "B"], grads),
         }
     }
-    fn jax_loc(&self) -> usize {
-        14
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,9 +325,6 @@ impl Kernel for Syrk {
             output: out.value().data()[0],
             gradients: grad_map(&["A", "C"], grads),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        12
     }
 }
 
@@ -437,9 +428,6 @@ impl Kernel for Syr2k {
             gradients: grad_map(&["A", "B", "C"], grads),
         }
     }
-    fn jax_loc(&self) -> usize {
-        13
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -526,9 +514,6 @@ impl Kernel for Trmm {
             output: out.value().data()[0],
             gradients: grad_map(&["A", "B"], grads),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        10
     }
 }
 
@@ -628,9 +613,6 @@ impl Kernel for Conv2d {
             output: out.value().data()[0],
             gradients: grad_map(&["I", "W"], grads),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        7
     }
 }
 

@@ -102,9 +102,6 @@ impl Kernel for Atax {
             .collect(),
         }
     }
-    fn jax_loc(&self) -> usize {
-        4
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -176,9 +173,6 @@ impl Kernel for Bicg {
             .into_iter()
             .collect(),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        4
     }
 }
 
@@ -255,9 +249,6 @@ impl Kernel for Gemm {
             .collect(),
         }
     }
-    fn jax_loc(&self) -> usize {
-        3
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,9 +322,6 @@ impl Kernel for Gesummv {
             .into_iter()
             .collect(),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        3
     }
 }
 
@@ -412,9 +400,6 @@ impl Kernel for K2mm {
             .collect(),
         }
     }
-    fn jax_loc(&self) -> usize {
-        3
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -487,9 +472,6 @@ impl Kernel for K3mm {
             .collect(),
         }
     }
-    fn jax_loc(&self) -> usize {
-        2
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -560,9 +542,6 @@ impl Kernel for Mvt {
             .into_iter()
             .collect(),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        3
     }
 }
 
@@ -640,9 +619,6 @@ impl Kernel for Mlp {
             .into_iter()
             .collect(),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        4
     }
 }
 
@@ -735,9 +711,6 @@ impl Kernel for Jacobi1d {
             .into_iter()
             .collect(),
         }
-    }
-    fn jax_loc(&self) -> usize {
-        11
     }
 }
 

@@ -11,6 +11,9 @@
 #    (`src/bin/NAME.rs` / `examples/NAME.rs` of some package).  perfbench/,
 #    CHANGES.md, ROADMAP.md and ISSUE.md are exempt: history and task
 #    statements name what a PR deleted.
+#  * every `-p NAME` / `--package NAME` on a line of a *.md file that
+#    mentions cargo is a workspace package (the root package or a `members`
+#    entry of the root Cargo.toml), with the same exemptions.
 # Exits non-zero listing every miss.  Plain grep/sed, no dependencies — run
 # from the repo root.
 set -u
@@ -66,7 +69,13 @@ for f in $sources; do
     fi
 done
 
-# Cargo targets named by the documentation.
+# Workspace packages: the root package's name and each member's.
+members=$(sed -n '/^members = \[/,/^\]/p' Cargo.toml | grep -oE '"[^"]+"' | tr -d '"')
+packages=$(for dir in . $members; do
+    sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1
+done)
+
+# Cargo targets and packages named by the documentation.
 for f in $files; do
     case "$f" in
     perfbench/* | CHANGES.md | ROADMAP.md | ISSUE.md) continue ;;
@@ -80,6 +89,13 @@ for f in $files; do
         esac
         if ! printf '%s\n' "$sources" | grep -qE "(^|/)$path\$"; then
             echo "$f: no cargo target for --$kind $name"
+            fail=1
+        fi
+    done
+    for name in $(grep -E 'cargo' "$f" | grep -oE -- '(^|[^A-Za-z0-9_-])(-p|--package)[ =][A-Za-z0-9_-]+' |
+        sed -E 's/.*(-p|--package)[ =]//' | sort -u); do
+        if ! printf '%s\n' "$packages" | grep -qxF -- "$name"; then
+            echo "$f: no workspace package for -p $name"
             fail=1
         fi
     done
