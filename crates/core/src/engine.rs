@@ -952,6 +952,57 @@ mod tests {
         }
     }
 
+    /// The `MatVec` adjoint emits `Outer`, so reverse mode must differentiate
+    /// it too: `C = P; C (+)= x ⊗ y; OUT = sum(sin(C))`, overwriting (the
+    /// gradient of `P` is then zero) and accumulating, on a non-square `C`.
+    #[test]
+    fn gradients_through_outer_match_fd() {
+        use dace_sdfg::{DataflowGraph, LibraryOp};
+        let (m, n) = (3, 4);
+        for accumulate in [false, true] {
+            let dims = |shape: &[i64]| shape.iter().map(|&d| SymExpr::int(d)).collect::<Vec<_>>();
+            let mut b = ProgramBuilder::new("outer");
+            b.add_input("P", dims(&[m, n])).unwrap();
+            b.add_input("x", dims(&[m])).unwrap();
+            b.add_input("y", dims(&[n])).unwrap();
+            b.add_transient("C", dims(&[m, n])).unwrap();
+            b.add_transient("S", dims(&[m, n])).unwrap();
+            b.add_scalar("OUT").unwrap();
+            b.copy("C", "P");
+            b.copy("C", "P");
+            b.assign("S", ArrayExpr::a("C").sin());
+            b.sum_into("OUT", "S", false);
+            let mut fwd = b.build().unwrap();
+            // The frontend has no outer product: the second copy becomes one.
+            fwd.states[1].graph =
+                DataflowGraph::library_call(LibraryOp::Outer, &["x", "y"], "C", accumulate);
+            let wrt = ["P", "x", "y"];
+            let shapes: [&[usize]; 3] = [&[3, 4], &[3], &[4]];
+            let mut inputs = HashMap::new();
+            for (seed, (name, shape)) in wrt.iter().zip(shapes).enumerate() {
+                inputs.insert(name.to_string(), uniform(shape, 7 + seed as u64));
+            }
+            let mut engine =
+                GradientEngine::new(&fwd, "OUT", &wrt, &symbols(&[]), &AdOptions::default())
+                    .unwrap();
+            let result = engine.run(&inputs).unwrap();
+            assert_eq!(
+                result.gradients["P"].data().iter().any(|&g| g != 0.0),
+                accumulate
+            );
+            for input in wrt {
+                let fd = engine.finite_difference(input, &inputs, 1e-5).unwrap();
+                let ad = &result.gradients[input];
+                for (a, b) in ad.data().iter().zip(fd.data()) {
+                    assert!(
+                        (a - b).abs() <= 1e-6 * (1.0 + b.abs()),
+                        "accumulate={accumulate} {input}: ad={a} fd={b}"
+                    );
+                }
+            }
+        }
+    }
+
     /// `for i in 1..N: A[i] = A[i] * A[i-1]` inside `b`: non-linear in-place
     /// updates, whose adjoint needs both operands from a tape.
     fn product_loop(b: &mut ProgramBuilder, n: &SymExpr) {

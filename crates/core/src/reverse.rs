@@ -1051,20 +1051,15 @@ impl<'a> Ctx<'a> {
                 let x = in_arrays.get("x").cloned().unwrap_or_default();
                 if let Some(ga) = self.grad(&a) {
                     let x_val = forwarded(self, "x")?;
-                    // gA[i,j] += gy[i]·x[j]; with `A` read transposed the
-                    // stored gradient is the outer product the other way.
-                    let (rows, cols) = if trans_a {
-                        (&x_val, &grad_out)
+                    // gA += gy ⊗ x; with `A` read transposed the stored
+                    // gradient is the outer product the other way.
+                    let operands = if trans_a {
+                        [x_val.as_str(), &grad_out]
                     } else {
-                        (&grad_out, &x_val)
+                        [grad_out.as_str(), &x_val]
                     };
-                    adjoints.push(self.outer_accumulate_state(
-                        rows,
-                        cols,
-                        &ga,
-                        &self.fwd.arrays[&a].shape.clone(),
-                        state_name,
-                    ));
+                    let op = LibraryOp::Outer;
+                    adjoints.push(self.library_accumulate_state(op, operands, &ga, state_name));
                 }
                 if let Some(gx) = self.grad(&x) {
                     let a_val = forwarded(self, "A")?;
@@ -1072,6 +1067,29 @@ impl<'a> Ctx<'a> {
                     let op = LibraryOp::MatVec { trans_a: !trans_a };
                     let operands = [a_val.as_str(), &grad_out];
                     adjoints.push(self.library_accumulate_state(op, operands, &gx, state_name));
+                }
+                if !out_wcr {
+                    adjoints.push(
+                        self.zero_state(&grad_out, &self.fwd.arrays[&out_array].shape.clone()),
+                    );
+                }
+            }
+            LibraryOp::Outer => {
+                let x = in_arrays.get("x").cloned().unwrap_or_default();
+                let y = in_arrays.get("y").cloned().unwrap_or_default();
+                if let Some(gx) = self.grad(&x) {
+                    // gx += gA·y
+                    let y_val = forwarded(self, "y")?;
+                    let op = LibraryOp::MATVEC;
+                    let operands = [grad_out.as_str(), &y_val];
+                    adjoints.push(self.library_accumulate_state(op, operands, &gx, state_name));
+                }
+                if let Some(gy) = self.grad(&y) {
+                    // gy += gAᵀ·x
+                    let x_val = forwarded(self, "x")?;
+                    let op = LibraryOp::MatVec { trans_a: true };
+                    let operands = [grad_out.as_str(), &x_val];
+                    adjoints.push(self.library_accumulate_state(op, operands, &gy, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1136,68 +1154,13 @@ impl<'a> Ctx<'a> {
     ) -> ControlFlow {
         let kind = match op {
             LibraryOp::MatMul { .. } => "matmul",
+            LibraryOp::Outer => "outer",
             _ => "matvec",
         };
         let n = self.next();
         ControlFlow::State(self.out.add_state(State {
             name: format!("adj_{kind}_{label}_{n}"),
             graph: DataflowGraph::library_call(op, &operands, dst, true),
-        }))
-    }
-
-    /// `dst[i, j] += gy[i] * x[j]` over the 2-D `shape`.
-    fn outer_accumulate_state(
-        &mut self,
-        gy: &str,
-        x: &str,
-        dst: &str,
-        shape: &[SymExpr],
-        label: &str,
-    ) -> ControlFlow {
-        let (i, j) = (SymExpr::sym("__oi"), SymExpr::sym("__oj"));
-        let mut body = DataflowGraph::new();
-        let gyn = body.add_access(gy);
-        let xn = body.add_access(x);
-        let t = body.add_tasklet(Tasklet::new(
-            "outer",
-            "out",
-            ScalarExpr::input("g").mul(ScalarExpr::input("v")),
-        ));
-        let dn = body.add_access(dst);
-        body.add_edge(
-            gyn,
-            None,
-            t,
-            Some("g"),
-            Memlet::element(gy, vec![i.clone()]),
-        );
-        body.add_edge(xn, None, t, Some("v"), Memlet::element(x, vec![j.clone()]));
-        body.add_edge(
-            t,
-            Some("out"),
-            dn,
-            None,
-            Memlet::element(dst, vec![i.clone(), j.clone()]).with_wcr_sum(),
-        );
-        let mut g = DataflowGraph::new();
-        let g1 = g.add_access(gy);
-        let g2 = g.add_access(x);
-        let map = g.add_map(MapScope {
-            params: vec!["__oi".into(), "__oj".into()],
-            ranges: vec![
-                (SymExpr::int(0), shape[0].clone()),
-                (SymExpr::int(0), shape[1].clone()),
-            ],
-            body,
-        });
-        let w = g.add_access(dst);
-        g.add_edge(g1, None, map, None, Memlet::all(gy));
-        g.add_edge(g2, None, map, None, Memlet::all(x));
-        g.add_edge(map, None, w, None, Memlet::all(dst).with_wcr_sum());
-        let n = self.next();
-        ControlFlow::State(self.out.add_state(State {
-            name: format!("adj_outer_{label}_{n}"),
-            graph: g,
         }))
     }
 
@@ -1536,7 +1499,8 @@ mod tests {
                 LibraryOp::MATMUL,
                 LibraryOp::MATVEC,
                 LibraryOp::SumReduce { accumulate: false },
-                // gx += Cᵀ·gy; gA += gC·Bᵀ; gB += Aᵀ·gC
+                // gC += gy ⊗ x; gx += Cᵀ·gy; gA += gC·Bᵀ; gB += Aᵀ·gC
+                LibraryOp::Outer,
                 LibraryOp::MatVec { trans_a: true },
                 flagged(false, true),
                 flagged(true, false),

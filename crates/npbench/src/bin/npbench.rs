@@ -48,9 +48,9 @@
 //! dependence analyzer over every selected kernel instead of executing
 //! anything, printing a per-kernel table of diagnostics, per-map
 //! parallelism verdicts, the census of the gradient program's library nodes
-//! (`MatMul/MatVec/Transpose/SumReduce/Copy`) and the share of maps and of
-//! loop sites (forward and gradient program) lowering put on the N-D affine
-//! kernel, with the typed reason for every map or loop left on the VM and
+//! (`MatMul/MatVec/Transpose/SumReduce/Copy/Outer`) and the share of maps
+//! and of loop sites (forward and gradient program) lowering put on the N-D
+//! affine kernel, with the typed reason for every map or loop left on the VM and
 //! the depth and point count of every loop site.  The process exits
 //! non-zero if any kernel produces an error-severity diagnostic or a proven
 //! `Race` verdict — the CI verify step asserts the whole suite is clean:
@@ -640,13 +640,14 @@ fn verdict_counts(verdicts: &[dace_sdfg::ParVerdict]) -> [usize; 4] {
     ]
 }
 
-/// `MatMul/MatVec/Transpose/SumReduce/Copy`: how many library nodes of each
-/// kind `sdfg` holds.  A gradient program whose forward transposed an operand
-/// only products read shows `Transpose` 0: reverse mode read it through the
-/// products' flags.
+/// `MatMul/MatVec/Transpose/SumReduce/Copy/Outer`: how many library nodes of
+/// each kind `sdfg` holds.  A gradient program whose forward transposed an
+/// operand only products read shows `Transpose` 0: reverse mode read it
+/// through the products' flags.  Every `MatVec` of a forward program adds
+/// one `Outer` to its gradient program, for `gA += gy ⊗ x`.
 fn library_census(sdfg: &dace_sdfg::Sdfg) -> String {
     use dace_sdfg::{DfNode, LibraryOp};
-    let mut counts = [0usize; 5];
+    let mut counts = [0usize; 6];
     for node in sdfg.states.iter().flat_map(|s| &s.graph.nodes) {
         if let DfNode::Library(op) = node {
             counts[match op {
@@ -655,6 +656,7 @@ fn library_census(sdfg: &dace_sdfg::Sdfg) -> String {
                 LibraryOp::Transpose => 2,
                 LibraryOp::SumReduce { .. } => 3,
                 LibraryOp::Copy => 4,
+                LibraryOp::Outer => 5,
             }] += 1;
         }
     }
@@ -721,7 +723,7 @@ fn strategy_columns(
 fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String> {
     use dace_sdfg::{ParVerdict, Severity};
     println!(
-        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>20} {:>7} {:>12} {:>12} {:>17}",
+        "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>26} {:>7} {:>12} {:>12} {:>17}",
         "kernel",
         "errors",
         "warnings",
@@ -731,7 +733,7 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
         "race",
         "unknown",
         "grad safe/red/race/unk",
-        "grad mm/mv/tr/sum/cp",
+        "grad mm/mv/tr/sum/cp/outer",
         "kernel",
         "grad kernel",
         "loop kernel",
@@ -784,7 +786,7 @@ fn run_verify(kernels: &[Box<dyn Kernel>], preset: Preset) -> Result<(), String>
             Err(_) => ("-".to_string(), "-".to_string()),
         };
         println!(
-            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>20} {:>7} {:>12} {:>12} {:>17}",
+            "{:<12} {:>7} {:>9} {:>5} {:>5} {:>10} {:>5} {:>8} {:>22} {:>26} {:>7} {:>12} {:>12} {:>17}",
             kernel.name(),
             errors,
             diags.len() - errors,
@@ -1093,6 +1095,26 @@ mod tests {
             jax,
         });
         assert_eq!(rows.each_ref().map(Row::speedup), [2.0, 8.0]);
+    }
+
+    /// The `grad mm/mv/tr/sum/cp/outer` column: atax's two products each
+    /// differentiate into a `MatVec` and an `Outer`, gemm's two products
+    /// into a `MatMul` for each operand.
+    #[test]
+    fn the_library_census_counts_outer_in_a_column_of_its_own() {
+        for (name, census) in [("atax", "0/4/0/1/0/2"), ("gemm", "3/0/0/1/0/0")] {
+            let kernel = kernel_by_name(name).unwrap();
+            let sizes = kernel.sizes(Preset::Test);
+            let engine = GradientEngine::new(
+                &kernel.build_dace(&sizes),
+                "OUT",
+                &kernel.wrt(),
+                &kernel.symbols(&sizes),
+                &AdOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(library_census(&engine.plan().sdfg), census, "{name}");
+        }
     }
 
     /// Every figure at the test preset: the kernels (or sizes) it names, each

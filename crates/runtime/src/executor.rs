@@ -526,6 +526,7 @@ impl RunState {
                 LibraryOp::MatVec { trans_a } => {
                     operand(0).matvec_into(operand(1), trans_a, &mut out, accumulate)
                 }
+                LibraryOp::Outer => operand(0).outer_into(operand(1), &mut out, accumulate),
                 LibraryOp::Transpose => operand(0).transpose_into(&mut out, accumulate),
                 LibraryOp::Copy if accumulate => out.add_assign(operand(0)),
                 LibraryOp::Copy => {

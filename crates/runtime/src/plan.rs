@@ -837,6 +837,7 @@ fn library_result(
             let [m, k] = under(a, *trans_a);
             fit(vec![k], vec![m])
         }
+        (LibraryOp::Outer, [[m], [n]]) => Ok(vec![*m, *n]),
         (LibraryOp::Transpose, [[rows, cols]]) => Ok(vec![*cols, *rows]),
         (LibraryOp::SumReduce { .. }, [_]) => Ok(vec![1]),
         (LibraryOp::Copy, [a]) => Ok(a.to_vec()),

@@ -18,8 +18,9 @@ pub type NodeId = usize;
 /// by the runtime (the equivalent of DaCe's BLAS library nodes).
 ///
 /// The products read a matrix operand transposed under its flag — the form
-/// their own adjoints take (`gA += gC @ Bᵀ`, `gx += Aᵀ @ gy`), so reverse
-/// mode never materialises a transpose and is closed over these nodes.
+/// their own adjoints take (`gA += gC @ Bᵀ`, `gx += Aᵀ @ gy`, and the rank-1
+/// `gA += gy ⊗ x`), so reverse mode never materialises a transpose and is
+/// closed over these nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LibraryOp {
     /// `C = op(A) @ op(B)` for 2-D operands (connectors: "A", "B" -> "C").
@@ -44,6 +45,9 @@ pub enum LibraryOp {
     },
     /// Copy `A` into `B` element-wise (connectors: "A" -> "B").
     Copy,
+    /// `A = x ⊗ y`, the rank-1 matrix `A[i, j] = x[i] * y[j]` (connectors:
+    /// "x", "y" -> "A").
+    Outer,
 }
 
 impl LibraryOp {
@@ -63,6 +67,7 @@ impl LibraryOp {
             LibraryOp::Transpose => vec!["A"],
             LibraryOp::SumReduce { .. } => vec!["IN"],
             LibraryOp::Copy => vec!["A"],
+            LibraryOp::Outer => vec!["x", "y"],
         }
     }
 
@@ -74,6 +79,7 @@ impl LibraryOp {
             LibraryOp::Transpose => vec!["B"],
             LibraryOp::SumReduce { .. } => vec!["OUT"],
             LibraryOp::Copy => vec!["B"],
+            LibraryOp::Outer => vec!["A"],
         }
     }
 
@@ -83,8 +89,9 @@ impl LibraryOp {
     pub fn operand_rank(&self, connector: &str) -> Option<usize> {
         match (self, connector) {
             (LibraryOp::MatMul { .. } | LibraryOp::Transpose, _) => Some(2),
-            (LibraryOp::MatVec { .. }, "A") => Some(2),
-            (LibraryOp::MatVec { .. }, _) | (LibraryOp::SumReduce { .. }, "OUT") => Some(1),
+            (LibraryOp::MatVec { .. }, "A") | (LibraryOp::Outer, "A") => Some(2),
+            (LibraryOp::MatVec { .. } | LibraryOp::Outer, _)
+            | (LibraryOp::SumReduce { .. }, "OUT") => Some(1),
             (LibraryOp::SumReduce { .. } | LibraryOp::Copy, _) => None,
         }
     }
@@ -345,6 +352,14 @@ impl DataflowGraph {
             LibraryOp::MatVec { .. } => 2.0 * in_volume,
             LibraryOp::Transpose | LibraryOp::Copy => in_volume,
             LibraryOp::SumReduce { .. } => in_volume,
+            // m·n, one product per element: the output's volume, not the
+            // operands' m + n.
+            LibraryOp::Outer => self
+                .out_edges(node)
+                .first()
+                .and_then(|e| e.memlet.subset.volume(bindings).ok())
+                .unwrap_or(1)
+                .max(1) as f64,
         }
     }
 }
@@ -551,5 +566,10 @@ mod tests {
             LibraryOp::SumReduce { accumulate: true }.output_connectors(),
             vec!["OUT"]
         );
+        let outer = LibraryOp::Outer;
+        assert_eq!(outer.input_connectors(), vec!["x", "y"]);
+        assert_eq!(outer.output_connectors(), vec!["A"]);
+        let ranks = ["x", "y", "A"].map(|c| outer.operand_rank(c));
+        assert_eq!(ranks, [Some(1), Some(1), Some(2)]);
     }
 }

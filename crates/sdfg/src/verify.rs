@@ -938,5 +938,17 @@ mod tests {
             unary(LibraryOp::MatVec { trans_a: true }, "V", "V"),
             [DiagCode::BadConnector, DiagCode::RankMismatch]
         );
+        // `Outer` takes two vectors to a matrix.
+        let outer = |x: &str| {
+            let graph = DataflowGraph::library_call(LibraryOp::Outer, &[x, "V"], "M2", false);
+            let (mut s, _) = one_state(graph);
+            for (name, rank) in [("M", 2), ("M2", 2), ("V", 1)] {
+                s.add_array(name, ArrayDesc::input(vec![SymExpr::int(3); rank]))
+                    .unwrap();
+            }
+            codes(&s.validate())
+        };
+        assert!(outer("V").is_empty());
+        assert_eq!(outer("M"), [DiagCode::RankMismatch]);
     }
 }

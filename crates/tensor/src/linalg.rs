@@ -182,6 +182,27 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
+    /// `out = self ⊗ v`, or `out += …` with `accumulate`: a row-axpy sweep
+    /// `out[i, :] (+)= self[i] · v[:]` that writes `out` once, in storage
+    /// order.  `out` must already have the shape `[self.len, v.len]`.
+    pub fn outer_into(&self, v: &Tensor, out: &mut Tensor, accumulate: bool) -> TensorResult<()> {
+        let (&[m], &[n]) = (self.shape(), v.shape()) else {
+            return Err(TensorError::ShapeMismatch {
+                op: "outer",
+                lhs: self.shape().to_vec(),
+                rhs: v.shape().to_vec(),
+            });
+        };
+        expect_shape(out, &[m, n], "outer")?;
+        let y = v.data();
+        for (row, &xi) in out.data_mut().chunks_exact_mut(n.max(1)).zip(self.data()) {
+            for (aij, &yj) in row.iter_mut().zip(y) {
+                store(aij, xi * yj, accumulate);
+            }
+        }
+        Ok(())
+    }
+
     /// 2-D transpose.
     pub fn transpose(&self) -> TensorResult<Tensor> {
         let (n, m) = op_dims(self, true, "transpose")?;
@@ -357,6 +378,40 @@ mod tests {
         let o = a.outer(&b).unwrap();
         assert_eq!(o.shape(), &[2, 2]);
         assert_eq!(o.data(), &[3.0, 4.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn outer_into_overwrites_or_accumulates() {
+        let x = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
+        let y = Tensor::from_vec(vec![3.0, 0.5, 4.0], &[3]).unwrap();
+        let mut a = Tensor::full(&[2, 3], 7.0);
+        x.outer_into(&y, &mut a, false).unwrap();
+        assert_eq!(a, x.outer(&y).unwrap());
+        x.outer_into(&y, &mut a, true).unwrap();
+        assert_eq!(a.data(), &[6.0, 1.0, 8.0, -12.0, -2.0, -16.0]);
+    }
+
+    #[test]
+    fn outer_into_rejects_a_matrix_operand_and_a_wrong_destination() {
+        // (x, y, destination): a matrix `y`, a matrix `x`, a `y` too long
+        // for the destination, a transposed destination.
+        let cases: [(&[usize], &[usize], &[usize]); 4] = [
+            (&[2], &[3, 1], &[2, 3]),
+            (&[2, 1], &[3], &[2, 3]),
+            (&[2], &[4], &[2, 3]),
+            (&[2], &[3], &[3, 2]),
+        ];
+        for (x, y, dst) in cases {
+            let mut out = Tensor::zeros(dst);
+            for accumulate in [false, true] {
+                let r = Tensor::zeros(x).outer_into(&Tensor::zeros(y), &mut out, accumulate);
+                assert!(
+                    matches!(r, Err(TensorError::ShapeMismatch { op: "outer", .. })),
+                    "{x:?} ⊗ {y:?} into {dst:?}: {r:?}"
+                );
+            }
+            assert_eq!(out, Tensor::zeros(dst));
+        }
     }
 
     #[test]

@@ -150,6 +150,43 @@ fn forced_sequential_path_matches_auto_on_golden_forward_passes() {
     }
 }
 
+/// An `Outer` node whose destination has the wrong shape compiles — its
+/// operands fit each other — and keeps the destination's lazy marker: the
+/// run that reaches the node reports `ShapeMismatch`.
+#[test]
+fn wrong_shaped_outer_destination_fails_the_run() {
+    use dace_ad_repro::runtime::RuntimeError;
+    use dace_ad_repro::sdfg::{ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, State};
+    let build = |rows: i64| {
+        let mut sdfg = Sdfg::new("outer");
+        for (name, shape) in [("x", vec![3]), ("y", vec![4]), ("A", vec![rows, 4])] {
+            let shape = shape.into_iter().map(SymExpr::int).collect();
+            sdfg.add_array(name, ArrayDesc::input(shape)).unwrap();
+        }
+        let sid = sdfg.add_state(State {
+            name: "s".into(),
+            graph: DataflowGraph::library_call(LibraryOp::Outer, &["x", "y"], "A", true),
+        });
+        sdfg.cfg = ControlFlow::State(sid);
+        sdfg
+    };
+    let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+    let y = Tensor::from_vec(vec![1.0, 0.5, -1.0, 2.0], &[4]).unwrap();
+    let mut session = compile(&build(3), &Default::default()).unwrap().session();
+    session.set_input("x", x.clone()).unwrap();
+    session.set_input("y", y.clone()).unwrap();
+    session.run().unwrap();
+    assert_eq!(session.array("A").unwrap(), &x.outer(&y).unwrap());
+
+    let mut session = compile(&build(2), &Default::default()).unwrap().session();
+    session.set_input("x", x).unwrap();
+    session.set_input("y", y).unwrap();
+    assert!(matches!(
+        session.run(),
+        Err(RuntimeError::ShapeMismatch { .. })
+    ));
+}
+
 /// A library node's output tensor moves into the slab at its last plain
 /// use: fanning one connector out to two arrays (and a `Wcr::Sum` edge)
 /// still fills every destination, and a wrongly-shaped one is rejected.

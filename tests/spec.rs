@@ -22,7 +22,7 @@
 //! * `Auto` actually dispatches the kernel on the figure loop kernels and
 //!   on the map kernels (the recognizer covers them) from the first
 //!   opportunity on, and every large map of the BLAS gradient programs
-//!   attaches it;
+//!   attaches it (none of them is an outer-product map);
 //! * a map or a loop whose access leaves its array falls back to the VM and
 //!   fails exactly as the VM does, partial writes included;
 //! * the reversed loop nests of the `grad_loops` gradient programs attach
@@ -264,8 +264,12 @@ fn checkpointed_gradients_are_bit_identical_at_the_bench_preset() {
 /// Every map of at least 1000 points in the bench-preset gradient programs
 /// of the BLAS kernels attaches the map kernel: a `reverse.rs` change that
 /// drops an adjoint shape back onto the VM fails here, not in a benchmark.
+/// No gradient program holds an outer-product map: the `MatVec` adjoint's
+/// `gA += gy ⊗ x` is one `Outer` library node, so atax, bicg, mvt and
+/// gesummv have no map of 1000 points left.
 #[test]
 fn large_blas_gradient_maps_attach_the_map_kernel() {
+    use dace_ad_repro::sdfg::DfNode;
     for name in BLAS_KERNELS {
         let kernel = kernel_by_name(name).unwrap();
         let sizes = kernel.sizes(Preset::Bench);
@@ -279,9 +283,145 @@ fn large_blas_gradient_maps_attach_the_map_kernel() {
         .unwrap();
         let maps = engine.gradient_program().map_strategies();
         let large: Vec<_> = maps.iter().filter(|m| m.points >= Some(1000)).collect();
-        assert!(!large.is_empty(), "{name}: no large map in the gradient");
+        let matvec_only = ["atax", "bicg", "mvt", "gesummv"].contains(&name);
+        assert_eq!(large.is_empty(), matvec_only, "{name}: {large:?}");
         for m in large {
             assert_eq!(m.strategy, MapStrategy::Kernel, "{name}: {m:?}");
+        }
+        for state in &engine.plan().sdfg.states {
+            let is_map = |n: &DfNode| matches!(n, DfNode::MapScope(_));
+            assert!(
+                !(state.name.starts_with("adj_outer_") && state.graph.nodes.iter().any(is_map)),
+                "{name}: `{}` is an outer-product map",
+                state.name
+            );
+        }
+    }
+}
+
+/// The `Outer` library node computes what the outer-product map it replaced
+/// in the `MatVec` adjoint computed, bit for bit: the map is rebuilt here as
+/// the reverse pass used to emit it (`dst[i, j] += gy[i] * x[j]`, one WCR
+/// tasklet over a 2-D map), both run under `SpecMode::Auto` (the map on the
+/// kernel, in strips) and `ForceOff` (the map on the VM), over operands
+/// holding ±0, subnormals, ±inf and NaN, into a zeroed and a non-zero
+/// destination.  The one exception is NaN + NaN, whose sign is the add's
+/// operand order, which the compiler chooses.
+#[test]
+fn outer_library_node_is_bit_identical_to_the_outer_map() {
+    use dace_ad_repro::sdfg::{
+        ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, MapScope, Memlet, ScalarExpr as E, State,
+        Tasklet,
+    };
+    let (m, n) = (5usize, 300usize);
+    let outer_map = || {
+        let (i, j) = (SymExpr::sym("__oi"), SymExpr::sym("__oj"));
+        let mut body = DataflowGraph::new();
+        let gy = body.add_access("gy");
+        let x = body.add_access("x");
+        let t = body.add_tasklet(Tasklet::new(
+            "outer",
+            "out",
+            E::input("g").mul(E::input("v")),
+        ));
+        let d = body.add_access("dst");
+        body.add_edge(
+            gy,
+            None,
+            t,
+            Some("g"),
+            Memlet::element("gy", vec![i.clone()]),
+        );
+        body.add_edge(x, None, t, Some("v"), Memlet::element("x", vec![j.clone()]));
+        let at = Memlet::element("dst", vec![i, j]).with_wcr_sum();
+        body.add_edge(t, Some("out"), d, None, at);
+        let mut g = DataflowGraph::new();
+        let (gy, x) = (g.add_access("gy"), g.add_access("x"));
+        let map = g.add_map(MapScope {
+            params: vec!["__oi".into(), "__oj".into()],
+            ranges: vec![
+                (SymExpr::int(0), SymExpr::int(m as i64)),
+                (SymExpr::int(0), SymExpr::int(n as i64)),
+            ],
+            body,
+        });
+        let d = g.add_access("dst");
+        g.add_edge(gy, None, map, None, Memlet::all("gy"));
+        g.add_edge(x, None, map, None, Memlet::all("x"));
+        g.add_edge(map, None, d, None, Memlet::all("dst").with_wcr_sum());
+        g
+    };
+    let program = |graph: DataflowGraph| {
+        let mut sdfg = Sdfg::new("outer");
+        for (name, shape) in [("gy", vec![m]), ("x", vec![n]), ("dst", vec![m, n])] {
+            let shape = shape.into_iter().map(|d| SymExpr::int(d as i64)).collect();
+            sdfg.add_array(name, ArrayDesc::input(shape)).unwrap();
+        }
+        let sid = sdfg.add_state(State {
+            name: "adj_outer".into(),
+            graph,
+        });
+        sdfg.cfg = ControlFlow::State(sid);
+        sdfg
+    };
+    let library = DataflowGraph::library_call(LibraryOp::Outer, &["gy", "x"], "dst", true);
+    let (map_sdfg, library_sdfg) = (program(outer_map()), program(library));
+
+    let tiny = f64::MIN_POSITIVE / 8.0;
+    let specials = [
+        0.0,
+        -0.0,
+        tiny,
+        -tiny,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.5,
+        -3.25,
+        1e300,
+        f64::MIN_POSITIVE,
+    ];
+    let pick = |k: usize| specials[k % specials.len()];
+    let gy = Tensor::from_fn(&[m], |i| pick(i[0] * 3 + 1));
+    let x = Tensor::from_fn(&[n], |i| pick(i[0] * 7 + i[0] / 11));
+    for dst in [
+        Tensor::zeros(&[m, n]),
+        Tensor::from_fn(&[m, n], |i| pick(i[0] * 5 + i[1] * 2 + 3)),
+    ] {
+        for mode in [SpecMode::Auto, SpecMode::ForceOff] {
+            let run = |sdfg: &Sdfg| {
+                let mut session = compile(sdfg, &HashMap::new()).unwrap().session();
+                session.force_specialization(mode);
+                for (name, t) in [("gy", &gy), ("x", &x), ("dst", &dst)] {
+                    session.set_input(name, t.clone()).unwrap();
+                }
+                let report = session.run().unwrap();
+                (bits(session.array("dst").unwrap()), report)
+            };
+            let (from_map, map_report) = run(&map_sdfg);
+            let (from_library, library_report) = run(&library_sdfg);
+            assert_eq!(
+                map_report.specialized_dispatches > 0,
+                mode == SpecMode::Auto,
+                "the map runs on the kernel exactly under `Auto`"
+            );
+            assert_eq!(library_report.library_calls, 1);
+            assert!(from_map.iter().any(|b| f64::from_bits(*b).is_nan()));
+            // Where a NaN product meets a NaN destination, IEEE 754 lets the
+            // sum be either NaN and the compiler may commute the add: the
+            // map's own VM and kernel disagree on its sign there.  Every
+            // other element is bit-equal.
+            let nan = |b: u64| f64::from_bits(b).is_nan();
+            for (k, (a, b)) in from_map.iter().zip(&from_library).enumerate() {
+                let product = gy.data()[k / n] * x.data()[k % n];
+                let both_nan = product.is_nan() && dst.data()[k].is_nan();
+                assert!(
+                    a == b || (both_nan && nan(*a) && nan(*b)),
+                    "{mode:?} [{}, {}]: map {a:#x}, library {b:#x}",
+                    k / n,
+                    k % n
+                );
+            }
         }
     }
 }
