@@ -146,9 +146,6 @@ pub struct GradientEngine {
     /// Client of the engine-private one-tenant [`Gateway`], built lazily by
     /// [`GradientEngine::serve`].
     server: Option<GatewayGradientClient>,
-    /// Options of that gateway ([`GatewayOptions::workers`] doubles as the
-    /// `run_batch` fan-out cap).
-    serve_options: GatewayOptions,
 }
 
 /// Tenant name of the engine's gradient program on its private gateway.
@@ -189,15 +186,6 @@ impl GradientEngine {
             symbols: symbols.clone(),
             batch: None,
             server: None,
-            // One program served alone: nothing to shed load for and no
-            // neighbour to protect, so the queue is unbounded, failures
-            // resolve at once and the breaker never trips.
-            serve_options: GatewayOptions {
-                queue_capacity: usize::MAX,
-                retry_budget: 0,
-                breaker_threshold: u32::MAX,
-                ..GatewayOptions::default()
-            },
         })
     }
 
@@ -250,9 +238,7 @@ impl GradientEngine {
         batches: &[HashMap<String, Tensor>],
     ) -> Result<BatchGradientResult, EngineError> {
         if self.batch.is_none() {
-            let driver = self.build_batch_driver();
-            driver.set_workers(self.serve_options.workers);
-            self.batch = Some(driver);
+            self.batch = Some(self.build_batch_driver());
         }
         let driver = self.batch.as_ref().expect("driver was just built");
         let plan = &self.plan;
@@ -281,17 +267,6 @@ impl GradientEngine {
         self.batch.as_ref()
     }
 
-    /// Cap the fan-out of [`GradientEngine::run_batch`] at `workers`
-    /// concurrent items (0 = the worker pool's full width), from the next
-    /// batch on.  A server started by a later [`GradientEngine::serve`]
-    /// inherits the cap as its [`GatewayOptions::workers`].
-    pub fn set_batch_workers(&mut self, workers: usize) {
-        self.serve_options.workers = workers;
-        if let Some(driver) = &self.batch {
-            driver.set_workers(workers);
-        }
-    }
-
     /// Start (or return) the engine's dynamic-admission gradient server: an
     /// engine-private [`Gateway`] whose only tenant is this engine's
     /// gradient program, returned as a cloneable [`GatewayGradientClient`].
@@ -302,15 +277,22 @@ impl GradientEngine {
     /// [`GradientEngine::run`] uses.  Served results are bit-identical to
     /// `run` with the same inputs.
     ///
-    /// Unless [`GradientEngine::serve_with_options`] said otherwise the
-    /// gateway is configured for a program served alone: an unbounded
-    /// queue, no retries, no circuit breaker.  The server (its admission
-    /// queue, dispatcher and session pool) persists on the engine;
-    /// repeated calls return clients of the same instance.  Clones can be
-    /// moved to other threads and submit concurrently.
+    /// The gateway is configured for a program served alone: nothing to
+    /// shed load for and no neighbour to protect, so the queue is
+    /// unbounded, failures resolve at once and the breaker never trips.
+    /// Any other configuration is a [`Gateway::new`] of its own plus
+    /// [`GradientEngine::register_with`].  The server (its admission queue,
+    /// dispatcher and session pool) persists on the engine; repeated calls
+    /// return clients of the same instance.  Clones can be moved to other
+    /// threads and submit concurrently.
     pub fn serve(&mut self) -> GatewayGradientClient {
         if self.server.is_none() {
-            let gateway = Arc::new(Gateway::new(self.serve_options.clone()));
+            let gateway = Arc::new(Gateway::new(GatewayOptions {
+                queue_capacity: usize::MAX,
+                retry_budget: 0,
+                breaker_threshold: u32::MAX,
+                ..GatewayOptions::default()
+            }));
             let client = self
                 .register_with(&gateway, SERVE_TENANT, TenantConfig::default())
                 .expect("a fresh gateway accepts its first tenant");
@@ -399,17 +381,6 @@ impl GradientEngine {
     pub fn reload_into(&self, gateway: &Gateway, tenant: &str) -> Result<(), EngineError> {
         gateway.reload_driver(tenant, self.build_batch_driver())?;
         Ok(())
-    }
-
-    /// [`GradientEngine::serve`] with explicit gateway options, taken as
-    /// given — `GatewayOptions::default()` bounds the queue and enables
-    /// retries and the breaker.  Rebuilds the server if one already exists
-    /// (outstanding handles of the old server stay valid until they
-    /// resolve).
-    pub fn serve_with_options(&mut self, options: GatewayOptions) -> GatewayGradientClient {
-        self.serve_options = options;
-        self.server = None;
-        self.serve()
     }
 
     /// Run only the forward SDFG and return the scalar value of the

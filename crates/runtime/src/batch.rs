@@ -62,7 +62,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -114,8 +114,8 @@ pub struct BatchReport {
     pub succeeded: usize,
     /// Items that returned an error or panicked.
     pub failed: usize,
-    /// Effective fan-out width of this batch (worker cap bounded by the
-    /// batch length).
+    /// Effective fan-out width of this batch (the width of the rayon pool
+    /// the batch ran in, bounded by the batch length).
     pub workers: usize,
     /// Wall-clock time of the whole batch.
     pub elapsed: Duration,
@@ -177,44 +177,29 @@ pub struct BatchOutput<T, E> {
 /// Batched concurrent execution driver: one shared [`CompiledProgram`], a
 /// pool of warm [`Session`]s, and fan-out over the persistent worker pool.
 ///
-/// Construct with [`BatchDriver::new`], optionally cap the fan-out with
-/// [`BatchDriver::with_workers`], then call [`BatchDriver::run_batch`] with
-/// per-item input bindings.  The driver is `Sync`: one instance can serve
-/// overlapping batches from multiple threads, all drawing on the same
+/// Construct with [`BatchDriver::new`], then call [`BatchDriver::run_batch`]
+/// with per-item input bindings.  A batch fans out at the width of the rayon
+/// pool it runs in: a caller narrows it by running the batch inside
+/// `rayon::ThreadPool::install`.  The driver is `Sync`: one instance can
+/// serve overlapping batches from multiple threads, all drawing on the same
 /// session pool.
 pub struct BatchDriver {
     program: CompiledProgram,
-    /// Fan-out cap; 0 = the worker pool's full width.  Atomic so a driver
-    /// that is already serving (e.g. registered on a [`crate::Gateway`])
-    /// can be re-tuned through a shared reference.
-    workers: AtomicUsize,
-    /// Free hints applied to every session the driver creates (the AD
+    /// Free hints applied to every session the driver checks out (the AD
     /// engine's recomputation-block releases).
     free_hints: HashMap<usize, Vec<String>>,
-    /// Version of `free_hints`, bumped by [`BatchDriver::set_free_hints`].
-    /// Pooled sessions remember the version they were stamped with and are
-    /// re-stamped at checkout when it changed, so hint updates reach warm
-    /// pools instead of only newly created sessions.
-    hints_version: u64,
     /// Idle sessions, ready for checkout.  Their tensor slabs stay allocated
     /// between batches, so a warm request pays no allocation cost.
-    idle: Mutex<Vec<PooledSession>>,
+    idle: Mutex<Vec<Session>>,
     sessions_created: AtomicU64,
     sessions_reused: AtomicU64,
     sessions_discarded: AtomicU64,
-}
-
-/// An idle session plus the free-hint version it was last stamped with.
-struct PooledSession {
-    session: Session,
-    hints_version: u64,
 }
 
 impl std::fmt::Debug for BatchDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchDriver")
             .field("program", &self.program)
-            .field("workers", &self.worker_cap())
             .field("pooled_sessions", &self.pooled_sessions())
             .field(
                 "sessions_created",
@@ -225,14 +210,11 @@ impl std::fmt::Debug for BatchDriver {
 }
 
 impl BatchDriver {
-    /// Create a driver over one compiled program with the default fan-out
-    /// (the persistent worker pool's full width).
+    /// Create a driver over one compiled program.
     pub fn new(program: CompiledProgram) -> Self {
         BatchDriver {
             program,
-            workers: AtomicUsize::new(0),
             free_hints: HashMap::new(),
-            hints_version: 0,
             idle: Mutex::new(Vec::new()),
             sessions_created: AtomicU64::new(0),
             sessions_reused: AtomicU64::new(0),
@@ -240,42 +222,22 @@ impl BatchDriver {
         }
     }
 
-    /// Cap the batch fan-out at `workers` concurrent items (0 restores the
-    /// pool's full width).  The cap bounds *span* count on the shared
-    /// persistent pool; it does not spawn dedicated threads.
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.workers.store(workers, Ordering::Relaxed);
-        self
-    }
-
-    /// In-place variant of [`BatchDriver::with_workers`], for drivers that
-    /// are already serving (takes effect from the next batch).
-    pub fn set_workers(&self, workers: usize) {
-        self.workers.store(workers, Ordering::Relaxed);
-    }
-
-    /// The configured fan-out cap (0 = the worker pool's full width).
-    pub fn worker_cap(&self) -> usize {
-        self.workers.load(Ordering::Relaxed)
-    }
-
-    /// Effective fan-out width of a batch of `n_items`: the persistent
-    /// pool's width, bounded by the worker cap and the batch length.
+    /// Effective fan-out width of a batch of `n_items` run from the calling
+    /// context: the rayon pool's width, bounded by the batch length.
     pub fn fanout_width(&self, n_items: usize) -> usize {
-        let cap = self.worker_cap();
-        let width = rayon::current_num_threads().max(1);
-        let width = if cap > 0 { width.min(cap) } else { width };
-        width.min(n_items.max(1))
+        rayon::current_num_threads().max(1).min(n_items.max(1))
     }
 
     /// Attach per-state free hints (see [`Session::set_free_hints`]) applied
-    /// to every session this driver checks out.  The hints are versioned:
-    /// sessions already parked in the idle pool are re-stamped with the new
-    /// hints at their next checkout, so a change reaches warm pools too
-    /// (it does not affect sessions currently mid-run).
+    /// to every session this driver checks out, the ones already parked in
+    /// the idle pool included.  Taking `&mut self` means no batch is running,
+    /// so every session the driver owns is idle and re-stamped here.
     pub fn set_free_hints(&mut self, hints: &HashMap<usize, Vec<String>>) {
         self.free_hints = hints.clone();
-        self.hints_version += 1;
+        let idle = self.idle.get_mut().unwrap_or_else(|e| e.into_inner());
+        for session in idle {
+            session.set_free_hints(&self.free_hints);
+        }
     }
 
     /// The shared program this driver serves.
@@ -290,11 +252,7 @@ impl BatchDriver {
     pub fn warm(&self, n: usize) {
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         while idle.len() < n {
-            let session = self.new_session();
-            idle.push(PooledSession {
-                session,
-                hints_version: self.hints_version,
-            });
+            idle.push(self.new_session());
         }
     }
 
@@ -332,18 +290,12 @@ impl BatchDriver {
     fn checkout(&self) -> Session {
         let pooled = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
         match pooled {
-            Some(mut pooled) => {
+            Some(mut session) => {
                 self.sessions_reused.fetch_add(1, Ordering::Relaxed);
-                // A session parked before a `set_free_hints` call carries
-                // stale hints; re-stamp it so the change applies to warm
-                // pools, not only to sessions created afterwards.
-                if pooled.hints_version != self.hints_version {
-                    pooled.session.set_free_hints(&self.free_hints);
-                }
                 // Zero the previous tenant's report so an item that fails
                 // before running contributes nothing to the batch totals.
-                pooled.session.reset_report();
-                pooled.session
+                session.reset_report();
+                session
             }
             None => self.new_session(),
         }
@@ -356,10 +308,7 @@ impl BatchDriver {
         self.idle
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(PooledSession {
-                session,
-                hints_version: self.hints_version,
-            });
+            .push(session);
     }
 
     /// Run a batch of input bindings, fetching the named arrays of each item
@@ -403,33 +352,30 @@ impl BatchDriver {
         let start = Instant::now();
         let total_tasklets = AtomicU64::new(0);
         let total_points = AtomicU64::new(0);
-        let (workers, items): (usize, Vec<Result<T, BatchError<E>>>) = self.pool_scope(|| {
-            let workers = self.fanout_width(n_items);
-            let items = (0..n_items)
-                .into_par_iter()
-                .map(|i| {
-                    let mut session = self.checkout();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| item(i, &mut session)));
-                    match outcome {
-                        Ok(result) => {
-                            let report = session.last_report();
-                            total_tasklets.fetch_add(report.tasklet_invocations, Ordering::Relaxed);
-                            total_points.fetch_add(report.map_points, Ordering::Relaxed);
-                            self.checkin(session);
-                            result.map_err(BatchError::Item)
-                        }
-                        // The session may be mid-run (partially written
-                        // slab, dangling symbol scopes): drop it rather
-                        // than letting the damage leak into later items.
-                        Err(payload) => {
-                            self.sessions_discarded.fetch_add(1, Ordering::Relaxed);
-                            Err(BatchError::Panicked(panic_message(payload)))
-                        }
+        let workers = self.fanout_width(n_items);
+        let items: Vec<Result<T, BatchError<E>>> = (0..n_items)
+            .into_par_iter()
+            .map(|i| {
+                let mut session = self.checkout();
+                let outcome = catch_unwind(AssertUnwindSafe(|| item(i, &mut session)));
+                match outcome {
+                    Ok(result) => {
+                        let report = session.last_report();
+                        total_tasklets.fetch_add(report.tasklet_invocations, Ordering::Relaxed);
+                        total_points.fetch_add(report.map_points, Ordering::Relaxed);
+                        self.checkin(session);
+                        result.map_err(BatchError::Item)
                     }
-                })
-                .collect();
-            (workers, items)
-        });
+                    // The session may be mid-run (partially written
+                    // slab, dangling symbol scopes): drop it rather
+                    // than letting the damage leak into later items.
+                    Err(payload) => {
+                        self.sessions_discarded.fetch_add(1, Ordering::Relaxed);
+                        Err(BatchError::Panicked(panic_message(payload)))
+                    }
+                }
+            })
+            .collect();
         let elapsed = start.elapsed();
         let succeeded = items.iter().filter(|r| r.is_ok()).count();
         let report = BatchReport {
@@ -448,20 +394,6 @@ impl BatchDriver {
             sessions_discarded: self.sessions_discarded(),
         };
         BatchOutput { items, report }
-    }
-
-    /// Run `f` under this driver's worker cap (no-op when uncapped).
-    fn pool_scope<R>(&self, f: impl FnOnce() -> R) -> R {
-        let cap = self.worker_cap();
-        if cap == 0 {
-            f()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(cap)
-                .build()
-                .expect("the rayon shim's pool builder is infallible")
-                .install(f)
-        }
     }
 }
 

@@ -48,8 +48,9 @@
 //! * **Deterministic fault injection** — [`Gateway::inject_faults`] arms a
 //!   [`FaultPlan`] against a tenant's *dispatch sequence numbers*
 //!   (panic-on-Nth-dispatch, forced session-checkout failure, artificial
-//!   dispatch latency), so every behaviour above is exercised by tests and
-//!   the `npbench --gateway` chaos harness rather than asserted in prose.
+//!   dispatch latency), so every behaviour above is exercised by tests —
+//!   `tests/gateway.rs::npbench_tenants_survive_a_chaos_storm` arms all of
+//!   it at once — rather than asserted in prose.
 //!
 //! # The exactly-once handle contract
 //!
@@ -110,11 +111,11 @@ const MAX_BACKOFF_SHIFT: u32 = 10;
 
 /// Gateway-wide tuning knobs.
 ///
-/// `max_batch`/`workers` shape each formed batch: how many of the requests
-/// that queued behind the previous dispatch ride the next one, and how wide
-/// it fans out.  The rest govern the robustness machinery: queue bounds,
-/// the retry budget and the circuit breaker.  See `docs/serving.md` for a
-/// tuning table.
+/// `max_batch` shapes each formed batch: how many of the requests that
+/// queued behind the previous dispatch ride the next one (a batch fans out
+/// at the full width of the worker pool).  The rest govern the robustness
+/// machinery: queue bounds, the retry budget and the circuit breaker.  See
+/// `docs/serving.md` for a tuning table.
 #[derive(Clone, Debug)]
 pub struct GatewayOptions {
     /// Maximum requests one dispatch may coalesce (clamped to >= 1).  Also
@@ -139,9 +140,6 @@ pub struct GatewayOptions {
     /// How long a tripped breaker sheds load before going half-open and
     /// sending a recovery probe.
     pub breaker_cooldown: Duration,
-    /// Fan-out cap within each dispatched batch (0 = the worker pool's full
-    /// width); stamped onto every tenant's [`BatchDriver`].
-    pub workers: usize,
 }
 
 impl Default for GatewayOptions {
@@ -153,7 +151,6 @@ impl Default for GatewayOptions {
             retry_backoff: Duration::from_micros(500),
             breaker_threshold: 4,
             breaker_cooldown: Duration::from_millis(25),
-            workers: 0,
         }
     }
 }
@@ -207,9 +204,8 @@ impl Default for SubmitOptions {
 /// retry consumes the next number).
 ///
 /// This is a chaos-testing hook: it exists so the fault-tolerance paths are
-/// driven by tests (`tests/gateway.rs`, `npbench --gateway`) instead of
-/// waiting for production to exercise them.  An empty (default) plan
-/// injects nothing.
+/// driven by tests (`tests/gateway.rs`) instead of waiting for production
+/// to exercise them.  An empty (default) plan injects nothing.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Panic on exactly these dispatch sequence numbers.
@@ -878,15 +874,13 @@ impl Gateway {
 
     /// Register over a pre-configured [`BatchDriver`] (session pool, free
     /// hints) — the general form the AD engine uses to bring its
-    /// recomputation hints along.  The driver's worker cap is overwritten
-    /// by [`GatewayOptions::workers`].
+    /// recomputation hints along.
     pub fn register_driver(
         &self,
         name: &str,
         driver: BatchDriver,
         config: TenantConfig,
     ) -> Result<(), GatewayError> {
-        driver.set_workers(self.shared.opts.workers);
         let mut state = self.shared.lock_state();
         if state.shutdown {
             return Err(GatewayError::ShuttingDown);
@@ -1030,7 +1024,6 @@ impl Gateway {
 
     /// [`Gateway::reload`] over a pre-configured [`BatchDriver`].
     pub fn reload_driver(&self, tenant: &str, driver: BatchDriver) -> Result<(), GatewayError> {
-        driver.set_workers(self.shared.opts.workers);
         let mut state = self.shared.lock_state();
         if state.shutdown {
             return Err(GatewayError::ShuttingDown);

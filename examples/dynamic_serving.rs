@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release --example dynamic_serving`
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use dace_ad_repro::prelude::*;
@@ -43,10 +44,13 @@ fn main() {
     // dispatch executes rides the next one, up to 4 at a time.
     let mut engine =
         GradientEngine::new(&sdfg, "OUT", &["W"], &symbols, &AdOptions::default()).unwrap();
-    let server = engine.serve_with_options(GatewayOptions {
+    let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 4,
         ..GatewayOptions::default()
-    });
+    }));
+    let server = engine
+        .register_with(&gateway, "model", TenantConfig::default())
+        .unwrap();
 
     // --- Clients submit individually; the server coalesces. --------------
     let handles: Vec<_> = (0..10)
@@ -70,7 +74,6 @@ fn main() {
     }
 
     // --- Deadlines reject before execution; cancellation is explicit. ----
-    let server = engine.serve();
     let budget = SubmitOptions {
         deadline: Some(Duration::ZERO),
         ..SubmitOptions::default()

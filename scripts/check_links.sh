@@ -13,7 +13,10 @@
 #    statements name what a PR deleted.
 #  * every `-p NAME` / `--package NAME` on a line of a *.md file that
 #    mentions cargo is a workspace package (the root package or a `members`
-#    entry of the root Cargo.toml), with the same exemptions.
+#    entry of the root Cargo.toml), with the same exemptions;
+#  * every `tests/FILE.rs::NAME` in a *.md file (same exemptions) or in a
+#    `//!` / `///` comment outside perfbench/ names a file that defines
+#    `fn NAME`.
 # Exits non-zero listing every miss.  Plain grep/sed, no dependencies — run
 # from the repo root.
 set -u
@@ -75,7 +78,22 @@ packages=$(for dir in . $members; do
     sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1
 done)
 
-# Cargo targets and packages named by the documentation.
+# Test citations in <text>: `tests/FILE.rs::NAME` (not a suffix of a longer
+# path) must name a file that defines `fn NAME`.
+check_test_citations() { # <reported-file> <text>
+    for cite in $(printf '%s\n' "$2" |
+        grep -oE '(^|[^A-Za-z0-9_./-])tests/[A-Za-z0-9_/]+\.rs::[A-Za-z_][A-Za-z0-9_]*' |
+        sed -E 's/^[^t]//' | sort -u); do
+        path=${cite%%::*}
+        name=${cite#*::}
+        if ! grep -qE "fn $name([^A-Za-z0-9_]|\$)" "$path" 2>/dev/null; then
+            echo "$1: no fn $name in $path"
+            fail=1
+        fi
+    done
+}
+
+# Cargo targets, packages and tests named by the documentation.
 for f in $files; do
     case "$f" in
     perfbench/* | CHANGES.md | ROADMAP.md | ISSUE.md) continue ;;
@@ -99,6 +117,14 @@ for f in $files; do
             fail=1
         fi
     done
+    check_test_citations "$f" "$(cat "$f")"
+done
+
+for f in $sources; do
+    case "$f" in
+    perfbench/*) continue ;;
+    esac
+    check_test_citations "$f" "$(grep -E '^[[:space:]]*//[/!]' "$f")"
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -91,9 +91,10 @@ fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
             inputs.len()
         );
 
-        // A `BatchDriver::run_batch` item on a warm pooled session.
+        // A `BatchDriver::run_batch` item on a warm pooled session, the
+        // batch run in a one-thread pool.
         let plan = engine.plan();
-        let mut driver = BatchDriver::new(engine.gradient_program().clone()).with_workers(1);
+        let mut driver = BatchDriver::new(engine.gradient_program().clone());
         driver.set_free_hints(&plan.free_hints);
         let fetch: Vec<&str> = std::iter::once(plan.output.as_str())
             .chain(
@@ -103,16 +104,22 @@ fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
             )
             .collect();
         let items: Vec<HashMap<String, Tensor>> = vec![inputs.clone()];
-        for _ in 0..2 {
-            assert_eq!(driver.run_batch(&items, &fetch).report.succeeded, 1);
-        }
-        let (out, n) = large_allocations(min_bytes, || driver.run_batch(&items, &fetch));
-        assert_eq!(out.report.succeeded, 1);
-        assert_eq!(
-            n,
-            wrt.len(),
-            "{name}: a warm batch item must allocate only the gradients it fetches, \
-             nothing for its inputs"
-        );
+        let one_worker = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        one_worker.install(|| {
+            for _ in 0..2 {
+                assert_eq!(driver.run_batch(&items, &fetch).report.succeeded, 1);
+            }
+            let (out, n) = large_allocations(min_bytes, || driver.run_batch(&items, &fetch));
+            assert_eq!(out.report.succeeded, 1);
+            assert_eq!(
+                n,
+                wrt.len(),
+                "{name}: a warm batch item must allocate only the gradients it fetches, \
+                 nothing for its inputs"
+            );
+        });
     }
 }

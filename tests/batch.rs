@@ -2,6 +2,7 @@
 //! isolation and edge cases of `BatchDriver` / `GradientEngine::run_batch`.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use dace_ad::GradientResult;
 use dace_ad_repro::prelude::*;
@@ -30,13 +31,23 @@ fn elementwise_program() -> (dace_sdfg::Sdfg, HashMap<String, i64>) {
     (b.build().unwrap(), symbols(&[("N", 32)]))
 }
 
+/// Run `f` with every batch it starts fanning out to at most `workers`
+/// items at once.
+fn in_pool<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(workers)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
 fn item(i: usize) -> HashMap<String, Tensor> {
     let data: Vec<f64> = (0..32).map(|j| (i * 31 + j) as f64 * 0.125 - 1.5).collect();
     HashMap::from([("X".to_string(), Tensor::from_vec(data, &[32]).unwrap())])
 }
 
 /// Batched results are bit-identical to serial per-item runs on fresh
-/// sessions, independent of batch size and worker cap.
+/// sessions, independent of batch size and pool width.
 #[test]
 fn batched_results_bit_identical_to_serial() {
     let (sdfg, syms) = elementwise_program();
@@ -55,9 +66,9 @@ fn batched_results_bit_identical_to_serial() {
     }
 
     for workers in [1, 3, 8] {
-        let driver = BatchDriver::new(program.clone()).with_workers(workers);
+        let driver = BatchDriver::new(program.clone());
         let items: Vec<_> = (0..8).map(item).collect();
-        let out = driver.run_batch(&items, &["Y"]);
+        let out = in_pool(workers, || driver.run_batch(&items, &["Y"]));
         assert_eq!(out.report.items, 8);
         assert_eq!(out.report.succeeded, 8);
         for (i, result) in out.items.iter().enumerate() {
@@ -86,16 +97,11 @@ fn batched_gradients_match_serial_engine_runs() {
     let wrt = kernel.wrt();
 
     let mut engine = GradientEngine::new(&sdfg, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
-    engine.set_batch_workers(2);
     let serial: Vec<_> = items.iter().map(|i| engine.run(i).unwrap()).collect();
     let batched = engine.run_batch(&items).unwrap();
 
     assert_eq!(batched.items.len(), serial.len());
     assert_eq!(batched.batch.succeeded, serial.len());
-    assert!(
-        batched.batch.workers <= 2,
-        "engine-level worker cap applies"
-    );
     for (s, b) in serial.iter().zip(&batched.items) {
         assert_eq!(s.output_value.to_bits(), b.output_value.to_bits());
         assert_eq!(s.gradients.len(), b.gradients.len());
@@ -114,99 +120,105 @@ fn batched_gradients_match_serial_engine_runs() {
 /// missing the plan cache.
 #[test]
 fn session_pool_reuses_after_warmup() {
-    let (sdfg, syms) = elementwise_program();
-    let program = compile(&sdfg, &syms).unwrap();
-    let driver = BatchDriver::new(program).with_workers(2);
-    let items: Vec<_> = (0..6).map(item).collect();
+    in_pool(2, || {
+        let (sdfg, syms) = elementwise_program();
+        let program = compile(&sdfg, &syms).unwrap();
+        let driver = BatchDriver::new(program);
+        let items: Vec<_> = (0..6).map(item).collect();
 
-    // Warm to the worker width: the first batch alone warms only as many
-    // sessions as its items happened to overlap (possibly one).
-    driver.warm(2);
-    let first = driver.run_batch(&items, &["Y"]);
-    assert_eq!(first.report.succeeded, 6);
-    let created_after_warmup = driver.sessions_created();
-    assert_eq!(
-        created_after_warmup, 2,
-        "two workers never hold more than two sessions"
-    );
-
-    for _ in 0..3 {
-        let next = driver.run_batch(&items, &["Y"]);
-        assert_eq!(next.report.succeeded, 6);
+        // Warm to the worker width: the first batch alone warms only as many
+        // sessions as its items happened to overlap (possibly one).
+        driver.warm(2);
+        let first = driver.run_batch(&items, &["Y"]);
+        assert_eq!(first.report.succeeded, 6);
+        let created_after_warmup = driver.sessions_created();
         assert_eq!(
-            driver.sessions_created(),
-            created_after_warmup,
-            "warm batches must not create sessions"
+            created_after_warmup, 2,
+            "two workers never hold more than two sessions"
         );
-        // Compiling happened exactly once for this (SDFG, symbols) pair —
-        // serving any number of batches adds no plan-cache traffic.
-        assert_eq!(next.report.plan_cache.misses, 1);
-    }
-    assert!(driver.sessions_reused() > 0);
-    assert_eq!(driver.pooled_sessions() as u64, created_after_warmup);
+
+        for _ in 0..3 {
+            let next = driver.run_batch(&items, &["Y"]);
+            assert_eq!(next.report.succeeded, 6);
+            assert_eq!(
+                driver.sessions_created(),
+                created_after_warmup,
+                "warm batches must not create sessions"
+            );
+            // Compiling happened exactly once for this (SDFG, symbols) pair —
+            // serving any number of batches adds no plan-cache traffic.
+            assert_eq!(next.report.plan_cache.misses, 1);
+        }
+        assert!(driver.sessions_reused() > 0);
+        assert_eq!(driver.pooled_sessions() as u64, created_after_warmup);
+    });
 }
 
 /// `warm` pre-creates sessions so the first batch checks out warm ones.
 #[test]
 fn warm_prefills_the_pool() {
-    let (sdfg, syms) = elementwise_program();
-    let program = compile(&sdfg, &syms).unwrap();
-    let driver = BatchDriver::new(program).with_workers(2);
-    driver.warm(3);
-    assert_eq!(driver.pooled_sessions(), 3);
-    assert_eq!(driver.sessions_created(), 3);
-    // Warming to a smaller target is a no-op.
-    driver.warm(2);
-    assert_eq!(driver.pooled_sessions(), 3);
+    in_pool(2, || {
+        let (sdfg, syms) = elementwise_program();
+        let program = compile(&sdfg, &syms).unwrap();
+        let driver = BatchDriver::new(program);
+        driver.warm(3);
+        assert_eq!(driver.pooled_sessions(), 3);
+        assert_eq!(driver.sessions_created(), 3);
+        // Warming to a smaller target is a no-op.
+        driver.warm(2);
+        assert_eq!(driver.pooled_sessions(), 3);
 
-    let items: Vec<_> = (0..3).map(item).collect();
-    let out = driver.run_batch(&items, &["Y"]);
-    assert_eq!(out.report.succeeded, 3);
-    assert_eq!(
-        driver.sessions_created(),
-        3,
-        "warm sessions served the batch"
-    );
-    assert!(driver.sessions_reused() >= 1);
+        let items: Vec<_> = (0..3).map(item).collect();
+        let out = driver.run_batch(&items, &["Y"]);
+        assert_eq!(out.report.succeeded, 3);
+        assert_eq!(
+            driver.sessions_created(),
+            3,
+            "warm sessions served the batch"
+        );
+        assert!(driver.sessions_reused() >= 1);
+    });
 }
 
 /// A panicking item is reported for that item only: its session is
 /// discarded, every other item completes, and the driver keeps serving.
 #[test]
 fn panic_in_one_item_does_not_poison_the_pool() {
-    let (sdfg, syms) = elementwise_program();
-    let program = compile(&sdfg, &syms).unwrap();
-    let driver = BatchDriver::new(program).with_workers(2);
-    let items: Vec<_> = (0..5).map(item).collect();
+    in_pool(2, || {
+        let (sdfg, syms) = elementwise_program();
+        let program = compile(&sdfg, &syms).unwrap();
+        let driver = BatchDriver::new(program);
+        let items: Vec<_> = (0..5).map(item).collect();
 
-    let out = driver.run_batch_with(5, |i, session| -> Result<f64, String> {
-        if i == 3 {
-            panic!("boom in item 3");
+        let out = driver.run_batch_with(5, |i, session| -> Result<f64, String> {
+            if i == 3 {
+                panic!("boom in item 3");
+            }
+            session.clear_bindings();
+            for (k, v) in &items[i] {
+                session.set_input(k, v.clone()).map_err(|e| e.to_string())?;
+            }
+            session.run().map_err(|e| e.to_string())?;
+            Ok(session.array("Y").unwrap().data()[0])
+        });
+        assert_eq!(out.report.items, 5);
+        assert_eq!(out.report.succeeded, 4);
+        assert_eq!(out.report.failed, 1);
+        match &out.items[3] {
+            Err(BatchError::Panicked(msg)) => assert!(msg.contains("boom in item 3")),
+            other => panic!("expected a panic report, got {other:?}"),
         }
-        session.clear_bindings();
-        for (k, v) in &items[i] {
-            session.set_input(k, v.clone()).map_err(|e| e.to_string())?;
+        for (i, result) in out.items.iter().enumerate() {
+            if i != 3 {
+                assert!(result.is_ok(), "item {i} should be unaffected");
+            }
         }
-        session.run().map_err(|e| e.to_string())?;
-        Ok(session.array("Y").unwrap().data()[0])
+
+        // The pool survives: a follow-up batch succeeds for every item.
+        let next = driver.run_batch(&items, &["Y"]);
+        assert_eq!(next.report.succeeded, 5);
+        assert_eq!(next.report.failed, 0);
     });
-    assert_eq!(out.report.items, 5);
-    assert_eq!(out.report.succeeded, 4);
-    assert_eq!(out.report.failed, 1);
-    match &out.items[3] {
-        Err(BatchError::Panicked(msg)) => assert!(msg.contains("boom in item 3")),
-        other => panic!("expected a panic report, got {other:?}"),
-    }
-    for (i, result) in out.items.iter().enumerate() {
-        if i != 3 {
-            assert!(result.is_ok(), "item {i} should be unaffected");
-        }
-    }
-
-    // The pool survives: a follow-up batch succeeds for every item.
-    let next = driver.run_batch(&items, &["Y"]);
-    assert_eq!(next.report.succeeded, 5);
-    assert_eq!(next.report.failed, 0);
 }
 
 /// Engine-level panic surface: `EngineError::BatchItemPanicked` names the
@@ -238,41 +250,43 @@ fn engine_reports_panicked_item_and_survives() {
 /// intact and recycles its session.
 #[test]
 fn item_errors_are_isolated() {
-    let (sdfg, syms) = elementwise_program();
-    let program = compile(&sdfg, &syms).unwrap();
-    let driver = BatchDriver::new(program).with_workers(2);
-    let mut items: Vec<_> = (0..4).map(item).collect();
-    // Wrong shape for item 2.
-    items[2].insert("X".to_string(), Tensor::zeros(&[7]));
+    in_pool(2, || {
+        let (sdfg, syms) = elementwise_program();
+        let program = compile(&sdfg, &syms).unwrap();
+        let driver = BatchDriver::new(program);
+        let mut items: Vec<_> = (0..4).map(item).collect();
+        // Wrong shape for item 2.
+        items[2].insert("X".to_string(), Tensor::zeros(&[7]));
 
-    // One session per worker up front, so "creates nothing new" below does
-    // not depend on how the first batch's items overlapped.
-    driver.warm(2);
-    let out = driver.run_batch(&items, &["Y"]);
-    assert_eq!(out.report.succeeded, 3);
-    assert_eq!(out.report.failed, 1);
-    assert!(matches!(&out.items[2], Err(BatchError::Item(_))));
-    let created = driver.sessions_created();
+        // One session per worker up front, so "creates nothing new" below does
+        // not depend on how the first batch's items overlapped.
+        driver.warm(2);
+        let out = driver.run_batch(&items, &["Y"]);
+        assert_eq!(out.report.succeeded, 3);
+        assert_eq!(out.report.failed, 1);
+        assert!(matches!(&out.items[2], Err(BatchError::Item(_))));
+        let created = driver.sessions_created();
 
-    // The erroring item's session went back to the pool: serving again
-    // creates nothing new.
-    items[2] = item(2);
-    let next = driver.run_batch(&items, &["Y"]);
-    assert_eq!(next.report.succeeded, 4);
-    assert_eq!(driver.sessions_created(), created);
+        // The erroring item's session went back to the pool: serving again
+        // creates nothing new.
+        items[2] = item(2);
+        let next = driver.run_batch(&items, &["Y"]);
+        assert_eq!(next.report.succeeded, 4);
+        assert_eq!(driver.sessions_created(), created);
 
-    // An item that fails *before* running, on a warm session that served a
-    // previous tenant, must contribute nothing to the batch totals.
-    let per_item = next.report.total_tasklet_invocations / 4;
-    assert!(per_item > 0);
-    items[2].insert("X".to_string(), Tensor::zeros(&[7]));
-    let third = driver.run_batch(&items, &["Y"]);
-    assert_eq!(third.report.succeeded, 3);
-    assert_eq!(
-        third.report.total_tasklet_invocations,
-        3 * per_item,
-        "a failed-before-run item must not leak its session's previous run into the totals"
-    );
+        // An item that fails *before* running, on a warm session that served a
+        // previous tenant, must contribute nothing to the batch totals.
+        let per_item = next.report.total_tasklet_invocations / 4;
+        assert!(per_item > 0);
+        items[2].insert("X".to_string(), Tensor::zeros(&[7]));
+        let third = driver.run_batch(&items, &["Y"]);
+        assert_eq!(third.report.succeeded, 3);
+        assert_eq!(
+            third.report.total_tasklet_invocations,
+            3 * per_item,
+            "a failed-before-run item must not leak its session's previous run into the totals"
+        );
+    });
 }
 
 /// Free-hint changes reach sessions already parked in the idle pool: the
@@ -282,66 +296,68 @@ fn item_errors_are_isolated() {
 /// so warm pools silently kept stale hints).
 #[test]
 fn warm_pool_sessions_pick_up_free_hint_changes() {
-    // X -> T (transient, state 0) -> Y (state 1); hint frees T after
-    // state 1, which is visible as a drop in `final_bytes`.
-    let mut b = ProgramBuilder::new("hint_refresh");
-    let n = b.symbol("N");
-    b.add_input("X", vec![n.clone()]).unwrap();
-    b.add_transient("T", vec![n.clone()]).unwrap();
-    b.add_input("Y", vec![n.clone()]).unwrap();
-    b.assign("T", ArrayExpr::a("X").mul(ArrayExpr::s(2.0)));
-    b.assign("Y", ArrayExpr::a("T").mul(ArrayExpr::s(2.0)));
-    let sdfg = b.build().unwrap();
-    let syms = symbols(&[("N", 16)]);
-    let program = compile(&sdfg, &syms).unwrap();
-    let inputs = |i: usize| {
-        HashMap::from([(
-            "X".to_string(),
-            Tensor::from_vec(vec![i as f64 + 1.0; 16], &[16]).unwrap(),
-        )])
-    };
-    let items: Vec<_> = (0..4).map(inputs).collect();
+    in_pool(2, || {
+        // X -> T (transient, state 0) -> Y (state 1); hint frees T after
+        // state 1, which is visible as a drop in `final_bytes`.
+        let mut b = ProgramBuilder::new("hint_refresh");
+        let n = b.symbol("N");
+        b.add_input("X", vec![n.clone()]).unwrap();
+        b.add_transient("T", vec![n.clone()]).unwrap();
+        b.add_input("Y", vec![n.clone()]).unwrap();
+        b.assign("T", ArrayExpr::a("X").mul(ArrayExpr::s(2.0)));
+        b.assign("Y", ArrayExpr::a("T").mul(ArrayExpr::s(2.0)));
+        let sdfg = b.build().unwrap();
+        let syms = symbols(&[("N", 16)]);
+        let program = compile(&sdfg, &syms).unwrap();
+        let inputs = |i: usize| {
+            HashMap::from([(
+                "X".to_string(),
+                Tensor::from_vec(vec![i as f64 + 1.0; 16], &[16]).unwrap(),
+            )])
+        };
+        let items: Vec<_> = (0..4).map(inputs).collect();
 
-    let mut driver = BatchDriver::new(program).with_workers(2);
-    // Warm the pool with hint-less sessions: T survives every run.  One per
-    // worker up front, so no batch creates any — left to the first batch,
-    // a fast worker may serve it alone and the next batch create a second.
-    driver.warm(2);
-    let cold = driver.run_batch(&items, &["Y"]);
-    assert_eq!(cold.report.succeeded, 4);
-    let created = driver.sessions_created();
-    let unhinted_final = cold.items[0].as_ref().unwrap().report.final_bytes;
+        let mut driver = BatchDriver::new(program);
+        // Warm the pool with hint-less sessions: T survives every run.  One per
+        // worker up front, so no batch creates any — left to the first batch,
+        // a fast worker may serve it alone and the next batch create a second.
+        driver.warm(2);
+        let cold = driver.run_batch(&items, &["Y"]);
+        assert_eq!(cold.report.succeeded, 4);
+        let created = driver.sessions_created();
+        let unhinted_final = cold.items[0].as_ref().unwrap().report.final_bytes;
 
-    // Change the hints under a warm pool…
-    let hints = HashMap::from([(1usize, vec!["T".to_string()])]);
-    driver.set_free_hints(&hints);
+        // Change the hints under a warm pool…
+        let hints = HashMap::from([(1usize, vec!["T".to_string()])]);
+        driver.set_free_hints(&hints);
 
-    // …and the next batch must honour them on the *reused* sessions.
-    let warm = driver.run_batch(&items, &["Y"]);
-    assert_eq!(warm.report.succeeded, 4);
-    assert_eq!(
-        driver.sessions_created(),
-        created,
-        "the batch must reuse the warm pool, not hide the bug behind fresh sessions"
-    );
-    for (i, item) in warm.items.iter().enumerate() {
-        let item = item.as_ref().unwrap();
-        assert!(
-            item.report.final_bytes < unhinted_final,
-            "item {i}: warm session kept stale hints (final_bytes {} !< {unhinted_final})",
-            item.report.final_bytes
+        // …and the next batch must honour them on the *reused* sessions.
+        let warm = driver.run_batch(&items, &["Y"]);
+        assert_eq!(warm.report.succeeded, 4);
+        assert_eq!(
+            driver.sessions_created(),
+            created,
+            "the batch must reuse the warm pool, not hide the bug behind fresh sessions"
         );
-        assert_eq!(item.outputs["Y"].data()[0], (i as f64 + 1.0) * 4.0);
-    }
+        for (i, item) in warm.items.iter().enumerate() {
+            let item = item.as_ref().unwrap();
+            assert!(
+                item.report.final_bytes < unhinted_final,
+                "item {i}: warm session kept stale hints (final_bytes {} !< {unhinted_final})",
+                item.report.final_bytes
+            );
+            assert_eq!(item.outputs["Y"].data()[0], (i as f64 + 1.0) * 4.0);
+        }
 
-    // Clearing the hints also reaches the warm pool.
-    driver.set_free_hints(&HashMap::new());
-    let cleared = driver.run_batch(&items, &["Y"]);
-    assert_eq!(
-        cleared.items[0].as_ref().unwrap().report.final_bytes,
-        unhinted_final,
-        "clearing hints must restore the unhinted footprint on pooled sessions"
-    );
+        // Clearing the hints also reaches the warm pool.
+        driver.set_free_hints(&HashMap::new());
+        let cleared = driver.run_batch(&items, &["Y"]);
+        assert_eq!(
+            cleared.items[0].as_ref().unwrap().report.final_bytes,
+            unhinted_final,
+            "clearing hints must restore the unhinted footprint on pooled sessions"
+        );
+    });
 }
 
 fn bits(t: &Tensor) -> (Vec<usize>, Vec<u64>) {
@@ -437,11 +453,11 @@ fn taken_gradients_rerun_bit_identical_to_a_fresh_session() {
 fn fetch_returns_duplicate_and_bound_input_names() {
     let (sdfg, syms) = elementwise_program();
     let program = compile(&sdfg, &syms).unwrap();
-    let driver = BatchDriver::new(program.clone()).with_workers(1);
+    let driver = BatchDriver::new(program.clone());
     let mut session = program.session();
     for round in 0..3 {
         let items = vec![item(round)];
-        let out = driver.run_batch(&items, &["Y", "X", "Y"]);
+        let out = in_pool(1, || driver.run_batch(&items, &["Y", "X", "Y"]));
         let outputs = &out.items[0].as_ref().unwrap().outputs;
         assert_eq!(outputs.len(), 2, "round {round}");
         assert_eq!(bits(&outputs["X"]), bits(&items[0]["X"]), "round {round}");
@@ -557,30 +573,56 @@ fn empty_batch_is_a_no_op() {
 fn batched_serving_beats_serial_with_enough_workers() {
     let kernel = npbench::kernel_by_name("atax").unwrap();
     let sizes = kernel.sizes(Preset::Bench);
+    let items = batch_inputs(kernel.as_ref(), &sizes, 8);
+    let mut engine = GradientEngine::new(
+        &kernel.build_dace(&sizes),
+        "OUT",
+        &kernel.wrt(),
+        &kernel.symbols(&sizes),
+        &AdOptions::default(),
+    )
+    .unwrap();
+    // Warm both paths: the serial session and the batch driver's pool.
+    engine.run(&items[0]).unwrap();
+    let workers = engine.run_batch(&items).unwrap().batch.workers;
+    // One round: the serial single-session loop over the items, then one
+    // batch of them; the times of both.
+    let mut round = || {
+        let start = Instant::now();
+        for inputs in &items {
+            engine.run(inputs).unwrap();
+        }
+        let serial = start.elapsed();
+        let start = Instant::now();
+        engine.run_batch(&items).unwrap();
+        (serial, start.elapsed())
+    };
     // Enough interleaved rounds for each side to time ~50 ms in total, read
     // as the median ratio of a round: the other tests of this binary run
     // beside it, and over a few milliseconds one of them can decide the
     // ratio on its own.
-    let probe = npbench::runner::time_batch(kernel.as_ref(), &sizes, 8, 1, 0).unwrap();
-    let round_s = 8.0 / probe.serial_items_per_sec.max(probe.batched_items_per_sec);
-    let rounds = ((0.05 / round_s).ceil() as usize).max(10);
-    let t = npbench::runner::time_batch(kernel.as_ref(), &sizes, 8, rounds, 0).unwrap();
-    if t.workers >= 4 {
+    let (serial, batched) = round();
+    let rounds = ((0.05 / serial.min(batched).as_secs_f64()).ceil() as usize).max(10);
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|_| {
+            let (serial, batched) = round();
+            serial.as_secs_f64() / batched.as_secs_f64().max(1e-12)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let speedup = ratios[rounds / 2];
+    if workers >= 4 {
         assert!(
-            t.speedup >= 2.0,
-            "expected >= 2x batched speedup with {} workers, got {:.2}x",
-            t.workers,
-            t.speedup
+            speedup >= 2.0,
+            "expected >= 2x batched speedup with {workers} workers, got {speedup:.2}x"
         );
     } else {
         eprintln!(
-            "only {} worker(s) available; batched speedup {:.2}x (parity expected)",
-            t.workers, t.speedup
+            "only {workers} worker(s) available; batched speedup {speedup:.2}x (parity expected)"
         );
         assert!(
-            t.speedup >= 0.5,
-            "batched serving should never be pathologically slower than serial, got {:.2}x",
-            t.speedup
+            speedup >= 0.5,
+            "batched serving should never be pathologically slower than serial, got {speedup:.2}x"
         );
     }
 }

@@ -1146,3 +1146,150 @@ fn engine_register_with_matches_blocking_run() {
     assert_eq!(t.completed, 4);
     assert_eq!(t.breaker, BreakerState::Closed);
 }
+
+/// The chaos storm over two NPBench gradient tenants: atax and jacobi2d on
+/// one gateway (`max_batch` 4, queue capacity 32, retry budget 2), both
+/// armed to panic on every 7th dispatch and to add 1 ms to every item, 8
+/// client threads × 12 requests round-robin across the tenants (every third
+/// with a 500 ms deadline), two concurrent `reload_into`s and a sampler
+/// thread checking every stats snapshot.  No handle is lost, every completed
+/// gradient is bit-identical to a serial `GradientEngine::run`, no snapshot
+/// is torn, and the quiescent snapshot conserves with nothing queued or in
+/// flight — while the faults and reloads demonstrably fired.
+#[test]
+fn npbench_tenants_survive_a_chaos_storm() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    const KERNELS: [&str; 2] = ["atax", "jacobi2d"];
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 12;
+    const VARIANTS: usize = 4;
+    const RELOADS: usize = 2;
+    let deadline = Duration::from_millis(500);
+    let gateway = Arc::new(Gateway::new(GatewayOptions {
+        max_batch: 4,
+        queue_capacity: 32,
+        retry_budget: 2,
+        ..GatewayOptions::default()
+    }));
+
+    // Distinct input variants per tenant, with serial references computed
+    // before the storm so completed results can be checked bit for bit.
+    struct Tenant {
+        client: GatewayGradientClient,
+        inputs: Vec<HashMap<String, Tensor>>,
+        reference: Vec<dace_ad::GradientResult>,
+    }
+    let mut tenants = Vec::new();
+    let mut engines = Vec::new();
+    for name in KERNELS {
+        let kernel = npbench::kernel_by_name(name).unwrap();
+        let sizes = kernel.sizes(Preset::Test);
+        let sdfg = kernel.build_dace(&sizes);
+        let syms = kernel.symbols(&sizes);
+        let mut engine =
+            GradientEngine::new(&sdfg, "OUT", &kernel.wrt(), &syms, &AdOptions::default()).unwrap();
+        let inputs = npbench::runner::batch_inputs(kernel.as_ref(), &sizes, VARIANTS);
+        let reference = inputs.iter().map(|i| engine.run(i).unwrap()).collect();
+        let client = engine
+            .register_with(&gateway, name, TenantConfig::default())
+            .unwrap();
+        let faults = FaultPlan {
+            panic_every: Some(7),
+            delay: Duration::from_millis(1),
+            ..FaultPlan::default()
+        };
+        gateway.inject_faults(name, faults).unwrap();
+        tenants.push(Tenant {
+            client,
+            inputs,
+            reference,
+        });
+        engines.push((name, engine));
+    }
+
+    let done = AtomicBool::new(false);
+    let torn = AtomicU64::new(0);
+    let samples = AtomicU64::new(0);
+    let (gateway_ref, tenants) = (&gateway, &tenants);
+    // Per client: [lost, mismatched, completed].
+    let tallies: Vec<[usize; 3]> = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                if !gateway.stats().conserves() {
+                    torn.fetch_add(1, Ordering::Relaxed);
+                }
+                samples.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Hot-swap the tenants round-robin while the clients hammer them:
+        // the drain guarantee says no handle may be lost across a swap.
+        let reloader = scope.spawn(move || {
+            for r in 0..RELOADS {
+                std::thread::sleep(Duration::from_millis(3));
+                let (name, engine) = &engines[r % engines.len()];
+                engine.reload_into(gateway_ref, name).unwrap();
+            }
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut tally = [0; 3];
+                    for i in 0..PER_CLIENT {
+                        let tenant = &tenants[(c + i) % tenants.len()];
+                        let v = (c * PER_CLIENT + i) % VARIANTS;
+                        let options = SubmitOptions {
+                            deadline: (i % 3 == 0).then_some(deadline),
+                            idempotent: true,
+                        };
+                        let handle = tenant
+                            .client
+                            .submit_with(&tenant.inputs[v], options)
+                            .unwrap();
+                        match handle.wait_timeout(Duration::from_secs(30)) {
+                            None => tally[0] += 1,
+                            Some(Ok(served)) => {
+                                let (got, expected) = (&served.result, &tenant.reference[v]);
+                                let exact = got.output_value.to_bits()
+                                    == expected.output_value.to_bits()
+                                    && got.gradients.len() == expected.gradients.len()
+                                    && expected.gradients.iter().all(|(name, g)| {
+                                        got.gradients.get(name).map(bits) == Some(bits(g))
+                                    });
+                                tally[if exact { 2 } else { 1 }] += 1;
+                            }
+                            // Shed, expired or failed once the retry budget
+                            // was spent: a typed outcome, which is allowed.
+                            Some(Err(_)) => {}
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        let tallies = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        reloader.join().unwrap();
+        done.store(true, Ordering::Release);
+        sampler.join().unwrap();
+        tallies
+    });
+
+    let sum = |k: usize| tallies.iter().map(|t| t[k]).sum::<usize>();
+    assert_eq!(sum(0), 0, "handles lost");
+    assert_eq!(sum(1), 0, "completed gradients not bit-identical to `run`");
+    assert!(sum(2) > 0, "nothing completed");
+    let samples = samples.into_inner();
+    assert_eq!(torn.into_inner(), 0, "torn snapshots out of {samples}");
+    let stats = gateway.stats();
+    assert!(stats.conserves(), "final snapshot: {stats:?}");
+    for (i, name) in KERNELS.iter().enumerate() {
+        let t = &stats.tenants[*name];
+        assert_eq!(t.queue_depth + t.in_flight as usize, 0, "{name}: {t:?}");
+        assert!(
+            t.panics > 0 && t.retried > 0,
+            "{name}: no fault fired: {t:?}"
+        );
+        let reloads = (0..RELOADS).filter(|r| r % KERNELS.len() == i).count();
+        assert_eq!(t.epoch, 1 + reloads as u64, "{name}: {t:?}");
+    }
+}
