@@ -663,7 +663,7 @@ fn bind_inputs(
 }
 
 /// One blocking gradient evaluation on `session`: bind, run, read the
-/// output and move the gradients out of the slab — the body of
+/// output and lend the gradients out of the slab — the body of
 /// [`GradientEngine::run`] and of every [`GradientEngine::run_batch`] item.
 fn run_gradient(
     plan: &BackwardPlan,

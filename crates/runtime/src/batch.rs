@@ -98,7 +98,8 @@ impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for BatchError<E>
 /// Successful result of one batch item run through [`BatchDriver::run_batch`].
 #[derive(Clone, Debug)]
 pub struct BatchItemResult {
-    /// The requested (fetched) arrays, moved out of the session slab.
+    /// The requested (fetched) arrays, lent out of the session slab: each
+    /// goes home to its session when dropped.
     pub outputs: HashMap<String, Tensor>,
     /// Execution report of this item's run.
     pub report: ExecutionReport,
@@ -316,7 +317,7 @@ impl BatchDriver {
     ///
     /// Every item binds its map by copy into its session's resident
     /// buffers (see [`Session::copy_input`]), executes the shared plan, and
-    /// moves the `fetch` arrays out of the slab.  Items fail independently:
+    /// lends the `fetch` arrays out of the slab.  Items fail independently:
     /// an unknown input or fetch name, a shape mismatch or a runtime error
     /// marks *that* item [`BatchError::Item`] and the rest of the batch
     /// completes.
@@ -399,9 +400,10 @@ impl BatchDriver {
 
 /// The body of every served item, static batch or gateway dispatch alike:
 /// copy the request's inputs into a checked-out session's resident buffers,
-/// run the shared plan, move the `fetch` arrays out of the slab.  The
+/// run the shared plan, lend the `fetch` arrays out of the slab.  The
 /// request keeps its inputs (a gateway retry requeues them as they are), and
-/// the next run on the session refills what was taken.
+/// the next run on the session refills what was taken, with the storage of
+/// what the caller has dropped since.
 pub(crate) fn run_item<S: AsRef<str>>(
     session: &mut Session,
     inputs: &HashMap<String, Tensor>,

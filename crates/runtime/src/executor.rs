@@ -17,6 +17,7 @@
 //! recomputation temporaries and consumed tape entries) release containers
 //! early so that peak-memory measurements reflect store/recompute choices.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dace_sdfg::LibraryOp;
@@ -37,10 +38,10 @@ pub struct ExecutionReport {
     pub elapsed: Duration,
     /// Peak bytes of *logically live* containers during execution, as
     /// tracked by [`crate::MemoryTracker`] (the analytic model the
-    /// checkpointing experiments measure).  Tensors released by free hints
-    /// are parked in the session's recycle pool for in-place reuse, so the
-    /// process-resident footprint can exceed this figure by the pooled
-    /// bytes.
+    /// checkpointing experiments measure).  Tensors released by free hints,
+    /// and taken tensors that came home, are parked in the session's recycle
+    /// pool for in-place reuse, so the process-resident footprint can exceed
+    /// this figure by the pooled bytes.
     pub peak_bytes: usize,
     /// Bytes logically live at the end of execution.
     pub final_bytes: usize,
@@ -109,10 +110,15 @@ pub(crate) struct Scratch {
 /// [`crate::Session`]; the walker methods live here.
 pub(crate) struct RunState {
     pub(crate) slab: Vec<Option<Tensor>>,
-    /// Recycled transient tensors: when a run (or a free hint) releases a
-    /// transient, its allocation parks here and `ensure_allocated` reuses it
-    /// (zero-filled in place) instead of allocating a fresh tensor.
+    /// Recycled tensors, one spare per array: when a run (or a free hint)
+    /// releases a transient, or a tensor lent out by
+    /// [`crate::Session::take_array`] comes home through `inbox`, its
+    /// allocation parks here, and the next refill of the slot reuses it
+    /// (`RunState::refill`) instead of allocating a fresh tensor.
     pub(crate) pool: Vec<Option<Tensor>>,
+    /// Where lent tensors come home when their holder drops them, one slot
+    /// per array; `Session::run` drains it into `pool`.
+    pub(crate) inbox: Arc<Mutex<Vec<Option<Tensor>>>>,
     /// Which arrays are bound for the current run (by array id), via
     /// [`crate::Session::set_input`] or [`crate::Session::copy_input`].
     pub(crate) bound: Vec<bool>,
@@ -132,6 +138,7 @@ impl RunState {
         RunState {
             slab: vec![None; n_arrays],
             pool: vec![None; n_arrays],
+            inbox: Arc::new(Mutex::new(vec![None; n_arrays])),
             bound: vec![false; n_arrays],
             syms: plan.init_syms.clone(),
             tracker: MemoryTracker::new(),
@@ -153,20 +160,23 @@ impl RunState {
             ));
         }
         let layout = plan.arrays.layout(id)?;
-        // Reuse a pooled tensor from a previous run when available: the
-        // layout is identical (same plan), so a zero-fill in place replaces
-        // the allocation.
-        let tensor = match self.pool[id as usize].take() {
+        self.slab[id as usize] = Some(self.refill(id as usize, layout.dims()));
+        self.tracker
+            .alloc(&plan.arrays.names[id as usize], layout.bytes);
+        Ok(())
+    }
+
+    /// A zero tensor for array `id`: its pooled spare zero-filled in place
+    /// when it has one (the layout is identical: same plan), a fresh
+    /// allocation otherwise.
+    pub(crate) fn refill(&mut self, id: usize, dims: &[usize]) -> Tensor {
+        match self.pool[id].take() {
             Some(mut t) => {
                 t.data_mut().fill(0.0);
                 t
             }
-            None => Tensor::zeros(layout.dims()),
-        };
-        self.slab[id as usize] = Some(tensor);
-        self.tracker
-            .alloc(&plan.arrays.names[id as usize], layout.bytes);
-        Ok(())
+            None => Tensor::zeros(dims),
+        }
     }
 
     #[inline]
@@ -2047,10 +2057,16 @@ mod tests {
             ex.run().unwrap();
             assert_eq!(ex.array("Y").unwrap().data(), &[3.0; 3], "run {run}");
         }
-        // Unbound, the hint releases `T` again.
+        // Unbound, the hint releases `T` again, into the pool: a bind by
+        // copy into the empty slot reuses its storage.
+        let home = ex.array("T").unwrap().data().as_ptr();
         ex.clear_bindings();
         ex.run().unwrap();
         assert!(ex.array("T").is_none());
+        ex.copy_input("T", &Tensor::full(&[3], 1.5)).unwrap();
+        assert_eq!(ex.array("T").unwrap().data().as_ptr(), home);
+        ex.run().unwrap();
+        assert_eq!(ex.array("Y").unwrap().data(), &[3.0; 3]);
     }
 
     /// A taken array reads `None` until the next run, which starts it
@@ -2083,6 +2099,92 @@ mod tests {
         ex.copy_input("X", &x).unwrap();
         ex.run().unwrap();
         assert_eq!(ex.array("Y").unwrap(), &reference);
+    }
+
+    /// The spares that came home to a session's inbox, by array id.
+    fn inbox_ptrs(ex: &Session) -> Vec<Option<*const f64>> {
+        let inbox = ex.st.inbox.lock().unwrap();
+        inbox
+            .iter()
+            .map(|t| t.as_ref().map(|t| t.data().as_ptr()))
+            .collect()
+    }
+
+    /// A taken array that is dropped comes home: the next run refills the
+    /// slot with its storage instead of allocating, and that run is
+    /// bit-identical.  So does a taken input.
+    #[test]
+    fn a_dropped_take_comes_home_to_its_slot() {
+        let sdfg = scale_sdfg(2.0);
+        let x = Tensor::from_vec(vec![0.5, -1.25, 3.0, 7.5], &[4]).unwrap();
+        let mut ex = mk_session(&sdfg, &symbols(&[("N", 4)])).unwrap();
+        let (xid, yid) = {
+            let arrays = &ex.program().plan().arrays;
+            (
+                arrays.id("X").unwrap() as usize,
+                arrays.id("Y").unwrap() as usize,
+            )
+        };
+        ex.copy_input("X", &x).unwrap();
+        ex.run().unwrap();
+        let reference = ex.array("Y").unwrap().clone();
+
+        let mut y = ex.take_array("Y").unwrap();
+        let home = y.data().as_ptr();
+        y.fill(f64::NAN);
+        drop(y);
+        assert_eq!(inbox_ptrs(&ex)[yid], Some(home));
+        ex.run().unwrap();
+        assert!(inbox_ptrs(&ex).iter().all(Option::is_none));
+        assert!(ex.st.pool[yid].is_none(), "the refill took the spare");
+        let y = ex.array("Y").unwrap();
+        assert_eq!((y, y.data().as_ptr()), (&reference, home));
+
+        // A taken input is unbound: the run refills it with zeros, from its
+        // own storage.
+        let taken = ex.take_array("X").unwrap();
+        let home = taken.data().as_ptr();
+        drop(taken);
+        ex.run().unwrap();
+        assert!(ex.st.pool[xid].is_none());
+        let refilled = ex.array("X").unwrap();
+        assert_eq!(
+            (refilled.data(), refilled.data().as_ptr()),
+            (&[0.0; 4][..], home)
+        );
+        ex.copy_input("X", &x).unwrap();
+        assert_eq!(ex.array("X").unwrap().data().as_ptr(), home);
+        ex.run().unwrap();
+        assert_eq!(ex.array("Y").unwrap(), &reference);
+    }
+
+    /// Only the lent tensor itself goes home: a clone of it and its
+    /// `into_vec` take nothing, and a slot holds one spare, so a second
+    /// tensor arriving at a filled slot is freed.
+    #[test]
+    fn a_slot_takes_home_only_the_loan_and_one_spare() {
+        let sdfg = scale_sdfg(2.0);
+        let mut ex = mk_session(&sdfg, &symbols(&[("N", 4)])).unwrap();
+        let yid = ex.program().plan().arrays.id("Y").unwrap() as usize;
+        ex.copy_input("X", &Tensor::full(&[4], 1.0)).unwrap();
+        ex.run().unwrap();
+
+        let first = ex.take_array("Y").unwrap();
+        drop(first.clone());
+        assert!(inbox_ptrs(&ex).iter().all(Option::is_none));
+        assert_eq!(first.clone().into_vec(), vec![2.0; 4]);
+        assert_eq!(first.into_vec(), vec![2.0; 4]);
+        assert!(inbox_ptrs(&ex).iter().all(Option::is_none));
+
+        ex.run().unwrap();
+        let first = ex.take_array("Y").unwrap();
+        ex.run().unwrap();
+        let second = ex.take_array("Y").unwrap();
+        let home = first.data().as_ptr();
+        drop(first);
+        drop(second);
+        assert_eq!(inbox_ptrs(&ex)[yid], Some(home));
+        assert_eq!(inbox_ptrs(&ex).iter().flatten().count(), 1);
     }
 
     /// `copy_input` checks names and shapes like `set_input`, and a bind

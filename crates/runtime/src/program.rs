@@ -566,7 +566,7 @@ impl CompiledProgram {
 /// Mutable execution state bound to a [`CompiledProgram`]: bind inputs with
 /// [`Session::set_input`] (by move) or [`Session::copy_input`] (by copy into
 /// the buffer the session holds), execute with [`Session::run`], read
-/// results with [`Session::array`] or move them out with
+/// results with [`Session::array`] or lend them out with
 /// [`Session::take_array`].
 ///
 /// A session is built for repeated runs.  Each `run` starts from a clean
@@ -604,7 +604,7 @@ impl CompiledProgram {
 /// ```
 pub struct Session {
     program: CompiledProgram,
-    st: RunState,
+    pub(crate) st: RunState,
 }
 
 impl Session {
@@ -633,13 +633,18 @@ impl Session {
     }
 
     /// [`Session::set_input`] by copy: the values are copied into the
-    /// tensor the session already holds for the array, so a warm session
-    /// binds without allocating.  Only an empty slot (first run, or after
-    /// [`Session::take_array`]) receives a clone.  Same errors as
-    /// `set_input`.
+    /// tensor the session already holds for the array, or into its pooled
+    /// spare when the slot is empty, so a warm session binds without
+    /// allocating.  Only an empty slot without a spare (first run, or after
+    /// [`Session::take_array`] while the taken tensor is still held) receives
+    /// a clone.  Same errors as `set_input`.
     pub fn copy_input(&mut self, name: &str, tensor: &Tensor) -> RuntimeResult<()> {
         let id = self.bind(name, tensor.shape())?;
-        match &mut self.st.slab[id] {
+        let st = &mut self.st;
+        if st.slab[id].is_none() {
+            st.slab[id] = st.pool[id].take();
+        }
+        match &mut st.slab[id] {
             Some(held) => held.data_mut().copy_from_slice(tensor.data()),
             empty => *empty = Some(tensor.clone()),
         }
@@ -724,14 +729,21 @@ impl Session {
             .and_then(|id| self.st.slab[id as usize].as_ref())
     }
 
-    /// Move an array out of the session instead of cloning it (and unbind
+    /// Lend an array out of the session instead of cloning it (and unbind
     /// it, if it was bound).  [`Session::array`] reads `None` for the name
     /// until the next run, which starts the array afresh, so that run is
     /// bit-identical to one on a fresh session.
+    ///
+    /// The tensor is the caller's to keep, change or drop.  When it is
+    /// dropped while the session exists, its storage comes home: the next
+    /// run reuses it for the slot instead of allocating (a clone of it, or
+    /// its [`Tensor::into_vec`], takes nothing home).
     pub fn take_array(&mut self, name: &str) -> Option<Tensor> {
         let id = self.program.plan().arrays.id(name)? as usize;
         self.st.bound[id] = false;
-        self.st.slab[id].take()
+        let mut tensor = self.st.slab[id].take()?;
+        tensor.lend(Arc::downgrade(&self.st.inbox), id);
+        Some(tensor)
     }
 
     /// The memory tracker of the most recent run (for tests and benchmarks).
@@ -756,12 +768,13 @@ impl Session {
     /// Execute the program.
     ///
     /// Each run starts from a clean state: the memory tracker is reset,
-    /// transient tensors left over from the previous run are recycled into
-    /// the allocation pool, and non-transient arrays that were *not* bound
-    /// via [`Session::set_input`] or [`Session::copy_input`] are zero-filled
-    /// in place (allocated as zeros if [`Session::take_array`] took them).
-    /// Results are therefore bit-identical to a run on a freshly opened
-    /// session with the same bindings.
+    /// transient tensors left over from the previous run and tensors lent by
+    /// [`Session::take_array`] that came home are recycled into the
+    /// allocation pool, and non-transient arrays that were *not* bound via
+    /// [`Session::set_input`] or [`Session::copy_input`] are zero-filled in
+    /// place (refilled from the pool, or allocated as zeros, if
+    /// `take_array` took them).  Results are therefore bit-identical to a
+    /// run on a freshly opened session with the same bindings.
     pub fn run(&mut self) -> RuntimeResult<ExecutionReport> {
         let start = Instant::now();
         let Session { program, st } = self;
@@ -769,6 +782,20 @@ impl Session {
 
         st.report = ExecutionReport::default();
         st.tracker = MemoryTracker::new();
+
+        // Take home what came back since the last run: a slot keeps one
+        // spare, anything beyond it is freed.
+        for (id, spare) in st
+            .inbox
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter_mut()
+            .enumerate()
+        {
+            if let Some(t) = spare.take() {
+                st.pool[id].get_or_insert(t);
+            }
+        }
 
         // Reset the slab in place: recycle transients into the pool (their
         // allocations are reused by `ensure_allocated`), zero unbound
@@ -791,7 +818,7 @@ impl Session {
                     Some(_) => {}
                     None => {
                         // Outputs that were not provided start as zeros.
-                        st.slab[id] = Some(Tensor::zeros(layout.dims()));
+                        st.slab[id] = Some(st.refill(id, layout.dims()));
                     }
                 }
                 st.tracker.alloc(&plan.arrays.names[id], layout.bytes);

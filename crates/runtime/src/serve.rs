@@ -115,7 +115,7 @@ impl std::error::Error for ServeError {}
 /// Successful result of one served request.
 #[derive(Clone, Debug)]
 pub struct ServeResponse {
-    /// The requested (fetched) arrays, moved out of the serving session.
+    /// The requested (fetched) arrays, lent out of the serving session.
     pub outputs: HashMap<String, Tensor>,
     /// Execution report of this request's run.
     pub report: ExecutionReport,

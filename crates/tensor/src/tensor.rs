@@ -1,16 +1,30 @@
 //! The dense, row-major [`Tensor`] type.
 
+use std::fmt;
+use std::sync::{Mutex, Weak};
+
 use crate::error::{TensorError, TensorResult};
 
 /// A dense, row-major, contiguously stored `f64` tensor of arbitrary rank.
 ///
 /// Rank-0 tensors (scalars) are represented with an empty shape and a single
 /// element, mirroring NumPy's 0-d arrays.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A tensor may be *on loan* from the buffers of an owner (see
+/// [`Tensor::lend`]): dropping it then hands its storage back to that owner
+/// instead of freeing it.  The loan is invisible otherwise — a clone carries
+/// none, and equality and `Debug` ignore it.
 pub struct Tensor {
     shape: Vec<usize>,
     strides: Vec<usize>,
     data: Vec<f64>,
+    loan: Option<Loan>,
+}
+
+/// Where a lent tensor goes home to: slot `slot` of its owner's spares.
+struct Loan {
+    home: Weak<Mutex<Vec<Option<Tensor>>>>,
+    slot: usize,
 }
 
 /// Compute row-major strides for a shape.
@@ -52,6 +66,7 @@ impl Tensor {
             shape: shape.to_vec(),
             strides: row_major_strides(shape),
             data: vec![value; volume],
+            loan: None,
         }
     }
 
@@ -61,6 +76,7 @@ impl Tensor {
             shape: vec![],
             strides: vec![],
             data: vec![value],
+            loan: None,
         }
     }
 
@@ -81,6 +97,7 @@ impl Tensor {
             shape: shape.to_vec(),
             strides: row_major_strides(shape),
             data,
+            loan: None,
         })
     }
 
@@ -144,9 +161,18 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor, returning its flat data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
+    /// Consume the tensor, returning its flat data.  A lent tensor's loan
+    /// ends here: the storage is the caller's.
+    pub fn into_vec(mut self) -> Vec<f64> {
+        self.loan = None;
+        std::mem::take(&mut self.data)
+    }
+
+    /// Put the tensor on loan: when it is dropped, its storage goes into
+    /// `home[slot]` if that slot is empty and the owner still exists, and is
+    /// freed otherwise.  A later `lend` replaces the loan.
+    pub fn lend(&mut self, home: Weak<Mutex<Vec<Option<Tensor>>>>, slot: usize) {
+        self.loan = Some(Loan { home, slot });
     }
 
     /// Flatten a multi-index into a flat offset, with bounds checking.
@@ -234,6 +260,7 @@ impl Tensor {
             shape: shape.to_vec(),
             strides: row_major_strides(shape),
             data: self.data.clone(),
+            loan: None,
         })
     }
 
@@ -247,6 +274,53 @@ impl Tensor {
     /// Iterate over all multi-indices of this tensor in row-major order.
     pub fn indices(&self) -> MultiIndexIter {
         MultiIndexIter::new(self.shape.clone())
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        let Some(Loan { home, slot }) = self.loan.take() else {
+            return;
+        };
+        let Some(home) = home.upgrade() else {
+            return;
+        };
+        let mut spares = home.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(spare @ None) = spares.get_mut(slot) {
+            *spare = Some(Tensor {
+                shape: std::mem::take(&mut self.shape),
+                strides: std::mem::take(&mut self.strides),
+                data: std::mem::take(&mut self.data),
+                loan: None,
+            });
+        }
+    }
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            strides: self.strides.clone(),
+            data: self.data.clone(),
+            loan: None,
+        }
+    }
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.strides == other.strides && self.data == other.data
+    }
+}
+
+impl fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tensor")
+            .field("shape", &self.shape)
+            .field("strides", &self.strides)
+            .field("data", &self.data)
+            .finish()
     }
 }
 
@@ -372,5 +446,40 @@ mod tests {
     fn size_bytes_counts_f64() {
         let t = Tensor::zeros(&[10, 10]);
         assert_eq!(t.size_bytes(), 800);
+    }
+
+    /// The hand-written `PartialEq` and `Debug` read as the derived ones of
+    /// the fields without the loan did, and a loan changes neither.
+    #[test]
+    fn eq_and_debug_match_the_derived_impls() {
+        #[derive(Debug, PartialEq)]
+        struct Tensor {
+            shape: Vec<usize>,
+            strides: Vec<usize>,
+            data: Vec<f64>,
+        }
+        let derived = |t: &super::Tensor| Tensor {
+            shape: t.shape.clone(),
+            strides: t.strides.clone(),
+            data: t.data.clone(),
+        };
+        let home = std::sync::Arc::new(Mutex::new(vec![None]));
+        let mut lent = super::Tensor::from_vec(vec![1.5, -0.0, f64::NAN, 4.0], &[2, 2]).unwrap();
+        lent.lend(std::sync::Arc::downgrade(&home), 0);
+        let cases = [
+            super::Tensor::from_vec(vec![1.5, -0.0, f64::NAN, 4.0], &[2, 2]).unwrap(),
+            lent,
+            super::Tensor::from_vec(vec![1.5, 0.0, 3.0, 4.0], &[4]).unwrap(),
+            super::Tensor::from_vec(vec![1.5, 0.0, 3.0, 4.0], &[2, 2]).unwrap(),
+            super::Tensor::scalar(f64::INFINITY),
+            super::Tensor::zeros(&[0, 3]),
+        ];
+        for a in &cases {
+            assert_eq!(format!("{a:?}"), format!("{:?}", derived(a)));
+            assert_eq!(format!("{a:#?}"), format!("{:#?}", derived(a)));
+            for b in &cases {
+                assert_eq!(a == b, derived(a) == derived(b), "{a:?} == {b:?}");
+            }
+        }
     }
 }

@@ -2,10 +2,13 @@
 //! The binary holds a single test, so nothing else allocates beside it.
 //!
 //! Inputs are copied into the session's resident buffers and gradients are
-//! moved out of the slab, so a warm gradient allocates one buffer per
-//! gradient it returns (the refill of the slot it was taken from) and none
-//! per input.  The parent of this rule (clone in, clone out) read inputs +
-//! gradients: 6 on gesummv and 4 on atax, per engine run and per batch item.
+//! lent out of the slab: a gradient the caller drops goes home to the
+//! session that returned it, and the next run refills the slot with that
+//! storage.  So a warm gradient allocates nothing of input size or more once
+//! the previous result is dropped, and one buffer per gradient while the
+//! caller still holds it (nothing could come home).  The rule before loans
+//! (fetch by move) read one per gradient either way, and the one before it
+//! (clone in, clone out) inputs + gradients: 6 on gesummv and 4 on atax.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -64,7 +67,7 @@ fn large_allocations<R>(min_bytes: usize, f: impl FnOnce() -> R) -> (R, usize) {
 }
 
 #[test]
-fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
+fn a_warm_gradient_allocates_only_what_the_caller_still_holds() {
     for name in ["gesummv", "atax"] {
         let kernel = npbench::kernel_by_name(name).unwrap();
         let sizes = kernel.sizes(Preset::Bench);
@@ -77,7 +80,7 @@ fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
             GradientEngine::new(&sdfg, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
 
         // `GradientEngine::run`: the first run fills the slab, the second
-        // refills what the first took.
+        // refills what the first took (and dropped).
         for _ in 0..2 {
             engine.run(&inputs).unwrap();
         }
@@ -85,11 +88,20 @@ fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
         assert_eq!(result.gradients.len(), wrt.len());
         assert_eq!(
             n,
-            wrt.len(),
-            "{name}: a warm gradient must allocate one buffer per gradient returned \
-             and none per input ({} inputs of >= {min_bytes} B)",
+            0,
+            "{name}: a warm gradient must reuse the dropped gradients' storage and \
+             allocate nothing per input ({} inputs of >= {min_bytes} B)",
             inputs.len()
         );
+        // `result` is still held: nothing came home for this run to reuse.
+        let (held, n) = large_allocations(min_bytes, || engine.run(&inputs).unwrap());
+        assert_eq!(
+            n,
+            wrt.len(),
+            "{name}: with the previous result held, a warm gradient allocates one \
+             buffer per gradient returned"
+        );
+        drop((result, held));
 
         // A `BatchDriver::run_batch` item on a warm pooled session, the
         // batch run in a one-thread pool.
@@ -115,11 +127,19 @@ fn a_warm_gradient_allocates_only_the_gradients_it_returns() {
             let (out, n) = large_allocations(min_bytes, || driver.run_batch(&items, &fetch));
             assert_eq!(out.report.succeeded, 1);
             assert_eq!(
+                n, 0,
+                "{name}: a warm batch item must reuse the dropped gradients' storage \
+                 and allocate nothing for its inputs"
+            );
+            let (held, n) = large_allocations(min_bytes, || driver.run_batch(&items, &fetch));
+            assert_eq!(held.report.succeeded, 1);
+            assert_eq!(
                 n,
                 wrt.len(),
-                "{name}: a warm batch item must allocate only the gradients it fetches, \
-                 nothing for its inputs"
+                "{name}: with the previous item held, a warm batch item allocates \
+                 only the gradients it fetches"
             );
+            drop((out, held));
         });
     }
 }

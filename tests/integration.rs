@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use dace_ad_repro::ad::engine::finite_difference_gradient;
+use dace_ad_repro::ad::engine::{finite_difference_gradient, GradientResult};
 use dace_ad_repro::frontend::{elem, lit};
 use dace_ad_repro::prelude::*;
 
@@ -217,4 +217,49 @@ fn seidel_style_loop_gradient_matches_finite_differences() {
     let result = engine.run(&inputs).unwrap();
     let fd = finite_difference_gradient(&fwd, "OUT", "A", &syms, &inputs, 1e-6).unwrap();
     assert!(allclose(&result.gradients["A"], &fd, 1e-4, 1e-7));
+}
+
+/// A returned gradient is the caller's to overwrite and to drop on any
+/// thread: its storage goes home to the session it came from, and the next
+/// run there — `run` and a batch item alike — is bit-identical to a fresh
+/// engine's.  A gradient that outlives its engine is freed.
+#[test]
+fn a_gradient_dropped_anywhere_leaves_the_next_run_bit_identical() {
+    type Bits = Vec<(String, Vec<u64>)>;
+    fn bits(result: &GradientResult) -> Bits {
+        let gradients = result.gradients.iter();
+        gradients
+            .map(|(wrt, g)| (wrt.clone(), g.data().iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+    for name in ["gesummv", "atax"] {
+        let kernel = dace_ad_repro::npbench::kernel_by_name(name).unwrap();
+        let sizes = kernel.sizes(dace_ad_repro::npbench::Preset::Test);
+        let inputs = kernel.inputs(&sizes);
+        let sdfg = kernel.build_dace(&sizes);
+        let syms = kernel.symbols(&sizes);
+        let engine = || {
+            GradientEngine::new(&sdfg, "OUT", &kernel.wrt(), &syms, &AdOptions::default()).unwrap()
+        };
+        let reference = bits(&engine().run(&inputs).unwrap());
+        let mut engine = engine();
+        for poison in [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ran = engine.run(&inputs).unwrap();
+            let batch = engine.run_batch(std::slice::from_ref(&inputs)).unwrap();
+            let mut batched = batch.items.into_iter().next().unwrap();
+            for result in [&ran, &batched] {
+                assert_eq!(bits(result), reference, "{name}, before {poison}");
+            }
+            for result in [&mut ran, &mut batched] {
+                result.gradients.values_mut().for_each(|g| g.fill(poison));
+            }
+            std::thread::spawn(move || drop((ran, batched)))
+                .join()
+                .unwrap();
+        }
+        let held = engine.run(&inputs).unwrap();
+        drop(engine);
+        assert_eq!(bits(&held), reference, "{name}");
+        drop(held);
+    }
 }
