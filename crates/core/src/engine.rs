@@ -1,16 +1,18 @@
 //! The gradient engine: ties together backward generation, checkpointing and
-//! execution, and provides finite-difference validation helpers.
+//! execution, and provides the finite-difference oracle.
 //!
 //! The engine follows the runtime's compile-once/run-many shape: `new`
 //! builds the gradient SDFG and compiles it **once** into a cached
 //! [`CompiledProgram`]; `run` binds inputs into a persistent [`Session`]
 //! (whose tensor slab is reused across runs) and executes.  Forward-only
-//! execution — used by [`GradientEngine::run_forward`] and the
-//! finite-difference validation loop — goes through a second cached program
-//! that is compiled lazily on first use.  Repeated `run` calls and a whole
-//! FD sweep therefore perform exactly one forward lowering and one gradient
-//! lowering, which the plan-cache counters on
-//! [`dace_runtime::ExecutionReport`] make observable.
+//! execution ([`GradientEngine::run_forward`]) goes through a second cached
+//! program that is compiled lazily on first use.  Repeated `run` calls
+//! therefore perform exactly one gradient lowering, which the plan-cache
+//! counters on [`dace_runtime::ExecutionReport`] make observable.
+//!
+//! Which names a run accepts, and how its arrays become a
+//! [`GradientResult`], is stated once per program: `run`, every `run_batch`
+//! item, a served request and a forward run all go through the same rule.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -36,8 +38,9 @@ pub enum EngineError {
     Ad(AdError),
     /// Execution failed.
     Runtime(RuntimeError),
-    /// An input tensor was provided for a name the program does not declare
-    /// (typos used to be silently ignored).
+    /// An input tensor was provided for a name that is not an array of the
+    /// forward program: a typo, or one of the adjoint's own gradient, tape
+    /// or flag containers.
     UnknownInput(String),
     /// The dependent output array does not exist after execution.
     MissingOutput(String),
@@ -73,9 +76,10 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Ad(e) => write!(f, "AD error: {e}"),
             EngineError::Runtime(e) => write!(f, "runtime error: {e}"),
-            EngineError::UnknownInput(name) => {
-                write!(f, "input tensor `{name}` does not name a program array")
-            }
+            EngineError::UnknownInput(name) => write!(
+                f,
+                "input tensor `{name}` does not name an array of the forward program"
+            ),
             EngineError::MissingOutput(name) => {
                 write!(f, "output array `{name}` does not exist after execution")
             }
@@ -125,20 +129,143 @@ pub struct GradientResult {
     pub report: ExecutionReport,
 }
 
+/// What a run of one program accepts and returns, stated once for every
+/// way of running it.
+#[derive(Debug)]
+struct Binding {
+    /// Every array of the forward program: `true` when the run binds it,
+    /// `false` when the program recomputes it (a forward transient, or an
+    /// input checkpointing demoted).  No other name is accepted.
+    accepted: HashMap<String, bool>,
+    /// The dependent scalar output.
+    output: String,
+    /// `(input, gradient array)` of every requested input that has a
+    /// gradient (none for a forward run).
+    gradients: Vec<(String, String)>,
+}
+
+/// A finished run's arrays: a session's slab, or a served response's
+/// fetched outputs.
+trait RunArrays {
+    fn read(&self, name: &str) -> Option<&Tensor>;
+    fn take(&mut self, name: &str) -> Option<Tensor>;
+}
+
+impl RunArrays for Session {
+    fn read(&self, name: &str) -> Option<&Tensor> {
+        self.array(name)
+    }
+    fn take(&mut self, name: &str) -> Option<Tensor> {
+        self.take_array(name)
+    }
+}
+
+impl RunArrays for HashMap<String, Tensor> {
+    fn read(&self, name: &str) -> Option<&Tensor> {
+        self.get(name)
+    }
+    fn take(&mut self, name: &str) -> Option<Tensor> {
+        self.remove(name)
+    }
+}
+
+impl Binding {
+    /// The binding of `program`, which computes `output` over the arrays of
+    /// `forward` (the forward program itself, or its gradient program).
+    fn new(forward: &Sdfg, program: &Sdfg, output: &str, gradients: Vec<(String, String)>) -> Self {
+        let accepted = forward.arrays.keys().map(|name| {
+            let bind = program.arrays.get(name).is_some_and(|desc| !desc.transient);
+            (name.clone(), bind)
+        });
+        Binding {
+            accepted: accepted.collect(),
+            output: output.to_string(),
+            gradients,
+        }
+    }
+
+    /// The forward program `sdfg` under its own binding, on a fresh session.
+    fn forward(
+        sdfg: &Sdfg,
+        output: &str,
+        symbols: &HashMap<String, i64>,
+    ) -> Result<(Binding, Session), EngineError> {
+        let session = compile(sdfg, symbols)?.session();
+        Ok((Binding::new(sdfg, sdfg, output, Vec::new()), session))
+    }
+
+    /// Whether a run binds `name` (`true`) or skips it (`false`); a name
+    /// that is not a forward array is an [`EngineError::UnknownInput`].
+    fn bound(&self, name: &str) -> Result<bool, EngineError> {
+        self.accepted
+            .get(name)
+            .copied()
+            .ok_or_else(|| EngineError::UnknownInput(name.to_string()))
+    }
+
+    /// One run on `session`: bind `inputs` by copy into its resident
+    /// buffers, execute, assemble the result.
+    fn run(
+        &self,
+        session: &mut Session,
+        inputs: &HashMap<String, Tensor>,
+    ) -> Result<GradientResult, EngineError> {
+        session.clear_bindings();
+        for (name, tensor) in inputs {
+            if self.bound(name)? {
+                session.copy_input(name, tensor)?;
+            }
+        }
+        let report = session.run()?;
+        self.assemble(session, report)
+    }
+
+    /// Turn a finished run's arrays into a [`GradientResult`]: read the
+    /// output in place, which must exist and be a scalar, then take every
+    /// gradient out.
+    fn assemble(
+        &self,
+        arrays: &mut impl RunArrays,
+        report: ExecutionReport,
+    ) -> Result<GradientResult, EngineError> {
+        let out = arrays
+            .read(&self.output)
+            .ok_or_else(|| EngineError::MissingOutput(self.output.clone()))?;
+        if out.len() != 1 {
+            return Err(EngineError::NonScalarOutput {
+                name: self.output.clone(),
+                shape: out.shape().to_vec(),
+            });
+        }
+        let output_value = out.data()[0];
+        let gradients = self
+            .gradients
+            .iter()
+            .filter_map(|(input, g)| Some((input.clone(), arrays.take(g)?)));
+        Ok(GradientResult {
+            gradients: gradients.collect(),
+            output_value,
+            report,
+        })
+    }
+}
+
 /// High-level driver: build and compile the gradient SDFG once, run it many
 /// times.
 ///
 /// Holds two cached compiled programs: the gradient program (compiled in
 /// [`GradientEngine::new`]) and a forward-only program (compiled lazily by
-/// [`GradientEngine::run_forward`] / [`GradientEngine::finite_difference`]).
-/// Each has a persistent [`Session`] whose tensor slab is reused across
-/// runs, so repeated executions pay no lowering and no re-allocation cost.
+/// [`GradientEngine::run_forward`]).  Each has a persistent [`Session`]
+/// whose tensor slab is reused across runs, so repeated executions pay no
+/// lowering and no re-allocation cost.
 pub struct GradientEngine {
     plan: BackwardPlan,
     symbols: HashMap<String, i64>,
     forward_sdfg: Sdfg,
     gradient: Session,
-    forward: Option<Session>,
+    /// The gradient program's binding, shared with every served client.
+    binding: Arc<Binding>,
+    forward: Option<(Binding, Session)>,
     /// Session-pool driver behind [`GradientEngine::run_batch`], built
     /// lazily.  The pool persists across calls, so steady-state batches run
     /// entirely warm.
@@ -178,8 +305,14 @@ impl GradientEngine {
         plan.ilp_report = Some(report);
         let program = compile(&plan.sdfg, symbols)?;
         let gradient = program.session().with_free_hints(&plan.free_hints);
+        let gradients = plan
+            .inputs
+            .iter()
+            .filter_map(|input| Some((input.clone(), plan.gradients.get(input)?.clone())));
+        let binding = Binding::new(forward, &plan.sdfg, &plan.output, gradients.collect());
         Ok(GradientEngine {
             gradient,
+            binding: Arc::new(binding),
             forward: None,
             forward_sdfg: forward.clone(),
             plan,
@@ -199,23 +332,17 @@ impl GradientEngine {
         self.gradient.program()
     }
 
-    /// The compiled forward-only program, if [`GradientEngine::run_forward`]
-    /// or [`GradientEngine::finite_difference`] has been called.
-    pub fn forward_program(&self) -> Option<&CompiledProgram> {
-        self.forward.as_ref().map(|s| s.program())
-    }
-
     /// Run the gradient program on concrete inputs.
     ///
-    /// Inputs must name non-transient arrays of the gradient program
-    /// (forward arrays that checkpointing demoted to transients are
-    /// accepted and ignored, since the program recomputes them); any other
-    /// name is an [`EngineError::UnknownInput`].  The dependent output must
-    /// exist and be scalar, otherwise [`EngineError::MissingOutput`] /
-    /// [`EngineError::NonScalarOutput`] is raised instead of the old
-    /// silent-`NaN` behaviour.
+    /// Inputs must name arrays of the forward program.  Those the gradient
+    /// program recomputes (forward transients, and inputs checkpointing
+    /// demoted to transients) are accepted and ignored; any other name —
+    /// a typo, or a gradient, tape or flag container of the adjoint — is an
+    /// [`EngineError::UnknownInput`].  The dependent output must exist and
+    /// be scalar, otherwise [`EngineError::MissingOutput`] /
+    /// [`EngineError::NonScalarOutput`] is raised.
     pub fn run(&mut self, inputs: &HashMap<String, Tensor>) -> Result<GradientResult, EngineError> {
-        run_gradient(&self.plan, &mut self.gradient, inputs)
+        self.binding.run(&mut self.gradient, inputs)
     }
 
     /// Run the gradient program on a batch of independent input sets
@@ -241,9 +368,9 @@ impl GradientEngine {
             self.batch = Some(self.build_batch_driver());
         }
         let driver = self.batch.as_ref().expect("driver was just built");
-        let plan = &self.plan;
+        let binding = &*self.binding;
         let out = driver.run_batch_with(batches.len(), |i, session| {
-            run_gradient(plan, session, &batches[i])
+            binding.run(session, &batches[i])
         });
         let mut items = Vec::with_capacity(batches.len());
         for (index, item) in out.items.into_iter().enumerate() {
@@ -259,12 +386,6 @@ impl GradientEngine {
             items,
             batch: out.report,
         })
-    }
-
-    /// The session-pool driver behind [`GradientEngine::run_batch`], once it
-    /// has been called (exposes session-pool statistics).
-    pub fn batch_driver(&self) -> Option<&BatchDriver> {
-        self.batch.as_ref()
     }
 
     /// Start (or return) the engine's dynamic-admission gradient server: an
@@ -311,42 +432,6 @@ impl GradientEngine {
         driver
     }
 
-    /// The name-resolution metadata served handles need to turn fetched
-    /// arrays back into [`GradientResult`]s.
-    fn build_serve_meta(&self) -> GradientServeMeta {
-        let fetch: Vec<String> = std::iter::once(self.plan.output.clone())
-            .chain(self.plan.inputs.iter().filter_map(|input| {
-                self.plan
-                    .gradients
-                    .get(input)
-                    .filter(|g| self.plan.sdfg.arrays.contains_key(*g))
-                    .cloned()
-            }))
-            .collect();
-        GradientServeMeta {
-            transient: self
-                .plan
-                .sdfg
-                .arrays
-                .iter()
-                .map(|(name, desc)| (name.clone(), desc.transient))
-                .collect(),
-            output: self.plan.output.clone(),
-            gradients: self
-                .plan
-                .inputs
-                .iter()
-                .filter_map(|input| {
-                    self.plan
-                        .gradients
-                        .get(input)
-                        .map(|g| (input.clone(), g.clone()))
-                })
-                .collect(),
-            fetch,
-        }
-    }
-
     /// Register this engine's gradient program as tenant `tenant` on a
     /// shared multi-tenant [`Gateway`], returning a cloneable
     /// [`GatewayGradientClient`] for submitting gradient requests through
@@ -364,11 +449,11 @@ impl GradientEngine {
         tenant: &str,
         config: TenantConfig,
     ) -> Result<GatewayGradientClient, EngineError> {
-        gateway.register_driver(tenant, self.build_batch_driver(), config)?;
+        gateway.register(tenant, self.build_batch_driver(), config)?;
         Ok(GatewayGradientClient {
             gateway: Arc::clone(gateway),
             tenant: tenant.to_string(),
-            meta: Arc::new(self.build_serve_meta()),
+            binding: Arc::clone(&self.binding),
         })
     }
 
@@ -379,60 +464,23 @@ impl GradientEngine {
     /// the reloaded one.  Existing [`GatewayGradientClient`]s keep working
     /// across the swap as long as the program's array names are unchanged.
     pub fn reload_into(&self, gateway: &Gateway, tenant: &str) -> Result<(), EngineError> {
-        gateway.reload_driver(tenant, self.build_batch_driver())?;
+        gateway.reload(tenant, self.build_batch_driver())?;
         Ok(())
     }
 
     /// Run only the forward SDFG and return the scalar value of the
     /// dependent output, using the engine's cached forward-only program
-    /// (compiled on first call).
+    /// (compiled on first call).  Input names follow the forward program's
+    /// own rule: its transients are skipped, other names are
+    /// [`EngineError::UnknownInput`].
     pub fn run_forward(&mut self, inputs: &HashMap<String, Tensor>) -> Result<f64, EngineError> {
-        self.run_forward_with(inputs, None)
-    }
-
-    fn run_forward_with(
-        &mut self,
-        inputs: &HashMap<String, Tensor>,
-        override_binding: Option<(&str, &Tensor)>,
-    ) -> Result<f64, EngineError> {
         if self.forward.is_none() {
-            self.forward = Some(compile(&self.forward_sdfg, &self.symbols)?.session());
+            let forward = Binding::forward(&self.forward_sdfg, &self.plan.output, &self.symbols)?;
+            self.forward = Some(forward);
         }
-        let session = self.forward.as_mut().expect("just compiled");
-        bind_inputs(&self.forward_sdfg, session, inputs, override_binding)?;
-        session.run()?;
-        read_scalar_output(session, &self.plan.output)
+        let (binding, session) = self.forward.as_mut().expect("just compiled");
+        Ok(binding.run(session, inputs)?.output_value)
     }
-
-    /// Central finite-difference gradient of the output w.r.t. `input`,
-    /// evaluated through the engine's cached forward program: the whole
-    /// sweep (2 × len forward executions) performs at most one lowering.
-    pub fn finite_difference(
-        &mut self,
-        input: &str,
-        inputs: &HashMap<String, Tensor>,
-        epsilon: f64,
-    ) -> Result<Tensor, EngineError> {
-        let base = inputs
-            .get(input)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownInput(input.to_string()))?;
-        central_difference(&base, epsilon, |perturbed| {
-            self.run_forward_with(inputs, Some((input, perturbed)))
-        })
-    }
-}
-
-/// Name-resolution metadata shared by every [`GatewayGradientHandle`] of
-/// one client: which program arrays are transient (for submit-time input
-/// validation), the dependent output, and the input→gradient-array mapping
-/// used to assemble [`GradientResult`]s from fetched tensors.
-#[derive(Debug)]
-struct GradientServeMeta {
-    transient: HashMap<String, bool>,
-    output: String,
-    gradients: Vec<(String, String)>,
-    fetch: Vec<String>,
 }
 
 /// A completed served gradient request: the [`GradientResult`] plus the
@@ -467,7 +515,7 @@ pub struct ServedGradient {
 pub struct GatewayGradientClient {
     gateway: Arc<Gateway>,
     tenant: String,
-    meta: Arc<GradientServeMeta>,
+    binding: Arc<Binding>,
 }
 
 impl std::fmt::Debug for GatewayGradientClient {
@@ -500,35 +548,35 @@ impl GatewayGradientClient {
     }
 
     /// [`GatewayGradientClient::submit`] with an explicit deadline /
-    /// idempotence policy.  Input names are validated immediately, exactly
-    /// like [`GradientEngine::run`] (unknown names are
-    /// [`EngineError::UnknownInput`], transients are skipped), so typos
-    /// fail at the submit call, not inside the dispatcher.  A request still
-    /// queued when its deadline passes resolves with
-    /// [`dace_runtime::ServeError::DeadlineExceeded`] (as
+    /// idempotence policy.  Input names are validated immediately by the
+    /// same rule as [`GradientEngine::run`] (a name that is not a forward
+    /// array is an [`EngineError::UnknownInput`], recomputed arrays are
+    /// skipped), so typos fail at the submit call, not inside the
+    /// dispatcher.  A request still queued when its deadline passes
+    /// resolves with [`dace_runtime::ServeError::DeadlineExceeded`] (as
     /// [`EngineError::Serve`]) without ever occupying a worker.
     pub fn submit_with(
         &self,
         inputs: &HashMap<String, Tensor>,
         opts: SubmitOptions,
     ) -> Result<GatewayGradientHandle, EngineError> {
+        let binding = &self.binding;
         let mut bound = HashMap::with_capacity(inputs.len());
         for (name, tensor) in inputs {
-            match self.meta.transient.get(name) {
-                None => return Err(EngineError::UnknownInput(name.clone())),
-                Some(true) => {} // recomputed by the program itself
-                Some(false) => {
-                    bound.insert(name.clone(), tensor.clone());
-                }
+            if binding.bound(name)? {
+                bound.insert(name.clone(), tensor.clone());
             }
         }
-        let fetch: Vec<&str> = self.meta.fetch.iter().map(String::as_str).collect();
+        let fetch: Vec<&str> = std::iter::once(&binding.output)
+            .chain(binding.gradients.iter().map(|(_, g)| g))
+            .map(String::as_str)
+            .collect();
         let inner = self
             .gateway
             .submit_with(&self.tenant, bound, &fetch, opts)?;
         Ok(GatewayGradientHandle {
             inner,
-            meta: Arc::clone(&self.meta),
+            binding: Arc::clone(binding),
         })
     }
 
@@ -543,7 +591,7 @@ impl GatewayGradientClient {
 #[derive(Debug)]
 pub struct GatewayGradientHandle {
     inner: GatewayHandle,
-    meta: Arc<GradientServeMeta>,
+    binding: Arc<Binding>,
 }
 
 impl GatewayGradientHandle {
@@ -563,7 +611,7 @@ impl GatewayGradientHandle {
     /// rejections (deadline expiry, cancellation, shutdown, overload,
     /// panic) as [`EngineError::Serve`].
     pub fn wait(self) -> Result<ServedGradient, EngineError> {
-        served_gradient(&self.meta, self.inner.wait())
+        served_gradient(&self.binding, self.inner.wait())
     }
 
     /// Non-blocking poll: `Some(result)` once completed (repeatable),
@@ -571,7 +619,7 @@ impl GatewayGradientHandle {
     pub fn try_wait(&self) -> Option<Result<ServedGradient, EngineError>> {
         self.inner
             .try_wait()
-            .map(|polled| served_gradient(&self.meta, polled))
+            .map(|polled| served_gradient(&self.binding, polled))
     }
 
     /// Bounded blocking wait (see
@@ -580,7 +628,7 @@ impl GatewayGradientHandle {
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServedGradient, EngineError>> {
         self.inner
             .wait_timeout(timeout)
-            .map(|polled| served_gradient(&self.meta, polled))
+            .map(|polled| served_gradient(&self.binding, polled))
     }
 
     /// Best-effort cancellation: succeeds only while queued — including a
@@ -590,141 +638,32 @@ impl GatewayGradientHandle {
     }
 }
 
-/// Turn a resolved request into a [`ServedGradient`]: assemble it from the
-/// fetched arrays with the same output-scalar validation as
-/// [`GradientEngine::run`], or map the serving-layer error (execution
-/// errors surface as [`EngineError::Runtime`], like a blocking run's).
+/// Turn a resolved request into a [`ServedGradient`], assembled by the
+/// gradient's binding like a blocking run's, or map the serving-layer error
+/// (execution errors surface as [`EngineError::Runtime`], like a blocking
+/// run's).
 fn served_gradient(
-    meta: &GradientServeMeta,
+    binding: &Binding,
     outcome: Result<ServeResponse, ServeError>,
 ) -> Result<ServedGradient, EngineError> {
-    let ServeResponse {
-        mut outputs,
-        report,
-        latency,
-        batched_with,
-    } = match outcome {
+    let mut response = match outcome {
         Ok(response) => response,
         Err(ServeError::Execution(e)) => return Err(EngineError::Runtime(e)),
         Err(other) => return Err(EngineError::Serve(other)),
     };
-    let out = outputs
-        .get(&meta.output)
-        .ok_or_else(|| EngineError::MissingOutput(meta.output.clone()))?;
-    if out.len() != 1 {
-        return Err(EngineError::NonScalarOutput {
-            name: meta.output.clone(),
-            shape: out.shape().to_vec(),
-        });
-    }
-    let output_value = out.data()[0];
-    let mut gradients = BTreeMap::new();
-    for (input, gname) in &meta.gradients {
-        if let Some(g) = outputs.remove(gname) {
-            gradients.insert(input.clone(), g);
-        }
-    }
     Ok(ServedGradient {
-        result: GradientResult {
-            gradients,
-            output_value,
-            report,
-        },
-        latency,
-        batched_with,
+        result: binding.assemble(&mut response.outputs, response.report)?,
+        latency: response.latency,
+        batched_with: response.batched_with,
     })
 }
 
-/// Bind `inputs` into a session by copy into its resident buffers,
-/// validating names against the SDFG's containers: unknown names are typed
-/// errors, transients are skipped (the program computes them itself).
-/// `override_binding` substitutes one tensor by name (the FD hot path —
-/// every tensor must still be rebound per run because the program may
-/// mutate its inputs in place).
-fn bind_inputs(
-    sdfg: &Sdfg,
-    session: &mut Session,
-    inputs: &HashMap<String, Tensor>,
-    override_binding: Option<(&str, &Tensor)>,
-) -> Result<(), EngineError> {
-    session.clear_bindings();
-    for (name, tensor) in inputs {
-        let tensor = match override_binding {
-            Some((oname, otensor)) if oname == name => otensor,
-            _ => tensor,
-        };
-        match sdfg.arrays.get(name) {
-            None => return Err(EngineError::UnknownInput(name.clone())),
-            Some(desc) if desc.transient => {}
-            Some(_) => session.copy_input(name, tensor)?,
-        }
-    }
-    Ok(())
-}
-
-/// One blocking gradient evaluation on `session`: bind, run, read the
-/// output and lend the gradients out of the slab — the body of
-/// [`GradientEngine::run`] and of every [`GradientEngine::run_batch`] item.
-fn run_gradient(
-    plan: &BackwardPlan,
-    session: &mut Session,
-    inputs: &HashMap<String, Tensor>,
-) -> Result<GradientResult, EngineError> {
-    bind_inputs(&plan.sdfg, session, inputs, None)?;
-    let report = session.run()?;
-    let output_value = read_scalar_output(session, &plan.output)?;
-    let mut gradients = BTreeMap::new();
-    for input in &plan.inputs {
-        if let Some(gname) = plan.gradients.get(input) {
-            if let Some(g) = session.take_array(gname) {
-                gradients.insert(input.clone(), g);
-            }
-        }
-    }
-    Ok(GradientResult {
-        gradients,
-        output_value,
-        report,
-    })
-}
-
-/// Read the scalar value of the dependent output from a finished session.
-fn read_scalar_output(session: &Session, name: &str) -> Result<f64, EngineError> {
-    let t = session
-        .array(name)
-        .ok_or_else(|| EngineError::MissingOutput(name.to_string()))?;
-    if t.len() != 1 {
-        return Err(EngineError::NonScalarOutput {
-            name: name.to_string(),
-            shape: t.shape().to_vec(),
-        });
-    }
-    Ok(t.data()[0])
-}
-
-/// Run only the forward SDFG and return the scalar value of `output`.
-///
-/// Compiles through the process-wide plan cache, so repeated calls with the
-/// same SDFG and symbols lower it once; callers that loop should prefer
-/// [`GradientEngine::run_forward`], which also reuses its tensor slab.
-pub fn run_forward_scalar(
-    forward: &Sdfg,
-    output: &str,
-    symbols: &HashMap<String, i64>,
-    inputs: &HashMap<String, Tensor>,
-) -> Result<f64, EngineError> {
-    let mut session = compile(forward, symbols)?.session();
-    bind_inputs(forward, &mut session, inputs, None)?;
-    session.run()?;
-    read_scalar_output(&session, output)
-}
-
-/// Central finite-difference gradient of `output` w.r.t. `input`, used to
-/// validate the AD engine on small problem sizes.
+/// Central finite-difference gradient of `output` w.r.t. `input`, the
+/// oracle the AD engine is validated against on small problem sizes.  It
+/// runs the forward program alone, so it does not depend on AD succeeding.
 ///
 /// The forward SDFG is compiled **once** (through the plan cache) and a
-/// single session's tensor slab is reused for all `2 × len` evaluations; the
-/// old implementation re-lowered the SDFG for every perturbation.
+/// single session's tensor slab is reused for all `2 × len` evaluations.
 pub fn finite_difference_gradient(
     forward: &Sdfg,
     output: &str,
@@ -735,31 +674,23 @@ pub fn finite_difference_gradient(
 ) -> Result<Tensor, EngineError> {
     let base = inputs
         .get(input)
-        .cloned()
         .ok_or_else(|| EngineError::UnknownInput(input.to_string()))?;
-    let mut session = compile(forward, symbols)?.session();
-    central_difference(&base, epsilon, |perturbed| {
-        bind_inputs(forward, &mut session, inputs, Some((input, perturbed)))?;
-        session.run()?;
-        read_scalar_output(&session, output)
-    })
-}
-
-/// Central-difference sweep shared by [`GradientEngine::finite_difference`]
-/// and [`finite_difference_gradient`]: perturb one element at a time in a
-/// single reused tensor and evaluate the forward program through `eval`.
-fn central_difference<F>(base: &Tensor, epsilon: f64, mut eval: F) -> Result<Tensor, EngineError>
-where
-    F: FnMut(&Tensor) -> Result<f64, EngineError>,
-{
+    let (binding, mut session) = Binding::forward(forward, output, symbols)?;
+    let mut perturbed = inputs.clone();
     let mut grad = Tensor::zeros(base.shape());
-    let mut perturbed = base.clone();
     for flat in 0..base.len() {
-        perturbed.data_mut()[flat] = base.data()[flat] + epsilon;
-        let fp = eval(&perturbed)?;
-        perturbed.data_mut()[flat] = base.data()[flat] - epsilon;
-        let fm = eval(&perturbed)?;
-        perturbed.data_mut()[flat] = base.data()[flat];
+        let set = |perturbed: &mut HashMap<String, Tensor>, value: f64| {
+            perturbed
+                .get_mut(input)
+                .expect("a copy of `inputs`")
+                .data_mut()[flat] = value;
+        };
+        let x = base.data()[flat];
+        set(&mut perturbed, x + epsilon);
+        let fp = binding.run(&mut session, &perturbed)?.output_value;
+        set(&mut perturbed, x - epsilon);
+        let fm = binding.run(&mut session, &perturbed)?.output_value;
+        set(&mut perturbed, x);
         grad.data_mut()[flat] = (fp - fm) / (2.0 * epsilon);
     }
     Ok(grad)
@@ -962,7 +893,9 @@ mod tests {
                 accumulate
             );
             for input in wrt {
-                let fd = engine.finite_difference(input, &inputs, 1e-5).unwrap();
+                let fd =
+                    finite_difference_gradient(&fwd, "OUT", input, &symbols(&[]), &inputs, 1e-5)
+                        .unwrap();
                 let ad = &result.gradients[input];
                 for (a, b) in ad.data().iter().zip(fd.data()) {
                     assert!(
@@ -1149,7 +1082,7 @@ mod tests {
             ("X".to_string(), uniform(&[64], 8)),
         ]);
         let run = |strategy: CheckpointStrategy| {
-            let options = AdOptions::builder().strategy(strategy).build();
+            let options = AdOptions { strategy };
             let mut engine =
                 GradientEngine::new(&fwd, "OUT", &["A", "X"], &syms, &options).unwrap();
             let result = engine.run(&inputs).unwrap();
@@ -1271,9 +1204,9 @@ mod tests {
             "OUT",
             &["C", "D"],
             &syms,
-            &AdOptions::builder()
-                .strategy(CheckpointStrategy::RecomputeAll)
-                .build(),
+            &AdOptions {
+                strategy: CheckpointStrategy::RecomputeAll,
+            },
         )
         .unwrap();
         let rec_res = recompute.run(&inputs).unwrap();
@@ -1312,8 +1245,12 @@ mod tests {
             Err(EngineError::UnknownInput(name)) => assert_eq!(name, "Xtypo"),
             other => panic!("expected UnknownInput, got {other:?}"),
         }
-        // The free helpers validate the same way.
-        match run_forward_scalar(&fwd, "OUT", &syms, &inputs) {
+        // The forward run and the oracle validate the same way.
+        match engine.run_forward(&inputs) {
+            Err(EngineError::UnknownInput(name)) => assert_eq!(name, "Xtypo"),
+            other => panic!("expected UnknownInput, got {other:?}"),
+        }
+        match finite_difference_gradient(&fwd, "OUT", "X", &syms, &inputs, 1e-6) {
             Err(EngineError::UnknownInput(name)) => assert_eq!(name, "Xtypo"),
             other => panic!("expected UnknownInput, got {other:?}"),
         }
@@ -1333,7 +1270,7 @@ mod tests {
         let mut inputs = HashMap::new();
         inputs.insert("X".to_string(), uniform(&[4], 1));
         // Y exists but is a length-4 vector, not a scalar output.
-        match run_forward_scalar(&fwd, "Y", &syms, &inputs) {
+        match finite_difference_gradient(&fwd, "Y", "X", &syms, &inputs, 1e-6) {
             Err(EngineError::NonScalarOutput { name, shape }) => {
                 assert_eq!(name, "Y");
                 assert_eq!(shape, vec![4]);
@@ -1341,33 +1278,119 @@ mod tests {
             other => panic!("expected NonScalarOutput, got {other:?}"),
         }
         // NOPE is not an array at all.
-        match run_forward_scalar(&fwd, "NOPE", &syms, &inputs) {
+        match finite_difference_gradient(&fwd, "NOPE", "X", &syms, &inputs, 1e-6) {
             Err(EngineError::MissingOutput(name)) => assert_eq!(name, "NOPE"),
             other => panic!("expected MissingOutput, got {other:?}"),
         }
     }
 
-    #[test]
-    fn engine_fd_uses_one_forward_lowering() {
-        let mut b = ProgramBuilder::new("fdcached");
+    /// `OUT = sum(X * X)` through the transient `T`, at `X = [1, 2, 3]`.
+    fn squares() -> (Sdfg, HashMap<String, Tensor>) {
+        let mut b = ProgramBuilder::new("squares");
         let n = b.symbol("N");
         b.add_input("X", vec![n.clone()]).unwrap();
         b.add_transient("T", vec![n.clone()]).unwrap();
         b.add_scalar("OUT").unwrap();
-        b.assign("T", ArrayExpr::a("X").sin());
+        b.assign("T", ArrayExpr::a("X").mul(ArrayExpr::a("X")));
         b.sum_into("OUT", "T", false);
-        let fwd = b.build().unwrap();
-        let syms = symbols(&[("N", 6)]);
-        let mut inputs = HashMap::new();
-        inputs.insert("X".to_string(), uniform(&[6], 3));
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+        (b.build().unwrap(), HashMap::from([("X".to_string(), x)]))
+    }
+
+    /// `inputs` plus `name` at the shape the gradient program gives it,
+    /// filled with 100.
+    fn with_extra(
+        engine: &GradientEngine,
+        inputs: &HashMap<String, Tensor>,
+        name: &str,
+    ) -> HashMap<String, Tensor> {
+        let mut session = engine.gradient_program().session();
+        for (input, tensor) in inputs {
+            session.set_input(input, tensor.clone()).unwrap();
+        }
+        session.run().unwrap();
+        let shape = session.array(name).unwrap().shape();
+        let mut extra = inputs.clone();
+        extra.insert(name.to_string(), Tensor::zeros(shape).add_scalar(100.0));
+        extra
+    }
+
+    /// The adjoint's own containers are not inputs of a gradient run: a
+    /// requested input's gradient and every tape or flag container are
+    /// rejected by `run`, by `run_batch` and at submit on the private and
+    /// on a shared gateway.  A forward transient is still skipped.
+    #[test]
+    fn adjoint_containers_are_not_inputs() {
+        let shared = Arc::new(Gateway::new(GatewayOptions::default()));
+        let (sq, sq_inputs) = squares();
+        let (chain, chain_syms, chain_inputs) = loopchain();
+        let cases = [
+            (sq, symbols(&[("N", 3)]), sq_inputs, "X"),
+            (chain, chain_syms, chain_inputs, "A"),
+        ];
+        for (fwd, syms, inputs, wrt) in cases {
+            let mut engine =
+                GradientEngine::new(&fwd, "OUT", &[wrt], &syms, &AdOptions::default()).unwrap();
+            let server = engine.serve();
+            let client = engine
+                .register_with(&shared, &fwd.name, TenantConfig::default())
+                .unwrap();
+            let plan = engine.plan().clone();
+            let adjoint = std::iter::once(&plan.gradients[wrt]).chain(&plan.stored);
+            let mut rejected = 0;
+            for name in adjoint {
+                let bad = with_extra(&engine, &inputs, name);
+                let outcomes = [
+                    ("run", engine.run(&bad).err()),
+                    (
+                        "run_batch",
+                        engine.run_batch(&[inputs.clone(), bad.clone()]).err(),
+                    ),
+                    ("serve", server.submit(&bad).err()),
+                    ("shared", client.submit(&bad).err()),
+                ];
+                for (path, outcome) in outcomes {
+                    match outcome {
+                        Some(EngineError::UnknownInput(n)) if &n == name => rejected += 1,
+                        other => panic!("{}: {path} bound `{name}`: {other:?}", fwd.name),
+                    }
+                }
+            }
+            assert_eq!(rejected, 4 * (1 + plan.stored.len()), "{}", fwd.name);
+            assert_eq!(
+                plan.stored.is_empty(),
+                wrt == "X",
+                "only the loop has tapes"
+            );
+        }
+
+        // A forward transient is accepted and skipped on every path.
+        let (fwd, inputs) = squares();
+        let syms = symbols(&[("N", 3)]);
         let mut engine =
             GradientEngine::new(&fwd, "OUT", &["X"], &syms, &AdOptions::default()).unwrap();
-        assert!(engine.forward_program().is_none());
-        let fd = engine.finite_difference("X", &inputs, 1e-6).unwrap();
-        let ad = engine.run(&inputs).unwrap();
-        assert!(dace_tensor::allclose(&ad.gradients["X"], &fd, 1e-4, 1e-7));
-        // The 12 forward evaluations of the sweep share one lowered plan.
-        let stats = engine.forward_program().unwrap().cache_stats();
-        assert_eq!(stats.misses, 1, "FD sweep must lower the forward SDFG once");
+        let with_t = with_extra(&engine, &inputs, "T");
+        let client = engine
+            .register_with(&shared, "squares_t", TenantConfig::default())
+            .unwrap();
+        let served = [
+            engine
+                .serve()
+                .submit(&with_t)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .result,
+            client.submit(&with_t).unwrap().wait().unwrap().result,
+        ];
+        let batch = engine
+            .run_batch(std::slice::from_ref(&with_t))
+            .unwrap()
+            .items;
+        let ran = engine.run(&with_t).unwrap();
+        for result in served.iter().chain(&batch).chain([&ran]) {
+            assert_eq!(result.gradients["X"].data(), &[2.0, 4.0, 6.0]);
+            assert_eq!(result.output_value, 14.0);
+        }
     }
 }

@@ -38,16 +38,18 @@
 //!
 //! [`GradientEngine`] follows the runtime's compile-once/run-many model:
 //! `new` lowers the gradient SDFG exactly once (through the process-wide
-//! plan cache), and `run`, `run_batch`, `run_forward` and
-//! `finite_difference` all execute cached programs on persistent sessions.
-//! Batched serving ([`GradientEngine::run_batch`]) fans independent input
-//! sets across the worker pool over the *same* compiled gradient program,
-//! with results bit-identical to a serial loop of `run` calls.  Dynamic
-//! serving goes through the runtime's one serving core, the [`Gateway`]:
-//! [`GradientEngine::serve`] starts an engine-private gateway whose only
-//! tenant is the gradient program, [`GradientEngine::register_with`] joins
-//! a shared multi-tenant one, and either way requests are submitted
-//! individually through a [`GatewayGradientClient`].
+//! plan cache), and `run`, `run_batch` and `run_forward` all execute
+//! cached programs on persistent sessions;
+//! [`engine::finite_difference_gradient`] is the oracle the gradients are
+//! checked against.  Batched serving ([`GradientEngine::run_batch`]) fans
+//! independent input sets across the worker pool over the *same* compiled
+//! gradient program, with results bit-identical to a serial loop of `run`
+//! calls.  Dynamic serving goes through the runtime's one serving core,
+//! the [`Gateway`]: [`GradientEngine::serve`] starts an engine-private
+//! gateway whose only tenant is the gradient program,
+//! [`GradientEngine::register_with`] joins a shared multi-tenant one, and
+//! either way requests are submitted individually through a
+//! [`GatewayGradientClient`].
 //!
 //! ```
 //! use std::collections::HashMap;
@@ -127,14 +129,14 @@ pub enum CheckpointStrategy {
 
 /// Options controlling backward-pass generation.
 ///
-/// Construct with [`AdOptions::default`] (store-all), a struct literal, or
-/// the fluent [`AdOptions::builder`]:
+/// Construct with [`AdOptions::default`] (store-all),
+/// [`AdOptions::with_memory_limit`] or a struct literal:
 ///
 /// ```
 /// use dace_ad::{AdOptions, CheckpointStrategy};
-/// let opts = AdOptions::builder()
-///     .strategy(CheckpointStrategy::RecomputeAll)
-///     .build();
+/// let opts = AdOptions {
+///     strategy: CheckpointStrategy::RecomputeAll,
+/// };
 /// assert_eq!(opts.strategy, CheckpointStrategy::RecomputeAll);
 /// ```
 #[derive(Clone, Debug)]
@@ -152,37 +154,11 @@ impl Default for AdOptions {
 }
 
 impl AdOptions {
-    /// Start building options from the defaults.
-    pub fn builder() -> AdOptionsBuilder {
-        AdOptionsBuilder {
-            options: AdOptions::default(),
-        }
-    }
-
-    /// Builder-style convenience for an ILP strategy under a byte limit.
+    /// An ILP strategy under a byte limit.
     pub fn with_memory_limit(memory_limit_bytes: usize) -> AdOptions {
         AdOptions {
             strategy: CheckpointStrategy::Ilp { memory_limit_bytes },
         }
-    }
-}
-
-/// Fluent builder for [`AdOptions`] (see [`AdOptions::builder`]).
-#[derive(Clone, Debug)]
-pub struct AdOptionsBuilder {
-    options: AdOptions,
-}
-
-impl AdOptionsBuilder {
-    /// Set the store/recompute strategy.
-    pub fn strategy(mut self, strategy: CheckpointStrategy) -> Self {
-        self.options.strategy = strategy;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> AdOptions {
-        self.options
     }
 }
 
@@ -196,15 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_strategy() {
-        let opts = AdOptions::builder()
-            .strategy(CheckpointStrategy::RecomputeAll)
-            .build();
-        assert_eq!(opts.strategy, CheckpointStrategy::RecomputeAll);
-        assert_eq!(
-            AdOptions::builder().build().strategy,
-            CheckpointStrategy::StoreAll
-        );
+    fn with_memory_limit_sets_an_ilp_strategy() {
         assert_eq!(
             AdOptions::with_memory_limit(1024).strategy,
             CheckpointStrategy::Ilp {

@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 
 use dace_sdfg::{
-    ArrayDesc, BranchRegion, CondExpr, ControlFlow, DType, DataflowGraph, LibraryOp, LoopRegion,
-    MapScope, Memlet, ScalarExpr, Sdfg, SdfgError, Severity, State, SymExpr, Tasklet,
+    ArrayDesc, BranchRegion, CondExpr, ControlFlow, DataflowGraph, LibraryOp, LoopRegion, MapScope,
+    Memlet, ScalarExpr, Sdfg, SdfgError, Severity, State, SymExpr, Tasklet,
 };
 
 use crate::expr::{ArrayExpr, ElemExpr};
@@ -44,18 +44,6 @@ impl ProgramBuilder {
     /// Declare a non-transient (input/output) array.
     pub fn add_input(&mut self, name: &str, shape: Vec<SymExpr>) -> Result<(), SdfgError> {
         self.sdfg.add_array(name, ArrayDesc::input(shape))
-    }
-
-    /// Declare a non-transient array with an explicit element type.
-    pub fn add_input_typed(
-        &mut self,
-        name: &str,
-        shape: Vec<SymExpr>,
-        dtype: DType,
-    ) -> Result<(), SdfgError> {
-        let mut desc = ArrayDesc::input(shape);
-        desc.dtype = dtype;
-        self.sdfg.add_array(name, desc)
     }
 
     /// Declare a transient array.
@@ -189,20 +177,8 @@ impl ProgramBuilder {
         dst_idx: Vec<SymExpr>,
         expr: ElemExpr,
     ) {
-        let graph = self.lower_map(dst, params, dst_idx, &expr, false);
+        let graph = self.lower_map(dst, params, dst_idx, &expr);
         self.push_state(&format!("map_{dst}"), graph);
-    }
-
-    /// A parallel map `for params in ranges: dst[dst_idx] += expr`.
-    pub fn map_accumulate(
-        &mut self,
-        dst: &str,
-        params: &[(&str, SymExpr, SymExpr)],
-        dst_idx: Vec<SymExpr>,
-        expr: ElemExpr,
-    ) {
-        let graph = self.lower_map(dst, params, dst_idx, &expr, true);
-        self.push_state(&format!("mapacc_{dst}"), graph);
     }
 
     // ----- control flow -------------------------------------------------------
@@ -338,9 +314,8 @@ impl ProgramBuilder {
         params: &[(&str, SymExpr, SymExpr)],
         dst_idx: Vec<SymExpr>,
         expr: &ElemExpr,
-        accumulate: bool,
     ) -> DataflowGraph {
-        let body = lower_elem_tasklet(dst, &dst_idx, expr, accumulate);
+        let body = lower_elem_tasklet(dst, &dst_idx, expr, false);
         let mut g = DataflowGraph::new();
         let mut srcs = Vec::new();
         for (array, _) in expr.element_reads() {
@@ -361,12 +336,7 @@ impl ProgramBuilder {
         for (array, node) in srcs {
             g.add_edge(node, None, map, None, Memlet::all(array));
         }
-        let memlet = if accumulate {
-            Memlet::all(dst).with_wcr_sum()
-        } else {
-            Memlet::all(dst)
-        };
-        g.add_edge(map, None, dst_out, None, memlet);
+        g.add_edge(map, None, dst_out, None, Memlet::all(dst));
         g
     }
 }

@@ -99,16 +99,6 @@ impl Context {
         self.tape.borrow().nodes.len()
     }
 
-    /// Total bytes held alive by the tape (the store-all footprint).
-    pub fn tape_bytes(&self) -> usize {
-        self.tape
-            .borrow()
-            .nodes
-            .iter()
-            .map(|n| n.value.size_bytes())
-            .sum()
-    }
-
     /// Number of full-array materialisations recorded.
     pub fn materializations(&self) -> usize {
         self.tape.borrow().materializations

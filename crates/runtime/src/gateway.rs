@@ -40,11 +40,11 @@
 //!   closes it, failure re-opens it.  Plain execution errors (bad shapes,
 //!   unknown arrays) are data-dependent: they fail the request but never
 //!   trip the breaker and are never retried.
-//! * **Graceful reload** — [`Gateway::reload`] swaps a tenant's program
-//!   for a recompiled one: requests already dispatched drain against the
-//!   old plan (the call blocks until they have), requests still queued and
-//!   all new admissions run on the new one.  No handle is lost or torn
-//!   between plans.
+//! * **Graceful reload** — [`Gateway::reload`] swaps a tenant's driver
+//!   for one over a recompiled program: requests already dispatched drain
+//!   against the old plan (the call blocks until they have), requests
+//!   still queued and all new admissions run on the new one.  No handle is
+//!   lost or torn between plans.
 //! * **Deterministic fault injection** — [`Gateway::inject_faults`] arms a
 //!   [`FaultPlan`] against a tenant's *dispatch sequence numbers*
 //!   (panic-on-Nth-dispatch, forced session-checkout failure, artificial
@@ -65,7 +65,7 @@
 //! ```
 //! use std::collections::HashMap;
 //! use dace_frontend::{ArrayExpr, ProgramBuilder};
-//! use dace_runtime::{compile, Gateway, GatewayOptions};
+//! use dace_runtime::{compile, BatchDriver, Gateway, GatewayOptions, TenantConfig};
 //! use dace_tensor::Tensor;
 //!
 //! let mut b = ProgramBuilder::new("double");
@@ -77,7 +77,9 @@
 //! let program = compile(&sdfg, &HashMap::from([("N".to_string(), 3)])).unwrap();
 //!
 //! let gateway = Gateway::new(GatewayOptions::default());
-//! gateway.register("double", program).unwrap();
+//! gateway
+//!     .register("double", BatchDriver::new(program), TenantConfig::default())
+//!     .unwrap();
 //! let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
 //! let handle = gateway
 //!     .submit("double", HashMap::from([("X".to_string(), x)]), &["Y"])
@@ -97,7 +99,6 @@ use dace_tensor::Tensor;
 
 use crate::batch::{run_item, BatchDriver, BatchError, BatchItemResult};
 use crate::error::RuntimeError;
-use crate::program::CompiledProgram;
 use crate::serve::{LatencyWindow, ServeError, ServeResponse};
 
 /// Floor for every `retry_after_hint` handed to clients, so a rejection
@@ -155,7 +156,7 @@ impl Default for GatewayOptions {
     }
 }
 
-/// Per-tenant registration knobs for [`Gateway::register_with`].
+/// Per-tenant registration knobs for [`Gateway::register`].
 #[derive(Clone, Debug)]
 pub struct TenantConfig {
     /// WDRR weight (clamped to >= 1): under contention a weight-`w` tenant
@@ -798,8 +799,9 @@ fn retry_backoff(base: Duration, attempt: u32) -> Duration {
 /// Multi-tenant serving gateway: bounded admission, WDRR scheduling,
 /// retries, circuit breaking, graceful reload (see the module docs).
 ///
-/// Construct with [`Gateway::new`], [`Gateway::register`] one or more
-/// compiled programs, then [`Gateway::submit`] from any number of threads.
+/// Construct with [`Gateway::new`], [`Gateway::register`] a
+/// [`BatchDriver`] per compiled program, then [`Gateway::submit`] from any
+/// number of threads.
 /// Dropping the gateway drains every queue (no handle is stranded) and
 /// stops the dispatcher.
 pub struct Gateway {
@@ -857,25 +859,9 @@ impl Gateway {
         self.shared.opts.clone()
     }
 
-    /// Register `program` as tenant `name` with default [`TenantConfig`].
-    pub fn register(&self, name: &str, program: CompiledProgram) -> Result<(), GatewayError> {
-        self.register_driver(name, BatchDriver::new(program), TenantConfig::default())
-    }
-
-    /// Register with explicit per-tenant weight / queue bound.
-    pub fn register_with(
-        &self,
-        name: &str,
-        program: CompiledProgram,
-        config: TenantConfig,
-    ) -> Result<(), GatewayError> {
-        self.register_driver(name, BatchDriver::new(program), config)
-    }
-
-    /// Register over a pre-configured [`BatchDriver`] (session pool, free
-    /// hints) — the general form the AD engine uses to bring its
-    /// recomputation hints along.
-    pub fn register_driver(
+    /// Register `driver` (its compiled program, session pool and free
+    /// hints) as tenant `name` with the given weight / queue bound.
+    pub fn register(
         &self,
         name: &str,
         driver: BatchDriver,
@@ -1013,17 +999,13 @@ impl Gateway {
         Ok(handle)
     }
 
-    /// Hot-swap `tenant`'s program for a recompiled one, gracefully:
-    /// requests already dispatched **drain against the old plan** (this
-    /// call blocks until they have), requests still queued and all new
-    /// admissions run on the new one.  No handle is lost: every request
-    /// resolves exactly once, on whichever plan it was dispatched to.
-    pub fn reload(&self, tenant: &str, program: CompiledProgram) -> Result<(), GatewayError> {
-        self.reload_driver(tenant, BatchDriver::new(program))
-    }
-
-    /// [`Gateway::reload`] over a pre-configured [`BatchDriver`].
-    pub fn reload_driver(&self, tenant: &str, driver: BatchDriver) -> Result<(), GatewayError> {
+    /// Hot-swap `tenant`'s driver for one over a recompiled program,
+    /// gracefully: requests already dispatched **drain against the old
+    /// plan** (this call blocks until they have), requests still queued and
+    /// all new admissions run on the new one.  No handle is lost: every
+    /// request resolves exactly once, on whichever plan it was dispatched
+    /// to.
+    pub fn reload(&self, tenant: &str, driver: BatchDriver) -> Result<(), GatewayError> {
         let mut state = self.shared.lock_state();
         if state.shutdown {
             return Err(GatewayError::ShuttingDown);

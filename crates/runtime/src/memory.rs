@@ -61,11 +61,6 @@ impl MemoryTracker {
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
-
-    /// Live containers and their sizes.
-    pub fn live_containers(&self) -> &BTreeMap<String, usize> {
-        &self.live
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! use std::collections::HashMap;
 //! use std::time::Duration;
 //! use dace_frontend::{ArrayExpr, ProgramBuilder};
-//! use dace_runtime::{compile, Gateway, GatewayOptions, ServeError, SubmitOptions};
+//! use dace_runtime::{
+//!     compile, BatchDriver, Gateway, GatewayOptions, ServeError, SubmitOptions, TenantConfig,
+//! };
 //! use dace_tensor::Tensor;
 //!
 //! // Y = 2 * X, as a tiny SDFG served by a one-tenant gateway.
@@ -23,7 +25,9 @@
 //! let sdfg = b.build().unwrap();
 //! let program = compile(&sdfg, &HashMap::from([("N".to_string(), 3)])).unwrap();
 //! let gateway = Gateway::new(GatewayOptions::default());
-//! gateway.register("double", program).unwrap();
+//! gateway
+//!     .register("double", BatchDriver::new(program), TenantConfig::default())
+//!     .unwrap();
 //!
 //! let x = || HashMap::from([("X".to_string(), Tensor::from_vec(vec![1.0; 3], &[3]).unwrap())]);
 //! let response = gateway.submit("double", x(), &["Y"]).unwrap().wait().unwrap();

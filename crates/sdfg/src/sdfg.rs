@@ -378,15 +378,6 @@ impl Sdfg {
             .ok_or_else(|| SdfgError::UnknownArray(name.to_string()))
     }
 
-    /// Names of non-transient arrays (program inputs/outputs).
-    pub fn non_transient_arrays(&self) -> Vec<String> {
-        self.arrays
-            .iter()
-            .filter(|(_, d)| !d.transient)
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
     /// Generate a fresh array name based on `base` that does not collide with
     /// existing containers.
     pub fn fresh_name(&self, base: &str) -> String {

@@ -36,14 +36,6 @@ pub fn row_major_strides(shape: &[usize]) -> Vec<usize> {
     strides
 }
 
-/// Number of elements implied by a shape (empty shape = scalar = 1 element).
-pub fn shape_volume(shape: &[usize]) -> usize {
-    shape
-        .iter()
-        .product::<usize>()
-        .max(if shape.is_empty() { 1 } else { 0 })
-}
-
 impl Tensor {
     /// Create a tensor filled with zeros.
     pub fn zeros(shape: &[usize]) -> Self {
@@ -210,24 +202,6 @@ impl Tensor {
     pub fn at_mut(&mut self, index: &[usize]) -> TensorResult<&mut f64> {
         let off = self.offset(index)?;
         Ok(&mut self.data[off])
-    }
-
-    /// Read a single element without bounds checks beyond debug assertions.
-    ///
-    /// The SDFG runtime performs its bound analysis symbolically (at the
-    /// memlet level), mirroring the paper's point that DaCe-generated loops
-    /// carry no per-iteration bound checks.
-    #[inline]
-    pub fn get_unchecked(&self, flat: usize) -> f64 {
-        debug_assert!(flat < self.data.len());
-        self.data[flat]
-    }
-
-    /// Write a single element by flat offset.
-    #[inline]
-    pub fn set_unchecked(&mut self, flat: usize, value: f64) {
-        debug_assert!(flat < self.data.len());
-        self.data[flat] = value;
     }
 
     /// Return the scalar value of a rank-0 or single-element tensor.

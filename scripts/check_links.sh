@@ -16,7 +16,12 @@
 #    entry of the root Cargo.toml), with the same exemptions;
 #  * every `tests/FILE.rs::NAME` in a *.md file (same exemptions) or in a
 #    `//!` / `///` comment outside perfbench/ names a file that defines
-#    `fn NAME`.
+#    `fn NAME`;
+#  * every code span that opens with `Type::member` (a capitalised type, a
+#    lower-case member) in a *.md file, same exemptions, names a member
+#    that exists: some `fn member` or field `member:` under crates/ or src/
+#    (by name only, whatever the type), so a doc that still cites a
+#    deleted method fails.
 # Exits non-zero listing every miss.  Plain grep/sed, no dependencies — run
 # from the repo root.
 set -u
@@ -93,7 +98,17 @@ check_test_citations() { # <reported-file> <text>
     done
 }
 
-# Cargo targets, packages and tests named by the documentation.
+# Member names defined under crates/ and src/: every `fn NAME` and every
+# `NAME:` that is not a path (`NAME::`), i.e. a field in a declaration or a
+# literal.
+defined=$(for f in $sources; do
+    case "$f" in
+    crates/* | src/*) printf '%s\n' "$f" ;;
+    esac
+done | xargs grep -hoE '(fn [a-z_][a-z0-9_]*|\b[a-z_][a-z0-9_]*:([^:]|$))' |
+    sed -E 's/^fn //; s/:.*$//' | sort -u)
+
+# Cargo targets, packages, tests and members named by the documentation.
 for f in $files; do
     case "$f" in
     perfbench/* | CHANGES.md | ROADMAP.md | ISSUE.md) continue ;;
@@ -118,6 +133,12 @@ for f in $files; do
         fi
     done
     check_test_citations "$f" "$(cat "$f")"
+    for cite in $(grep -oE '`[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*' "$f" | tr -d '`' | sort -u); do
+        if ! printf '%s\n' "$defined" | grep -qxF -- "${cite#*::}"; then
+            echo "$f: \`$cite\` names no fn or field under crates/ or src/"
+            fail=1
+        fi
+    done
 done
 
 for f in $sources; do

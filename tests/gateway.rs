@@ -1,7 +1,7 @@
 //! Multi-tenant gateway: WDRR fairness, backpressure, retries, circuit
 //! breaking, graceful reload, fault injection, shutdown-under-load and the
 //! exactly-once handle contract of `Gateway` /
-//! `GradientEngine::register_with`.
+//! `GradientEngine::register_with` / `GradientEngine::serve`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,6 +74,13 @@ fn reference(program: &CompiledProgram, i: usize) -> Tensor {
     session.array("Y").unwrap().clone()
 }
 
+/// Register `program` as tenant `name` with the default config.
+fn register(gateway: &Gateway, name: &str, program: CompiledProgram) {
+    gateway
+        .register(name, BatchDriver::new(program), TenantConfig::default())
+        .unwrap();
+}
+
 fn bits(t: &Tensor) -> Vec<u64> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
@@ -119,8 +126,8 @@ fn two_tenants_serve_bit_identical_results() {
         max_batch: 4,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", alpha.clone()).unwrap();
-    gateway.register("beta", beta.clone()).unwrap();
+    register(&gateway, "alpha", alpha.clone());
+    register(&gateway, "beta", beta.clone());
 
     let handles: Vec<(usize, &CompiledProgram, GatewayHandle)> = (0..12)
         .map(|i| {
@@ -155,7 +162,7 @@ fn two_tenants_serve_bit_identical_results() {
 #[test]
 fn a_lone_request_is_dispatched_at_once() {
     let gateway = Gateway::new(GatewayOptions::default());
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
     let mut latencies: Vec<Duration> = (0..41)
         .map(|i| {
             let handle = gateway.submit("alpha", item(i), &["Y"]).unwrap();
@@ -187,7 +194,7 @@ fn arrivals_during_a_dispatch_form_the_next_batch() {
         max_batch: MAX_BATCH,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", program.clone()).unwrap();
+    register(&gateway, "alpha", program.clone());
 
     for (backlog, expect) in [(3, vec![3; 3]), (MAX_BATCH + 3, vec![4, 4, 4, 4, 3, 3, 3])] {
         let held = plug(&gateway, backlog);
@@ -226,8 +233,8 @@ fn wdrr_small_tenant_is_not_starved_by_hot_tenant() {
         queue_capacity: 64,
         ..GatewayOptions::default()
     });
-    gateway.register("hot", alpha_program()).unwrap();
-    gateway.register("small", beta_program()).unwrap();
+    register(&gateway, "hot", alpha_program());
+    register(&gateway, "small", beta_program());
     // Make each dispatch take real time so scheduling order is observable.
     for t in ["hot", "small"] {
         gateway
@@ -276,16 +283,16 @@ fn wdrr_weight_skews_dispatch_share() {
         ..GatewayOptions::default()
     });
     gateway
-        .register_with(
+        .register(
             "heavy",
-            alpha_program(),
+            BatchDriver::new(alpha_program()),
             TenantConfig {
                 weight: 3,
                 queue_capacity: None,
             },
         )
         .unwrap();
-    gateway.register("light", beta_program()).unwrap();
+    register(&gateway, "light", beta_program());
     for t in ["heavy", "light"] {
         gateway
             .inject_faults(
@@ -331,7 +338,7 @@ fn overload_sheds_with_typed_hint() {
         queue_capacity: CAP,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
 
     let held = plug(&gateway, CAP);
     let queued: Vec<_> = (0..CAP)
@@ -375,7 +382,7 @@ fn cancelled_requests_release_queue_capacity() {
         queue_capacity: CAP,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
 
     // The dispatcher is busy with the plug, so the cancelled entries below
     // are still physically queued when capacity is checked.
@@ -433,7 +440,7 @@ fn panic_is_retried_for_idempotent_requests_only() {
         breaker_threshold: 10, // keep the breaker out of this test
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", program.clone()).unwrap();
+    register(&gateway, "alpha", program.clone());
     gateway
         .inject_faults(
             "alpha",
@@ -569,8 +576,8 @@ fn breaker_trips_sheds_and_recovers_via_probe() {
         breaker_cooldown: cooldown,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", program.clone()).unwrap();
-    gateway.register("beta", beta_program()).unwrap();
+    register(&gateway, "alpha", program.clone());
+    register(&gateway, "beta", beta_program());
     gateway
         .inject_faults(
             "alpha",
@@ -637,7 +644,7 @@ fn failed_probe_reopens_breaker() {
         breaker_cooldown: cooldown,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
     gateway
         .inject_faults(
             "alpha",
@@ -684,7 +691,7 @@ fn checkout_failure_is_typed_and_retryable() {
         breaker_threshold: 10,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", program.clone()).unwrap();
+    register(&gateway, "alpha", program.clone());
     gateway
         .inject_faults(
             "alpha",
@@ -733,7 +740,7 @@ fn cancel_succeeds_mid_retry_backoff() {
         breaker_threshold: 10,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
     gateway
         .inject_faults(
             "alpha",
@@ -775,7 +782,7 @@ fn deadline_expires_in_queue_on_time() {
         retry_backoff: Duration::from_secs(30), // far longer than the test
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
     gateway
         .inject_faults(
             "alpha",
@@ -825,7 +832,7 @@ fn reload_drains_old_plan_and_swaps() {
         max_batch: 4,
         ..GatewayOptions::default()
     });
-    gateway.register("alpha", v1.clone()).unwrap();
+    register(&gateway, "alpha", v1.clone());
     // Slow dispatches down so requests are genuinely in flight at reload.
     gateway
         .inject_faults(
@@ -847,7 +854,9 @@ fn reload_drains_old_plan_and_swaps() {
         |s| s.tenants["alpha"].in_flight > 0 && s.tenants["alpha"].queue_depth == 0,
         "the first wave to be dispatched",
     );
-    gateway.reload("alpha", v2.clone()).unwrap();
+    gateway
+        .reload("alpha", BatchDriver::new(v2.clone()))
+        .unwrap();
     // The drain guarantee: by the time reload returns, everything that was
     // in flight on the old plan has resolved.
     for (i, handle) in old_handles.into_iter().enumerate() {
@@ -880,7 +889,7 @@ fn reload_drains_old_plan_and_swaps() {
     assert!(gateway.stats().conserves());
     // Reloading an unknown tenant is a typed error.
     assert_eq!(
-        gateway.reload("nope", v2).unwrap_err(),
+        gateway.reload("nope", BatchDriver::new(v2)).unwrap_err(),
         GatewayError::UnknownTenant("nope".to_string())
     );
 }
@@ -897,7 +906,7 @@ fn concurrent_reloads_never_tear_results() {
         max_batch: 2,
         ..GatewayOptions::default()
     }));
-    gateway.register("alpha", v1.clone()).unwrap();
+    register(&gateway, "alpha", v1.clone());
 
     std::thread::scope(|scope| {
         let reloader = {
@@ -910,7 +919,7 @@ fn concurrent_reloads_never_tear_results() {
                     } else {
                         v1.clone()
                     };
-                    gateway.reload("alpha", next).unwrap();
+                    gateway.reload("alpha", BatchDriver::new(next)).unwrap();
                     std::thread::sleep(Duration::from_millis(2));
                 }
             })
@@ -952,8 +961,8 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
         breaker_threshold: 100,                   // keep admissions open under the fault storm
         ..GatewayOptions::default()
     }));
-    gateway.register("alpha", alpha_program()).unwrap();
-    gateway.register("beta", beta_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
+    register(&gateway, "beta", beta_program());
     // Panic storms on both tenants keep retries permanently in the air.
     for t in ["alpha", "beta"] {
         gateway
@@ -1046,13 +1055,19 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
 #[test]
 fn registry_errors_are_typed() {
     let gateway = Gateway::new(GatewayOptions::default());
-    gateway.register("alpha", alpha_program()).unwrap();
+    register(&gateway, "alpha", alpha_program());
     assert_eq!(
         gateway.submit("ghost", item(0), &["Y"]).unwrap_err(),
         GatewayError::UnknownTenant("ghost".to_string())
     );
     assert_eq!(
-        gateway.register("alpha", beta_program()).unwrap_err(),
+        gateway
+            .register(
+                "alpha",
+                BatchDriver::new(beta_program()),
+                TenantConfig::default()
+            )
+            .unwrap_err(),
         GatewayError::DuplicateTenant("alpha".to_string())
     );
     assert_eq!(
@@ -1063,11 +1078,19 @@ fn registry_errors_are_typed() {
     );
     gateway.shutdown();
     assert_eq!(
-        gateway.register("late", beta_program()).unwrap_err(),
+        gateway
+            .register(
+                "late",
+                BatchDriver::new(beta_program()),
+                TenantConfig::default()
+            )
+            .unwrap_err(),
         GatewayError::ShuttingDown
     );
     assert_eq!(
-        gateway.reload("alpha", beta_program()).unwrap_err(),
+        gateway
+            .reload("alpha", BatchDriver::new(beta_program()))
+            .unwrap_err(),
         GatewayError::ShuttingDown
     );
     // Submission to a *known* tenant after shutdown resolves through the
@@ -1082,69 +1105,34 @@ fn registry_errors_are_typed() {
     assert_eq!(stats.tenants["alpha"].rejected, 1);
 }
 
-/// Engine integration: gradients served through a shared gateway are
-/// bit-identical to blocking `GradientEngine::run`, submit-time validation
-/// matches, and per-tenant stats flow through the client.
+/// Engine integration: gradients served through a shared gateway joined
+/// with `GradientEngine::register_with` are bit-identical to blocking
+/// `GradientEngine::run`, submit-time validation matches, a duplicate
+/// tenant is a typed engine error, and per-tenant stats flow through the
+/// client (the engine's private gateway is covered in `tests/serve.rs`).
 #[test]
 fn engine_register_with_matches_blocking_run() {
-    let kernel = npbench::kernel_by_name("atax").unwrap();
-    let sizes = kernel.sizes(Preset::Test);
-    let inputs_list = npbench::runner::batch_inputs(kernel.as_ref(), &sizes, 4);
-    let sdfg = kernel.build_dace(&sizes);
-    let syms = kernel.symbols(&sizes);
-    let wrt = kernel.wrt();
-    let mut engine = GradientEngine::new(&sdfg, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
-    let blocking: Vec<_> = inputs_list.iter().map(|i| engine.run(i).unwrap()).collect();
-
+    let fixture = common::AtaxEngine::new();
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 4,
         ..GatewayOptions::default()
     }));
-    let client = engine
+    let client = fixture
+        .engine
         .register_with(&gateway, "atax", TenantConfig::default())
         .unwrap();
     assert_eq!(client.tenant(), "atax");
-
-    let handles: Vec<_> = inputs_list
-        .iter()
-        .map(|i| client.submit(i).unwrap())
-        .collect();
-    for (i, handle) in handles.into_iter().enumerate() {
-        assert!(
-            handle.wait_timeout(Duration::from_secs(30)).is_some(),
-            "gateway gradient handle lost"
-        );
-        let served = handle.wait().unwrap();
-        assert_eq!(
-            served.result.output_value.to_bits(),
-            blocking[i].output_value.to_bits()
-        );
-        for (name, expected) in &blocking[i].gradients {
-            assert_eq!(
-                bits(&served.result.gradients[name]),
-                bits(expected),
-                "gradient of {name} diverged for gateway item {i}"
-            );
-        }
-    }
-    // Validation fires synchronously at submit, exactly like `run`.
-    let mut typo = inputs_list[0].clone();
-    typo.insert("NOPE".to_string(), Tensor::zeros(&[2]));
-    match client.submit(&typo) {
-        Err(EngineError::UnknownInput(name)) => assert_eq!(name, "NOPE"),
-        other => panic!("expected UnknownInput, got {other:?}"),
-    }
     // Duplicate tenant registration surfaces as a typed engine error.
-    match engine.register_with(&gateway, "atax", TenantConfig::default()) {
+    match fixture
+        .engine
+        .register_with(&gateway, "atax", TenantConfig::default())
+    {
         Err(EngineError::Gateway(GatewayError::DuplicateTenant(name))) => {
             assert_eq!(name, "atax")
         }
         other => panic!("expected DuplicateTenant, got {other:?}"),
     }
-    let t = client.stats().expect("registered tenant has stats");
-    assert!(t.conserves());
-    assert_eq!(t.completed, 4);
-    assert_eq!(t.breaker, BreakerState::Closed);
+    fixture.assert_client_matches_blocking(&client);
 }
 
 /// The chaos storm over two NPBench gradient tenants: atax and jacobi2d on

@@ -152,13 +152,13 @@ fn fd_validation_lowers_forward_once() {
         "the FD sweep must lower the forward SDFG exactly once"
     );
 
-    // Engine-cached sweep agrees with the free function and with AD.
+    // The engine's forward runs reuse that lowering, and AD agrees with
+    // the sweep.
     let mut engine =
         GradientEngine::new(&fwd, "OUT", &["X"], &syms, &AdOptions::default()).unwrap();
-    let engine_fd = engine.finite_difference("X", &inputs, 1e-6).unwrap();
-    assert!(allclose(&fd, &engine_fd, 1e-10, 1e-12));
-    assert_eq!(engine.forward_program().unwrap().cache_stats().misses, 1);
     let ad = engine.run(&inputs).unwrap();
+    assert_eq!(engine.run_forward(&inputs).unwrap(), ad.output_value);
+    assert_eq!(compile(&fwd, &syms).unwrap().cache_stats().misses, 1);
     assert!(allclose(&ad.gradients["X"], &fd, 1e-4, 1e-7));
 }
 

@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use dace_ad_repro::prelude::*;
 use dace_tensor::Tensor;
-use npbench::Preset;
 
 mod common;
 
@@ -70,7 +69,9 @@ fn solo_gateway(program: CompiledProgram, max_batch: usize) -> Gateway {
         breaker_threshold: u32::MAX,
         ..GatewayOptions::default()
     });
-    gateway.register(TENANT, program).unwrap();
+    gateway
+        .register(TENANT, BatchDriver::new(program), TenantConfig::default())
+        .unwrap();
     gateway
 }
 
@@ -353,73 +354,20 @@ fn drop_drains_outstanding_requests() {
     }
 }
 
-/// Engine-level serving: handle-based gradient requests are bit-identical
-/// to `GradientEngine::run`, input validation fires at submit time, and a
-/// zero budget surfaces as a typed serve error.
+/// Engine-level serving through the engine's private gateway
+/// (`GradientEngine::serve`): the gateway is the single-program
+/// configuration, and served gradients, submit-time validation, the zero
+/// budget and the stats behave as `AtaxEngine::assert_client_matches_blocking`
+/// requires.
 #[test]
 fn engine_serve_matches_blocking_run() {
-    let kernel = npbench::kernel_by_name("atax").unwrap();
-    let sizes = kernel.sizes(Preset::Test);
-    let inputs_list = npbench::runner::batch_inputs(kernel.as_ref(), &sizes, 5);
-    let sdfg = kernel.build_dace(&sizes);
-    let syms = kernel.symbols(&sizes);
-    let wrt = kernel.wrt();
-    let mut engine = GradientEngine::new(&sdfg, "OUT", &wrt, &syms, &AdOptions::default()).unwrap();
-
-    let blocking: Vec<_> = inputs_list.iter().map(|i| engine.run(i).unwrap()).collect();
-    let server = engine.serve();
-    let handles: Vec<_> = inputs_list
-        .iter()
-        .map(|i| server.submit(i).unwrap())
-        .collect();
-    for (i, handle) in handles.into_iter().enumerate() {
-        let served = handle.wait().unwrap();
-        assert_eq!(
-            served.result.output_value.to_bits(),
-            blocking[i].output_value.to_bits()
-        );
-        assert_eq!(served.result.gradients.len(), blocking[i].gradients.len());
-        for (name, expected) in &blocking[i].gradients {
-            assert_eq!(
-                bits(&served.result.gradients[name]),
-                bits(expected),
-                "gradient of {name} diverged for served item {i}"
-            );
-        }
-        assert!(served.batched_with >= 1);
-    }
-    // The serial runs and every served request share one gradient lowering.
-    assert_eq!(engine.gradient_program().cache_stats().misses, 1);
-
-    // Validation fires synchronously at submit, exactly like `run`.
-    let mut typo = inputs_list[0].clone();
-    typo.insert("NOPE".to_string(), Tensor::zeros(&[2]));
-    match server.submit(&typo) {
-        Err(EngineError::UnknownInput(name)) => assert_eq!(name, "NOPE"),
-        other => panic!("expected UnknownInput, got {other:?}"),
-    }
-
-    // A zero latency budget is a typed serve rejection.
-    let budget = SubmitOptions {
-        deadline: Some(Duration::ZERO),
-        ..SubmitOptions::default()
-    };
-    let handle = server.submit_with(&inputs_list[0], budget).unwrap();
-    match handle.wait() {
-        Err(EngineError::Serve(ServeError::DeadlineExceeded { .. })) => {}
-        other => panic!("expected Serve(DeadlineExceeded), got {other:?}"),
-    }
-
-    // Serving statistics are visible through the engine's client, and the
-    // private gateway is the single-program configuration.
-    let stats = server.stats().expect("the engine's tenant is registered");
-    assert!(stats.conserves());
-    assert_eq!(stats.completed, 5);
-    assert_eq!(stats.expired, 1);
+    let mut fixture = common::AtaxEngine::new();
+    let server = fixture.engine.serve();
     let options = server.gateway().options();
     assert_eq!(options.queue_capacity, usize::MAX);
     assert_eq!(options.retry_budget, 0);
     assert_eq!(options.breaker_threshold, u32::MAX);
+    fixture.assert_client_matches_blocking(&server);
 }
 
 /// Conservation stress: while submitter threads race plain submissions,
