@@ -60,9 +60,10 @@
 //! * **Bit-identical arithmetic.**  The kernel evaluates the very same
 //!   [`dace_sdfg::CompiledExpr`] the VM would — per point, over a strip (per
 //!   point the same operations in the same order: Rust neither reassociates
-//!   nor contracts floating-point arithmetic, and the transcendental
-//!   operators stay the scalar library calls) or as its recognized
-//!   [`dace_sdfg::MicroPattern`] — with reads loaded into the same slots in
+//!   nor contracts floating-point arithmetic, `sin` / `cos` over a strip
+//!   give the bits of their scalar forms ([`dace_sdfg::trig`]), and the
+//!   other transcendental operators stay the scalar library calls) or as
+//!   its recognized [`dace_sdfg::MicroPattern`] — with reads loaded into the same slots in
 //!   the same order and all reads of a point before its writes.  Writes land
 //!   in the per-point order wherever the order can be observed: neighbouring
 //!   points of an adjoint stencil accumulate into one element, and the order

@@ -26,6 +26,8 @@
 //! returns located [`verify::Diagnostic`]s) and [`deps`] is the affine
 //! dependence/race analyzer: its [`deps::ParVerdict`] is a diagnostic
 //! (`npbench --verify`, CI), the oracle a parallel map backend would consume.
+//! [`trig`] holds the tasklet language's `sin` / `cos`, whose bits do not
+//! depend on the host's libm or on the vector width.
 //!
 //! # Invariants
 //!
@@ -64,6 +66,7 @@ pub mod scalar_expr;
 pub mod sdfg;
 pub mod symexpr;
 pub mod tasklet;
+pub mod trig;
 pub mod verify;
 
 pub use analysis::{compute_ccs, is_full_overwrite, CcsInfo};

@@ -12,6 +12,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::trig;
+
 /// Binary scalar operators available in tasklet code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
@@ -62,8 +64,8 @@ impl UnOp {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             UnOp::Neg => -x,
-            UnOp::Sin => x.sin(),
-            UnOp::Cos => x.cos(),
+            UnOp::Sin => trig::sin(x),
+            UnOp::Cos => trig::cos(x),
             UnOp::Exp => x.exp(),
             UnOp::Log => x.ln(),
             UnOp::Sqrt => x.sqrt(),
@@ -251,9 +253,9 @@ impl ScalarExpr {
                             Self::un(UnOp::Tanh, inner),
                         ),
                     ),
-                    // Sub-gradient conventions: d|x|/dx = sign(x) via x/|x|,
-                    // relu' = step(x) expressed as (sign(x)+1)/2 clamped by max.
-                    UnOp::Abs => Self::bin(BinOp::Div, inner.clone(), Self::un(UnOp::Abs, inner)),
+                    // Sub-gradient conventions: d|x|/dx = sign(x), 0 at 0;
+                    // relu' = step(x) expressed as relu(x) / max(|x|, tiny).
+                    UnOp::Abs => sign(inner),
                     UnOp::Relu => Self::bin(
                         BinOp::Div,
                         Self::un(UnOp::Relu, inner.clone()),
@@ -293,17 +295,32 @@ impl ScalarExpr {
                         ),
                         Self::bin(BinOp::Mul, b.clone(), b.clone()),
                     ),
-                    // d(a^b) = a^b * (db*ln(a) + b*da/a); only the constant-exponent
-                    // case matters for the kernels here, but the full rule is kept.
-                    BinOp::Pow => Self::bin(
-                        BinOp::Mul,
-                        Self::bin(BinOp::Pow, a.clone(), b.clone()),
-                        Self::bin(
-                            BinOp::Add,
-                            Self::bin(BinOp::Mul, db, Self::un(UnOp::Log, a.clone())),
-                            Self::bin(BinOp::Div, Self::bin(BinOp::Mul, b.clone(), da), a.clone()),
+                    // d(a^c) = c * a^(c-1) * da for a constant exponent (jax-rs's
+                    // rule, finite at a = 0), else a^b * (db*ln(a) + b*da/a).
+                    BinOp::Pow => match *b {
+                        Const(c) => Self::bin(
+                            BinOp::Mul,
+                            Self::bin(
+                                BinOp::Mul,
+                                Const(c),
+                                Self::bin(BinOp::Pow, a.clone(), Const(c - 1.0)),
+                            ),
+                            da,
                         ),
-                    ),
+                        _ => Self::bin(
+                            BinOp::Mul,
+                            Self::bin(BinOp::Pow, a.clone(), b.clone()),
+                            Self::bin(
+                                BinOp::Add,
+                                Self::bin(BinOp::Mul, db, Self::un(UnOp::Log, a.clone())),
+                                Self::bin(
+                                    BinOp::Div,
+                                    Self::bin(BinOp::Mul, b.clone(), da),
+                                    a.clone(),
+                                ),
+                            ),
+                        ),
+                    },
                     // Sub-gradients: route the gradient to whichever operand wins.
                     BinOp::Max => Self::bin(
                         BinOp::Add,
@@ -476,8 +493,10 @@ impl CompiledExpr {
     /// is paid once per instruction per strip and the arithmetic loops
     /// vectorize.  Per point the operations and their order are those of
     /// [`CompiledExpr::eval`] — Rust neither reassociates nor contracts
-    /// floating-point arithmetic, and the transcendental operators stay the
-    /// scalar library calls — so the two agree bit for bit.
+    /// floating-point arithmetic, `sin` / `cos` run the strip forms of
+    /// [`crate::trig`], which give the scalar forms' bits, and the other
+    /// transcendental operators stay the scalar library calls — so the two
+    /// agree bit for bit.
     ///
     /// `regs` is grown on demand and may be shared with `eval` and across
     /// expressions.
@@ -518,16 +537,19 @@ impl CompiledExpr {
 /// first-level cache.
 pub const STRIP: usize = 128;
 
-/// One unary instruction over a column, monomorphized per operator.
+/// One unary instruction over a column, monomorphized per operator; `sin`
+/// and `cos` take their strip forms, which give [`UnOp::apply`]'s bits.
 fn un_strip(op: UnOp, dst: &mut [f64], a: &[f64]) {
     macro_rules! column {
         ($($op:ident),*) => {
             match op {
+                UnOp::Sin => trig::sin_strip(dst, a),
+                UnOp::Cos => trig::cos_strip(dst, a),
                 $(UnOp::$op => dst.iter_mut().zip(a).for_each(|(d, &x)| *d = UnOp::$op.apply(x)),)*
             }
         };
     }
-    column!(Neg, Sin, Cos, Exp, Log, Sqrt, Tanh, Abs, Relu, Sigmoid)
+    column!(Neg, Exp, Log, Sqrt, Tanh, Abs, Relu, Sigmoid)
 }
 
 /// One binary instruction over a column, monomorphized per operator.
@@ -744,22 +766,25 @@ impl ScalarExpr {
 /// tie, built from the available primitives (used for max/min sub-gradients —
 /// the 0.5 tie split matches `jnp.maximum`'s convention).
 fn step_ge(a: &ScalarExpr, b: &ScalarExpr) -> ScalarExpr {
-    use ScalarExpr::*;
-    // (sign(a-b) + 1) / 2 with sign(x) = x / max(|x|, tiny)
-    let diff = ScalarExpr::bin(BinOp::Sub, a.clone(), b.clone());
-    let sign = ScalarExpr::bin(
-        BinOp::Div,
-        diff.clone(),
-        ScalarExpr::bin(
-            BinOp::Max,
-            ScalarExpr::un(UnOp::Abs, diff),
-            Const(f64::MIN_POSITIVE),
-        ),
-    );
+    // (sign(a-b) + 1) / 2
+    let sign = sign(ScalarExpr::bin(BinOp::Sub, a.clone(), b.clone()));
     ScalarExpr::bin(
         BinOp::Mul,
-        ScalarExpr::bin(BinOp::Add, sign, Const(1.0)),
-        Const(0.5),
+        ScalarExpr::bin(BinOp::Add, sign, ScalarExpr::Const(1.0)),
+        ScalarExpr::Const(0.5),
+    )
+}
+
+/// `x / max(|x|, tiny)`: the sign of `x` (±1), and 0 at `x = 0`.
+fn sign(x: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::bin(
+        BinOp::Div,
+        x.clone(),
+        ScalarExpr::bin(
+            BinOp::Max,
+            ScalarExpr::un(UnOp::Abs, x),
+            ScalarExpr::Const(f64::MIN_POSITIVE),
+        ),
     )
 }
 
@@ -864,6 +889,19 @@ mod tests {
                     "derivative mismatch for {e} wrt {wrt}: sym={sym} fd={num}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn constant_power_and_abs_derivatives_are_finite_at_zero() {
+        let x = || ScalarExpr::input("x");
+        let square = ScalarExpr::bin(BinOp::Pow, x(), ScalarExpr::c(2.0));
+        let abs = ScalarExpr::un(UnOp::Abs, x());
+        for (at, d_square, d_abs) in [(0.0, 0.0, 0.0), (-1.5, -3.0, -1.0), (2.0, 4.0, 1.0)] {
+            let at = inputs(&[("x", at)]);
+            let eval = |e: &ScalarExpr| e.derivative("x").eval(&at, &HashMap::new()).unwrap();
+            assert_eq!(eval(&square), d_square, "(x^2)' at {at:?}");
+            assert_eq!(eval(&abs), d_abs, "|x|' at {at:?}");
         }
     }
 

@@ -982,6 +982,23 @@ fn named_row_shapes_match_the_vm() {
             rows: RowMode::Strips,
         },
         Shape {
+            // `G`'s ±1e16 lie beyond the reduced bound of `sin` / `cos` (its
+            // 1s inside), `1e7 * y` straddles it and `1e300 * x` holds ±∞:
+            // the strip patches those lanes with the library's values.
+            name: "sin and cos of operands beyond the reduced bound, and of ±∞",
+            walk: up(),
+            reads: vec![("x", "G", at(0)), ("y", "A", at(0))],
+            code: vec![
+                (
+                    "o",
+                    E::un(UnOp::Sin, x()).mul(E::un(UnOp::Cos, E::c(1e7).mul(E::input("y")))),
+                ),
+                ("p", E::un(UnOp::Cos, E::c(1e300).mul(x()))),
+            ],
+            writes: vec![("o", "C", at(0), false), ("p", "D", at(0), false)],
+            rows: RowMode::Strips,
+        },
+        Shape {
             // The nest is triangular: one dispatch per row.
             name: "rows of 7, 8 and 9 points",
             walk: Some((1, i.add_int(8), 1)),
