@@ -400,7 +400,7 @@ impl GradientEngine {
     ///
     /// The gateway is configured for a program served alone: nothing to
     /// shed load for and no neighbour to protect, so the queue is
-    /// unbounded, failures resolve at once and the breaker never trips.
+    /// unbounded.
     /// Any other configuration is a [`Gateway::new`] of its own plus
     /// [`GradientEngine::register_with`].  The server (its admission queue,
     /// dispatcher and session pool) persists on the engine; repeated calls
@@ -410,8 +410,6 @@ impl GradientEngine {
         if self.server.is_none() {
             let gateway = Arc::new(Gateway::new(GatewayOptions {
                 queue_capacity: usize::MAX,
-                retry_budget: 0,
-                breaker_threshold: u32::MAX,
                 ..GatewayOptions::default()
             }));
             let client = self
@@ -439,8 +437,8 @@ impl GradientEngine {
     ///
     /// Unlike the engine-private [`GradientEngine::serve`] gateway, this
     /// one is shared across engines/programs, so bounded admission,
-    /// weighted fair scheduling, retries, circuit breaking and graceful
-    /// reload come into play (see [`dace_runtime::gateway`]).  The registered
+    /// weighted fair scheduling and graceful reload come into play (see
+    /// [`dace_runtime::gateway`]).  The registered
     /// driver carries the plan's recomputation free hints, so served
     /// results stay bit-identical to [`GradientEngine::run`].
     pub fn register_with(
@@ -506,11 +504,11 @@ pub struct ServedGradient {
 /// engine's single cached gradient program), and handles deliver
 /// [`ServedGradient`]s bit-identical to [`GradientEngine::run`].  Clones
 /// share the same admission queue, dispatcher and session pool, so any
-/// number of threads can submit concurrently.  The gateway's robustness
-/// semantics apply as configured — a submission may resolve with
-/// [`dace_runtime::ServeError::Overloaded`] or
-/// [`dace_runtime::ServeError::Degraded`] (as [`EngineError::Serve`]), and
-/// idempotent requests are retried across injected or real panics.
+/// number of threads can submit concurrently.  The gateway's admission
+/// rules apply as configured — a submission may resolve with
+/// [`dace_runtime::ServeError::Overloaded`] (as [`EngineError::Serve`]) —
+/// and a request that panics resolves
+/// [`dace_runtime::ServeError::Panicked`] once, without being re-dispatched.
 #[derive(Clone)]
 pub struct GatewayGradientClient {
     gateway: Arc<Gateway>,
@@ -538,8 +536,7 @@ impl GatewayGradientClient {
     }
 
     /// Submit one gradient request with default [`SubmitOptions`]
-    /// (no deadline, idempotent — a pure gradient evaluation is safe to
-    /// retry).
+    /// (no deadline).
     pub fn submit(
         &self,
         inputs: &HashMap<String, Tensor>,
@@ -547,13 +544,13 @@ impl GatewayGradientClient {
         self.submit_with(inputs, SubmitOptions::default())
     }
 
-    /// [`GatewayGradientClient::submit`] with an explicit deadline /
-    /// idempotence policy.  Input names are validated immediately by the
-    /// same rule as [`GradientEngine::run`] (a name that is not a forward
-    /// array is an [`EngineError::UnknownInput`], recomputed arrays are
-    /// skipped), so typos fail at the submit call, not inside the
-    /// dispatcher.  A request still queued when its deadline passes
-    /// resolves with [`dace_runtime::ServeError::DeadlineExceeded`] (as
+    /// [`GatewayGradientClient::submit`] with an explicit deadline.  Input
+    /// names are validated immediately by the same rule as
+    /// [`GradientEngine::run`] (a name that is not a forward array is an
+    /// [`EngineError::UnknownInput`], recomputed arrays are skipped), so
+    /// typos fail at the submit call, not inside the dispatcher.  A request
+    /// still queued when its deadline passes resolves with
+    /// [`dace_runtime::ServeError::DeadlineExceeded`] (as
     /// [`EngineError::Serve`]) without ever occupying a worker.
     pub fn submit_with(
         &self,
@@ -631,8 +628,7 @@ impl GatewayGradientHandle {
             .map(|polled| served_gradient(&self.binding, polled))
     }
 
-    /// Best-effort cancellation: succeeds only while queued — including a
-    /// retry awaiting its backoff.
+    /// Best-effort cancellation: succeeds only while queued.
     pub fn cancel(&self) -> bool {
         self.inner.cancel()
     }

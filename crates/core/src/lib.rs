@@ -100,8 +100,8 @@ pub use engine::{
 // `GradientEngine::register_with`, re-exported so AD-level callers need no
 // direct `dace-runtime` dependency.
 pub use dace_runtime::{
-    BreakerState, FaultPlan, Gateway, GatewayError, GatewayOptions, GatewayStats, ServeError,
-    SubmitOptions, TenantConfig, TenantStats,
+    Gateway, GatewayError, GatewayOptions, GatewayStats, ServeError, SubmitOptions, TenantConfig,
+    TenantStats,
 };
 pub use reverse::{generate_backward, AdError, BackwardPlan};
 

@@ -149,8 +149,8 @@ pub struct BatchReport {
     /// Sessions discarded instead of pooled because the item running on
     /// them panicked (lifetime counter).  A panicking item may leave its
     /// slab half-written, so the session is quarantined — this counter is
-    /// how the fault-tolerance layer above ([`crate::gateway`]) observes
-    /// that the quarantine actually fired.
+    /// how the gateway above ([`crate::gateway`]) observes that the
+    /// quarantine actually fired.
     pub sessions_discarded: u64,
 }
 
@@ -401,9 +401,8 @@ impl BatchDriver {
 /// The body of every served item, static batch or gateway dispatch alike:
 /// copy the request's inputs into a checked-out session's resident buffers,
 /// run the shared plan, lend the `fetch` arrays out of the slab.  The
-/// request keeps its inputs (a gateway retry requeues them as they are), and
-/// the next run on the session refills what was taken, with the storage of
-/// what the caller has dropped since.
+/// request keeps its inputs, and the next run on the session refills what
+/// was taken, with the storage of what the caller has dropped since.
 pub(crate) fn run_item<S: AsRef<str>>(
     session: &mut Session,
     inputs: &HashMap<String, Tensor>,

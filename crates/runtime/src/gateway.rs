@@ -1,24 +1,24 @@
-//! The dynamic-admission front door: admission, backpressure and fault
-//! tolerance over one or many compiled programs.
+//! The dynamic-admission front door: admission, backpressure and panic
+//! isolation over one or many compiled programs.
 //!
 //! [`crate::BatchDriver`] serves batches the caller has already assembled.
 //! A real server gets requests one by one, from many clients, for many
 //! programs, each with its own latency budget; [`Gateway`] is the one
 //! serving core for all of that (`GradientEngine::serve()` is a gateway
-//! with a single tenant, an unbounded queue, no retries and no breaker):
+//! with a single tenant and an unbounded queue):
 //!
 //! * **Dynamic admission** — requests are submitted individually
 //!   ([`Gateway::submit`], [`Gateway::submit_with`]) and return a
 //!   [`GatewayHandle`] immediately.  Dispatch is work-conserving: an idle
-//!   dispatcher sends a ready request at once, and whatever queued while
+//!   dispatcher sends a queued request at once, and whatever queued while
 //!   a batch executed (up to [`GatewayOptions::max_batch`] per tenant)
 //!   forms the next one, so the queue paces itself between latency and
 //!   batching.  A deadline bounds *admission*, not execution: a request
 //!   still queued when its budget runs out resolves
-//!   [`ServeError::DeadlineExceeded`] (on time while a backoff or an open
-//!   breaker holds it, at the dispatcher's return while a batch runs) and
-//!   never occupies a worker; one already dispatched runs to
-//!   completion.  Served results are bit-identical to a standalone
+//!   [`ServeError::DeadlineExceeded`] (at admission, or when the
+//!   dispatcher returns from the batch it was queued behind) and never
+//!   occupies a worker; one already dispatched runs to completion.  Served
+//!   results are bit-identical to a standalone
 //!   [`Session::run`](crate::Session::run) however they were coalesced.
 //! * **Backpressure** — each tenant owns a *bounded* admission queue; a
 //!   submission that would overflow it is rejected immediately with
@@ -29,36 +29,25 @@
 //!   banks the rest (capped at two rounds' worth) — so a hot tenant cannot
 //!   starve the others, and a weight-2 tenant gets twice the dispatch share
 //!   of a weight-1 tenant under contention.
-//! * **Fault tolerance** — a panicking request quarantines its session (the
-//!   [`crate::BatchDriver`] guarantee) and, when the request is idempotent,
-//!   is retried up to [`GatewayOptions::retry_budget`] times with
-//!   exponential backoff.  Repeated *infrastructure* failures (panics,
-//!   session-checkout failures) trip a per-tenant **circuit breaker**:
-//!   while open, new admissions are shed early with [`ServeError::Degraded`]
-//!   instead of queueing behind a failing backend; after a cooldown the
-//!   breaker goes **half-open** and sends a single probe request — success
-//!   closes it, failure re-opens it.  Plain execution errors (bad shapes,
-//!   unknown arrays) are data-dependent: they fail the request but never
-//!   trip the breaker and are never retried.
+//! * **Panic isolation** — a request that panics fails alone: the
+//!   [`crate::BatchDriver`] discards its session, its handle resolves
+//!   [`ServeError::Panicked`], and the tenant's other requests keep being
+//!   served.  The gateway never re-dispatches a request: a gradient is a
+//!   pure function of its inputs and its compiled plan, so a request that
+//!   panicked once panics again.  Execution errors (bad shapes, unknown
+//!   arrays) resolve [`ServeError::Execution`] the same way.
 //! * **Graceful reload** — [`Gateway::reload`] swaps a tenant's driver
 //!   for one over a recompiled program: requests already dispatched drain
 //!   against the old plan (the call blocks until they have), requests
 //!   still queued and all new admissions run on the new one.  No handle is
 //!   lost or torn between plans.
-//! * **Deterministic fault injection** — [`Gateway::inject_faults`] arms a
-//!   [`FaultPlan`] against a tenant's *dispatch sequence numbers*
-//!   (panic-on-Nth-dispatch, forced session-checkout failure, artificial
-//!   dispatch latency), so every behaviour above is exercised by tests —
-//!   `tests/gateway.rs::npbench_tenants_survive_a_chaos_storm` arms all of
-//!   it at once — rather than asserted in prose.
 //!
 //! # The exactly-once handle contract
 //!
 //! Every submitted [`GatewayHandle`] resolves **exactly once** with a typed
 //! outcome: a [`ServeResponse`], or one of `DeadlineExceeded` / `Cancelled`
-//! / `Overloaded` / `Degraded` / `Execution` / `Panicked` / `Checkout` /
-//! `ShuttingDown`.  This holds under injected panics, latency spikes,
-//! concurrent reloads, sustained overload and mid-retry shutdown — the
+//! / `Overloaded` / `Execution` / `Panicked` / `ShuttingDown`.  This holds
+//! under panics, concurrent reloads, sustained overload and shutdown — the
 //! per-tenant counters conserve on *every* [`Gateway::stats`] snapshot
 //! (see [`TenantStats::conserves`]), not just at quiescence.
 //!
@@ -106,17 +95,12 @@ use crate::serve::{LatencyWindow, ServeError, ServeResponse};
 /// overload being shed).
 const MIN_RETRY_HINT: Duration = Duration::from_millis(1);
 
-/// Cap on the retry-backoff exponent: backoff stops doubling after
-/// `base × 2^10`, bounding the sleep however large the retry budget is.
-const MAX_BACKOFF_SHIFT: u32 = 10;
-
 /// Gateway-wide tuning knobs.
 ///
 /// `max_batch` shapes each formed batch: how many of the requests that
 /// queued behind the previous dispatch ride the next one (a batch fans out
-/// at the full width of the worker pool).  The rest govern the robustness
-/// machinery: queue bounds, the retry budget and the circuit breaker.  See
-/// `docs/serving.md` for a tuning table.
+/// at the full width of the worker pool).  `queue_capacity` bounds each
+/// tenant's admission queue.  See `docs/serving.md` for a tuning table.
 #[derive(Clone, Debug)]
 pub struct GatewayOptions {
     /// Maximum requests one dispatch may coalesce (clamped to >= 1).  Also
@@ -128,19 +112,6 @@ pub struct GatewayOptions {
     /// submission finding the queue full is rejected with
     /// [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// How many times an *idempotent* request is re-dispatched after an
-    /// infrastructure failure (panic or checkout failure) before its handle
-    /// resolves with the last error.  `0` disables retries.
-    pub retry_budget: u32,
-    /// Backoff before the first retry; doubles per attempt
-    /// (`base × 2^(attempt-1)`, exponent capped).
-    pub retry_backoff: Duration,
-    /// Consecutive infrastructure failures that trip a tenant's circuit
-    /// breaker open (clamped to >= 1).  Execution errors never count.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker sheds load before going half-open and
-    /// sending a recovery probe.
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for GatewayOptions {
@@ -148,10 +119,6 @@ impl Default for GatewayOptions {
         GatewayOptions {
             max_batch: 8,
             queue_capacity: 64,
-            retry_budget: 2,
-            retry_backoff: Duration::from_micros(500),
-            breaker_threshold: 4,
-            breaker_cooldown: Duration::from_millis(25),
         }
     }
 }
@@ -177,177 +144,12 @@ impl Default for TenantConfig {
 }
 
 /// Per-request submission knobs for [`Gateway::submit_with`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SubmitOptions {
     /// Admission deadline, measured from submission (see
-    /// `docs/serving.md`: a deadline bounds admission, not execution).
+    /// `docs/serving.md`: a deadline bounds admission, not execution).  A
+    /// deadline too far out for the clock to represent is no deadline.
     pub deadline: Option<Duration>,
-    /// Whether the request may be transparently re-dispatched after an
-    /// infrastructure failure.  Defaults to `true` — a pure-function
-    /// gradient evaluation is safe to re-run; set `false` for requests
-    /// whose execution has observable side effects, and the first failure
-    /// resolves the handle instead.
-    pub idempotent: bool,
-}
-
-impl Default for SubmitOptions {
-    fn default() -> Self {
-        SubmitOptions {
-            deadline: None,
-            idempotent: true,
-        }
-    }
-}
-
-/// Deterministic fault plan, armed per tenant via
-/// [`Gateway::inject_faults`] and matched against that tenant's dispatch
-/// sequence (1-based, incremented once per *dispatched attempt*, so a
-/// retry consumes the next number).
-///
-/// This is a chaos-testing hook: it exists so the fault-tolerance paths are
-/// driven by tests (`tests/gateway.rs`) instead of waiting for production
-/// to exercise them.  An empty (default) plan injects nothing.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    /// Panic on exactly these dispatch sequence numbers.
-    pub panic_on: Vec<u64>,
-    /// Panic on every `k`-th dispatch (`seq % k == 0`).
-    pub panic_every: Option<u64>,
-    /// Fail session checkout on exactly these sequence numbers.
-    pub checkout_fail_on: Vec<u64>,
-    /// Fail session checkout on every `k`-th dispatch.
-    pub checkout_fail_every: Option<u64>,
-    /// Artificial latency added to every dispatched item (a latency-spike
-    /// injector for deadline/backpressure tests).
-    pub delay: Duration,
-}
-
-impl FaultPlan {
-    fn fires(list: &[u64], every: Option<u64>, seq: u64) -> bool {
-        list.contains(&seq) || every.is_some_and(|k| k >= 1 && seq.is_multiple_of(k))
-    }
-
-    /// The action this plan injects at dispatch number `seq` (panic wins
-    /// over checkout failure when both match).
-    fn action(&self, seq: u64) -> FaultAction {
-        if Self::fires(&self.panic_on, self.panic_every, seq) {
-            FaultAction::Panic(seq)
-        } else if Self::fires(&self.checkout_fail_on, self.checkout_fail_every, seq) {
-            FaultAction::Checkout(seq)
-        } else {
-            FaultAction::None
-        }
-    }
-}
-
-/// What the armed [`FaultPlan`] injects into one dispatched item.
-#[derive(Clone, Copy, Debug)]
-enum FaultAction {
-    None,
-    Panic(u64),
-    Checkout(u64),
-}
-
-/// Public view of a tenant's circuit-breaker state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: requests dispatch normally.
-    Closed,
-    /// Tripped: new admissions are shed with [`ServeError::Degraded`]
-    /// until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: the next dispatch is a single probe request;
-    /// success closes the breaker, failure re-opens it.
-    HalfOpen,
-}
-
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BreakerState::Closed => write!(f, "closed"),
-            BreakerState::Open => write!(f, "open"),
-            BreakerState::HalfOpen => write!(f, "half-open"),
-        }
-    }
-}
-
-/// Per-tenant circuit breaker over consecutive infrastructure failures.
-struct Breaker {
-    inner: BreakerInner,
-    trips: u64,
-}
-
-enum BreakerInner {
-    Closed { fails: u32 },
-    Open { until: Instant },
-    HalfOpen,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            inner: BreakerInner::Closed { fails: 0 },
-            trips: 0,
-        }
-    }
-
-    fn state(&self) -> BreakerState {
-        match self.inner {
-            BreakerInner::Closed { .. } => BreakerState::Closed,
-            BreakerInner::Open { .. } => BreakerState::Open,
-            BreakerInner::HalfOpen => BreakerState::HalfOpen,
-        }
-    }
-
-    /// When an open breaker will transition to half-open.
-    fn reopen_at(&self) -> Option<Instant> {
-        match self.inner {
-            BreakerInner::Open { until } => Some(until),
-            _ => None,
-        }
-    }
-
-    /// Advance time-based transitions (open → half-open after cooldown).
-    fn tick(&mut self, now: Instant) {
-        if let BreakerInner::Open { until } = self.inner {
-            if now >= until {
-                self.inner = BreakerInner::HalfOpen;
-            }
-        }
-    }
-
-    /// Any successful dispatch fully closes the breaker (a half-open probe
-    /// that succeeds restores the tenant; a success under `Closed` resets
-    /// the consecutive-failure count).
-    fn on_success(&mut self) {
-        self.inner = BreakerInner::Closed { fails: 0 };
-    }
-
-    /// Record an infrastructure failure (panic / checkout failure).
-    fn on_infra_failure(&mut self, threshold: u32, cooldown: Duration, now: Instant) {
-        match &mut self.inner {
-            BreakerInner::Closed { fails } => {
-                *fails += 1;
-                if *fails >= threshold {
-                    self.inner = BreakerInner::Open {
-                        until: now + cooldown,
-                    };
-                    self.trips += 1;
-                }
-            }
-            // A failed recovery probe re-opens for a full fresh cooldown.
-            BreakerInner::HalfOpen => {
-                self.inner = BreakerInner::Open {
-                    until: now + cooldown,
-                };
-                self.trips += 1;
-            }
-            // Already shedding; push the horizon out, never pull it in.
-            BreakerInner::Open { until } => {
-                *until = (*until).max(now + cooldown);
-            }
-        }
-    }
 }
 
 /// Why a [`Gateway`] call failed outright (as opposed to a *request*
@@ -379,14 +181,11 @@ impl std::error::Error for GatewayError {}
 /// Point-in-time snapshot of one tenant, from [`Gateway::stats`].
 ///
 /// Lifecycle counters partition every admitted request: see
-/// [`TenantStats::conserves`].  `retried`, `panics` and
-/// `checkout_failures` count *attempts*, not requests, and sit outside the
-/// conservation sum (a request that panics twice and then completes is one
-/// `completed` plus two `panics` plus two `retried`).
+/// [`TenantStats::conserves`].  `panics` sits outside the conservation sum:
+/// every request it counts is also one `failed`.
 #[derive(Clone, Debug)]
 pub struct TenantStats {
-    /// Requests waiting in this tenant's admission queue (awaiting-backoff
-    /// retries included).
+    /// Requests waiting in this tenant's admission queue.
     pub queue_depth: usize,
     /// Requests claimed by the dispatcher and not yet completed.
     pub in_flight: u64,
@@ -394,8 +193,7 @@ pub struct TenantStats {
     pub admitted: u64,
     /// Requests that executed and returned a result.
     pub completed: u64,
-    /// Requests resolved with an execution error, or an infrastructure
-    /// error after the retry budget was spent.
+    /// Requests resolved with an execution error or a panic.
     pub failed: u64,
     /// Requests cancelled while queued.
     pub cancelled: u64,
@@ -403,24 +201,24 @@ pub struct TenantStats {
     pub expired: u64,
     /// Requests shed at admission because the queue was full.
     pub overloaded: u64,
-    /// Requests shed at admission because the circuit breaker was open.
+    /// Always 0: the gateway sheds no request for a tenant's health.  Kept,
+    /// with `retried` and `breaker_trips`, until the benchmark PR (ROADMAP
+    /// item 3) retires the `gateway.*` rows that read them.
     pub degraded: u64,
     /// Requests refused because the gateway was shutting down.
     pub rejected: u64,
-    /// Retry dispatches performed (attempt-level; outside conservation).
+    /// Always 0: the gateway never re-dispatches a request.  Kept until the
+    /// benchmark PR (ROADMAP item 3) retires its `gateway.retried` row.
     pub retried: u64,
-    /// Dispatched attempts that panicked (attempt-level).
+    /// Requests whose dispatch panicked (each also counted in `failed`).
     pub panics: u64,
-    /// Dispatched attempts whose session checkout failed (attempt-level;
-    /// today only reachable via [`FaultPlan`]).
-    pub checkout_failures: u64,
     /// Batches dispatched for this tenant.
     pub batches: u64,
     /// Largest batch one dispatch coalesced for this tenant.
     pub largest_batch: usize,
-    /// Current circuit-breaker state.
-    pub breaker: BreakerState,
-    /// Times the breaker tripped open over the tenant's lifetime.
+    /// Always 0: the gateway has no circuit breaker.  Kept until the
+    /// benchmark PR (ROADMAP item 3) retires its `gateway.breaker_trips`
+    /// row.
     pub breaker_trips: u64,
     /// Program epoch: starts at 1, incremented by every
     /// [`Gateway::reload`].
@@ -449,7 +247,7 @@ impl TenantStats {
     ///
     /// ```text
     /// admitted == queue_depth + in_flight + completed + failed
-    ///           + cancelled + expired + overloaded + degraded + rejected
+    ///           + cancelled + expired + overloaded + rejected
     /// ```
     ///
     /// Holds on **every** snapshot — all counters live under the gateway's
@@ -464,7 +262,6 @@ impl TenantStats {
                 + self.cancelled
                 + self.expired
                 + self.overloaded
-                + self.degraded
                 + self.rejected
     }
 }
@@ -489,8 +286,7 @@ impl GatewayStats {
 
 /// Lifecycle of one gateway request, guarded by `GwRequest::phase`.
 enum GwPhase {
-    /// In the admission queue (or awaiting a retry backoff); owns the
-    /// payload.
+    /// In the admission queue; owns the payload.
     Queued {
         inputs: HashMap<String, Tensor>,
         fetch: Vec<String>,
@@ -508,7 +304,6 @@ struct GwRequest {
     tenant: String,
     submitted: Instant,
     deadline: Option<Instant>,
-    idempotent: bool,
     phase: Mutex<GwPhase>,
     done_cv: Condvar,
 }
@@ -597,57 +392,55 @@ impl GatewayHandle {
     /// of relying solely on server-side deadlines: `None` on timeout — the
     /// request keeps running and the handle stays fully usable —
     /// `Some(result)` once completed (cloned, like
-    /// [`GatewayHandle::try_wait`]).  A timeout that races the dispatcher's
-    /// completion loses nothing: the result is stored on the request, the
-    /// next poll observes it, and [`GatewayHandle::wait`] delivers it
-    /// exactly once however many bounded waits timed out before.
+    /// [`GatewayHandle::try_wait`]).  A timeout too long for the clock to
+    /// represent waits until the request is done.  A timeout that races the
+    /// dispatcher's completion loses nothing: the result is stored on the
+    /// request, the next poll observes it, and [`GatewayHandle::wait`]
+    /// delivers it exactly once however many bounded waits timed out
+    /// before.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServeResponse, ServeError>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut phase = self.req.lock_phase();
         loop {
             if let GwPhase::Done(result) = &*phase {
                 return Some(result.clone());
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .req
-                .done_cv
-                .wait_timeout(phase, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            phase = guard;
+            let cv = &self.req.done_cv;
+            phase = match deadline {
+                None => cv.wait(phase).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    cv.wait_timeout(phase, deadline - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
     /// Best-effort cancellation: succeeds (returns `true`) only while the
-    /// request is queued — which *includes* a retry awaiting its backoff,
-    /// so a request mid-retry can still be called off.  Once dispatched it
-    /// completes normally (`false`).
+    /// request is queued.  Once dispatched it completes normally (`false`).
     pub fn cancel(&self) -> bool {
         // Lock order: gateway state, then request phase — matching every
         // other state-and-phase critical section in this module.
         let mut state = self.shared.lock_state();
-        let Some(tenant) = state.tenants.get_mut(&self.req.tenant) else {
+        let Some(tenant) = state.tenant_mut(&self.req.tenant) else {
             return false;
         };
         let mut phase = self.req.lock_phase();
-        if matches!(&*phase, GwPhase::Queued { .. }) {
-            *phase = GwPhase::Done(Err(ServeError::Cancelled));
-            self.req.done_cv.notify_all();
-            tenant.counters.queued -= 1;
-            tenant.counters.cancelled += 1;
-            // The queue entry is left in place; the dispatcher's sweep
-            // drops entries whose phase is no longer Queued.  Wake it so
-            // an entry held by a backoff or an open breaker is dropped now.
-            drop(phase);
-            drop(state);
-            self.shared.work_cv.notify_one();
-            true
-        } else {
-            false
+        if !matches!(&*phase, GwPhase::Queued { .. }) {
+            return false;
         }
+        *phase = GwPhase::Done(Err(ServeError::Cancelled));
+        self.req.done_cv.notify_all();
+        tenant.counters.queued -= 1;
+        tenant.counters.cancelled += 1;
+        // The queue entry stays in place: the dispatcher sweeps it out
+        // before it forms its next batch.
+        true
     }
 }
 
@@ -663,41 +456,10 @@ struct TenantCounters {
     cancelled: u64,
     expired: u64,
     overloaded: u64,
-    degraded: u64,
     rejected: u64,
-    retried: u64,
     panics: u64,
-    checkout_failures: u64,
     batches: u64,
     largest_batch: usize,
-}
-
-/// One queued request plus its retry bookkeeping.
-struct QueueEntry {
-    req: Arc<GwRequest>,
-    /// Dispatch attempts already made (0 for a fresh request).
-    attempts: u32,
-    /// When a retry becomes eligible for dispatch (`None` = immediately).
-    retry_at: Option<Instant>,
-}
-
-impl QueueEntry {
-    /// Eligible for dispatch now (backoff elapsed; shutdown ignores backoff
-    /// — the final drain does not wait out retry timers).
-    fn ready(&self, now: Instant, shutdown: bool) -> bool {
-        shutdown || self.retry_at.is_none_or(|r| r <= now)
-    }
-}
-
-/// What one tenant's queue asks of the dispatcher (see
-/// [`TenantState::next_step`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Step {
-    /// The tenant may dispatch and holds a ready entry: its batch is due.
-    Dispatch,
-    /// Nothing of this tenant can go before this instant; `None` when only
-    /// a notification (a submission, a probe's completion) changes that.
-    WakeAt(Option<Instant>),
 }
 
 /// A tenant's executable: its session-pool driver stamped with the program
@@ -709,75 +471,138 @@ struct TenantExec {
 }
 
 struct TenantState {
+    name: String,
     weight: u32,
     capacity: usize,
     /// WDRR credit balance: earned on each round-robin visit, spent one
     /// per dispatched request, zeroed when the queue empties.
     deficit: u64,
-    queue: VecDeque<QueueEntry>,
+    queue: VecDeque<Arc<GwRequest>>,
     exec: Arc<TenantExec>,
     /// Program epoch, starts at 1; bumped by reload.
     epoch: u64,
     /// Epoch of the most recently dispatched batch — `reload` drains until
     /// `in_flight == 0` or this catches up with the new epoch.
     inflight_epoch: u64,
-    /// A half-open recovery probe is currently in flight; no further
-    /// dispatches for this tenant until it resolves.
-    probing: bool,
     counters: TenantCounters,
-    breaker: Breaker,
-    faults: FaultPlan,
-    /// 1-based count of dispatched attempts, the clock [`FaultPlan`]s are
-    /// matched against.
-    dispatch_seq: u64,
     latencies: LatencyWindow,
 }
 
 impl TenantState {
-    /// The one dispatch rule: a batch is due the moment the tenant may
-    /// dispatch and holds one ready entry.  Otherwise the timed wake covers
-    /// only what can still be waiting — a backoff's `retry_at`, an open
-    /// breaker's `reopen_at` and the deadlines of entries held by either (a
-    /// half-open probe's completion notifies `work_cv` by itself).
-    fn next_step(&self, now: Instant, shutdown: bool) -> Step {
-        // Shutdown overrides the breaker and probe gating: the final drain
-        // dispatches everything.
-        let allowed = shutdown
-            || match self.breaker.state() {
-                BreakerState::Closed => true,
-                BreakerState::HalfOpen => !self.probing,
-                BreakerState::Open => false,
-            };
-        if allowed && self.queue.iter().any(|e| e.ready(now, shutdown)) {
-            return Step::Dispatch;
+    fn new(name: &str, driver: BatchDriver, weight: u32, capacity: usize) -> Self {
+        TenantState {
+            name: name.to_string(),
+            weight,
+            capacity,
+            deficit: 0,
+            queue: VecDeque::new(),
+            exec: Arc::new(TenantExec { driver, epoch: 1 }),
+            epoch: 1,
+            inflight_epoch: 1,
+            counters: TenantCounters::default(),
+            latencies: LatencyWindow::new(),
         }
-        let reopen = self.breaker.reopen_at().filter(|_| !allowed);
-        let held = self.queue.iter().flat_map(|e| {
-            let retry = e.retry_at.filter(|_| allowed);
-            retry.into_iter().chain(e.req.deadline)
-        });
-        Step::WakeAt(reopen.into_iter().chain(held).min())
+    }
+
+    /// This tenant's counters as a [`TenantStats`], latency percentiles
+    /// left zero ([`Gateway::stats`] sorts the window outside the lock).
+    fn stats(&self) -> TenantStats {
+        let c = &self.counters;
+        let driver = &self.exec.driver;
+        TenantStats {
+            queue_depth: c.queued as usize,
+            in_flight: c.in_flight,
+            admitted: c.admitted,
+            completed: c.completed,
+            failed: c.failed,
+            cancelled: c.cancelled,
+            expired: c.expired,
+            overloaded: c.overloaded,
+            degraded: 0,
+            rejected: c.rejected,
+            retried: 0,
+            panics: c.panics,
+            batches: c.batches,
+            largest_batch: c.largest_batch,
+            breaker_trips: 0,
+            epoch: self.epoch,
+            weight: self.weight,
+            p50_latency: Duration::ZERO,
+            p95_latency: Duration::ZERO,
+            sessions_created: driver.sessions_created(),
+            sessions_reused: driver.sessions_reused(),
+            pooled_sessions: driver.pooled_sessions(),
+            sessions_discarded: driver.sessions_discarded(),
+        }
+    }
+
+    /// Resolve one dispatched request with its item's outcome: the request
+    /// leaves `in_flight` for exactly one of `completed` / `failed`, and its
+    /// handle resolves.  A panic (its session already discarded by the
+    /// driver) is a failure like an execution error, also counted in
+    /// `panics`.
+    fn resolve(
+        &mut self,
+        req: &GwRequest,
+        outcome: Result<BatchItemResult, BatchError<RuntimeError>>,
+        batched_with: usize,
+    ) {
+        let c = &mut self.counters;
+        c.in_flight -= 1;
+        let result = match outcome {
+            Ok(BatchItemResult { outputs, report }) => {
+                c.completed += 1;
+                let latency = req.submitted.elapsed();
+                self.latencies.record(latency);
+                Ok(ServeResponse {
+                    outputs,
+                    report,
+                    latency,
+                    batched_with,
+                })
+            }
+            Err(BatchError::Item(e)) => {
+                c.failed += 1;
+                Err(ServeError::Execution(e))
+            }
+            Err(BatchError::Panicked(msg)) => {
+                c.failed += 1;
+                c.panics += 1;
+                Err(ServeError::Panicked(msg))
+            }
+        };
+        req.complete(result);
     }
 }
 
 struct GwState {
     shutdown: bool,
-    /// Round-robin order of tenant names (registration order).
-    rr: Vec<String>,
+    /// Every tenant in registration order, which is the round-robin order.
+    /// Tenants are never unregistered, so an index into this vector names
+    /// the same tenant for the gateway's lifetime.
+    tenants: Vec<TenantState>,
+    /// Tenant name → its index in `tenants`.
+    by_name: HashMap<String, usize>,
     /// Next RR position to scan from.
     cursor: usize,
     /// Tenant whose earned deficit the dispatcher is still spending —
     /// WDRR weight manifests as *consecutive* dispatches for the same
     /// tenant before the cursor moves on.
-    active: Option<String>,
+    active: Option<usize>,
     dispatches: u64,
-    tenants: HashMap<String, TenantState>,
+}
+
+impl GwState {
+    fn tenant_mut(&mut self, name: &str) -> Option<&mut TenantState> {
+        let &index = self.by_name.get(name)?;
+        self.tenants.get_mut(index)
+    }
 }
 
 struct GwShared {
     opts: GatewayOptions,
     state: Mutex<GwState>,
-    /// Wakes the dispatcher: new work, cancellation, shutdown.
+    /// Wakes the dispatcher: a submission or shutdown.
     work_cv: Condvar,
     /// Wakes reload/drain waiters when in-flight counts change.
     drain_cv: Condvar,
@@ -785,19 +610,32 @@ struct GwShared {
 }
 
 impl GwShared {
+    fn new(mut opts: GatewayOptions) -> Self {
+        opts.max_batch = opts.max_batch.max(1);
+        opts.queue_capacity = opts.queue_capacity.max(1);
+        GwShared {
+            opts,
+            state: Mutex::new(GwState {
+                shutdown: false,
+                tenants: Vec::new(),
+                by_name: HashMap::new(),
+                cursor: 0,
+                active: None,
+                dispatches: 0,
+            }),
+            work_cv: Condvar::new(),
+            drain_cv: Condvar::new(),
+            next_id: AtomicU64::new(0),
+        }
+    }
+
     fn lock_state(&self) -> MutexGuard<'_, GwState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// Exponential retry backoff: `base × 2^(attempt-1)`, exponent capped so
-/// the sleep stays bounded (`attempt` is 1-based).
-fn retry_backoff(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << attempt.saturating_sub(1).min(MAX_BACKOFF_SHIFT))
-}
-
-/// Multi-tenant serving gateway: bounded admission, WDRR scheduling,
-/// retries, circuit breaking, graceful reload (see the module docs).
+/// Multi-tenant serving gateway: bounded admission, WDRR scheduling, panic
+/// isolation, graceful reload (see the module docs).
 ///
 /// Construct with [`Gateway::new`], [`Gateway::register`] a
 /// [`BatchDriver`] per compiled program, then [`Gateway::submit`] from any
@@ -812,8 +650,9 @@ pub struct Gateway {
 impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.shared.lock_state();
+        let names: Vec<&str> = state.tenants.iter().map(|t| t.name.as_str()).collect();
         f.debug_struct("Gateway")
-            .field("tenants", &state.rr)
+            .field("tenants", &names)
             .field("dispatches", &state.dispatches)
             .field("shutdown", &state.shutdown)
             .finish()
@@ -822,25 +661,13 @@ impl std::fmt::Debug for Gateway {
 
 impl Gateway {
     /// Create a gateway (with its dispatcher thread) and no tenants yet.
+    ///
+    /// # Panics
+    ///
+    /// If the operating system cannot start the dispatcher thread, as
+    /// `std::thread::spawn` does.  That is construction, never a request.
     pub fn new(options: GatewayOptions) -> Self {
-        let mut opts = options;
-        opts.max_batch = opts.max_batch.max(1);
-        opts.queue_capacity = opts.queue_capacity.max(1);
-        opts.breaker_threshold = opts.breaker_threshold.max(1);
-        let shared = Arc::new(GwShared {
-            opts,
-            state: Mutex::new(GwState {
-                shutdown: false,
-                rr: Vec::new(),
-                cursor: 0,
-                active: None,
-                dispatches: 0,
-                tenants: HashMap::new(),
-            }),
-            work_cv: Condvar::new(),
-            drain_cv: Condvar::new(),
-            next_id: AtomicU64::new(0),
-        });
+        let shared = Arc::new(GwShared::new(options));
         let dispatcher = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -871,39 +698,25 @@ impl Gateway {
         if state.shutdown {
             return Err(GatewayError::ShuttingDown);
         }
-        if state.tenants.contains_key(name) {
+        if state.by_name.contains_key(name) {
             return Err(GatewayError::DuplicateTenant(name.to_string()));
         }
-        state.rr.push(name.to_string());
-        state.tenants.insert(
-            name.to_string(),
-            TenantState {
-                weight: config.weight.max(1),
-                capacity: config
-                    .queue_capacity
-                    .unwrap_or(self.shared.opts.queue_capacity)
-                    .max(1),
-                deficit: 0,
-                queue: VecDeque::new(),
-                exec: Arc::new(TenantExec { driver, epoch: 1 }),
-                epoch: 1,
-                inflight_epoch: 1,
-                probing: false,
-                counters: TenantCounters::default(),
-                breaker: Breaker::new(),
-                faults: FaultPlan::default(),
-                dispatch_seq: 0,
-                latencies: LatencyWindow::new(),
-            },
-        );
+        let capacity = config
+            .queue_capacity
+            .unwrap_or(self.shared.opts.queue_capacity)
+            .max(1);
+        let index = state.tenants.len();
+        let tenant = TenantState::new(name, driver, config.weight.max(1), capacity);
+        state.tenants.push(tenant);
+        state.by_name.insert(name.to_string(), index);
         Ok(())
     }
 
     /// Submit one request to `tenant` with default [`SubmitOptions`].
     ///
     /// `Err` only for an unknown tenant; every other outcome — including
-    /// overload, degradation and shutdown — resolves through the returned
-    /// handle, so callers have exactly one place to observe request fate.
+    /// overload and shutdown — resolves through the returned handle, so
+    /// callers have exactly one place to observe request fate.
     pub fn submit(
         &self,
         tenant: &str,
@@ -913,7 +726,7 @@ impl Gateway {
         self.submit_with(tenant, inputs, fetch, SubmitOptions::default())
     }
 
-    /// [`Gateway::submit`] with an explicit deadline / idempotence policy.
+    /// [`Gateway::submit`] with an explicit deadline.
     pub fn submit_with(
         &self,
         tenant: &str,
@@ -922,13 +735,11 @@ impl Gateway {
         opts: SubmitOptions,
     ) -> Result<GatewayHandle, GatewayError> {
         let now = Instant::now();
-        let deadline = opts.deadline.map(|d| now + d);
         let req = Arc::new(GwRequest {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             tenant: tenant.to_string(),
             submitted: now,
-            deadline,
-            idempotent: opts.idempotent,
+            deadline: opts.deadline.and_then(|d| now.checked_add(d)),
             phase: Mutex::new(GwPhase::Queued {
                 inputs,
                 fetch: fetch.iter().map(|s| s.to_string()).collect(),
@@ -940,60 +751,40 @@ impl Gateway {
             shared: Arc::clone(&self.shared),
         };
         // Admission runs entirely under the state lock: the shutdown /
-        // breaker / capacity decision and its counter update are one
+        // deadline / capacity decision and its counter update are one
         // critical section, so snapshots never observe a half-admitted
         // request and the submit-vs-shutdown race has a single arbiter.
         let mut state = self.shared.lock_state();
         let shutdown = state.shutdown;
-        let Some(t) = state.tenants.get_mut(tenant) else {
+        let Some(t) = state.tenant_mut(tenant) else {
             return Err(GatewayError::UnknownTenant(tenant.to_string()));
         };
         t.counters.admitted += 1;
-        if shutdown {
+        let rejection = if shutdown {
             t.counters.rejected += 1;
-            drop(state);
-            req.complete(Err(ServeError::ShuttingDown));
-            return Ok(handle);
-        }
-        let now = Instant::now();
-        if let Some(dl) = deadline {
-            if now >= dl {
-                t.counters.expired += 1;
-                drop(state);
-                req.complete(Err(ServeError::DeadlineExceeded {
-                    missed_by: now - dl,
-                }));
-                return Ok(handle);
-            }
-        }
-        t.breaker.tick(now);
-        if let Some(until) = t.breaker.reopen_at() {
-            t.counters.degraded += 1;
-            drop(state);
-            req.complete(Err(ServeError::Degraded {
-                retry_after_hint: until.saturating_duration_since(now).max(MIN_RETRY_HINT),
-            }));
-            return Ok(handle);
-        }
-        // `queued`, not `queue.len()`: entries cancelled since the last
-        // sweep are still physically in the queue but hold no capacity.
-        if t.counters.queued >= t.capacity as u64 {
+            Some(ServeError::ShuttingDown)
+        } else if let Some(missed) = missed_deadline(req.deadline, Instant::now()) {
+            t.counters.expired += 1;
+            Some(missed)
+        } else if t.counters.queued >= t.capacity as u64 {
+            // `queued`, not `queue.len()`: entries cancelled since the last
+            // sweep are still physically in the queue but hold no capacity.
             t.counters.overloaded += 1;
             // Best-effort hint: roughly one recent service time, read in
             // O(1) — shedding must not cost more than admitting.
-            let hint = t.latencies.estimate().max(MIN_RETRY_HINT);
+            Some(ServeError::Overloaded {
+                retry_after_hint: t.latencies.estimate().max(MIN_RETRY_HINT),
+            })
+        } else {
+            None
+        };
+        if let Some(error) = rejection {
             drop(state);
-            req.complete(Err(ServeError::Overloaded {
-                retry_after_hint: hint,
-            }));
+            req.complete(Err(error));
             return Ok(handle);
         }
         t.counters.queued += 1;
-        t.queue.push_back(QueueEntry {
-            req,
-            attempts: 0,
-            retry_at: None,
-        });
+        t.queue.push_back(req);
         drop(state);
         self.shared.work_cv.notify_one();
         Ok(handle)
@@ -1010,7 +801,7 @@ impl Gateway {
         if state.shutdown {
             return Err(GatewayError::ShuttingDown);
         }
-        let Some(t) = state.tenants.get_mut(tenant) else {
+        let Some(t) = state.tenant_mut(tenant) else {
             return Err(GatewayError::UnknownTenant(tenant.to_string()));
         };
         t.epoch += 1;
@@ -1020,14 +811,11 @@ impl Gateway {
         // old driver (and its session pool) alive until it completes, and
         // every batch formed after it uses the new one.
         t.exec = Arc::new(TenantExec { driver, epoch });
-        // Drain: wait until nothing is in flight on an older epoch.
-        loop {
-            let t = state
-                .tenants
-                .get(tenant)
-                .expect("tenants are never unregistered");
+        // Drain: wait until nothing is in flight on an older epoch.  The
+        // tenant was found above and tenants are never unregistered.
+        while let Some(t) = state.tenant_mut(tenant) {
             if t.counters.in_flight == 0 || t.inflight_epoch >= epoch {
-                return Ok(());
+                break;
             }
             state = self
                 .shared
@@ -1035,18 +823,6 @@ impl Gateway {
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Arm a deterministic [`FaultPlan`] against `tenant`'s future
-    /// dispatches (replacing any previous plan; arm
-    /// `FaultPlan::default()` to disarm).  A chaos-testing hook — see the
-    /// [`FaultPlan`] docs.
-    pub fn inject_faults(&self, tenant: &str, plan: FaultPlan) -> Result<(), GatewayError> {
-        let mut state = self.shared.lock_state();
-        let Some(t) = state.tenants.get_mut(tenant) else {
-            return Err(GatewayError::UnknownTenant(tenant.to_string()));
-        };
-        t.faults = plan;
         Ok(())
     }
 
@@ -1060,37 +836,7 @@ impl Gateway {
         let snapshot: Vec<_> = state
             .tenants
             .iter()
-            .map(|(name, t)| {
-                let c = &t.counters;
-                let stats = TenantStats {
-                    queue_depth: c.queued as usize,
-                    in_flight: c.in_flight,
-                    admitted: c.admitted,
-                    completed: c.completed,
-                    failed: c.failed,
-                    cancelled: c.cancelled,
-                    expired: c.expired,
-                    overloaded: c.overloaded,
-                    degraded: c.degraded,
-                    rejected: c.rejected,
-                    retried: c.retried,
-                    panics: c.panics,
-                    checkout_failures: c.checkout_failures,
-                    batches: c.batches,
-                    largest_batch: c.largest_batch,
-                    breaker: t.breaker.state(),
-                    breaker_trips: t.breaker.trips,
-                    epoch: t.epoch,
-                    weight: t.weight,
-                    p50_latency: Duration::ZERO,
-                    p95_latency: Duration::ZERO,
-                    sessions_created: t.exec.driver.sessions_created(),
-                    sessions_reused: t.exec.driver.sessions_reused(),
-                    pooled_sessions: t.exec.driver.pooled_sessions(),
-                    sessions_discarded: t.exec.driver.sessions_discarded(),
-                };
-                (name.clone(), stats, t.latencies.samples())
-            })
+            .map(|t| (t.name.clone(), t.stats(), t.latencies.samples()))
             .collect();
         drop(state);
         let tenants = snapshot
@@ -1106,10 +852,8 @@ impl Gateway {
         }
     }
 
-    /// Stop admitting, drain every tenant's queue (retry backoffs and open
-    /// breakers are overridden — the drain dispatches everything, though
-    /// infra-failed retries resolve with their last error instead of
-    /// requeueing), and join the dispatcher.  Called automatically on
+    /// Stop admitting, drain every tenant's queue (everything queued is
+    /// dispatched), and join the dispatcher.  Called automatically on
     /// drop; idempotent.  Requests submitted after shutdown resolve with
     /// [`ServeError::ShuttingDown`].
     pub fn shutdown(&self) {
@@ -1139,36 +883,21 @@ impl Drop for Gateway {
 }
 
 /// One claimed, runnable request: its state plus the payload taken from
-/// the queued phase.  The dispatch only borrows the payload, so a retry
-/// requeues the same allocation.
+/// the queued phase.
 struct GwClaimed {
     req: Arc<GwRequest>,
     inputs: HashMap<String, Tensor>,
     fetch: Vec<String>,
-    /// Attempts already made before this dispatch (0 = first try).
-    attempts: u32,
-    fault: FaultAction,
 }
 
 /// One formed batch: a single tenant's claimed requests plus the exec they
 /// run on (Arc-pinned so a concurrent reload cannot pull the driver out
 /// from under the batch).
 struct GwBatch {
-    tenant: String,
+    /// The tenant's index in [`GwState::tenants`].
+    tenant: usize,
     exec: Arc<TenantExec>,
-    delay: Duration,
     claimed: Vec<GwClaimed>,
-}
-
-/// Why one dispatched item failed inside the batch closure.
-#[derive(Debug)]
-enum GwItemError {
-    /// Real execution error — data-dependent, breaker-neutral, not
-    /// retried.
-    Exec(RuntimeError),
-    /// Session checkout failed — infrastructure, trips the breaker,
-    /// retryable.
-    Checkout(String),
 }
 
 fn dispatcher_loop(shared: &GwShared) {
@@ -1177,336 +906,152 @@ fn dispatcher_loop(shared: &GwShared) {
     }
 }
 
-/// Reject every queued request whose deadline has passed, drop entries
-/// completed out-of-band (cancellation), and advance breaker cooldowns.
+/// The rejection of a request whose `deadline` has passed at `now`.
+fn missed_deadline(deadline: Option<Instant>, now: Instant) -> Option<ServeError> {
+    let deadline = deadline.filter(|&dl| now >= dl)?;
+    Some(ServeError::DeadlineExceeded {
+        missed_by: now - deadline,
+    })
+}
+
+/// Reject every queued request whose deadline has passed and drop the
+/// entries cancelled since the last sweep, so that every entry left in a
+/// queue is claimable.
 fn sweep(state: &mut GwState, now: Instant) {
-    for t in state.tenants.values_mut() {
-        t.breaker.tick(now);
+    for t in &mut state.tenants {
         let counters = &mut t.counters;
-        t.queue.retain(|entry| {
-            let due = entry.req.deadline.is_some_and(|dl| now >= dl);
-            let mut phase = entry.req.lock_phase();
-            match &*phase {
-                GwPhase::Queued { .. } if due => {
-                    let dl = entry.req.deadline.expect("due implies a deadline");
-                    counters.queued -= 1;
-                    counters.expired += 1;
-                    *phase = GwPhase::Done(Err(ServeError::DeadlineExceeded {
-                        missed_by: now - dl,
-                    }));
-                    entry.req.done_cv.notify_all();
-                    false
-                }
-                GwPhase::Queued { .. } => true,
-                // Cancelled while queued: the handle already resolved.
-                _ => false,
+        t.queue.retain(|req| {
+            let mut phase = req.lock_phase();
+            if !matches!(&*phase, GwPhase::Queued { .. }) {
+                return false; // cancelled: the handle already resolved
             }
+            let Some(missed) = missed_deadline(req.deadline, now) else {
+                return true;
+            };
+            counters.queued -= 1;
+            counters.expired += 1;
+            *phase = GwPhase::Done(Err(missed));
+            req.done_cv.notify_all();
+            false
         });
     }
 }
 
-/// Block until some tenant's batch is due ([`TenantState::next_step`]),
-/// then claim one tenant's worth of ready requests by WDRR.  Returns `None`
-/// when every queue is drained and the gateway is shutting down.
+/// Block until some tenant has a queued request, then claim one tenant's
+/// worth of them by WDRR.  Nothing holds a queued request back, so the
+/// dispatcher sleeps only while every queue is empty, until a submission
+/// or shutdown notifies it; a queued deadline expires here, when the
+/// dispatcher returns from the batch it was queued behind.  Returns `None`
+/// once shutdown has drained every queue.
 fn collect_batch(shared: &GwShared) -> Option<GwBatch> {
     let mut state = shared.lock_state();
     loop {
-        let now = Instant::now();
-        sweep(&mut state, now);
-        let shutdown = state.shutdown;
-        let mut dispatch_now = false;
-        let mut wake: Option<Instant> = None;
-        for t in state.tenants.values() {
-            match t.next_step(now, shutdown) {
-                Step::Dispatch => dispatch_now = true,
-                Step::WakeAt(at) => wake = wake.into_iter().chain(at).min(),
-            }
+        sweep(&mut state, Instant::now());
+        if let Some(batch) = wdrr_claim(shared, &mut state) {
+            return Some(batch);
         }
-        if dispatch_now {
-            // Coalescing is self-pacing: the claim takes whatever queued
-            // while the previous batch executed.
-            if let Some(batch) = wdrr_claim(shared, &mut state, now) {
-                return Some(batch);
-            }
-            continue; // the claim resolved what it found: rescan
+        if state.shutdown {
+            return None;
         }
-        if shutdown {
-            return None; // the drain leaves nothing held back
-        }
-        // Nothing may go yet: sleep until a held entry changes (after the
-        // sweep every such instant is in the future) or a notification.
-        state = match wake {
-            Some(at) => {
-                shared
-                    .work_cv
-                    .wait_timeout(state, at.saturating_duration_since(now))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => shared
-                .work_cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner()),
-        };
+        state = shared
+            .work_cv
+            .wait(state)
+            .unwrap_or_else(|e| e.into_inner());
     }
 }
 
 /// Pick the next tenant by weighted deficit round-robin and claim up to
-/// `min(deficit, max_batch)` of its ready requests.
-fn wdrr_claim(shared: &GwShared, state: &mut GwState, now: Instant) -> Option<GwBatch> {
+/// `min(deficit, max_batch)` of its queued requests; `None` when every
+/// queue is empty.  Called right after a [`sweep`] under the same lock, so
+/// every queued entry is claimable (a cancel needs that lock).
+fn wdrr_claim(shared: &GwShared, state: &mut GwState) -> Option<GwBatch> {
     let quantum = shared.opts.max_batch as u64;
-    let shutdown = state.shutdown;
     // Continue spending the active tenant's earned deficit first — this is
     // what makes weight show up as consecutive dispatches.
-    let mut pick = state.active.clone().filter(|name| {
+    let mut pick = state.active.filter(|&i| {
         state
             .tenants
-            .get(name)
-            .is_some_and(|t| t.deficit >= 1 && t.next_step(now, shutdown) == Step::Dispatch)
+            .get(i)
+            .is_some_and(|t| t.deficit >= 1 && !t.queue.is_empty())
     });
     if pick.is_none() {
         state.active = None;
-        let n = state.rr.len();
+        let n = state.tenants.len();
         for k in 0..n {
-            let idx = (state.cursor + k) % n;
-            let name = state.rr[idx].clone();
-            let t = state
-                .tenants
-                .get_mut(&name)
-                .expect("rr names always have tenant state");
+            let index = (state.cursor + k) % n;
+            let t = &mut state.tenants[index];
             if t.queue.is_empty() {
                 // An empty queue forfeits banked credit: deficit must not
                 // accumulate while a tenant has nothing to say.
                 t.deficit = 0;
                 continue;
             }
-            if t.next_step(now, shutdown) != Step::Dispatch {
-                continue;
-            }
             // Earn this round's quantum, banking at most one unspent
             // round's worth on top of it.
             let earn = quantum * t.weight as u64;
             t.deficit = (t.deficit + earn).min(earn * 2);
-            state.cursor = (idx + 1) % n;
-            pick = Some(name);
+            state.cursor = (index + 1) % n;
+            pick = Some(index);
             break;
         }
     }
-    let name = pick?;
-    let t = state
-        .tenants
-        .get_mut(&name)
-        .expect("picked tenant exists by construction");
-    // A half-open breaker dispatches exactly one probe request.
-    let probe = !shutdown && t.breaker.state() == BreakerState::HalfOpen;
-    let take_cap = if probe {
-        1
-    } else {
-        t.deficit.min(quantum) as usize
-    };
-    let mut claimed = Vec::new();
-    let mut held_back = Vec::new();
-    while claimed.len() < take_cap {
-        let Some(entry) = t.queue.pop_front() else {
+    let index = pick?;
+    let t = state.tenants.get_mut(index)?;
+    let take = t.deficit.min(quantum) as usize;
+    let mut claimed = Vec::with_capacity(take.min(t.queue.len()));
+    while claimed.len() < take {
+        let Some(req) = t.queue.pop_front() else {
             break;
         };
-        if !entry.ready(now, shutdown) {
-            held_back.push(entry);
-            continue;
-        }
-        let mut phase = entry.req.lock_phase();
+        let mut phase = req.lock_phase();
         match std::mem::replace(&mut *phase, GwPhase::Dispatched) {
             GwPhase::Queued { inputs, fetch } => {
-                // Deadline re-check at claim: the race backstop behind the
-                // sweep (same-now, so it only fires for entries the sweep
-                // itself raced with).
-                if let Some(dl) = entry.req.deadline {
-                    if now >= dl {
-                        t.counters.queued -= 1;
-                        t.counters.expired += 1;
-                        *phase = GwPhase::Done(Err(ServeError::DeadlineExceeded {
-                            missed_by: now - dl,
-                        }));
-                        entry.req.done_cv.notify_all();
-                        continue;
-                    }
-                }
                 drop(phase);
-                t.dispatch_seq += 1;
-                let seq = t.dispatch_seq;
                 t.counters.queued -= 1;
                 t.counters.in_flight += 1;
-                claimed.push(GwClaimed {
-                    req: entry.req,
-                    inputs,
-                    fetch,
-                    attempts: entry.attempts,
-                    fault: t.faults.action(seq),
-                });
+                claimed.push(GwClaimed { req, inputs, fetch });
             }
-            // Completed out-of-band (cancelled): keep the result.
-            other => {
-                *phase = other;
-            }
+            // Not reached after the sweep; a resolved request keeps its
+            // result.
+            other => *phase = other,
         }
     }
-    // Entries still awaiting backoff go back to the front, in order.
-    for entry in held_back.into_iter().rev() {
-        t.queue.push_front(entry);
-    }
-    if claimed.is_empty() {
-        state.active = None;
-        return None;
-    }
     t.deficit = t.deficit.saturating_sub(claimed.len() as u64);
-    if probe {
-        t.probing = true;
-        t.deficit = 0;
-    }
     if t.queue.is_empty() {
         t.deficit = 0;
     }
-    state.active = (t.deficit > 0 && !t.queue.is_empty()).then(|| name.clone());
+    let active = (t.deficit > 0 && !t.queue.is_empty()).then_some(index);
     t.inflight_epoch = t.exec.epoch;
     t.counters.batches += 1;
     t.counters.largest_batch = t.counters.largest_batch.max(claimed.len());
+    let exec = Arc::clone(&t.exec);
+    state.active = active;
     state.dispatches += 1;
     Some(GwBatch {
-        exec: Arc::clone(&t.exec),
-        delay: t.faults.delay,
+        tenant: index,
+        exec,
         claimed,
-        tenant: name,
     })
 }
 
-/// Fan one tenant's batch across its pooled sessions, then resolve or
-/// retry every item under one state critical section.
+/// Fan one tenant's batch across its pooled sessions, then resolve every
+/// item under one state critical section, so a stats snapshot never
+/// observes the batch half-resolved.
 fn serve_batch(shared: &GwShared, batch: GwBatch) {
     let n = batch.claimed.len();
     let out = batch.exec.driver.run_batch_with(n, |i, session| {
         let item = &batch.claimed[i];
-        if !batch.delay.is_zero() {
-            std::thread::sleep(batch.delay);
-        }
-        match item.fault {
-            FaultAction::Panic(seq) => panic!("injected fault: panic on dispatch #{seq}"),
-            FaultAction::Checkout(seq) => {
-                return Err(GwItemError::Checkout(format!(
-                    "injected fault: checkout failure on dispatch #{seq}"
-                )));
-            }
-            FaultAction::None => {}
-        }
-        run_item(session, &item.inputs, &item.fetch).map_err(GwItemError::Exec)
+        run_item(session, &item.inputs, &item.fetch)
     });
-    // Resolve every item under ONE state critical section so a stats
-    // snapshot never observes a batch half-completed relative to its
-    // retries (the conservation invariant depends on this).
-    let now = Instant::now();
     let mut state = shared.lock_state();
-    let shutdown = state.shutdown;
-    let t = state
-        .tenants
-        .get_mut(&batch.tenant)
-        .expect("tenants are never unregistered");
-    t.probing = false;
-    let mut requeue: Vec<QueueEntry> = Vec::new();
-    for (item, outcome) in batch.claimed.into_iter().zip(out.items) {
-        t.counters.in_flight -= 1;
-        match outcome {
-            Ok(BatchItemResult { outputs, report }) => {
-                t.breaker.on_success();
-                t.counters.completed += 1;
-                let latency = item.req.submitted.elapsed();
-                t.latencies.record(latency);
-                item.req.complete(Ok(ServeResponse {
-                    outputs,
-                    report,
-                    latency,
-                    batched_with: n,
-                }));
-            }
-            // Data-dependent failure: resolve immediately, breaker
-            // untouched — a tenant sending bad shapes is not an outage.
-            Err(BatchError::Item(GwItemError::Exec(e))) => {
-                t.counters.failed += 1;
-                item.req.complete(Err(ServeError::Execution(e)));
-            }
-            Err(BatchError::Item(GwItemError::Checkout(msg))) => {
-                t.counters.checkout_failures += 1;
-                t.breaker.on_infra_failure(
-                    shared.opts.breaker_threshold,
-                    shared.opts.breaker_cooldown,
-                    now,
-                );
-                retry_or_fail(
-                    shared,
-                    t,
-                    item,
-                    ServeError::Checkout(msg),
-                    shutdown,
-                    &mut requeue,
-                    now,
-                );
-            }
-            Err(BatchError::Panicked(msg)) => {
-                t.counters.panics += 1;
-                t.breaker.on_infra_failure(
-                    shared.opts.breaker_threshold,
-                    shared.opts.breaker_cooldown,
-                    now,
-                );
-                retry_or_fail(
-                    shared,
-                    t,
-                    item,
-                    ServeError::Panicked(msg),
-                    shutdown,
-                    &mut requeue,
-                    now,
-                );
-            }
+    // The claim took `batch.tenant` from `tenants`, which never shrinks.
+    if let Some(t) = state.tenants.get_mut(batch.tenant) {
+        for (item, outcome) in batch.claimed.iter().zip(out.items) {
+            t.resolve(&item.req, outcome, n);
         }
-    }
-    // Retries jump the queue (front, in original order): they have already
-    // waited a full service round plus their backoff.
-    for entry in requeue.into_iter().rev() {
-        t.queue.push_front(entry);
     }
     drop(state);
     shared.drain_cv.notify_all();
-    shared.work_cv.notify_all();
-}
-
-/// After an infrastructure failure: requeue an idempotent item with retry
-/// budget left for retry unless the gateway is draining, otherwise resolve
-/// the handle with the failure.
-fn retry_or_fail(
-    shared: &GwShared,
-    t: &mut TenantState,
-    item: GwClaimed,
-    error: ServeError,
-    shutdown: bool,
-    requeue: &mut Vec<QueueEntry>,
-    now: Instant,
-) {
-    if shutdown || !item.req.idempotent || item.attempts >= shared.opts.retry_budget {
-        t.counters.failed += 1;
-        item.req.complete(Err(error));
-        return;
-    }
-    let attempt = item.attempts + 1;
-    t.counters.retried += 1;
-    t.counters.queued += 1;
-    *item.req.lock_phase() = GwPhase::Queued {
-        inputs: item.inputs,
-        fetch: item.fetch,
-    };
-    requeue.push(QueueEntry {
-        req: item.req,
-        attempts: attempt,
-        retry_at: Some(now + retry_backoff(shared.opts.retry_backoff, attempt)),
-    });
 }
 
 #[cfg(test)]
@@ -1523,57 +1068,10 @@ mod tests {
         assert_sync::<GatewayHandle>();
         assert_send::<GatewayStats>();
         assert_send::<GatewayError>();
-        assert_send::<FaultPlan>();
     }
 
-    /// Closed --(threshold consecutive infra failures)--> Open
-    /// --(cooldown)--> HalfOpen --(success)--> Closed, or
-    /// --(failure)--> Open again.  A success mid-streak resets the count.
-    #[test]
-    fn breaker_state_machine_transitions() {
-        let threshold = 3;
-        let cooldown = Duration::from_millis(10);
-        let t0 = Instant::now();
-        let mut b = Breaker::new();
-        assert_eq!(b.state(), BreakerState::Closed);
-
-        b.on_infra_failure(threshold, cooldown, t0);
-        b.on_infra_failure(threshold, cooldown, t0);
-        assert_eq!(b.state(), BreakerState::Closed, "below threshold");
-        b.on_success();
-        b.on_infra_failure(threshold, cooldown, t0);
-        b.on_infra_failure(threshold, cooldown, t0);
-        assert_eq!(b.state(), BreakerState::Closed, "success reset the streak");
-
-        b.on_infra_failure(threshold, cooldown, t0);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips, 1);
-        assert_eq!(b.reopen_at(), Some(t0 + cooldown));
-
-        // Failures while open push the horizon out, never pull it in.
-        b.on_infra_failure(threshold, cooldown, t0 + Duration::from_millis(5));
-        assert_eq!(b.reopen_at(), Some(t0 + Duration::from_millis(15)));
-        assert_eq!(b.trips, 1, "extending an open breaker is not a new trip");
-
-        b.tick(t0 + Duration::from_millis(14));
-        assert_eq!(b.state(), BreakerState::Open, "cooldown not elapsed");
-        b.tick(t0 + Duration::from_millis(15));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-
-        // Failed probe: straight back to open, counted as a trip.
-        b.on_infra_failure(threshold, cooldown, t0 + Duration::from_millis(16));
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips, 2);
-
-        b.tick(t0 + Duration::from_millis(26));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed, "successful probe closes");
-    }
-
-    /// A tenant over `Y = 2X` holding `entries`, given as (`retry_at`,
-    /// `deadline`) per queued request.
-    fn tenant_with(entries: &[(Option<Instant>, Option<Instant>)]) -> TenantState {
+    /// A tenant over `Y = 2X`, N = 3.
+    fn tenant(name: &str) -> TenantState {
         use dace_frontend::{ArrayExpr, ProgramBuilder};
         let mut b = ProgramBuilder::new("double");
         let n = b.symbol("N");
@@ -1582,134 +1080,99 @@ mod tests {
         b.assign("Y", ArrayExpr::a("X").mul(ArrayExpr::s(2.0)));
         let program =
             crate::compile(&b.build().unwrap(), &HashMap::from([("N".to_string(), 3)])).unwrap();
-        let mut tenant = TenantState {
-            weight: 1,
-            capacity: 64,
-            deficit: 0,
-            queue: VecDeque::new(),
-            exec: Arc::new(TenantExec {
-                driver: BatchDriver::new(program),
-                epoch: 1,
+        TenantState::new(name, BatchDriver::new(program), 1, 64)
+    }
+
+    /// A queued request for `tenant` with the given deadline.
+    fn queued(tenant: &str, deadline: Option<Instant>) -> Arc<GwRequest> {
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+        Arc::new(GwRequest {
+            id: 0,
+            tenant: tenant.to_string(),
+            submitted: Instant::now(),
+            deadline,
+            phase: Mutex::new(GwPhase::Queued {
+                inputs: HashMap::from([("X".to_string(), x)]),
+                fetch: vec!["Y".to_string()],
             }),
-            epoch: 1,
-            inflight_epoch: 1,
-            probing: false,
-            counters: TenantCounters::default(),
-            breaker: Breaker::new(),
-            faults: FaultPlan::default(),
-            dispatch_seq: 0,
-            latencies: LatencyWindow::new(),
-        };
-        for &(retry_at, deadline) in entries {
-            tenant.queue.push_back(QueueEntry {
-                req: Arc::new(GwRequest {
-                    id: 0,
-                    tenant: "t".to_string(),
-                    submitted: Instant::now(),
-                    deadline,
-                    idempotent: true,
-                    phase: Mutex::new(GwPhase::Queued {
-                        inputs: HashMap::new(),
-                        fetch: Vec::new(),
-                    }),
-                    done_cv: Condvar::new(),
-                }),
-                attempts: 0,
-                retry_at,
-            });
-        }
-        tenant
+            done_cv: Condvar::new(),
+        })
     }
 
-    /// The dispatch rule and what is left of the timed wake: a ready entry
-    /// of an allowed tenant is due now; otherwise the dispatcher sleeps to
-    /// the earliest `retry_at`, `reopen_at` or deadline of a held entry.
+    /// The panic arm of [`TenantState::resolve`]: the request resolves
+    /// `Panicked` once, leaves `in_flight` for `failed`, counts one
+    /// `panics`, and the counters conserve before and after.
     #[test]
-    fn next_step_dispatches_ready_entries_and_wakes_for_held_ones() {
+    fn a_panicked_item_resolves_its_request_once_as_failed() {
+        let shared = Arc::new(GwShared::new(GatewayOptions::default()));
+        let mut t = tenant("t");
+        let req = queued("t", None);
+        *req.lock_phase() = GwPhase::Dispatched;
+        t.counters.admitted = 1;
+        t.counters.in_flight = 1;
+        assert!(t.stats().conserves());
+
+        t.resolve(&req, Err(BatchError::Panicked("boom".to_string())), 1);
+        let stats = t.stats();
+        assert!(stats.conserves(), "{stats:?}");
+        assert_eq!((stats.in_flight, stats.failed, stats.panics), (0, 1, 1));
+        assert_eq!(stats.completed, 0);
+        let handle = GatewayHandle { req, shared };
+        let panicked = Err(ServeError::Panicked("boom".to_string()));
+        assert_eq!(
+            handle.try_wait().map(|r| r.map(|_| ())),
+            Some(panicked.clone())
+        );
+        assert_eq!(handle.wait().map(|_| ()), panicked);
+    }
+
+    /// The collapsed dispatch rule: a queued request is claimed at once
+    /// whatever its deadline, the sweep before the claim resolves expired
+    /// and drops cancelled entries, and an empty dispatcher returns `None`
+    /// at shutdown instead of waiting.
+    #[test]
+    fn collect_batch_claims_queued_requests_at_once_and_sweeps_the_rest() {
+        let shared = GwShared::new(GatewayOptions::default());
         let now = Instant::now();
-        let at = |ms: u64| Some(now + Duration::from_millis(ms));
+        let live = queued("t", Some(now + Duration::from_secs(3600)));
+        let expired = queued("t", Some(now));
+        let cancelled = queued("t", None);
+        *cancelled.lock_phase() = GwPhase::Done(Err(ServeError::Cancelled));
+        {
+            let mut state = shared.lock_state();
+            let mut t = tenant("t");
+            t.counters.admitted = 3;
+            t.counters.queued = 2;
+            t.counters.cancelled = 1;
+            for req in [&cancelled, &expired, &live] {
+                t.queue.push_back(Arc::clone(req));
+            }
+            state.tenants.push(t);
+            state.by_name.insert("t".to_string(), 0);
+        }
 
-        assert_eq!(tenant_with(&[]).next_step(now, false), Step::WakeAt(None));
-        // Ready and allowed: due at once, whatever else is queued.
-        let ready = tenant_with(&[(at(50), at(20)), (None, at(10))]);
-        assert_eq!(ready.next_step(now, false), Step::Dispatch);
-        let elapsed = tenant_with(&[(Some(now), None)]);
-        assert_eq!(elapsed.next_step(now, false), Step::Dispatch);
-
-        // In backoff: wake at `retry_at`, or at an earlier deadline.
-        let backoff = tenant_with(&[(at(50), None), (at(30), at(70))]);
-        assert_eq!(backoff.next_step(now, false), Step::WakeAt(at(30)));
-        let expiring = tenant_with(&[(at(50), at(20))]);
-        assert_eq!(expiring.next_step(now, false), Step::WakeAt(at(20)));
-        // The final drain ignores backoff.
-        assert_eq!(expiring.next_step(now, true), Step::Dispatch);
-
-        // Open breaker: ready entries are held until `reopen_at` (or their
-        // deadline); a backoff behind it adds no wake of its own.
-        let mut open = tenant_with(&[(None, None), (at(5), at(90))]);
-        open.breaker
-            .on_infra_failure(1, Duration::from_millis(40), now);
-        assert_eq!(open.breaker.state(), BreakerState::Open);
-        assert_eq!(open.next_step(now, false), Step::WakeAt(at(40)));
-        assert_eq!(open.next_step(now, true), Step::Dispatch);
-        let mut open_expiring = tenant_with(&[(None, at(15))]);
-        open_expiring
-            .breaker
-            .on_infra_failure(1, Duration::from_millis(40), now);
-        assert_eq!(open_expiring.next_step(now, false), Step::WakeAt(at(15)));
-
-        // Half-open: one probe may go; while it is in flight nothing does,
-        // and its completion (a notification) is the wake.
-        open.breaker.tick(now + Duration::from_millis(40));
-        assert_eq!(open.next_step(now, false), Step::Dispatch);
-        open.probing = true;
-        assert_eq!(open.next_step(now, false), Step::WakeAt(at(90)));
-    }
-
-    /// base × 2^(attempt-1), with the exponent capped.
-    #[test]
-    fn retry_backoff_doubles_and_saturates() {
-        let base = Duration::from_micros(500);
-        assert_eq!(retry_backoff(base, 1), base);
-        assert_eq!(retry_backoff(base, 2), base * 2);
-        assert_eq!(retry_backoff(base, 3), base * 4);
-        assert_eq!(retry_backoff(base, 11), base * 1024);
-        assert_eq!(retry_backoff(base, 12), base * 1024, "exponent capped");
-        assert_eq!(retry_backoff(base, 100), base * 1024);
-        // attempt 0 (not produced in practice) must not underflow.
-        assert_eq!(retry_backoff(base, 0), base);
-    }
-
-    #[test]
-    fn fault_plan_matches_sequence_numbers() {
-        let plan = FaultPlan {
-            panic_on: vec![3],
-            panic_every: Some(10),
-            checkout_fail_on: vec![4],
-            checkout_fail_every: None,
-            delay: Duration::ZERO,
+        let batch = collect_batch(&shared).expect("a queued request is due at once");
+        assert_eq!(batch.claimed.len(), 1);
+        assert!(Arc::ptr_eq(&batch.claimed[0].req, &live));
+        assert!(matches!(
+            &*expired.lock_phase(),
+            GwPhase::Done(Err(ServeError::DeadlineExceeded { .. }))
+        ));
+        {
+            let state = shared.lock_state();
+            let stats = state.tenants[0].stats();
+            assert!(stats.conserves(), "{stats:?}");
+            assert_eq!((stats.queue_depth, stats.in_flight), (0, 1));
+            assert_eq!((stats.expired, stats.batches), (1, 1));
+        }
+        serve_batch(&shared, batch);
+        shared.lock_state().shutdown = true;
+        assert!(collect_batch(&shared).is_none());
+        let phase = live.lock_phase();
+        let GwPhase::Done(Ok(response)) = &*phase else {
+            panic!("the claimed request must have been served");
         };
-        assert!(matches!(plan.action(3), FaultAction::Panic(3)));
-        assert!(matches!(plan.action(10), FaultAction::Panic(10)));
-        assert!(matches!(plan.action(20), FaultAction::Panic(20)));
-        assert!(matches!(plan.action(4), FaultAction::Checkout(4)));
-        assert!(matches!(plan.action(1), FaultAction::None));
-        assert!(matches!(plan.action(11), FaultAction::None));
-        // Panic wins when both would fire.
-        let both = FaultPlan {
-            panic_on: vec![5],
-            checkout_fail_on: vec![5],
-            ..FaultPlan::default()
-        };
-        assert!(matches!(both.action(5), FaultAction::Panic(5)));
-        // k = 0 must not divide-by-zero nor fire on everything.
-        let zero = FaultPlan {
-            panic_every: Some(0),
-            ..FaultPlan::default()
-        };
-        assert!(matches!(zero.action(7), FaultAction::None));
-        // An empty plan never fires.
-        assert!(matches!(FaultPlan::default().action(1), FaultAction::None));
+        assert_eq!(response.outputs["Y"].data(), &[2.0, 4.0, 6.0]);
     }
 
     /// The conservation check counts every lifecycle bucket and nothing
@@ -1719,21 +1182,19 @@ mod tests {
         let mut s = TenantStats {
             queue_depth: 2,
             in_flight: 1,
-            admitted: 12,
+            admitted: 11,
             completed: 4,
             failed: 1,
             cancelled: 1,
             expired: 1,
             overloaded: 1,
-            degraded: 1,
+            degraded: 0,
             rejected: 0,
-            retried: 7, // attempt-level: must not affect conservation
-            panics: 5,
-            checkout_failures: 2,
+            retried: 0,
+            panics: 1, // also counted in `failed`
             batches: 3,
             largest_batch: 2,
-            breaker: BreakerState::Closed,
-            breaker_trips: 1,
+            breaker_trips: 0,
             epoch: 2,
             weight: 1,
             p50_latency: Duration::ZERO,

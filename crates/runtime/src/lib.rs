@@ -27,11 +27,10 @@
 //!   tenant or many: requests are submitted individually (with optional
 //!   deadlines and cancellation) and coalesced into batches; per-tenant
 //!   queues are bounded with typed overload rejection and scheduled by
-//!   weighted deficit round-robin; retries with exponential backoff,
-//!   per-tenant circuit breakers, graceful program reload and a
-//!   deterministic fault-injection harness complete it.  Every handle
-//!   resolves exactly once with a [`serve::ServeResponse`] or a typed
-//!   [`serve::ServeError`].
+//!   weighted deficit round-robin; a panicking request fails alone (its
+//!   session is discarded, the tenant keeps serving), and graceful program
+//!   reload completes it.  Every handle resolves exactly once with a
+//!   [`serve::ServeResponse`] or a typed [`serve::ServeError`].
 //! * [`memory::MemoryTracker`] provides the allocation tracking and
 //!   peak-memory measurement used by the checkpointing experiments
 //!   (Fig. 13).
@@ -97,8 +96,8 @@ pub use batch::{throughput, BatchDriver, BatchError, BatchItemResult, BatchOutpu
 pub use error::{RuntimeError, RuntimeResult};
 pub use executor::{ExecutionReport, MapPath};
 pub use gateway::{
-    BreakerState, FaultPlan, Gateway, GatewayError, GatewayHandle, GatewayOptions, GatewayStats,
-    SubmitOptions, TenantConfig, TenantStats,
+    Gateway, GatewayError, GatewayHandle, GatewayOptions, GatewayStats, SubmitOptions,
+    TenantConfig, TenantStats,
 };
 pub use memory::MemoryTracker;
 pub use plan::{KernelMiss, MapInfo, MapStrategy, RowMode};

@@ -35,7 +35,7 @@
 //! assert!(response.batched_with >= 1);
 //!
 //! // A spent latency budget is a typed rejection, not a late result.
-//! let expired = SubmitOptions { deadline: Some(Duration::ZERO), ..SubmitOptions::default() };
+//! let expired = SubmitOptions { deadline: Some(Duration::ZERO) };
 //! let handle = gateway.submit_with("double", x(), &["Y"], expired).unwrap();
 //! assert!(matches!(handle.wait(), Err(ServeError::DeadlineExceeded { .. })));
 //! ```
@@ -65,7 +65,8 @@ pub enum ServeError {
     /// The request executed and failed with a runtime error.
     Execution(RuntimeError),
     /// The request panicked mid-execution; its session was discarded and
-    /// the server keeps serving.
+    /// the server keeps serving.  The request is not re-dispatched: a
+    /// request that panicked once panics again.
     Panicked(String),
     /// The tenant's admission queue was full, so the request was rejected
     /// instead of growing the queue without bound.  `retry_after_hint` is a
@@ -76,17 +77,6 @@ pub enum ServeError {
         /// Suggested client back-off before resubmitting (best-effort).
         retry_after_hint: Duration,
     },
-    /// The tenant's circuit breaker is open after repeated infrastructure
-    /// failures: load is shed early instead of queueing behind a failing
-    /// backend.  Raised by [`crate::gateway::Gateway`] admission only.
-    Degraded {
-        /// Time until the breaker's next half-open recovery probe.
-        retry_after_hint: Duration,
-    },
-    /// A serving session could not be checked out for this request (today
-    /// only reachable via fault injection, see
-    /// [`crate::gateway::FaultPlan`]).
-    Checkout(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -105,11 +95,6 @@ impl std::fmt::Display for ServeError {
                     "admission queue full (retry after ~{retry_after_hint:?})"
                 )
             }
-            ServeError::Degraded { retry_after_hint } => write!(
-                f,
-                "tenant degraded: circuit breaker open (retry after ~{retry_after_hint:?})"
-            ),
-            ServeError::Checkout(msg) => write!(f, "session checkout failed: {msg}"),
         }
     }
 }

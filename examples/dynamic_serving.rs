@@ -76,7 +76,6 @@ fn main() {
     // --- Deadlines reject before execution; cancellation is explicit. ----
     let budget = SubmitOptions {
         deadline: Some(Duration::ZERO),
-        ..SubmitOptions::default()
     };
     let impatient = server.submit_with(&request(0), budget).unwrap();
     match impatient.wait() {

@@ -18,10 +18,11 @@
 #    `//!` / `///` comment outside perfbench/ names a file that defines
 #    `fn NAME`;
 #  * every code span that opens with `Type::member` (a capitalised type, a
-#    lower-case member) in a *.md file, same exemptions, names a member
-#    that exists: some `fn member` or field `member:` under crates/ or src/
-#    (by name only, whatever the type), so a doc that still cites a
-#    deleted method fails.
+#    lower-case member) in a *.md file, same exemptions, or in a `//!` /
+#    `///` comment under crates/ or src/, names a member that exists: some
+#    `fn member` or field `member:` under crates/ or src/ (by name only,
+#    whatever the type), so a doc that still cites a deleted method or
+#    field fails.
 # Exits non-zero listing every miss.  Plain grep/sed, no dependencies — run
 # from the repo root.
 set -u
@@ -108,6 +109,18 @@ defined=$(for f in $sources; do
 done | xargs grep -hoE '(fn [a-z_][a-z0-9_]*|\b[a-z_][a-z0-9_]*:([^:]|$))' |
     sed -E 's/^fn //; s/:.*$//' | sort -u)
 
+# Code spans in <text> that open with `Type::member` must name a member in
+# $defined.
+check_member_spans() { # <reported-file> <text>
+    for cite in $(printf '%s\n' "$2" | grep -oE '`[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*' |
+        tr -d '`' | sort -u); do
+        if ! printf '%s\n' "$defined" | grep -qxF -- "${cite#*::}"; then
+            echo "$1: \`$cite\` names no fn or field under crates/ or src/"
+            fail=1
+        fi
+    done
+}
+
 # Cargo targets, packages, tests and members named by the documentation.
 for f in $files; do
     case "$f" in
@@ -133,19 +146,18 @@ for f in $files; do
         fi
     done
     check_test_citations "$f" "$(cat "$f")"
-    for cite in $(grep -oE '`[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*' "$f" | tr -d '`' | sort -u); do
-        if ! printf '%s\n' "$defined" | grep -qxF -- "${cite#*::}"; then
-            echo "$f: \`$cite\` names no fn or field under crates/ or src/"
-            fail=1
-        fi
-    done
+    check_member_spans "$f" "$(cat "$f")"
 done
 
 for f in $sources; do
     case "$f" in
     perfbench/*) continue ;;
     esac
-    check_test_citations "$f" "$(grep -E '^[[:space:]]*//[/!]' "$f")"
+    docs=$(grep -E '^[[:space:]]*//[/!]' "$f")
+    check_test_citations "$f" "$docs"
+    case "$f" in
+    crates/* | src/*) check_member_spans "$f" "$docs" ;;
+    esac
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -1,7 +1,9 @@
-//! Multi-tenant gateway: WDRR fairness, backpressure, retries, circuit
-//! breaking, graceful reload, fault injection, shutdown-under-load and the
-//! exactly-once handle contract of `Gateway` /
-//! `GradientEngine::register_with` / `GradientEngine::serve`.
+//! Multi-tenant gateway: WDRR fairness, backpressure, panic isolation,
+//! graceful reload, shutdown-under-load and the exactly-once handle
+//! contract of `Gateway` / `GradientEngine::register_with` /
+//! `GradientEngine::serve`.  A test that needs requests queued occupies
+//! the dispatcher with `common::plug_dispatcher`, a tenant over a slow
+//! program.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,12 +111,6 @@ fn wait_for(gateway: &Gateway, pred: impl Fn(&GatewayStats) -> bool, what: &str)
     }
 }
 
-/// Occupy the dispatcher with `item(i)` on tenant "alpha" (see
-/// [`common::plug_dispatcher`]).
-fn plug(gateway: &Gateway, i: usize) -> GatewayHandle {
-    common::plug_dispatcher(gateway, "alpha", item(i), &["Y"])
-}
-
 /// Two tenants, interleaved submissions: every result is bit-identical to
 /// a serial session run of the right tenant's program, and both tenants'
 /// counters conserve.
@@ -197,7 +193,7 @@ fn arrivals_during_a_dispatch_form_the_next_batch() {
     register(&gateway, "alpha", program.clone());
 
     for (backlog, expect) in [(3, vec![3; 3]), (MAX_BATCH + 3, vec![4, 4, 4, 4, 3, 3, 3])] {
-        let held = plug(&gateway, backlog);
+        let held = common::plug_dispatcher(&gateway);
         let handles: Vec<_> = (0..backlog)
             .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
             .collect();
@@ -214,52 +210,42 @@ fn arrivals_during_a_dispatch_form_the_next_batch() {
     let stats = gateway.stats();
     assert!(stats.conserves());
     let t = &stats.tenants["alpha"];
-    assert_eq!(t.completed, 2 + 3 + 7);
-    assert_eq!(
-        t.batches,
-        2 + 1 + 2,
-        "two plugs, then one and two dispatches"
-    );
+    assert_eq!(t.completed, 3 + 7);
+    assert_eq!(t.batches, 1 + 2, "one and two dispatches");
     assert_eq!(t.largest_batch, MAX_BATCH);
+    assert_eq!(stats.tenants[common::PLUG].completed, 2);
 }
 
-/// Equal-weight WDRR: a tenant with a small backlog drains while a hot
-/// tenant with 4× the backlog is still being served — the hot tenant
-/// cannot starve the small one.
+/// How long one run of a WDRR tenant's program takes: what makes the
+/// dispatch order observable from the client side.
+const WDRR_RUN: Duration = Duration::from_millis(10);
+
+/// Equal-weight WDRR: with both backlogs queued behind a plug, a tenant
+/// with a small backlog drains while a hot tenant with 4× the backlog is
+/// still being served — the hot tenant cannot starve the small one.
 #[test]
 fn wdrr_small_tenant_is_not_starved_by_hot_tenant() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 2,
         queue_capacity: 64,
-        ..GatewayOptions::default()
     });
-    register(&gateway, "hot", alpha_program());
-    register(&gateway, "small", beta_program());
-    // Make each dispatch take real time so scheduling order is observable.
-    for t in ["hot", "small"] {
-        gateway
-            .inject_faults(
-                t,
-                FaultPlan {
-                    delay: Duration::from_millis(5),
-                    ..FaultPlan::default()
-                },
-            )
-            .unwrap();
-    }
+    register(&gateway, "hot", common::slow_program(N, WDRR_RUN));
+    register(&gateway, "small", common::slow_program(N, WDRR_RUN));
 
+    let held = common::plug_dispatcher(&gateway);
     let hot: Vec<_> = (0..16)
         .map(|i| gateway.submit("hot", item(i), &["Y"]).unwrap())
         .collect();
     let small: Vec<_> = (0..4)
         .map(|i| gateway.submit("small", item(i), &["Y"]).unwrap())
         .collect();
+    must_resolve(held).unwrap();
     for handle in small {
         must_resolve(handle).unwrap();
     }
     // Round-robin alternates tenants batch for batch, so when the small
-    // tenant's 2 batches have completed the hot tenant can have consumed
-    // only a comparable number of its 8 — most of its backlog remains.
+    // tenant's 2 batches have completed the hot tenant has had 2 of its 8:
+    // most of its backlog remains.
     let hot_done = hot.iter().filter(|h| h.is_done()).count();
     assert!(
         hot_done < hot.len(),
@@ -273,9 +259,9 @@ fn wdrr_small_tenant_is_not_starved_by_hot_tenant() {
     assert!(gateway.stats().conserves());
 }
 
-/// Weighted WDRR: with equal backlogs, a weight-3 tenant earns three
-/// consecutive batches per round-robin visit and drains well before its
-/// weight-1 peer.
+/// Weighted WDRR: with equal backlogs queued behind a plug, a weight-3
+/// tenant earns three consecutive batches per round-robin visit and drains
+/// well before its weight-1 peer.
 #[test]
 fn wdrr_weight_skews_dispatch_share() {
     let gateway = Gateway::new(GatewayOptions {
@@ -285,32 +271,23 @@ fn wdrr_weight_skews_dispatch_share() {
     gateway
         .register(
             "heavy",
-            BatchDriver::new(alpha_program()),
+            BatchDriver::new(common::slow_program(N, WDRR_RUN)),
             TenantConfig {
                 weight: 3,
                 queue_capacity: None,
             },
         )
         .unwrap();
-    register(&gateway, "light", beta_program());
-    for t in ["heavy", "light"] {
-        gateway
-            .inject_faults(
-                t,
-                FaultPlan {
-                    delay: Duration::from_millis(3),
-                    ..FaultPlan::default()
-                },
-            )
-            .unwrap();
-    }
+    register(&gateway, "light", common::slow_program(N, WDRR_RUN));
 
+    let held = common::plug_dispatcher(&gateway);
     let heavy: Vec<_> = (0..12)
         .map(|i| gateway.submit("heavy", item(i), &["Y"]).unwrap())
         .collect();
     let light: Vec<_> = (0..12)
         .map(|i| gateway.submit("light", item(i), &["Y"]).unwrap())
         .collect();
+    must_resolve(held).unwrap();
     for handle in heavy {
         must_resolve(handle).unwrap();
     }
@@ -336,11 +313,10 @@ fn overload_sheds_with_typed_hint() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 64, // never fills
         queue_capacity: CAP,
-        ..GatewayOptions::default()
     });
     register(&gateway, "alpha", alpha_program());
 
-    let held = plug(&gateway, CAP);
+    let held = common::plug_dispatcher(&gateway);
     let queued: Vec<_> = (0..CAP)
         .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
         .collect();
@@ -368,7 +344,7 @@ fn overload_sheds_with_typed_hint() {
     must_resolve(held).unwrap();
     let stats = gateway.stats();
     assert!(stats.conserves());
-    assert_eq!(stats.tenants["alpha"].completed, CAP as u64 + 1);
+    assert_eq!(stats.tenants["alpha"].completed, CAP as u64);
 }
 
 /// Cancelling queued requests gives their capacity back at once: a tenant
@@ -380,13 +356,12 @@ fn cancelled_requests_release_queue_capacity() {
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 64, // never fills
         queue_capacity: CAP,
-        ..GatewayOptions::default()
     });
     register(&gateway, "alpha", alpha_program());
 
     // The dispatcher is busy with the plug, so the cancelled entries below
     // are still physically queued when capacity is checked.
-    let held = plug(&gateway, CAP);
+    let held = common::plug_dispatcher(&gateway);
     let doomed: Vec<_> = (0..CAP)
         .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
         .collect();
@@ -424,79 +399,14 @@ fn cancelled_requests_release_queue_capacity() {
     must_resolve(held).unwrap();
     let stats = gateway.stats();
     assert!(stats.conserves());
-    assert_eq!(stats.tenants["alpha"].completed, CAP as u64 + 1);
+    assert_eq!(stats.tenants["alpha"].completed, CAP as u64);
 }
 
-/// An injected panic on the first dispatch quarantines the session and the
-/// idempotent request is retried to a bit-identical result; a
-/// non-idempotent request resolves with the panic instead.
+/// A gradient request served through the gateway returns the same bits as
+/// `Session::run`, with a fetch list that names the output twice and a
+/// bound input; the engine's own client matches `GradientEngine::run`.
 #[test]
-fn panic_is_retried_for_idempotent_requests_only() {
-    let program = alpha_program();
-    let gateway = Gateway::new(GatewayOptions {
-        max_batch: 1,
-        retry_budget: 2,
-        retry_backoff: Duration::from_micros(100),
-        breaker_threshold: 10, // keep the breaker out of this test
-        ..GatewayOptions::default()
-    });
-    register(&gateway, "alpha", program.clone());
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                panic_on: vec![1, 3],
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-
-    // Dispatch #1 panics, the retry (dispatch #2) succeeds.
-    let handle = gateway.submit("alpha", item(0), &["Y"]).unwrap();
-    let response = must_resolve(handle).unwrap();
-    assert_eq!(bits(&response.outputs["Y"]), bits(&reference(&program, 0)));
-
-    // Dispatch #3 panics and the request opted out of retries.
-    let fragile = gateway
-        .submit_with(
-            "alpha",
-            item(1),
-            &["Y"],
-            SubmitOptions {
-                deadline: None,
-                idempotent: false,
-            },
-        )
-        .unwrap();
-    match must_resolve(fragile) {
-        Err(ServeError::Panicked(msg)) => {
-            assert!(msg.contains("injected fault"), "unexpected panic: {msg}")
-        }
-        other => panic!("expected Panicked, got {other:?}"),
-    }
-
-    let stats = gateway.stats();
-    assert!(stats.conserves());
-    let t = &stats.tenants["alpha"];
-    assert_eq!(t.completed, 1);
-    assert_eq!(t.failed, 1);
-    assert_eq!(t.retried, 1);
-    assert_eq!(t.panics, 2);
-    assert_eq!(t.breaker, BreakerState::Closed);
-    assert!(
-        t.sessions_discarded >= 2,
-        "each panic must quarantine its session (saw {})",
-        t.sessions_discarded
-    );
-}
-
-/// A gradient request retried after an injected panic returns the same bits
-/// as `Session::run`: the dispatch only borrows the payload, so the retry
-/// runs on the very tensors the panicking dispatch held.  The fetch list
-/// also names the output twice and a bound input; the engine's own client
-/// is retried the same way and matches `GradientEngine::run`.
-#[test]
-fn a_retried_gradient_request_matches_session_run() {
+fn a_served_gradient_request_matches_session_run() {
     let kernel = npbench::kernel_by_name("gesummv").unwrap();
     let sizes = kernel.sizes(Preset::Test);
     let inputs = kernel.inputs(&sizes);
@@ -524,21 +434,12 @@ fn a_retried_gradient_request_matches_session_run() {
 
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 1,
-        retry_budget: 1,
-        retry_backoff: Duration::from_micros(100),
-        breaker_threshold: 10,
         ..GatewayOptions::default()
     }));
     let client = engine
         .register_with(&gateway, "gesummv", TenantConfig::default())
         .unwrap();
-    let panic_on = |dispatch: u64| FaultPlan {
-        panic_on: vec![dispatch],
-        ..FaultPlan::default()
-    };
 
-    // Dispatch #1 panics, the retry (#2) serves.
-    gateway.inject_faults("gesummv", panic_on(1)).unwrap();
     let handle = gateway.submit("gesummv", inputs.clone(), &fetch).unwrap();
     let response = must_resolve(handle).unwrap();
     assert_eq!(response.outputs.len(), fetch.len() - 1);
@@ -547,8 +448,6 @@ fn a_retried_gradient_request_matches_session_run() {
         assert_eq!(bits(&response.outputs[*name]), bits(expected), "{name}");
     }
 
-    // Dispatch #3 panics, the retry (#4) serves the client's request.
-    gateway.inject_faults("gesummv", panic_on(3)).unwrap();
     let served = client.submit(&inputs).unwrap().wait().unwrap().result;
     assert_eq!(
         served.output_value.to_bits(),
@@ -559,266 +458,7 @@ fn a_retried_gradient_request_matches_session_run() {
     }
 
     let t = &gateway.stats().tenants["gesummv"];
-    assert_eq!((t.panics, t.retried, t.completed), (2, 2, 2));
-}
-
-/// Repeated infrastructure failures trip the breaker: admissions are shed
-/// early with `Degraded`, a half-open probe after the cooldown restores
-/// the tenant, and other tenants keep serving throughout.
-#[test]
-fn breaker_trips_sheds_and_recovers_via_probe() {
-    let cooldown = Duration::from_millis(40);
-    let program = alpha_program();
-    let gateway = Gateway::new(GatewayOptions {
-        max_batch: 1,
-        retry_budget: 0, // failures resolve immediately
-        breaker_threshold: 2,
-        breaker_cooldown: cooldown,
-        ..GatewayOptions::default()
-    });
-    register(&gateway, "alpha", program.clone());
-    register(&gateway, "beta", beta_program());
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                panic_every: Some(1), // every dispatch fails
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-
-    // Two consecutive failures trip the breaker.
-    for i in 0..2 {
-        let handle = gateway.submit("alpha", item(i), &["Y"]).unwrap();
-        match must_resolve(handle) {
-            Err(ServeError::Panicked(_)) => {}
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-    }
-    let stats = gateway.stats();
-    assert_eq!(stats.tenants["alpha"].breaker, BreakerState::Open);
-    assert_eq!(stats.tenants["alpha"].breaker_trips, 1);
-
-    // While open: load is shed at admission with a typed hint.
-    let shed = gateway.submit("alpha", item(2), &["Y"]).unwrap();
-    match shed.try_wait() {
-        Some(Err(ServeError::Degraded { retry_after_hint })) => {
-            assert!(retry_after_hint > Duration::ZERO);
-            assert!(retry_after_hint <= cooldown);
-        }
-        other => panic!("expected an immediate Degraded, got {other:?}"),
-    }
-    // The healthy tenant is unaffected by its neighbour's outage.
-    let healthy = gateway.submit("beta", item(0), &["Y"]).unwrap();
-    must_resolve(healthy).unwrap();
-
-    // Heal the backend, wait out the cooldown: the next request is the
-    // half-open probe and its success closes the breaker.
-    gateway
-        .inject_faults("alpha", FaultPlan::default())
-        .unwrap();
-    std::thread::sleep(cooldown + Duration::from_millis(5));
-    let probe = gateway.submit("alpha", item(3), &["Y"]).unwrap();
-    let response = must_resolve(probe).unwrap();
-    assert_eq!(bits(&response.outputs["Y"]), bits(&reference(&program, 3)));
-
-    let stats = gateway.stats();
-    assert!(stats.conserves());
-    let t = &stats.tenants["alpha"];
-    assert_eq!(t.breaker, BreakerState::Closed);
-    assert_eq!(t.degraded, 1);
-    assert_eq!(t.completed, 1);
-    assert_eq!(t.failed, 2);
-}
-
-/// A failed half-open probe re-opens the breaker (and counts a second
-/// trip); the next cooldown's probe then restores the tenant.
-#[test]
-fn failed_probe_reopens_breaker() {
-    let cooldown = Duration::from_millis(30);
-    let gateway = Gateway::new(GatewayOptions {
-        max_batch: 1,
-        retry_budget: 0,
-        breaker_threshold: 1, // first failure trips
-        breaker_cooldown: cooldown,
-        ..GatewayOptions::default()
-    });
-    register(&gateway, "alpha", alpha_program());
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                panic_on: vec![1, 2], // the trip AND the first probe fail
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-
-    let first = gateway.submit("alpha", item(0), &["Y"]).unwrap();
-    assert!(must_resolve(first).is_err());
-    assert_eq!(gateway.stats().tenants["alpha"].breaker, BreakerState::Open);
-
-    std::thread::sleep(cooldown + Duration::from_millis(5));
-    let probe = gateway.submit("alpha", item(1), &["Y"]).unwrap();
-    assert!(
-        must_resolve(probe).is_err(),
-        "dispatch #2 is the failing probe"
-    );
-    let stats = gateway.stats();
-    assert_eq!(stats.tenants["alpha"].breaker, BreakerState::Open);
-    assert_eq!(stats.tenants["alpha"].breaker_trips, 2);
-
-    std::thread::sleep(cooldown + Duration::from_millis(5));
-    let retry = gateway.submit("alpha", item(2), &["Y"]).unwrap();
-    must_resolve(retry).unwrap();
-    assert_eq!(
-        gateway.stats().tenants["alpha"].breaker,
-        BreakerState::Closed
-    );
-}
-
-/// Forced session-checkout failure is a typed, retryable infrastructure
-/// error: with budget it recovers, without it the handle carries
-/// `ServeError::Checkout`.
-#[test]
-fn checkout_failure_is_typed_and_retryable() {
-    let program = alpha_program();
-    let gateway = Gateway::new(GatewayOptions {
-        max_batch: 1,
-        retry_budget: 1,
-        retry_backoff: Duration::from_micros(100),
-        breaker_threshold: 10,
-        ..GatewayOptions::default()
-    });
-    register(&gateway, "alpha", program.clone());
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                checkout_fail_on: vec![1, 3, 4],
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-
-    // Dispatch #1 fails checkout, the retry (#2) succeeds.
-    let recovered = gateway.submit("alpha", item(0), &["Y"]).unwrap();
-    let response = must_resolve(recovered).unwrap();
-    assert_eq!(bits(&response.outputs["Y"]), bits(&reference(&program, 0)));
-
-    // Dispatches #3 and #4 both fail: the budget (1 retry) is exhausted.
-    let doomed = gateway.submit("alpha", item(1), &["Y"]).unwrap();
-    match must_resolve(doomed) {
-        Err(ServeError::Checkout(msg)) => {
-            assert!(msg.contains("injected fault"), "unexpected message: {msg}")
-        }
-        other => panic!("expected Checkout, got {other:?}"),
-    }
-
-    let stats = gateway.stats();
-    assert!(stats.conserves());
-    let t = &stats.tenants["alpha"];
-    assert_eq!(t.checkout_failures, 3);
-    assert_eq!(t.retried, 2);
-    assert_eq!(t.completed, 1);
-    assert_eq!(t.failed, 1);
-    assert_eq!(
-        t.sessions_discarded, 0,
-        "a checkout failure never touches (so never quarantines) a session"
-    );
-}
-
-/// A request whose retry is waiting out its backoff is still cancellable —
-/// `cancel` succeeds, the handle resolves `Cancelled`, counters conserve.
-#[test]
-fn cancel_succeeds_mid_retry_backoff() {
-    let gateway = Gateway::new(GatewayOptions {
-        max_batch: 1,
-        retry_budget: 2,
-        retry_backoff: Duration::from_millis(500), // long enough to race
-        breaker_threshold: 10,
-        ..GatewayOptions::default()
-    });
-    register(&gateway, "alpha", alpha_program());
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                panic_on: vec![1],
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-
-    let handle = gateway.submit("alpha", item(0), &["Y"]).unwrap();
-    wait_for(
-        &gateway,
-        |s| s.tenants["alpha"].retried == 1,
-        "the first dispatch to panic and requeue",
-    );
-    assert!(
-        handle.cancel(),
-        "a request awaiting its retry backoff must be cancellable"
-    );
-    match must_resolve(handle) {
-        Err(ServeError::Cancelled) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-    let stats = gateway.stats();
-    assert!(stats.conserves());
-    assert_eq!(stats.tenants["alpha"].cancelled, 1);
-    assert_eq!(stats.tenants["alpha"].completed, 0);
-}
-
-/// A deadline expires *in the gateway queue* on time: a request the
-/// dispatcher cannot take — it panicked once and sits in a 30 s retry
-/// backoff — resolves with the typed `DeadlineExceeded` rejection at its
-/// deadline, through the dispatcher's timed wake, not at the backoff's end.
-#[test]
-fn deadline_expires_in_queue_on_time() {
-    let gateway = Gateway::new(GatewayOptions {
-        max_batch: 64,
-        retry_backoff: Duration::from_secs(30), // far longer than the test
-        ..GatewayOptions::default()
-    });
-    register(&gateway, "alpha", alpha_program());
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                panic_on: vec![1],
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-    let submitted = Instant::now();
-    let handle = gateway
-        .submit_with(
-            "alpha",
-            item(0),
-            &["Y"],
-            SubmitOptions {
-                deadline: Some(Duration::from_millis(200)),
-                idempotent: true,
-            },
-        )
-        .unwrap();
-    match must_resolve(handle) {
-        Err(ServeError::DeadlineExceeded { missed_by }) => {
-            assert!(missed_by > Duration::ZERO);
-            assert!(
-                submitted.elapsed() < Duration::from_secs(5),
-                "rejection must arrive at the deadline, not the backoff end"
-            );
-        }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-    let stats = gateway.stats();
-    assert!(stats.conserves());
-    assert_eq!(stats.tenants["alpha"].expired, 1);
-    assert_eq!(stats.tenants["alpha"].batches, 1);
-    assert_eq!(stats.tenants["alpha"].retried, 1);
+    assert_eq!((t.panics, t.failed, t.completed), (0, 0, 2));
 }
 
 /// Graceful reload: the call blocks until in-flight requests drained
@@ -826,23 +466,14 @@ fn deadline_expires_in_queue_on_time() {
 /// one, and no handle is lost across the swap.
 #[test]
 fn reload_drains_old_plan_and_swaps() {
-    let v1 = alpha_program();
+    // A slow v1, so requests are genuinely in flight at reload.
+    let v1 = common::slow_program(N, Duration::from_millis(20));
     let v2 = alpha_v2_program();
     let gateway = Gateway::new(GatewayOptions {
         max_batch: 4,
         ..GatewayOptions::default()
     });
     register(&gateway, "alpha", v1.clone());
-    // Slow dispatches down so requests are genuinely in flight at reload.
-    gateway
-        .inject_faults(
-            "alpha",
-            FaultPlan {
-                delay: Duration::from_millis(10),
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
 
     let old_handles: Vec<_> = (0..4)
         .map(|i| gateway.submit("alpha", item(i), &["Y"]).unwrap())
@@ -943,10 +574,10 @@ fn concurrent_reloads_never_tear_results() {
     assert_eq!(stats.tenants["alpha"].completed, 40);
 }
 
-/// Satellite: shutdown under load with injected faults.  A tenant is
-/// mid-retry when the gateway drops; every handle resolves exactly once
-/// with a typed outcome, and a sampler asserts counter conservation on
-/// every snapshot it takes while the drain races on.
+/// Shutdown under load: two tenants over slow programs are busy when the
+/// gateway shuts down; every handle resolves exactly once with a typed
+/// outcome, and a sampler asserts counter conservation on every snapshot it
+/// takes while the drain races on.
 #[test]
 fn shutdown_under_load_resolves_every_handle_exactly_once() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -956,25 +587,13 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 2,
         queue_capacity: 16,
-        retry_budget: 3,
-        retry_backoff: Duration::from_millis(20), // long: shutdown races it
-        breaker_threshold: 100,                   // keep admissions open under the fault storm
-        ..GatewayOptions::default()
     }));
-    register(&gateway, "alpha", alpha_program());
-    register(&gateway, "beta", beta_program());
-    // Panic storms on both tenants keep retries permanently in the air.
     for t in ["alpha", "beta"] {
-        gateway
-            .inject_faults(
-                t,
-                FaultPlan {
-                    panic_every: Some(3),
-                    delay: Duration::from_micros(200),
-                    ..FaultPlan::default()
-                },
-            )
-            .unwrap();
+        register(
+            &gateway,
+            t,
+            common::slow_program(N, Duration::from_micros(500)),
+        );
     }
 
     let done = AtomicBool::new(false);
@@ -987,10 +606,7 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
                 let mut samples = 0u64;
                 while !done.load(Ordering::Acquire) {
                     let stats = gateway.stats();
-                    assert!(
-                        stats.conserves(),
-                        "torn snapshot under faulted shutdown: {stats:?}"
-                    );
+                    assert!(stats.conserves(), "torn snapshot under shutdown: {stats:?}");
                     samples += 1;
                 }
                 samples
@@ -1009,24 +625,21 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
                             tenant,
                             item(idx),
                             &["Y"],
-                            SubmitOptions {
-                                deadline,
-                                idempotent: true,
-                            },
+                            SubmitOptions { deadline },
                         ) else {
                             panic!("registered tenants must accept submissions");
                         };
                         // Exactly-once: the bounded wait flags a lost
                         // handle; any typed outcome is legal under the
-                        // storm (completed, panicked after budget,
-                        // overloaded, expired, shutdown...).
+                        // load (completed, overloaded, expired,
+                        // shutdown...).
                         let _ = must_resolve(handle);
                         *resolved.lock().unwrap() += 1;
                     }
                 })
             })
             .collect();
-        // Let the storm develop, then yank the gateway mid-retry.
+        // Let the load develop, then yank the gateway mid-dispatch.
         std::thread::sleep(Duration::from_millis(15));
         gateway.shutdown();
         for submitter in submitters {
@@ -1070,12 +683,6 @@ fn registry_errors_are_typed() {
             .unwrap_err(),
         GatewayError::DuplicateTenant("alpha".to_string())
     );
-    assert_eq!(
-        gateway
-            .inject_faults("ghost", FaultPlan::default())
-            .unwrap_err(),
-        GatewayError::UnknownTenant("ghost".to_string())
-    );
     gateway.shutdown();
     assert_eq!(
         gateway
@@ -1103,6 +710,59 @@ fn registry_errors_are_typed() {
     let stats = gateway.stats();
     assert!(stats.conserves());
     assert_eq!(stats.tenants["alpha"].rejected, 1);
+}
+
+/// A `Duration` too long for the clock is no bound, never a panic on the
+/// caller's thread: a deadline of `Duration::MAX` is no deadline (through
+/// the gateway and through a gradient client), and a `wait_timeout` of
+/// `Duration::MAX` waits until the request is done and leaves the handle
+/// usable.
+#[test]
+fn an_unrepresentable_deadline_or_timeout_is_no_bound() {
+    let program = alpha_program();
+    let gateway = Arc::new(Gateway::new(GatewayOptions::default()));
+    register(&gateway, "alpha", program.clone());
+    let forever = SubmitOptions {
+        deadline: Some(Duration::MAX),
+    };
+    let handle = gateway
+        .submit_with("alpha", item(0), &["Y"], forever.clone())
+        .unwrap();
+    let polled = handle
+        .wait_timeout(Duration::MAX)
+        .expect("an unbounded wait returns once the request is done")
+        .unwrap();
+    let taken = handle.wait().unwrap();
+    for response in [&polled, &taken] {
+        assert_eq!(bits(&response.outputs["Y"]), bits(&reference(&program, 0)));
+    }
+
+    // OUT = sum(X * X): a gradient client with the same unbounded budget.
+    let mut b = ProgramBuilder::new("gw_squares");
+    let n = b.symbol("N");
+    b.add_input("X", vec![n.clone()]).unwrap();
+    b.add_transient("T", vec![n]).unwrap();
+    b.add_scalar("OUT").unwrap();
+    b.assign("T", ArrayExpr::a("X").mul(ArrayExpr::a("X")));
+    b.sum_into("OUT", "T", false);
+    let sdfg = b.build().unwrap();
+    let mut engine =
+        GradientEngine::new(&sdfg, "OUT", &["X"], &symbols(), &AdOptions::default()).unwrap();
+    let blocking = engine.run(&item(1)).unwrap();
+    let client = engine
+        .register_with(&gateway, "squares", TenantConfig::default())
+        .unwrap();
+    let served = client.submit_with(&item(1), forever).unwrap();
+    assert!(served.wait_timeout(Duration::MAX).is_some());
+    let served = served.wait().unwrap().result;
+    assert_eq!(bits(&served.gradients["X"]), bits(&blocking.gradients["X"]));
+
+    let stats = gateway.stats();
+    assert!(stats.conserves());
+    for name in ["alpha", "squares"] {
+        let t = &stats.tenants[name];
+        assert_eq!((t.completed, t.expired), (1, 0), "{name}");
+    }
 }
 
 /// Engine integration: gradients served through a shared gateway joined
@@ -1136,14 +796,13 @@ fn engine_register_with_matches_blocking_run() {
 }
 
 /// The chaos storm over two NPBench gradient tenants: atax and jacobi2d on
-/// one gateway (`max_batch` 4, queue capacity 32, retry budget 2), both
-/// armed to panic on every 7th dispatch and to add 1 ms to every item, 8
-/// client threads × 12 requests round-robin across the tenants (every third
-/// with a 500 ms deadline), two concurrent `reload_into`s and a sampler
-/// thread checking every stats snapshot.  No handle is lost, every completed
-/// gradient is bit-identical to a serial `GradientEngine::run`, no snapshot
-/// is torn, and the quiescent snapshot conserves with nothing queued or in
-/// flight — while the faults and reloads demonstrably fired.
+/// one gateway (`max_batch` 4, queue capacity 32), 8 client threads × 12
+/// requests round-robin across the tenants (every third with a 500 ms
+/// deadline), two concurrent `reload_into`s and a sampler thread checking
+/// every stats snapshot.  No handle is lost, every completed gradient is
+/// bit-identical to a serial `GradientEngine::run`, no snapshot is torn,
+/// and the quiescent snapshot conserves with nothing queued or in flight —
+/// while the reloads demonstrably fired.
 #[test]
 fn npbench_tenants_survive_a_chaos_storm() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1157,8 +816,6 @@ fn npbench_tenants_survive_a_chaos_storm() {
     let gateway = Arc::new(Gateway::new(GatewayOptions {
         max_batch: 4,
         queue_capacity: 32,
-        retry_budget: 2,
-        ..GatewayOptions::default()
     }));
 
     // Distinct input variants per tenant, with serial references computed
@@ -1182,12 +839,6 @@ fn npbench_tenants_survive_a_chaos_storm() {
         let client = engine
             .register_with(&gateway, name, TenantConfig::default())
             .unwrap();
-        let faults = FaultPlan {
-            panic_every: Some(7),
-            delay: Duration::from_millis(1),
-            ..FaultPlan::default()
-        };
-        gateway.inject_faults(name, faults).unwrap();
         tenants.push(Tenant {
             client,
             inputs,
@@ -1228,7 +879,6 @@ fn npbench_tenants_survive_a_chaos_storm() {
                         let v = (c * PER_CLIENT + i) % VARIANTS;
                         let options = SubmitOptions {
                             deadline: (i % 3 == 0).then_some(deadline),
-                            idempotent: true,
                         };
                         let handle = tenant
                             .client
@@ -1246,8 +896,8 @@ fn npbench_tenants_survive_a_chaos_storm() {
                                     });
                                 tally[if exact { 2 } else { 1 }] += 1;
                             }
-                            // Shed, expired or failed once the retry budget
-                            // was spent: a typed outcome, which is allowed.
+                            // Shed, expired or failed: a typed outcome,
+                            // which is allowed.
                             Some(Err(_)) => {}
                         }
                     }
@@ -1273,10 +923,6 @@ fn npbench_tenants_survive_a_chaos_storm() {
     for (i, name) in KERNELS.iter().enumerate() {
         let t = &stats.tenants[*name];
         assert_eq!(t.queue_depth + t.in_flight as usize, 0, "{name}: {t:?}");
-        assert!(
-            t.panics > 0 && t.retried > 0,
-            "{name}: no fault fired: {t:?}"
-        );
         let reloads = (0..RELOADS).filter(|r| r % KERNELS.len() == i).count();
         assert_eq!(t.epoch, 1 + reloads as u64, "{name}: {t:?}");
     }
