@@ -12,7 +12,9 @@
 //! 1. **Critical computation subgraph** — [`dace_sdfg::compute_ccs`] finds the
 //!    minimal subgraph through which the independent variables contribute to
 //!    the dependent output, propagating across states, loops (fixed point,
-//!    no unrolling) and branches (over-approximation pruned at runtime).
+//!    no unrolling) and branches (over-approximation pruned at runtime), and
+//!    keeps only the arrays the independent variables vary (activity
+//!    analysis: an input outside `wrt` gets no adjoint).
 //! 2. **Reversal** ([`reverse`]) — every CCS element is reversed in
 //!    isolation and the reversed elements are stitched together: tasklets are
 //!    differentiated symbolically, maps are reversed with the same ranges,

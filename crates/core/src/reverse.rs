@@ -116,7 +116,7 @@ pub fn generate_backward(
 
     let folded = fold_transposes(fwd, output, inputs);
     let fwd: &Sdfg = &folded;
-    let ccs = compute_ccs(fwd, output);
+    let ccs = compute_ccs(fwd, output, inputs);
     let mut ctx = Ctx::new(fwd, ccs, output, inputs);
     let (fwd_cf, bwd_cf) = ctx.reverse_cf(&fwd.cfg)?;
 
@@ -776,11 +776,29 @@ impl<'a> Ctx<'a> {
             .cloned()
             .collect();
 
+        // The ops whose local derivative is a function of their value
+        // (`UnOp::derivative_on_value`) read it from the output container
+        // when the backward can read it there: written once, outside any
+        // loop, not accumulated.  The backward then reads the activation, not
+        // its input; otherwise it re-evaluates the op from its input.
+        let after = pos.saturating_add(1);
+        let by_value = matches!(expr, ScalarExpr::Un(op, _) if op.derivative_on_value().is_some());
+        let value = (by_value && !accumulate && self.is_safe_read(&dst_array, after)).then(|| {
+            (0..)
+                .map(|k| format!("y{k}"))
+                .find(|c| reads.iter().all(|(r, _)| r != c))
+                .expect("an unbounded range of names")
+        });
+
         // One partial derivative per contributing input, and the connector
         // values those expressions need.
         let partials: Vec<ScalarExpr> = contributing
             .iter()
-            .map(|(conn, _)| expr.derivative(conn).simplified())
+            .map(|(conn, _)| {
+                (value.as_ref())
+                    .and_then(|y| expr.derivative_given_value(conn, y))
+                    .unwrap_or_else(|| expr.derivative(conn).simplified())
+            })
             .collect();
         let mut needed: BTreeSet<String> = BTreeSet::new();
         for d in &partials {
@@ -793,11 +811,17 @@ impl<'a> Ctx<'a> {
         // two reversals of one program must be the same SDFG (one cache key).
         let mut value_memlets: BTreeMap<String, Memlet> = BTreeMap::new();
         for conn in &needed {
-            let Some((_, memlet)) = reads.iter().find(|(c, _)| c == conn) else {
-                return Err(AdError::Malformed(format!(
-                    "tasklet `{}` references undefined connector `{conn}`",
-                    tasklet.label
-                )));
+            // The output's value is read as it stands after the state.
+            let (memlet, pos) = if value.as_ref() == Some(conn) {
+                (&out_memlet, after)
+            } else {
+                let read = reads.iter().find(|(c, _)| c == conn).ok_or_else(|| {
+                    AdError::Malformed(format!(
+                        "tasklet `{}` references undefined connector `{conn}`",
+                        tasklet.label
+                    ))
+                })?;
+                (&read.1, pos)
             };
             let idx = memlet.subset.eval_symbolic();
             let (value_memlet, store) = match site {

@@ -3,10 +3,19 @@
 //! The central analysis is the **critical computation subgraph** (CCS) of
 //! Section II of the paper: the minimal subgraph containing only the
 //! computations through which the independent variables contribute to the
-//! dependent variable.  It is computed by a reverse breadth-first traversal
-//! that starts from the dependent output and propagates across states,
-//! loops (to a fixed point, matching §III-B without unrolling) and branches
-//! (as an over-approximation, pruned at runtime by stored conditionals).
+//! dependent variable.  It is the intersection of two halves (activity
+//! analysis):
+//!
+//! * the arrays the dependent output *depends on*: a reverse breadth-first
+//!   traversal that starts from the output and propagates across states,
+//!   loops (to a fixed point, matching §III-B without unrolling) and branches
+//!   (as an over-approximation, pruned at runtime by stored conditionals);
+//! * the arrays *varied* by the independent inputs: everything written from
+//!   them, forward, by a flow-insensitive fixed point over every state.
+//!
+//! An array outside either half has no gradient path from the output to an
+//! independent input, so AD stops there: no adjoint container, no adjoint
+//! computation.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -20,7 +29,8 @@ use crate::symexpr::SymExpr;
 pub struct CcsInfo {
     /// For each state id, the set of top-level node ids that belong to the CCS.
     pub per_state: BTreeMap<usize, BTreeSet<NodeId>>,
-    /// Arrays that (transitively) contribute to the dependent output.
+    /// Arrays that (transitively) contribute to the dependent output and are
+    /// varied by an independent input, plus the output itself.
     pub contributing_arrays: BTreeSet<String>,
     /// Number of fixed-point iterations performed over loop bodies (reported
     /// for diagnostics; the paper's observation is that this converges after
@@ -43,25 +53,97 @@ impl CcsInfo {
     }
 }
 
-/// Compute the critical computation subgraph of `sdfg` with respect to the
-/// dependent output array `output`.
-pub fn compute_ccs(sdfg: &Sdfg, output: &str) -> CcsInfo {
+/// Compute the critical computation subgraph of `sdfg` from the dependent
+/// output array `output` up to the independent inputs `wrt`.  The reverse
+/// traversal from `output` admits only the arrays written from `wrt`
+/// (`varied_arrays`), so the arrays it keeps are exactly those on some
+/// dataflow path from a `wrt` input to the output.
+pub fn compute_ccs(sdfg: &Sdfg, output: &str, wrt: &[&str]) -> CcsInfo {
+    let varied = varied_arrays(sdfg, wrt);
     let mut info = CcsInfo::default();
     let mut live: BTreeSet<String> = BTreeSet::new();
     live.insert(output.to_string());
-    analyze_cfg(sdfg, &sdfg.cfg, &mut live, &mut info);
+    analyze_cfg(sdfg, &sdfg.cfg, &varied, &mut live, &mut info);
     info.contributing_arrays = live;
     info
 }
 
-fn analyze_cfg(sdfg: &Sdfg, cfg: &ControlFlow, live: &mut BTreeSet<String>, info: &mut CcsInfo) {
+/// The arrays whose values depend on the `wrt` inputs: the inputs
+/// themselves and every array written by a compute node that reads one of
+/// them, transitively.  Flow-insensitive: what each compute node of the
+/// program reads and writes is listed once, and the list is swept until
+/// nothing is added, which covers loops (a value carried to the next trip)
+/// without looking at their structure.
+fn varied_arrays<'a>(sdfg: &'a Sdfg, wrt: &[&'a str]) -> BTreeSet<&'a str> {
+    let mut flows: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
+    for id in sdfg.cfg.states_in_order() {
+        let graph = &sdfg.states[id].graph;
+        let mut of_node = vec![(Vec::new(), Vec::new()); graph.nodes.len()];
+        let compute = |n: NodeId| !matches!(graph.nodes[n], DfNode::Access(_));
+        for e in &graph.edges {
+            if compute(e.dst) {
+                of_node[e.dst].0.push(e.memlet.data.as_str());
+            }
+            if compute(e.src) {
+                of_node[e.src].1.push(e.memlet.data.as_str());
+            }
+        }
+        for (node, mut flow) in graph.nodes.iter().zip(of_node) {
+            match node {
+                DfNode::Access(_) => continue,
+                DfNode::MapScope(m) => body_flow(&m.body, &mut flow.0, &mut flow.1),
+                _ => {}
+            }
+            flows.push(flow);
+        }
+    }
+    let mut varied: BTreeSet<&str> = wrt.iter().copied().collect();
+    loop {
+        let before = varied.len();
+        for (reads, writes) in &flows {
+            if reads.iter().any(|a| varied.contains(a)) {
+                varied.extend(writes);
+            }
+        }
+        if varied.len() == before {
+            return varied;
+        }
+    }
+}
+
+/// The arrays a map body (nested bodies included) reads and writes.
+fn body_flow<'a>(body: &'a DataflowGraph, reads: &mut Vec<&'a str>, writes: &mut Vec<&'a str>) {
+    for e in &body.edges {
+        if let DfNode::Access(name) = &body.nodes[e.src] {
+            reads.push(name);
+        }
+        if let DfNode::Access(name) = &body.nodes[e.dst] {
+            writes.push(name);
+        }
+    }
+    for node in &body.nodes {
+        if let DfNode::MapScope(m) = node {
+            body_flow(&m.body, reads, writes);
+        }
+    }
+}
+
+fn analyze_cfg(
+    sdfg: &Sdfg,
+    cfg: &ControlFlow,
+    varied: &BTreeSet<&str>,
+    live: &mut BTreeSet<String>,
+    info: &mut CcsInfo,
+) {
     match cfg {
         ControlFlow::State(id) => {
             let state = &sdfg.states[*id];
             let marked = mark_state(&state.graph, live);
-            // Arrays read by marked nodes now also contribute.
+            // Varied arrays read by marked nodes now also contribute.
             for array in arrays_read_by(&state.graph, &marked) {
-                live.insert(array);
+                if varied.contains(array.as_str()) {
+                    live.insert(array);
+                }
             }
             let entry = info.per_state.entry(*id).or_default();
             entry.extend(marked);
@@ -69,7 +151,7 @@ fn analyze_cfg(sdfg: &Sdfg, cfg: &ControlFlow, live: &mut BTreeSet<String>, info
         ControlFlow::Sequence(children) => {
             // Reverse execution order: the last state is analysed first.
             for c in children.iter().rev() {
-                analyze_cfg(sdfg, c, live, info);
+                analyze_cfg(sdfg, c, varied, live, info);
             }
         }
         ControlFlow::Loop(l) => {
@@ -78,7 +160,7 @@ fn analyze_cfg(sdfg: &Sdfg, cfg: &ControlFlow, live: &mut BTreeSet<String>, info
             let max_iters = sdfg.arrays.len() + 1;
             for _ in 0..max_iters {
                 let before = live.clone();
-                analyze_cfg(sdfg, &l.body, live, info);
+                analyze_cfg(sdfg, &l.body, varied, live, info);
                 info.loop_iterations += 1;
                 if *live == before {
                     break;
@@ -89,16 +171,17 @@ fn analyze_cfg(sdfg: &Sdfg, cfg: &ControlFlow, live: &mut BTreeSet<String>, info
             // Over-approximate: both arms are analysed with the same incoming
             // live set and the union is kept (pruned at runtime, Fig. 3).
             let mut then_live = live.clone();
-            analyze_cfg(sdfg, &b.then_body, &mut then_live, info);
+            analyze_cfg(sdfg, &b.then_body, varied, &mut then_live, info);
             let mut else_live = live.clone();
             if let Some(e) = &b.else_body {
-                analyze_cfg(sdfg, e, &mut else_live, info);
+                analyze_cfg(sdfg, e, varied, &mut else_live, info);
             }
             live.extend(then_live);
             live.extend(else_live);
             // Arrays referenced by the condition must be preserved for the
             // backward pass (the condition is stored and replayed).
-            live.extend(b.cond.referenced_arrays());
+            let cond = b.cond.referenced_arrays();
+            live.extend(cond.into_iter().filter(|a| varied.contains(a.as_str())));
         }
     }
 }
@@ -363,7 +446,7 @@ mod tests {
     #[test]
     fn ccs_tracks_contributions_to_output() {
         let sdfg = fig2_sdfg();
-        let ccs = compute_ccs(&sdfg, "O");
+        let ccs = compute_ccs(&sdfg, "O", &["M", "N"]);
         // O depends on A and B, which depend on M.  C, E, N do not contribute.
         assert!(ccs.contributing_arrays.contains("O"));
         assert!(ccs.contributing_arrays.contains("A"));
@@ -377,7 +460,7 @@ mod tests {
     #[test]
     fn ccs_marks_only_contributing_nodes() {
         let sdfg = fig2_sdfg();
-        let ccs = compute_ccs(&sdfg, "O");
+        let ccs = compute_ccs(&sdfg, "O", &["M", "N"]);
         // state_1 has three map chains (A, B, C); only the A and B chains are
         // in the CCS: 3 nodes each (access src, map, access dst) = 6 nodes.
         let s1_nodes = ccs.nodes_of(0);
@@ -390,7 +473,7 @@ mod tests {
     #[test]
     fn ccs_with_output_e_tracks_c_and_n() {
         let sdfg = fig2_sdfg();
-        let ccs = compute_ccs(&sdfg, "E");
+        let ccs = compute_ccs(&sdfg, "E", &["M", "N"]);
         assert!(ccs.contributing_arrays.contains("C"));
         assert!(ccs.contributing_arrays.contains("N"));
         assert!(!ccs.contributing_arrays.contains("A"));
@@ -400,7 +483,7 @@ mod tests {
     #[test]
     fn loop_fixed_point_terminates() {
         let sdfg = fig2_sdfg();
-        let ccs = compute_ccs(&sdfg, "O");
+        let ccs = compute_ccs(&sdfg, "O", &["M", "N"]);
         // The live set stabilises after at most two body passes plus the
         // confirming pass.
         assert!(ccs.loop_iterations <= sdfg.arrays.len() + 1);
@@ -471,7 +554,7 @@ mod tests {
             then_body: Box::new(ControlFlow::State(then_id)),
             else_body: Some(Box::new(ControlFlow::State(else_id))),
         });
-        let ccs = compute_ccs(&sdfg, "O");
+        let ccs = compute_ccs(&sdfg, "O", &["X", "Y", "P"]);
         assert!(ccs.contributing_arrays.contains("X"));
         assert!(ccs.contributing_arrays.contains("Y"));
         // The branch condition array must be preserved.
@@ -553,9 +636,71 @@ mod tests {
             graph: g,
         });
         sdfg.cfg = ControlFlow::State(sid);
-        let ccs = compute_ccs(&sdfg, "C");
+        let ccs = compute_ccs(&sdfg, "C", &["A", "B"]);
         assert_eq!(ccs.nodes_of(sid).len(), 4);
         assert!(ccs.contributing_arrays.contains("A"));
         assert!(ccs.contributing_arrays.contains("B"));
+        // Activity: an operand outside `wrt` gets no adjoint, though the
+        // product still reads it.
+        let ccs = compute_ccs(&sdfg, "C", &["B"]);
+        assert_eq!(ccs.nodes_of(sid).len(), 4);
+        let arrays: Vec<&str> = ccs.contributing_arrays.iter().map(|a| a.as_str()).collect();
+        assert_eq!(arrays, ["B", "C"]);
+    }
+
+    /// The CCS stops at the `wrt` inputs: with `N` the only independent
+    /// input, nothing `O` depends on is varied, so only `O` itself is left
+    /// and no node of either state is marked; with `M`, the CCS is the one
+    /// of both inputs, less `N`.
+    #[test]
+    fn ccs_keeps_only_arrays_varied_by_the_wrt_inputs() {
+        let sdfg = fig2_sdfg();
+        let ccs = compute_ccs(&sdfg, "O", &["N"]);
+        let arrays: Vec<&str> = ccs.contributing_arrays.iter().map(|a| a.as_str()).collect();
+        assert_eq!(arrays, ["O"]);
+        assert!(!ccs.state_active(0));
+        let both = compute_ccs(&sdfg, "O", &["M", "N"]);
+        let m = compute_ccs(&sdfg, "O", &["M"]);
+        assert_eq!(m.contributing_arrays, both.contributing_arrays);
+        assert_eq!(m.per_state, both.per_state);
+    }
+
+    /// A branch condition on an array that no `wrt` input varies stays out of
+    /// the CCS (the condition is replayed from a stored flag either way).
+    #[test]
+    fn branch_condition_outside_the_varied_set_is_not_kept() {
+        let mut sdfg = Sdfg::new("cond");
+        for name in ["X", "P", "O"] {
+            sdfg.add_array(name, ArrayDesc::input(vec![SymExpr::int(1)]))
+                .unwrap();
+        }
+        let mut g = DataflowGraph::new();
+        let r = g.add_access("X");
+        let t = g.add_tasklet(Tasklet::new("s", "o", E::input("x").mul(E::c(2.0))));
+        let w = g.add_access("O");
+        let at = vec![SymExpr::int(0)];
+        g.add_edge(r, None, t, Some("x"), Memlet::element("X", at.clone()));
+        g.add_edge(t, Some("o"), w, None, Memlet::element("O", at.clone()));
+        let sid = sdfg.add_state(State {
+            name: "s".into(),
+            graph: g,
+        });
+        sdfg.cfg = ControlFlow::Branch(BranchRegion {
+            cond: CondExpr::Cmp {
+                lhs: CondOperand::Element {
+                    array: "P".into(),
+                    index: at,
+                },
+                op: CmpOp::Gt,
+                rhs: CondOperand::Const(0.0),
+            },
+            then_body: Box::new(ControlFlow::State(sid)),
+            else_body: None,
+        });
+        let ccs = compute_ccs(&sdfg, "O", &["X"]);
+        let arrays: Vec<&str> = ccs.contributing_arrays.iter().map(|a| a.as_str()).collect();
+        assert_eq!(arrays, ["O", "X"]);
+        let ccs = compute_ccs(&sdfg, "O", &["X", "P"]);
+        assert!(ccs.contributing_arrays.contains("P"));
     }
 }

@@ -75,6 +75,31 @@ impl UnOp {
             UnOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
     }
+
+    /// The local derivative `d op(x) / dx` written on the operation's value
+    /// `y = op(x)`, as a function of `y`, for the ops whose derivative is one
+    /// (`None` for the others).  The one table of these rules:
+    /// [`ScalarExpr::derivative`] binds `y` to `op(x)`, and the reverse pass
+    /// binds it to the container the forward wrote, so the backward reads the
+    /// activation instead of re-evaluating it from its input.  Both bindings
+    /// give the same bits: relu's `y / max(y, MIN_POSITIVE)` is `x / max(x,
+    /// MIN_POSITIVE)` for `x > 0`, and elsewhere a zero over a positive
+    /// denominator, as `relu(x) / max(|x|, MIN_POSITIVE)` is.
+    pub fn derivative_on_value(self) -> Option<fn(ScalarExpr) -> ScalarExpr> {
+        use ScalarExpr::Const;
+        Some(match self {
+            // Sub-gradient convention: the step function, 0 at 0.
+            UnOp::Relu => |y| {
+                y.clone()
+                    .div(ScalarExpr::bin(BinOp::Max, y, Const(f64::MIN_POSITIVE)))
+            },
+            UnOp::Exp => |y| y,
+            UnOp::Sigmoid => |y| y.clone().mul(Const(1.0).sub(y)),
+            UnOp::Tanh => |y| Const(1.0).sub(y.clone().mul(y)),
+            UnOp::Sqrt => |y| Const(0.5).div(y),
+            UnOp::Neg | UnOp::Sin | UnOp::Cos | UnOp::Log | UnOp::Abs => return None,
+        })
+    }
 }
 
 /// A scalar expression appearing in tasklet code.
@@ -241,33 +266,14 @@ impl ScalarExpr {
                     UnOp::Neg => Const(-1.0),
                     UnOp::Sin => Self::un(UnOp::Cos, inner),
                     UnOp::Cos => Self::un(UnOp::Neg, Self::un(UnOp::Sin, inner)),
-                    UnOp::Exp => Self::un(UnOp::Exp, inner),
                     UnOp::Log => Self::bin(BinOp::Div, Const(1.0), inner),
-                    UnOp::Sqrt => Self::bin(BinOp::Div, Const(0.5), Self::un(UnOp::Sqrt, inner)),
-                    UnOp::Tanh => Self::bin(
-                        BinOp::Sub,
-                        Const(1.0),
-                        Self::bin(
-                            BinOp::Mul,
-                            Self::un(UnOp::Tanh, inner.clone()),
-                            Self::un(UnOp::Tanh, inner),
-                        ),
-                    ),
-                    // Sub-gradient conventions: d|x|/dx = sign(x), 0 at 0;
-                    // relu' = step(x) expressed as relu(x) / max(|x|, tiny).
+                    // Sub-gradient convention: d|x|/dx = sign(x), 0 at 0.
                     UnOp::Abs => sign(inner),
-                    UnOp::Relu => Self::bin(
-                        BinOp::Div,
-                        Self::un(UnOp::Relu, inner.clone()),
-                        Self::bin(
-                            BinOp::Max,
-                            Self::un(UnOp::Abs, inner),
-                            Const(f64::MIN_POSITIVE),
-                        ),
-                    ),
-                    UnOp::Sigmoid => {
-                        let s = Self::un(UnOp::Sigmoid, inner);
-                        Self::bin(BinOp::Mul, s.clone(), Self::bin(BinOp::Sub, Const(1.0), s))
+                    // The rest are written on the op's value, re-evaluated
+                    // here as `op(inner)`.
+                    UnOp::Exp | UnOp::Sqrt | UnOp::Tanh | UnOp::Relu | UnOp::Sigmoid => {
+                        let rule = op.derivative_on_value().expect("a rule on the value");
+                        rule(Self::un(*op, inner))
                     }
                 };
                 Self::bin(BinOp::Mul, local, da).simplified()
@@ -336,6 +342,17 @@ impl ScalarExpr {
                 d.simplified()
             }
         }
+    }
+
+    /// The derivative with respect to `wrt` of an expression whose root is
+    /// an op with a rule on its value ([`UnOp::derivative_on_value`]), that
+    /// value read from the input connector `y`; `None` for any other root.
+    pub fn derivative_given_value(&self, wrt: &str, y: &str) -> Option<ScalarExpr> {
+        let ScalarExpr::Un(op, a) = self else {
+            return None;
+        };
+        let rule = op.derivative_on_value()?;
+        Some(Self::bin(BinOp::Mul, rule(Self::input(y)), a.derivative(wrt)).simplified())
     }
 
     /// Constant folding plus `x*0`, `x*1`, `x+0` simplification.
@@ -903,6 +920,75 @@ mod tests {
             assert_eq!(eval(&square), d_square, "(x^2)' at {at:?}");
             assert_eq!(eval(&abs), d_abs, "|x|' at {at:?}");
         }
+    }
+
+    /// The local derivatives written on the op's value give the bits of the
+    /// rules written on its input that they replaced, at every value: bound
+    /// to `op(x)` by `derivative`, and read from an input holding the op's
+    /// result, as the reverse pass binds it to the forward's output.
+    #[test]
+    fn derivatives_on_the_value_give_the_input_forms_bits() {
+        use UnOp::{Abs, Exp, Relu, Sigmoid, Sqrt, Tanh};
+        let x = || ScalarExpr::input("x");
+        let c = ScalarExpr::c;
+        // The rules as they were written on the input: relu's is the one
+        // whose expression differs.
+        let tiny = f64::MIN_POSITIVE;
+        let max_abs = ScalarExpr::bin(BinOp::Max, ScalarExpr::un(Abs, x()), c(tiny));
+        let sigmoid = || ScalarExpr::un(Sigmoid, x());
+        let tanh = || ScalarExpr::un(Tanh, x());
+        let on_input = [
+            (Relu, ScalarExpr::un(Relu, x()).div(max_abs)),
+            (Exp, ScalarExpr::un(Exp, x())),
+            (Sigmoid, sigmoid().mul(c(1.0).sub(sigmoid()))),
+            (Tanh, c(1.0).sub(tanh().mul(tanh()))),
+            (Sqrt, c(0.5).div(ScalarExpr::un(Sqrt, x()))),
+        ];
+        let special = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::from_bits(1),
+            1.0,
+            -1.0,
+            700.0,
+            -700.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // splitmix64 bits: every binade, subnormals, infinities and NaNs.
+        let mut state = 37u64;
+        let seeded: Vec<f64> = (0..1 << 12)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                f64::from_bits(z ^ (z >> 31))
+            })
+            .collect();
+        let none = HashMap::new();
+        for (op, reference) in &on_input {
+            let rebuilt = ScalarExpr::un(*op, x()).derivative("x");
+            let read = ScalarExpr::un(*op, x()).derivative_given_value("x", "y");
+            let read = read.expect("a rule on the value");
+            for &v in special.iter().chain(&seeded) {
+                let want = reference.eval(&inputs(&[("x", v)]), &none).unwrap();
+                let at = inputs(&[("x", v), ("y", op.apply(v))]);
+                for got in [rebuilt.eval(&at, &none), read.eval(&at, &none)] {
+                    let got = got.unwrap();
+                    assert!(
+                        got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
+                        "{op:?}' at {v:e}: {got:e}, was {want:e}"
+                    );
+                }
+            }
+        }
+        assert!(UnOp::Sin.derivative_on_value().is_none());
     }
 
     #[test]

@@ -263,3 +263,85 @@ fn a_gradient_dropped_anywhere_leaves_the_next_run_bit_identical() {
         drop(held);
     }
 }
+
+/// Whether any state of a gradient program writes a container whose name
+/// starts with `prefix`.
+fn writes_container(plan: &BackwardPlan, prefix: &str) -> bool {
+    let writes = |s: &dace_ad_repro::sdfg::State| s.graph.written_arrays();
+    (plan.sdfg.states.iter().flat_map(writes)).any(|a| a.starts_with(prefix))
+}
+
+/// Activity analysis: AD stops at the `wrt` inputs.  In a dense layer whose
+/// non-`wrt` input `x` multiplies the `wrt` weight `W`, `x` gets no gradient
+/// container and no state computes one, and `W`'s gradient is the one it is
+/// when `x` is differentiated too, bit for bit.
+#[test]
+fn a_dense_layer_differentiates_only_its_weight() {
+    let mut b = ProgramBuilder::new("layer");
+    let (batch, h) = (b.symbol("B"), b.symbol("H"));
+    b.add_input("x", vec![batch.clone(), h.clone()]).unwrap();
+    b.add_input("W", vec![h.clone(), h.clone()]).unwrap();
+    for t in ["z", "a"] {
+        b.add_transient(t, vec![batch.clone(), h.clone()]).unwrap();
+    }
+    b.add_scalar("OUT").unwrap();
+    b.matmul("z", "x", "W");
+    b.assign("a", ArrayExpr::a("z").relu());
+    b.sum_into("OUT", "a", false);
+    let fwd = b.build().unwrap();
+    let syms = symbols(&[("B", 4), ("H", 5)]);
+    // Uniform in [-1, 1), so that the relu cuts some of `z`.
+    let random = |shape: &[usize], seed| {
+        let u = dace_ad_repro::tensor::random::uniform(shape, seed);
+        u.scale(2.0).add_scalar(-1.0)
+    };
+    let inputs = HashMap::from([
+        ("x".to_string(), random(&[4, 5], 1)),
+        ("W".to_string(), random(&[5, 5], 2)),
+    ]);
+    let options = AdOptions::default();
+    let mut weight = GradientEngine::new(&fwd, "OUT", &["W"], &syms, &options).unwrap();
+    assert!(weight.plan().gradient_of("x").is_none());
+    assert!(!writes_container(weight.plan(), "grad_x"));
+    let mut both = GradientEngine::new(&fwd, "OUT", &["x", "W"], &syms, &options).unwrap();
+    assert!(writes_container(both.plan(), "grad_x"));
+    let w = &weight.run(&inputs).unwrap().gradients["W"];
+    assert_eq!(w, &both.run(&inputs).unwrap().gradients["W"]);
+    let fd = finite_difference_gradient(&fwd, "OUT", "W", &syms, &inputs, 1e-6).unwrap();
+    assert!(allclose(w, &fd, 1e-4, 1e-7));
+}
+
+/// mlp at the bench preset, differentiated for its weights only: no
+/// `grad_x`, and the relu adjoints read the activations `h1` / `h2` (which
+/// the product adjoints forward anyway), so `z1` / `z2` are not candidates
+/// and no backward state reads them.
+#[test]
+fn mlp_forwards_its_activations_and_no_input_gradient() {
+    use dace_ad_repro::npbench::{kernel_by_name, Preset};
+    let mlp = kernel_by_name("mlp").unwrap();
+    let sizes = mlp.sizes(Preset::Bench);
+    let fwd = mlp.build_dace(&sizes);
+    let engine = |strategy| {
+        let options = AdOptions { strategy };
+        GradientEngine::new(&fwd, "OUT", &mlp.wrt(), &mlp.symbols(&sizes), &options).unwrap()
+    };
+    let store_all = engine(CheckpointStrategy::StoreAll);
+    let plan = store_all.plan();
+    assert!(plan.gradient_of("x").is_none());
+    assert!(!writes_container(plan, "grad_x"));
+    let mut candidates: Vec<&str> = plan.candidates.iter().map(|c| c.array.as_str()).collect();
+    candidates.sort();
+    assert_eq!(candidates, ["h1", "h2"]);
+    let dace_ad_repro::sdfg::ControlFlow::Sequence(top) = &plan.sdfg.cfg else {
+        panic!("a gradient program is a sequence")
+    };
+    let backward = top[plan.backward_start_index..].iter();
+    for sid in backward.flat_map(|item| item.states_in_order()) {
+        let reads = plan.sdfg.states[sid].graph.read_arrays();
+        assert!(!reads.contains("z1") && !reads.contains("z2"), "{reads:?}");
+    }
+    assert_eq!(plan.sdfg.states.len(), 19);
+    let recompute_all = engine(CheckpointStrategy::RecomputeAll);
+    assert!(!writes_container(recompute_all.plan(), "grad_x"));
+    assert_eq!(recompute_all.plan().sdfg.states.len(), 25);
+}
