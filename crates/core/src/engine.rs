@@ -2,13 +2,12 @@
 //! execution, and provides the finite-difference oracle.
 //!
 //! The engine follows the runtime's compile-once/run-many shape: `new`
-//! builds the gradient SDFG and compiles it **once** into a cached
-//! [`CompiledProgram`]; `run` binds inputs into a persistent [`Session`]
-//! (whose tensor slab is reused across runs) and executes.  Forward-only
-//! execution ([`GradientEngine::run_forward`]) goes through a second cached
-//! program that is compiled lazily on first use.  Repeated `run` calls
-//! therefore perform exactly one gradient lowering, which the plan-cache
-//! counters on [`dace_runtime::ExecutionReport`] make observable.
+//! builds the gradient SDFG and compiles it **once** into a
+//! [`CompiledProgram`] it keeps; `run` binds inputs into a persistent
+//! [`Session`] (whose tensor slab is reused across runs) and executes.
+//! Forward-only execution ([`GradientEngine::run_forward`]) goes through a
+//! second program that is compiled lazily on first use.  Repeated `run`
+//! calls therefore perform exactly one gradient lowering.
 //!
 //! Which names a run accepts, and how its arrays become a
 //! [`GradientResult`], is stated once per program: `run`, every `run_batch`
@@ -124,8 +123,7 @@ pub struct GradientResult {
     /// Value of the dependent output after the forward pass.
     pub output_value: f64,
     /// Execution report of the combined gradient program (single memory
-    /// timeline, as the paper measures it), including the plan-cache
-    /// counters of the gradient program.
+    /// timeline, as the paper measures it).
     pub report: ExecutionReport,
 }
 
@@ -253,7 +251,7 @@ impl Binding {
 /// High-level driver: build and compile the gradient SDFG once, run it many
 /// times.
 ///
-/// Holds two cached compiled programs: the gradient program (compiled in
+/// Holds two compiled programs: the gradient program (compiled in
 /// [`GradientEngine::new`]) and a forward-only program (compiled lazily by
 /// [`GradientEngine::run_forward`]).  Each has a persistent [`Session`]
 /// whose tensor slab is reused across runs, so repeated executions pay no
@@ -291,8 +289,8 @@ pub struct BatchGradientResult {
 
 impl GradientEngine {
     /// Build the gradient program for `output` w.r.t. `inputs` under the
-    /// given symbol values and checkpointing options, and compile it into a
-    /// cached execution plan.
+    /// given symbol values and checkpointing options, and compile it into an
+    /// execution plan the engine keeps.
     pub fn new(
         forward: &Sdfg,
         output: &str,
@@ -350,7 +348,7 @@ impl GradientEngine {
     /// submission order) plus the aggregate [`BatchReport`].
     ///
     /// Every item is one [`GradientEngine::run`] on a pooled session of a
-    /// [`BatchDriver`] over the *same* cached gradient program (a static
+    /// [`BatchDriver`] over the *same* gradient program (a static
     /// batch has no admission decision to make, so it bypasses the serving
     /// front door): zero additional lowerings, and results bit-identical
     /// to looping `run` over the same inputs.
@@ -394,7 +392,7 @@ impl GradientEngine {
     /// Requests are submitted individually —
     /// [`GatewayGradientClient::submit`] /
     /// [`GatewayGradientClient::submit_with`] — and coalesced into batches
-    /// over the *same* cached gradient program the blocking
+    /// over the *same* gradient program the blocking
     /// [`GradientEngine::run`] uses.  Served results are bit-identical to
     /// `run` with the same inputs.
     ///
@@ -420,7 +418,7 @@ impl GradientEngine {
         self.server.clone().expect("server was just built")
     }
 
-    /// A fresh [`BatchDriver`] over the cached gradient program, carrying
+    /// A fresh [`BatchDriver`] over the engine's gradient program, carrying
     /// the plan's recomputation free hints — the execution substrate of
     /// [`GradientEngine::run_batch`] and of every gateway tenant
     /// ([`GradientEngine::serve`], [`GradientEngine::register_with`]).
@@ -467,7 +465,7 @@ impl GradientEngine {
     }
 
     /// Run only the forward SDFG and return the scalar value of the
-    /// dependent output, using the engine's cached forward-only program
+    /// dependent output, using the engine's forward-only program
     /// (compiled on first call).  Input names follow the forward program's
     /// own rule: its transients are skipped, other names are
     /// [`EngineError::UnknownInput`].
@@ -501,7 +499,7 @@ pub struct ServedGradient {
 ///
 /// Submissions validate input names synchronously, execution is
 /// asynchronous (the gateway coalesces requests into batches over the
-/// engine's single cached gradient program), and handles deliver
+/// engine's single gradient program), and handles deliver
 /// [`ServedGradient`]s bit-identical to [`GradientEngine::run`].  Clones
 /// share the same admission queue, dispatcher and session pool, so any
 /// number of threads can submit concurrently.  The gateway's admission
@@ -658,7 +656,7 @@ fn served_gradient(
 /// oracle the AD engine is validated against on small problem sizes.  It
 /// runs the forward program alone, so it does not depend on AD succeeding.
 ///
-/// The forward SDFG is compiled **once** (through the plan cache) and a
+/// The forward SDFG is compiled **once** and a
 /// single session's tensor slab is reused for all `2 × len` evaluations.
 pub fn finite_difference_gradient(
     forward: &Sdfg,

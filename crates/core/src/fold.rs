@@ -555,14 +555,10 @@ mod tests {
         assert_unfolded(&fwd, "OUT", &["A", "x"], "reader in the transpose's state");
     }
 
-    /// Two builds of one program fold to one gradient program: one plan-cache
-    /// key.
+    /// Two builds of one program fold to one gradient program.
     #[test]
     fn two_builds_fold_to_one_fingerprint() {
-        let fingerprint = || {
-            let plan = generate_backward(&atax(), "OUT", &["A", "x"]).unwrap();
-            dace_runtime::debug_fingerprint_sdfg(&plan.sdfg)
-        };
-        assert_eq!(fingerprint(), fingerprint());
+        let gradient = || generate_backward(&atax(), "OUT", &["A", "x"]).unwrap().sdfg;
+        assert_eq!(gradient(), gradient());
     }
 }

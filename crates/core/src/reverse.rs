@@ -808,7 +808,7 @@ impl<'a> Ctx<'a> {
         // Resolve forwarded values for each needed connector.
         let mut tape_states = Vec::new();
         // Ordered: the read edges below are added in this map's order, and
-        // two reversals of one program must be the same SDFG (one cache key).
+        // two reversals of one program must be the same SDFG.
         let mut value_memlets: BTreeMap<String, Memlet> = BTreeMap::new();
         for conn in &needed {
             // The output's value is read as it stands after the state.

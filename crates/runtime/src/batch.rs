@@ -22,8 +22,8 @@
 //!   [`Session::run`] with the same bindings: results are bit-identical to a
 //!   serial per-item loop, independent of batch size or worker count.
 //! * **Plan sharing** — all pooled sessions reference the *same* lowered
-//!   plan; a warm driver performs zero plan-cache lookups and zero lowerings
-//!   regardless of how many batches it serves.
+//!   plan; a driver performs zero lowerings regardless of how many batches
+//!   it serves.
 //! * **Panic isolation** — a panicking item is reported as
 //!   [`BatchError::Panicked`] for that item only; its session is discarded
 //!   (never returned to the pool) and every other item completes normally.
@@ -72,7 +72,7 @@ use dace_tensor::Tensor;
 
 use crate::error::RuntimeError;
 use crate::executor::ExecutionReport;
-use crate::program::{CompiledProgram, PlanCacheStats, Session};
+use crate::program::{CompiledProgram, Session};
 
 /// Why one batch item failed (the other items are unaffected).
 #[derive(Debug)]
@@ -133,11 +133,6 @@ pub struct BatchReport {
     pub total_tasklet_invocations: u64,
     /// Map index points summed over the final run of every item's session.
     pub total_map_points: u64,
-    /// Plan-cache counters of the shared program's cache entry at the end of
-    /// the batch.  `misses` stays at `1` however many items and batches the
-    /// driver serves — that is the compile-once property this layer exists
-    /// to amortise.
-    pub plan_cache: PlanCacheStats,
     /// Sessions created by the driver so far (lifetime counter).  A warm
     /// driver stops growing this: steady-state batches reuse pooled
     /// sessions, so the value plateaus at the peak concurrency seen.
@@ -388,7 +383,6 @@ impl BatchDriver {
             items_per_sec: throughput(n_items, elapsed),
             total_tasklet_invocations: total_tasklets.into_inner(),
             total_map_points: total_points.into_inner(),
-            plan_cache: self.program.cache_stats(),
             sessions_created: self.sessions_created(),
             sessions_reused: self.sessions_reused(),
             pooled_sessions: self.pooled_sessions(),

@@ -7,15 +7,15 @@
 //! performs no per-iteration clones or allocations.
 //!
 //! The public entry point is the compile-once API at the crate root:
-//! [`crate::compile`] lowers the SDFG into a [`crate::CompiledProgram`]
-//! (with plan caching) and [`crate::Session`] drives the walker defined
-//! here.
+//! [`crate::compile`] lowers the SDFG into a [`crate::CompiledProgram`] and
+//! [`crate::Session`] drives the walker defined here.
 //!
-//! Memory is tracked with [`crate::memory::MemoryTracker`]: non-transient
-//! inputs are counted at start, transients are allocated lazily at first
-//! touch, and optional per-state *free hints* (produced by the AD engine for
-//! recomputation temporaries and consumed tape entries) release containers
-//! early so that peak-memory measurements reflect store/recompute choices.
+//! Memory is tracked per array id (the crate-private `memory` module):
+//! non-transient inputs are counted at start, transients are allocated
+//! lazily at first touch, and optional per-state *free hints* (produced by
+//! the AD engine for recomputation temporaries and consumed tape entries)
+//! release containers early so that peak-memory measurements reflect
+//! store/recompute choices.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -36,12 +36,11 @@ use crate::spec::{extent, Axis, KernelDst, KernelSrc, SpecMode};
 pub struct ExecutionReport {
     /// Wall-clock time of the `run` call.
     pub elapsed: Duration,
-    /// Peak bytes of *logically live* containers during execution, as
-    /// tracked by [`crate::MemoryTracker`] (the analytic model the
-    /// checkpointing experiments measure).  Tensors released by free hints,
-    /// and taken tensors that came home, are parked in the session's recycle
-    /// pool for in-place reuse, so the process-resident footprint can exceed
-    /// this figure by the pooled bytes.
+    /// Peak bytes of *logically live* containers during execution (the
+    /// analytic model the checkpointing experiments measure).  Tensors
+    /// released by free hints, and taken tensors that came home, are parked
+    /// in the session's recycle pool for in-place reuse, so the
+    /// process-resident footprint can exceed this figure by the pooled bytes.
     pub peak_bytes: usize,
     /// Bytes logically live at the end of execution.
     pub final_bytes: usize,
@@ -58,13 +57,6 @@ pub struct ExecutionReport {
     /// on its own handled by the N-D affine kernel instead of by the
     /// register VM (so collapsing a nest lowers the count for equal work).
     pub specialized_dispatches: u64,
-    /// Plan-cache hits recorded for this program's cache entry (snapshot at
-    /// the end of the run; see [`crate::PlanCacheStats`]).
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses for this program's cache entry — the number of
-    /// times this (SDFG, symbols) pair was actually lowered.  Stays at `1`
-    /// across repeated runs of a cached program.
-    pub plan_cache_misses: u64,
 }
 
 /// Map execution path selection, a test switch: `Sequential` pins the
@@ -141,7 +133,7 @@ impl RunState {
             inbox: Arc::new(Mutex::new(vec![None; n_arrays])),
             bound: vec![false; n_arrays],
             syms: plan.init_syms.clone(),
-            tracker: MemoryTracker::new(),
+            tracker: MemoryTracker::new(n_arrays),
             report: ExecutionReport::default(),
             free_hints: vec![Vec::new(); plan.states.len()],
             scratch: Scratch::default(),
@@ -161,8 +153,7 @@ impl RunState {
         }
         let layout = plan.arrays.layout(id)?;
         self.slab[id as usize] = Some(self.refill(id as usize, layout.dims()));
-        self.tracker
-            .alloc(&plan.arrays.names[id as usize], layout.bytes);
+        self.tracker.alloc(id as usize, layout.bytes);
         Ok(())
     }
 
@@ -308,7 +299,7 @@ impl RunState {
             if self.bound[aid] {
                 continue;
             }
-            self.tracker.free(&plan.arrays.names[aid]);
+            self.tracker.free(aid);
             // Park the released tensor in the pool so a later allocation of
             // the same container reuses it instead of reallocating.  Guarded
             // so a hint firing while the container is unallocated (skipped

@@ -12,9 +12,9 @@
 //!
 //! * [`compile`] lowers an SDFG under concrete symbol values into a
 //!   [`CompiledProgram`] — interned ids, register-compiled tasklet
-//!   expressions, precomputed topological orders and subset classifications
-//!   — consulting a process-wide **plan cache** keyed by (SDFG fingerprint,
-//!   symbol values), so structurally identical programs share one lowering.
+//!   expressions, precomputed topological orders and subset classifications.
+//!   Every call validates and lowers; a caller compiles once and shares the
+//!   cheaply cloned handle.
 //! * [`CompiledProgram::session`] opens a [`Session`] that binds inputs,
 //!   runs the plan (zero per-iteration string lookups, clones or heap
 //!   allocations on the hot paths) and **reuses its tensor slab across
@@ -31,9 +31,9 @@
 //!   session is discarded, the tenant keeps serving), and graceful program
 //!   reload completes it.  Every handle resolves exactly once with a
 //!   [`serve::ServeResponse`] or a typed [`serve::ServeError`].
-//! * [`memory::MemoryTracker`] provides the allocation tracking and
-//!   peak-memory measurement used by the checkpointing experiments
-//!   (Fig. 13).
+//! * A session's memory tracker counts live bytes per array id and reports
+//!   the peak ([`ExecutionReport::peak_bytes`]) that the checkpointing
+//!   experiments measure (Fig. 13).
 //!
 //! # Invariants
 //!
@@ -45,12 +45,10 @@
 //!   transients recycle through an internal pool and are zero-filled in
 //!   place, unbound outputs are reset in place.  Results are bit-identical
 //!   to a run on a freshly opened session with the same bindings.
-//! * **Cache keying** — the plan cache key is (structural SDFG fingerprint,
-//!   digest of the concrete symbol values), and a match is trusted only if
-//!   the entry's symbol values equal the caller's; a plan is valid for
-//!   exactly that pair and [`compile`] never returns a plan specialised for
-//!   different symbol values.  A verified hit skips validation: only an SDFG
-//!   that passed it is ever published.
+//! * **No global state** — [`compile`] validates and lowers on every call,
+//!   and a plan is specialised for exactly the symbol values it was
+//!   compiled with.  The one `static` is a lowering counter kept for the
+//!   benchmark harness (see `program.rs`).
 //!
 //! # Example
 //!
@@ -78,15 +76,15 @@
 //!     .unwrap();
 //! let report = session.run().unwrap();
 //! assert_eq!(session.array("Y").unwrap().data(), &[2.0, 3.0, 4.0]);
-//! // The (SDFG, symbols) pair was lowered exactly once.
-//! assert_eq!(report.plan_cache_misses, 1);
+//! // X and Y, 3 doubles each, are live at once.
+//! assert_eq!(report.peak_bytes, 48);
 //! ```
 
 pub mod batch;
 pub mod error;
 pub mod executor;
 pub mod gateway;
-pub mod memory;
+mod memory;
 mod plan;
 mod program;
 pub mod serve;
@@ -99,12 +97,9 @@ pub use gateway::{
     Gateway, GatewayError, GatewayHandle, GatewayOptions, GatewayStats, SubmitOptions,
     TenantConfig, TenantStats,
 };
-pub use memory::MemoryTracker;
 pub use plan::{KernelMiss, MapInfo, MapStrategy, RowMode};
-pub use program::{
-    clear_plan_cache, compile, debug_fingerprint_sdfg, debug_inject_plan_cache_alias,
-    plan_cache_capacity, plan_cache_len, plan_cache_stats, set_plan_cache_capacity,
-    CompiledProgram, PlanCacheStats, Session, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+#[doc(hidden)]
+pub use program::{clear_plan_cache, plan_cache_stats, PlanCacheStats};
+pub use program::{compile, CompiledProgram, Session};
 pub use serve::{ServeError, ServeResponse};
 pub use spec::SpecMode;

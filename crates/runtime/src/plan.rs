@@ -41,8 +41,8 @@
 //! memlet in [`ExecPlan::idx`], every kernel coefficient in
 //! [`ExecPlan::coeffs`], a layout's dimensions and strides in one array, a
 //! kernel's copy of an assignment sharing its instructions — because a cold
-//! compile pays for each one twice: lowering makes it, and
-//! [`crate::clear_plan_cache`] or an eviction frees it.
+//! compile pays for each one twice: lowering makes it, and dropping the
+//! last [`crate::CompiledProgram`] of the plan frees it.
 //!
 //! Lowering fails eagerly for one thing only: a library node that can never
 //! run as written — operands that do not fit each other

@@ -7,10 +7,9 @@
 //! repetitions).  This module makes that shape explicit in the API:
 //!
 //! * [`compile`] produces a [`CompiledProgram`] — an immutable, cheaply
-//!   clonable handle to a lowered execution plan ([`crate::plan`]).
-//!   Compilation consults a process-wide **plan cache** keyed by the SDFG
-//!   fingerprint and the concrete symbol values, so compiling the same
-//!   program twice returns the same shared plan without re-lowering.
+//!   clonable handle to a lowered execution plan ([`crate::plan`]).  Every
+//!   call validates and lowers; the handle is what a caller keeps and shares
+//!   to compile once.
 //! * [`CompiledProgram::session`] opens a [`Session`]: mutable run state
 //!   (tensor slab, symbol file, scratch registers) bound to the program.
 //!   A session **reuses its tensor slab across runs** — transient tensors
@@ -18,16 +17,10 @@
 //!   reallocated, and unbound outputs are reset in place — so repeated
 //!   `run` calls perform no plan work and no per-run heap churn beyond the
 //!   first execution.
-//!
-//! Cache observability: every [`crate::ExecutionReport`] carries the
-//! hit/miss counters of the program's cache entry, per-program counters are
-//! available via [`CompiledProgram::cache_stats`], and process-wide totals
-//! via [`plan_cache_stats`].
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dace_sdfg::Sdfg;
@@ -35,354 +28,13 @@ use dace_tensor::Tensor;
 
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::executor::{ExecutionReport, MapPath, RunState};
-use crate::memory::MemoryTracker;
 use crate::plan::{compile_plan, ExecPlan, MapInfo, MapStrategy, PlanGraph, PlanNode};
-
-// ---------------------------------------------------------------------------
-// Plan cache.
-// ---------------------------------------------------------------------------
-
-/// Hit/miss counters of the plan cache (per entry or process-wide).
-///
-/// A *miss* is a [`compile`] call that lowered the SDFG and published the
-/// plan; a *hit* is a call that was handed a published plan (including one
-/// that lowered alongside another thread and found the key taken when it
-/// came to publish).  For a single cache entry the miss count is therefore
-/// `1` for as long as the entry lives.  Re-compiling a key after its entry
-/// was evicted is a genuine second lowering: the global miss counter
-/// increments again and the fresh entry starts over at `misses == 1`, so the
-/// counters stay correct across eviction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Number of [`compile`] calls served from the cache.
-    pub hits: u64,
-    /// Number of [`compile`] calls that lowered the SDFG and published the
-    /// plan.
-    pub misses: u64,
-    /// Entries evicted under capacity pressure (least-recently-used first).
-    /// Tracked process-wide: per-entry snapshots report `0` here, since an
-    /// entry that was evicted no longer has stats to snapshot.
-    pub evictions: u64,
-    /// Key collisions: a cache key matched but the stored plan belonged to a
-    /// *different* SDFG (told by the structural echo) or was lowered under
-    /// other symbol values (two binding sets can share the key's 64-bit
-    /// symbol digest; the entry holds the bindings themselves), so the
-    /// lookup was treated as a miss and recompiled instead of silently
-    /// serving the wrong plan.  Tracked process-wide, `0` on per-entry
-    /// snapshots.
-    pub collisions: u64,
-}
-
-/// Shared counters of one cache entry.
-#[derive(Debug, Default)]
-struct EntryStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl EntryStats {
-    fn snapshot(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: 0,
-            collisions: 0,
-        }
-    }
-}
-
-/// The 64-bit FNV-1a state behind every digest of this module: the
-/// fingerprint, the echo's name digest and the symbol digest feed it through
-/// `std::hash::Hash`, so nothing is rendered to text on the way.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Cheap structural summary stored next to every cache entry.  The FNV-1a
-/// fingerprint is 64 bits of the whole structure, so two different SDFGs
-/// *can* collide; before trusting a key match, [`compile`] compares this
-/// echo and treats a mismatch as a miss (recompile) instead of serving the
-/// wrong plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct StructuralEcho {
-    /// Number of data containers.
-    arrays: usize,
-    /// Number of free symbols.
-    symbols: usize,
-    /// Number of states.
-    states: usize,
-    /// FNV-1a digest over the sorted array names (with transient flags) and
-    /// the symbol names.
-    names_digest: u64,
-}
-
-impl StructuralEcho {
-    fn of(sdfg: &Sdfg) -> Self {
-        let mut digest = Fnv1a::new();
-        // `sdfg.arrays` is a BTreeMap, so iteration order is already sorted.
-        for (name, desc) in &sdfg.arrays {
-            name.hash(&mut digest);
-            desc.transient.hash(&mut digest);
-        }
-        sdfg.symbols.hash(&mut digest);
-        StructuralEcho {
-            arrays: sdfg.arrays.len(),
-            symbols: sdfg.symbols.len(),
-            states: sdfg.states.len(),
-            names_digest: digest.finish(),
-        }
-    }
-}
-
-/// Cache key: structural SDFG fingerprint plus a digest of the concrete
-/// symbol values the plan was specialised for (layouts and loop bounds depend
-/// on them).  The digest is a sum over the bindings, so it needs no sorted
-/// copy of them; the entry holds the bindings themselves and a key match is
-/// trusted only if they are equal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    fingerprint: u64,
-    symbols: u64,
-}
-
-impl CacheKey {
-    fn new(fingerprint: u64, symbols: &HashMap<String, i64>) -> Self {
-        let binding = |binding: (&String, &i64)| {
-            let mut digest = Fnv1a::new();
-            binding.hash(&mut digest);
-            digest.finish()
-        };
-        CacheKey {
-            fingerprint,
-            symbols: symbols.iter().map(binding).fold(0, u64::wrapping_add),
-        }
-    }
-}
-
-/// Default maximum number of cached plans.  A server sweeping symbol sizes
-/// creates one entry per (fingerprint, symbol values) pair, so the cache is
-/// a true LRU: when full, only the least-recently-used entry is evicted
-/// (outstanding [`CompiledProgram`]s keep their plans alive through their
-/// own `Arc`s).  Tune with [`set_plan_cache_capacity`].
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
-
-/// One cached plan plus the bookkeeping the LRU and the collision check
-/// need.
-struct CacheEntry {
-    plan: Arc<ExecPlan>,
-    stats: Arc<EntryStats>,
-    echo: StructuralEcho,
-    /// The bindings the plan was lowered under, shared with every
-    /// [`CompiledProgram`] of this entry.
-    symbols: Arc<HashMap<String, i64>>,
-    /// Logical timestamp of the most recent hit or insertion.
-    last_used: u64,
-}
-
-impl CacheEntry {
-    /// A freshly lowered plan: one miss, no hit yet.
-    fn new(plan: Arc<ExecPlan>, echo: StructuralEcho, symbols: &HashMap<String, i64>) -> Self {
-        CacheEntry {
-            plan,
-            stats: Arc::new(EntryStats {
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(1),
-            }),
-            echo,
-            symbols: Arc::new(symbols.clone()),
-            last_used: 0,
-        }
-    }
-
-    fn program(&self, fingerprint: u64, cache_hit: bool) -> CompiledProgram {
-        CompiledProgram {
-            plan: Arc::clone(&self.plan),
-            symbols: Arc::clone(&self.symbols),
-            stats: Arc::clone(&self.stats),
-            fingerprint,
-            cache_hit,
-        }
-    }
-}
-
-/// What [`PlanCache::lookup`] found under a key.
-enum Lookup {
-    Hit(CompiledProgram),
-    /// The key matches but the entry belongs to a different SDFG or other
-    /// bindings.  Trusting the hash would silently serve the wrong plan: the
-    /// caller lowers, and [`PlanCache::publish`] replaces the entry.
-    Collision,
-    Vacant,
-}
-
-struct PlanCache {
-    map: HashMap<CacheKey, CacheEntry>,
-    capacity: usize,
-    /// Monotonic logical clock backing `last_used`.
-    tick: u64,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            map: HashMap::new(),
-            capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            tick: 0,
-        }
-    }
-}
-
-impl PlanCache {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Look `key` up, trusting a match only if the entry was lowered from
-    /// this structure under these bindings; such a match is counted as a hit.
-    fn lookup(
-        &mut self,
-        key: CacheKey,
-        echo: StructuralEcho,
-        symbols: &HashMap<String, i64>,
-    ) -> Lookup {
-        let tick = self.touch();
-        let Some(entry) = self.map.get_mut(&key) else {
-            return Lookup::Vacant;
-        };
-        if entry.echo != echo || *entry.symbols != *symbols {
-            return Lookup::Collision;
-        }
-        entry.last_used = tick;
-        entry.stats.hits.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-        Lookup::Hit(entry.program(key.fingerprint, true))
-    }
-
-    /// Insert a freshly lowered entry (replacing a colliding one) and evict
-    /// down to the capacity.
-    fn publish(&mut self, key: CacheKey, mut entry: CacheEntry) -> CompiledProgram {
-        entry.last_used = self.touch();
-        let program = entry.program(key.fingerprint, false);
-        self.map.insert(key, entry);
-        self.evict_down_to(self.capacity);
-        program
-    }
-
-    /// Evict least-recently-used entries until at most `target` remain.
-    fn evict_down_to(&mut self, target: usize) {
-        while self.map.len() > target {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            GLOBAL_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The process-wide cache, locked.  A poisoned lock is recovered: every
-/// update under it leaves the map valid, and nothing is lowered under it.
-fn lock_cache() -> MutexGuard<'static, PlanCache> {
-    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| Mutex::new(PlanCache::default()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_COLLISIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide plan-cache totals across all programs, including eviction
-/// and fingerprint-collision counts.
-pub fn plan_cache_stats() -> PlanCacheStats {
-    PlanCacheStats {
-        hits: GLOBAL_HITS.load(Ordering::Relaxed),
-        misses: GLOBAL_MISSES.load(Ordering::Relaxed),
-        evictions: GLOBAL_EVICTIONS.load(Ordering::Relaxed),
-        collisions: GLOBAL_COLLISIONS.load(Ordering::Relaxed),
-    }
-}
-
-/// Number of plans currently cached.
-pub fn plan_cache_len() -> usize {
-    lock_cache().map.len()
-}
-
-/// Current plan-cache capacity (maximum number of retained plans).
-pub fn plan_cache_capacity() -> usize {
-    lock_cache().capacity
-}
-
-/// Bound the process-wide plan cache at `capacity` plans (clamped to at
-/// least 1).  If the cache currently holds more, least-recently-used
-/// entries are evicted immediately; outstanding [`CompiledProgram`]s keep
-/// their plans alive through their own `Arc`s.  Long-running servers that
-/// sweep symbol sizes should size this to their working set — the default
-/// is [`DEFAULT_PLAN_CACHE_CAPACITY`].
-pub fn set_plan_cache_capacity(capacity: usize) {
-    let mut cache = lock_cache();
-    cache.capacity = capacity.max(1);
-    let target = cache.capacity;
-    cache.evict_down_to(target);
-}
-
-/// Drop every cached plan (outstanding [`CompiledProgram`]s stay valid).
-/// Intended for tests and long-running processes that want to bound memory.
-/// An explicit clear is not counted as eviction pressure — the `evictions`
-/// counter tracks only capacity-driven LRU evictions.
-pub fn clear_plan_cache() {
-    lock_cache().map.clear();
-}
-
-/// Deterministic FNV-1a fingerprint of the SDFG structure.
-///
-/// The fingerprint is the SDFG's `Hash` (names, shapes, tasklet code,
-/// memlets, control flow; every `f64` by its bits) fed into FNV-1a, so any
-/// structural change produces a different key.  Two structurally identical
-/// SDFGs — e.g. the same builder program constructed twice — share a
-/// fingerprint and therefore a cached plan.
-fn fingerprint_sdfg(sdfg: &Sdfg) -> u64 {
-    let mut hasher = Fnv1a::new();
-    sdfg.hash(&mut hasher);
-    hasher.finish()
-}
-
-// ---------------------------------------------------------------------------
-// CompiledProgram.
-// ---------------------------------------------------------------------------
 
 /// Compile an SDFG under concrete symbol values into a [`CompiledProgram`].
 ///
-/// Every symbol declared by the SDFG must have a value.  The call consults
-/// the process-wide plan cache: compiling a structurally identical SDFG with
-/// the same symbol values returns a handle to the *same* lowered plan, and
-/// only the first call pays the lowering cost.
+/// Every symbol declared by the SDFG must have a value.  Every call checks
+/// the symbols, validates the SDFG and lowers it: compile once per program
+/// and share the result, which clones cheaply.
 ///
 /// # Errors
 /// [`RuntimeError::MissingSymbol`] when a declared symbol has no value,
@@ -400,18 +52,6 @@ pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<Com
             return Err(RuntimeError::MissingSymbol(s.clone()));
         }
     }
-    let key = CacheKey::new(fingerprint_sdfg(sdfg), symbols);
-    let echo = StructuralEcho::of(sdfg);
-    // A verified hit skips validation: only an SDFG that passed it is ever
-    // published, and fingerprint and echo identify the structure it checks.
-    match lock_cache().lookup(key, echo, symbols) {
-        Lookup::Hit(program) => return Ok(program),
-        Lookup::Collision => {
-            GLOBAL_COLLISIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        Lookup::Vacant => {}
-    }
-
     let diagnostics: Vec<_> = sdfg
         .validate()
         .into_iter()
@@ -420,44 +60,53 @@ pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<Com
     if !diagnostics.is_empty() {
         return Err(RuntimeError::InvalidSdfg { diagnostics });
     }
-    // Lowered outside the lock, which is taken again only to publish.  If
-    // another thread published this key meanwhile, its entry is adopted and
-    // this plan dropped: one plan per key, and `misses` counts the plans
-    // that were lowered *and* published.
     let plan = Arc::new(compile_plan(sdfg, symbols)?);
-    let mut cache = lock_cache();
-    if let Lookup::Hit(program) = cache.lookup(key, echo, symbols) {
-        return Ok(program);
+    LOWERINGS.fetch_add(1, Ordering::Relaxed);
+    Ok(CompiledProgram {
+        plan,
+        symbols: Arc::new(symbols.clone()),
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Pinned for the benchmark harness.
+// ---------------------------------------------------------------------------
+//
+// `perfbench/` empties a plan cache before each cold compile, counts the
+// lowerings its set-up needed and refuses a compile served from a cache.
+// There is no cache; the items below keep its calls compiling and its
+// `runtime.plan_cache_misses` row true.  The benchmark PR (ROADMAP item 3)
+// deletes them together with their call sites.
+
+/// Successful lowerings in this process: the crate's only `static`.
+static LOWERINGS: AtomicU64 = AtomicU64::new(0);
+
+/// What [`plan_cache_stats`] reads.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct PlanCacheStats {
+    /// [`compile`] calls so far in this process that returned a program.
+    pub misses: u64,
+}
+
+/// The lowerings counted so far in this process.
+#[doc(hidden)]
+pub fn plan_cache_stats() -> PlanCacheStats {
+    PlanCacheStats {
+        misses: LOWERINGS.load(Ordering::Relaxed),
     }
-    GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-    Ok(cache.publish(key, CacheEntry::new(plan, echo, symbols)))
 }
 
-/// Test-only hook: compile `donor` and insert its plan under a *forged*
-/// fingerprint, as if `fingerprint_sdfg` had collided.  The next `compile`
-/// of an SDFG whose real fingerprint equals `fingerprint` (and whose symbol
-/// values match) will find this entry, detect the structural mismatch via
-/// the echo, and recompile instead of serving the donor's plan.
-///
-/// Exists so the collision-handling path can be exercised without having to
-/// construct a real 64-bit FNV-1a collision; not part of the public API.
+/// A no-op: there is no plan cache to empty.
 #[doc(hidden)]
-pub fn debug_inject_plan_cache_alias(
-    donor: &Sdfg,
-    symbols: &HashMap<String, i64>,
-    fingerprint: u64,
-) {
-    let plan = Arc::new(compile_plan(donor, symbols).expect("the donor lowers"));
-    let entry = CacheEntry::new(plan, StructuralEcho::of(donor), symbols);
-    lock_cache().publish(CacheKey::new(fingerprint, symbols), entry);
-}
+pub fn clear_plan_cache() {}
 
-/// The structural fingerprint [`compile`] keys its cache on, exposed for
-/// tests that need to forge collisions (see
-/// [`debug_inject_plan_cache_alias`]).
-#[doc(hidden)]
-pub fn debug_fingerprint_sdfg(sdfg: &Sdfg) -> u64 {
-    fingerprint_sdfg(sdfg)
+impl CompiledProgram {
+    /// Always `false`: no [`compile`] call is served from a cache.
+    #[doc(hidden)]
+    pub fn cache_hit(&self) -> bool {
+        false
+    }
 }
 
 /// An SDFG lowered once into an execution plan: the immutable, shareable
@@ -469,16 +118,11 @@ pub fn debug_fingerprint_sdfg(sdfg: &Sdfg) -> u64 {
 pub struct CompiledProgram {
     plan: Arc<ExecPlan>,
     symbols: Arc<HashMap<String, i64>>,
-    stats: Arc<EntryStats>,
-    fingerprint: u64,
-    cache_hit: bool,
 }
 
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledProgram")
-            .field("fingerprint", &self.fingerprint)
-            .field("cache_hit", &self.cache_hit)
             .field("arrays", &self.plan.arrays.names.len())
             .field("states", &self.plan.states.len())
             .finish()
@@ -497,23 +141,6 @@ impl CompiledProgram {
     /// Concrete symbol values the plan was specialised for.
     pub fn symbols(&self) -> &HashMap<String, i64> {
         &self.symbols
-    }
-
-    /// Structural fingerprint of the source SDFG (one half of the cache key).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Whether this particular [`compile`] call was served from the cache.
-    pub fn cache_hit(&self) -> bool {
-        self.cache_hit
-    }
-
-    /// Hit/miss counters of this program's cache entry.  `misses` is the
-    /// number of plans published for this (SDFG, symbols) pair while the
-    /// entry lived: `1`.
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        self.stats.snapshot()
     }
 
     /// Every map of the program — state by state in the order a state runs
@@ -746,11 +373,6 @@ impl Session {
         Some(tensor)
     }
 
-    /// The memory tracker of the most recent run (for tests and benchmarks).
-    pub fn tracker(&self) -> &MemoryTracker {
-        &self.st.tracker
-    }
-
     /// The execution report of the most recent [`Session::run`] (all-zero
     /// before the first run).  [`crate::BatchDriver`] aggregates batch
     /// totals from this without requiring every caller to thread reports
@@ -781,7 +403,7 @@ impl Session {
         let plan: &ExecPlan = program.plan.as_ref();
 
         st.report = ExecutionReport::default();
-        st.tracker = MemoryTracker::new();
+        st.tracker.reset();
 
         // Take home what came back since the last run: a slot keeps one
         // spare, anything beyond it is freed.
@@ -821,7 +443,7 @@ impl Session {
                         st.slab[id] = Some(st.refill(id, layout.dims()));
                     }
                 }
-                st.tracker.alloc(&plan.arrays.names[id], layout.bytes);
+                st.tracker.alloc(id, layout.bytes);
             }
         }
 
@@ -831,52 +453,6 @@ impl Session {
         st.report.elapsed = start.elapsed();
         st.report.peak_bytes = st.tracker.peak_bytes();
         st.report.final_bytes = st.tracker.current_bytes();
-        let cache = program.stats.snapshot();
-        st.report.plan_cache_hits = cache.hits;
-        st.report.plan_cache_misses = cache.misses;
         Ok(st.report.clone())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dace_sdfg::{ArrayDesc, ControlFlow, DataflowGraph, State, SymExpr};
-
-    /// Two binding sets that share the key's symbol digest: the entry holds
-    /// the bindings it was lowered under, so the caller is served its own.
-    #[test]
-    fn symbol_digest_collision_serves_the_callers_bindings() {
-        let mut sdfg = Sdfg::new("symbol_digest_collision");
-        sdfg.add_symbol("N");
-        sdfg.add_array("X", ArrayDesc::input(vec![SymExpr::sym("N")]))
-            .unwrap();
-        let mut graph = DataflowGraph::new();
-        graph.add_access("X");
-        let state = sdfg.add_state(State {
-            name: "s".into(),
-            graph,
-        });
-        sdfg.cfg = ControlFlow::State(state);
-        let mine = HashMap::from([("N".to_string(), 3)]);
-        let theirs = HashMap::from([("N".to_string(), 5)]);
-
-        // Forge the collision: their plan, published under my key.
-        let key = CacheKey::new(fingerprint_sdfg(&sdfg), &mine);
-        let plan = Arc::new(compile_plan(&sdfg, &theirs).unwrap());
-        let entry = CacheEntry::new(plan, StructuralEcho::of(&sdfg), &theirs);
-        lock_cache().publish(key, entry);
-        let before = plan_cache_stats().collisions;
-
-        for served_from_cache in [false, true] {
-            let program = compile(&sdfg, &mine).unwrap();
-            assert_eq!(program.cache_hit(), served_from_cache);
-            assert_eq!(program.symbols(), &mine);
-            let mut session = program.session();
-            session.run().unwrap();
-            assert_eq!(session.array("X").unwrap().shape(), &[3]);
-        }
-        // Counted once: the recompiled plan replaced the colliding entry.
-        assert_eq!(plan_cache_stats().collisions - before, 1);
     }
 }

@@ -21,7 +21,7 @@ pub type NodeId = usize;
 /// their own adjoints take (`gA += gC @ Bᵀ`, `gx += Aᵀ @ gy`, and the rank-1
 /// `gA += gy ⊗ x`), so reverse mode never materialises a transpose and is
 /// closed over these nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LibraryOp {
     /// `C = op(A) @ op(B)` for 2-D operands (connectors: "A", "B" -> "C").
     MatMul {
@@ -99,7 +99,7 @@ impl LibraryOp {
 
 /// A map scope: a parallel loop over an N-dimensional index set whose body is
 /// a nested dataflow graph.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MapScope {
     /// Map parameters (one per dimension).
     pub params: Vec<String>,
@@ -110,7 +110,7 @@ pub struct MapScope {
 }
 
 /// A node of a dataflow graph.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DfNode {
     /// Access node referencing a data container by name.
     Access(String),
@@ -123,7 +123,7 @@ pub enum DfNode {
 }
 
 /// A directed edge between two nodes, annotated with a memlet.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Edge {
     /// Source node id.
     pub src: NodeId,
@@ -138,7 +138,7 @@ pub struct Edge {
 }
 
 /// A dataflow graph (the contents of a state or of a map-scope body).
-#[derive(Clone, Debug, PartialEq, Default, Hash)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct DataflowGraph {
     /// Nodes, addressed by index.
     pub nodes: Vec<DfNode>,

@@ -33,10 +33,8 @@
 //!
 //! * An [`sdfg::Sdfg`] is **pure structure**: it owns no tensors and no
 //!   runtime state, so it can be cloned, transformed (the reverse pass
-//!   rewrites it freely) and hashed.  `dace-runtime` fingerprints the
-//!   structure — names, shapes, tasklet code, memlets, control flow — as
-//!   one half of its plan-cache key, so any structural change produces a
-//!   different compiled plan.
+//!   rewrites it freely) and compared: two builds of one program are `==`
+//!   (no pass walks a `HashMap` into the graph).
 //! * Array shapes and loop bounds are *symbolic* ([`symexpr::SymExpr`])
 //!   until execution: concrete symbol values are supplied at plan
 //!   compilation, which is why a plan is specialised per (SDFG, symbol

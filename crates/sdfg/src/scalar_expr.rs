@@ -9,13 +9,12 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::trig;
 
 /// Binary scalar operators available in tasklet code.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
     Add,
     Sub,
@@ -27,7 +26,7 @@ pub enum BinOp {
 }
 
 /// Unary scalar operators available in tasklet code.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnOp {
     Neg,
     Sin,
@@ -119,27 +118,6 @@ pub enum ScalarExpr {
     Un(UnOp, Box<ScalarExpr>),
     /// Binary operation.
     Bin(BinOp, Box<ScalarExpr>, Box<ScalarExpr>),
-}
-
-// Written out because `f64` has no `Hash`: a constant enters by its bits, so
-// `0.0` and `-0.0` hash apart (see `CondOperand`).
-impl Hash for ScalarExpr {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            ScalarExpr::Const(v) => v.to_bits().hash(state),
-            ScalarExpr::Input(name) | ScalarExpr::Iter(name) => name.hash(state),
-            ScalarExpr::Un(op, a) => {
-                op.hash(state);
-                a.hash(state);
-            }
-            ScalarExpr::Bin(op, a, b) => {
-                op.hash(state);
-                a.hash(state);
-                b.hash(state);
-            }
-        }
-    }
 }
 
 // The DSL deliberately exposes by-value `add`/`sub`/`mul`/`div` builders

@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use crate::graph::DataflowGraph;
 use crate::symexpr::{SymError, SymExpr};
@@ -13,7 +12,7 @@ use crate::symexpr::{SymError, SymExpr};
 /// The interpreter stores every container as `f64`; the dtype is kept as
 /// metadata to mirror NPBench's float32 deep-learning kernels (documented
 /// substitution).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DType {
     F64,
     F32,
@@ -33,7 +32,7 @@ impl DType {
 }
 
 /// Descriptor of a data container.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ArrayDesc {
     /// Symbolic shape.
     pub shape: Vec<SymExpr>,
@@ -90,7 +89,7 @@ impl ArrayDesc {
 }
 
 /// A state: a named dataflow graph, one "step" of the state machine.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct State {
     /// Name (unique within the SDFG).
     pub name: String,
@@ -99,7 +98,7 @@ pub struct State {
 }
 
 /// Comparison operators in control-flow conditions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     Lt,
     Le,
@@ -139,25 +138,8 @@ pub enum CondOperand {
     Const(f64),
 }
 
-// Written out because `f64` has no `Hash`: the constant enters by its bits,
-// so `0.0` and `-0.0` hash apart.  Keeps the plan-cache fingerprint a
-// `derive` everywhere else.
-impl Hash for CondOperand {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            CondOperand::Element { array, index } => {
-                array.hash(state);
-                index.hash(state);
-            }
-            CondOperand::Sym(e) => e.hash(state),
-            CondOperand::Const(v) => v.to_bits().hash(state),
-        }
-    }
-}
-
 /// A control-flow condition (interstate-edge condition in DaCe terms).
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CondExpr {
     /// Comparison of two operands.
     Cmp {
@@ -203,7 +185,7 @@ impl CondExpr {
 /// structured tree directly (Sequence / State / Loop / Branch), which covers
 /// the loop taxonomy supported by the paper (affine `for` loops without
 /// break/continue, branching, nesting).
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ControlFlow {
     /// Execute a single state.
     State(usize),
@@ -216,7 +198,7 @@ pub enum ControlFlow {
 }
 
 /// A sequential loop region.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoopRegion {
     /// Loop iterator name.
     pub var: String,
@@ -231,7 +213,7 @@ pub struct LoopRegion {
 }
 
 /// A structured branch region.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BranchRegion {
     /// Branch condition.
     pub cond: CondExpr,
@@ -321,7 +303,7 @@ impl fmt::Display for SdfgError {
 impl std::error::Error for SdfgError {}
 
 /// A Stateful DataFlow multiGraph.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Sdfg {
     /// Name of the program.
     pub name: String,

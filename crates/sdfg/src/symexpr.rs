@@ -10,7 +10,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// An integer symbolic expression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SymExpr {
     /// Integer constant.
     Int(i64),

@@ -11,7 +11,7 @@ use crate::scalar_expr::ScalarExpr;
 /// expressions may reference input connectors and previously assigned output
 /// connectors are *not* visible (pure dataflow, single-assignment), which is
 /// what makes symbolic per-tasklet differentiation straightforward.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tasklet {
     /// Human-readable label (used in debugging output).
     pub label: String,

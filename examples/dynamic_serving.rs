@@ -100,8 +100,4 @@ fn main() {
     assert_eq!(stats.completed, 10);
     assert_eq!(stats.expired, 1);
     assert!(stats.conserves(), "every request is in exactly one bucket");
-    // The blocking runs, the served requests and the batch dispatches all
-    // shared one gradient lowering.
-    assert_eq!(engine.gradient_program().cache_stats().misses, 1);
-    println!("plan cache: the gradient program was lowered exactly once");
 }

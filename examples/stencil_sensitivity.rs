@@ -68,9 +68,9 @@ fn main() {
     // The engine is compile-once/run-many: a second sensitivity run reuses
     // the lowered gradient plan and the session's tensor slab.
     let rerun = engine.run(&inputs).unwrap();
-    assert_eq!(rerun.report.plan_cache_misses, 1);
+    assert_eq!(rerun.output_value.to_bits(), result.output_value.to_bits());
     println!(
-        "re-run reused the cached plan ({} lowering) in {:?}",
-        rerun.report.plan_cache_misses, rerun.report.elapsed
+        "re-run reused the lowered plan in {:?}",
+        rerun.report.elapsed
     );
 }

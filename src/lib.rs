@@ -26,8 +26,7 @@ pub mod prelude {
     pub use dace_runtime::{
         compile, BatchDriver, BatchError, BatchItemResult, BatchOutput, BatchReport,
         CompiledProgram, ExecutionReport, Gateway, GatewayError, GatewayHandle, GatewayOptions,
-        GatewayStats, PlanCacheStats, ServeError, ServeResponse, Session, SubmitOptions,
-        TenantConfig, TenantStats,
+        GatewayStats, ServeError, ServeResponse, Session, SubmitOptions, TenantConfig, TenantStats,
     };
     pub use dace_sdfg::{DType, Sdfg, SymExpr};
     pub use dace_tensor::{allclose, allclose_default, Tensor};

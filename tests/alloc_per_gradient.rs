@@ -9,6 +9,8 @@
 //! caller still holds it (nothing could come home).  The rule before loans
 //! (fetch by move) read one per gradient either way, and the one before it
 //! (clone in, clone out) inputs + gradients: 6 on gesummv and 4 on atax.
+//! Counted at every size, a warm `Session::run` makes a handful of small
+//! allocations of run bookkeeping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -141,5 +143,34 @@ fn a_warm_gradient_allocates_only_what_the_caller_still_holds() {
             );
             drop((out, held));
         });
+    }
+
+    // A warm `Session::run` of the gradient program, allocations of every
+    // size: what is left is run bookkeeping, not tensors.  The memory
+    // tracker counts by array id; when it kept a map by name, the same runs
+    // made 17 and 41.
+    for (name, most) in [("atax", 6), ("mlp", 11)] {
+        let kernel = npbench::kernel_by_name(name).unwrap();
+        let sizes = kernel.sizes(Preset::Bench);
+        let inputs = kernel.inputs(&sizes);
+        let sdfg = kernel.build_dace(&sizes);
+        let syms = kernel.symbols(&sizes);
+        let engine =
+            GradientEngine::new(&sdfg, "OUT", &kernel.wrt(), &syms, &AdOptions::default()).unwrap();
+        let mut session = engine
+            .gradient_program()
+            .session()
+            .with_free_hints(&engine.plan().free_hints);
+        for (input, tensor) in &inputs {
+            session.copy_input(input, tensor).unwrap();
+        }
+        for _ in 0..2 {
+            session.run().unwrap();
+        }
+        let (_, n) = large_allocations(1, || session.run().unwrap());
+        assert!(
+            n <= most,
+            "{name}: a warm `Session::run` made {n} allocations, at most {most} expected"
+        );
     }
 }

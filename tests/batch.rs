@@ -112,12 +112,9 @@ fn batched_gradients_match_serial_engine_runs() {
             }
         }
     }
-    // The whole batch (and the serial loop before it) shares one lowering.
-    assert_eq!(batched.batch.plan_cache.misses, 1);
 }
 
-/// After warmup the pool serves batches without creating sessions or
-/// missing the plan cache.
+/// After warmup the pool serves batches without creating sessions.
 #[test]
 fn session_pool_reuses_after_warmup() {
     in_pool(2, || {
@@ -145,9 +142,6 @@ fn session_pool_reuses_after_warmup() {
                 created_after_warmup,
                 "warm batches must not create sessions"
             );
-            // Compiling happened exactly once for this (SDFG, symbols) pair —
-            // serving any number of batches adds no plan-cache traffic.
-            assert_eq!(next.report.plan_cache.misses, 1);
         }
         assert!(driver.sessions_reused() > 0);
         assert_eq!(driver.pooled_sessions() as u64, created_after_warmup);

@@ -194,7 +194,6 @@ impl AtaxEngine {
         assert!(stats.conserves(), "{stats:?}");
         assert_eq!(stats.completed, 5);
         assert_eq!(stats.expired, 1);
-        assert_eq!(self.engine.gradient_program().cache_stats().misses, 1);
     }
 }
 

@@ -176,7 +176,6 @@ fn session_reports_instrumentation() {
     assert!(report.state_executions >= 10);
     assert!(report.map_points > 0);
     assert!(report.peak_bytes > 0);
-    assert!(report.plan_cache_misses >= 1);
 }
 
 #[test]

@@ -12,16 +12,42 @@
 //!   across runs and strictly positive;
 //! * the gradients still cross-validate against the independent jax-rs
 //!   baseline implementation (`allclose`, §V-A of the paper);
-//! * execution counters are reproducible across runs.
+//! * execution counters are reproducible across runs;
+//! * a session stays correct after a failed run (the reused slab is reset,
+//!   and the next run matches a fresh session bit for bit), and every
+//!   `compile` validates;
+//! * two builds and differentiations of one program are one SDFG.
 
-use dace_ad_repro::npbench::{kernel_by_name, Preset};
+use std::collections::HashMap;
+
+use dace_ad_repro::ad::checkpoint::apply_strategy;
+use dace_ad_repro::ad::generate_backward;
+use dace_ad_repro::frontend::lit;
+use dace_ad_repro::npbench::{self, kernel_by_name, Preset};
 use dace_ad_repro::prelude::*;
-use dace_ad_repro::runtime::MapPath;
+use dace_ad_repro::runtime::{MapPath, RuntimeError};
+use dace_ad_repro::sdfg::{CmpOp, CondExpr, CondOperand, Edge};
 
 const KERNELS: [&str; 4] = ["atax", "gemm", "mvt", "seidel2d"];
 
 fn bits(t: &Tensor) -> Vec<u64> {
     t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn symbols(pairs: &[(&str, i64)]) -> HashMap<String, i64> {
+    pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+}
+
+/// `OUT = sum(sin(X) * 2)` — a small differentiable program.
+fn small_program() -> Sdfg {
+    let mut b = ProgramBuilder::new("small");
+    let n = b.symbol("N");
+    b.add_input("X", vec![n.clone()]).unwrap();
+    b.add_transient("T", vec![n.clone()]).unwrap();
+    b.add_scalar("OUT").unwrap();
+    b.assign("T", ArrayExpr::a("X").sin().mul(ArrayExpr::s(2.0)));
+    b.sum_into("OUT", "T", false);
+    b.build().unwrap()
 }
 
 #[test]
@@ -155,7 +181,6 @@ fn forced_sequential_path_matches_auto_on_golden_forward_passes() {
 /// run that reaches the node reports `ShapeMismatch`.
 #[test]
 fn wrong_shaped_outer_destination_fails_the_run() {
-    use dace_ad_repro::runtime::RuntimeError;
     use dace_ad_repro::sdfg::{ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, State};
     let build = |rows: i64| {
         let mut sdfg = Sdfg::new("outer");
@@ -192,7 +217,6 @@ fn wrong_shaped_outer_destination_fails_the_run() {
 /// still fills every destination, and a wrongly-shaped one is rejected.
 #[test]
 fn library_output_fans_out_to_every_destination() {
-    use dace_ad_repro::runtime::RuntimeError;
     use dace_ad_repro::sdfg::{ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, Memlet, State};
     let build = |b2_len: i64| {
         let mut sdfg = Sdfg::new("fanout");
@@ -235,4 +259,163 @@ fn library_output_fans_out_to_every_destination() {
         session.run(),
         Err(RuntimeError::ShapeMismatch { .. })
     ));
+}
+
+#[test]
+fn session_recovers_after_failed_run() {
+    // if P[0] > 0 { T = 3*X; T[99] = 1 (out of bounds) } else { T = 2*X };
+    // OUT = sum(T).  The failing arm dirties T before erroring, so the next
+    // run exercises the in-place slab reset.
+    let build = || {
+        let mut b = ProgramBuilder::new("failing_prog");
+        let n = b.symbol("N");
+        b.add_input("X", vec![n.clone()]).unwrap();
+        b.add_input("P", vec![SymExpr::int(1)]).unwrap();
+        b.add_transient("T", vec![n.clone()]).unwrap();
+        b.add_scalar("OUT").unwrap();
+        b.branch(
+            CondExpr::Cmp {
+                lhs: CondOperand::Element {
+                    array: "P".into(),
+                    index: vec![SymExpr::int(0)],
+                },
+                op: CmpOp::Gt,
+                rhs: CondOperand::Const(0.0),
+            },
+            |b| {
+                b.assign("T", ArrayExpr::a("X").mul(ArrayExpr::s(3.0)));
+                b.assign_element("T", vec![SymExpr::int(99)], lit(1.0));
+            },
+            Some(Box::new(|b: &mut ProgramBuilder| {
+                b.assign("T", ArrayExpr::a("X").mul(ArrayExpr::s(2.0)))
+            })),
+        );
+        b.sum_into("OUT", "T", false);
+        b.build().unwrap()
+    };
+    let sdfg = build();
+    let syms = symbols(&[("N", 4)]);
+    let x = dace_ad_repro::tensor::random::uniform(&[4], 31);
+
+    let program = compile(&sdfg, &syms).unwrap();
+    let mut session = program.session();
+    session.set_input("X", x.clone()).unwrap();
+    session
+        .set_input("P", Tensor::from_vec(vec![1.0], &[1]).unwrap())
+        .unwrap();
+    assert!(session.run().is_err(), "the failing arm must error");
+
+    // Same session, healthy arm: the reused slab must behave like new.
+    session
+        .set_input("P", Tensor::from_vec(vec![-1.0], &[1]).unwrap())
+        .unwrap();
+    let recovered = session.run().unwrap();
+    let recovered_out = session.array("OUT").unwrap().data()[0];
+
+    let mut fresh = program.session();
+    fresh.set_input("X", x).unwrap();
+    fresh
+        .set_input("P", Tensor::from_vec(vec![-1.0], &[1]).unwrap())
+        .unwrap();
+    let fresh_report = fresh.run().unwrap();
+    let fresh_out = fresh.array("OUT").unwrap().data()[0];
+
+    assert_eq!(
+        recovered_out.to_bits(),
+        fresh_out.to_bits(),
+        "post-failure run must match a fresh session bit for bit"
+    );
+    assert_eq!(
+        bits(session.array("T").unwrap()),
+        bits(fresh.array("T").unwrap())
+    );
+    assert_eq!(recovered.peak_bytes, fresh_report.peak_bytes);
+
+    // And repeated successful runs stay stable.
+    let again = session.run().unwrap();
+    assert_eq!(again.peak_bytes, fresh_report.peak_bytes);
+    assert_eq!(
+        session.array("OUT").unwrap().data()[0].to_bits(),
+        fresh_out.to_bits()
+    );
+}
+
+#[test]
+fn clear_bindings_resets_inputs_between_runs() {
+    let sdfg = small_program();
+    let syms = symbols(&[("N", 4)]);
+    let mut session = compile(&sdfg, &syms).unwrap().session();
+    session.set_input("X", Tensor::full(&[4], 0.5)).unwrap();
+    session.run().unwrap();
+    let with_input = session.array("OUT").unwrap().data()[0];
+    assert!(with_input != 0.0);
+
+    // After clearing, the stale X tensor is zeroed in place, so OUT becomes
+    // sum(sin(0) * 2) = 0 — the same as a fresh session with no inputs.
+    session.clear_bindings();
+    session.run().unwrap();
+    assert_eq!(session.array("OUT").unwrap().data()[0], 0.0);
+}
+
+/// The frontend, reversal and the checkpoint pass are deterministic down to
+/// node and edge order: two independent builds and differentiations of every
+/// kernel (and Listing 1), recompute slices included, are the same SDFG.
+#[test]
+fn two_builds_are_one_sdfg() {
+    let gradient = |build: &dyn Fn() -> Sdfg, wrt: &[&str], syms: &HashMap<String, i64>| {
+        let mut plan = generate_backward(&build(), "OUT", wrt).unwrap();
+        apply_strategy(&mut plan, &CheckpointStrategy::RecomputeAll, syms).unwrap();
+        plan.sdfg
+    };
+    let mut programs: Vec<(String, Sdfg, Sdfg)> = npbench::all_kernels()
+        .iter()
+        .map(|k| {
+            let sizes = k.sizes(Preset::Test);
+            let build = || k.build_dace(&sizes);
+            let (wrt, syms) = (k.wrt(), k.symbols(&sizes));
+            (
+                k.name().to_string(),
+                gradient(&build, &wrt, &syms),
+                gradient(&build, &wrt, &syms),
+            )
+        })
+        .collect();
+    assert_eq!(programs.len(), 15);
+    let syms = symbols(&[("N", 4)]);
+    programs.push((
+        "listing1".into(),
+        gradient(&npbench::listing1, &["C", "D"], &syms),
+        gradient(&npbench::listing1, &["C", "D"], &syms),
+    ));
+    for (name, first, second) in &programs {
+        assert_eq!(first, second, "{name}");
+    }
+}
+
+/// Every `compile` validates: a program that fails validation fails typed on
+/// every call, including after a valid program of the same shape compiled.
+#[test]
+fn invalid_sdfg_fails_typed_on_every_call() {
+    let syms = symbols(&[("N", 4)]);
+    let valid = small_program();
+    compile(&valid, &syms).unwrap();
+
+    let mut undeclared = valid.clone();
+    undeclared.states[0].graph.add_access("undeclared");
+    // A dangling edge: same arrays, symbols and states as the valid program.
+    let mut dangling = valid.clone();
+    let edge = dangling.states[0].graph.edges[0].clone();
+    dangling.states[0]
+        .graph
+        .edges
+        .push(Edge { dst: 99, ..edge });
+    for invalid in [&undeclared, &dangling] {
+        for call in 1..=3 {
+            let err = compile(invalid, &syms).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::InvalidSdfg { .. }),
+                "call {call}: {err}"
+            );
+        }
+    }
 }
