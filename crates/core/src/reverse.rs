@@ -1051,7 +1051,7 @@ impl<'a> Ctx<'a> {
                         ([grad_out.as_str(), &b_val], (false, !trans_b))
                     };
                     let op = LibraryOp::MatMul { trans_a, trans_b };
-                    adjoints.push(self.library_accumulate_state(op, factors, &ga, state_name));
+                    adjoints.push(self.library_accumulate_state(op, &factors, &ga, state_name));
                 }
                 if let Some(gb) = self.grad(&b) {
                     let a_val = forwarded(self, "A")?;
@@ -1062,7 +1062,7 @@ impl<'a> Ctx<'a> {
                         ([a_val.as_str(), &grad_out], (!trans_a, false))
                     };
                     let op = LibraryOp::MatMul { trans_a, trans_b };
-                    adjoints.push(self.library_accumulate_state(op, factors, &gb, state_name));
+                    adjoints.push(self.library_accumulate_state(op, &factors, &gb, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1083,14 +1083,14 @@ impl<'a> Ctx<'a> {
                         [grad_out.as_str(), &x_val]
                     };
                     let op = LibraryOp::Outer;
-                    adjoints.push(self.library_accumulate_state(op, operands, &ga, state_name));
+                    adjoints.push(self.library_accumulate_state(op, &operands, &ga, state_name));
                 }
                 if let Some(gx) = self.grad(&x) {
                     let a_val = forwarded(self, "A")?;
                     // gx += op(A)ᵀ·gy
                     let op = LibraryOp::MatVec { trans_a: !trans_a };
                     let operands = [a_val.as_str(), &grad_out];
-                    adjoints.push(self.library_accumulate_state(op, operands, &gx, state_name));
+                    adjoints.push(self.library_accumulate_state(op, &operands, &gx, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1106,14 +1106,14 @@ impl<'a> Ctx<'a> {
                     let y_val = forwarded(self, "y")?;
                     let op = LibraryOp::MATVEC;
                     let operands = [grad_out.as_str(), &y_val];
-                    adjoints.push(self.library_accumulate_state(op, operands, &gx, state_name));
+                    adjoints.push(self.library_accumulate_state(op, &operands, &gx, state_name));
                 }
                 if let Some(gy) = self.grad(&y) {
                     // gy += gAᵀ·x
                     let x_val = forwarded(self, "x")?;
                     let op = LibraryOp::MatVec { trans_a: true };
                     let operands = [grad_out.as_str(), &x_val];
-                    adjoints.push(self.library_accumulate_state(op, operands, &gy, state_name));
+                    adjoints.push(self.library_accumulate_state(op, &operands, &gy, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1124,10 +1124,9 @@ impl<'a> Ctx<'a> {
             LibraryOp::Transpose => {
                 let a = in_arrays.get("A").cloned().unwrap_or_default();
                 if let Some(ga) = self.grad(&a) {
-                    // grad_A[i,j] += grad_out[j,i]
-                    let shape = self.fwd.arrays[&a].shape.clone();
-                    adjoints
-                        .push(self.transpose_accumulate_state(&grad_out, &ga, &shape, state_name));
+                    // gA += gOutᵀ
+                    let op = LibraryOp::Transpose;
+                    adjoints.push(self.library_accumulate_state(op, &[&grad_out], &ga, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1149,9 +1148,9 @@ impl<'a> Ctx<'a> {
             LibraryOp::Copy => {
                 let a = in_arrays.get("A").cloned().unwrap_or_default();
                 if let Some(ga) = self.grad(&a) {
-                    let shape = self.fwd.arrays[&a].shape.clone();
-                    adjoints
-                        .push(self.identity_accumulate_state(&grad_out, &ga, &shape, state_name));
+                    // gA += gOut
+                    let op = LibraryOp::Copy;
+                    adjoints.push(self.library_accumulate_state(op, &[&grad_out], &ga, state_name));
                 }
                 if !out_wcr {
                     adjoints.push(
@@ -1168,94 +1167,28 @@ impl<'a> Ctx<'a> {
     // helper state builders for library adjoints
     // --------------------------------------------------------------------
 
-    /// `dst += op(operands)`: a product's adjoint, as one WCR library node.
+    /// `dst += op(operands)`: the adjoint of a product, a transpose or a
+    /// copy, as one WCR library node.
     fn library_accumulate_state(
         &mut self,
         op: LibraryOp,
-        operands: [&str; 2],
+        operands: &[&str],
         dst: &str,
         label: &str,
     ) -> ControlFlow {
         let kind = match op {
             LibraryOp::MatMul { .. } => "matmul",
+            LibraryOp::MatVec { .. } => "matvec",
             LibraryOp::Outer => "outer",
-            _ => "matvec",
+            LibraryOp::Transpose => "transpose",
+            LibraryOp::Copy => "identity",
+            LibraryOp::SumReduce { .. } => "sum",
         };
         let n = self.next();
         ControlFlow::State(self.out.add_state(State {
             name: format!("adj_{kind}_{label}_{n}"),
-            graph: DataflowGraph::library_call(op, &operands, dst, true),
+            graph: DataflowGraph::library_call(op, operands, dst, true),
         }))
-    }
-
-    /// `dst[i, j] += src[j, i]` over `shape` (the shape of `dst`).
-    fn transpose_accumulate_state(
-        &mut self,
-        src: &str,
-        dst: &str,
-        shape: &[SymExpr],
-        label: &str,
-    ) -> ControlFlow {
-        let (i, j) = (SymExpr::sym("__ti"), SymExpr::sym("__tj"));
-        let mut body = DataflowGraph::new();
-        let s = body.add_access(src);
-        let t = body.add_tasklet(Tasklet::new("tacc", "out", ScalarExpr::input("v")));
-        let d = body.add_access(dst);
-        body.add_edge(
-            s,
-            None,
-            t,
-            Some("v"),
-            Memlet::element(src, vec![j.clone(), i.clone()]),
-        );
-        body.add_edge(
-            t,
-            Some("out"),
-            d,
-            None,
-            Memlet::element(dst, vec![i.clone(), j.clone()]).with_wcr_sum(),
-        );
-        self.wrap_map_state(
-            body,
-            vec![("__ti", shape[0].clone()), ("__tj", shape[1].clone())],
-            &[src],
-            dst,
-            &format!("adj_transposeacc_{label}"),
-        )
-    }
-
-    /// `dst[q...] += src[q...]` over `shape`.
-    fn identity_accumulate_state(
-        &mut self,
-        src: &str,
-        dst: &str,
-        shape: &[SymExpr],
-        label: &str,
-    ) -> ControlFlow {
-        let params: Vec<String> = (0..shape.len()).map(|d| format!("__q{d}")).collect();
-        let idx: Vec<SymExpr> = params.iter().map(|p| SymExpr::sym(p.clone())).collect();
-        let mut body = DataflowGraph::new();
-        let s = body.add_access(src);
-        let t = body.add_tasklet(Tasklet::new("idacc", "out", ScalarExpr::input("v")));
-        let d = body.add_access(dst);
-        body.add_edge(s, None, t, Some("v"), Memlet::element(src, idx.clone()));
-        body.add_edge(
-            t,
-            Some("out"),
-            d,
-            None,
-            Memlet::element(dst, idx).with_wcr_sum(),
-        );
-        let ranges: Vec<(&str, SymExpr)> = params
-            .iter()
-            .map(|p| {
-                (
-                    p.as_str(),
-                    shape[params.iter().position(|x| x == p).unwrap()].clone(),
-                )
-            })
-            .collect();
-        self.wrap_map_state(body, ranges, &[src], dst, &format!("adj_copy_{label}"))
     }
 
     /// `dst[q...] += scalar_src[0]` over `shape` (sum-reduction adjoint).

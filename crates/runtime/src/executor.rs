@@ -26,8 +26,8 @@ use dace_tensor::Tensor;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::memory::MemoryTracker;
 use crate::plan::{
-    CIdx, ExecPlan, Layout, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap, PlanNode,
-    PlanOperand, PlanTasklet, SymFile,
+    CIdx, ExecPlan, PlanCf, PlanCond, PlanGraph, PlanLibrary, PlanMap, PlanNode, PlanOperand,
+    PlanTasklet, SymFile,
 };
 use crate::spec::{extent, Axis, KernelDst, KernelSrc, SpecMode};
 
@@ -151,7 +151,7 @@ impl RunState {
                 plan.arrays.names[id as usize].clone(),
             ));
         }
-        let layout = plan.arrays.layout(id)?;
+        let layout = plan.arrays.layout(id);
         self.slab[id as usize] = Some(self.refill(id as usize, layout.dims()));
         self.tracker.alloc(id as usize, layout.bytes);
         Ok(())
@@ -263,7 +263,6 @@ impl RunState {
                 let t = self.slab[*a as usize].as_ref().expect("just allocated");
                 Ok(t.data().first().copied().unwrap_or(0.0) != 0.0)
             }
-            PlanCond::Fail(e) => Err(e.clone()),
         }
     }
 
@@ -279,8 +278,7 @@ impl RunState {
                     scratch,
                     ..
                 } = self;
-                let layout = plan.arrays.layout(*array)?;
-                let flat = flat_offset(plan, syms, &mut scratch.i_regs, *array, index, layout)?;
+                let flat = flat_offset(plan, syms, &mut scratch.i_regs, *array, index)?;
                 Ok(slab[*array as usize]
                     .as_ref()
                     .expect("just allocated")
@@ -312,9 +310,6 @@ impl RunState {
     }
 
     fn exec_graph(&mut self, plan: &ExecPlan, g: &PlanGraph) -> RuntimeResult<()> {
-        if let Some(e) = &g.fail {
-            return Err(e.clone());
-        }
         for node in &g.nodes {
             match node {
                 PlanNode::Access(a) => {
@@ -325,7 +320,6 @@ impl RunState {
                 PlanNode::Tasklet(t) => self.exec_tasklet(plan, t)?,
                 PlanNode::Map(m) => self.exec_map(plan, m)?,
                 PlanNode::Library(l) => self.exec_library(plan, l)?,
-                PlanNode::Fail(e) => return Err(e.clone()),
             }
         }
         Ok(())
@@ -377,21 +371,10 @@ impl RunState {
             scratch,
             ..
         } = self;
+        // A whole-array subset is the one element of its container.
         let flat = match idx {
-            None => {
-                let t = slab[array as usize].as_ref().expect("just allocated");
-                if t.len() != 1 {
-                    return Err(RuntimeError::Malformed(format!(
-                        "whole-array memlet of `{}` used as a scalar write",
-                        plan.arrays.names[array as usize]
-                    )));
-                }
-                0
-            }
-            Some(idx) => {
-                let layout = plan.arrays.layout(array)?;
-                flat_offset(plan, syms, &mut scratch.i_regs, array, idx, layout)?
-            }
+            None => 0,
+            Some(idx) => flat_offset(plan, syms, &mut scratch.i_regs, array, idx)?,
         };
         let t = slab[array as usize].as_mut().expect("just allocated");
         let target = &mut t.data_mut()[flat];
@@ -408,19 +391,27 @@ impl RunState {
         // attacker/user-controlled: neither an extent nor the domain size
         // may wrap (wrapping would silently truncate the iteration count in
         // release builds and panic in debug builds).
-        let mut axes = Vec::with_capacity(m.ranges.len());
+        let rank = m.ranges.len();
+        let mut inline_buf = [Axis::default(); MAX_INLINE_RANK];
+        let mut heap_buf;
+        let axes: &mut [Axis] = if rank <= MAX_INLINE_RANK {
+            &mut inline_buf[..rank]
+        } else {
+            heap_buf = vec![Axis::default(); rank];
+            &mut heap_buf
+        };
         let mut total = Some(1usize);
-        for (s, e) in &m.ranges {
+        for ((s, e), axis) in m.ranges.iter().zip(axes.iter_mut()) {
             let lo = self.idx(plan, s)?;
             let hi = self.idx(plan, e)?;
             // An extent beyond `i64` is reported saturated.
             let size = extent(lo, hi);
             total = total.zip(size).and_then(|(t, n)| t.checked_mul(n));
-            axes.push(Axis {
+            *axis = Axis {
                 start: lo,
                 trip: size.unwrap_or(usize::MAX),
                 dir: 1,
-            });
+            };
         }
         let total = total.ok_or_else(|| RuntimeError::MapDomainOverflow {
             sizes: axes.iter().map(|a| a.trip).collect(),
@@ -442,14 +433,14 @@ impl RunState {
         // nothing but the (path-independent) allocations above done.
         if self.path == MapPath::Auto && self.spec_mode != SpecMode::ForceOff {
             if let Ok(kernel) = &m.kernel {
-                if self.exec_kernel(plan, kernel, &axes)? {
+                if self.exec_kernel(plan, kernel, axes)? {
                     self.report.tasklet_invocations += total as u64;
                     self.report.specialized_dispatches += 1;
                     return Ok(());
                 }
             }
         }
-        self.exec_map_sequential(plan, m, &axes, total)
+        self.exec_map_sequential(plan, m, axes, total)
     }
 
     fn exec_map_sequential(
@@ -460,18 +451,24 @@ impl RunState {
         total: usize,
     ) -> RuntimeResult<()> {
         let ndim = m.params.len();
-        let saved: Vec<(i64, bool)> = m
-            .params
-            .iter()
-            .map(|&p| (self.syms.vals[p as usize], self.syms.defined[p as usize]))
-            .collect();
-        for (&p, axis) in m.params.iter().zip(axes) {
+        // Per dimension: the odometer's counter, and the parameter's value
+        // before the map, restored after it.
+        let mut inline_buf = [(0usize, 0i64, false); MAX_INLINE_RANK];
+        let mut heap_buf;
+        let dims: &mut [(usize, i64, bool)] = if ndim <= MAX_INLINE_RANK {
+            &mut inline_buf[..ndim]
+        } else {
+            heap_buf = vec![(0, 0, false); ndim];
+            &mut heap_buf
+        };
+        for ((&p, axis), saved) in m.params.iter().zip(axes).zip(dims.iter_mut()) {
+            saved.1 = self.syms.vals[p as usize];
+            saved.2 = self.syms.defined[p as usize];
             self.syms.set(p, axis.start);
         }
         // Odometer over the index domain (last dimension fastest), mirrored
         // into the map-parameter symbol slots, without any per-point
         // allocation.
-        let mut counters = vec![0usize; ndim];
         let mut remaining = total;
         loop {
             self.exec_graph(plan, &m.body)?;
@@ -481,16 +478,17 @@ impl RunState {
             }
             for d in (0..ndim).rev() {
                 let slot = &mut self.syms.vals[m.params[d] as usize];
-                counters[d] += 1;
-                if counters[d] < axes[d].trip {
-                    *slot = axes[d].start + counters[d] as i64;
+                let counter = &mut dims[d].0;
+                *counter += 1;
+                if *counter < axes[d].trip {
+                    *slot = axes[d].start + *counter as i64;
                     break;
                 }
-                counters[d] = 0;
+                *counter = 0;
                 *slot = axes[d].start;
             }
         }
-        for (&p, &(v, def)) in m.params.iter().zip(&saved) {
+        for (&p, &(_, v, def)) in m.params.iter().zip(dims.iter()) {
             self.syms.vals[p as usize] = v;
             self.syms.defined[p as usize] = def;
         }
@@ -582,30 +580,20 @@ fn read_access(
     let t = slab[array as usize]
         .as_ref()
         .ok_or_else(|| RuntimeError::UnknownArray(plan.arrays.names[array as usize].clone()))?;
+    // A whole-array subset is the one element of its container.
     match idx {
-        None => {
-            if t.len() == 1 {
-                Ok(t.data()[0])
-            } else {
-                Err(RuntimeError::Malformed(format!(
-                    "whole-array memlet of `{}` used as a scalar read",
-                    plan.arrays.names[array as usize]
-                )))
-            }
-        }
-        Some(idx) => {
-            let layout = plan.arrays.layout(array)?;
-            let flat = flat_offset(plan, syms, i_regs, array, idx, layout)?;
-            Ok(t.data()[flat])
-        }
+        None => Ok(t.data()[0]),
+        Some(idx) => Ok(t.data()[flat_offset(plan, syms, i_regs, array, idx)?]),
     }
 }
 
-/// Maximum rank handled without a heap allocation in the offset computation.
+/// Maximum rank handled without a heap allocation in the offset computation
+/// and in the walk of a map domain.
 const MAX_INLINE_RANK: usize = 8;
 
-/// Compute the flat row-major offset of a compiled element subset, with the
-/// per-dimension bounds checks the tensor indexing used to perform.
+/// Compute the flat row-major offset of a compiled element subset (of its
+/// array's rank: lowering checked it), with the per-dimension bounds checks
+/// the tensor indexing used to perform.
 #[inline]
 fn flat_offset(
     plan: &ExecPlan,
@@ -613,7 +601,6 @@ fn flat_offset(
     i_regs: &mut Vec<i64>,
     array: u32,
     idx: &[CIdx],
-    layout: &Layout,
 ) -> RuntimeResult<usize> {
     let names = &plan.syms.names;
     let rank = idx.len();
@@ -632,10 +619,8 @@ fn flat_offset(
         array: plan.arrays.names[array as usize].clone(),
         index: vals.to_vec(),
     };
+    let layout = plan.arrays.layout(array);
     let (dims, strides) = (layout.dims(), layout.strides());
-    if rank != dims.len() {
-        return Err(bad(vals));
-    }
     let mut flat = 0usize;
     for d in 0..rank {
         let v = vals[d];
@@ -914,31 +899,75 @@ mod tests {
         }
     }
 
+    /// A compiled index expression overflows where `SymExpr::eval` does, and
+    /// fails the run the same way under both modes: no debug panic, and no
+    /// wrapped bound that runs zero trips in a release build.  The two ends
+    /// take the two compiled forms, a slot plus offset and the general
+    /// register sequence.
+    #[test]
+    fn compiled_index_overflow_is_the_tree_evaluator_error() {
+        // `for i in N..end { Y[0] += 1 }` under `N = i64::MAX`.
+        for end in [SymExpr::sym("N").add_int(1), SymExpr::sym("N").mul_int(2)] {
+            let mut sdfg = Sdfg::new("overflowing_bound");
+            sdfg.add_symbol("N");
+            sdfg.add_array("Y", ArrayDesc::input(vec![SymExpr::int(1)]))
+                .unwrap();
+            let mut g = DataflowGraph::new();
+            let t = g.add_tasklet(Tasklet::new("one", "o", E::c(1.0)));
+            let w = g.add_access("Y");
+            let y0 = Memlet::element("Y", vec![SymExpr::int(0)]).with_wcr_sum();
+            g.add_edge(t, Some("o"), w, None, y0);
+            let sid = sdfg.add_state(State {
+                name: "body".into(),
+                graph: g,
+            });
+            sdfg.cfg = ControlFlow::Loop(LoopRegion {
+                var: "i".into(),
+                start: SymExpr::sym("N"),
+                end: end.clone(),
+                step: SymExpr::int(1),
+                body: Box::new(ControlFlow::State(sid)),
+            });
+            let syms = symbols(&[("N", i64::MAX)]);
+            let overflow = dace_sdfg::SymError::Overflow;
+            assert_eq!(end.eval(&syms), Err(overflow.clone()));
+            let program = crate::program::compile(&sdfg, &syms).unwrap();
+            for mode in [SpecMode::ForceOff, SpecMode::Auto] {
+                let mut ex = program.session();
+                ex.force_specialization(mode);
+                ex.set_input("Y", Tensor::zeros(&[1])).unwrap();
+                let err = ex.run().unwrap_err();
+                assert_eq!(err, RuntimeError::from(overflow.clone()), "{end}");
+                assert_eq!(ex.array("Y").unwrap().data(), &[0.0]);
+            }
+        }
+    }
+
     /// Symbol values are user-controlled at compile time too: a map bound
-    /// `N + 1` under `N = i64::MAX` must not overflow-panic in lowering (the
+    /// `M + 1` under `M = i64::MAX` must not overflow-panic in lowering (the
     /// point count is simply unknown), and an array whose byte size leaves
-    /// `i64` keeps its typed evaluation error.
+    /// `i64` fails `compile()` with its typed evaluation error.
     #[test]
     fn compile_time_symbol_overflow_is_typed() {
         let mut sdfg = scale_sdfg(2.0);
+        sdfg.add_symbol("M");
         let DfNode::MapScope(map) = &mut sdfg.states[0].graph.nodes[1] else {
             panic!("scale_sdfg places the map second");
         };
-        map.ranges[0].1 = SymExpr::sym("N").add_int(1);
-        let program = crate::program::compile(&sdfg, &symbols(&[("N", i64::MAX)])).unwrap();
+        map.ranges[0].1 = SymExpr::sym("M").add_int(1);
+        let syms = symbols(&[("N", 4), ("M", i64::MAX)]);
+        let program = crate::program::compile(&sdfg, &syms).unwrap();
         let maps = program.map_strategies();
         assert_eq!(maps.len(), 1);
         assert_eq!(maps[0].points, None);
         assert_eq!(
-            SymExpr::sym("N")
-                .add_int(1)
-                .eval(&symbols(&[("N", i64::MAX)])),
+            SymExpr::sym("M").add_int(1).eval(&syms),
             Err(dace_sdfg::SymError::Overflow)
         );
         // `X` is `N` doubles: its 8 N bytes do not fit.
         assert_eq!(
-            program.session().set_input("X", Tensor::zeros(&[1])),
-            Err(RuntimeError::from(dace_sdfg::SymError::Overflow))
+            crate::program::compile(&sdfg, &symbols(&[("N", i64::MAX), ("M", 0)])).unwrap_err(),
+            RuntimeError::from(dace_sdfg::SymError::Overflow)
         );
     }
 
@@ -1621,8 +1650,8 @@ mod tests {
 
     /// What a library node needs of its operands is checked where shapes are
     /// concrete — at lowering: operands that do not fit each other under the
-    /// flags and an output that is also an input fail `compile()`, typed; a
-    /// destination of the wrong shape keeps failing the run that reaches it.
+    /// flags, an output that is also an input and a destination of the wrong
+    /// shape fail `compile()`, typed.
     #[test]
     fn library_nodes_that_cannot_run_are_typed_errors() {
         let compile_err =
@@ -1677,10 +1706,9 @@ mod tests {
             RuntimeError::AliasedLibraryOutput("A".into())
         );
 
-        // The destination: compiled, rejected by the run that reaches it.
-        let mut ex = mk_session(&matmul(true, false, &[5, 4]), &symbols(&[])).unwrap();
+        // The destination.
         assert_eq!(
-            ex.run().unwrap_err(),
+            compile_err(&matmul(true, false, &[5, 4])),
             RuntimeError::ShapeMismatch {
                 array: "C".into(),
                 expected: vec![5, 4],

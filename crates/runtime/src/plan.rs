@@ -44,16 +44,17 @@
 //! compile pays for each one twice: lowering makes it, and dropping the
 //! last [`crate::CompiledProgram`] of the plan frees it.
 //!
-//! Lowering fails eagerly for one thing only: a library node that can never
-//! run as written — operands that do not fit each other
-//! ([`RuntimeError::ShapeMismatch`]) or an output container that is also one
-//! of its inputs ([`RuntimeError::AliasedLibraryOutput`]: outputs are
-//! computed in place).  Every other construct that the old interpreter would
-//! only reject *when executed* (unknown arrays, cyclic graphs, a destination
-//! of the wrong shape) lowers to [`PlanNode::Fail`] / `PlanGraph::fail`
-//! markers carrying the exact runtime error, so error behaviour — including
-//! errors that never fire because the offending state is dead — is
-//! preserved.
+//! Lowering has one failure rule: every error it finds fails
+//! [`crate::compile`], typed, whether or not a run would ever reach the
+//! construct — an array whose shape does not evaluate, an expression that
+//! reads an unknown connector, a whole-array memlet used as the scalar of a
+//! container that does not hold exactly one element, an element access of
+//! the wrong rank, library operands that do not fit each other or a
+//! destination of the wrong shape ([`RuntimeError::ShapeMismatch`]), an
+//! output container that is also one of the node's inputs
+//! ([`RuntimeError::AliasedLibraryOutput`]: outputs are computed in place).
+//! What a run checks is what depends on symbol or data values: index bounds,
+//! loop steps, bound inputs and iterators.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,8 +62,8 @@ use std::sync::Arc;
 use dace_sdfg::deps::AffineAccess;
 use dace_sdfg::{
     CmpOp, CompiledExpr, CondExpr, CondOperand, ControlFlow, DataflowGraph, DfNode, ExprOp,
-    LeafRef, LibraryOp, LoopRegion, MapScope, MicroPattern, Sdfg, Subset, SubsetClass, SymError,
-    SymExpr, Tasklet, Wcr,
+    LeafRef, LibraryOp, LoopRegion, MapScope, MicroPattern, Sdfg, Subset, SymError, SymExpr,
+    Tasklet, Wcr,
 };
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -176,26 +177,22 @@ impl CompiledSymExpr {
                     }
                     regs[dst as usize] = syms.vals[slot as usize];
                 }
-                SymInstr::Neg { dst, a } => regs[dst as usize] = -regs[a as usize],
+                SymInstr::Neg { dst, a } => {
+                    regs[dst as usize] = checked(regs[a as usize].checked_neg())?
+                }
                 SymInstr::Bin { dst, op, a, b } => {
                     let x = regs[a as usize];
                     let y = regs[b as usize];
                     regs[dst as usize] = match op {
-                        SymBin::Add => x + y,
-                        SymBin::Sub => x - y,
-                        SymBin::Mul => x * y,
-                        SymBin::Div => {
-                            if y == 0 {
-                                return Err(RuntimeError::from(SymError::DivisionByZero));
-                            }
-                            x.div_euclid(y)
+                        SymBin::Add => checked(x.checked_add(y))?,
+                        SymBin::Sub => checked(x.checked_sub(y))?,
+                        SymBin::Mul => checked(x.checked_mul(y))?,
+                        SymBin::Div | SymBin::Rem if y == 0 => {
+                            return Err(RuntimeError::from(SymError::DivisionByZero))
                         }
-                        SymBin::Rem => {
-                            if y == 0 {
-                                return Err(RuntimeError::from(SymError::DivisionByZero));
-                            }
-                            x.rem_euclid(y)
-                        }
+                        SymBin::Div => checked(x.checked_div_euclid(y))?,
+                        // `i64::MIN rem -1` is 0, as every remainder by -1.
+                        SymBin::Rem => x.wrapping_rem_euclid(y),
                         SymBin::Min => x.min(y),
                         SymBin::Max => x.max(y),
                     };
@@ -204,6 +201,13 @@ impl CompiledSymExpr {
         }
         Ok(regs[self.result as usize])
     }
+}
+
+/// An overflowed operation of a compiled integer expression fails as
+/// [`SymExpr::eval`] fails it.
+#[inline]
+fn checked(value: Option<i64>) -> RuntimeResult<i64> {
+    value.ok_or_else(|| RuntimeError::from(SymError::Overflow))
 }
 
 /// A compiled integer index expression.  The first three variants cover the
@@ -242,7 +246,7 @@ impl CIdx {
                         names[*s as usize].clone(),
                     )));
                 }
-                Ok(syms.vals[*s as usize] + off)
+                checked(syms.vals[*s as usize].checked_add(*off))
             }
             CIdx::Expr(e) => e.eval(syms, names, regs),
         }
@@ -291,9 +295,7 @@ pub(crate) struct ArrayTable {
     /// of them over the same programs, so a lookup is five comparisons).
     pub names: Vec<String>,
     pub transient: Vec<bool>,
-    /// Concrete layout, or the error its symbolic shape evaluation produced
-    /// (surfaced when the array is first materialised, as before).
-    pub layouts: Vec<Result<Layout, RuntimeError>>,
+    pub layouts: Vec<Layout>,
 }
 
 impl ArrayTable {
@@ -302,11 +304,8 @@ impl ArrayTable {
         rank.ok().map(|id| id as u32)
     }
 
-    pub fn layout(&self, id: u32) -> RuntimeResult<&Layout> {
-        match &self.layouts[id as usize] {
-            Ok(l) => Ok(l),
-            Err(e) => Err(e.clone()),
-        }
+    pub fn layout(&self, id: u32) -> &Layout {
+        &self.layouts[id as usize]
     }
 }
 
@@ -317,7 +316,8 @@ impl ArrayTable {
 /// A pre-classified memlet access.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum PlanAccess {
-    /// Whole-array subset used as a scalar (must be a length-1 container).
+    /// Whole-array subset used as a scalar: the one element of a length-1
+    /// container (lowering admits no other).
     All,
     /// Element subset: one compiled index per dimension, `rank` of them
     /// from `at` on in [`ExecPlan::idx`].
@@ -500,15 +500,12 @@ pub enum KernelMiss {
     NonRectangularBound,
     /// The body is not access nodes plus exactly one tasklet.
     MultiTasklet,
-    /// A memlet index is not `Σ coeff·param + loop-invariant rest` of the
-    /// array's rank.
+    /// A memlet index is not `Σ coeff·param + loop-invariant rest`.
     NonAffineIndex,
     /// The tasklet reads an array it also writes at an index whose offset to
     /// the write is not statically decidable
     /// ([`dace_sdfg::deps::alias_decidable`]).
     AliasedReadAtOtherIndex,
-    /// The concrete layout of an accessed array is unknown at lowering.
-    UnknownLayout,
 }
 
 /// How the kernel runs a row — the walk of the innermost iteration variable
@@ -639,9 +636,6 @@ pub(crate) enum PlanNode {
     Tasklet(PlanTasklet),
     Map(Box<PlanMap>),
     Library(PlanLibrary),
-    /// A node whose lowering failed; executing it raises the stored error
-    /// (preserving the lazy error semantics of the direct interpreter).
-    Fail(RuntimeError),
 }
 
 /// A lowered dataflow graph: its nodes in the order they execute in, a
@@ -649,8 +643,6 @@ pub(crate) enum PlanNode {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PlanGraph {
     pub nodes: Vec<PlanNode>,
-    /// Set when the graph as a whole cannot execute (cyclic).
-    pub fail: Option<RuntimeError>,
 }
 
 // ---------------------------------------------------------------------------
@@ -675,7 +667,6 @@ pub(crate) enum PlanCond {
     },
     Not(Box<PlanCond>),
     StoredFlag(u32),
-    Fail(RuntimeError),
 }
 
 /// Lowered structured control flow.
@@ -735,9 +726,6 @@ struct Lowerer {
     /// Concrete symbol values the plan is specialized for; the dependence
     /// analyzer resolves symbolic strides/offsets through them.
     bindings: HashMap<String, i64>,
-    /// The first library node that can never run as written (see the module
-    /// docs): the one error lowering reports eagerly.
-    rejected: Option<RuntimeError>,
 }
 
 /// Compile an SDFG into an execution plan under concrete symbol values.
@@ -749,11 +737,8 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> Runti
     for (name, desc) in &sdfg.arrays {
         names.push(name.clone());
         transient.push(desc.transient);
-        layouts.push(
-            desc.concrete_shape(symbols)
-                .and_then(|dims| Ok(Layout::new(dims, desc.size_bytes(symbols)? as usize)))
-                .map_err(RuntimeError::from),
-        );
+        let dims = desc.concrete_shape(symbols)?;
+        layouts.push(Layout::new(dims, desc.size_bytes(symbols)? as usize));
     }
 
     let mut lo = Lowerer {
@@ -768,7 +753,6 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> Runti
         init_syms: SymFile::default(),
         loops: Vec::new(),
         bindings: symbols.clone(),
-        rejected: None,
     };
 
     // Intern every provided symbol value (sorted for deterministic slots);
@@ -781,15 +765,10 @@ pub(crate) fn compile_plan(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> Runti
         lo.init_syms.defined[slot as usize] = true;
     }
 
-    let states: Vec<PlanGraph> = sdfg
-        .states
-        .iter()
+    let states: Vec<PlanGraph> = (sdfg.states.iter())
         .map(|s| lo.lower_graph(&s.graph))
-        .collect();
-    let cfg = lo.lower_cf(&sdfg.cfg, sdfg, &states, Enclosing::Root(None));
-    if let Some(e) = lo.rejected {
-        return Err(e);
-    }
+        .collect::<RuntimeResult<_>>()?;
+    let cfg = lo.lower_cf(&sdfg.cfg, sdfg, &states, Enclosing::Root(None))?;
     Ok(ExecPlan {
         arrays: lo.arrays,
         syms: lo.syms,
@@ -915,7 +894,9 @@ impl Lowerer {
                 _ => self.lower_sym_general(e),
             },
             SymExpr::Sub(a, b) => match (&**a, &**b) {
-                (SymExpr::Sym(s), SymExpr::Int(v)) => CIdx::SlotOffset(self.sym(s), -*v),
+                (SymExpr::Sym(s), SymExpr::Int(v)) if *v != i64::MIN => {
+                    CIdx::SlotOffset(self.sym(s), -*v)
+                }
                 _ => self.lower_sym_general(e),
             },
             _ => self.lower_sym_general(e),
@@ -987,57 +968,65 @@ impl Lowerer {
         }
     }
 
-    /// Lower a memlet subset into a pre-classified access.  Range dimensions
-    /// are read at their start index, matching `Subset::eval_indices`.
-    fn lower_access(&mut self, subset: &dace_sdfg::Subset) -> PlanAccess {
-        match subset.classify() {
-            SubsetClass::All => PlanAccess::All,
-            SubsetClass::Element | SubsetClass::Other => {
-                let at = self.idx.len() as u32;
-                for r in &subset.0 {
-                    let index = match r {
-                        dace_sdfg::IndexRange::Index(e) => self.lower_sym_expr(e),
-                        dace_sdfg::IndexRange::Range { start, .. } => self.lower_sym_expr(start),
-                    };
-                    self.idx.push(index);
-                }
-                PlanAccess::Element {
-                    at,
-                    rank: subset.0.len() as u32,
-                }
+    /// Lower a memlet subset of `array` into a pre-classified access.  Range
+    /// dimensions are read at their start index, matching
+    /// `Subset::eval_indices`.  A whole-array subset is a scalar only of a
+    /// container of one element, and an element subset has the array's
+    /// rank: a run checks only the index values.
+    fn lower_access(
+        &mut self,
+        subset: &Subset,
+        array: u32,
+        what: &str,
+    ) -> RuntimeResult<PlanAccess> {
+        if subset.is_all() {
+            if self.arrays.layout(array).dims().iter().product::<usize>() != 1 {
+                return Err(RuntimeError::Malformed(format!(
+                    "whole-array memlet of `{}` used as a scalar {what}",
+                    self.arrays.names[array as usize]
+                )));
             }
+            return Ok(PlanAccess::All);
         }
+        self.check_rank(array, subset.0.len())?;
+        let at = self.idx.len() as u32;
+        for r in &subset.0 {
+            let index = match r {
+                dace_sdfg::IndexRange::Index(e) => self.lower_sym_expr(e),
+                dace_sdfg::IndexRange::Range { start, .. } => self.lower_sym_expr(start),
+            };
+            self.idx.push(index);
+        }
+        Ok(PlanAccess::Element {
+            at,
+            rank: subset.0.len() as u32,
+        })
     }
 
-    fn lower_graph(&mut self, graph: &DataflowGraph) -> PlanGraph {
-        let Some(order) = graph.topological_order() else {
-            return PlanGraph {
-                nodes: Vec::new(),
-                fail: Some(RuntimeError::CyclicGraph("<graph>".to_string())),
-            };
-        };
-        let nodes = order
-            .iter()
-            .map(|&id| match &graph.nodes[id] {
-                DfNode::Access(name) => match self.array(name) {
-                    Ok(a) => PlanNode::Access(a),
-                    Err(e) => PlanNode::Fail(e),
-                },
-                DfNode::Tasklet(t) => match self.lower_tasklet(graph, id, t) {
-                    Ok(t) => PlanNode::Tasklet(t),
-                    Err(e) => PlanNode::Fail(e),
-                },
-                DfNode::MapScope(m) => match self.lower_map(m) {
-                    Ok(m) => PlanNode::Map(Box::new(m)),
-                    Err(e) => PlanNode::Fail(e),
-                },
-                DfNode::Library(op) => match self.lower_library(graph, id, op) {
-                    Ok(l) => PlanNode::Library(l),
-                    Err(e) => PlanNode::Fail(e),
-                },
-            })
-            .collect();
-        PlanGraph { nodes, fail: None }
+    fn check_rank(&self, array: u32, rank: usize) -> RuntimeResult<()> {
+        let dims = self.arrays.layout(array).dims().len();
+        if rank == dims {
+            return Ok(());
+        }
+        Err(RuntimeError::Malformed(format!(
+            "`{}` of rank {dims} indexed with {rank} indices",
+            self.arrays.names[array as usize]
+        )))
+    }
+
+    fn lower_graph(&mut self, graph: &DataflowGraph) -> RuntimeResult<PlanGraph> {
+        let order = graph.topological_order();
+        let order = order.ok_or_else(|| RuntimeError::CyclicGraph("<graph>".to_string()))?;
+        let mut nodes = Vec::with_capacity(order.len());
+        for id in order {
+            nodes.push(match &graph.nodes[id] {
+                DfNode::Access(name) => PlanNode::Access(self.array(name)?),
+                DfNode::Tasklet(t) => PlanNode::Tasklet(self.lower_tasklet(graph, id, t)?),
+                DfNode::MapScope(m) => PlanNode::Map(Box::new(self.lower_map(m)?)),
+                DfNode::Library(op) => PlanNode::Library(self.lower_library(graph, id, op)?),
+            });
+        }
+        Ok(PlanGraph { nodes })
     }
 
     fn lower_tasklet(
@@ -1058,7 +1047,7 @@ impl Lowerer {
             let next = slot_of.len() as u32;
             let slot = *slot_of.entry(conn).or_insert(next);
             let array = self.array(&e.memlet.data)?;
-            let access = self.lower_access(&e.memlet.subset);
+            let access = self.lower_access(&e.memlet.subset, array, "read")?;
             reads.push(PlanRead {
                 slot,
                 array,
@@ -1116,7 +1105,7 @@ impl Lowerer {
                     ))
                 })? as u32;
             let array = self.array(&e.memlet.data)?;
-            let access = self.lower_access(&e.memlet.subset);
+            let access = self.lower_access(&e.memlet.subset, array, "write")?;
             writes.push(PlanWrite {
                 expr,
                 array,
@@ -1144,7 +1133,7 @@ impl Lowerer {
         for name in map.body.referenced_arrays() {
             referenced.push(self.array(&name)?);
         }
-        let body = self.lower_graph(&map.body);
+        let body = self.lower_graph(&map.body)?;
         let kernel = self.recognize_kernel(&map.body, &body, &map.params);
         let points = map.ranges.iter().try_fold(1u64, |acc, (s, e)| {
             let (lo, hi) = (s.eval(&self.bindings).ok()?, e.eval(&self.bindings).ok()?);
@@ -1324,8 +1313,7 @@ impl Lowerer {
         // of them move by one non-zero flat step along the row (the order
         // itself depends on the offsets, see `run_strip_row`).
         let row_step = |(w, (_, affine)): (&KernelWrite, &(&Subset, AffineAccess))| -> i128 {
-            let layout = self.arrays.layouts[w.access.array as usize].as_ref();
-            let strides = layout.expect("`lower_affine_subset` found it").strides();
+            let strides = self.arrays.layout(w.access.array).strides();
             let along_row = |c: &Vec<i64>| c.last().copied().unwrap_or(0) as i128;
             (affine.coeffs.iter().zip(strides))
                 .map(|(c, &stride)| along_row(c) * stride as i128)
@@ -1380,25 +1368,20 @@ impl Lowerer {
         })
     }
 
-    /// Lower a memlet subset into an affine access of `vars`: every
-    /// dimension must decompose as `Σ coeff * var + rest` (range dimensions
-    /// at their start index, as the VM reads them), against an array whose
-    /// concrete layout is known and of matching rank.  A whole-array subset
-    /// lowers to the rank-free scalar access.  The decomposition itself is
-    /// returned alongside for the aliasing rule.
+    /// Lower a memlet subset (of its array's rank: `lower_access` checked
+    /// it) into an affine access of `vars`: every dimension must decompose
+    /// as `Σ coeff * var + rest` (range dimensions at their start index, as
+    /// the VM reads them).  A whole-array subset lowers to the rank-free
+    /// scalar access.  The decomposition itself is returned alongside for
+    /// the aliasing rule.
     fn lower_affine_subset(
         &mut self,
         subset: &Subset,
         vars: &[String],
         array: u32,
     ) -> Result<(KernelAccess, AffineAccess), KernelMiss> {
-        let Ok(layout) = &self.arrays.layouts[array as usize] else {
-            return Err(KernelMiss::UnknownLayout);
-        };
-        let rank = layout.dims().len();
-        let affine = dace_sdfg::deps::affine_subset(subset, vars)
-            .filter(|a| subset.is_all() || a.rests.len() == rank)
-            .ok_or(KernelMiss::NonAffineIndex)?;
+        let affine = dace_sdfg::deps::affine_subset(subset, vars);
+        let affine = affine.ok_or(KernelMiss::NonAffineIndex)?;
         let access = KernelAccess {
             array,
             rest_at: self.idx.len() as u32,
@@ -1434,10 +1417,9 @@ impl Lowerer {
         }
         let mut dims = Vec::new();
         for &a in &inputs {
-            dims.push(self.arrays.layout(a)?.dims());
+            dims.push(self.arrays.layout(a).dims());
         }
-        let result = library_result(op, &dims, &names);
-        let result = result.map_err(|e| self.rejected.get_or_insert(e).clone())?;
+        let result = library_result(op, &dims, &names)?;
 
         let out_conn = op.output_connectors()[0];
         let accumulates = matches!(op, LibraryOp::SumReduce { accumulate: true });
@@ -1452,10 +1434,9 @@ impl Lowerer {
             let array = &e.memlet.data;
             let dst = self.array(array)?;
             if inputs.contains(&dst) {
-                let e = RuntimeError::AliasedLibraryOutput(array.clone());
-                return Err(self.rejected.get_or_insert(e).clone());
+                return Err(RuntimeError::AliasedLibraryOutput(array.clone()));
             }
-            let expected = self.arrays.layout(dst)?.dims();
+            let expected = self.arrays.layout(dst).dims();
             if *expected != result {
                 return Err(RuntimeError::ShapeMismatch {
                     array: array.clone(),
@@ -1481,18 +1462,17 @@ impl Lowerer {
         sdfg: &Sdfg,
         states: &[PlanGraph],
         enclosing: Enclosing<'_>,
-    ) -> PlanCf {
-        match cf {
+    ) -> RuntimeResult<PlanCf> {
+        Ok(match cf {
             ControlFlow::State(id) => PlanCf::State(*id),
             // A sequence of one (the frontend's loop builder emits them) is
             // its child.
             ControlFlow::Sequence(children) => match &children[..] {
-                [only] => self.lower_cf(only, sdfg, states, enclosing),
+                [only] => self.lower_cf(only, sdfg, states, enclosing)?,
                 _ => PlanCf::Seq(
-                    children
-                        .iter()
+                    (children.iter())
                         .map(|c| self.lower_cf(c, sdfg, states, enclosing))
-                        .collect(),
+                        .collect::<RuntimeResult<_>>()?,
                 ),
             },
             ControlFlow::Loop(l) => {
@@ -1530,7 +1510,7 @@ impl Lowerer {
                     Err(why) => Enclosing::Root(Some(*why)),
                 };
                 let listed = self.loops.len();
-                let body = Box::new(self.lower_cf(&l.body, sdfg, states, below));
+                let body = Box::new(self.lower_cf(&l.body, sdfg, states, below)?);
                 // A declined loop is a site only when it is innermost (its
                 // body listed nothing): the loops below speak for the rest.
                 if let (Some(site), true) = (site, self.loops.len() == listed) {
@@ -1546,45 +1526,40 @@ impl Lowerer {
                 }
             }
             ControlFlow::Branch(b) => PlanCf::Branch {
-                cond: self.lower_cond(&b.cond),
-                then_body: Box::new(self.lower_cf(&b.then_body, sdfg, states, enclosing)),
-                else_body: b
-                    .else_body
-                    .as_ref()
-                    .map(|e| Box::new(self.lower_cf(e, sdfg, states, enclosing))),
+                cond: self.lower_cond(&b.cond)?,
+                then_body: Box::new(self.lower_cf(&b.then_body, sdfg, states, enclosing)?),
+                else_body: match &b.else_body {
+                    Some(e) => Some(Box::new(self.lower_cf(e, sdfg, states, enclosing)?)),
+                    None => None,
+                },
             },
-        }
+        })
     }
 
-    fn lower_cond(&mut self, cond: &CondExpr) -> PlanCond {
-        match cond {
-            CondExpr::Cmp { lhs, op, rhs } => {
-                let lhs = match self.lower_operand(lhs) {
-                    Ok(o) => o,
-                    Err(e) => return PlanCond::Fail(e),
-                };
-                let rhs = match self.lower_operand(rhs) {
-                    Ok(o) => o,
-                    Err(e) => return PlanCond::Fail(e),
-                };
-                PlanCond::Cmp { lhs, op: *op, rhs }
-            }
-            CondExpr::Not(inner) => PlanCond::Not(Box::new(self.lower_cond(inner))),
-            CondExpr::StoredFlag(name) => match self.array(name) {
-                Ok(a) => PlanCond::StoredFlag(a),
-                Err(e) => PlanCond::Fail(e),
+    fn lower_cond(&mut self, cond: &CondExpr) -> RuntimeResult<PlanCond> {
+        Ok(match cond {
+            CondExpr::Cmp { lhs, op, rhs } => PlanCond::Cmp {
+                lhs: self.lower_operand(lhs)?,
+                op: *op,
+                rhs: self.lower_operand(rhs)?,
             },
-        }
+            CondExpr::Not(inner) => PlanCond::Not(Box::new(self.lower_cond(inner)?)),
+            CondExpr::StoredFlag(name) => PlanCond::StoredFlag(self.array(name)?),
+        })
     }
 
     fn lower_operand(&mut self, op: &CondOperand) -> Result<PlanOperand, RuntimeError> {
         Ok(match op {
             CondOperand::Const(v) => PlanOperand::Const(*v),
             CondOperand::Sym(e) => PlanOperand::Sym(self.lower_sym_expr(e)),
-            CondOperand::Element { array, index } => PlanOperand::Element {
-                array: self.array(array)?,
-                index: index.iter().map(|e| self.lower_sym_expr(e)).collect(),
-            },
+            CondOperand::Element { array, index } => {
+                let array = self.array(array)?;
+                self.check_rank(array, index.len())?;
+                PlanOperand::Element {
+                    array,
+                    index: index.iter().map(|e| self.lower_sym_expr(e)).collect(),
+                }
+            }
         })
     }
 }

@@ -40,12 +40,18 @@ use crate::plan::{compile_plan, ExecPlan, MapInfo, MapStrategy, PlanGraph, PlanN
 /// [`RuntimeError::MissingSymbol`] when a declared symbol has no value,
 /// [`RuntimeError::InvalidSdfg`] when the static verifier finds
 /// error-severity diagnostics (dangling edges, unknown arrays, rank
-/// mismatches, constant out-of-bounds indices, malformed library nodes,
-/// ...), and — from lowering, where shapes are concrete — a library node
-/// that can never run as written: [`RuntimeError::ShapeMismatch`] for
+/// mismatches, constant out-of-bounds indices, tasklet edges without a
+/// connector, malformed library nodes, ...), and every error lowering
+/// finds where shapes are concrete, whether or not a run would reach the
+/// construct: [`RuntimeError::Symbolic`] for an array whose shape or byte
+/// size does not evaluate, [`RuntimeError::Tasklet`] for an expression
+/// that reads an unknown connector, [`RuntimeError::Malformed`] for a
+/// whole-array memlet used as the scalar of a container that does not hold
+/// exactly one element, [`RuntimeError::ShapeMismatch`] for library
 /// operands that do not fit each other under the node's transposition
-/// flags, [`RuntimeError::AliasedLibraryOutput`] for an output container
-/// that is also an input.
+/// flags or a destination of the wrong shape, and
+/// [`RuntimeError::AliasedLibraryOutput`] for an output container that is
+/// also an input.
 pub fn compile(sdfg: &Sdfg, symbols: &HashMap<String, i64>) -> RuntimeResult<CompiledProgram> {
     for s in &sdfg.symbols {
         if !symbols.contains_key(s) {
@@ -287,7 +293,7 @@ impl Session {
             .arrays
             .id(name)
             .ok_or_else(|| RuntimeError::UnknownArray(name.to_string()))?;
-        let layout = plan.arrays.layout(id)?;
+        let layout = plan.arrays.layout(id);
         if layout.dims() != shape {
             return Err(RuntimeError::ShapeMismatch {
                 array: name.to_string(),
@@ -434,7 +440,7 @@ impl Session {
                     }
                 }
             } else {
-                let layout = plan.arrays.layout(id as u32)?;
+                let layout = plan.arrays.layout(id as u32);
                 match st.slab[id].as_mut() {
                     Some(t) if !was_provided => t.data_mut().fill(0.0),
                     Some(_) => {}
@@ -447,7 +453,8 @@ impl Session {
             }
         }
 
-        st.syms = plan.init_syms.clone();
+        st.syms.vals.clone_from(&plan.init_syms.vals);
+        st.syms.defined.clone_from(&plan.init_syms.defined);
         st.exec_cfg(plan, &plan.cfg)?;
 
         st.report.elapsed = start.elapsed();

@@ -52,8 +52,8 @@
 //! * **Validate first, mutate second.**  Every precondition — bound
 //!   iteration symbols, present inputs, in-range accesses across the whole
 //!   iteration space (both extreme corners of the box, whichever way each
-//!   variable walks), scalar-access container sizes, trip counts and their
-//!   product within `usize` — is checked before any allocation or write.
+//!   variable walks), trip counts and their product within `usize` — is
+//!   checked before any allocation or write.
 //!   Any failure returns `Ok(false)` and the caller falls back to the
 //!   register VM, which reproduces the exact semantics of the failing case,
 //!   including partial execution followed by an error.
@@ -128,7 +128,7 @@ pub(crate) fn extent(lo: i64, hi: i64) -> Option<usize> {
 /// One iteration variable of a dispatch: it takes the `trip` values `start,
 /// start + dir, …` with `dir` either `1` or `-1`.  A map parameter ascends;
 /// a loop iterator walks in the direction of its step.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Axis {
     pub start: i64,
     pub trip: usize,
@@ -210,13 +210,13 @@ fn flatten_access(
     axes: &[Axis],
     flat: &mut [i64],
 ) -> Option<()> {
-    let layout = plan.arrays.layout(acc.array).ok()?;
+    let layout = plan.arrays.layout(acc.array);
     let (dims, strides) = (layout.dims(), layout.strides());
     flat.fill(0);
     if acc.rank == 0 {
-        // Whole-array scalar access: one fixed element of a length-1
-        // container (the VM rejects any other length).
-        return (dims.iter().product::<usize>() == 1).then_some(());
+        // Whole-array scalar access: the one element of its container
+        // (lowering admits no other).
+        return Some(());
     }
     let (base, steps) = flat.split_first_mut()?;
     for d in 0..acc.rank as usize {

@@ -70,7 +70,7 @@ pub mod verify;
 pub use analysis::{compute_ccs, is_full_overwrite, CcsInfo};
 pub use deps::{analyze_map, AffineAccess, Conflict, ParVerdict};
 pub use graph::{DataflowGraph, DfNode, Edge, LibraryOp, MapScope, NodeId};
-pub use memlet::{IndexRange, Memlet, Subset, SubsetClass, Wcr};
+pub use memlet::{IndexRange, Memlet, Subset, Wcr};
 pub use scalar_expr::{
     BinOp, CompiledExpr, ExprOp, LeafRef, MicroPattern, ScalarExpr, UnOp, STRIP,
 };

@@ -62,18 +62,6 @@ impl IndexRange {
     }
 }
 
-/// Structural classification of a subset, computed once when an execution
-/// plan is compiled so hot loops never re-inspect the subset shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubsetClass {
-    /// The whole array (empty subset).
-    All,
-    /// A single element: every dimension is a scalar index.
-    Element,
-    /// Anything else (ranges or mixed range/index dimensions).
-    Other,
-}
-
 /// A subset of an array: one [`IndexRange`] per dimension.
 ///
 /// An empty subset denotes "the whole array" (used for full-array memlets
@@ -100,17 +88,6 @@ impl Subset {
     /// True if every dimension is a single index (an element access).
     pub fn is_element(&self) -> bool {
         !self.0.is_empty() && self.0.iter().all(|r| matches!(r, IndexRange::Index(_)))
-    }
-
-    /// Classify the subset structurally (whole-array / element / other).
-    pub fn classify(&self) -> SubsetClass {
-        if self.is_all() {
-            SubsetClass::All
-        } else if self.is_element() {
-            SubsetClass::Element
-        } else {
-            SubsetClass::Other
-        }
     }
 
     /// Evaluate an element subset to a concrete multi-index.
@@ -273,10 +250,10 @@ mod tests {
     #[test]
     fn subset_classification() {
         let element = Subset::indices(vec![SymExpr::sym("i"), SymExpr::sym("j")]);
-        assert_eq!(element.classify(), SubsetClass::Element);
-        assert_eq!(Subset::all().classify(), SubsetClass::All);
+        assert!(element.is_element() && !element.is_all());
+        assert!(Subset::all().is_all() && !Subset::all().is_element());
         let ranged = Subset(vec![IndexRange::range(SymExpr::int(0), SymExpr::sym("N"))]);
-        assert_eq!(ranged.classify(), SubsetClass::Other);
+        assert!(!ranged.is_element() && !ranged.is_all());
     }
 
     #[test]

@@ -15,19 +15,18 @@
 //!   arrays or states, cyclic dataflow graphs, subset-rank vs array-rank
 //!   mismatches, constant indices provably out of bounds against constant
 //!   shape dimensions, inconsistent map scopes (parameter/range arity
-//!   mismatch, duplicate parameters), and library nodes with a missing,
-//!   unknown or doubly-fed connector or an operand of the wrong rank (the
-//!   operands' *sizes* depend on symbol values and are checked when the
-//!   runtime lowers the node).
+//!   mismatch, duplicate parameters), tasklet edges without a connector or
+//!   out connectors without an assignment, and library nodes with a
+//!   missing, unknown or doubly-fed connector or an operand of the wrong
+//!   rank (the operands' *sizes* depend on symbol values and are checked
+//!   when the runtime lowers the node).
 //! * **Warning** — suspicious but executable (or only checkable with more
 //!   context than the pure structure provides): free subset symbols that
 //!   are neither declared SDFG symbols, loop iterators, nor in-scope map
-//!   parameters; iterator names shadowing an outer binding; tasklet edges
-//!   without connectors (the runtime reports these lazily, and only if the
-//!   state is ever executed); memlets whose `data` disagrees with the
-//!   access node they attach to; constant zero loop steps; states that no
-//!   control-flow node references (they are lowered and listed like the
-//!   others, but can never run).
+//!   parameters; iterator names shadowing an outer binding; memlets whose
+//!   `data` disagrees with the access node they attach to; constant zero
+//!   loop steps; states that no control-flow node references (they are
+//!   lowered and listed like the others, but can never run).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -417,12 +416,12 @@ impl<'a> Verifier<'a> {
                     }
                 }
                 DfNode::Tasklet(t) => {
-                    // Connector hygiene: the runtime reports these lazily
-                    // (only when the tasklet executes), so they are warnings.
+                    // Connector hygiene: lowering could not resolve the
+                    // edge, so `compile()` rejects it.
                     for e in graph.edges.iter().filter(|e| e.dst == id) {
                         if e.dst_conn.is_none() {
                             self.push(
-                                Severity::Warning,
+                                Severity::Error,
                                 DiagCode::BadConnector,
                                 Some(state),
                                 Some(id),
@@ -433,14 +432,14 @@ impl<'a> Verifier<'a> {
                     for e in graph.edges.iter().filter(|e| e.src == id) {
                         match e.src_conn.as_deref() {
                             None => self.push(
-                                Severity::Warning,
+                                Severity::Error,
                                 DiagCode::BadConnector,
                                 Some(state),
                                 Some(id),
                                 format!("out-edge of tasklet `{}` has no connector", t.label),
                             ),
                             Some(conn) if !t.code.iter().any(|(out, _)| out == conn) => self.push(
-                                Severity::Warning,
+                                Severity::Error,
                                 DiagCode::BadConnector,
                                 Some(state),
                                 Some(id),

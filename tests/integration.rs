@@ -263,6 +263,43 @@ fn a_gradient_dropped_anywhere_leaves_the_next_run_bit_identical() {
     }
 }
 
+/// The adjoints of an unfolded `Transpose` (an elementwise map reads it, so
+/// no product takes it in) and of a `Copy` are accumulating library nodes,
+/// as a product's adjoints are.  Each adds once per element, as the map
+/// states they replace did, so the gradient keeps its bits.
+#[test]
+fn transpose_and_copy_adjoints_are_library_nodes() {
+    let mut b = ProgramBuilder::new("transpose_copy");
+    let (m, n) = (b.symbol("M"), b.symbol("N"));
+    b.add_input("A", vec![m.clone(), n.clone()]).unwrap();
+    for t in ["At", "S", "C"] {
+        b.add_transient(t, vec![n.clone(), m.clone()]).unwrap();
+    }
+    b.add_scalar("OUT").unwrap();
+    b.transpose("At", "A");
+    b.assign("S", ArrayExpr::a("At").sin().mul(ArrayExpr::a("At")));
+    b.copy("C", "S");
+    b.sum_into("OUT", "C", false);
+    let fwd = b.build().unwrap();
+    let syms = symbols(&[("M", 3), ("N", 5)]);
+    let a = dace_ad_repro::tensor::random::uniform(&[3, 5], 7);
+    let inputs = HashMap::from([("A".to_string(), a)]);
+    let mut engine =
+        GradientEngine::new(&fwd, "OUT", &["A"], &syms, &AdOptions::default()).unwrap();
+    let names: Vec<&str> = (engine.plan().sdfg.states.iter())
+        .map(|s| s.name.as_str())
+        .collect();
+    let map_state = |n: &&str| n.starts_with("adj_transposeacc_") || n.starts_with("adj_copy_");
+    assert!(!names.iter().any(map_state), "{names:?}");
+    let result = engine.run(&inputs).unwrap();
+    // FNV-1a over the bits of the output and the gradient, as tests/bits.rs.
+    let values = std::iter::once(&result.output_value).chain(result.gradients["A"].data());
+    let hash = values.fold(0xCBF2_9CE4_8422_2325u64, |hash, v| {
+        (hash ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    assert_eq!(hash, 0x86A0_2B8E_09B5_1EDA);
+}
+
 /// Whether any state of a gradient program writes a container whose name
 /// starts with `prefix`.
 fn writes_container(plan: &BackwardPlan, prefix: &str) -> bool {

@@ -176,11 +176,10 @@ fn forced_sequential_path_matches_auto_on_golden_forward_passes() {
     }
 }
 
-/// An `Outer` node whose destination has the wrong shape compiles — its
-/// operands fit each other — and keeps the destination's lazy marker: the
-/// run that reaches the node reports `ShapeMismatch`.
+/// An `Outer` node whose operands fit each other but whose destination has
+/// the wrong shape fails `compile()` with `ShapeMismatch`.
 #[test]
-fn wrong_shaped_outer_destination_fails_the_run() {
+fn wrong_shaped_outer_destination_fails_the_compile() {
     use dace_ad_repro::sdfg::{ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, State};
     let build = |rows: i64| {
         let mut sdfg = Sdfg::new("outer");
@@ -203,18 +202,16 @@ fn wrong_shaped_outer_destination_fails_the_run() {
     session.run().unwrap();
     assert_eq!(session.array("A").unwrap(), &x.outer(&y).unwrap());
 
-    let mut session = compile(&build(2), &Default::default()).unwrap().session();
-    session.set_input("x", x).unwrap();
-    session.set_input("y", y).unwrap();
     assert!(matches!(
-        session.run(),
+        compile(&build(2), &Default::default()),
         Err(RuntimeError::ShapeMismatch { .. })
     ));
 }
 
 /// A library node's output tensor moves into the slab at its last plain
 /// use: fanning one connector out to two arrays (and a `Wcr::Sum` edge)
-/// still fills every destination, and a wrongly-shaped one is rejected.
+/// still fills every destination, and `compile()` rejects a wrongly-shaped
+/// one.
 #[test]
 fn library_output_fans_out_to_every_destination() {
     use dace_ad_repro::sdfg::{ArrayDesc, ControlFlow, DataflowGraph, LibraryOp, Memlet, State};
@@ -253,10 +250,8 @@ fn library_output_fans_out_to_every_destination() {
     assert_eq!(session.array("B2").unwrap().data(), a.data());
     assert_eq!(session.array("ACC").unwrap().data(), &[2.0, 3.0, 4.0, 5.0]);
 
-    let mut session = compile(&build(5), &Default::default()).unwrap().session();
-    session.set_input("A", a).unwrap();
     assert!(matches!(
-        session.run(),
+        compile(&build(5), &Default::default()),
         Err(RuntimeError::ShapeMismatch { .. })
     ));
 }
@@ -416,6 +411,120 @@ fn invalid_sdfg_fails_typed_on_every_call() {
                 matches!(err, RuntimeError::InvalidSdfg { .. }),
                 "call {call}: {err}"
             );
+        }
+    }
+}
+
+/// Every error lowering finds fails `compile()`, typed, whether or not a run
+/// would reach the construct: each one below sits in the untaken arm of a
+/// branch (`P[0] > 0` with `P = 0`) of a program that compiles and runs
+/// without it.  `Err(code)` is a verifier diagnostic.
+#[test]
+fn every_lowering_error_fails_the_compile() {
+    use dace_ad_repro::sdfg::{
+        ArrayDesc, BranchRegion, ControlFlow, DataflowGraph, DiagCode, LibraryOp, Memlet,
+        ScalarExpr as E, State, SymError, Tasklet,
+    };
+    type Edit = fn(&mut Sdfg, &mut DataflowGraph);
+    // `A[1] = A[0]` in the untaken arm, after `edit`.
+    let build = |edit: Edit| {
+        let mut sdfg = Sdfg::new("untaken");
+        let arrays = [
+            ("P", vec![1]),
+            ("A", vec![4]),
+            ("M", vec![2, 3]),
+            ("M2", vec![2, 3]),
+        ];
+        for (name, shape) in arrays {
+            let shape = shape.into_iter().map(SymExpr::int).collect();
+            sdfg.add_array(name, ArrayDesc::input(shape)).unwrap();
+        }
+        let mut g = DataflowGraph::new();
+        let r = g.add_access("A");
+        let t = g.add_tasklet(Tasklet::new("copy", "o", E::input("a")));
+        let w = g.add_access("A");
+        let at = |i: i64| Memlet::element("A", vec![SymExpr::int(i)]);
+        g.add_edge(r, None, t, Some("a"), at(0));
+        g.add_edge(t, Some("o"), w, None, at(1));
+        edit(&mut sdfg, &mut g);
+        let sid = sdfg.add_state(State {
+            name: "untaken".into(),
+            graph: g,
+        });
+        sdfg.cfg = ControlFlow::Branch(BranchRegion {
+            cond: CondExpr::Cmp {
+                lhs: CondOperand::Element {
+                    array: "P".into(),
+                    index: vec![SymExpr::int(0)],
+                },
+                op: CmpOp::Gt,
+                rhs: CondOperand::Const(0.0),
+            },
+            then_body: Box::new(ControlFlow::State(sid)),
+            else_body: None,
+        });
+        sdfg
+    };
+    let syms = HashMap::new();
+    let mut session = compile(&build(|_, _| {}), &syms).unwrap().session();
+    session.set_input("P", Tensor::zeros(&[1])).unwrap();
+    session.set_input("A", Tensor::ones(&[4])).unwrap();
+    session.run().unwrap();
+    assert_eq!(session.array("A").unwrap().data(), &[1.0; 4]);
+
+    let scalar = |what: &str| format!("whole-array memlet of `A` used as a scalar {what}");
+    let cases: [(&str, Edit, Result<RuntimeError, DiagCode>); 7] = [
+        (
+            "in-edge without a connector",
+            |_, g| g.edges[0].dst_conn = None,
+            Err(DiagCode::BadConnector),
+        ),
+        (
+            "out connector without an assignment",
+            |_, g| g.edges[1].src_conn = Some("p".into()),
+            Err(DiagCode::BadConnector),
+        ),
+        (
+            "expression reads an unknown connector",
+            |_, g| g.edges[0].dst_conn = Some("b".into()),
+            Ok(RuntimeError::Tasklet("missing tasklet input `a`".into())),
+        ),
+        (
+            "whole-array scalar read",
+            |_, g| g.edges[0].memlet = Memlet::all("A"),
+            Ok(RuntimeError::Malformed(scalar("read"))),
+        ),
+        (
+            "whole-array scalar write",
+            |_, g| g.edges[1].memlet = Memlet::all("A"),
+            Ok(RuntimeError::Malformed(scalar("write"))),
+        ),
+        (
+            "library destination of the wrong shape",
+            |_, g| *g = DataflowGraph::library_call(LibraryOp::Transpose, &["M"], "M2", false),
+            Ok(RuntimeError::ShapeMismatch {
+                array: "M2".into(),
+                expected: vec![2, 3],
+                got: vec![3, 2],
+            }),
+        ),
+        (
+            "byte size beyond i64",
+            |sdfg, _| {
+                let huge = ArrayDesc::input(vec![SymExpr::int(i64::MAX / 4)]);
+                sdfg.add_array("H", huge).unwrap();
+            },
+            Ok(RuntimeError::from(SymError::Overflow)),
+        ),
+    ];
+    for (case, edit, expected) in cases {
+        match (compile(&build(edit), &syms).unwrap_err(), expected) {
+            (RuntimeError::InvalidSdfg { diagnostics }, Err(code)) => {
+                let codes: Vec<_> = diagnostics.iter().map(|d| &d.code).collect();
+                assert_eq!(codes, [&code], "{case}: {diagnostics:?}");
+            }
+            (err, Ok(expected)) => assert_eq!(err, expected, "{case}"),
+            (err, Err(code)) => panic!("{case}: expected {code:?}, got {err}"),
         }
     }
 }
