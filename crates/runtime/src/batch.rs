@@ -5,12 +5,14 @@
 //! module adds the serving layer that exploits that: a [`BatchDriver`] owns
 //! one program, maintains a pool of reusable sessions (each keeping its
 //! tensor slab warm across requests), and fans a batch of input bindings
-//! across the persistent rayon worker pool.
+//! across the calling thread and the persistent rayon worker pool.
 //!
 //! The concurrency model is **inter-request parallelism**: every batch item
-//! runs start-to-finish on one worker thread.  Parallel constructs *inside*
-//! the program (the library kernels) detect that they already run on
-//! a pool worker and execute inline, so a batch of N requests costs no
+//! runs start-to-finish on one thread.  The calling thread runs the first
+//! span of items itself and pool workers run the rest, so a one-item batch
+//! runs on the caller with no hand-off to another thread.  Parallel
+//! constructs *inside* the program detect that they already run inside a
+//! parallel call and execute inline, so a batch of N requests costs no
 //! nested fan-out and no cross-thread synchronisation per call — for many
 //! concurrent small-to-medium requests this beats intra-op parallelism,
 //! which is the same trade inference servers make between inter- and
@@ -171,7 +173,8 @@ pub struct BatchOutput<T, E> {
 }
 
 /// Batched concurrent execution driver: one shared [`CompiledProgram`], a
-/// pool of warm [`Session`]s, and fan-out over the persistent worker pool.
+/// pool of warm [`Session`]s, and fan-out over the calling thread and the
+/// persistent worker pool.
 ///
 /// Construct with [`BatchDriver::new`], then call [`BatchDriver::run_batch`]
 /// with per-item input bindings.  A batch fans out at the width of the rayon
@@ -327,9 +330,10 @@ impl BatchDriver {
     }
 
     /// Generalised batched execution: run `item(i, &mut session)` for every
-    /// `i in 0..n_items`, each on a pooled session, fanned across the worker
-    /// pool.  This is the building block [`BatchDriver::run_batch`] and the
-    /// AD engine's batched gradients are made of — the closure owns the
+    /// `i in 0..n_items`, each on a pooled session, fanned across the calling
+    /// thread and the worker pool.  This is the building block
+    /// [`BatchDriver::run_batch`] and the AD engine's batched gradients are
+    /// made of — the closure owns the
     /// binding/fetch policy, the driver owns scheduling, session reuse and
     /// panic isolation.
     ///
@@ -460,5 +464,36 @@ mod tests {
         assert!(t.is_finite() && t > 0.0);
         // Sub-nanosecond-scale but nonzero elapsed is still a real figure.
         assert!(throughput(1, Duration::from_nanos(1)).unwrap().is_finite());
+    }
+
+    /// A one-item batch runs its closure on the calling thread, and its
+    /// result is bit-identical to a standalone `Session::run`.
+    #[test]
+    fn one_item_batch_runs_on_the_calling_thread() {
+        let sdfg = crate::executor::tests::scale_sdfg(0.5);
+        let program =
+            crate::program::compile(&sdfg, &HashMap::from([("N".to_string(), 8)])).unwrap();
+
+        let x = Tensor::from_vec((0..8).map(|i| i as f64 * 0.375 - 1.25).collect(), &[8]).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut session = program.session();
+        session.set_input("X", x.clone()).unwrap();
+        session.run().unwrap();
+        let expected = bits(session.array("Y").unwrap());
+
+        let caller = std::thread::current().id();
+        let driver = BatchDriver::new(program);
+        let out = driver.run_batch_with(1, |_, session| {
+            session.copy_input("X", &x)?;
+            session.run()?;
+            let y = bits(session.array("Y").unwrap());
+            Ok::<_, RuntimeError>((std::thread::current().id(), y))
+        });
+        let (thread, got) = out.items.into_iter().next().unwrap().unwrap();
+        assert_eq!(
+            thread, caller,
+            "a one-item batch runs on the calling thread"
+        );
+        assert_eq!(got, expected);
     }
 }

@@ -633,7 +633,7 @@ fn flat_offset(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::program::Session;
     use dace_sdfg::{
@@ -653,7 +653,7 @@ mod tests {
     }
 
     /// out[i] = in[i] * k for all i, as a map.
-    fn scale_sdfg(k: f64) -> Sdfg {
+    pub(crate) fn scale_sdfg(k: f64) -> Sdfg {
         let mut sdfg = Sdfg::new("scale");
         sdfg.add_symbol("N");
         sdfg.add_array("X", ArrayDesc::input(vec![SymExpr::sym("N")]))

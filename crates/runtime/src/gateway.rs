@@ -17,7 +17,7 @@
 //!   still queued when its budget runs out resolves
 //!   [`ServeError::DeadlineExceeded`] (at admission, or when the
 //!   dispatcher returns from the batch it was queued behind) and never
-//!   occupies a worker; one already dispatched runs to completion.  Served
+//!   occupies an executor; one already dispatched runs to completion.  Served
 //!   results are bit-identical to a standalone
 //!   [`Session::run`](crate::Session::run) however they were coalesced.
 //! * **Backpressure** — each tenant owns a *bounded* admission queue; a
@@ -99,8 +99,9 @@ const MIN_RETRY_HINT: Duration = Duration::from_millis(1);
 ///
 /// `max_batch` shapes each formed batch: how many of the requests that
 /// queued behind the previous dispatch ride the next one (a batch fans out
-/// at the full width of the worker pool).  `queue_capacity` bounds each
-/// tenant's admission queue.  See `docs/serving.md` for a tuning table.
+/// at the full width of the worker pool plus the dispatcher thread).
+/// `queue_capacity` bounds each tenant's admission queue.  See
+/// `docs/serving.md` for a tuning table.
 #[derive(Clone, Debug)]
 pub struct GatewayOptions {
     /// Maximum requests one dispatch may coalesce (clamped to >= 1).  Also

@@ -21,8 +21,8 @@
 //!   runs** — transients are recycled and zero-filled in place rather than
 //!   reallocated.
 //! * [`batch::BatchDriver`] is the static-batch serving layer: one shared
-//!   program, a pool of warm sessions, and batch fan-out over the persistent
-//!   worker pool with per-item panic isolation.
+//!   program, a pool of warm sessions, and batch fan-out over the calling
+//!   thread and the persistent worker pool with per-item panic isolation.
 //! * [`gateway::Gateway`] is the dynamic front door above it, for one
 //!   tenant or many: requests are submitted individually (with optional
 //!   deadlines and cancellation) and coalesced into batches; per-tenant

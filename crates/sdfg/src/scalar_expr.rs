@@ -199,20 +199,22 @@ impl ScalarExpr {
     /// Collect the names of all input connectors referenced.
     pub fn inputs(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_inputs(&mut out);
+        self.for_each_input(&mut |name| {
+            out.insert(name.to_string());
+        });
         out
     }
 
-    fn collect_inputs(&self, out: &mut BTreeSet<String>) {
+    /// Call `f` on the connector name of every input leaf, left to right,
+    /// once per occurrence.  Allocates nothing.
+    pub(crate) fn for_each_input<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             ScalarExpr::Const(_) | ScalarExpr::Iter(_) => {}
-            ScalarExpr::Input(name) => {
-                out.insert(name.clone());
-            }
-            ScalarExpr::Un(_, a) => a.collect_inputs(out),
+            ScalarExpr::Input(name) => f(name),
+            ScalarExpr::Un(_, a) => a.for_each_input(f),
             ScalarExpr::Bin(_, a, b) => {
-                a.collect_inputs(out);
-                b.collect_inputs(out);
+                a.for_each_input(f);
+                b.for_each_input(f);
             }
         }
     }

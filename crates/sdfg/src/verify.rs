@@ -15,8 +15,9 @@
 //!   arrays or states, cyclic dataflow graphs, subset-rank vs array-rank
 //!   mismatches, constant indices provably out of bounds against constant
 //!   shape dimensions, inconsistent map scopes (parameter/range arity
-//!   mismatch, duplicate parameters), tasklet edges without a connector or
-//!   out connectors without an assignment, and library nodes with a
+//!   mismatch, duplicate parameters), tasklet edges without a connector,
+//!   out connectors without an assignment and expressions reading a
+//!   connector no in-edge feeds, and library nodes with a
 //!   missing, unknown or doubly-fed connector or an operand of the wrong
 //!   rank (the operands' *sizes* depend on symbol values and are checked
 //!   when the runtime lowers the node).
@@ -417,9 +418,17 @@ impl<'a> Verifier<'a> {
                 }
                 DfNode::Tasklet(t) => {
                     // Connector hygiene: lowering could not resolve the
-                    // edge, so `compile()` rejects it.
-                    for e in graph.edges.iter().filter(|e| e.dst == id) {
+                    // edge, so `compile()` rejects it.  The walk notes where
+                    // the in-edges lie, so a read below scans only that
+                    // stretch of the edge list.
+                    let (mut first, mut last, mut unnamed) = (usize::MAX, 0, false);
+                    for (k, e) in graph.edges.iter().enumerate() {
+                        if e.dst != id {
+                            continue;
+                        }
+                        (first, last) = (first.min(k), k);
                         if e.dst_conn.is_none() {
+                            unnamed = true;
                             self.push(
                                 Severity::Error,
                                 DiagCode::BadConnector,
@@ -428,6 +437,34 @@ impl<'a> Verifier<'a> {
                                 format!("in-edge of tasklet `{}` has no connector", t.label),
                             );
                         }
+                    }
+                    // Every connector an expression reads has an in-edge.
+                    // An unnamed in-edge, reported above, may be its feed.
+                    let in_edges = graph.edges.get(first..=last).unwrap_or_default();
+                    let mut unknown: Vec<&str> = Vec::new();
+                    let mut check = |conn| {
+                        let fed = (in_edges.iter())
+                            .any(|e| e.dst == id && e.dst_conn.as_deref() == Some(conn));
+                        if !fed && !unknown.contains(&conn) {
+                            unknown.push(conn);
+                        }
+                    };
+                    if !unnamed {
+                        for (_, expr) in &t.code {
+                            expr.for_each_input(&mut check);
+                        }
+                    }
+                    for conn in unknown {
+                        self.push(
+                            Severity::Error,
+                            DiagCode::BadConnector,
+                            Some(state),
+                            Some(id),
+                            format!(
+                                "tasklet `{}` reads connector `{conn}`, which no in-edge feeds",
+                                t.label
+                            ),
+                        );
                     }
                     for e in graph.edges.iter().filter(|e| e.src == id) {
                         match e.src_conn.as_deref() {
@@ -727,6 +764,29 @@ mod tests {
         assert!(errors(&diags)
             .iter()
             .any(|d| matches!(d.code, DiagCode::RankMismatch)));
+    }
+
+    /// A tasklet expression reading a connector no in-edge feeds is one
+    /// error per connector, however often the expression reads it.
+    #[test]
+    fn tasklet_reading_an_unfed_connector_is_an_error() {
+        let mut g = DataflowGraph::new();
+        let a = g.add_access("A");
+        let code = ScalarExpr::input("x").mul(ScalarExpr::input("y").add(ScalarExpr::input("y")));
+        let t = g.add_tasklet(Tasklet::new("t", "o", code));
+        let w = g.add_access("A");
+        let at = |i: i64| Memlet::element("A", vec![SymExpr::int(i)]);
+        g.add_edge(a, None, t, Some("x"), at(0));
+        g.add_edge(t, Some("o"), w, None, at(1));
+        let (mut s, _) = one_state(g);
+        s.add_array("A", ArrayDesc::input(vec![SymExpr::int(4)]))
+            .unwrap();
+        let diags = s.validate();
+        let errs = errors(&diags);
+        assert_eq!(errs.len(), 1, "{diags:?}");
+        assert_eq!(errs[0].code, DiagCode::BadConnector);
+        assert_eq!(errs[0].node, Some(t));
+        assert!(errs[0].message.contains("`y`"), "{}", errs[0].message);
     }
 
     #[test]

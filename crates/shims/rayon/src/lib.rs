@@ -7,17 +7,20 @@
 //! * `ThreadPoolBuilder` / `ThreadPool::install` (thread-count policy)
 //! * [`current_num_threads`]
 //!
-//! Work is executed by a **persistent worker pool**: one set of threads is
-//! spawned lazily on first use (at most once per process) and parked on a
-//! shared queue between calls, so hot kernels pay no per-call thread-spawn
-//! cost.  Each parallel call splits its index space into contiguous spans,
-//! enqueues one job per span, and blocks on a completion latch — the
-//! structured-concurrency wait is what makes the lifetime erasure of borrowed
-//! closures sound (jobs never outlive the call that created them).
+//! Work is executed by a **persistent worker pool** and the calling thread.
+//! The pool's threads, one fewer than the host has CPUs, are spawned lazily
+//! on the first call that queues work (at most once per process) and parked
+//! on a shared queue between calls, so hot kernels pay no per-call
+//! thread-spawn cost.  Each parallel call splits its index space into
+//! contiguous spans and runs the first span itself.  It enqueues one job per
+//! other span, wakes one worker per job, and blocks on a completion latch once
+//! its own span is done — the structured-concurrency wait is what makes the
+//! lifetime erasure of borrowed closures sound (jobs never outlive the call
+//! that created them).  A one-span call queues nothing and wakes no thread.
 //!
-//! Nested parallel calls issued *from* a worker thread run inline
-//! (sequentially) instead of re-entering the queue, which keeps the pool
-//! deadlock-free without work stealing.
+//! Nested parallel calls issued from a worker thread, or from the caller's
+//! own span, run inline (sequentially) instead of re-entering the queue,
+//! which keeps the pool deadlock-free without work stealing.
 
 // Unsafe is genuinely needed here (lifetime erasure of borrowed job
 // closures); the lint keeps every unsafe operation inside an explicit
@@ -37,14 +40,20 @@ pub mod prelude {
 std::thread_local! {
     /// Per-thread override installed by [`ThreadPool::install`]; 0 = none.
     static THREAD_OVERRIDE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// True on pool worker threads: nested parallel calls run inline.
+    /// True on pool worker threads, and on a caller while it runs its own
+    /// span: nested parallel calls run inline.
     static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// The host's CPU count, read once per process: `available_parallelism`
+/// reads cgroup files on every call, which a per-batch read would pay.
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 fn num_threads() -> usize {
@@ -127,7 +136,9 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
-/// The process-wide pool, created at most once, lazily on first use.
+/// The process-wide pool, created at most once, lazily on the first call
+/// that queues work.  It holds one worker fewer than the host has CPUs: the
+/// calling thread of every parallel call is the last executor.
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -135,7 +146,7 @@ fn pool() -> &'static Pool {
             queue: Mutex::new(VecDeque::new()),
             work_cv: Condvar::new(),
         });
-        for i in 0..hardware_threads() {
+        for i in 0..hardware_threads() - 1 {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("rayon-shim-worker-{i}"))
@@ -146,13 +157,11 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Run `tasks` to completion across the pool (or inline when called from a
-/// worker thread).  Blocks until every task has finished; panics in workers
-/// are captured and re-raised on the calling thread.
+/// Run `tasks` to completion: the first on the calling thread, the rest on
+/// the pool (or all inline when called from a worker thread).  Blocks until
+/// every task has finished; a panic in any task is re-raised on the calling
+/// thread once the queued tasks are done.
 fn run_scope<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-    if tasks.is_empty() {
-        return;
-    }
     if IS_WORKER.with(std::cell::Cell::get) {
         // Nested parallelism: execute inline to keep the pool deadlock-free.
         for task in tasks {
@@ -160,30 +169,53 @@ fn run_scope<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         }
         return;
     }
-    let pool = pool();
-    let latch = Arc::new(Latch::new(tasks.len()));
-    {
-        let mut queue = pool.shared.queue.lock().unwrap();
-        for task in tasks {
-            // SAFETY: `run_scope` blocks on `latch.wait()` below until every
-            // enqueued job has run to completion, so the borrows captured by
-            // `task` strictly outlive its execution (structured concurrency,
-            // the same argument `std::thread::scope` relies on).
-            let task: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task) };
-            let latch = Arc::clone(&latch);
-            queue.push_back(Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(task));
-                if result.is_err() {
-                    latch.panicked.store(true, Ordering::SeqCst);
-                }
-                latch.count_down();
-            }));
+    let mut tasks = tasks.into_iter();
+    let Some(first) = tasks.next() else {
+        return;
+    };
+    let queued = tasks.len();
+    let latch = (queued > 0).then(|| {
+        let pool = pool();
+        let latch = Arc::new(Latch::new(queued));
+        {
+            let mut queue = pool.shared.queue.lock().unwrap();
+            for task in tasks {
+                // SAFETY: `run_scope` blocks on `latch.wait()` below until
+                // every enqueued job has run to completion, also when the
+                // caller's own span panics (that panic is caught and
+                // re-raised only after the wait), so the borrows captured by
+                // `task` strictly outlive its execution (structured
+                // concurrency, the same argument `std::thread::scope` relies
+                // on).
+                let task: Job =
+                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task) };
+                let latch = Arc::clone(&latch);
+                queue.push_back(Box::new(move || {
+                    let result = catch_unwind(AssertUnwindSafe(task));
+                    if result.is_err() {
+                        latch.panicked.store(true, Ordering::SeqCst);
+                    }
+                    latch.count_down();
+                }));
+            }
         }
+        for _ in 0..queued {
+            pool.shared.work_cv.notify_one();
+        }
+        latch
+    });
+    // The caller is an executor too: its span runs here, as a worker's would,
+    // so a parallel call inside it runs inline.
+    IS_WORKER.with(|c| c.set(true));
+    let mine = catch_unwind(AssertUnwindSafe(first));
+    IS_WORKER.with(|c| c.set(false));
+    if let Some(latch) = &latch {
+        latch.wait();
     }
-    pool.shared.work_cv.notify_all();
-    latch.wait();
-    if latch.panicked.load(Ordering::SeqCst) {
+    if let Err(payload) = mine {
+        std::panic::resume_unwind(payload);
+    }
+    if latch.is_some_and(|latch| latch.panicked.load(Ordering::SeqCst)) {
         panic!("rayon-shim worker panicked");
     }
 }
@@ -228,8 +260,8 @@ impl std::error::Error for ThreadPoolBuildError {}
 
 /// A scoped thread-count policy rather than a separate worker pool: while
 /// [`ThreadPool::install`] runs, parallel operations started from the calling
-/// thread fan out to at most `num_threads` spans of the shared persistent
-/// pool.
+/// thread fan out to at most `num_threads` spans, run by the caller and the
+/// shared persistent pool.
 pub struct ThreadPool {
     num_threads: usize,
 }
@@ -249,9 +281,12 @@ impl ThreadPool {
     }
 }
 
-/// Splits `0..len` into at most `num_threads()` contiguous, non-empty spans.
+/// Splits `0..len` into at most `num_threads()` contiguous, non-empty spans,
+/// and never more than the host has executors (the pool's workers and the
+/// caller), so every queued span has a worker to run it: on a one-CPU host
+/// the pool has no worker at all.
 fn spans(len: usize) -> Vec<(usize, usize)> {
-    let threads = num_threads().min(len.max(1));
+    let threads = num_threads().min(hardware_threads()).min(len.max(1));
     let chunk = len.div_ceil(threads.max(1)).max(1);
     (0..len)
         .step_by(chunk)
@@ -386,9 +421,9 @@ mod tests {
                 .into_par_iter()
                 .map(|_| std::thread::current().id())
                 .collect();
-            // One worker span means one job; all items share its thread.
+            // One span means no job: the caller runs every item itself.
             assert!(ids.windows(2).all(|w| w[0] == w[1]));
-            assert_ne!(caller, ids[0], "work still runs on a pool worker");
+            assert_eq!(caller, ids[0], "a one-span call runs on the caller");
         });
     }
 
@@ -412,9 +447,10 @@ mod tests {
             seen.extend(ids);
         }
         // With per-call spawning, 8 calls x N spans would accumulate up to
-        // 8*N distinct thread ids; the persistent pool is bounded by its
-        // process-wide size regardless of call count.  Other tests may run
-        // concurrently on the same pool, so only the bound is asserted.
+        // 8*N distinct thread ids; the persistent pool (one worker fewer
+        // than the host has CPUs) and the caller are bounded by the CPU
+        // count regardless of call count.  Other tests may run concurrently
+        // on the same pool, so only the bound is asserted.
         assert!(
             seen.len() <= super::hardware_threads(),
             "expected at most {} pooled workers, saw {} distinct threads",
@@ -451,6 +487,86 @@ mod tests {
             .collect();
         let expected: Vec<usize> = (0..16).map(|i| (0..8).map(|j| i * 8 + j).sum()).collect();
         assert_eq!(out, expected);
+    }
+
+    /// A multi-span call runs span 0 on the caller and every other span on
+    /// a pool worker.
+    #[test]
+    fn caller_runs_the_first_span_and_workers_the_rest() {
+        let width = super::hardware_threads();
+        if width < 2 {
+            return; // A one-CPU host has no workers: every span is the caller's.
+        }
+        let caller = std::thread::current().id();
+        let ids: Vec<std::thread::ThreadId> = (0..width)
+            .into_par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        assert_eq!(ids[0], caller, "span 0 runs on the caller");
+        assert!(
+            ids[1..].iter().all(|id| *id != caller),
+            "the other spans run on pool workers"
+        );
+    }
+
+    /// A panic in the caller's own span is re-raised only after the queued
+    /// spans have finished, and the pool stays usable afterwards.
+    #[test]
+    fn caller_panic_waits_for_queued_spans() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        if super::hardware_threads() < 2 {
+            return; // A one-CPU host queues no span behind the caller's.
+        }
+        let finished = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: Vec<()> = (0..2)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 0 {
+                        panic!("caller's span");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.store(true, Ordering::SeqCst);
+                })
+                .collect();
+        }));
+        assert!(result.is_err(), "the caller's panic is re-raised");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the queued span finished before the panic was re-raised"
+        );
+        let out: Vec<usize> = (0..64).into_par_iter().map(|i| i).collect();
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
+    }
+
+    /// A parallel call inside the caller's own span runs inline on the
+    /// caller, as it would on a worker.
+    #[test]
+    fn nested_call_in_the_callers_span_runs_inline() {
+        let caller = std::thread::current().id();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let inner: Vec<std::thread::ThreadId> = pool.install(|| {
+            let outer: Vec<Vec<std::thread::ThreadId>> = (0..1)
+                .into_par_iter()
+                .map(|_| {
+                    crate::ThreadPoolBuilder::new()
+                        .num_threads(8)
+                        .build()
+                        .unwrap()
+                        .install(|| {
+                            (0..64)
+                                .into_par_iter()
+                                .map(|_| std::thread::current().id())
+                                .collect()
+                        })
+                })
+                .collect();
+            outer.into_iter().flatten().collect()
+        });
+        assert!(inner.iter().all(|id| *id == caller));
     }
 
     #[test]

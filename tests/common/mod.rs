@@ -13,7 +13,9 @@ use npbench::Preset;
 pub const PLUG: &str = "plug";
 
 /// How long a plug holds the dispatcher: far longer than the handful of
-/// submissions a test makes behind it.
+/// submissions a test makes behind it.  The hold starts only once the plug
+/// is seen in flight, and what follows it is a few non-blocking `submit`s
+/// of microseconds each: a margin of about a thousandfold.
 const HOLD: Duration = Duration::from_millis(200);
 
 /// Elements of the slow program's scratch array.

@@ -551,6 +551,10 @@ fn concurrent_reloads_never_tear_results() {
                         v1.clone()
                     };
                     gateway.reload("alpha", BatchDriver::new(next)).unwrap();
+                    // Spreads the reloads over the submissions.  No
+                    // assertion depends on where they land: a result
+                    // matches one plan or the other, and the epoch and
+                    // completion counts are the same for every order.
                     std::thread::sleep(Duration::from_millis(2));
                 }
             })
@@ -602,14 +606,18 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
         let sampler = {
             let gateway = Arc::clone(&gateway);
             let done = &done;
+            // The first snapshot comes before `done` is read, so the
+            // sampler observes the run however late it is scheduled.
             scope.spawn(move || {
                 let mut samples = 0u64;
-                while !done.load(Ordering::Acquire) {
+                loop {
                     let stats = gateway.stats();
                     assert!(stats.conserves(), "torn snapshot under shutdown: {stats:?}");
                     samples += 1;
+                    if done.load(Ordering::Acquire) {
+                        break samples;
+                    }
                 }
-                samples
             })
         };
         let submitters: Vec<_> = (0..THREADS)
@@ -639,7 +647,10 @@ fn shutdown_under_load_resolves_every_handle_exactly_once() {
                 })
             })
             .collect();
-        // Let the load develop, then yank the gateway mid-dispatch.
+        // Let the load develop, then yank the gateway mid-dispatch.  Any
+        // moment is legal: a request submitted after the shutdown resolves
+        // at once with `ShuttingDown`, so every handle resolves whenever
+        // this sleep ends.
         std::thread::sleep(Duration::from_millis(15));
         gateway.shutdown();
         for submitter in submitters {
@@ -865,6 +876,9 @@ fn npbench_tenants_survive_a_chaos_storm() {
         // the drain guarantee says no handle may be lost across a swap.
         let reloader = scope.spawn(move || {
             for r in 0..RELOADS {
+                // Spreads the reloads over the storm.  Wherever they land,
+                // each bumps its tenant's epoch once and loses no handle,
+                // which is all the assertions below count.
                 std::thread::sleep(Duration::from_millis(3));
                 let (name, engine) = &engines[r % engines.len()];
                 engine.reload_into(gateway_ref, name).unwrap();

@@ -487,7 +487,7 @@ fn every_lowering_error_fails_the_compile() {
         (
             "expression reads an unknown connector",
             |_, g| g.edges[0].dst_conn = Some("b".into()),
-            Ok(RuntimeError::Tasklet("missing tasklet input `a`".into())),
+            Err(DiagCode::BadConnector),
         ),
         (
             "whole-array scalar read",

@@ -385,17 +385,21 @@ fn stats_snapshots_conserve_requests_under_load() {
     std::thread::scope(|scope| {
         // Sampler: hammer `stats()` for the whole run, checking every
         // snapshot.  A coherent implementation never shows an imbalance,
-        // however the sample interleaves with lifecycle transitions.
+        // however the sample interleaves with lifecycle transitions.  The
+        // first snapshot is taken before `done` is read, so the sampler
+        // observes the run however late it is scheduled.
         let sampler = {
             let server = &server;
             let done = &done;
             scope.spawn(move || {
                 let mut samples = 0u64;
-                while !done.load(Ordering::Acquire) {
+                loop {
                     check(&stats(server), "during load");
                     samples += 1;
+                    if done.load(Ordering::Acquire) {
+                        break samples;
+                    }
                 }
-                samples
             })
         };
 
